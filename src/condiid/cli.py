@@ -11,6 +11,7 @@ sentinels.  Exit codes: 0 ok, 1 validation error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -98,7 +99,11 @@ def build_model(spec: dict) -> Model:
         mu = float(spec.get("mu", 0.0))
         sigma = float(spec.get("sigma", 1.0))
         rho = float(_need(spec, "rho"))
-        from scipy.stats import norm
+
+        def marginal_ppf(q):
+            from scipy.stats import norm
+
+            return mu + sigma * float(norm.ppf(q))
 
         return Model(
             family, d,
@@ -109,7 +114,7 @@ def build_model(spec: dict) -> Model:
                     mu, sigma, rho, 2.0 * mu - np.asarray(x, dtype=float)
                 ),
             },
-            marginal_ppf=lambda q: mu + sigma * float(norm.ppf(q)),
+            marginal_ppf=marginal_ppf,
             verify_kind="cdf",
         )
 
@@ -435,7 +440,12 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The ``condiid`` argument parser, built once per process.
+
+    Parsing leaves the parser unchanged, so every :func:`main` call shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="condiid",
         description="Samplers, closed-form evaluators and extendibility checks "

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import NonMonotoneConditionalError, SpecValidationError
 from .sample import SampleMatrix
@@ -164,6 +163,8 @@ def radial_symmetry_test(samples, mu: float, alpha: float = 0.01) -> bool:
     Per-coordinate Kolmogorov-Smirnov tests (Bonferroni-corrected at level
     ``alpha``) plus a joint orthant comparison on a deterministic grid.
     """
+    from scipy import stats  # imported here: it takes most of the package's import time
+
     data = samples.data if isinstance(samples, SampleMatrix) else np.asarray(samples, dtype=float)
     nrows, d = data.shape
     left = data - mu

@@ -1,10 +1,10 @@
-"""Sample containers, CSV round-trips and seed-derived RNG streams."""
+"""Sample containers and their CSV round-trip."""
 
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,40 +39,46 @@ class SampleMatrix:
         return self.data.shape[1]
 
 
-def _format_value(v: float) -> str:
-    if np.isposinf(v):
-        return "inf"
-    return repr(float(v))
+# Rows formatted per ``write`` call: large enough to amortize the call, small
+# enough that the text held at once stays a few hundred kB at any n.
+_WRITE_CHUNK_ROWS = 4096
+
+
+def _is_path(path_or_buf) -> bool:
+    return isinstance(path_or_buf, (str, bytes, os.PathLike))
 
 
 def write_csv(matrix: SampleMatrix | np.ndarray, path_or_buf) -> None:
     """Write samples as CSV with header ``x1,...,xd``, LF line endings.
 
-    +inf is serialized as the literal string ``inf``; identical data yields
+    ``path_or_buf`` is a path (``str``, ``bytes`` or ``os.PathLike``) or an
+    open text stream.  Each value is written as ``repr`` of its float, so
+    +inf is the literal ``inf``, no field is quoted and identical data yields
     identical bytes.
     """
     data = matrix.data if isinstance(matrix, SampleMatrix) else np.asarray(matrix, dtype=float)
-    own = isinstance(path_or_buf, (str, bytes))
+    if data.ndim != 2:
+        raise ValueError(f"sample matrix must be 2-dimensional, got shape {data.shape}")
+    own = _is_path(path_or_buf)
     f = open(path_or_buf, "w", newline="\n") if own else path_or_buf
     try:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow([f"x{k + 1}" for k in range(data.shape[1])])
-        for row in data:
-            writer.writerow([_format_value(v) for v in row])
+        f.write(",".join(f"x{k + 1}" for k in range(data.shape[1])) + "\n")
+        for start in range(0, data.shape[0], _WRITE_CHUNK_ROWS):
+            rows = data[start:start + _WRITE_CHUNK_ROWS].tolist()
+            f.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
     finally:
         if own:
             f.close()
 
 
-def csv_bytes(matrix: SampleMatrix | np.ndarray) -> bytes:
-    buf = io.StringIO()
-    write_csv(matrix, buf)
-    return buf.getvalue().encode()
-
-
 def read_csv(path_or_buf) -> np.ndarray:
-    """Read a sample CSV written by :func:`write_csv` back into an array."""
-    own = isinstance(path_or_buf, (str, bytes))
+    """Read a sample CSV written by :func:`write_csv` back into an array.
+
+    Blank lines are skipped.  Raises ``ValueError`` when a row's width differs
+    from the header's, when a field is not a number, or when no data row
+    follows the header.
+    """
+    own = _is_path(path_or_buf)
     f = open(path_or_buf, "r", newline="") if own else path_or_buf
     try:
         reader = csv.reader(f)
@@ -84,15 +90,10 @@ def read_csv(path_or_buf) -> np.ndarray:
                 continue
             if len(row) != d:
                 raise ValueError(f"row width {len(row)} does not match header width {d}")
-            rows.append([float(v) for v in row])
+            rows.append(row)
     finally:
         if own:
             f.close()
     if not rows:
         raise ValueError("CSV contains a header but no data rows")
-    return np.asarray(rows, dtype=float)
-
-
-def seed_streams(base_seed: int, count: int) -> list[np.random.Generator]:
-    """Independent generators for parallel Monte Carlo, seed_i = base_seed + i."""
-    return [np.random.default_rng(base_seed + i) for i in range(count)]
+    return np.array(rows, dtype=float)

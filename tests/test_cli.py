@@ -66,6 +66,22 @@ class TestSample:
         code, _, _ = run(["sample", "--model", "no/such/file.json", "--n", "2", "--seed", "1"])
         assert code == 3
 
+    @pytest.mark.parametrize("model", [
+        MO_MODEL,
+        '{"family":"exch_normal","rho":0.3,"d":3}',
+        json.dumps({"family": "exshock", "shocks": [
+            {"kind": "step", "points": [1.0], "values": [0.5]},
+            {"kind": "exponential", "rate": 0.0},
+        ]}),
+    ])
+    def test_stdout_matches_out_file(self, tmp_path, model):
+        path = tmp_path / "s.csv"
+        args = ["sample", "--model", model, "--n", "300", "--seed", "4"]
+        code1, out, _ = run(args)
+        code2, _, _ = run(args + ["--out", str(path)])
+        assert code1 == code2 == 0
+        assert out.encode() == path.read_bytes()
+
 
 class TestEval:
     @pytest.mark.parametrize(
@@ -189,6 +205,18 @@ class TestDiagnose:
         code, _, _ = run(["diagnose", "nope.csv", "--tests", "kendall"])
         assert code == 3
 
+    @pytest.mark.parametrize("text,message", [
+        ("x1,x2\n1.0,2.0\n3.0\n", "row width"),
+        ("x1,x2\n", "no data rows"),
+        ("x1,x2\n1.0,2.0\n3.0,abc\n", "could not convert"),
+    ])
+    def test_malformed_csv_exits_one(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, _, err = run(["diagnose", str(path), "--tests", "ties"])
+        assert code == 1
+        assert message in err
+
 
 class TestModelPlumbing:
     def test_param_flags_merge(self):
@@ -207,6 +235,20 @@ class TestModelPlumbing:
         code, _, _ = run(["eval", "--model", '{"family":"sato","alpha":1.0,"d":1}',
                           "--param", "alpha=1.0", "--point", "1.0"])
         assert code == 0
+
+    def test_param_lists_do_not_leak_between_calls(self):
+        # the parser is built once per process; each call must start from its defaults
+        assert cli.make_parser() is cli.make_parser()
+        code, out, _ = run(["eval", "--model", '{"family":"sato","d":1}',
+                            "--param", "alpha=1.0", "--point", "1.0"])
+        assert code == 0
+        code, out2, err = run(["eval", "--model", '{"family":"sato","alpha":2.0,"d":1}',
+                               "--point", "1.0"])
+        assert code == 0, err
+        assert float(out2) != pytest.approx(float(out))
+        code, _, err = run(["eval", "--model", '{"family":"sato","d":1}', "--point", "1.0"])
+        assert code == 1
+        assert "alpha" in err
 
     def test_model_file(self, tmp_path):
         path = tmp_path / "model.json"

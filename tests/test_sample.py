@@ -1,0 +1,94 @@
+import csv
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from condiid import sample
+from condiid.sample import SampleMatrix, read_csv, write_csv
+
+SPECIAL = [np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-308,
+           1e308, -1e308, np.finfo(float).max, -np.finfo(float).max]
+
+
+def reference_bytes(data: np.ndarray) -> bytes:
+    """The CSV format written value by value: ``csv.writer`` fields of ``repr(float)``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"x{k + 1}" for k in range(data.shape[1])])
+    for row in data:
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue().encode()
+
+
+def written_bytes(data) -> bytes:
+    buf = io.StringIO()
+    write_csv(data, buf)
+    return buf.getvalue().encode()
+
+
+def same_floats(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+matrices = hnp.arrays(
+    dtype=np.float64,
+    shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+    elements=st.one_of(st.floats(allow_nan=False), st.sampled_from(SPECIAL)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices)
+def test_bytes_match_reference_and_round_trip(data):
+    text = written_bytes(data)
+    assert text == reference_bytes(data)
+    assert same_floats(read_csv(io.StringIO(text.decode())), data)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, sample._WRITE_CHUNK_ROWS + 1])
+def test_chunk_boundaries(extra):
+    n = sample._WRITE_CHUNK_ROWS + extra
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((n, 3))
+    data[::11, 1] = np.inf
+    text = written_bytes(SampleMatrix(data))
+    assert text == reference_bytes(data)
+    assert text.count(b"\n") == n + 1
+    assert same_floats(read_csv(io.StringIO(text.decode())), data)
+
+
+def test_path_like(tmp_path):
+    data = np.array([[1.5, np.inf], [-0.0, 2.0]])
+    path = tmp_path / "s.csv"
+    write_csv(SampleMatrix(data), path)
+    assert path.read_bytes() == reference_bytes(data)
+    assert same_floats(read_csv(path), data)
+    assert same_floats(read_csv(str(path)), data)
+
+
+def test_rejects_non_matrix():
+    with pytest.raises(ValueError, match="2-dimensional"):
+        write_csv(np.zeros(3), io.StringIO())
+
+
+def test_blank_lines_skipped():
+    data = read_csv(io.StringIO("x1,x2\n\n1.0,2.0\n\n\n3.0,inf\n\n"))
+    assert same_floats(data, np.array([[1.0, 2.0], [3.0, np.inf]]))
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("x1,x2\n1.0,2.0\n3.0\n", "row width 1 does not match header width 2"),
+        ("x1,x2\n", "header but no data rows"),
+        ("x1,x2\n\n\n", "header but no data rows"),
+        ("x1,x2\n1.0,abc\n", "could not convert string to float: 'abc'"),
+    ],
+)
+def test_malformed_csv_raises_value_error(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_csv(io.StringIO(text))
