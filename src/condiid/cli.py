@@ -21,6 +21,7 @@ import numpy as np
 from . import diagnostics, lack_of_memory as lom, mixtures, moments, shock_models as shock
 from . import extreme_value as ev
 from .errors import SpecValidationError
+from .inverse import monotone_inverse
 from .mixing import mixing_law_from_json
 from .sample import SampleMatrix, read_csv, write_csv
 
@@ -61,24 +62,6 @@ class Model:
         if self.integer_grid:
             grid = np.maximum(np.rint(grid), 0.0)
         return grid
-
-
-def _bisect_decreasing(fn, target, tol=1e-12):
-    hi = 1.0
-    for _ in range(300):
-        if fn(hi) <= target:
-            break
-        hi *= 2.0
-    else:
-        return math.inf
-    lo = 0.0
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _need(spec, key):
@@ -157,8 +140,8 @@ def build_model(spec: dict) -> Model:
             family, d,
             sampler=lambda n, rng: mixtures.sample_linf_ciid(law, d, n, rng),
             evals={"survival": lambda x: mixtures.linf_ciid_survival(law, x)},
-            marginal_ppf=lambda q: _bisect_decreasing(
-                lambda x: 1.0 - mixtures.linf_marginal_cdf(law, x), q
+            marginal_ppf=lambda q: monotone_inverse(
+                lambda x: 1.0 - mixtures.linf_marginal_cdf(law, x) <= q
             ),
         )
 
@@ -237,9 +220,7 @@ def build_model(spec: dict) -> Model:
                 "survival": lambda x: float(shock.exshock_survival(sspec, x)),
                 "copula": lambda u: shock.exshock_copula_eval(sspec, u),
             },
-            marginal_ppf=lambda q: _bisect_decreasing(
-                lambda x: float(shock.exshock_marginal_survival(sspec, x)), 1.0 - q
-            ),
+            marginal_ppf=lambda q: shock.exshock_marginal_inverse(sspec, 1.0 - q),
         )
 
     if family == "dirichlet_prior":

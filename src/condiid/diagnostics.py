@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonMonotoneConditionalError, SpecValidationError
+from .inverse import monotone_inverse_rows
 from .sample import SampleMatrix
 
 __all__ = [
@@ -214,28 +215,6 @@ def scarsini_cdf(x1: float, x2: float) -> float:
 
 # -- sequential inversion from a closed-form survival function ------------------------
 
-def _vector_bisect(fn, target, lo, hi, iters: int = 80):
-    """Row-wise bisection of a non-increasing fn to fn(x) = target."""
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        above = fn(mid) > target
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _grow_upper(fn, target, start: float = 1.0, max_doublings: int = 120):
-    hi = np.full_like(target, start)
-    for _ in range(max_doublings):
-        need = fn(hi) > target
-        if not need.any():
-            return hi
-        hi = np.where(need, 2.0 * hi, hi)
-    return np.where(fn(hi) > target, np.inf, hi)
-
-
 def conditional_inversion_sampler(survival, d: int, n: int, rng) -> SampleMatrix:
     """Sample a law on [0, inf)^d (d <= 3) given only its joint survival function.
 
@@ -257,8 +236,7 @@ def conditional_inversion_sampler(survival, d: int, n: int, rng) -> SampleMatrix
 
     u1 = rng.random(n)
     marg = lambda t: sf([t] + [zeros] * (d - 1))
-    hi = _grow_upper(marg, u1)
-    data[:, 0] = _vector_bisect(marg, u1, zeros.copy(), hi)
+    data[:, 0] = monotone_inverse_rows(lambda t: marg(t) <= u1, zeros)
 
     if d >= 2:
         x1 = data[:, 0]
@@ -274,8 +252,7 @@ def conditional_inversion_sampler(survival, d: int, n: int, rng) -> SampleMatrix
         cond2 = lambda x2: d1(x2) / base
         _probe_monotone(cond2, n)
         u2 = rng.random(n)
-        hi2 = _grow_upper(cond2, u2)
-        data[:, 1] = _vector_bisect(cond2, u2, zeros.copy(), hi2)
+        data[:, 1] = monotone_inverse_rows(lambda t: cond2(t) <= u2, zeros)
 
     if d == 3:
         x1, x2 = data[:, 0], data[:, 1]
@@ -297,8 +274,7 @@ def conditional_inversion_sampler(survival, d: int, n: int, rng) -> SampleMatrix
         cond3 = lambda x3: d12(x3) / base
         _probe_monotone(cond3, n)
         u3 = rng.random(n)
-        hi3 = _grow_upper(cond3, u3)
-        data[:, 2] = _vector_bisect(cond3, u3, zeros.copy(), hi3)
+        data[:, 2] = monotone_inverse_rows(lambda t: cond3(t) <= u3, zeros)
 
     return SampleMatrix(data, meta=f"conditional_inversion d={d}")
 

@@ -29,6 +29,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import SpecValidationError, TruncationHorizonError, UnsupportedLawError
+from .inverse import monotone_inverse
 from .mixing import FiniteDiscrete, MixingLaw, PointMass, sample_positive_stable
 from .sample import SampleMatrix
 
@@ -616,23 +617,17 @@ class _SeriesRealization:
                 return math.inf
         return total
 
-    def first_passage(self, level: float, lo: float = 0.0, bisect_tol: float = 1e-10) -> float:
-        hi = max(1.0, 2.0 * lo)
-        self.extend_to(hi)
-        doublings = 0
-        while self.z(hi) <= level:
-            hi *= 2.0
-            doublings += 1
-            if doublings > 200:
-                raise TruncationHorizonError("first-passage bracket exceeded 2**200")
-            self.extend_to(hi)
-        while hi - lo > bisect_tol * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if self.z(mid) > level:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+    def first_passage(self, level: float, lo: float = 0.0) -> float:
+        """inf{t > lo : Z_t > level}, extending the series to each bracket end."""
+
+        def passed(t):
+            self.extend_to(t)  # a no-op below the bracket end already reached
+            return self.z(t) > level
+
+        t = monotone_inverse(passed, lo=lo, tol=1e-10)
+        if math.isinf(t):
+            raise TruncationHorizonError("first-passage bracket exceeded the doubling cap")
+        return t
 
     def tail_bound(self) -> float:
         tau = max(self.tau_top, 1e-300)

@@ -19,9 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import moments
 from .errors import DimensionCapError, NotDMonotoneError, SpecValidationError
 from .mixing import Beta, MixingLaw
 from .moments import (
+    BinaryExchangeableLaw,
     ExtendibilityVerdict,
     MonotoneSequence,
     hausdorff_extendible,
@@ -308,15 +310,15 @@ def lambda_from_b(params: LomParameterSeq) -> ShockRateSpec:
 
 
 def b_from_p(spec: ShockRateSpec) -> LomParameterSeq:
-    """b_k = sum_i C(d-k, i) p_i for exchangeable geometric shock probabilities."""
+    """b_k = sum_i C(d-k, i) p_i for exchangeable geometric shock probabilities.
+
+    This is :func:`condiid.moments.b_from_p` with p reversed: p_i here is the
+    probability of one fixed set of i shocked components, there of i ones.
+    """
     if spec.kind != "geometric":
         raise SpecValidationError("b_from_p needs geometric shock probabilities")
-    p = spec.cardinality_values()
-    d = spec.d
-    values = tuple(
-        sum(math.comb(d - k, i) * p[i] for i in range(d - k + 1)) for k in range(d + 1)
-    )
-    return LomParameterSeq((1.0,) + values[1:], DISCRETE)
+    law = BinaryExchangeableLaw(spec.cardinality_values()[::-1])
+    return LomParameterSeq(moments.b_from_p(law).values, DISCRETE)
 
 
 def p_from_b_geo(params: LomParameterSeq) -> ShockRateSpec:
@@ -324,13 +326,8 @@ def p_from_b_geo(params: LomParameterSeq) -> ShockRateSpec:
     d-monotone input."""
     if params.flavor != DISCRETE:
         raise SpecValidationError("p_from_b_geo needs discrete-flavor parameters")
-    from .moments import backward_difference
-
-    d = params.d
-    p = [max(0.0, backward_difference(params.values, m, d - m)) for m in range(d + 1)]
-    total = sum(math.comb(d, m) * p[m] for m in range(d + 1))
-    p = [v / total for v in p]
-    return ShockRateSpec(d=d, kind="geometric", cardinality=tuple(p))
+    p = moments.p_from_b(params.values).p[::-1]
+    return ShockRateSpec(d=params.d, kind="geometric", cardinality=p)
 
 
 def _subset_masks(items, d):
@@ -475,9 +472,6 @@ def sample_mo_ciid(
                     x[ptr] = t + (levels[ptr] - z) / mu
                     ptr += 1
             if ptr >= d:
-                break
-            if not math.isfinite(t_event):
-                x[ptr:] = math.inf  # no drift, no further events: never crossed
                 break
             z += mu * (t_event - t)
             t = t_event

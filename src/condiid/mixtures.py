@@ -13,6 +13,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import SpecValidationError, UnsupportedLawError
+from .inverse import monotone_inverse
 from .mixing import FiniteDiscrete, MixingLaw, Pareto, PointMass
 from .sample import SampleMatrix
 
@@ -173,21 +174,11 @@ class ArchimedeanGenerator:
             raise SpecValidationError(f"generator inverse needs u in [0,1], got {u}")
         if u >= 1.0:
             return 0.0
-        hi = 1.0
-        for _ in range(200):
-            if self(hi) < u:
-                break
-            hi *= 2.0
-        else:
-            return math.inf  # phi never drops below u: mass of M at 0
-        lo = 0.0
-        while hi - lo > self.tol * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if self(mid) <= u:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        x = monotone_inverse(lambda t: self(t) <= u, tol=self.tol)
+        # With mass of M at 0, phi levels off at P(M = 0) from above and can
+        # round onto u = P(M = 0) at a finite point; phi never drops below u
+        # there, and the inverse is inf.
+        return x if x < math.inf and self(2.0 * x) < u else math.inf
 
 
 def archimedean_copula_eval(gen: ArchimedeanGenerator | MixingLaw, u) -> float:

@@ -28,7 +28,6 @@ __all__ = [
     "backward_difference",
     "is_d_monotone",
     "is_log_d_monotone",
-    "hankel_determinants",
     "hausdorff_extendible",
     "b_from_p",
     "p_from_b",
@@ -109,10 +108,15 @@ def is_log_d_monotone(seq, tol: float = MONOTONE_TOL) -> bool:
     )
 
 
-def _hankel_matrices(values: np.ndarray) -> list[tuple[str, np.ndarray]]:
+def _hankel_matrices(values: np.ndarray) -> list[np.ndarray]:
+    """hat_n and check_n for n = 1..d, in that order.
+
+    hat_{2l} is the moment matrix (b_{i+j})_{i,j<=l}, check_{2l} the shifted
+    difference matrix (nabla b_{1+i+j}); odd orders analogously.
+    """
     d = values.size - 1
     nabla = values[:-1] - values[1:]
-    out: list[tuple[str, np.ndarray]] = []
+    out: list[np.ndarray] = []
     for order in range(1, d + 1):
         if order % 2 == 0:
             l = order // 2
@@ -122,20 +126,8 @@ def _hankel_matrices(values: np.ndarray) -> list[tuple[str, np.ndarray]]:
             l = (order - 1) // 2
             hat = values[1 + np.add.outer(np.arange(l + 1), np.arange(l + 1))]
             chk = nabla[np.add.outer(np.arange(l + 1), np.arange(l + 1))]
-        out.append((f"hat{order}", hat))
-        out.append((f"check{order}", chk))
+        out += [hat, chk]
     return out
-
-
-def hankel_determinants(seq) -> list[tuple[str, float]]:
-    """All Hankel determinants of (b_0..b_d), labelled hat_n / check_n, n=1..d.
-
-    hat_{2l} uses the moment matrix (b_{i+j})_{i,j<=l}; check_{2l} the shifted
-    difference matrix (nabla b_{1+i+j}); odd orders analogously.  Determinants
-    are evaluated by partially pivoted LU (LAPACK).
-    """
-    values = np.asarray(_values(seq), dtype=float)
-    return [(label, float(np.linalg.det(mat))) for label, mat in _hankel_matrices(values)]
 
 
 @dataclass(frozen=True)
@@ -230,9 +222,7 @@ def _discrete_witness(values: tuple) -> MixingLaw | None:
     return None
 
 
-def hausdorff_extendible(
-    seq, tol: float = HANKEL_TOL, compute_witness: bool = True
-) -> ExtendibilityVerdict:
+def hausdorff_extendible(seq, tol: float = HANKEL_TOL) -> ExtendibilityVerdict:
     """Decide whether (b_0..b_d) extends to a moment sequence of a law on [0,1].
 
     Requires the input to be d-monotone.  The verdict is positive iff every
@@ -245,7 +235,7 @@ def hausdorff_extendible(
     arr = np.asarray(values, dtype=float)
     det_values = []
     extendible = True
-    for _, mat in _hankel_matrices(arr):
+    for mat in _hankel_matrices(arr):
         det = float(np.linalg.det(mat))
         det_values.append(det)
         scale = max(1e-300, float(np.abs(mat).max()))
@@ -254,7 +244,7 @@ def hausdorff_extendible(
     det_values = tuple(det_values)
     min_det = min(det_values, default=0.0)
     witness = None
-    if extendible and compute_witness and len(values) - 1 <= 4:
+    if extendible and len(values) - 1 <= 4:
         witness = _discrete_witness(values)
     return ExtendibilityVerdict(
         extendible=extendible,

@@ -74,15 +74,17 @@ def write_csv(matrix: SampleMatrix | np.ndarray, path_or_buf) -> None:
 def read_csv(path_or_buf) -> np.ndarray:
     """Read a sample CSV written by :func:`write_csv` back into an array.
 
-    Blank lines are skipped.  Raises ``ValueError`` when a row's width differs
-    from the header's, when a field is not a number, or when no data row
-    follows the header.
+    Blank lines are skipped.  Raises ``ValueError`` when the file is empty,
+    when a row's width differs from the header's, when a field is not a
+    number, or when no data row follows the header.
     """
     own = _is_path(path_or_buf)
     f = open(path_or_buf, "r", newline="") if own else path_or_buf
     try:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("CSV is empty: no header row")
         d = len(header)
         rows = []
         for row in reader:

@@ -23,6 +23,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import DimensionCapError, SpecValidationError
+from .inverse import monotone_inverse
 from .lack_of_memory import MAX_SHOCK_DIM
 from .sample import SampleMatrix
 
@@ -36,6 +37,7 @@ __all__ = [
     "exshock_sample",
     "exshock_survival",
     "exshock_marginal_survival",
+    "exshock_marginal_inverse",
     "exshock_copula_eval",
     "BaseDistribution",
     "UniformBase",
@@ -267,25 +269,11 @@ def exshock_marginal_survival(spec: ShockSurvivalSpec, x) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
-def _marginal_inverse(spec: ShockSurvivalSpec, u: float, tol: float = 1e-12) -> float:
-    """Generalized inverse of the non-increasing marginal survival function."""
+def exshock_marginal_inverse(spec: ShockSurvivalSpec, u: float) -> float:
+    """Generalized inverse inf{x : P(X_1 > x) <= u} of the marginal survival."""
     if u >= 1.0:
         return 0.0
-    hi = 1.0
-    for _ in range(300):
-        if exshock_marginal_survival(spec, hi) <= u:
-            break
-        hi *= 2.0
-    else:
-        return math.inf
-    lo = 0.0
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if exshock_marginal_survival(spec, mid) <= u:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return monotone_inverse(lambda x: exshock_marginal_survival(spec, x) <= u)
 
 
 def exshock_copula_eval(spec: ShockSurvivalSpec, u) -> float:
@@ -304,7 +292,7 @@ def exshock_copula_eval(spec: ShockSurvivalSpec, u) -> float:
 
     def inv(v: float) -> float:
         if v not in inv_cache:
-            inv_cache[v] = _marginal_inverse(spec, v)
+            inv_cache[v] = exshock_marginal_inverse(spec, v)
         return inv_cache[v]
 
     value = float(s[0])

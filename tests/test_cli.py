@@ -209,6 +209,7 @@ class TestDiagnose:
         ("x1,x2\n1.0,2.0\n3.0\n", "row width"),
         ("x1,x2\n", "no data rows"),
         ("x1,x2\n1.0,2.0\n3.0,abc\n", "could not convert"),
+        ("", "CSV is empty"),
     ])
     def test_malformed_csv_exits_one(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"

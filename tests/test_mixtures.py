@@ -199,6 +199,13 @@ class TestArchimedean:
         for u in (0.05, 0.3, 0.9):
             assert float(gen(gen.inverse(u))) == pytest.approx(u, abs=1e-9)
 
+    def test_generator_inverse_at_atom_at_zero(self):
+        # phi(x) = (1 + e^-x) / 2 stays above 1/2 but rounds onto it near x = 37
+        gen = mx.ArchimedeanGenerator(FiniteDiscrete([0.0, 1.0], [0.5, 0.5]))
+        assert gen.inverse(0.5) == math.inf
+        assert gen.inverse(0.4) == math.inf
+        assert gen.inverse(0.6) == pytest.approx(math.log(5.0), rel=1e-11)
+
     def test_empirical_copula_matches_evaluator(self):
         rng = np.random.default_rng(20)
         law = Gamma(1.0)

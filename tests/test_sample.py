@@ -87,6 +87,7 @@ def test_blank_lines_skipped():
         ("x1,x2\n", "header but no data rows"),
         ("x1,x2\n\n\n", "header but no data rows"),
         ("x1,x2\n1.0,abc\n", "could not convert string to float: 'abc'"),
+        ("", "CSV is empty"),
     ],
 )
 def test_malformed_csv_raises_value_error(text, message):

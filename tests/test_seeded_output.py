@@ -1,0 +1,86 @@
+"""Seeded ``condiid sample`` output, pinned byte for byte.
+
+One model per sampler.  Each hash is the sha256 of the CSV that
+``condiid sample --model SPEC --n 200 --seed 1`` prints.  A change that moves
+any of these bytes says so in CHANGES.md and updates the hash here.
+"""
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from condiid import cli
+
+MODELS = {  # name: (model spec, sha256 of the sample CSV)
+    "exch_normal": (
+        {"family": "exch_normal", "d": 5, "mu": 0.3, "sigma": 1.2, "rho": 0.4},
+        "cd7d33398acd15504d4a127ccf0645832ff2bafa719ae2193b10f9c90ee8a6d5",
+    ),
+    "l1": (
+        {"family": "l1", "d": 5, "m": {"family": "gamma", "shape": 1.5}},
+        "7d69c5891f9a7a8f544923fbed697f0fcddeed4669686e7e03a81ead20298c55",
+    ),
+    "linf": (
+        {"family": "linf", "d": 5, "m": {"family": "pareto", "alpha": 2.5}},
+        "3ef9e123c985e0ffd9ea02ec82975de293bb7e62fff3201028e8360cf152c714",
+    ),
+    "minstable_logistic": (
+        {"family": "minstable", "d": 5, "rate": 1.2, "stdf": {"kind": "logistic", "theta": 0.5}},
+        "de452f8de301935a94b77db1796ac6c79727c394ce329dc5186ac9dc3b190b1e",
+    ),
+    "dirichlet_prior": (
+        {"family": "dirichlet_prior", "d": 5, "c": 2.0},
+        "b404728cb6760d9db565833c281cd52a47444e75ba17259074ff61284c4d1132",
+    ),
+    "marshall_olkin": (
+        {"family": "marshall_olkin", "d": 5, "rates": [0.1, 0.2, 0.05, 0.3, 0.15]},
+        "b38fd3ccf06eb5b9ea4c8a3d0de668cf1f0fcb2c4e6e408d2c640d102029af0b",
+    ),
+    "geometric": (
+        {"family": "geometric", "d": 3, "p": [0.1, 0.1, 0.1, 0.3]},
+        "9ba7adeaf83dd8c91538490a7e055038c3f5dd424bbfffe71f90a992b2e241d2",
+    ),
+    "lf_frechet": (
+        {"family": "minstable", "d": 2, "term_tol": 1e-08,
+         "stdf": {"kind": "lf", "g": {"kind": "frechet", "theta": 0.5}}},
+        "cdd419601f8c71d13b70ac745900fd6d05749ea0c89d0b7041d29c8bc2bd6d67",
+    ),
+    "triplet_weibull": (
+        {"family": "minstable", "d": 3, "stdf": {"kind": "triplet", "b": 0.2, "c": 1.0, "atoms": [
+            {"g": {"kind": "weibull", "theta": 0.5}, "weight": 1.0}]}},
+        "ae8837c6a4afa9ff22fd872c56d606f4d497ff1d76418fc8b4521f5cd38c417a",
+    ),
+    "triplet_mo_atom": (
+        {"family": "minstable", "d": 3, "stdf": {"kind": "triplet", "b": 0.2, "c": 1.0, "atoms": [
+            {"g": {"kind": "mo_atom", "m": 0.5}, "weight": 1.0}]}},
+        "707d350381c917d733a531544ec44ec45ed57e44d9a426dd0d3627362b9adb60",
+    ),
+    "exshock": (
+        {"family": "exshock", "shocks": [
+            {"kind": "exponential", "rate": 0.5}, {"kind": "weibull", "shape": 2.0},
+            {"kind": "step", "points": [1.0], "values": [0.5]}]},
+        "5a20bc0cdb1a564940dc48a90eb6d994f4eeeeca4a7a67de8912f87dfaf4ac2b",
+    ),
+    "mo_subordinator": (
+        {"family": "marshall_olkin", "d": 5, "subordinator": {
+            "drift": 0.4, "kill": 0.1, "jumps": [{"size": 0.65, "rate": 1.0}]}},
+        "1a6de8500b09920bb01ea7f964dbd8a04e60a74ee41870d536a32faebc0d0142",
+    ),
+    "sato": (
+        {"family": "sato", "d": 3, "alpha": 1.05},
+        "01255e325921e6a9b4659c6ee8a30a73abe178996ac54807c268f0593951e783",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_seeded_sample_bytes(name):
+    spec, digest = MODELS[name]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(["sample", "--model", json.dumps(spec), "--n", "200", "--seed", "1"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -97,7 +97,7 @@ class TestExshock:
         rng = np.random.default_rng(56)
         sm = sk.exshock_sample(EXP_SPEC, 3, 150000, rng)
         for u in (0.25, 0.5, 0.75):
-            x = sk._marginal_inverse(EXP_SPEC, u)
+            x = sk.exshock_marginal_inverse(EXP_SPEC, u)
             emp = (sm.data > x).all(axis=1).mean()
             closed = sk.exshock_copula_eval(EXP_SPEC, np.full(3, u))
             se = math.sqrt(closed * (1 - closed) / sm.n)
