@@ -24,9 +24,10 @@ import numpy as np
 __all__ = ["monotone_inverse", "monotone_inverse_rows"]
 
 MAX_DOUBLINGS = 300
+TOL = 1e-12
 
 
-def monotone_inverse(pred, lo: float = 0.0, tol: float = 1e-12) -> float:
+def monotone_inverse(pred, lo: float = 0.0, tol: float = TOL) -> float:
     """Smallest x >= lo with ``pred(x)`` true, within ``tol * max(1, x)``.
 
     ``pred`` must be false at ``lo`` and monotone (false, then true).  Returns
@@ -48,8 +49,8 @@ def monotone_inverse(pred, lo: float = 0.0, tol: float = 1e-12) -> float:
     return hi
 
 
-def monotone_inverse_rows(pred, lo, tol: float = 1e-12) -> np.ndarray:
-    """Row-wise :func:`monotone_inverse`.
+def monotone_inverse_rows(pred, lo) -> np.ndarray:
+    """Row-wise :func:`monotone_inverse` at the default tolerance ``TOL``.
 
     ``pred`` maps an array shaped like ``lo`` to a boolean array of that shape
     and is evaluated on every row at each step; rows already solved are
@@ -65,7 +66,7 @@ def monotone_inverse_rows(pred, lo, tol: float = 1e-12) -> np.ndarray:
         hi = np.where(done, hi, 2.0 * hi)
     hi = np.where(done, hi, np.inf)
     while True:
-        active = hi - lo > tol * np.maximum(1.0, hi)
+        active = hi - lo > TOL * np.maximum(1.0, hi)
         if not active.any():
             return hi
         mid = np.where(active, 0.5 * (lo + hi), hi)

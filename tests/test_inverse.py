@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condiid.inverse import monotone_inverse, monotone_inverse_rows
+from condiid.inverse import TOL, monotone_inverse, monotone_inverse_rows
 
 # (fn, inverse) pairs of non-increasing functions with fn(0) = 1, indexed by a
 # shape parameter in [0.1, 10]
@@ -48,7 +48,7 @@ def test_rows_match_closed_form(family, a, cases):
     x = monotone_inverse_rows(pred, lo)
     assert pred(x).all()
     for xi, ei in zip(x, exact):
-        assert close(xi, ei, 1e-12)
+        assert close(xi, ei, TOL)
 
 
 def test_never_true_gives_inf():
@@ -63,4 +63,4 @@ def test_rows_that_never_hold_stay_inf():
     target = np.array([2.5, math.inf, 40.0])
     x = monotone_inverse_rows(lambda t: t >= target, np.zeros(3))
     assert x[1] == math.inf
-    assert abs(x[0] - 2.5) <= 1e-12 * 2.5 and abs(x[2] - 40.0) <= 1e-12 * 40.0
+    assert abs(x[0] - 2.5) <= TOL * 2.5 and abs(x[2] - 40.0) <= TOL * 40.0
