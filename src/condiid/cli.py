@@ -126,10 +126,12 @@ def build_model(spec: dict) -> Model:
             xs = mixtures.sample_l1_ciid(law, d, n, rng)
             return SampleMatrix(np.asarray(law.laplace(xs.data)), meta=f"archimedean {law!r}")
 
+        copula = lambda u: mixtures.archimedean_copula_eval(gen, u)
         return Model(
             family, d,
             sampler=copula_sampler,
-            evals={"copula": lambda u: mixtures.archimedean_copula_eval(gen, u)},
+            # the sample has uniform margins, so its cdf is the copula
+            evals={"copula": copula, "cdf": copula},
             marginal_ppf=lambda q: q,
             verify_kind="cdf",
         )

@@ -42,6 +42,7 @@ __all__ = [
     "lambda_from_b",
     "b_from_p",
     "p_from_b_geo",
+    "min_over_subsets",
     "sample_mo_shocks",
     "sample_geo_shocks",
     "sample_mo_ciid",
@@ -224,21 +225,8 @@ class ShockRateSpec:
         return tuple(out)
 
     def subset_items(self) -> list[tuple[frozenset, float]]:
-        """Explicit (subset, parameter) list, expanding exchangeable specs."""
-        if self.subsets is not None:
-            items = dict(self.subsets)
-        else:
-            items = {}
-            members = list(range(1, self.d + 1))
-            from itertools import combinations
-
-            lo = 1 if self.kind == "exponential" else 0
-            for size in range(lo, self.d + 1):
-                value = (
-                    self.cardinality[size - 1] if self.kind == "exponential" else self.cardinality[size]
-                )
-                for combo in combinations(members, size):
-                    items[frozenset(combo)] = value
+        """(subset, parameter) pairs of a subset map, ordered by size, then members."""
+        items = dict(self.subsets)
         if self.kind == "geometric" and frozenset() not in items:
             items[frozenset()] = 0.0
         return sorted(items.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
@@ -330,49 +318,124 @@ def p_from_b_geo(params: LomParameterSeq) -> ShockRateSpec:
     return ShockRateSpec(d=params.d, kind="geometric", cardinality=p)
 
 
-def _subset_masks(items, d):
-    masks = np.zeros((len(items), d), dtype=bool)
-    values = np.empty(len(items))
-    for j, (key, v) in enumerate(items):
-        for k in key:
-            masks[j, k - 1] = True
-        values[j] = v
-    return masks, values
+def _death_rates(values, d: int) -> list[list]:
+    """w[k][j] = C(k, j) * sum_i C(d-k, i) * values[j+i] for k, j in 0..d.
+
+    ``values[m]`` is the parameter of one fixed subset of m components.  With
+    k components alive, w[k][j] is the rate (exponential shocks) or the
+    per-round probability (geometric shocks) that exactly j of them die at
+    once: the j chosen alive ones plus any i of the d-k dead ones make up the
+    shocked subset.  Exact for ``Fraction`` values.
+    """
+    return [
+        [
+            math.comb(k, j) * sum(math.comb(d - k, i) * values[j + i] for i in range(d - k + 1))
+            if j <= k else 0
+            for j in range(d + 1)
+        ]
+        for k in range(d + 1)
+    ]
+
+
+def _death_chain(values, d: int, n: int, rng, discrete: bool) -> np.ndarray:
+    """Exchangeable shock model sampled by its number of deaths (Mai & Scherer).
+
+    With k components alive the wait for the next death is Exp(R_k), or
+    Geometric(R_k) rounds when ``discrete``, where R_k = sum_{j>=1} w[k][j];
+    j of them then die, with probability w[k][j] / R_k, and which j is
+    uniform: the next j ranks of a uniform permutation per row.  All rows
+    move together, at most d steps of O(n d) work each.
+    """
+    w = np.array(_death_rates(values, d), dtype=float)
+    total = w[:, 1:].sum(axis=1)  # R_k; positive for k >= 1 since every component is hit
+    cum = np.ones((d + 1, d))  # cum[k, j-1] = P(at most j die | k alive, some die)
+    cum[1:] = np.cumsum(w[1:, 1:], axis=1) / total[1:, None]
+    cum[np.arange(d)[None, :] >= np.arange(d + 1)[:, None] - 1] = 1.0  # j <= k despite rounding
+    order = rng.random((n, d)).argsort(axis=1)  # order[r, i]: the i-th component of row r to die
+    by_rank = np.zeros((n, d))
+    t = np.zeros(n)
+    dead = np.zeros(n, dtype=np.intp)
+    rows = np.arange(n)
+    while rows.size:
+        k = d - dead[rows]
+        if discrete:
+            t[rows] += rng.geometric(np.minimum(total[k], 1.0))
+        else:
+            t[rows] += rng.exponential(size=rows.size) / total[k]
+        j = 1 + (cum[k] <= rng.random(rows.size)[:, None]).sum(axis=1)
+        by_rank[rows, dead[rows]] = t[rows]
+        dead[rows] += j
+        rows = rows[dead[rows] < d]
+    # a row's death times increase, so a running maximum gives each block of j its time
+    np.maximum.accumulate(by_rank, axis=1, out=by_rank)
+    data = np.empty((n, d))
+    np.put_along_axis(data, order, by_rank, axis=1)
+    return data
+
+
+def min_over_subsets(shocks, d: int, n: int, rng) -> np.ndarray:
+    """X_k = min{E_I : k in I} over independent subset shocks E_I.
+
+    ``shocks`` yields (I, draw) pairs: I a tuple of 0-based components and
+    ``draw(n, rng)`` n arrival times of E_I, drawn in the order given.
+    Components that no shock hits stay +inf.  Every subset is drawn, so d is
+    capped at ``MAX_SHOCK_DIM``.
+    """
+    if d > MAX_SHOCK_DIM:
+        raise DimensionCapError(f"shock construction caps d at {MAX_SHOCK_DIM}")
+    data = np.full((n, d), np.inf)
+    for members, draw in shocks:
+        e = draw(n, rng)
+        for k in members:
+            np.minimum(data[:, k], e, out=data[:, k])
+    return data
 
 
 def sample_mo_shocks(spec: ShockRateSpec, d: int, n: int, rng) -> SampleMatrix:
-    """Exogenous-shock construction X_k = min{E_I : k in I} with exponential E_I."""
+    """Exogenous-shock construction X_k = min{E_I : k in I} with exponential E_I.
+
+    Exchangeable rates run the death-counting chain, in O(n d^2) for any d;
+    a non-exchangeable subset map draws every shock.
+    """
     if spec.kind != "exponential":
         raise SpecValidationError("sample_mo_shocks needs exponential shock rates")
     if d != spec.d:
         raise SpecValidationError(f"spec dimension {spec.d} != requested {d}")
-    if d > MAX_SHOCK_DIM:
-        raise DimensionCapError(f"shock construction caps d at {MAX_SHOCK_DIM}")
-    items = [kv for kv in spec.subset_items() if len(kv[0]) > 0]
-    masks, rates = _subset_masks(items, d)
-    data = np.empty((n, d))
-    chunk = max(1, int(2e7) // max(1, len(items)))
-    for start in range(0, n, chunk):
-        m = min(chunk, n - start)
-        e = rng.exponential(size=(m, len(items)))
-        with np.errstate(divide="ignore"):
-            e = np.where(rates > 0, e / np.where(rates > 0, rates, 1.0), np.inf)
-        for k in range(d):
-            cols = masks[:, k]
-            data[start : start + m, k] = e[:, cols].min(axis=1)
+    if spec.exchangeable:
+        data = _death_chain((0.0,) + spec.cardinality_values(), d, n, rng, discrete=False)
+    else:
+        shocks = (
+            (
+                tuple(k - 1 for k in sorted(key)),
+                lambda m, r, scale=1.0 / rate: r.exponential(scale, m),
+            )
+            for key, rate in spec.subset_items()
+            if rate > 0
+        )
+        data = min_over_subsets(shocks, d, n, rng)
     return SampleMatrix(data, meta=f"mo_shocks d={d}")
 
 
 def sample_geo_shocks(spec: ShockRateSpec, d: int, n: int, rng) -> SampleMatrix:
-    """Repeated iid subset draws; X_k is the first round whose subset contains k."""
+    """Repeated iid subset draws; X_k is the first round whose subset contains k.
+
+    Exchangeable probabilities run the death-counting chain; a
+    non-exchangeable subset map draws one subset per round.
+    """
     if spec.kind != "geometric":
         raise SpecValidationError("sample_geo_shocks needs geometric shock probabilities")
     if d != spec.d:
         raise SpecValidationError(f"spec dimension {spec.d} != requested {d}")
+    if spec.exchangeable:
+        data = _death_chain(spec.cardinality_values(), d, n, rng, discrete=True)
+        return SampleMatrix(data, meta=f"geo_shocks d={d}")
     if d > MAX_SHOCK_DIM:
         raise DimensionCapError(f"shock construction caps d at {MAX_SHOCK_DIM}")
     items = spec.subset_items()
-    masks, probs = _subset_masks(items, d)
+    probs = np.array([v for _, v in items])
+    masks = np.zeros((len(items), d), dtype=bool)
+    for j, (key, _) in enumerate(items):
+        masks[j, [k - 1 for k in key]] = True
     data = np.zeros((n, d))
     active = np.arange(n)
     round_no = 0

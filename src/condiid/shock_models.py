@@ -22,9 +22,9 @@ from itertools import combinations
 import numpy as np
 from scipy import integrate, special
 
-from .errors import DimensionCapError, SpecValidationError
+from .errors import SpecValidationError
 from .inverse import monotone_inverse
-from .lack_of_memory import MAX_SHOCK_DIM
+from .lack_of_memory import min_over_subsets
 from .sample import SampleMatrix
 
 __all__ = [
@@ -229,15 +229,12 @@ def exshock_sample(spec: ShockSurvivalSpec, d: int, n: int, rng) -> SampleMatrix
     """X_k = min{E_I : k in I} over all 2^d - 1 independent subset shocks."""
     if d != spec.d:
         raise SpecValidationError(f"spec dimension {spec.d} != requested {d}")
-    if d > MAX_SHOCK_DIM:
-        raise DimensionCapError(f"shock construction caps d at {MAX_SHOCK_DIM}")
-    subsets = [c for size in range(1, d + 1) for c in combinations(range(d), size)]
-    data = np.full((n, d), np.inf)
-    for sub in subsets:
-        e = spec.shocks[len(sub) - 1].sample(n, rng)
-        for k in sub:
-            np.minimum(data[:, k], e, out=data[:, k])
-    return SampleMatrix(data, meta=f"exshock d={d}")
+    shocks = (
+        (sub, spec.shocks[size - 1].sample)
+        for size in range(1, d + 1)
+        for sub in combinations(range(d), size)
+    )
+    return SampleMatrix(min_over_subsets(shocks, d, n, rng), meta=f"exshock d={d}")
 
 
 def exshock_survival(spec: ShockSurvivalSpec, x) -> float | np.ndarray:

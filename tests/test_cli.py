@@ -174,6 +174,12 @@ class TestVerify:
         assert o1 == o2
         assert c1 == c2 == 0
 
+    def test_archimedean_verified_against_copula(self):
+        model = json.dumps({"family": "archimedean", "d": 3, "m": {"family": "gamma", "shape": 1.5}})
+        code, out, _ = run(["verify", "--model", model, "--n", "2000", "--seed", "1"])
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     def test_spherical_has_no_closed_form(self):
         model = json.dumps({"family": "spherical", "m": {"family": "gamma", "shape": 1.0}, "d": 2})
         code, _, err = run(["verify", "--model", model, "--n", "100", "--seed", "1"])

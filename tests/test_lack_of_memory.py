@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from condiid import lack_of_memory as lom
+from condiid import cli, diagnostics as dg, lack_of_memory as lom
 from condiid.errors import DimensionCapError, NotDMonotoneError, SpecValidationError
 from condiid.mixing import Gamma, PointMass
 
@@ -126,10 +129,21 @@ class TestShockSamplers:
             lom.b_from_lambda(spec)
 
     def test_dimension_cap(self):
+        # only a non-exchangeable map draws every subset shock
         rng = np.random.default_rng(35)
-        spec = lom.ShockRateSpec(d=21, kind="exponential", cardinality=(0.1,) * 21)
+        spec = lom.ShockRateSpec(
+            d=21, kind="exponential", subsets={(k,): 0.1 * k for k in range(1, 22)}
+        )
+        assert not spec.exchangeable
         with pytest.raises(DimensionCapError):
             lom.sample_mo_shocks(spec, 21, 10, rng)
+
+    def test_exchangeable_spec_beyond_cap_samples(self):
+        rng = np.random.default_rng(35)
+        spec = lom.ShockRateSpec(d=21, kind="exponential", cardinality=(0.1,) * 21)
+        sm = lom.sample_mo_shocks(spec, 21, 10, rng)
+        assert sm.data.shape == (10, 21)
+        assert np.isfinite(sm.data).all() and (sm.data > 0).all()
 
     def test_geo_shocks_match_closed_form(self):
         rng = np.random.default_rng(36)
@@ -143,6 +157,118 @@ class TestShockSamplers:
             closed = float(lom.geo_survival(params, pt))
             se = math.sqrt(max(closed * (1 - closed), 1e-12) / sm.n)
             assert abs(emp - closed) <= 3 * se + 1e-3
+
+
+def _binomial_weights(d, weights):
+    """Per-subset probabilities p_m from the total weight of each cardinality m."""
+    total = sum(weights)
+    return [w / total / math.comb(d, m) for m, w in enumerate(weights)]
+
+
+def _mo_model(d):
+    # most rate on the full set, as in the verify benchmark
+    return [1e-3 / math.comb(d - 1, j) for j in range(d - 1)] + [0.05]
+
+
+def _shock_definition_survival(values, x, discrete):
+    """P(X > x) straight from the shocks, with values[m] per subset of m.
+
+    Exponential: the subsets of size m whose largest argument is the i-th
+    smallest, s_i, number C(i-1, m-1) and each survives s_i with
+    exp(-lambda_m s_i).  Geometric: a round avoids a fixed set of a
+    components with b_a = sum_m C(d-a, m) p_m, and the rounds in
+    (s_{i-1}, s_i] must avoid the d-i+1 components with the largest arguments.
+    """
+    s = np.sort(np.asarray(x, dtype=float))
+    d = s.size
+    if discrete:
+        b = [sum(math.comb(d - a, m) * values[m] for m in range(d - a + 1)) for a in range(d + 1)]
+        gaps = np.diff(s, prepend=0.0)
+        return math.prod(b[d - i] ** gaps[i] for i in range(d))
+    log_sf = -sum(
+        s[i] * sum(math.comb(i, m - 1) * values[m] for m in range(1, i + 2)) for i in range(d)
+    )
+    return math.exp(log_sf)
+
+
+class TestDeathChain:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.fractions(min_value=0, max_value=5, max_denominator=50),
+                    min_size=1, max_size=10))
+    def test_total_death_rate_exact(self, lam):
+        d = len(lam)
+        values = [Fraction(0)] + lam  # values[m] == lambda_m
+        w = lom._death_rates(values, d)
+        for k in range(d + 1):
+            expected = sum(values[m] * (math.comb(d, m) - math.comb(d - k, m))
+                           for m in range(1, d + 1))
+            assert sum(w[k][1:]) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.fractions(min_value=0, max_value=5, max_denominator=50),
+                    min_size=2, max_size=11).filter(any))
+    def test_round_probabilities_sum_to_one_exact(self, weights):
+        d = len(weights) - 1
+        w = lom._death_rates(_binomial_weights(d, weights), d)
+        for k in range(d + 1):
+            assert sum(w[k]) == 1
+
+    def test_tie_probability_exponential(self):
+        lam1, lam2, n = 0.3, 0.5, 100_000
+        spec = lom.ShockRateSpec(d=2, kind="exponential", cardinality=(lam1, lam2))
+        x = lom.sample_mo_shocks(spec, 2, n, np.random.default_rng(51)).data
+        p = lam2 / (2 * lam1 + lam2)
+        assert abs((x[:, 0] == x[:, 1]).mean() - p) <= 3 * math.sqrt(p * (1 - p) / n)
+
+    def test_tie_probability_geometric(self):
+        p0, p1, p2, n = 0.25, 0.2, 0.35, 100_000
+        spec = lom.ShockRateSpec(d=2, kind="geometric", cardinality=(p0, p1, p2))
+        x = lom.sample_geo_shocks(spec, 2, n, np.random.default_rng(52)).data
+        p = p2 / (2 * p1 + p2)
+        assert abs((x[:, 0] == x[:, 1]).mean() - p) <= 3 * math.sqrt(p * (1 - p) / n)
+
+    @pytest.mark.parametrize("family", ["marshall_olkin", "geometric"])
+    def test_closed_form_on_default_grid_d15(self, family):
+        d = 15
+        if family == "marshall_olkin":
+            spec = {"family": family, "d": d, "rates": _mo_model(d)}
+            values, discrete = [0.0] + spec["rates"], False
+        else:
+            spec = {"family": family, "d": d,
+                    "p": _binomial_weights(d, [0.2] + [0.4 / (d - 1)] * (d - 1) + [0.4])}
+            values, discrete = spec["p"], True
+        model = cli.build_model(spec)
+        grid = model.default_grid()
+        for pt in grid:  # the test's oracle agrees with mo_survival / geo_survival
+            assert _shock_definition_survival(values, pt, discrete) == pytest.approx(
+                model.evals["survival"](pt), rel=1e-9)
+        report = dg.mc_verify(model.sampler, model.evals["survival"], grid, 20_000, 1)
+        assert report.passed
+
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_closed_form_on_default_grid_d40(self, discrete):
+        # beyond the subset cap; LomParameterSeq refuses these b sequences at
+        # d=40 (cancellation in its monotonicity test), so the closed form is
+        # written from the shocks
+        d = 40
+        if discrete:
+            values = _binomial_weights(d, [0.2] + [0.4 / (d - 1)] * (d - 1) + [0.4])
+            spec = lom.ShockRateSpec(d=d, kind="geometric", cardinality=tuple(values))
+            b1 = sum(math.comb(d - 1, m) * values[m] for m in range(d))
+            ppf = lambda q: max(0.0, math.ceil(math.log1p(-q) / math.log(b1)))
+            sampler = lambda n, rng: lom.sample_geo_shocks(spec, d, n, rng)
+        else:
+            values = [0.0] + _mo_model(d)
+            spec = lom.ShockRateSpec(d=d, kind="exponential", cardinality=tuple(values[1:]))
+            rate1 = sum(math.comb(d - 1, m - 1) * values[m] for m in range(1, d + 1))
+            ppf = lambda q: -math.log1p(-q) / rate1
+            sampler = lambda n, rng: lom.sample_mo_shocks(spec, d, n, rng)
+        grid = dg.default_quantile_grid(ppf, d)
+        report = dg.mc_verify(
+            sampler, lambda x: _shock_definition_survival(values, x, discrete), grid, 20_000, 1
+        )
+        assert report.passed
+        assert min(report.closed) > report.abs_floor  # no point passes on the floor alone
 
 
 class TestSubordinatorSampler:

@@ -37,11 +37,11 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
     ),
     "marshall_olkin": (
         {"family": "marshall_olkin", "d": 5, "rates": [0.1, 0.2, 0.05, 0.3, 0.15]},
-        "b38fd3ccf06eb5b9ea4c8a3d0de668cf1f0fcb2c4e6e408d2c640d102029af0b",
+        "aefa79c3a3e7a4830b7f6e63f1547911f4cc03761a2826276490da6a9d6908bb",
     ),
     "geometric": (
         {"family": "geometric", "d": 3, "p": [0.1, 0.1, 0.1, 0.3]},
-        "9ba7adeaf83dd8c91538490a7e055038c3f5dd424bbfffe71f90a992b2e241d2",
+        "f6439c79ce7bec611e11674910c241a9b01dc585e647f3524a53b44faaab577a",
     ),
     "lf_frechet": (
         {"family": "minstable", "d": 2, "term_tol": 1e-08,

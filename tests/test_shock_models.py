@@ -6,7 +6,7 @@ from scipy import stats
 
 from condiid import lack_of_memory as lom
 from condiid import shock_models as sk
-from condiid.errors import SpecValidationError
+from condiid.errors import DimensionCapError, SpecValidationError
 
 
 EXP_SPEC = sk.ShockSurvivalSpec(
@@ -56,6 +56,11 @@ class TestExshock:
             assert sk.exshock_survival(EXP_SPEC, pt) == pytest.approx(
                 float(lom.mo_survival(params, pt)), rel=1e-10
             )
+
+    def test_dimension_cap(self):
+        spec = sk.ShockSurvivalSpec((sk.ExponentialShock(0.1),) * 21)
+        with pytest.raises(DimensionCapError):
+            sk.exshock_sample(spec, 21, 10, np.random.default_rng(0))
 
     def test_sampler_matches_survival(self):
         rng = np.random.default_rng(54)
