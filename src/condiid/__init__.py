@@ -14,7 +14,6 @@ from .errors import (
     NonPositiveEntryError,
     NotDMonotoneError,
     SpecValidationError,
-    TruncationHorizonError,
     UnsupportedLawError,
 )
 from .sample import SampleMatrix, read_csv, write_csv
@@ -38,6 +37,5 @@ __all__ = [
     "UnsupportedLawError",
     "DimensionCapError",
     "NonMonotoneConditionalError",
-    "TruncationHorizonError",
     "__version__",
 ]

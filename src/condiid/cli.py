@@ -192,15 +192,11 @@ def build_model(spec: dict) -> Model:
         rate = float(spec.get("rate", 1.0))
         stdf_obj = spec.get("stdf", {k: v for k, v in spec.items() if k in ("kind", "theta")})
         stdf = ev.stdf_from_json(stdf_obj)
+        # a "term_tol" field is accepted and ignored: no sampler truncates
         if isinstance(stdf, ev.Logistic) and stdf.theta < 1.0:
             sampler = lambda n, rng: ev.sample_logistic_direct(stdf.theta, rate, d, n, rng)
-        elif isinstance(stdf, (ev.Triplet, ev.LF)):
-            term_tol = float(spec.get("term_tol", ev.TERM_TOL))
-            sampler = lambda n, rng: ev.sample_minstable(
-                stdf, d, n, rng, rate=rate, term_tol=term_tol
-            )
         else:
-            sampler = None
+            sampler = lambda n, rng: ev.sample_minstable(stdf, d, n, rng, rate=rate)
         return Model(
             family, d,
             sampler=sampler,
@@ -437,7 +433,11 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_args(p):
-        p.add_argument("--model", help="model JSON (inline or a file path)")
+        p.add_argument(
+            "--model",
+            help="model JSON (inline or a file path); a minstable model's "
+            "'term_tol' field is accepted and ignored, as its samplers are exact",
+        )
         p.add_argument("--param", action="append", help="key=value override", default=None)
 
     p = sub.add_parser("sample", help="draw samples and write CSV")

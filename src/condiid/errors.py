@@ -24,8 +24,3 @@ class DimensionCapError(SpecValidationError):
 class NonMonotoneConditionalError(RuntimeError):
     """A conditional survival function turned out non-monotone, i.e. the
     supplied survival function is not a valid survival function."""
-
-
-class TruncationHorizonError(RuntimeError):
-    """A series realization could not be extended far enough to bracket the
-    requested first-passage level."""

@@ -136,19 +136,18 @@ def test_c05_minstable():
         sf = ev.minstable_survival(spec, 1.0, x)
         ok = ok and abs(sf**2 - ev.minstable_survival(spec, 1.0, 2 * np.asarray(x))) <= 1e-12
 
-    n_series = 10000  # series route is exact per realization; smaller n for runtime
-    series = ev.sample_minstable(
-        ev.Triplet(0.0, 1.0, [(ev.Frechet(theta), 1.0)]), 2, n_series, rng, term_tol=1e-9
-    )
-    tail_bound = float(series.meta.split("tail_bound=")[1])
-    ok = ok and tail_bound < 1e-3
+    # extremal functions against the positive-stable mixture: two exact,
+    # independent constructions of the same law
+    n_series = 10000
+    series = ev.sample_minstable(ev.Triplet(0.0, 1.0, [(ev.Frechet(theta), 1.0)]), 2, n_series, rng)
+    ok = ok and "tail_bound" not in series.meta
     for pt in ([0.3, 0.3], [1.0, 1.0], [0.5, 1.5], [2.0, 0.2], [0.8, 0.8]):
         pt = np.asarray(pt)
         p1 = (series.data > pt).all(axis=1).mean()
         p2 = (direct.data > pt).all(axis=1).mean()
         se_pair = math.sqrt(p1 * (1 - p1) / n_series + p2 * (1 - p2) / N)
         ok = ok and abs(p1 - p2) <= 3 * se_pair + 1e-3
-    report(5, "logistic sampler, min-stability identity, series cross-check", ok,
+    report(5, "logistic sampler, min-stability identity, extremal-functions cross-check", ok,
            f"(survival {emp:.4f} vs {closed:.4f})")
 
 

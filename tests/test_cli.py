@@ -174,6 +174,17 @@ class TestVerify:
         assert o1 == o2
         assert c1 == c2 == 0
 
+    @pytest.mark.parametrize("stdf", [
+        {"kind": "independence"},
+        {"kind": "logistic", "theta": 1.0},
+        {"kind": "negative_logistic", "theta": 1.5},
+    ], ids=["independence", "logistic_1", "negative_logistic"])
+    def test_minstable_kinds_verified(self, stdf):
+        model = json.dumps({"family": "minstable", "d": 3, "stdf": stdf})
+        code, out, _ = run(["verify", "--model", model, "--n", "20000", "--seed", "1"])
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     def test_archimedean_verified_against_copula(self):
         model = json.dumps({"family": "archimedean", "d": 3, "m": {"family": "gamma", "shape": 1.5}})
         code, out, _ = run(["verify", "--model", model, "--n", "2000", "--seed", "1"])

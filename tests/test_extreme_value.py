@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from condiid import extreme_value as ev
@@ -209,7 +211,7 @@ class TestSeriesSampler:
         theta = 0.5
         tri = ev.Triplet(0.0, 1.0, [(ev.Frechet(theta), 1.0)])
         n_series, n_direct = 8000, 100000
-        series = ev.sample_minstable(tri, 2, n_series, rng, term_tol=1e-8)
+        series = ev.sample_minstable(tri, 2, n_series, rng)
         direct = ev.sample_logistic_direct(theta, 1.0, 2, n_direct, rng)
         for pt in ([0.3, 0.3], [1.0, 1.0], [0.5, 1.5], [2.0, 0.2]):
             pt = np.asarray(pt)
@@ -263,12 +265,15 @@ class TestSeriesSampler:
         sm = ev.sample_minstable(tri, 1, 30000, rng, rate=1.0)
         assert stats.kstest(sm.data[:, 0], "expon").pvalue > 0.001
 
-    def test_tail_bound_recorded(self):
+    def test_meta_reports_no_truncation(self):
+        # extremal functions take d spectral draws per row on average and
+        # truncate nothing
         rng = np.random.default_rng(17)
         tri = ev.Triplet(0.0, 1.0, [(ev.Frechet(0.5), 1.0)])
-        sm = ev.sample_minstable(tri, 2, 50, rng, term_tol=1e-8)
-        bound = float(sm.meta.split("tail_bound=")[1])
-        assert 0.0 <= bound < 5e-3
+        sm = ev.sample_minstable(tri, 3, 20000, rng)
+        assert "tail_bound" not in sm.meta
+        draws = float(sm.meta.rsplit("spectral_draws_per_row=", 1)[1])
+        assert abs(draws - 3.0) < 0.1
 
     def test_unbounded_mo_atom_rejected(self):
         rng = np.random.default_rng(18)
@@ -287,6 +292,93 @@ class TestSeriesSampler:
         closed = ev.minstable_survival(tri, 1.0, pt)
         se = math.sqrt(closed * (1 - closed) / n)
         assert abs(emp - closed) <= 3 * se + 1e-3
+
+    def test_m_atom_at_zero_is_independence(self):
+        # q = exp(-0) = 1 is the independence limit of the two-point atom
+        # (ell's coefficients become 1, 2, ..., d); dropping it doubled the
+        # margin means
+        rng = np.random.default_rng(20)
+        tri = ev.Triplet(0.0, 1.0, [(ev.MOAtom(FiniteDiscrete([0.0, 1.0], [0.5, 0.5])), 1.0)])
+        n = 20000
+        sm = ev.sample_minstable(tri, 3, n, rng)
+        for k in range(3):
+            assert stats.kstest(sm.data[:, k], "expon").pvalue > 0.001
+        for pt in ([0.3, 0.3, 0.3], [0.5, 1.0, 0.2], [1.0, 1.0, 1.0]):
+            closed = ev.minstable_survival(tri, 1.0, pt)
+            emp = (sm.data > np.asarray(pt)).all(axis=1).mean()
+            assert abs(emp - closed) <= 3 * math.sqrt(closed * (1 - closed) / n)
+
+    def test_comonotone_atom_gives_equal_coordinates(self):
+        # M = inf makes every spectral vector constant, so Z and X are too
+        rng = np.random.default_rng(21)
+        tri = ev.Triplet(0.0, 1.0, [(ev.MOAtom(PointMass(math.inf)), 1.0)])
+        data = ev.sample_minstable(tri, 4, 5000, rng).data
+        assert (data == data[:, :1]).all()
+
+    @pytest.mark.parametrize("spec", [
+        ev.Independence(), ev.Logistic(1.0), ev.Logistic(0.6), ev.NegativeLogistic(1.5),
+    ], ids=["independence", "logistic_1", "logistic_0.6", "negative_logistic"])
+    def test_every_stdf_kind_samples(self, spec):
+        rng = np.random.default_rng(22)
+        n = 20000
+        sm = ev.sample_minstable(spec, 3, n, rng, rate=1.5)
+        for k in range(3):
+            assert stats.kstest(sm.data[:, k], "expon", args=(0, 1 / 1.5)).pvalue > 0.001
+        for pt in ([0.2, 0.2, 0.2], [0.1, 0.4, 0.7]):
+            closed = ev.minstable_survival(spec, 1.5, pt)
+            emp = (sm.data > np.asarray(pt)).all(axis=1).mean()
+            assert abs(emp - closed) <= 3 * math.sqrt(closed * (1 - closed) / n)
+
+
+@st.composite
+def g_atoms(draw):
+    """One unit-mean G of each of the four kinds."""
+    kind = draw(st.sampled_from(["frechet", "weibull", "mo_atom", "step"]))
+    if kind == "frechet":
+        return ev.Frechet(draw(st.floats(0.15, 0.85)))
+    if kind == "weibull":
+        return ev.Weibull(draw(st.floats(0.2, 2.5)))
+    if kind == "mo_atom":
+        ms = draw(st.lists(st.sampled_from([0.0, 0.3, 1.2, 3.0, math.inf]),
+                           min_size=1, max_size=3, unique=True))
+        if len(ms) == 1 and ms[0] > 0:
+            return ev.MOAtom(PointMass(ms[0]))
+        w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(ms), max_size=len(ms))))
+        return ev.MOAtom(FiniteDiscrete(ms, w / w.sum()))
+    size = draw(st.integers(1, 3))
+    mass = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=size, max_size=size)))
+    mass /= mass.sum()
+    points = np.cumsum(draw(st.lists(st.floats(0.1, 2.0), min_size=size, max_size=size)))
+    if size > 1 and draw(st.booleans()):
+        points -= points[0]  # an atom at 0
+    values = np.cumsum(mass)
+    values[-1] = 1.0
+    return ev.StepFunction(points / (mass @ points), values)
+
+
+@st.composite
+def triplets(draw):
+    atoms = draw(st.lists(g_atoms(), min_size=1, max_size=3))
+    w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(atoms), max_size=len(atoms))))
+    b = draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0)))
+    return ev.Triplet(b, draw(st.floats(0.2, 2.0)), list(zip(atoms, w / w.sum())))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tri=triplets(), d=st.integers(1, 5), rate=st.one_of(st.none(), st.floats(0.5, 3.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_extremal_functions_match_closed_form(tri, d, rate, seed):
+    # every margin is Exp(rate) and orthants match exp(-rate * l(x))
+    rate = tri.marginal_rate() if rate is None else rate
+    n = 20000
+    sm = ev.sample_minstable(tri, d, n, np.random.default_rng(seed), rate=rate)
+    for k in range(d):
+        assert stats.kstest(sm.data[:, k], "expon", args=(0, 1 / rate)).pvalue > 1e-4
+    for q in (np.full(d, 0.4), np.linspace(0.1, 0.9, d)):
+        pt = q / rate
+        closed = ev.minstable_survival(tri, rate, pt)
+        emp = (sm.data > pt).all(axis=1).mean()
+        assert abs(emp - closed) <= 4 * math.sqrt(closed * (1 - closed) / n) + 1e-3
 
 
 def test_stdf_json_round_trip():

@@ -46,17 +46,17 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
     "lf_frechet": (
         {"family": "minstable", "d": 2, "term_tol": 1e-08,
          "stdf": {"kind": "lf", "g": {"kind": "frechet", "theta": 0.5}}},
-        "cdd419601f8c71d13b70ac745900fd6d05749ea0c89d0b7041d29c8bc2bd6d67",
+        "2387f86da6c775db63efb530ff3f90816892bd1c664710762716893adca9d290",
     ),
     "triplet_weibull": (
         {"family": "minstable", "d": 3, "stdf": {"kind": "triplet", "b": 0.2, "c": 1.0, "atoms": [
             {"g": {"kind": "weibull", "theta": 0.5}, "weight": 1.0}]}},
-        "ae8837c6a4afa9ff22fd872c56d606f4d497ff1d76418fc8b4521f5cd38c417a",
+        "dd9f25d539680abcb09720fcf1492ff8f53fcc572458f372f27540caf4fc5c04",
     ),
     "triplet_mo_atom": (
         {"family": "minstable", "d": 3, "stdf": {"kind": "triplet", "b": 0.2, "c": 1.0, "atoms": [
             {"g": {"kind": "mo_atom", "m": 0.5}, "weight": 1.0}]}},
-        "707d350381c917d733a531544ec44ec45ed57e44d9a426dd0d3627362b9adb60",
+        "1dcce4caffa1aca404906374546d2badc460c48dd0edcd48d3739df40393793a",
     ),
     "exshock": (
         {"family": "exshock", "shocks": [
