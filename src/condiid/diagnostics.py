@@ -135,11 +135,11 @@ def binomial_orderstat_bound(n: int, d: int, p: float) -> float:
     return total
 
 
-def majorization_check(samples, x: float, marginal_cdf_at_x: float, n_sigma: float = 3.0) -> bool:
+def majorization_check(samples, x: float, marginal_cdf_at_x: float) -> bool:
     """Check sum_{k<=n} F_hat_{X_[k]}(x) <= h_{n,d}(F_1(x)) for n = 1..d-1.
 
     The row statistic min(n, #{components <= x}) estimates the left side;
-    the inequality must hold within ``n_sigma`` standard errors.
+    the inequality must hold within three standard errors.
     """
     data = samples.data if isinstance(samples, SampleMatrix) else np.asarray(samples, dtype=float)
     nrows, d = data.shape
@@ -151,18 +151,18 @@ def majorization_check(samples, x: float, marginal_cdf_at_x: float, n_sigma: flo
         mean = float(stat.mean())
         stderr = float(stat.std(ddof=1)) / math.sqrt(nrows)
         bound = binomial_orderstat_bound(n, d, marginal_cdf_at_x)
-        if mean > bound + n_sigma * stderr + 1e-12:
+        if mean > bound + 3.0 * stderr + 1e-12:
             return False
     return True
 
 
 # -- radial symmetry ----------------------------------------------------------------
 
-def radial_symmetry_test(samples, mu: float, alpha: float = 0.01) -> bool:
+def radial_symmetry_test(samples, mu: float) -> bool:
     """Two-sample comparison of X - mu against mu - X.
 
     Per-coordinate Kolmogorov-Smirnov tests (Bonferroni-corrected at level
-    ``alpha``) plus a joint orthant comparison on a deterministic grid.
+    0.01) plus a joint orthant comparison on a deterministic grid.
     """
     from scipy import stats  # imported here: it takes most of the package's import time
 
@@ -172,7 +172,7 @@ def radial_symmetry_test(samples, mu: float, alpha: float = 0.01) -> bool:
     right = mu - data
     for k in range(d):
         p = stats.ks_2samp(left[:, k], right[:, k], method="asymp").pvalue
-        if p < alpha / d:
+        if p < 0.01 / d:
             return False
     qs = np.quantile(left, [0.2, 0.4, 0.6, 0.8], axis=0)  # grid from pooled empirical margins
     for row in qs:
@@ -279,12 +279,12 @@ def conditional_inversion_sampler(survival, d: int, n: int, rng) -> SampleMatrix
     return SampleMatrix(data, meta=f"conditional_inversion d={d}")
 
 
-def _probe_monotone(cond, n: int, tol: float = 1e-4):
+def _probe_monotone(cond, n: int):
     grid = np.geomspace(0.05, 8.0, 12)
     prev = None
     for g in grid:
         val = cond(np.full(n, g))
-        if prev is not None and np.any(val > prev + tol):
+        if prev is not None and np.any(val > prev + 1e-4):
             raise NonMonotoneConditionalError(
                 "conditional survival increased along the grid; "
                 "the supplied survival function is not valid"
@@ -293,6 +293,9 @@ def _probe_monotone(cond, n: int, tol: float = 1e-4):
 
 
 # -- Monte Carlo verification harness ---------------------------------------------------
+
+ABS_FLOOR = 1e-3  # added to every 3-sigma band of mc_verify
+
 
 @dataclass(frozen=True)
 class McReport:
@@ -337,7 +340,6 @@ def mc_verify(
     n: int,
     seed: int,
     threads: int = 1,
-    abs_floor: float = 1e-3,
     mode: str = "survival",
 ) -> McReport:
     """Compare empirical orthant frequencies against closed-form values.
@@ -345,10 +347,10 @@ def mc_verify(
     ``sampler(n, rng)`` must return a SampleMatrix or array; ``survival``
     evaluates the closed form at one grid point.  ``mode`` selects strict
     survival probabilities P(X > g) (default) or cdf probabilities P(X <= g).
-    Rows are generated from ``threads`` independent streams seeded ``seed + i``
-    and assembled in stream order, so the report is deterministic for fixed
-    arguments.  Pass criterion per point: |empirical - closed| <= 3*stderr +
-    abs_floor.
+    One thread draws from ``seed``, as ``condiid sample`` does, more threads
+    from the streams ``SeedSequence(seed).spawn(threads)``, so the report is
+    deterministic for fixed arguments.  A point passes when |empirical -
+    closed| <= 3*stderr + ABS_FLOOR, stderr = sqrt(closed (1 - closed) / n).
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if threads < 1:
@@ -357,11 +359,9 @@ def mc_verify(
         raise SpecValidationError(f"unknown comparison mode {mode!r}")
     sizes = [n // threads] * threads
     sizes[-1] += n - sum(sizes)
-    hits = np.zeros(grid.shape[0])
-    total = 0
 
-    def run_chunk(i, size):
-        rng = np.random.default_rng(seed + i)
+    def run_chunk(stream, size):
+        rng = np.random.default_rng(stream)
         out = sampler(size, rng)
         data = out.data if isinstance(out, SampleMatrix) else np.asarray(out, dtype=float)
         if mode == "survival":
@@ -371,36 +371,34 @@ def mc_verify(
         return flags.sum(axis=0)
 
     if threads == 1:
-        hits += run_chunk(0, sizes[0])
-        total = sizes[0]
+        hits = run_chunk(seed, n)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
+        streams = np.random.SeedSequence(seed).spawn(threads)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(run_chunk, range(threads), sizes):
-                hits += part
-        total = sum(sizes)
+            hits = sum(pool.map(run_chunk, streams, sizes))
 
-    empirical = hits / total
+    empirical = hits / n
     closed = np.array([float(survival(g)) for g in grid])
-    stderr = np.sqrt(empirical * (1.0 - empirical) / total)
-    passed = bool(np.all(np.abs(empirical - closed) <= 3.0 * stderr + abs_floor))
+    stderr = np.sqrt(np.maximum(closed * (1.0 - closed), 0.0) / n)
+    passed = bool(np.all(np.abs(empirical - closed) <= 3.0 * stderr + ABS_FLOOR))
     return McReport(
         grid=tuple(tuple(g) for g in grid),
         closed=tuple(closed.tolist()),
         empirical=tuple(empirical.tolist()),
         stderr=tuple(stderr.tolist()),
-        n=total,
+        n=n,
         seed=seed,
-        abs_floor=abs_floor,
+        abs_floor=ABS_FLOOR,
         passed=passed,
     )
 
 
-def default_quantile_grid(marginal_ppf, d: int, quantiles=(0.1, 0.25, 0.5, 0.75, 0.9)) -> np.ndarray:
-    """Ten d-variate grid points built from marginal quantiles: the five
-    diagonal points plus five cyclic mixes."""
-    qs = [float(marginal_ppf(q)) for q in quantiles]
+def default_quantile_grid(marginal_ppf, d: int) -> np.ndarray:
+    """Ten d-variate grid points built from the marginal quantiles at 0.1,
+    0.25, 0.5, 0.75 and 0.9: the five diagonal points plus five cyclic mixes."""
+    qs = [float(marginal_ppf(q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9)]
     m = len(qs)
     points = [[qs[i]] * d for i in range(m)]
     if d > 1:

@@ -1,18 +1,17 @@
 """Generalized inverses of monotone functions by bracket-and-bisect.
 
-Every quantile and passage time in the package is ``inf{x >= lo : pred(x)}``
-for a predicate that is false and then true, such as ``phi(x) <= u`` for a
-non-increasing ``phi`` or ``Z_x > eps`` for a non-decreasing path.  Both forms
-below share one rule: start the bracket at ``hi = max(1, 2 lo)``, double it
-until the predicate holds (``inf`` after ``MAX_DOUBLINGS`` tries), then bisect
-while ``hi - lo > tol * max(1, hi)`` and return ``hi``, a point where the
-predicate holds.
+Every quantile in the package without a closed form is
+``inf{x >= lo : pred(x)}`` for a predicate that is false and then true, such
+as ``phi(x) <= u`` for a non-increasing ``phi``.  Both forms below share one
+rule: start the bracket at ``hi = max(1, 2 lo)``, double it until the
+predicate holds (``inf`` after ``MAX_DOUBLINGS`` tries), then bisect while
+``hi - lo > TOL * max(1, hi)`` and return ``hi``, a point where the predicate
+holds.
 
 The scalar form is plain Python: over 0-d numpy arrays one inversion costs
-about thirty times as much, and the series samplers solve thousands of
-passages per command.  The row form applies the same rule to every row of an
-array at once and freezes each row when its own bracket is narrow enough, so
-each row ends where the scalar form would.
+about thirty times as much.  The row form applies the same rule to every row
+of an array at once and freezes each row when its own bracket is narrow
+enough, so each row ends where the scalar form would.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ MAX_DOUBLINGS = 300
 TOL = 1e-12
 
 
-def monotone_inverse(pred, lo: float = 0.0, tol: float = TOL) -> float:
-    """Smallest x >= lo with ``pred(x)`` true, within ``tol * max(1, x)``.
+def monotone_inverse(pred, lo: float = 0.0) -> float:
+    """Smallest x >= lo with ``pred(x)`` true, within ``TOL * max(1, x)``.
 
     ``pred`` must be false at ``lo`` and monotone (false, then true).  Returns
     ``inf`` when ``pred`` fails at every bracket end tried.
@@ -40,7 +39,7 @@ def monotone_inverse(pred, lo: float = 0.0, tol: float = TOL) -> float:
         hi *= 2.0
     else:
         return math.inf
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if pred(mid):
             hi = mid
@@ -50,7 +49,7 @@ def monotone_inverse(pred, lo: float = 0.0, tol: float = TOL) -> float:
 
 
 def monotone_inverse_rows(pred, lo) -> np.ndarray:
-    """Row-wise :func:`monotone_inverse` at the default tolerance ``TOL``.
+    """Row-wise :func:`monotone_inverse`.
 
     ``pred`` maps an array shaped like ``lo`` to a boolean array of that shape
     and is evaluated on every row at each step; rows already solved are

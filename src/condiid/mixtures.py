@@ -162,9 +162,8 @@ class ArchimedeanGenerator:
     is computed by bisection on a bracket grown by doubling.
     """
 
-    def __init__(self, law: MixingLaw, tol: float = 1e-12):
+    def __init__(self, law: MixingLaw):
         self.law = law
-        self.tol = tol
 
     def __call__(self, x):
         return self.law.laplace(x)
@@ -174,7 +173,7 @@ class ArchimedeanGenerator:
             raise SpecValidationError(f"generator inverse needs u in [0,1], got {u}")
         if u >= 1.0:
             return 0.0
-        x = monotone_inverse(lambda t: self(t) <= u, tol=self.tol)
+        x = monotone_inverse(lambda t: self(t) <= u)
         # With mass of M at 0, phi levels off at P(M = 0) from above and can
         # round onto u = P(M = 0) at a finite point; phi never drops below u
         # there, and the inverse is inf.

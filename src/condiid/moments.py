@@ -81,18 +81,23 @@ def backward_difference(seq, j: int, k: int) -> float:
         raise IndexError("j and k must be non-negative")
     if j + k > len(values) - 1:
         raise IndexError(f"j + k = {j + k} exceeds the sequence degree {len(values) - 1}")
-    return float(sum((-1) ** i * math.comb(j, i) * values[k + i] for i in range(j + 1)))
+    return float(_nabla(values, j, k))
 
 
-def is_d_monotone(seq, tol: float = MONOTONE_TOL) -> bool:
-    """True iff nabla^{d-k} b_k >= -tol for k = 0, ..., d."""
+def _nabla(values, j: int, k: int):
+    """The alternating sum nabla^j values[k], unchecked; exact on ``Fraction``s."""
+    return sum((-1) ** i * math.comb(j, i) * values[k + i] for i in range(j + 1))
+
+
+def is_d_monotone(seq) -> bool:
+    """True iff nabla^{d-k} b_k >= -MONOTONE_TOL for k = 0, ..., d."""
     values = _values(seq)
     d = len(values) - 1
-    return all(backward_difference(values, d - k, k) >= -tol for k in range(d + 1))
+    return all(_nabla(values, d - k, k) >= -MONOTONE_TOL for k in range(d + 1))
 
 
-def is_log_d_monotone(seq, tol: float = MONOTONE_TOL) -> bool:
-    """True iff nabla^{d-k} log(b_k) >= -tol for k = 0, ..., d-1.
+def is_log_d_monotone(seq) -> bool:
+    """True iff nabla^{d-k} log(b_k) >= -MONOTONE_TOL for k = 0, ..., d-1.
 
     Entries must be strictly positive; the final entry log(b_d) itself is
     unconstrained.
@@ -102,10 +107,7 @@ def is_log_d_monotone(seq, tol: float = MONOTONE_TOL) -> bool:
         raise NonPositiveEntryError("log-monotonicity requires strictly positive entries")
     logs = tuple(math.log(v) for v in values)
     d = len(values) - 1
-    return all(
-        sum((-1) ** i * math.comb(d - k, i) * logs[k + i] for i in range(d - k + 1)) >= -tol
-        for k in range(d)
-    )
+    return all(_nabla(logs, d - k, k) >= -MONOTONE_TOL for k in range(d))
 
 
 def _hankel_matrices(values: np.ndarray) -> list[np.ndarray]:
@@ -222,11 +224,11 @@ def _discrete_witness(values: tuple) -> MixingLaw | None:
     return None
 
 
-def hausdorff_extendible(seq, tol: float = HANKEL_TOL) -> ExtendibilityVerdict:
+def hausdorff_extendible(seq) -> ExtendibilityVerdict:
     """Decide whether (b_0..b_d) extends to a moment sequence of a law on [0,1].
 
     Requires the input to be d-monotone.  The verdict is positive iff every
-    Hankel determinant is >= -tol relative to the matrix scale; exact zeros
+    Hankel determinant is >= -HANKEL_TOL relative to the matrix scale; exact zeros
     (boundary cases such as point-mass moment sequences) count as extendible.
     """
     values = _values(seq)
@@ -239,7 +241,7 @@ def hausdorff_extendible(seq, tol: float = HANKEL_TOL) -> ExtendibilityVerdict:
         det = float(np.linalg.det(mat))
         det_values.append(det)
         scale = max(1e-300, float(np.abs(mat).max()))
-        if det < -tol * scale:
+        if det < -HANKEL_TOL * scale:
             extendible = False
     det_values = tuple(det_values)
     min_det = min(det_values, default=0.0)
@@ -298,7 +300,7 @@ def p_from_b(seq) -> BinaryExchangeableLaw:
     if not is_d_monotone(values):
         raise NotDMonotoneError(f"sequence {values} is not d-monotone")
     d = len(values) - 1
-    p = [max(0.0, backward_difference(values, d - k, k)) for k in range(d + 1)]
+    p = [max(0.0, _nabla(values, d - k, k)) for k in range(d + 1)]
     total = sum(math.comb(d, k) * p[k] for k in range(d + 1))
     return BinaryExchangeableLaw(tuple(v / total for v in p))
 

@@ -659,14 +659,15 @@ def fd_weights(z: float, nodes, m: int) -> np.ndarray:
     return w
 
 
-def check_self_decomposable(psi, n_points: int = 20, rel_tol: float = 1e-8) -> bool:
+def check_self_decomposable(psi) -> bool:
     """Probe whether x -> x*psi'(x) is again a valid Laplace exponent.
 
     ``psi`` is a callable Laplace exponent (or an object exposing
     ``laplace_exponent``/``bernstein``).  Derivatives up to order four are
-    taken by high-order finite differences with step x/100 at log-spaced
+    taken by high-order finite differences with step x/100 at 20 log-spaced
     points; the sign pattern of g = x*psi'(x) and its first three derivatives
-    is classified with a relative threshold.  A jump at zero fails the probe.
+    is classified with relative thresholds from 1e-8 up to 1e-5 for the
+    third derivative.  A jump at zero fails the probe.
     """
     if hasattr(psi, "bernstein"):
         fn = psi.bernstein
@@ -680,7 +681,7 @@ def check_self_decomposable(psi, n_points: int = 20, rel_tol: float = 1e-8) -> b
     if float(fn(1e-300)) > 1e-9 * max(abs(ref), 1e-12):
         return False  # discontinuous at 0: killed, not self-decomposable
     offsets = np.arange(-4, 5, dtype=float)
-    for x in np.geomspace(0.05, 20.0, n_points):
+    for x in np.geomspace(0.05, 20.0, 20):
         h = 0.01 * x
         nodes = x + offsets * h
         vals = np.array([float(fn(v)) for v in nodes])
@@ -692,12 +693,12 @@ def check_self_decomposable(psi, n_points: int = 20, rel_tol: float = 1e-8) -> b
         g3 = 3.0 * d3 + x * d4
         scale = max(abs(g), 1e-12)
         # FD round-off grows like eps/h^k; widen thresholds accordingly
-        if g < -rel_tol * scale:
+        if g < -1e-8 * scale:
             return False
-        if g1 * x < -rel_tol * scale * 10:
+        if g1 * x < -1e-8 * scale * 10:
             return False
-        if g2 * x * x > max(rel_tol, 1e-7) * scale * 10:
+        if g2 * x * x > 1e-7 * scale * 10:
             return False
-        if g3 * x**3 < -max(rel_tol, 1e-6) * scale * 10:
+        if g3 * x**3 < -1e-6 * scale * 10:
             return False
     return True

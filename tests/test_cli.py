@@ -191,6 +191,27 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    @pytest.mark.parametrize("d", [36, 40])
+    @pytest.mark.parametrize("family", ["marshall_olkin", "geometric"])
+    def test_models_from_rates_or_p_at_large_d(self, family, d):
+        # valid by construction: the model builds and samples, and check
+        # refuses with a typed error instead of a verdict
+        if family == "marshall_olkin":
+            spec = {"family": family, "d": d,
+                    "rates": [1e-3 / math.comb(d - 1, j) for j in range(d - 1)] + [0.05]}
+        else:
+            weights = [0.2] + [0.4 / (d - 1)] * (d - 1) + [0.4]
+            spec = {"family": family, "d": d,
+                    "p": [w / math.comb(d, m) for m, w in enumerate(weights)]}
+        model = json.dumps(spec)
+        code, out, _ = run(["sample", "--model", model, "--n", "50", "--seed", "1"])
+        assert code == 0
+        assert read_csv(io.StringIO(out)).shape == (50, d)
+        code, out, _ = run(["verify", "--model", model, "--n", "20000", "--seed", "1"])
+        assert code == 0 and json.loads(out)["passed"] is True
+        code, _, err = run(["check", "--model", model])
+        assert code == 1 and "not d-monotone" in err
+
     def test_spherical_has_no_closed_form(self):
         model = json.dumps({"family": "spherical", "m": {"family": "gamma", "shape": 1.0}, "d": 2})
         code, _, err = run(["verify", "--model", model, "--n", "100", "--seed", "1"])

@@ -247,6 +247,33 @@ class TestMcVerify:
         r = dg.mc_verify(self.sampler, bad, grid, 30000, 7)
         assert not r.passed
 
+    def test_band_on_closed_form_value(self):
+        # 1 of 300 rows above a point whose closed value is 0.02: z = -2.06
+        # against the closed-form standard error, inside the 3-sigma band;
+        # the empirical one, sqrt(emp (1 - emp) / n), is 2.4 times narrower
+        def sampler(n, rng):
+            data = np.zeros((n, 1))
+            data[0] = 1.0
+            return data
+
+        r = dg.mc_verify(sampler, lambda g: 0.02, np.array([[0.5]]), 300, 1)
+        assert r.empirical == (1 / 300,)
+        assert r.stderr == (math.sqrt(0.02 * 0.98 / 300),)
+        assert r.passed
+
+    def test_thread_streams_independent_across_seeds(self):
+        # with streams seeded seed + i, seed 7 thread 1 drew seed 8 thread 0's rows
+        first = {}
+
+        def sampler(n, rng):
+            u = rng.random((n, 1))
+            first.setdefault(seed, []).append(float(u[0, 0]))
+            return u
+
+        for seed in (7, 8):
+            dg.mc_verify(sampler, lambda g: 0.5, np.array([[0.5]]), 1000, seed, threads=2)
+        assert len(set(first[7]) | set(first[8])) == 4
+
     def test_cdf_mode(self):
         sampler = lambda n, rng: rng.random((n, 2))
         cdf = lambda g: float(np.prod(np.clip(g, 0, 1)))

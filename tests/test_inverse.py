@@ -19,21 +19,20 @@ shapes = st.floats(0.1, 10.0)
 levels = st.floats(1e-6, 1.0 - 1e-6)
 
 
-def close(x, exact, tol):
+def close(x, exact):
     # the bisection bracket plus the rounding of fn near the crossing
-    return abs(x - exact) <= tol * max(1.0, exact) + 1e-13 * max(1.0, exact)
+    return abs(x - exact) <= TOL * max(1.0, exact) + 1e-13 * max(1.0, exact)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(FAMILIES)), shapes, levels, st.floats(0.0, 0.999),
-       st.sampled_from([1e-12, 1e-10]))
-def test_scalar_matches_closed_form(family, a, u, warm, tol):
+@given(st.sampled_from(sorted(FAMILIES)), shapes, levels, st.floats(0.0, 0.999))
+def test_scalar_matches_closed_form(family, a, u, warm):
     fn, inv = FAMILIES[family](a)
     exact = inv(u)
     pred = lambda x: fn(x) <= u
-    x = monotone_inverse(pred, lo=warm * exact, tol=tol)
+    x = monotone_inverse(pred, lo=warm * exact)
     assert pred(x)
-    assert close(x, exact, tol)
+    assert close(x, exact)
 
 
 @settings(max_examples=100, deadline=None)
@@ -48,7 +47,7 @@ def test_rows_match_closed_form(family, a, cases):
     x = monotone_inverse_rows(pred, lo)
     assert pred(x).all()
     for xi, ei in zip(x, exact):
-        assert close(xi, ei, TOL)
+        assert close(xi, ei)
 
 
 def test_never_true_gives_inf():

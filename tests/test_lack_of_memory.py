@@ -247,9 +247,8 @@ class TestDeathChain:
 
     @pytest.mark.parametrize("discrete", [False, True])
     def test_closed_form_on_default_grid_d40(self, discrete):
-        # beyond the subset cap; LomParameterSeq refuses these b sequences at
-        # d=40 (cancellation in its monotonicity test), so the closed form is
-        # written from the shocks
+        # beyond the subset cap; the closed form is written from the shocks,
+        # independently of mo_survival / geo_survival
         d = 40
         if discrete:
             values = _binomial_weights(d, [0.2] + [0.4 / (d - 1)] * (d - 1) + [0.4])
@@ -269,6 +268,54 @@ class TestDeathChain:
         )
         assert report.passed
         assert min(report.closed) > report.abs_floor  # no point passes on the floor alone
+
+
+barriers = st.lists(
+    st.one_of(st.floats(0.0, 50.0), st.integers(0, 100).map(lambda k: k / 2)),
+    min_size=1, max_size=8,
+)
+
+
+class TestFirstPassage:
+    """Deterministic paths, whose passage times are known exactly."""
+
+    @staticmethod
+    def constant_step(wait, jump):
+        return lambda m: (np.full(m, wait), np.full(m, jump))
+
+    @settings(max_examples=100, deadline=None)
+    @given(barriers, st.floats(0.1, 10.0))
+    def test_pure_drift(self, eps, mu):
+        eps = np.array([eps, eps[::-1]])
+        x = lom._first_passage(eps, self.constant_step(math.inf, 0.0), mu)
+        assert (x == eps / mu).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(barriers, st.floats(0.1, 10.0), st.floats(0.01, 20.0))
+    def test_drift_killed_at_t(self, eps, mu, kill_t):
+        eps = np.array([eps])
+        x = lom._first_passage(eps, self.constant_step(kill_t, math.inf), mu)
+        assert (x == np.minimum(eps / mu, kill_t)).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(barriers)
+    def test_half_steps_pass_strictly(self, eps):
+        # Z_t = floor(t) / 2 exceeds eps first at t = floor(2 eps) + 1; a
+        # barrier on the lattice is not passed by the step that reaches it
+        eps = np.array([eps])
+        x = lom._first_passage(eps, self.constant_step(1.0, 0.5), 0.0)
+        assert (x == np.floor(2 * eps) + 1).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(barriers)
+    def test_unit_drift_and_unit_jumps(self, eps):
+        # Z_t = t + floor(t): the drift passes eps in [2k, 2k+1) at eps - k,
+        # the jump at time k+1 passes eps in [2k+1, 2k+2)
+        eps = np.array(eps)
+        k = np.floor(eps / 2)
+        expect = np.where(eps < 2 * k + 1, eps - k, k + 1)
+        x = lom._first_passage(eps[None, :], self.constant_step(1.0, 1.0), 1.0)
+        assert np.allclose(x[0], expect, rtol=1e-12, atol=0.0)
 
 
 class TestSubordinatorSampler:
@@ -369,8 +416,8 @@ class TestGeoCiid:
     def test_integer_valued(self):
         rng = np.random.default_rng(46)
         sm = lom.sample_geo_ciid(PointMass(0.5), 3, 2000, rng)
-        finite = sm.data[np.isfinite(sm.data)]
-        assert np.allclose(finite, np.rint(finite))
+        assert np.isfinite(sm.data).all()
+        assert (sm.data == np.rint(sm.data)).all()
 
     def test_zero_step_law_rejected(self):
         rng = np.random.default_rng(47)

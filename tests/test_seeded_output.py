@@ -67,7 +67,7 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
     "mo_subordinator": (
         {"family": "marshall_olkin", "d": 5, "subordinator": {
             "drift": 0.4, "kill": 0.1, "jumps": [{"size": 0.65, "rate": 1.0}]}},
-        "1a6de8500b09920bb01ea7f964dbd8a04e60a74ee41870d536a32faebc0d0142",
+        "9afee5f6b1cfc108ce4959d1456e69b7a0ed647ce65ac0ccc2418b5f2045f9d1",
     ),
     "sato": (
         {"family": "sato", "d": 3, "alpha": 1.05},
