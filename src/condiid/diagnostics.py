@@ -218,11 +218,12 @@ def scarsini_cdf(x1: float, x2: float) -> float:
 def conditional_inversion_sampler(survival, d: int, n: int, rng) -> SampleMatrix:
     """Sample a law on [0, inf)^d (d <= 3) given only its joint survival function.
 
-    X_1 inverts the marginal survival; X_2, X_3 invert conditional survival
-    ratios built from central finite-difference partial derivatives of the
-    supplied function (step 1e-5 relative).  The conditional must be monotone;
-    a violation beyond finite-difference noise raises
-    NonMonotoneConditionalError.
+    X_1 inverts the marginal survival.  X_k for k >= 2 inverts the
+    conditional survival ratio given x_1..x_(k-1), built from the mixed
+    central finite difference over the 2^(k-1) corners x_i -/+ h_i of the
+    supplied function (h_i = 1e-5 (1 + x_i), one-sided at 0).  The
+    conditional must be monotone; a violation beyond finite-difference noise
+    raises NonMonotoneConditionalError.
     """
     if not 1 <= d <= 3:
         raise SpecValidationError("sequential inversion supports d in {1,2,3}")
@@ -233,48 +234,26 @@ def conditional_inversion_sampler(survival, d: int, n: int, rng) -> SampleMatrix
 
     zeros = np.zeros(n)
     data = np.empty((n, d))
+    for k in range(d):
+        # (columns, sign) of each corner; the upper end x_i + h_i counts negative
+        corners, spread = [([], 1.0)], 1.0
+        for x in data.T[:k]:
+            h = 1e-5 * (1.0 + x)
+            lo = np.maximum(x - h, 0.0)  # one-sided step at the origin
+            spread = spread * ((x + h) - lo)
+            corners = [(c + [v], s * t) for c, s in corners for v, t in ((lo, 1.0), (x + h, -1.0))]
+        rest = [zeros] * (d - k - 1)
 
-    u1 = rng.random(n)
-    marg = lambda t: sf([t] + [zeros] * (d - 1))
-    data[:, 0] = monotone_inverse_rows(lambda t: marg(t) <= u1, zeros)
+        def mixed_diff(t):
+            return sum(sign * sf(cols + [t] + rest) for cols, sign in corners) / spread
 
-    if d >= 2:
-        x1 = data[:, 0]
-        h1 = 1e-5 * (1.0 + x1)
-        lo1 = np.maximum(x1 - h1, 0.0)  # one-sided step at the origin
-        spread1 = (x1 + h1) - lo1
-
-        def d1(x2):
-            rest = [zeros] * (d - 2)
-            return (sf([lo1, x2] + rest) - sf([x1 + h1, x2] + rest)) / spread1
-
-        base = np.maximum(d1(zeros), 1e-300)
-        cond2 = lambda x2: d1(x2) / base
-        _probe_monotone(cond2, n)
-        u2 = rng.random(n)
-        data[:, 1] = monotone_inverse_rows(lambda t: cond2(t) <= u2, zeros)
-
-    if d == 3:
-        x1, x2 = data[:, 0], data[:, 1]
-        h1 = 1e-5 * (1.0 + x1)
-        h2 = 1e-5 * (1.0 + x2)
-        lo1 = np.maximum(x1 - h1, 0.0)
-        lo2 = np.maximum(x2 - h2, 0.0)
-        spread = ((x1 + h1) - lo1) * ((x2 + h2) - lo2)
-
-        def d12(x3):
-            return (
-                sf([lo1, lo2, x3])
-                - sf([lo1, x2 + h2, x3])
-                - sf([x1 + h1, lo2, x3])
-                + sf([x1 + h1, x2 + h2, x3])
-            ) / spread
-
-        base = np.maximum(d12(zeros), 1e-300)
-        cond3 = lambda x3: d12(x3) / base
-        _probe_monotone(cond3, n)
-        u3 = rng.random(n)
-        data[:, 2] = monotone_inverse_rows(lambda t: cond3(t) <= u3, zeros)
+        cond = mixed_diff
+        if k:
+            base = np.maximum(mixed_diff(zeros), 1e-300)
+            cond = lambda t: mixed_diff(t) / base
+            _probe_monotone(cond, n)
+        u = rng.random(n)
+        data[:, k] = monotone_inverse_rows(lambda t: cond(t) <= u, zeros)
 
     return SampleMatrix(data, meta=f"conditional_inversion d={d}")
 

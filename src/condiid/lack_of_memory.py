@@ -15,12 +15,12 @@ process across iid unit-exponential barriers, solved by one routine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import moments
-from .errors import DimensionCapError, NotDMonotoneError, SpecValidationError
+from .errors import NotDMonotoneError, SpecValidationError
 from .mixing import Beta, MixingLaw
 from .moments import (
     BinaryExchangeableLaw,
@@ -42,7 +42,6 @@ __all__ = [
     "lambda_from_b",
     "b_from_p",
     "p_from_b_geo",
-    "min_over_subsets",
     "sample_mo_shocks",
     "sample_geo_shocks",
     "sample_mo_ciid",
@@ -53,9 +52,6 @@ __all__ = [
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
-
-MAX_SHOCK_DIM = 20
-
 
 @dataclass(frozen=True)
 class LomParameterSeq:
@@ -144,131 +140,61 @@ def geo_survival(params: LomParameterSeq, nvec) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class ShockRateSpec:
-    """Shock parameters, either exchangeable per-cardinality or a full subset map.
+    """Per-cardinality parameters of an exchangeable shock model in dimension d.
 
-    ``kind`` is "exponential" (rates lambda_I >= 0, every component covered by
-    positive total rate) or "geometric" (subset probabilities p_I summing to 1
-    with each component hit with positive probability).  In the exchangeable
-    case ``cardinality`` holds lambda_1..lambda_d, respectively p_0..p_d.
+    Every subset I of the components 1..d has its own shock, whose law depends
+    on I only through |I|.  ``kind`` "exponential": ``cardinality`` holds the
+    rates lambda_1..lambda_d of the exponential shock on one fixed subset of
+    that size; they are non-negative and not all 0.  ``kind`` "geometric": it
+    holds p_0..p_d, the probability that a round's single shocked subset is
+    one fixed subset of that size; sum_m C(d, m) p_m = 1 and every component
+    is hit with positive probability.
     """
 
     d: int
     kind: str
-    cardinality: tuple | None = None
-    subsets: dict | None = field(default=None, compare=False)
+    cardinality: tuple
 
     def __post_init__(self):
         if self.kind not in ("exponential", "geometric"):
             raise SpecValidationError(f"unknown shock kind {self.kind!r}")
         if self.d < 1:
             raise SpecValidationError("dimension must be at least 1")
-        if (self.cardinality is None) == (self.subsets is None):
-            raise SpecValidationError("specify exactly one of cardinality rates or a subset map")
-        if self.cardinality is not None:
-            card = tuple(float(v) for v in self.cardinality)
-            object.__setattr__(self, "cardinality", card)
-            if any(v < 0 for v in card):
-                raise SpecValidationError("rates/probabilities must be non-negative")
-            if self.kind == "exponential":
-                if len(card) != self.d:
-                    raise SpecValidationError(f"need lambda_1..lambda_{self.d}")
-                if sum(card) <= 0:
-                    raise SpecValidationError("at least one shock rate must be positive")
-            else:
-                if len(card) != self.d + 1:
-                    raise SpecValidationError(f"need p_0..p_{self.d}")
-                total = sum(math.comb(self.d, k) * card[k] for k in range(self.d + 1))
-                if abs(total - 1.0) > 1e-12:
-                    raise SpecValidationError(f"subset probabilities sum to {total!r}, not 1")
-                miss = sum(math.comb(self.d - 1, i) * card[i] for i in range(self.d))
-                if miss >= 1.0 - 1e-15:
-                    raise SpecValidationError("every component needs positive hit probability")
+        card = tuple(float(v) for v in self.cardinality)
+        object.__setattr__(self, "cardinality", card)
+        if any(v < 0 for v in card):
+            raise SpecValidationError("rates/probabilities must be non-negative")
+        if self.kind == "exponential":
+            if len(card) != self.d:
+                raise SpecValidationError(f"need lambda_1..lambda_{self.d}")
+            if sum(card) <= 0:
+                raise SpecValidationError("at least one shock rate must be positive")
         else:
-            subsets = {frozenset(k): float(v) for k, v in self.subsets.items()}
-            object.__setattr__(self, "subsets", subsets)
-            if any(v < 0 for v in subsets.values()):
-                raise SpecValidationError("rates/probabilities must be non-negative")
-            for key in subsets:
-                if not key <= set(range(1, self.d + 1)):
-                    raise SpecValidationError(f"subset {sorted(key)} outside 1..{self.d}")
-            if self.kind == "exponential":
-                if frozenset() in subsets and subsets[frozenset()] > 0:
-                    raise SpecValidationError("the empty set carries no exponential shock")
-                for k in range(1, self.d + 1):
-                    if sum(v for key, v in subsets.items() if k in key) <= 0:
-                        raise SpecValidationError(f"component {k} is never hit")
-            else:
-                total = sum(subsets.values())
-                if abs(total - 1.0) > 1e-12:
-                    raise SpecValidationError(f"subset probabilities sum to {total!r}, not 1")
-                for k in range(1, self.d + 1):
-                    if sum(v for key, v in subsets.items() if k not in key) >= 1.0 - 1e-15:
-                        raise SpecValidationError(f"component {k} is never hit")
-
-    @property
-    def exchangeable(self) -> bool:
-        """Parameters depend on the subset only through its cardinality."""
-        if self.cardinality is not None:
-            return True
-        for size in range(0, self.d + 1):
-            vals = {v for key, v in self.subsets.items() if len(key) == size}
-            present = sum(1 for key in self.subsets if len(key) == size)
-            if len(vals) > 1:
-                return False
-            # subsets absent from the map carry parameter 0
-            if vals and max(vals) > 0 and present != math.comb(self.d, size):
-                return False
-        return True
-
-    def cardinality_values(self) -> tuple:
-        """Per-cardinality parameters, requires exchangeability."""
-        if self.cardinality is not None:
-            return self.cardinality
-        if not self.exchangeable:
-            raise SpecValidationError("spec is not exchangeable")
-        lo = 1 if self.kind == "exponential" else 0
-        out = []
-        for size in range(lo, self.d + 1):
-            vals = [v for key, v in self.subsets.items() if len(key) == size]
-            out.append(vals[0] if vals else 0.0)
-        return tuple(out)
-
-    def subset_items(self) -> list[tuple[frozenset, float]]:
-        """(subset, parameter) pairs of a subset map, ordered by size, then members."""
-        items = dict(self.subsets)
-        if self.kind == "geometric" and frozenset() not in items:
-            items[frozenset()] = 0.0
-        return sorted(items.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+            if len(card) != self.d + 1:
+                raise SpecValidationError(f"need p_0..p_{self.d}")
+            total = sum(math.comb(self.d, k) * card[k] for k in range(self.d + 1))
+            if abs(total - 1.0) > 1e-12:
+                raise SpecValidationError(f"subset probabilities sum to {total!r}, not 1")
+            miss = sum(math.comb(self.d - 1, i) * card[i] for i in range(self.d))
+            if miss >= 1.0 - 1e-15:
+                raise SpecValidationError("every component needs positive hit probability")
 
     def to_json(self) -> dict:
-        if self.cardinality is not None:
-            key = "cardinality_rates" if self.kind == "exponential" else "cardinality_probs"
-            return {"kind": self.kind, "d": self.d, key: list(self.cardinality)}
-        return {
-            "kind": self.kind,
-            "d": self.d,
-            "subsets": {",".join(map(str, sorted(k))): v for k, v in self.subsets.items()},
-        }
+        key = "cardinality_rates" if self.kind == "exponential" else "cardinality_probs"
+        return {"kind": self.kind, "d": self.d, key: list(self.cardinality)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ShockRateSpec":
         kind = obj.get("kind", "exponential")
-        d = obj.get("d")
         card = obj.get("cardinality_rates") or obj.get("cardinality_probs")
-        if card is not None:
-            if d is None:
-                d = len(card) if kind == "exponential" else len(card) - 1
-            return cls(d=int(d), kind=kind, cardinality=tuple(card))
-        subsets = obj.get("subsets")
-        if subsets is None:
-            raise SpecValidationError("shock spec JSON needs cardinality values or a subset map")
-        parsed = {
-            tuple(int(v) for v in key.split(",") if v.strip()): rate
-            for key, rate in subsets.items()
-        }
+        if card is None:
+            raise SpecValidationError(
+                "shock spec JSON needs 'cardinality_rates' or 'cardinality_probs'"
+            )
+        d = obj.get("d")
         if d is None:
-            d = max((max(k) for k in parsed if k), default=0)
-        return cls(d=int(d), kind=kind, subsets=parsed)
+            d = len(card) if kind == "exponential" else len(card) - 1
+        return cls(d=int(d), kind=kind, cardinality=tuple(card))
 
 
 def b_from_lambda(spec: ShockRateSpec) -> LomParameterSeq:
@@ -276,7 +202,7 @@ def b_from_lambda(spec: ShockRateSpec) -> LomParameterSeq:
     b_k = prod_{i<=k} exp(-sum_j C(d-i, j) lambda_{j+1})."""
     if spec.kind != "exponential":
         raise SpecValidationError("b_from_lambda needs exponential shock rates")
-    lam = spec.cardinality_values()  # lam[j] == lambda_{j+1}
+    lam = spec.cardinality  # lam[j] == lambda_{j+1}
     d = spec.d
     log_factors = [
         -sum(math.comb(d - i, j) * lam[j] for j in range(d - i + 1)) for i in range(1, d + 1)
@@ -312,7 +238,7 @@ def b_from_p(spec: ShockRateSpec) -> LomParameterSeq:
     """
     if spec.kind != "geometric":
         raise SpecValidationError("b_from_p needs geometric shock probabilities")
-    law = BinaryExchangeableLaw(spec.cardinality_values()[::-1])
+    law = BinaryExchangeableLaw(spec.cardinality[::-1])
     return LomParameterSeq._valid(moments.b_from_p(law).values, DISCRETE)
 
 
@@ -380,80 +306,31 @@ def _death_chain(values, d: int, n: int, rng, discrete: bool) -> np.ndarray:
     return data
 
 
-def min_over_subsets(shocks, d: int, n: int, rng) -> np.ndarray:
-    """X_k = min{E_I : k in I} over independent subset shocks E_I.
-
-    ``shocks`` yields (I, draw) pairs: I a tuple of 0-based components and
-    ``draw(n, rng)`` n arrival times of E_I, drawn in the order given.
-    Components that no shock hits stay +inf.  Every subset is drawn, so d is
-    capped at ``MAX_SHOCK_DIM``.
-    """
-    if d > MAX_SHOCK_DIM:
-        raise DimensionCapError(f"shock construction caps d at {MAX_SHOCK_DIM}")
-    data = np.full((n, d), np.inf)
-    for members, draw in shocks:
-        e = draw(n, rng)
-        for k in members:
-            np.minimum(data[:, k], e, out=data[:, k])
-    return data
-
-
 def sample_mo_shocks(spec: ShockRateSpec, d: int, n: int, rng) -> SampleMatrix:
-    """Exogenous-shock construction X_k = min{E_I : k in I} with exponential E_I.
+    """Exchangeable exogenous-shock construction X_k = min{E_I : k in I}, with
+    independent E_I ~ Exp(lambda_|I|) over the non-empty subsets I.
 
-    Exchangeable rates run the death-counting chain, in O(n d^2) for any d;
-    a non-exchangeable subset map draws every shock.
+    Runs the death-counting chain, in O(n d^2) for any d.
     """
     if spec.kind != "exponential":
         raise SpecValidationError("sample_mo_shocks needs exponential shock rates")
     if d != spec.d:
         raise SpecValidationError(f"spec dimension {spec.d} != requested {d}")
-    if spec.exchangeable:
-        data = _death_chain((0.0,) + spec.cardinality_values(), d, n, rng, discrete=False)
-    else:
-        shocks = (
-            (
-                tuple(k - 1 for k in sorted(key)),
-                lambda m, r, scale=1.0 / rate: r.exponential(scale, m),
-            )
-            for key, rate in spec.subset_items()
-            if rate > 0
-        )
-        data = min_over_subsets(shocks, d, n, rng)
+    data = _death_chain((0.0,) + spec.cardinality, d, n, rng, discrete=False)
     return SampleMatrix(data, meta=f"mo_shocks d={d}")
 
 
 def sample_geo_shocks(spec: ShockRateSpec, d: int, n: int, rng) -> SampleMatrix:
-    """Repeated iid subset draws; X_k is the first round whose subset contains k.
+    """Repeated iid rounds, each shocking one subset I with probability
+    p_|I|; X_k is the first round whose subset contains k.
 
-    Exchangeable probabilities run the death-counting chain; a
-    non-exchangeable subset map draws one subset per round.
+    Runs the death-counting chain, in O(n d^2) for any d.
     """
     if spec.kind != "geometric":
         raise SpecValidationError("sample_geo_shocks needs geometric shock probabilities")
     if d != spec.d:
         raise SpecValidationError(f"spec dimension {spec.d} != requested {d}")
-    if spec.exchangeable:
-        data = _death_chain(spec.cardinality_values(), d, n, rng, discrete=True)
-        return SampleMatrix(data, meta=f"geo_shocks d={d}")
-    if d > MAX_SHOCK_DIM:
-        raise DimensionCapError(f"shock construction caps d at {MAX_SHOCK_DIM}")
-    items = spec.subset_items()
-    probs = np.array([v for _, v in items])
-    masks = np.zeros((len(items), d), dtype=bool)
-    for j, (key, _) in enumerate(items):
-        masks[j, [k - 1 for k in key]] = True
-    data = np.zeros((n, d))
-    active = np.arange(n)
-    round_no = 0
-    while active.size:
-        round_no += 1
-        draw = rng.choice(len(items), size=active.size, p=probs)
-        hit = masks[draw]  # (n_active, d)
-        newly = hit & (data[active] == 0)
-        r_idx, c_idx = np.nonzero(newly)
-        data[active[r_idx], c_idx] = round_no
-        active = active[(data[active] == 0).any(axis=1)]
+    data = _death_chain(spec.cardinality, d, n, rng, discrete=True)
     return SampleMatrix(data, meta=f"geo_shocks d={d}")
 
 
@@ -594,8 +471,14 @@ def is_ciid_extendible(params: LomParameterSeq) -> ExtendibilityVerdict:
     if a[0] <= 0.0:
         # constant sequence: degenerate law, trivially representable
         return ExtendibilityVerdict(extendible=True, hankel_values=(), min_hankel=0.0)
-    normalized = tuple(v / a[0] for v in a)
-    return hausdorff_extendible((1.0,) + normalized[1:])
+    normalized = (1.0,) + tuple(v / a[0] for v in a[1:])
+    try:
+        return hausdorff_extendible(normalized)
+    except NotDMonotoneError:
+        raise NotDMonotoneError(
+            "the sequence a_k/a_1, a_k = -log(b_k/b_(k-1)), derived from the "
+            f"model's b is not d-monotone: {normalized}"
+        ) from None
 
 
 def beta_family_bseq(p: float, q: float, d: int) -> LomParameterSeq:

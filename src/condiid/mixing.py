@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import SpecValidationError, UnsupportedLawError
 
@@ -182,6 +181,8 @@ class Gamma(MixingLaw):
         return self.shape
 
     def density(self, m):
+        from scipy import special
+
         m = np.asarray(m, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(
@@ -211,11 +212,15 @@ class Beta(MixingLaw):
         return rng.beta(self.p, self.q, size=n)
 
     def laplace(self, x):
+        from scipy import special
+
         x = np.asarray(x, dtype=float)
         out = special.hyp1f1(self.p, self.p + self.q, -x)
         return out if out.ndim else float(out)
 
     def moment(self, k):
+        from scipy import special
+
         # Gamma(p+k) Gamma(p+q) / (Gamma(p) Gamma(p+q+k))
         return float(
             np.exp(
@@ -230,6 +235,8 @@ class Beta(MixingLaw):
         return self.p / (self.p + self.q)
 
     def density(self, m):
+        from scipy import special
+
         m = np.asarray(m, dtype=float)
         inside = (m > 0) & (m < 1)
         safe = np.where(inside, m, 0.5)
@@ -262,6 +269,8 @@ class Pareto(MixingLaw):
         return rng.random(n) ** (-1.0 / self.alpha)
 
     def laplace(self, x):
+        from scipy import integrate
+
         x = np.asarray(x, dtype=float)
 
         def one(xi):
@@ -337,24 +346,16 @@ class LogSeries(MixingLaw):
             raise SpecValidationError(f"log-series parameter must be positive, got {theta}")
         self.theta = float(theta)
         self.q = -math.expm1(-theta)
+        if self.q >= 1.0:
+            raise SpecValidationError(
+                f"log-series parameter {theta} is too large: q = 1 - exp(-theta) rounds to 1"
+            )
 
     def pmf(self, m: int) -> float:
         return self.q**m / (m * self.theta)
 
     def sample(self, n, rng):
-        u = rng.random(n)
-        out = np.ones(n, dtype=float)
-        m = 1
-        acc = np.full(n, self.pmf(1))
-        active = u > acc
-        while active.any():
-            m += 1
-            acc[active] += self.pmf(m)
-            out[active] = m
-            active = u > acc
-            if m > 100000:  # cumulative mass is 1; guards float round-off only
-                break
-        return out
+        return rng.logseries(self.q, size=n).astype(float)
 
     def laplace(self, x):
         x = np.asarray(x, dtype=float)

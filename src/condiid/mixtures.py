@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .errors import SpecValidationError, UnsupportedLawError
 from .inverse import monotone_inverse
@@ -95,6 +94,8 @@ def sample_spherical_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
 
 def _expectation(law: MixingLaw, fn, lower=None) -> float:
     """E[fn(R)] by closed form for discrete laws, adaptive quadrature otherwise."""
+    from scipy import integrate
+
     if isinstance(law, PointMass):
         return float(fn(law.m))
     if isinstance(law, FiniteDiscrete):
@@ -210,20 +211,14 @@ def gnedin_g(law: MixingLaw, d: int, x) -> float:
     return _expectation(law, lambda m: m ** (-d) if m > x else 0.0, lower=x)
 
 
-def sample_linf_ciid(law: MixingLaw, d, n, rng, return_mixing: bool = False):
+def sample_linf_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
     """X = M * U with U iid uniform on [0,1]; rows are conditionally iid
-    uniform on [0, M].
-
-    With ``return_mixing`` the realized M of each row is returned alongside.
-    """
+    uniform on [0, M]."""
     m = law.sample(n, rng)
     if (np.asarray(m) <= 0).any():
         raise SpecValidationError("mixing variable must be strictly positive")
     data = m[:, None] * rng.random((n, d))
-    out = SampleMatrix(data, meta=f"linf_ciid {law!r} d={d}")
-    if return_mixing:
-        return out, m
-    return out
+    return SampleMatrix(data, meta=f"linf_ciid {law!r} d={d}")
 
 
 def linf_ciid_survival(law: MixingLaw, x) -> float:

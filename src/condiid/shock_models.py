@@ -20,11 +20,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import integrate, special
 
-from .errors import SpecValidationError
+from .errors import DimensionCapError, SpecValidationError
 from .inverse import monotone_inverse
-from .lack_of_memory import min_over_subsets
 from .sample import SampleMatrix
 
 __all__ = [
@@ -225,16 +223,28 @@ class ShockSurvivalSpec:
         return {"shocks": [s.to_json() for s in self.shocks]}
 
 
+MAX_SHOCK_DIM = 20
+
+
 def exshock_sample(spec: ShockSurvivalSpec, d: int, n: int, rng) -> SampleMatrix:
-    """X_k = min{E_I : k in I} over all 2^d - 1 independent subset shocks."""
+    """X_k = min{E_I : k in I} over all 2^d - 1 independent subset shocks,
+    E_I drawn from hbar_|I|.
+
+    The shocks are drawn by subset size, then members in lexicographic order.
+    Components that no shock reaches stay +inf.  Every subset is drawn, so d
+    is capped at ``MAX_SHOCK_DIM``.
+    """
     if d != spec.d:
         raise SpecValidationError(f"spec dimension {spec.d} != requested {d}")
-    shocks = (
-        (sub, spec.shocks[size - 1].sample)
-        for size in range(1, d + 1)
-        for sub in combinations(range(d), size)
-    )
-    return SampleMatrix(min_over_subsets(shocks, d, n, rng), meta=f"exshock d={d}")
+    if d > MAX_SHOCK_DIM:
+        raise DimensionCapError(f"shock construction caps d at {MAX_SHOCK_DIM}")
+    data = np.full((n, d), np.inf)
+    for size in range(1, d + 1):
+        for members in combinations(range(d), size):
+            e = spec.shocks[size - 1].sample(n, rng)
+            for k in members:
+                np.minimum(data[:, k], e, out=data[:, k])
+    return SampleMatrix(data, meta=f"exshock d={d}")
 
 
 def exshock_survival(spec: ShockSurvivalSpec, x) -> float | np.ndarray:
@@ -389,11 +399,15 @@ class NormalBase(BaseDistribution):
             raise SpecValidationError("sigma must be positive")
 
     def cdf(self, x):
+        from scipy import special
+
         x = np.asarray(x, dtype=float)
         out = special.ndtr((x - self.mu) / self.sigma)
         return out if out.ndim else float(out)
 
     def ppf(self, u):
+        from scipy import special
+
         u = np.asarray(u, dtype=float)
         out = self.mu + self.sigma * special.ndtri(u)
         return out if out.ndim else float(out)
@@ -483,6 +497,8 @@ class DirichletPriorFamily(AdditiveFamily):
         self.base = base
 
     def psi(self, t, x):
+        from scipy import special
+
         t = np.asarray(t, dtype=float)
         gbar = self.c * (1.0 - np.asarray(self.base.cdf(t), dtype=float))
         x = float(x)
@@ -502,6 +518,8 @@ class DirichletPriorFamily(AdditiveFamily):
 
     def psi_integral(self, t: float, x: float) -> float:
         """Same exponent by direct quadrature of the jump measure (slow path)."""
+        from scipy import integrate
+
         gbar = self.c * (1.0 - float(self.base.cdf(t)))
         if gbar <= 0:
             return math.inf if x > 0 else 0.0

@@ -1,7 +1,11 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +139,16 @@ class TestCheck:
         # ... while these exchangeable shock rates admit no such representation
         code, out, _ = run(["check", "--model", MO_MODEL])
         assert code == 0 and out.startswith("not extendible")
+
+    def test_mo_refusal_names_the_derived_sequence(self):
+        # the d-monotone test fails on a_k/a_1, which the user never gave
+        d = 36
+        model = json.dumps({"family": "marshall_olkin", "d": d,
+                            "rates": [1e-3 / math.comb(d - 1, j) for j in range(d - 1)] + [0.05]})
+        code, _, err = run(["check", "--model", model])
+        assert code == 1
+        assert "a_k/a_1, a_k = -log(b_k/b_(k-1))" in err
+        assert "model's b" in err
 
     def test_family_not_checkable(self):
         code, _, err = run(["check", "--model", '{"family":"sato","alpha":1.0}'])
@@ -300,3 +314,12 @@ class TestModelPlumbing:
         code, _, err = run(["check", "--model", '{"family":"nope"}'])
         assert code == 1
         assert "unknown family" in err
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, condiid.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

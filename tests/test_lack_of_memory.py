@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from condiid import cli, diagnostics as dg, lack_of_memory as lom
-from condiid.errors import DimensionCapError, NotDMonotoneError, SpecValidationError
+from condiid.errors import NotDMonotoneError, SpecValidationError
 from condiid.mixing import Gamma, PointMass
 
 
@@ -113,30 +113,6 @@ class TestShockSamplers:
             closed = float(lom.mo_survival(params, pt))
             se = math.sqrt(closed * (1 - closed) / sm.n)
             assert abs(emp - closed) <= 3 * se + 1e-3
-
-    def test_non_exchangeable_map_sampled_and_rejected_for_b(self):
-        rng = np.random.default_rng(34)
-        spec = lom.ShockRateSpec(
-            d=2, kind="exponential", subsets={(1,): 0.5, (2,): 0.2, (1, 2): 0.1}
-        )
-        assert not spec.exchangeable
-        sm = lom.sample_mo_shocks(spec, 2, 120000, rng)
-        x = np.array([0.4, 0.6])
-        hand = math.exp(-0.5 * 0.4 - 0.2 * 0.6 - 0.1 * 0.6)
-        emp = (sm.data > x).all(axis=1).mean()
-        assert emp == pytest.approx(hand, abs=0.006)
-        with pytest.raises(SpecValidationError):
-            lom.b_from_lambda(spec)
-
-    def test_dimension_cap(self):
-        # only a non-exchangeable map draws every subset shock
-        rng = np.random.default_rng(35)
-        spec = lom.ShockRateSpec(
-            d=21, kind="exponential", subsets={(k,): 0.1 * k for k in range(1, 22)}
-        )
-        assert not spec.exchangeable
-        with pytest.raises(DimensionCapError):
-            lom.sample_mo_shocks(spec, 21, 10, rng)
 
     def test_exchangeable_spec_beyond_cap_samples(self):
         rng = np.random.default_rng(35)
@@ -469,10 +445,5 @@ def test_shock_spec_json_round_trip():
     js = spec.to_json()
     assert js["cardinality_rates"] == [0.3, 0.2, 0.1]
     assert lom.ShockRateSpec.from_json(js) == spec
-    subset_spec = lom.ShockRateSpec(
-        d=2, kind="exponential", subsets={(1,): 0.5, (2,): 0.2, (1, 2): 0.1}
-    )
-    back = lom.ShockRateSpec.from_json(subset_spec.to_json())
-    assert back.subsets == subset_spec.subsets
     sub = lom.CompoundPoissonSubordinatorSpec(drift=0.3, kill=0.1, jumps=((1.0, 0.5),))
     assert lom.CompoundPoissonSubordinatorSpec.from_json(sub.to_json()) == sub

@@ -77,6 +77,21 @@ def test_pareto_survival_and_density_consistent():
         assert law.survival(x) == pytest.approx(tail, abs=1e-9)
 
 
+def test_log_series_tail_is_sampled():
+    # at theta = 20 about 40% of the mass lies above m = 100001
+    law = mixing.LogSeries(20.0)
+    cut = 100001
+    tail = 1.0 - math.fsum(law.pmf(m) for m in range(1, cut + 1))
+    n = 2000
+    share = float((law.sample(n, np.random.default_rng(10)) > cut).mean())
+    assert abs(share - tail) <= 3 * math.sqrt(tail * (1 - tail) / n)
+
+
+def test_log_series_refuses_q_rounding_to_one():
+    with pytest.raises(SpecValidationError):
+        mixing.LogSeries(40.0)
+
+
 def test_log_series_pmf_normalizes_and_samples():
     law = mixing.LogSeries(0.8)
     total = sum(law.pmf(m) for m in range(1, 400))

@@ -275,8 +275,8 @@ class TestLinf:
 
     def test_rows_conditionally_uniform(self):
         rng = np.random.default_rng(22)
-        sm, m = mx.sample_linf_ciid(PointMass(2.0), 3, 20000, rng, return_mixing=True)
-        assert (m == 2.0).all()
+        sm = mx.sample_linf_ciid(PointMass(2.0), 3, 20000, rng)
+        assert sm.data.max() <= 2.0
         assert stats.kstest(sm.data.ravel() / 2.0, "uniform").pvalue > 0.001
 
     def test_sampled_g2_non_increasing_by_isotonic_residual(self):
