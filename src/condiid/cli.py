@@ -236,14 +236,9 @@ def build_model(spec: dict) -> Model:
 
     if family == "sato":
         alpha = float(_need(spec, "alpha"))
-        sampler = None
-        if d <= 3:
-            sampler = lambda n, rng: diagnostics.conditional_inversion_sampler(
-                lambda pts: shock.sato_survival(alpha, pts), d, n, rng
-            )
         return Model(
             family, d,
-            sampler=sampler,
+            sampler=lambda n, rng: shock.sample_sato(alpha, d, n, rng),
             evals={"survival": lambda x: float(shock.sato_survival(alpha, x))},
             marginal_ppf=lambda q: (1.0 - q) ** (-1.0 / alpha) - 1.0,
         )

@@ -138,6 +138,9 @@ def geo_survival(params: LomParameterSeq, nvec) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
+_CARDINALITY_KEYS = {"exponential": "cardinality_rates", "geometric": "cardinality_probs"}
+
+
 @dataclass(frozen=True)
 class ShockRateSpec:
     """Per-cardinality parameters of an exchangeable shock model in dimension d.
@@ -156,7 +159,7 @@ class ShockRateSpec:
     cardinality: tuple
 
     def __post_init__(self):
-        if self.kind not in ("exponential", "geometric"):
+        if self.kind not in _CARDINALITY_KEYS:
             raise SpecValidationError(f"unknown shock kind {self.kind!r}")
         if self.d < 1:
             raise SpecValidationError("dimension must be at least 1")
@@ -180,17 +183,20 @@ class ShockRateSpec:
                 raise SpecValidationError("every component needs positive hit probability")
 
     def to_json(self) -> dict:
-        key = "cardinality_rates" if self.kind == "exponential" else "cardinality_probs"
-        return {"kind": self.kind, "d": self.d, key: list(self.cardinality)}
+        return {"kind": self.kind, "d": self.d, _CARDINALITY_KEYS[self.kind]: list(self.cardinality)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ShockRateSpec":
         kind = obj.get("kind", "exponential")
-        card = obj.get("cardinality_rates") or obj.get("cardinality_probs")
-        if card is None:
+        if kind not in _CARDINALITY_KEYS:
+            raise SpecValidationError(f"unknown shock kind {kind!r}")
+        key = _CARDINALITY_KEYS[kind]
+        given = [k for k in _CARDINALITY_KEYS.values() if k in obj]
+        if given != [key]:
             raise SpecValidationError(
-                "shock spec JSON needs 'cardinality_rates' or 'cardinality_probs'"
+                f"{kind} shock spec JSON needs {key!r} and no other cardinality key, got {given}"
             )
+        card = obj[key]
         d = obj.get("d")
         if d is None:
             d = len(card) if kind == "exponential" else len(card) - 1
@@ -384,23 +390,27 @@ class CompoundPoissonSubordinatorSpec:
         )
 
 
-def _first_passage(eps: np.ndarray, step, drift: float) -> np.ndarray:
+def _first_passage(eps: np.ndarray, step, drift: float) -> tuple[np.ndarray, int]:
     """X_k = inf{t : Z_t > eps_k} for every row and barrier of ``eps``, shape (n, d).
 
     Each row's path Z starts at 0, rises at rate ``drift`` between events and
-    jumps at each event; ``step(m)`` returns the ``(wait, jump)`` arrays of
-    the next event of the m live rows, and ``jump = inf`` kills the path.  A
-    barrier passed while drifting gets t + (eps - z) / drift, one passed at an
-    event (eps < z after the jump, strictly) the event time.  The live rows
-    step together; a row retires once its level is above all its barriers.
+    jumps at each event; ``step(t)`` returns the ``(wait, jump)`` arrays of
+    the next event of the live rows, whose current times are ``t``, and
+    ``jump = inf`` kills the path.  A barrier passed while drifting gets
+    t + (eps - z) / drift, one passed at an event (eps < z after the jump,
+    strictly) the event time.  The live rows step together; a row retires
+    once its level is above all its barriers.  Returns X and the number of
+    lockstep steps taken.
     """
     x = np.empty(eps.shape)
     t = np.zeros(len(eps))
     z = np.zeros(len(eps))
     top = eps.max(axis=1)
     rows = np.arange(len(eps))
+    steps = 0
     while rows.size:
-        wait, jump = step(rows.size)
+        steps += 1
+        wait, jump = step(t[rows])
         e, z0 = eps[rows], z[rows, None]
         z1 = z[rows] + (drift * wait if drift > 0 else 0.0) + jump
         # barriers below z0 were passed before; ones at or above it pass now
@@ -410,7 +420,7 @@ def _first_passage(eps: np.ndarray, step, drift: float) -> np.ndarray:
         t[rows] += wait
         z[rows] = z1
         rows = rows[z1 <= top[rows]]
-    return x
+    return x, steps
 
 
 def sample_mo_ciid(
@@ -431,14 +441,17 @@ def sample_mo_ciid(
     total = float(rates.sum())
     eps = rng.exponential(size=(n, d))
 
-    def step(m):
+    def step(t):
+        m = t.size
         if total == 0:
             return np.full(m, math.inf), np.zeros(m)
         wait = rng.exponential(size=m) / total
         return wait, sizes[rng.choice(sizes.size, size=m, p=rates / total)]
 
-    meta = f"mo_ciid drift={sub.drift} kill={sub.kill} jumps={len(sub.jumps)} d={d}"
-    return SampleMatrix(_first_passage(eps, step, sub.drift), meta=meta)
+    data, steps = _first_passage(eps, step, sub.drift)
+    meta = (f"mo_ciid drift={sub.drift} kill={sub.kill} jumps={len(sub.jumps)} d={d} "
+            f"lockstep_steps={steps}")
+    return SampleMatrix(data, meta=meta)
 
 
 def sample_geo_ciid(law: MixingLaw, d: int, n: int, rng) -> SampleMatrix:
@@ -452,8 +465,8 @@ def sample_geo_ciid(law: MixingLaw, d: int, n: int, rng) -> SampleMatrix:
     if not b1 < 1.0 - 1e-15:
         raise SpecValidationError("the step law must not be identically zero")
     eps = rng.exponential(size=(n, d))
-    data = _first_passage(eps, lambda m: (np.ones(m), law.sample(m, rng)), 0.0)
-    return SampleMatrix(data, meta=f"geo_ciid {law!r} d={d}")
+    data, steps = _first_passage(eps, lambda t: (np.ones(t.size), law.sample(t.size, rng)), 0.0)
+    return SampleMatrix(data, meta=f"geo_ciid {law!r} d={d} lockstep_steps={steps}")
 
 
 def is_ciid_extendible(params: LomParameterSeq) -> ExtendibilityVerdict:
@@ -465,7 +478,13 @@ def is_ciid_extendible(params: LomParameterSeq) -> ExtendibilityVerdict:
     Hankel values refer to the sequence actually tested.
     """
     if params.flavor == DISCRETE:
-        return hausdorff_extendible(params.values)
+        try:
+            return hausdorff_extendible(params.values)
+        except NotDMonotoneError:
+            raise NotDMonotoneError(
+                "the model's b (derived from its p when p is given) is not d-monotone: "
+                f"{params.values}"
+            ) from None
     b = params.values
     a = [-math.log(b[i] / b[i - 1]) for i in range(1, len(b))]
     if a[0] <= 0.0:

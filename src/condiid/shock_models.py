@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DimensionCapError, SpecValidationError
 from .inverse import monotone_inverse
+from .lack_of_memory import CompoundPoissonSubordinatorSpec, _first_passage
 from .sample import SampleMatrix
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "dp_copula_eval",
     "dp_survival",
     "sato_survival",
+    "sample_sato",
     "check_self_decomposable",
     "fd_weights",
     "shock_from_json",
@@ -453,8 +455,6 @@ class PiecewiseLevy(AdditiveFamily):
     kind = "piecewise_levy"
 
     def __init__(self, breakpoints, pieces):
-        from .lack_of_memory import CompoundPoissonSubordinatorSpec
-
         breakpoints = tuple(float(t) for t in breakpoints)
         pieces = tuple(pieces)
         if not pieces or len(breakpoints) != len(pieces):
@@ -562,8 +562,6 @@ class SatoFamily(AdditiveFamily):
 
 
 def additive_family_from_json(obj: dict) -> AdditiveFamily:
-    from .lack_of_memory import CompoundPoissonSubordinatorSpec
-
     kind = obj.get("kind")
     if kind == "piecewise_levy":
         pieces = [CompoundPoissonSubordinatorSpec.from_json(p) for p in obj["pieces"]]
@@ -642,6 +640,36 @@ def sato_survival(alpha: float, x) -> float | np.ndarray:
     den = (d - k + 1.0) * s + 1.0
     out = np.prod(num / den, axis=-1) ** alpha
     return out if out.ndim else float(out)
+
+
+def sample_sato(alpha: float, d: int, n: int, rng) -> SampleMatrix:
+    """Exact first passage X_k = inf{t : Z_t > E_k} of the Sato process Z of
+    the Gamma(alpha) law across iid unit-exponential barriers E_k.
+
+    With psi_t(x) = alpha*log(1 + x*t), Z jumps at the times of a Poisson
+    process of intensity alpha/t, by t*Exp(1) at time t.  The first event is
+    the passage of the lowest barrier E_(1), at t_1 = E_(1)/G with G ~
+    Gamma(alpha, 1), since P(X_(1) > t) = P(t*G <= E_(1)); by lack of memory
+    the level after it is E_(1) + t_1*Exp(1).  From time t the next jump comes
+    at t*U**(-1/alpha).  Barriers passed at one jump share its time, so ties
+    are exact atoms.
+    """
+    if alpha <= 0:
+        raise SpecValidationError("alpha must be positive")
+    eps = rng.exponential(size=(n, d))
+    low = eps.min(axis=1)
+
+    def step(t):
+        m = t.size
+        if not t.any():  # the first event, from (t, z) = (0, 0)
+            # an E_(1) of exactly 0.0 would leave t = 0, where t*U**(-1/alpha) never moves
+            wait = np.maximum(low / rng.standard_gamma(alpha, size=m), np.finfo(float).tiny)
+            return wait, low + wait * rng.exponential(size=m)
+        after = t * (1.0 - rng.random(m)) ** (-1.0 / alpha)
+        return after - t, after * rng.exponential(size=m)
+
+    data, steps = _first_passage(eps, step, 0.0)
+    return SampleMatrix(data, meta=f"sato alpha={alpha} d={d} lockstep_steps={steps}")
 
 
 # -- self-decomposability probe -------------------------------------------------------

@@ -150,6 +150,17 @@ class TestCheck:
         assert "a_k/a_1, a_k = -log(b_k/b_(k-1))" in err
         assert "model's b" in err
 
+    def test_geometric_refusal_names_the_models_b(self):
+        # the d-monotone test fails on the b derived from the user's p
+        d = 36
+        weights = [0.2] + [0.4 / (d - 1)] * (d - 1) + [0.4]
+        model = json.dumps({"family": "geometric", "d": d,
+                            "p": [w / math.comb(d, m) for m, w in enumerate(weights)]})
+        code, _, err = run(["check", "--model", model])
+        assert code == 1
+        assert "model's b (derived from its p" in err
+        assert "not d-monotone" in err
+
     def test_family_not_checkable(self):
         code, _, err = run(["check", "--model", '{"family":"sato","alpha":1.0}'])
         assert code == 1
@@ -225,6 +236,12 @@ class TestVerify:
         assert code == 0 and json.loads(out)["passed"] is True
         code, _, err = run(["check", "--model", model])
         assert code == 1 and "not d-monotone" in err
+
+    def test_sato_verified_beyond_d3(self):
+        model = json.dumps({"family": "sato", "d": 5, "alpha": 1.05})
+        code, out, err = run(["verify", "--model", model, "--n", "20000", "--seed", "1"])
+        assert code == 0, err
+        assert json.loads(out)["passed"] is True
 
     def test_spherical_has_no_closed_form(self):
         model = json.dumps({"family": "spherical", "m": {"family": "gamma", "shape": 1.0}, "d": 2})

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from condiid import cli, diagnostics as dg, lack_of_memory as lom
+from condiid import cli, diagnostics as dg, lack_of_memory as lom, shock_models as sk
 from condiid.errors import NotDMonotoneError, SpecValidationError
 from condiid.mixing import Gamma, PointMass
 
@@ -257,30 +257,32 @@ class TestFirstPassage:
 
     @staticmethod
     def constant_step(wait, jump):
-        return lambda m: (np.full(m, wait), np.full(m, jump))
+        return lambda t: (np.full(t.size, wait), np.full(t.size, jump))
 
     @settings(max_examples=100, deadline=None)
     @given(barriers, st.floats(0.1, 10.0))
     def test_pure_drift(self, eps, mu):
         eps = np.array([eps, eps[::-1]])
-        x = lom._first_passage(eps, self.constant_step(math.inf, 0.0), mu)
+        x, _ = lom._first_passage(eps, self.constant_step(math.inf, 0.0), mu)
         assert (x == eps / mu).all()
 
     @settings(max_examples=100, deadline=None)
     @given(barriers, st.floats(0.1, 10.0), st.floats(0.01, 20.0))
     def test_drift_killed_at_t(self, eps, mu, kill_t):
         eps = np.array([eps])
-        x = lom._first_passage(eps, self.constant_step(kill_t, math.inf), mu)
+        x, _ = lom._first_passage(eps, self.constant_step(kill_t, math.inf), mu)
         assert (x == np.minimum(eps / mu, kill_t)).all()
 
     @settings(max_examples=100, deadline=None)
     @given(barriers)
     def test_half_steps_pass_strictly(self, eps):
         # Z_t = floor(t) / 2 exceeds eps first at t = floor(2 eps) + 1; a
-        # barrier on the lattice is not passed by the step that reaches it
+        # barrier on the lattice is not passed by the step that reaches it;
+        # the row retires with its last barrier, after that many steps
         eps = np.array([eps])
-        x = lom._first_passage(eps, self.constant_step(1.0, 0.5), 0.0)
+        x, steps = lom._first_passage(eps, self.constant_step(1.0, 0.5), 0.0)
         assert (x == np.floor(2 * eps) + 1).all()
+        assert steps == x.max()
 
     @settings(max_examples=100, deadline=None)
     @given(barriers)
@@ -290,8 +292,20 @@ class TestFirstPassage:
         eps = np.array(eps)
         k = np.floor(eps / 2)
         expect = np.where(eps < 2 * k + 1, eps - k, k + 1)
-        x = lom._first_passage(eps[None, :], self.constant_step(1.0, 1.0), 1.0)
+        x, _ = lom._first_passage(eps[None, :], self.constant_step(1.0, 1.0), 1.0)
         assert np.allclose(x[0], expect, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("sampler", [
+        lambda rng: lom.sample_mo_ciid(
+            lom.CompoundPoissonSubordinatorSpec(drift=0.3, kill=0.1, jumps=((1.0, 0.5),)),
+            4, 2000, rng),
+        lambda rng: lom.sample_geo_ciid(Gamma(1.0), 4, 2000, rng),
+        lambda rng: sk.sample_sato(1.05, 4, 2000, rng),
+    ], ids=["mo_ciid", "geo_ciid", "sato"])
+    def test_wrappers_record_lockstep_steps(self, sampler):
+        sm = sampler(np.random.default_rng(3))
+        steps = int(sm.meta.rsplit("lockstep_steps=", 1)[1])
+        assert 0 < steps < 200
 
 
 class TestSubordinatorSampler:
@@ -447,3 +461,14 @@ def test_shock_spec_json_round_trip():
     assert lom.ShockRateSpec.from_json(js) == spec
     sub = lom.CompoundPoissonSubordinatorSpec(drift=0.3, kill=0.1, jumps=((1.0, 0.5),))
     assert lom.CompoundPoissonSubordinatorSpec.from_json(sub.to_json()) == sub
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "exponential", "cardinality_probs": [0.2, 0.3]},
+    {"kind": "geometric", "cardinality_rates": [0.25, 0.25, 0.25]},
+    {"kind": "exponential", "cardinality_rates": [0.2, 0.3], "cardinality_probs": [0.2, 0.3]},
+    {"cardinality_probs": [0.2, 0.3]},
+], ids=["exponential_with_probs", "geometric_with_rates", "both_keys", "default_kind_with_probs"])
+def test_shock_spec_json_key_must_match_kind(obj):
+    with pytest.raises(SpecValidationError, match="cardinality"):
+        lom.ShockRateSpec.from_json(obj)

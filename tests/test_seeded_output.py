@@ -71,7 +71,7 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
     ),
     "sato": (
         {"family": "sato", "d": 3, "alpha": 1.05},
-        "01255e325921e6a9b4659c6ee8a30a73abe178996ac54807c268f0593951e783",
+        "c34e6ceb1619092ae64d1b0fc12022377ff2b0226fae9d5d18c74167ad90b35e",
     ),
 }
 

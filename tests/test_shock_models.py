@@ -278,6 +278,51 @@ class TestSato:
         # survival (1+x)^-1 equals a Lomax law
         assert stats.kstest(sm.data[:, 0], "lomax", args=(1.0,)).pvalue > 0.001
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.05, 3.0])
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_exact_sampler_reproduces_survival(self, d, alpha):
+        from condiid.diagnostics import default_quantile_grid
+
+        n = 20000
+        sm = sk.sample_sato(alpha, d, n, np.random.default_rng(67))
+        grid = default_quantile_grid(lambda q: (1.0 - q) ** (-1.0 / alpha) - 1.0, d)
+        for pt in grid:
+            emp = (sm.data > pt).all(axis=1).mean()
+            closed = float(sk.sato_survival(alpha, pt))
+            se = math.sqrt(closed * (1 - closed) / n)
+            assert abs(emp - closed) <= 3 * se + 1e-3
+
+    def test_exact_sampler_ties_on_the_diagonal(self):
+        # alpha = 1, d = 2: the singular part of the law has mass 2 ln 2 - 1
+        n = 100000
+        sm = sk.sample_sato(1.0, 2, n, np.random.default_rng(68))
+        share = (sm.data[:, 0] == sm.data[:, 1]).mean()
+        exact = 2 * math.log(2) - 1
+        assert abs(share - exact) <= 3 * math.sqrt(exact * (1 - exact) / n)
+
+    def test_exact_sampler_leaves_time_zero_on_a_zero_barrier(self):
+        # an exponential draw of exactly 0.0 has probability 2^-53; force one
+        class ZeroFirstBarrier:
+            def __init__(self, seed):
+                self.rng, self.first = np.random.default_rng(seed), True
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def exponential(self, size):
+                out = self.rng.exponential(size=size)
+                if self.first:
+                    out.flat[0], self.first = 0.0, False
+                return out
+
+        sm = sk.sample_sato(1.0, 2, 3, ZeroFirstBarrier(70))
+        assert sm.data[0, 0] == np.finfo(float).tiny
+        assert np.isfinite(sm.data).all() and (sm.data > 0).all()
+
+    def test_exact_sampler_rejects_non_positive_alpha(self):
+        with pytest.raises(SpecValidationError):
+            sk.sample_sato(0.0, 2, 10, np.random.default_rng(69))
+
 
 class TestSelfDecomposability:
     def test_gamma_family(self):
