@@ -175,9 +175,9 @@ def radial_symmetry_test(samples, mu: float) -> bool:
         if p < 0.01 / d:
             return False
     qs = np.quantile(left, [0.2, 0.4, 0.6, 0.8], axis=0)  # grid from pooled empirical margins
-    for row in qs:
-        p1 = float((left <= row).all(axis=1).mean())
-        p2 = float((right <= row).all(axis=1).mean())
+    p_left = _orthant_hits(left, qs, "cdf") / nrows
+    p_right = _orthant_hits(right, qs, "cdf") / nrows
+    for p1, p2 in zip(p_left.tolist(), p_right.tolist()):
         stderr = math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / nrows)
         if abs(p1 - p2) > 3.0 * stderr + 1e-3:
             return False
@@ -319,6 +319,32 @@ class McReport:
         return lines
 
 
+def _orthant_hits(data: np.ndarray, grid: np.ndarray, mode: str) -> np.ndarray:
+    """Number of rows of ``data`` in the orthant of each grid point.
+
+    ``mode`` "survival" counts the rows strictly above the point in every
+    coordinate (x > g), "cdf" the rows at or below it (x <= g).  Each point
+    ANDs its column comparisons into one n-length buffer, so no n x grid x d
+    array is built.
+    """
+    if grid.shape[1] != data.shape[1]:
+        raise SpecValidationError(
+            f"grid points have {grid.shape[1]} coordinates but the sample has "
+            f"d={data.shape[1]}"
+        )
+    compare = np.greater if mode == "survival" else np.less_equal
+    cols = np.ascontiguousarray(data.T)
+    inside = np.empty(data.shape[0], dtype=bool)
+    scratch = np.empty_like(inside)
+    hits = np.empty(grid.shape[0], dtype=np.int64)
+    for k, point in enumerate(grid):
+        compare(cols[0], point[0], out=inside)
+        for col, g in zip(cols[1:], point[1:]):
+            inside &= compare(col, g, out=scratch)
+        hits[k] = np.count_nonzero(inside)
+    return hits
+
+
 def mc_verify(
     sampler,
     survival,
@@ -337,10 +363,21 @@ def mc_verify(
     from the streams ``SeedSequence(seed).spawn(threads)``, so the report is
     deterministic for fixed arguments.  A point passes when |empirical -
     closed| <= 3*stderr + ABS_FLOOR, stderr = sqrt(closed (1 - closed) / n).
+
+    Counting rule: a row hits a survival point when every coordinate is
+    strictly greater (x > g), a cdf point when every coordinate is less or
+    equal (x <= g); a tie at a grid value counts for cdf only, and +inf counts
+    as above every point.  Each thread's chunk is counted column by column:
+    beyond the sample, counting holds one copy of its columns plus two
+    boolean buffers of the chunk's length.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if threads < 1:
-        raise SpecValidationError("threads must be >= 1")
+    if n < 1:
+        raise SpecValidationError(f"n must be >= 1, got {n}")
+    if not 1 <= threads <= n:
+        raise SpecValidationError(f"threads must be between 1 and n={n}, got {threads}")
+    if grid.ndim != 2:
+        raise SpecValidationError(f"grid must be a list of points, got shape {grid.shape}")
     if mode not in ("survival", "cdf"):
         raise SpecValidationError(f"unknown comparison mode {mode!r}")
     sizes = [n // threads] * threads
@@ -350,11 +387,7 @@ def mc_verify(
         rng = np.random.default_rng(stream)
         out = sampler(size, rng)
         data = out.data if isinstance(out, SampleMatrix) else np.asarray(out, dtype=float)
-        if mode == "survival":
-            flags = (data[:, None, :] > grid[None, :, :]).all(axis=2)
-        else:
-            flags = (data[:, None, :] <= grid[None, :, :]).all(axis=2)
-        return flags.sum(axis=0)
+        return _orthant_hits(data, grid, mode)
 
     if threads == 1:
         hits = run_chunk(seed, n)

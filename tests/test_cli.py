@@ -191,6 +191,17 @@ class TestVerify:
         code, _, err = run(["verify", "--model", MO_MODEL, "--n", "100"])
         assert code == 1 and "seed" in err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--n", "0"], "n must be >= 1, got 0"),
+        (["--n", "1", "--threads", "2"], "threads must be between 1 and n=1, got 2"),
+        (["--n", "100", "--grid", "[[0.5, 0.5]]"],
+         "grid points have 2 coordinates but the sample has d=3"),
+    ], ids=["n_zero", "threads_above_n", "grid_width"])
+    def test_invalid_arguments_named(self, extra, message):
+        code, out, err = run(["verify", "--model", MO_MODEL, "--seed", "5"] + extra)
+        assert code == 1 and out == ""
+        assert message in err
+
     def test_threads_deterministic(self):
         args = ["verify", "--model", MO_MODEL, "--n", "20000", "--seed", "5",
                 "--threads", "3"]

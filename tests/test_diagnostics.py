@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from condiid import diagnostics as dg
@@ -21,6 +24,25 @@ def brute_force_tau(pairs):
             elif s < 0:
                 d += 1
     return (c - d) / (n * (n - 1) / 2)
+
+
+def orthant_hits_oracle(rows, grid, mode):
+    """Per-row count of the rows in each grid point's orthant, in plain Python."""
+    inside = (lambda x, g: x > g) if mode == "survival" else (lambda x, g: x <= g)
+    return [sum(all(inside(x, g) for x, g in zip(row, point)) for row in rows)
+            for point in grid]
+
+
+@st.composite
+def tied_samples(draw):
+    """(sample, grid): sample values drawn from the grid's coordinates and +-inf."""
+    d = draw(st.integers(1, 6))
+    coord = st.floats(-10.0, 10.0, allow_nan=False) | st.sampled_from([0.0, math.inf])
+    grid = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=12))
+    values = sorted({g for point in grid for g in point} | {math.inf, -math.inf})
+    rows = draw(st.lists(st.lists(st.sampled_from(values), min_size=d, max_size=d),
+                         min_size=1, max_size=50))
+    return rows, grid
 
 
 class TestKendallTau:
@@ -287,6 +309,43 @@ class TestMcVerify:
         rows = r.csv_rows()
         assert rows[0] == "point,closed,empirical,stderr"
         assert len(rows) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_samples(), st.sampled_from(["survival", "cdf"]))
+    def test_orthant_hits_match_per_row_oracle(self, case, mode):
+        rows, grid = case
+        hits = dg._orthant_hits(np.array(rows, dtype=float), np.array(grid, dtype=float), mode)
+        assert hits.tolist() == orthant_hits_oracle(rows, grid, mode)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tied_samples(), st.sampled_from(["survival", "cdf"]))
+    def test_threaded_hits_match_oracle_on_all_streams(self, case, mode):
+        rows, grid = case
+        values = sorted({g for point in grid for g in point} | {math.inf, -math.inf})
+        chunks = []
+
+        def sampler(n, rng):
+            out = rng.choice(values, size=(n, len(grid[0])))
+            chunks.append(out)
+            return out
+
+        n = 3 * len(rows)
+        r = dg.mc_verify(sampler, lambda g: 0.5, grid, n, 5, threads=3, mode=mode)
+        assert len(chunks) == 3
+        sample = np.concatenate(chunks).tolist()
+        assert len(sample) == n
+        assert r.empirical == tuple(h / n for h in orthant_hits_oracle(sample, grid, mode))
+
+    def test_counting_memory_is_one_copy_of_the_sample(self):
+        data = np.random.default_rng(0).random((100_000, 5))
+        grid = np.random.default_rng(1).random((100, 5))
+        tracemalloc.start()
+        try:
+            dg.mc_verify(lambda n, rng: data, lambda g: 0.5, grid, data.shape[0], 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * data.nbytes
 
     def test_default_grid_shape(self):
         grid = dg.default_quantile_grid(lambda q: q, 3)
