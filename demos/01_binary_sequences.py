@@ -44,8 +44,8 @@ print("all eps in [0, 1/2], but admits a mixing law only for eps >= 1/4:\n")
 for eps in (0.20, 0.24, 0.25, 0.30, 0.50):
     verdict = mo.hausdorff_extendible((1.0, 0.5, eps))
     witness = ""
-    if verdict.witness is not None:
-        atoms = ", ".join(f"{a:.3f}" for a in verdict.witness.atoms)
+    if verdict.extendible:
+        atoms = ", ".join(f"{a:.3f}" for a in mo.discrete_witness((1.0, 0.5, eps)).atoms)
         witness = f"  witness atoms: [{atoms}]"
     print(f"eps = {eps:.2f}: extendible = {str(verdict.extendible):5s} "
           f"min Hankel det = {verdict.min_hankel:+.4f}{witness}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diagnostics, lack_of_memory as lom, mixtures, moments, shock_models as shock
 from . import extreme_value as ev
-from .errors import SpecValidationError
+from .errors import SpecValidationError, json_field
 from .inverse import monotone_inverse
 from .mixing import mixing_law_from_json
 from .sample import SampleMatrix, read_csv, write_csv
@@ -64,14 +64,8 @@ class Model:
         return grid
 
 
-def _need(spec, key):
-    if key not in spec:
-        raise SpecValidationError(f"model spec is missing required field {key!r}")
-    return spec[key]
-
-
 def build_model(spec: dict) -> Model:
-    family = _need(spec, "family")
+    family = json_field(spec, "family", "")
     if family not in FAMILIES:
         raise SpecValidationError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     d = int(spec.get("d", 2))
@@ -81,7 +75,7 @@ def build_model(spec: dict) -> Model:
     if family == "exch_normal":
         mu = float(spec.get("mu", 0.0))
         sigma = float(spec.get("sigma", 1.0))
-        rho = float(_need(spec, "rho"))
+        rho = float(json_field(spec, "rho", ""))
 
         def marginal_ppf(q):
             from scipy.stats import norm
@@ -102,14 +96,14 @@ def build_model(spec: dict) -> Model:
         )
 
     if family == "spherical":
-        law = mixing_law_from_json(_need(spec, "m"))
+        law = mixing_law_from_json(json_field(spec, "m", ""))
         return Model(
             family, d,
             sampler=lambda n, rng: mixtures.sample_spherical_ciid(law, d, n, rng),
         )
 
     if family in ("l1", "archimedean"):
-        law = mixing_law_from_json(_need(spec, "m"))
+        law = mixing_law_from_json(json_field(spec, "m", ""))
         gen = mixtures.ArchimedeanGenerator(law)
         if family == "l1":
             return Model(
@@ -137,7 +131,7 @@ def build_model(spec: dict) -> Model:
         )
 
     if family == "linf":
-        law = mixing_law_from_json(_need(spec, "m"))
+        law = mixing_law_from_json(json_field(spec, "m", ""))
         return Model(
             family, d,
             sampler=lambda n, rng: mixtures.sample_linf_ciid(law, d, n, rng),
@@ -158,7 +152,7 @@ def build_model(spec: dict) -> Model:
                 rates = lom.lambda_from_b(params)
             else:
                 rates = lom.ShockRateSpec(
-                    d=d, kind="exponential", cardinality=tuple(_need(spec, "rates"))
+                    d=d, kind="exponential", cardinality=tuple(json_field(spec, "rates", ""))
                 )
                 params = lom.b_from_lambda(rates)
             sampler = lambda n, rng: lom.sample_mo_shocks(rates, d, n, rng)
@@ -176,7 +170,9 @@ def build_model(spec: dict) -> Model:
             params = lom.LomParameterSeq(tuple(spec["b"]), lom.DISCRETE)
             pspec = lom.p_from_b_geo(params)
         else:
-            pspec = lom.ShockRateSpec(d=d, kind="geometric", cardinality=tuple(_need(spec, "p")))
+            pspec = lom.ShockRateSpec(
+                d=d, kind="geometric", cardinality=tuple(json_field(spec, "p", ""))
+            )
             params = lom.b_from_p(pspec)
         b1 = params.values[1]
         return Model(
@@ -209,7 +205,10 @@ def build_model(spec: dict) -> Model:
         )
 
     if family == "exshock":
-        shocks = tuple(shock.shock_from_json(s) for s in _need(spec, "shocks"))
+        shocks = tuple(
+            shock.shock_from_json(s, f"shocks[{i}]")
+            for i, s in enumerate(json_field(spec, "shocks", ""))
+        )
         sspec = shock.ShockSurvivalSpec(shocks)
         return Model(
             family, sspec.d,
@@ -222,7 +221,7 @@ def build_model(spec: dict) -> Model:
         )
 
     if family == "dirichlet_prior":
-        c = float(_need(spec, "c"))
+        c = float(json_field(spec, "c", ""))
         base = shock.base_distribution_from_json(spec.get("base", {"family": "uniform"}))
         return Model(
             family, d,
@@ -235,7 +234,7 @@ def build_model(spec: dict) -> Model:
         )
 
     if family == "sato":
-        alpha = float(_need(spec, "alpha"))
+        alpha = float(json_field(spec, "alpha", ""))
         return Model(
             family, d,
             sampler=lambda n, rng: shock.sample_sato(alpha, d, n, rng),
@@ -257,13 +256,11 @@ def build_model(spec: dict) -> Model:
     def sampler(n, rng):
         m = law_m
         if m is None:
-            verdict = moments.hausdorff_extendible(seq)
-            if not verdict.extendible or verdict.witness is None:
+            if not moments.hausdorff_extendible(seq).extendible:
                 raise SpecValidationError(
-                    "binary model is not extendible (or no witness available); "
-                    "cannot sample without an explicit mixing law"
+                    "binary model is not extendible; cannot sample it without a mixing law 'm'"
                 )
-            m = verdict.witness
+            m = moments.discrete_witness(seq)
         return moments.sample_binary_mixture(m, seq.d, n, rng)
 
     return Model(
@@ -370,6 +367,9 @@ def cmd_verify(args) -> int:
         grid = np.atleast_2d(np.asarray(json.loads(args.grid), dtype=float))
     else:
         grid = model.default_grid()
+    # closed forms give their limit at +inf, the mass at +inf, which the
+    # orthant count sees at the largest double and not at +inf itself
+    grid = np.minimum(grid, np.finfo(float).max)
     report = diagnostics.mc_verify(
         model.sampler,
         model.evals[model.verify_kind],
@@ -457,7 +457,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--grid", default=None, help="JSON list of grid points")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="number of independent random streams (SeedSequence(seed).spawn) the "
+        "n rows are split into, drawn one after another; 1 draws from --seed",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("diagnose", help="run sample diagnostics on a CSV")

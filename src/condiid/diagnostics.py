@@ -359,15 +359,16 @@ def mc_verify(
     ``sampler(n, rng)`` must return a SampleMatrix or array; ``survival``
     evaluates the closed form at one grid point.  ``mode`` selects strict
     survival probabilities P(X > g) (default) or cdf probabilities P(X <= g).
-    One thread draws from ``seed``, as ``condiid sample`` does, more threads
-    from the streams ``SeedSequence(seed).spawn(threads)``, so the report is
-    deterministic for fixed arguments.  A point passes when |empirical -
-    closed| <= 3*stderr + ABS_FLOOR, stderr = sqrt(closed (1 - closed) / n).
+    ``threads`` counts independent random streams, drawn one after another:
+    one draws from ``seed``, as ``condiid sample`` does, more from
+    ``SeedSequence(seed).spawn(threads)``, so the report is deterministic for
+    fixed arguments.  A point passes when |empirical - closed| <= 3*stderr +
+    ABS_FLOOR, stderr = sqrt(closed (1 - closed) / n).
 
     Counting rule: a row hits a survival point when every coordinate is
     strictly greater (x > g), a cdf point when every coordinate is less or
     equal (x <= g); a tie at a grid value counts for cdf only, and +inf counts
-    as above every point.  Each thread's chunk is counted column by column:
+    as above every point.  Each stream's chunk is counted column by column:
     beyond the sample, counting holds one copy of its columns plus two
     boolean buffers of the chunk's length.
     """
@@ -389,14 +390,8 @@ def mc_verify(
         data = out.data if isinstance(out, SampleMatrix) else np.asarray(out, dtype=float)
         return _orthant_hits(data, grid, mode)
 
-    if threads == 1:
-        hits = run_chunk(seed, n)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        streams = np.random.SeedSequence(seed).spawn(threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(run_chunk, streams, sizes))
+    streams = [seed] if threads == 1 else np.random.SeedSequence(seed).spawn(threads)
+    hits = sum(map(run_chunk, streams, sizes))
 
     empirical = hits / n
     closed = np.array([float(survival(g)) for g in grid])

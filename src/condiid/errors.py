@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the model-JSON field
+lookups that raise them."""
+
+import inspect
 
 
 class SpecValidationError(ValueError):
@@ -24,3 +27,44 @@ class DimensionCapError(SpecValidationError):
 class NonMonotoneConditionalError(RuntimeError):
     """A conditional survival function turned out non-monotone, i.e. the
     supplied survival function is not a valid survival function."""
+
+
+_REQUIRED = object()
+
+
+def json_field(obj, key: str, path: str, default=_REQUIRED):
+    """``obj[key]`` of the model-JSON object found at ``path`` ("" for the
+    model spec itself).
+
+    Refuses with SpecValidationError naming ``path`` when ``obj`` is not a
+    JSON object, and ``path.key`` when the field is missing and has no
+    ``default``.
+    """
+    if not isinstance(obj, dict):
+        raise SpecValidationError(f"{path or 'model spec'} must be a JSON object, got {obj!r}")
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
+        raise SpecValidationError(f"{path}.{key} is missing" if path else f"{key} is missing")
+    return default
+
+
+def json_kwargs(cls, obj: dict, path: str, tag: str) -> dict:
+    """The fields of the model-JSON object at ``path`` other than its ``tag``,
+    as keyword arguments of ``cls``.
+
+    A required argument of ``cls`` that is missing, or a field ``cls`` does
+    not take, is refused with SpecValidationError naming its path.
+    """
+    params = inspect.signature(cls).parameters
+    kwargs = {k: v for k, v in obj.items() if k != tag}
+    missing = [k for k, p in params.items() if p.default is p.empty and k not in kwargs]
+    if missing:
+        raise SpecValidationError(f"{path}.{missing[0]} is missing")
+    unknown = sorted(set(kwargs) - set(params))
+    if unknown:
+        raise SpecValidationError(
+            f"{path}.{unknown[0]} is not a field of {tag} {obj[tag]!r}; "
+            f"it takes {', '.join(params)}"
+        )
+    return kwargs

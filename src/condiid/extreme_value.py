@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import SpecValidationError, UnsupportedLawError
+from .errors import SpecValidationError, UnsupportedLawError, json_field
 from .mixing import FiniteDiscrete, MixingLaw, PointMass, sample_positive_stable
 from .sample import SampleMatrix
 
@@ -563,33 +563,39 @@ def sample_minstable(spec: StdfSpec, d: int, n: int, rng, rate: float | None = N
 
 # -- JSON -----------------------------------------------------------------------
 
-def g_spec_from_json(obj: dict) -> GSpec:
+def g_spec_from_json(obj: dict, path: str = "g") -> GSpec:
+    """The G of the model-JSON object at ``path``."""
     from .mixing import mixing_law_from_json
 
-    kind = obj.get("kind")
+    kind = json_field(obj, "kind", path)
     if kind == "frechet":
-        return Frechet(obj["theta"])
+        return Frechet(json_field(obj, "theta", path))
     if kind == "weibull":
-        return Weibull(obj["theta"])
+        return Weibull(json_field(obj, "theta", path))
     if kind == "mo_atom":
-        m = obj["m"]
-        return MOAtom(mixing_law_from_json(m) if isinstance(m, dict) else float(m))
+        m = json_field(obj, "m", path)
+        return MOAtom(mixing_law_from_json(m, f"{path}.m") if isinstance(m, dict) else float(m))
     if kind == "step":
-        return StepFunction(obj["points"], obj["values"])
-    raise SpecValidationError(f"unknown G kind {kind!r}")
+        return StepFunction(json_field(obj, "points", path), json_field(obj, "values", path))
+    raise SpecValidationError(f"unknown G kind {kind!r} at {path}.kind")
 
 
-def stdf_from_json(obj: dict) -> StdfSpec:
-    kind = obj.get("kind")
+def stdf_from_json(obj: dict, path: str = "stdf") -> StdfSpec:
+    """The stdf of the model-JSON object at ``path``."""
+    kind = json_field(obj, "kind", path)
     if kind == "independence":
         return Independence()
     if kind == "logistic":
-        return Logistic(obj["theta"])
+        return Logistic(json_field(obj, "theta", path))
     if kind == "negative_logistic":
-        return NegativeLogistic(obj["theta"])
+        return NegativeLogistic(json_field(obj, "theta", path))
     if kind == "lf":
-        return LF(g_spec_from_json(obj["g"]))
+        return LF(g_spec_from_json(json_field(obj, "g", path), f"{path}.g"))
     if kind == "triplet":
-        atoms = [(g_spec_from_json(a["g"]), a["weight"]) for a in obj["atoms"]]
-        return Triplet(obj.get("b", 0.0), obj["c"], atoms)
-    raise SpecValidationError(f"unknown stdf kind {kind!r}")
+        atoms = [
+            (g_spec_from_json(json_field(a, "g", f"{path}.atoms[{i}]"), f"{path}.atoms[{i}].g"),
+             json_field(a, "weight", f"{path}.atoms[{i}]"))
+            for i, a in enumerate(json_field(obj, "atoms", path))
+        ]
+        return Triplet(json_field(obj, "b", path, 0.0), json_field(obj, "c", path), atoms)
+    raise SpecValidationError(f"unknown stdf kind {kind!r} at {path}.kind")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments
-from .errors import NotDMonotoneError, SpecValidationError
+from .errors import NotDMonotoneError, SpecValidationError, json_field
 from .mixing import Beta, MixingLaw
 from .moments import (
     BinaryExchangeableLaw,
@@ -382,11 +382,16 @@ class CompoundPoissonSubordinatorSpec:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "CompoundPoissonSubordinatorSpec":
+    def from_json(cls, obj: dict, path: str = "subordinator") -> "CompoundPoissonSubordinatorSpec":
+        """The subordinator of the model-JSON object at ``path``."""
+        jumps = []
+        for i, jump in enumerate(json_field(obj, "jumps", path, ())):
+            at = f"{path}.jumps[{i}]"
+            jumps.append((json_field(jump, "size", at), json_field(jump, "rate", at)))
         return cls(
-            drift=obj.get("drift", 0.0),
-            kill=obj.get("kill", 0.0),
-            jumps=tuple((j["size"], j["rate"]) for j in obj.get("jumps", ())),
+            drift=json_field(obj, "drift", path, 0.0),
+            kill=json_field(obj, "kill", path, 0.0),
+            jumps=tuple(jumps),
         )
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import SpecValidationError, UnsupportedLawError
+from .errors import SpecValidationError, UnsupportedLawError, json_field, json_kwargs
 
 __all__ = [
     "MixingLaw",
@@ -378,11 +378,9 @@ _FAMILIES = {
 }
 
 
-def mixing_law_from_json(obj: dict) -> MixingLaw:
-    if "family" not in obj:
-        raise SpecValidationError("mixing law JSON needs a 'family' tag")
-    fam = obj["family"]
+def mixing_law_from_json(obj: dict, path: str = "m") -> MixingLaw:
+    """The mixing law of the model-JSON object at ``path``."""
+    fam = json_field(obj, "family", path)
     if fam not in _FAMILIES:
-        raise SpecValidationError(f"unknown mixing law family {fam!r}")
-    kwargs = {k: v for k, v in obj.items() if k != "family"}
-    return _FAMILIES[fam](**kwargs)
+        raise SpecValidationError(f"unknown mixing law family {fam!r} at {path}.family")
+    return _FAMILIES[fam](**json_kwargs(_FAMILIES[fam], obj, path, "family"))

@@ -5,9 +5,10 @@ backward differences nabla^{d-k} b_k are non-negative.  Such sequences are in
 one-to-one correspondence with exchangeable laws on {0,1}^d, and the ones that
 extend to moment sequences of a law on [0,1] are exactly those whose Hankel
 determinants are all non-negative.  This module implements the sequence tests,
-the Hankel-determinant extendibility decision (with an optional discrete
-witness law), the binary-pattern parameterization, and the corresponding
-samplers (mixture of Bernoullis, urn scheme).
+the Hankel-determinant extendibility decision, a finite mixing law realizing
+extendible moments (the Gauss rule of their three-term recursion), the
+binary-pattern parameterization, and the corresponding samplers (mixture of
+Bernoullis, urn scheme).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "is_d_monotone",
     "is_log_d_monotone",
     "hausdorff_extendible",
+    "discrete_witness",
     "b_from_p",
     "p_from_b",
     "moment_sequence",
@@ -39,6 +41,9 @@ __all__ = [
 
 MONOTONE_TOL = 1e-12
 HANKEL_TOL = 1e-9
+# rounding leaves |beta_k| at up to ~2e-9 of its terms on the boundary of four
+# rational atoms; the Beta laws' stay above 1e-4 while double precision resolves them
+WITNESS_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -136,15 +141,14 @@ def _hankel_matrices(values: np.ndarray) -> list[np.ndarray]:
 class ExtendibilityVerdict:
     """Outcome of the truncated moment-problem decision.
 
-    ``witness`` is a finite discrete law on [0,1] realizing the moments, when
-    one was computed (small degrees only); it is a debugging aid, the verdict
-    itself is carried by ``extendible``.
+    The verdict is carried by ``extendible``; the Hankel determinants it was
+    decided on are reported with it.  A law realizing the moments is
+    :func:`discrete_witness`'s job, not part of the verdict.
     """
 
     extendible: bool
     hankel_values: tuple
     min_hankel: float
-    witness: MixingLaw | None = None
 
     def to_json(self) -> dict:
         return {
@@ -152,76 +156,6 @@ class ExtendibilityVerdict:
             "hankel_values": list(self.hankel_values),
             "min_hankel": self.min_hankel,
         }
-
-
-def _atoms_from_moments(moms: np.ndarray, n_atoms: int):
-    """Quadrature-style representation with n_atoms atoms, or None.
-
-    Odd-length trailing data uses the classical construction: the monic
-    polynomial orthogonal w.r.t. the moment functional has the atoms as roots;
-    weights solve the Vandermonde system.  Even degree puts one atom at 0 and
-    applies the same construction to the shifted moments.
-    """
-    d = moms.size - 1
-    if n_atoms < 1:
-        return None
-    if d == 2 * n_atoms - 1:
-        # moments m_0..m_{2n-1} determine an n-point rule
-        h = moms[np.add.outer(np.arange(n_atoms), np.arange(n_atoms))]
-        rhs = -moms[n_atoms : 2 * n_atoms]
-        try:
-            coeffs = np.linalg.solve(h, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        poly = np.concatenate(([1.0], coeffs[::-1]))
-        roots = np.roots(poly)
-        if np.abs(roots.imag).max(initial=0.0) > 1e-8:
-            return None
-        atoms = np.sort(roots.real)
-        vand = np.vander(atoms, N=2 * n_atoms, increasing=True).T
-        weights, *_ = np.linalg.lstsq(vand, moms, rcond=None)
-        return atoms, weights
-    if d == 2 * n_atoms - 2:
-        # even degree: atom at 0 plus an (n-1)-point rule for the length-biased law
-        sub = _atoms_from_moments(moms[1:], n_atoms - 1)
-        if sub is None:
-            return None
-        atoms1, weights1 = sub
-        if (atoms1 <= 0).any():
-            return None
-        w = weights1 / atoms1
-        return np.concatenate(([0.0], atoms1)), np.concatenate(([1.0 - w.sum()], w))
-    return None
-
-
-def _discrete_witness(values: tuple) -> MixingLaw | None:
-    moms = np.asarray(values, dtype=float)
-    d = moms.size - 1
-    if d < 1:
-        return FiniteDiscrete([1.0], [1.0])
-    n_target = math.ceil((d + 1) / 2)
-    # canonical rule first (all moments), then fewer atoms fitted to leading
-    # moments and validated against the full list
-    candidates = [(moms, n_target)]
-    candidates += [(moms[: 2 * n], n) for n in range(n_target - 1, 0, -1)]
-    for sub, n_atoms in candidates:
-        got = _atoms_from_moments(sub, n_atoms)
-        if got is None:
-            continue
-        atoms, weights = got
-        atoms = np.where(np.abs(atoms) < 1e-12, 0.0, atoms)
-        if (atoms < 0).any() or (atoms > 1 + 1e-9).any() or (weights < -1e-9).any():
-            continue
-        atoms = np.clip(atoms, 0.0, 1.0)
-        weights = np.clip(weights, 0.0, None)
-        s = weights.sum()
-        if s <= 0:
-            continue
-        weights = weights / s
-        realized = np.array([np.sum(weights * atoms**k) for k in range(d + 1)])
-        if np.abs(realized - moms).max() < 1e-8:
-            return FiniteDiscrete(atoms, weights)
-    return None
 
 
 def hausdorff_extendible(seq) -> ExtendibilityVerdict:
@@ -245,15 +179,80 @@ def hausdorff_extendible(seq) -> ExtendibilityVerdict:
             extendible = False
     det_values = tuple(det_values)
     min_det = min(det_values, default=0.0)
-    witness = None
-    if extendible and len(values) - 1 <= 4:
-        witness = _discrete_witness(values)
     return ExtendibilityVerdict(
         extendible=extendible,
         hankel_values=det_values,
         min_hankel=float(min_det) if det_values else 0.0,
-        witness=witness,
     )
+
+
+def discrete_witness(seq) -> FiniteDiscrete:
+    """A finite law on [0,1] whose moments are (b_0..b_d): a Gauss rule.
+
+    The Chebyshev algorithm (Gautschi) turns the moments into the recursion
+    coefficients p_{k+1}(x) = (x - alpha_k) p_k(x) - beta_k p_{k-1}(x) of the
+    monic orthogonal polynomials, in O(d^2), by way of the mixed moments
+    sigma_{k,l} = E[p_k(M) M^l].  A beta_k = sigma_{k,k} / sigma_{k-1,k-1}
+    within WITNESS_TOL of zero, relative to the terms it is computed from,
+    ends the recursion: the sequence is on the boundary of the moment space,
+    where its law is unique, the k-point Gauss rule.  Otherwise d = 2n - 1
+    gives the n-point Gauss rule and d = 2n the (n+1)-point Gauss-Radau rule
+    with a node at 0, the lower principal representation.  Nodes and weights
+    are the eigenvalues and squared first eigenvector entries of the Jacobi
+    matrix (Golub & Welsch 1969), so the weights are non-negative.
+
+    Raises SpecValidationError when there is no such rule: a beta_k below
+    -WITNESS_TOL of its terms (an extendible sequence has none), an atom
+    below -1e-12 or above 1 + 1e-9 (atoms within those margins are clipped),
+    or a realized moment off by 1e-8 or more.  That is the case for
+    non-extendible input and, in double precision, for moment sequences of
+    high degree (Beta(2, 3) from d = 26).
+    """
+    values = _values(seq)
+    moms = np.asarray(values)
+    d = moms.size - 1
+    alpha = list(moms[1:2])  # alpha_0 = b_1 / b_0
+    beta = [1.0]  # beta_0 = b_0
+    sig_prev, sig = np.zeros(d + 1), moms  # sigma_{k-1, l}, sigma_{k, l}; l <= d - k
+    for k in range(1, d // 2 + 1):
+        terms = (sig[k + 1 : d - k + 2], alpha[-1] * sig[k : d - k + 1],
+                 beta[-1] * sig_prev[k : d - k + 1])
+        new = np.zeros(d + 1)
+        new[k : d - k + 1] = terms[0] - terms[1] - terms[2]
+        scale = WITNESS_TOL * sum(abs(t[0]) for t in terms)
+        if new[k] < -scale:
+            raise SpecValidationError(
+                f"moments {values} have no Gauss-rule witness: beta_{k} = "
+                f"{new[k] / sig[k - 1]:.3g} is negative (not extendible, or lost to rounding)"
+            )
+        if new[k] <= scale:  # on the boundary
+            break
+        beta.append(new[k] / sig[k - 1])
+        if 2 * k < d:
+            alpha.append(new[k + 1] / new[k] - sig[k] / sig[k - 1])
+        sig_prev, sig = sig, new
+    if d % 2 == 0 and len(beta) == d // 2 + 1:  # no boundary reached
+        # Radau node at 0: alpha_n = -beta_n p_{n-1}(0) / p_n(0)
+        p_prev, p = 0.0, 1.0
+        for a, b in zip(alpha, beta):
+            p_prev, p = p, -a * p - b * p_prev
+        alpha.append(-beta[-1] * p_prev / p)
+    jacobi = np.diag(alpha) + np.diag(np.sqrt(beta[1 : len(alpha)]), 1)
+    nodes, vecs = np.linalg.eigh(jacobi, UPLO="U")
+    atoms = np.where(np.abs(nodes) < 1e-12, 0.0, nodes)
+    if atoms.min() < 0.0 or atoms.max() > 1.0 + 1e-9:
+        raise SpecValidationError(
+            f"moments {values} have no Gauss-rule witness on [0,1]: "
+            f"atoms span [{atoms.min():.6g}, {atoms.max():.6g}]"
+        )
+    atoms = np.clip(atoms, 0.0, 1.0)
+    weights = vecs[0] ** 2 / np.sum(vecs[0] ** 2)
+    err = np.abs(atoms[None, :] ** np.arange(d + 1)[:, None] @ weights - moms).max()
+    if not err < 1e-8:
+        raise SpecValidationError(
+            f"the Gauss-rule witness of moments {values} misses them by {err:.3g} (>= 1e-8)"
+        )
+    return FiniteDiscrete(atoms, weights)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionCapError, SpecValidationError
+from .errors import DimensionCapError, SpecValidationError, json_field, json_kwargs
 from .inverse import monotone_inverse
 from .lack_of_memory import CompoundPoissonSubordinatorSpec, _first_passage
 from .sample import SampleMatrix
@@ -95,7 +95,8 @@ class ExponentialShock(ShockSurvival):
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.exp(-self.rate * x)
+        # rate 0: the shock never arrives, survival 1 also at x = inf
+        out = np.exp(-self.rate * x) if self.rate else np.ones_like(x)
         return out if out.ndim else float(out)
 
     def sample(self, n, rng):
@@ -198,11 +199,12 @@ class StepShock(ShockSurvival):
 _SHOCK_KINDS = {cls.kind: cls for cls in (ExponentialShock, WeibullShock, ParetoShock, StepShock)}
 
 
-def shock_from_json(obj: dict) -> ShockSurvival:
-    kind = obj.get("kind")
+def shock_from_json(obj: dict, path: str = "shock") -> ShockSurvival:
+    """The shock law of the model-JSON object at ``path``."""
+    kind = json_field(obj, "kind", path)
     if kind not in _SHOCK_KINDS:
-        raise SpecValidationError(f"unknown shock kind {kind!r}")
-    return _SHOCK_KINDS[kind](**{k: v for k, v in obj.items() if k != "kind"})
+        raise SpecValidationError(f"unknown shock kind {kind!r} at {path}.kind")
+    return _SHOCK_KINDS[kind](**json_kwargs(_SHOCK_KINDS[kind], obj, path, "kind"))
 
 
 @dataclass(frozen=True)
@@ -424,11 +426,12 @@ class NormalBase(BaseDistribution):
 _BASES = {cls.family: cls for cls in (UniformBase, ExponentialBase, NormalBase)}
 
 
-def base_distribution_from_json(obj: dict) -> BaseDistribution:
-    fam = obj.get("family")
+def base_distribution_from_json(obj: dict, path: str = "base") -> BaseDistribution:
+    """The base distribution of the model-JSON object at ``path``."""
+    fam = json_field(obj, "family", path)
     if fam not in _BASES:
-        raise SpecValidationError(f"unknown base distribution {fam!r}")
-    return _BASES[fam](**{k: v for k, v in obj.items() if k != "family"})
+        raise SpecValidationError(f"unknown base distribution {fam!r} at {path}.family")
+    return _BASES[fam](**json_kwargs(_BASES[fam], obj, path, "family"))
 
 
 # -- additive families -----------------------------------------------------------
@@ -561,16 +564,21 @@ class SatoFamily(AdditiveFamily):
         return {"kind": self.kind, "alpha": self.alpha}
 
 
-def additive_family_from_json(obj: dict) -> AdditiveFamily:
-    kind = obj.get("kind")
+def additive_family_from_json(obj: dict, path: str = "family") -> AdditiveFamily:
+    """The additive family of the model-JSON object at ``path``."""
+    kind = json_field(obj, "kind", path)
     if kind == "piecewise_levy":
-        pieces = [CompoundPoissonSubordinatorSpec.from_json(p) for p in obj["pieces"]]
-        return PiecewiseLevy(obj["breakpoints"], pieces)
+        pieces = [
+            CompoundPoissonSubordinatorSpec.from_json(p, f"{path}.pieces[{i}]")
+            for i, p in enumerate(json_field(obj, "pieces", path))
+        ]
+        return PiecewiseLevy(json_field(obj, "breakpoints", path), pieces)
     if kind == "dirichlet_prior":
-        return DirichletPriorFamily(obj["c"], base_distribution_from_json(obj["base"]))
+        base = base_distribution_from_json(json_field(obj, "base", path), f"{path}.base")
+        return DirichletPriorFamily(json_field(obj, "c", path), base)
     if kind == "sato":
-        return SatoFamily(obj["alpha"])
-    raise SpecValidationError(f"unknown additive family {kind!r}")
+        return SatoFamily(json_field(obj, "alpha", path))
+    raise SpecValidationError(f"unknown additive family {kind!r} at {path}.kind")
 
 
 def additive_survival(spec: AdditiveFamily, x) -> float | np.ndarray:

@@ -87,6 +87,35 @@ class TestSample:
         assert out.encode() == path.read_bytes()
 
 
+    def test_binary_without_m_samples_its_witness(self):
+        # Beta(2, 3) moments at d = 12: P(X_1 = ... = X_k = 1) = b_k for every k
+        b, n = [1.0], 20000
+        for k in range(12):
+            b.append(b[-1] * (2 + k) / (5 + k))
+        model = json.dumps({"family": "binary", "b": b})
+        code, out, err = run(["sample", "--model", model, "--n", str(n), "--seed", "3"])
+        assert code == 0, err
+        data = read_csv(io.StringIO(out))
+        assert data.shape == (n, 12)
+        for k in range(1, 13):
+            freq = data[:, :k].all(axis=1).mean()
+            assert abs(freq - b[k]) <= 3 * math.sqrt(b[k] * (1 - b[k]) / n), k
+
+    @pytest.mark.parametrize("b, message", [
+        ([1.0, 0.5, 0.2], "not extendible"),
+        # Beta(1, 1) at d = 25 and Beta(2, 3) at d = 28: extendible, but
+        # their Gauss rules are lost to rounding
+        ([1.0 / (k + 1) for k in range(26)], "no Gauss-rule witness"),
+        ([math.prod((2 + j) / (5 + j) for j in range(k)) for k in range(29)],
+         "no Gauss-rule witness"),
+    ])
+    def test_binary_without_witness_is_refused(self, b, message):
+        model = json.dumps({"family": "binary", "b": b})
+        code, out, err = run(["sample", "--model", model, "--n", "10", "--seed", "1"])
+        assert code == 1 and out == ""
+        assert message in err
+
+
 class TestEval:
     @pytest.mark.parametrize(
         "model,point,kind,expect",
@@ -254,6 +283,23 @@ class TestVerify:
         assert code == 0, err
         assert json.loads(out)["passed"] is True
 
+    @pytest.mark.parametrize("grid", [[], ["--grid", "[[Infinity, Infinity], [Infinity, 0.5]]"]],
+                             ids=["default_grid", "user_grid"])
+    def test_never_arriving_shock(self, grid):
+        # the rate-0 shock never arrives, so the marginal quantiles at 0.75 and
+        # 0.9 are +inf: verify takes the largest double there, in the
+        # default grid and in a grid given by the user alike
+        model = json.dumps({"family": "exshock", "shocks": [
+            {"kind": "step", "points": [1.0], "values": [0.5]},
+            {"kind": "exponential", "rate": 0.0},
+        ]})
+        code, out, err = run(["verify", "--model", model, "--n", "5000", "--seed", "2"] + grid)
+        assert code == 0, out
+        report = json.loads(out)
+        big = np.finfo(float).max
+        assert [big, big] in report["grid"]
+        assert not any(math.isnan(v) for v in report["closed"])
+
     def test_spherical_has_no_closed_form(self):
         model = json.dumps({"family": "spherical", "m": {"family": "gamma", "shape": 1.0}, "d": 2})
         code, _, err = run(["verify", "--model", model, "--n", "100", "--seed", "1"])
@@ -337,6 +383,24 @@ class TestModelPlumbing:
         code, out, _ = run(["eval", "--model", str(path), "--point", "0,0,0"])
         assert code == 0
         assert float(out) == 1.0
+
+    @pytest.mark.parametrize("spec, path", [
+        ({"family": "exshock", "shocks": [{"kind": "exponential"}]}, "shocks[0].rate"),
+        ({"family": "minstable", "d": 3, "stdf": {"kind": "triplet", "c": 1.0,
+                                                  "atoms": [{"weight": 1.0}]}},
+         "stdf.atoms[0].g"),
+        ({"family": "l1", "d": 3, "m": 3}, "m must be a JSON object"),
+        ({"family": "marshall_olkin", "d": 3, "subordinator": {"jumps": [[1.0, 2.0]]}},
+         "subordinator.jumps[0]"),
+        ({"family": "l1", "d": 3, "m": {"family": "gamma"}}, "m.shape is missing"),
+        ({"family": "dirichlet_prior", "c": 1.0, "base": {"family": "uniform", "x": 1}},
+         "base.x is not a field"),
+    ], ids=["shock_rate", "triplet_atom_g", "m_not_object", "jumps_as_pairs", "m_field_missing",
+            "base_unknown_field"])
+    def test_malformed_model_json_names_its_path(self, spec, path):
+        code, out, err = run(["sample", "--model", json.dumps(spec), "--n", "5", "--seed", "1"])
+        assert code == 1 and out == ""
+        assert path in err
 
     def test_unknown_family(self):
         code, _, err = run(["check", "--model", '{"family":"nope"}'])

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condiid import moments as mo
 from condiid.errors import NonPositiveEntryError, NotDMonotoneError, SpecValidationError
@@ -124,16 +127,123 @@ class TestHausdorffExtendible:
 
     def test_witness_realizes_moments(self):
         seq = mo.moment_sequence(Beta(1, 1), 4)
-        verdict = mo.hausdorff_extendible(seq)
-        assert verdict.witness is not None
+        assert mo.hausdorff_extendible(seq).extendible
+        witness = mo.discrete_witness(seq)
         for k, target in enumerate(seq.values):
-            assert verdict.witness.moment(k) == pytest.approx(target, abs=1e-9)
+            assert witness.moment(k) == pytest.approx(target, abs=1e-9)
 
     def test_verdict_json(self):
         v = mo.hausdorff_extendible((1.0, 0.5, 0.3))
         js = v.to_json()
         assert js["extendible"] is True
         assert js["min_hankel"] == pytest.approx(0.05)
+
+
+def beta_moments(a, b, d):
+    """E[M^k] = prod_{j<k} (a + j) / (a + b + j) of M ~ Beta(a, b), exact, then rounded."""
+    out, m = [], Fraction(1)
+    for k in range(d + 1):
+        out.append(float(m))
+        m *= Fraction(a + k) / (a + b + k)
+    return tuple(out)
+
+
+@st.composite
+def finite_laws(draw):
+    """k <= 4 distinct atoms i/q in (0, 1), q <= 5, with integer weight ratios.
+
+    Finer grids are not drawn: rounding the moments to doubles alone moves 4
+    atoms 1/10 apart by 1.5e-10 (the recursion run in exact arithmetic on
+    the rounded moments), so no 1e-10 recovery is possible there.
+    """
+    q = draw(st.integers(2, 5))
+    nums = draw(st.lists(st.integers(1, q - 1), min_size=1, max_size=4, unique=True))
+    ints = draw(st.lists(st.integers(1, 9), min_size=len(nums), max_size=len(nums)))
+    return [Fraction(i, q) for i in sorted(nums)], [Fraction(w, sum(ints)) for w in ints]
+
+
+class TestDiscreteWitness:
+    @pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)])
+    @pytest.mark.parametrize("b", [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)])
+    def test_beta_at_odd_degree_is_gauss_jacobi(self, a, b):
+        # b_0..b_{2n-1} of Beta(a, b) fix the n-point Gauss rule of the weight
+        # t^(a-1) (1-t)^(b-1): Gauss-Jacobi with (alpha, beta) = (b-1, a-1) on
+        # [-1, 1], mapped to [0, 1].  Rounding the moments to doubles moves
+        # the rule by up to 20-40 times more per extra node (4.7e-7 at n = 8),
+        # so the bound grows as 30^(n-1).
+        from scipy.special import roots_jacobi
+
+        for n in range(1, 9):
+            got = mo.discrete_witness(beta_moments(a, b, 2 * n - 1))
+            x, w = roots_jacobi(n, float(b) - 1, float(a) - 1)
+            tol = 1e-15 * 30.0 ** (n - 1)
+            np.testing.assert_allclose(got.atoms, (1 + x) / 2, rtol=0, atol=tol)
+            np.testing.assert_allclose(got.weights, w / w.sum(), rtol=0, atol=tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(law=finite_laws(), extra=st.integers(0, 4))
+    def test_finite_law_recovered_on_the_boundary(self, law, extra):
+        atoms, weights = law
+        d = 2 * len(atoms) + extra
+        seq = [float(sum(w * x**j for x, w in zip(atoms, weights))) for j in range(d + 1)]
+        got = mo.discrete_witness(seq)
+        np.testing.assert_allclose(got.atoms, [float(x) for x in atoms], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got.weights, [float(w) for w in weights], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("m", [0.0, 0.3, 1.0])
+    def test_point_mass_is_one_atom(self, m):
+        got = mo.discrete_witness((1.0,) + tuple(m**k for k in range(1, 7)))
+        assert got.atoms.tolist() == [m] and got.weights.tolist() == [1.0]
+
+    @pytest.mark.parametrize("seq, atoms, weights", [
+        # the witness of the Hankel-solve construction this one replaced
+        (beta_moments(2, 3, 1), [0.4], [1.0]),
+        (beta_moments(2, 3, 2), [0.0, 0.5], [0.19999999999999996, 0.8]),
+        (beta_moments(2, 3, 3), [0.22654091966098652, 0.6306019374818708],
+         [0.570710678118655, 0.42928932188134505]),
+        (beta_moments(2, 3, 4), [0.0, 0.3110177634953866, 0.6889822365046138],
+         [0.0666666666666671, 0.643050087404306, 0.29028324592902693]),
+        (beta_moments(1, 1, 4), [0.0, 0.35505102572168223, 0.8449489742783179],
+         [0.11111111111111027, 0.5124858261884228, 0.376403062700467]),
+        ((1.0, 0.5, 0.3), [0.0, 0.6], [0.1666666666666663, 0.8333333333333337]),
+    ])
+    def test_matches_the_previous_witness(self, seq, atoms, weights):
+        got = mo.discrete_witness(seq)
+        np.testing.assert_allclose(got.atoms, atoms, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.weights, weights, rtol=0, atol=1e-12)
+
+    def test_beta_witness_up_to_the_limit_of_double_precision(self):
+        # Beta(2, 3) passes the extendibility check up to d = 40; its witness
+        # exists up to d = 25, from d = 26 on the computed beta_13 is negative
+        for d in range(1, 41):
+            seq = beta_moments(2, 3, d)
+            assert mo.hausdorff_extendible(seq).extendible
+            if d >= 26:
+                with pytest.raises(SpecValidationError, match="beta_13 = .* is negative"):
+                    mo.discrete_witness(seq)
+                continue
+            got = mo.discrete_witness(seq)
+            assert len(got.atoms) == d // 2 + 1
+            assert max(abs(got.moment(k) - v) for k, v in enumerate(seq)) < 1e-8
+            # the pattern probabilities the sample stands for, C(d, k) E[M^k (1-M)^(d-k)],
+            # in exact arithmetic for the witness and for Beta(2, 3)
+            atoms = [Fraction(float(x)) for x in got.atoms]
+            weights = [Fraction(float(w)) for w in got.weights]
+            for k in range(d + 1):
+                p_got = sum(w * x**k * (1 - x) ** (d - k) for x, w in zip(atoms, weights))
+                p_beta = Fraction(math.prod(range(2, 2 + k)) * math.prod(range(3, 3 + d - k)),
+                                  math.prod(range(5, 5 + d)))
+                assert abs(math.comb(d, k) * (p_got - p_beta)) < 1e-8
+
+    @pytest.mark.parametrize("seq, message", [
+        ((1.0, 0.5, 0.2), "beta_1 = -0.05 is negative"),
+        # the 13th recursion coefficient of Beta(1, 1) is lost to rounding
+        (beta_moments(1, 1, 25), "atoms span"),
+        (beta_moments(2, 3, 28), "is negative"),
+    ])
+    def test_refusals(self, seq, message):
+        with pytest.raises(SpecValidationError, match=message):
+            mo.discrete_witness(seq)
 
 
 class TestBinaryParameterizations:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ class TestShockLaws:
     def test_zero_rate_never_fires(self):
         rng = np.random.default_rng(51)
         assert np.isinf(sk.ExponentialShock(0.0).sample(10, rng)).all()
+        assert sk.ExponentialShock(0.0).survival(np.inf) == 1.0
+        assert sk.ExponentialShock(0.0).survival([0.0, np.inf]).tolist() == [1.0, 1.0]
 
     def test_step_mass_at_infinity(self):
         rng = np.random.default_rng(52)
@@ -171,6 +174,20 @@ class TestAdditiveFamilies:
         for fam in fams:
             back = sk.additive_family_from_json(fam.to_json())
             assert back.to_json() == fam.to_json()
+
+    @pytest.mark.parametrize("obj, path", [
+        ({"kind": "piecewise_levy", "breakpoints": [0.0, 1.0],
+          "pieces": [{"drift": 0.2}, {"jumps": [{"size": 1.0}]}]},
+         "family.pieces[1].jumps[0].rate"),
+        ({"kind": "piecewise_levy", "pieces": []}, "family.breakpoints"),
+        ({"kind": "dirichlet_prior", "base": {"family": "uniform"}}, "family.c"),
+        ({"kind": "dirichlet_prior", "c": 1.0, "base": {"family": "normal", "x": 1}},
+         "family.base.x"),
+        ({"kind": "sato"}, "family.alpha"),
+    ])
+    def test_malformed_json_names_its_path(self, obj, path):
+        with pytest.raises(SpecValidationError, match=re.escape(path)):
+            sk.additive_family_from_json(obj)
 
 
 class TestDirichletPrior:
