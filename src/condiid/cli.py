@@ -6,6 +6,11 @@ inline or as a path (``--model``), optionally overridden by repeated
 merge.  Samples are written as CSV with header ``x1,...,xd`` and ``inf``
 sentinels.  Exit codes: 0 ok, 1 validation error, 2 verification failure,
 3 I/O failure.
+
+Imports follow one rule, so that a command loads only what it uses: numpy and
+the CLI plumbing (argparse, json, ``errors``, ``sample``) load with this
+module; a family module loads on first use, in the :func:`build_model` branch
+or the command that needs it; scipy loads inside the function that calls it.
 """
 
 from __future__ import annotations
@@ -18,11 +23,7 @@ import sys
 
 import numpy as np
 
-from . import diagnostics, lack_of_memory as lom, mixtures, moments, shock_models as shock
-from . import extreme_value as ev
-from .errors import SpecValidationError, json_field
-from .inverse import monotone_inverse
-from .mixing import mixing_law_from_json
+from .errors import SpecValidationError, json_field, json_list
 from .sample import SampleMatrix, read_csv, write_csv
 
 FAMILIES = (
@@ -58,6 +59,8 @@ class Model:
     def default_grid(self):
         if self.marginal_ppf is None:
             raise SpecValidationError(f"family {self.family!r} has no closed-form marginal")
+        from . import diagnostics
+
         grid = diagnostics.default_quantile_grid(self.marginal_ppf, self.d)
         if self.integer_grid:
             grid = np.maximum(np.rint(grid), 0.0)
@@ -73,6 +76,8 @@ def build_model(spec: dict) -> Model:
         raise SpecValidationError("d must be at least 1")
 
     if family == "exch_normal":
+        from . import mixtures
+
         mu = float(spec.get("mu", 0.0))
         sigma = float(spec.get("sigma", 1.0))
         rho = float(json_field(spec, "rho", ""))
@@ -95,15 +100,19 @@ def build_model(spec: dict) -> Model:
             verify_kind="cdf",
         )
 
-    if family == "spherical":
+    if family in ("spherical", "l1", "archimedean", "linf"):
+        from . import mixtures
+        from .mixing import mixing_law_from_json
+
         law = mixing_law_from_json(json_field(spec, "m", ""))
+
+    if family == "spherical":
         return Model(
             family, d,
             sampler=lambda n, rng: mixtures.sample_spherical_ciid(law, d, n, rng),
         )
 
     if family in ("l1", "archimedean"):
-        law = mixing_law_from_json(json_field(spec, "m", ""))
         gen = mixtures.ArchimedeanGenerator(law)
         if family == "l1":
             return Model(
@@ -131,7 +140,8 @@ def build_model(spec: dict) -> Model:
         )
 
     if family == "linf":
-        law = mixing_law_from_json(json_field(spec, "m", ""))
+        from .inverse import monotone_inverse
+
         return Model(
             family, d,
             sampler=lambda n, rng: mixtures.sample_linf_ciid(law, d, n, rng),
@@ -141,6 +151,9 @@ def build_model(spec: dict) -> Model:
             ),
         )
 
+    if family in ("marshall_olkin", "geometric"):
+        from . import lack_of_memory as lom
+
     if family == "marshall_olkin":
         if "subordinator" in spec:
             sub = lom.CompoundPoissonSubordinatorSpec.from_json(spec["subordinator"])
@@ -148,11 +161,11 @@ def build_model(spec: dict) -> Model:
             sampler = lambda n, rng: lom.sample_mo_ciid(sub, d, n, rng)
         else:
             if "b" in spec:
-                params = lom.LomParameterSeq(tuple(spec["b"]), lom.CONTINUOUS)
+                params = lom.LomParameterSeq(tuple(json_list(spec, "b", "")), lom.CONTINUOUS)
                 rates = lom.lambda_from_b(params)
             else:
                 rates = lom.ShockRateSpec(
-                    d=d, kind="exponential", cardinality=tuple(json_field(spec, "rates", ""))
+                    d=d, kind="exponential", cardinality=tuple(json_list(spec, "rates", ""))
                 )
                 params = lom.b_from_lambda(rates)
             sampler = lambda n, rng: lom.sample_mo_shocks(rates, d, n, rng)
@@ -167,11 +180,11 @@ def build_model(spec: dict) -> Model:
 
     if family == "geometric":
         if "b" in spec:
-            params = lom.LomParameterSeq(tuple(spec["b"]), lom.DISCRETE)
+            params = lom.LomParameterSeq(tuple(json_list(spec, "b", "")), lom.DISCRETE)
             pspec = lom.p_from_b_geo(params)
         else:
             pspec = lom.ShockRateSpec(
-                d=d, kind="geometric", cardinality=tuple(json_field(spec, "p", ""))
+                d=d, kind="geometric", cardinality=tuple(json_list(spec, "p", ""))
             )
             params = lom.b_from_p(pspec)
         b1 = params.values[1]
@@ -185,6 +198,8 @@ def build_model(spec: dict) -> Model:
         )
 
     if family == "minstable":
+        from . import extreme_value as ev
+
         rate = float(spec.get("rate", 1.0))
         stdf_obj = spec.get("stdf", {k: v for k, v in spec.items() if k in ("kind", "theta")})
         stdf = ev.stdf_from_json(stdf_obj)
@@ -204,10 +219,13 @@ def build_model(spec: dict) -> Model:
             marginal_ppf=lambda q: -math.log1p(-q) / rate,
         )
 
+    if family in ("exshock", "dirichlet_prior", "sato"):
+        from . import shock_models as shock
+
     if family == "exshock":
         shocks = tuple(
             shock.shock_from_json(s, f"shocks[{i}]")
-            for i, s in enumerate(json_field(spec, "shocks", ""))
+            for i, s in enumerate(json_list(spec, "shocks", ""))
         )
         sspec = shock.ShockSurvivalSpec(shocks)
         return Model(
@@ -243,11 +261,14 @@ def build_model(spec: dict) -> Model:
         )
 
     # binary sequences
+    from . import moments
+    from .mixing import mixing_law_from_json
+
     if "p" in spec:
-        law = moments.BinaryExchangeableLaw(tuple(spec["p"]))
+        law = moments.BinaryExchangeableLaw(tuple(json_list(spec, "p", "")))
         seq = moments.b_from_p(law)
     elif "b" in spec:
-        seq = moments.MonotoneSequence(tuple(spec["b"]))
+        seq = moments.MonotoneSequence(tuple(json_list(spec, "b", "")))
     else:
         raise SpecValidationError("binary model needs pattern probabilities 'p' or moments 'b'")
     mixing = spec.get("m")
@@ -356,6 +377,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import diagnostics
+
     model = build_model(_load_model_spec(args))
     if model.sampler is None or model.verify_kind not in model.evals:
         raise SpecValidationError(
@@ -384,6 +407,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from . import diagnostics
+
     try:
         data = read_csv(args.csv)
     except OSError as exc:

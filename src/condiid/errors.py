@@ -45,8 +45,23 @@ def json_field(obj, key: str, path: str, default=_REQUIRED):
     if key in obj:
         return obj[key]
     if default is _REQUIRED:
-        raise SpecValidationError(f"{path}.{key} is missing" if path else f"{key} is missing")
+        raise SpecValidationError(f"{_field_path(key, path)} is missing")
     return default
+
+
+def json_list(obj, key: str, path: str, default=_REQUIRED):
+    """:func:`json_field` for a field that holds a JSON list.
+
+    Any other value is refused with SpecValidationError naming ``path.key``.
+    """
+    value = json_field(obj, key, path, default)
+    if not isinstance(value, (list, tuple)):
+        raise SpecValidationError(f"{_field_path(key, path)} must be a JSON list, got {value!r}")
+    return value
+
+
+def _field_path(key: str, path: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
 def json_kwargs(cls, obj: dict, path: str, tag: str) -> dict:

@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import SpecValidationError, UnsupportedLawError, json_field
+from .errors import SpecValidationError, UnsupportedLawError, json_field, json_list
 from .mixing import FiniteDiscrete, MixingLaw, PointMass, sample_positive_stable
 from .sample import SampleMatrix
 
@@ -595,7 +595,7 @@ def stdf_from_json(obj: dict, path: str = "stdf") -> StdfSpec:
         atoms = [
             (g_spec_from_json(json_field(a, "g", f"{path}.atoms[{i}]"), f"{path}.atoms[{i}].g"),
              json_field(a, "weight", f"{path}.atoms[{i}]"))
-            for i, a in enumerate(json_field(obj, "atoms", path))
+            for i, a in enumerate(json_list(obj, "atoms", path))
         ]
         return Triplet(json_field(obj, "b", path, 0.0), json_field(obj, "c", path), atoms)
     raise SpecValidationError(f"unknown stdf kind {kind!r} at {path}.kind")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments
-from .errors import NotDMonotoneError, SpecValidationError, json_field
+from .errors import NotDMonotoneError, SpecValidationError, json_field, json_list
 from .mixing import Beta, MixingLaw
 from .moments import (
     BinaryExchangeableLaw,
@@ -385,7 +385,7 @@ class CompoundPoissonSubordinatorSpec:
     def from_json(cls, obj: dict, path: str = "subordinator") -> "CompoundPoissonSubordinatorSpec":
         """The subordinator of the model-JSON object at ``path``."""
         jumps = []
-        for i, jump in enumerate(json_field(obj, "jumps", path, ())):
+        for i, jump in enumerate(json_list(obj, "jumps", path, ())):
             at = f"{path}.jumps[{i}]"
             jumps.append((json_field(jump, "size", at), json_field(jump, "rate", at)))
         return cls(

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionCapError, SpecValidationError, json_field, json_kwargs
+from .errors import DimensionCapError, SpecValidationError, json_field, json_kwargs, json_list
 from .inverse import monotone_inverse
 from .lack_of_memory import CompoundPoissonSubordinatorSpec, _first_passage
 from .sample import SampleMatrix
@@ -570,7 +570,7 @@ def additive_family_from_json(obj: dict, path: str = "family") -> AdditiveFamily
     if kind == "piecewise_levy":
         pieces = [
             CompoundPoissonSubordinatorSpec.from_json(p, f"{path}.pieces[{i}]")
-            for i, p in enumerate(json_field(obj, "pieces", path))
+            for i, p in enumerate(json_list(obj, "pieces", path))
         ]
         return PiecewiseLevy(json_field(obj, "breakpoints", path), pieces)
     if kind == "dirichlet_prior":

@@ -395,8 +395,24 @@ class TestModelPlumbing:
         ({"family": "l1", "d": 3, "m": {"family": "gamma"}}, "m.shape is missing"),
         ({"family": "dirichlet_prior", "c": 1.0, "base": {"family": "uniform", "x": 1}},
          "base.x is not a field"),
+        ({"family": "binary", "b": 1}, "b must be a JSON list, got 1"),
+        ({"family": "binary", "p": 0.5}, "p must be a JSON list, got 0.5"),
+        ({"family": "marshall_olkin", "d": 3, "b": 0.5}, "b must be a JSON list"),
+        ({"family": "marshall_olkin", "d": 3, "rates": 0.3}, "rates must be a JSON list"),
+        ({"family": "geometric", "d": 3, "b": 0.5}, "b must be a JSON list"),
+        ({"family": "geometric", "d": 3, "p": 0.3}, "p must be a JSON list"),
+        ({"family": "exshock", "shocks": {"kind": "exponential", "rate": 1.0}},
+         "shocks must be a JSON list"),
+        ({"family": "marshall_olkin", "d": 3, "subordinator": {"jumps": {"size": 1.0,
+                                                                       "rate": 2.0}}},
+         "subordinator.jumps must be a JSON list"),
+        ({"family": "minstable", "d": 3, "stdf": {"kind": "triplet", "c": 1.0,
+                                                  "atoms": {"weight": 1.0}}},
+         "stdf.atoms must be a JSON list"),
     ], ids=["shock_rate", "triplet_atom_g", "m_not_object", "jumps_as_pairs", "m_field_missing",
-            "base_unknown_field"])
+            "base_unknown_field", "binary_b_scalar", "binary_p_scalar", "mo_b_scalar",
+            "mo_rates_scalar", "geometric_b_scalar", "geometric_p_scalar", "shocks_object",
+            "jumps_object", "atoms_object"])
     def test_malformed_model_json_names_its_path(self, spec, path):
         code, out, err = run(["sample", "--model", json.dumps(spec), "--n", "5", "--seed", "1"])
         assert code == 1 and out == ""
@@ -408,10 +424,36 @@ class TestModelPlumbing:
         assert "unknown family" in err
 
 
-def test_cli_import_loads_no_scipy():
-    code = "import sys, condiid.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+FAMILY_MODULES = {"diagnostics", "extreme_value", "lack_of_memory", "mixing", "mixtures",
+                   "moments", "shock_models"}
+
+
+@pytest.mark.parametrize("command, loaded", [
+    (None, set()),
+    (["check", "--model", '{"family":"binary","b":[1.0,0.5,0.3]}'], {"moments", "mixing"}),
+    (["diagnose", "{csv}"], {"diagnostics"}),
+], ids=["import", "check_binary", "diagnose"])
+def test_cli_loads_only_the_modules_a_command_uses(command, loaded, tmp_path):
+    """``import condiid.cli`` loads no family module and no scipy; a command
+    loads the family modules it uses and no other."""
+    csv = tmp_path / "x.csv"
+    csv.write_text("x1,x2\n0.1,0.2\n0.3,0.1\n0.5,0.7\n")
+    argv = [str(csv) if a == "{csv}" else a for a in command or ()]
+    code = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import condiid.cli\n"
+        f"if {argv!r}:\n"
+        f"    with redirect_stdout(io.StringIO()):\n"
+        f"        assert condiid.cli.main({argv!r}) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    modules = json.loads(out.stdout)
+    family = {m.removeprefix("condiid.") for m in modules} & FAMILY_MODULES
+    assert family == loaded
+    if command is None:
+        assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]

@@ -184,6 +184,8 @@ class TestAdditiveFamilies:
         ({"kind": "dirichlet_prior", "c": 1.0, "base": {"family": "normal", "x": 1}},
          "family.base.x"),
         ({"kind": "sato"}, "family.alpha"),
+        ({"kind": "piecewise_levy", "breakpoints": [0.0], "pieces": {"drift": 0.2}},
+         "family.pieces must be a JSON list"),
     ])
     def test_malformed_json_names_its_path(self, obj, path):
         with pytest.raises(SpecValidationError, match=re.escape(path)):
