@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .errors import SpecValidationError, json_field, json_list
+from .errors import SpecValidationError, json_field, json_list, json_numbers
 from .sample import SampleMatrix, read_csv, write_csv
 
 FAMILIES = (
@@ -161,11 +161,11 @@ def build_model(spec: dict) -> Model:
             sampler = lambda n, rng: lom.sample_mo_ciid(sub, d, n, rng)
         else:
             if "b" in spec:
-                params = lom.LomParameterSeq(tuple(json_list(spec, "b", "")), lom.CONTINUOUS)
+                params = lom.LomParameterSeq(json_numbers(spec, "b", ""), lom.CONTINUOUS)
                 rates = lom.lambda_from_b(params)
             else:
                 rates = lom.ShockRateSpec(
-                    d=d, kind="exponential", cardinality=tuple(json_list(spec, "rates", ""))
+                    d=d, kind="exponential", cardinality=json_numbers(spec, "rates", "")
                 )
                 params = lom.b_from_lambda(rates)
             sampler = lambda n, rng: lom.sample_mo_shocks(rates, d, n, rng)
@@ -180,11 +180,11 @@ def build_model(spec: dict) -> Model:
 
     if family == "geometric":
         if "b" in spec:
-            params = lom.LomParameterSeq(tuple(json_list(spec, "b", "")), lom.DISCRETE)
+            params = lom.LomParameterSeq(json_numbers(spec, "b", ""), lom.DISCRETE)
             pspec = lom.p_from_b_geo(params)
         else:
             pspec = lom.ShockRateSpec(
-                d=d, kind="geometric", cardinality=tuple(json_list(spec, "p", ""))
+                d=d, kind="geometric", cardinality=json_numbers(spec, "p", "")
             )
             params = lom.b_from_p(pspec)
         b1 = params.values[1]
@@ -265,10 +265,10 @@ def build_model(spec: dict) -> Model:
     from .mixing import mixing_law_from_json
 
     if "p" in spec:
-        law = moments.BinaryExchangeableLaw(tuple(json_list(spec, "p", "")))
+        law = moments.BinaryExchangeableLaw(json_numbers(spec, "p", ""))
         seq = moments.b_from_p(law)
     elif "b" in spec:
-        seq = moments.MonotoneSequence(tuple(json_list(spec, "b", "")))
+        seq = moments.MonotoneSequence(json_numbers(spec, "b", ""))
     else:
         raise SpecValidationError("binary model needs pattern probabilities 'p' or moments 'b'")
     mixing = spec.get("m")

@@ -2,6 +2,7 @@
 lookups that raise them."""
 
 import inspect
+import sys
 
 
 class SpecValidationError(ValueError):
@@ -58,6 +59,23 @@ def json_list(obj, key: str, path: str, default=_REQUIRED):
     if not isinstance(value, (list, tuple)):
         raise SpecValidationError(f"{_field_path(key, path)} must be a JSON list, got {value!r}")
     return value
+
+
+def json_numbers(obj, key: str, path: str) -> tuple:
+    """:func:`json_list` for a required field that holds a JSON list of finite
+    numbers, as a tuple of its entries.
+
+    An entry that is not a number within the range of a double (null, a
+    string, a bool, NaN or an infinity) is refused with SpecValidationError
+    naming ``path.key[i]``.
+    """
+    values = tuple(json_list(obj, key, path))
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+            raise SpecValidationError(
+                f"{_field_path(key, path)}[{i}] must be a finite number, got {v!r}"
+            )
+    return values
 
 
 def _field_path(key: str, path: str) -> str:

@@ -492,8 +492,8 @@ def is_ciid_extendible(params: LomParameterSeq) -> ExtendibilityVerdict:
             ) from None
     b = params.values
     a = [-math.log(b[i] / b[i - 1]) for i in range(1, len(b))]
-    if a[0] <= 0.0:
-        # constant sequence: degenerate law, trivially representable
+    if not a or a[0] <= 0.0:
+        # d = 0 or a constant sequence: degenerate law, trivially representable
         return ExtendibilityVerdict(extendible=True, hankel_values=(), min_hankel=0.0)
     normalized = (1.0,) + tuple(v / a[0] for v in a[1:])
     try:

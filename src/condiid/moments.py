@@ -5,7 +5,9 @@ backward differences nabla^{d-k} b_k are non-negative.  Such sequences are in
 one-to-one correspondence with exchangeable laws on {0,1}^d, and the ones that
 extend to moment sequences of a law on [0,1] are exactly those whose Hankel
 determinants are all non-negative.  This module implements the sequence tests,
-the Hankel-determinant extendibility decision, a finite mixing law realizing
+the Hankel-determinant extendibility decision (the 2d Hankel matrices are
+windows of one vector; their determinants come from one stacked
+``np.linalg.det`` call per matrix size), a finite mixing law realizing
 extendible moments (the Gauss rule of their three-term recursion), the
 binary-pattern parameterization, and the corresponding samplers (mixture of
 Bernoullis, urn scheme).
@@ -13,6 +15,7 @@ Bernoullis, urn scheme).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,7 +94,13 @@ def backward_difference(seq, j: int, k: int) -> float:
 
 def _nabla(values, j: int, k: int):
     """The alternating sum nabla^j values[k], unchecked; exact on ``Fraction``s."""
-    return sum((-1) ** i * math.comb(j, i) * values[k + i] for i in range(j + 1))
+    return sum(c * v for c, v in zip(_signed_binomials(j), values[k : k + j + 1]))
+
+
+@functools.cache
+def _signed_binomials(j: int) -> tuple:
+    """(-1)^i C(j, i) for i = 0..j, as ints."""
+    return tuple((-1) ** i * math.comb(j, i) for i in range(j + 1))
 
 
 def is_d_monotone(seq) -> bool:
@@ -115,35 +124,22 @@ def is_log_d_monotone(seq) -> bool:
     return all(_nabla(logs, d - k, k) >= -MONOTONE_TOL for k in range(d))
 
 
-def _hankel_matrices(values: np.ndarray) -> list[np.ndarray]:
-    """hat_n and check_n for n = 1..d, in that order.
-
-    hat_{2l} is the moment matrix (b_{i+j})_{i,j<=l}, check_{2l} the shifted
-    difference matrix (nabla b_{1+i+j}); odd orders analogously.
-    """
-    d = values.size - 1
-    nabla = values[:-1] - values[1:]
-    out: list[np.ndarray] = []
-    for order in range(1, d + 1):
-        if order % 2 == 0:
-            l = order // 2
-            hat = values[np.add.outer(np.arange(l + 1), np.arange(l + 1))]
-            chk = nabla[1 + np.add.outer(np.arange(l), np.arange(l))]
-        else:
-            l = (order - 1) // 2
-            hat = values[1 + np.add.outer(np.arange(l + 1), np.arange(l + 1))]
-            chk = nabla[np.add.outer(np.arange(l + 1), np.arange(l + 1))]
-        out += [hat, chk]
-    return out
-
-
 @dataclass(frozen=True)
 class ExtendibilityVerdict:
     """Outcome of the truncated moment-problem decision.
 
     The verdict is carried by ``extendible``; the Hankel determinants it was
-    decided on are reported with it.  A law realizing the moments is
-    :func:`discrete_witness`'s job, not part of the verdict.
+    decided on are reported with it.  ``hankel_values`` lists the 2d
+    determinants in the order hat_1, check_1, ..., hat_d, check_d, where, with
+    nabla b_i = b_i - b_{i+1}:
+
+    * hat_{2l} = det (b_{i+j})_{i,j<=l} and hat_{2l+1} = det (b_{1+i+j})_{i,j<=l};
+    * check_{2l} = det (nabla b_{1+i+j})_{i,j<l} and
+      check_{2l+1} = det (nabla b_{i+j})_{i,j<=l}.
+
+    ``min_hankel`` is the least of them (0.0 for d = 0, which has none).  A
+    law realizing the moments is :func:`discrete_witness`'s job, not part of
+    the verdict.
     """
 
     extendible: bool
@@ -158,31 +154,56 @@ class ExtendibilityVerdict:
         }
 
 
+@functools.lru_cache(maxsize=64)
+def _hankel_layout(d: int) -> tuple:
+    """Where the 2d Hankel matrices of degree d sit.
+
+    Each matrix is an m x m window src[start + i + j] of
+    src = (b_0..b_d, nabla b_0..nabla b_{d-1}), starting at one of the four
+    offsets (0, 1, d+1, d+2); slot 2n - 2 holds hat_n and slot 2n - 1 check_n.
+    Returns one (m, slots, starts) triple per matrix size m.
+    """
+    offsets = np.array((0, 1, d + 1, d + 2))
+    slot = np.arange(2 * d)
+    n, chk = slot // 2 + 1, slot % 2 == 1
+    which = np.where(chk, 3 - n % 2, n % 2)
+    size = np.where(chk, (n + 1) // 2, n // 2 + 1)
+    groups = []
+    for m in range(1, size.max(initial=0) + 1):
+        slots = np.flatnonzero(size == m)
+        starts = offsets[which[slots]]
+        slots.flags.writeable = starts.flags.writeable = False  # shared by every call of this degree
+        groups.append((m, slots, starts))
+    return tuple(groups)
+
+
 def hausdorff_extendible(seq) -> ExtendibilityVerdict:
     """Decide whether (b_0..b_d) extends to a moment sequence of a law on [0,1].
 
     Requires the input to be d-monotone.  The verdict is positive iff every
-    Hankel determinant is >= -HANKEL_TOL relative to the matrix scale; exact zeros
-    (boundary cases such as point-mass moment sequences) count as extendible.
+    Hankel determinant is >= -HANKEL_TOL relative to the matrix scale, its
+    largest absolute entry; exact zeros (boundary cases such as point-mass
+    moment sequences) count as extendible, and a NaN determinant does not
+    count against it.  The determinants of each matrix size come from one
+    stacked ``np.linalg.det`` call.
     """
     values = _values(seq)
     if not is_d_monotone(values):
         raise NotDMonotoneError(f"sequence {values} is not d-monotone")
+    d = len(values) - 1
     arr = np.asarray(values, dtype=float)
-    det_values = []
-    extendible = True
-    for mat in _hankel_matrices(arr):
-        det = float(np.linalg.det(mat))
-        det_values.append(det)
-        scale = max(1e-300, float(np.abs(mat).max()))
-        if det < -HANKEL_TOL * scale:
-            extendible = False
-    det_values = tuple(det_values)
-    min_det = min(det_values, default=0.0)
+    src = np.concatenate([arr, arr[:-1] - arr[1:]])
+    dets, scales = np.empty(2 * d), np.empty(2 * d)
+    ar = np.arange(d // 2 + 1)
+    for m, slots, starts in _hankel_layout(d):
+        stack = src[starts[:, None, None] + ar[:m, None] + ar[:m]]
+        dets[slots] = np.linalg.det(stack)
+        scales[slots] = np.abs(stack).max(axis=(1, 2))
+    det_values = tuple(dets.tolist())
     return ExtendibilityVerdict(
-        extendible=extendible,
+        extendible=not np.any(dets < -HANKEL_TOL * np.maximum(scales, 1e-300)),
         hankel_values=det_values,
-        min_hankel=float(min_det) if det_values else 0.0,
+        min_hankel=min(det_values, default=0.0),
     )
 
 

@@ -418,6 +418,25 @@ class TestModelPlumbing:
         assert code == 1 and out == ""
         assert path in err
 
+    @pytest.mark.parametrize("command, model, entry", [
+        ("sample", '{"family":"binary","b":[1,null]}', "b[1] must be a finite number, got None"),
+        ("sample", '{"family":"binary","p":[0.5,"0.5"]}', "p[1] must be a finite number, got '0.5'"),
+        ("check", '{"family":"binary","b":[1,true,0.2]}', "b[1] must be a finite number, got True"),
+        ("check", '{"family":"binary","b":[1,NaN]}', "b[1] must be a finite number, got nan"),
+        ("check", '{"family":"marshall_olkin","b":[1,0.5,Infinity]}',
+         "b[2] must be a finite number, got inf"),
+        ("sample", '{"family":"marshall_olkin","rates":[0.1,false]}',
+         "rates[1] must be a finite number, got False"),
+        ("check", '{"family":"geometric","b":[1.0,0.5,-1e999]}',
+         "b[2] must be a finite number, got -inf"),
+        ("sample", '{"family":"geometric","p":[0.5,[0.1]]}', "p[1] must be a finite number, got [0.1]"),
+    ], ids=["null", "string", "true", "nan", "infinity", "false", "overflow", "nested_list"])
+    def test_non_numeric_list_entry_names_it(self, command, model, entry):
+        code, out, err = run([command, "--model", model, "--n", "5", "--seed", "1"]
+                             if command == "sample" else [command, "--model", model])
+        assert code == 1 and out == ""
+        assert entry in err
+
     def test_unknown_family(self):
         code, _, err = run(["check", "--model", '{"family":"nope"}'])
         assert code == 1

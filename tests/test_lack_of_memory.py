@@ -436,6 +436,33 @@ class TestExtendibility:
         params = lom.LomParameterSeq((1.0, 1.0, 1.0), lom.CONTINUOUS)
         assert lom.is_ciid_extendible(params).extendible
 
+    @pytest.mark.parametrize("flavor", [lom.CONTINUOUS, lom.DISCRETE])
+    def test_degree_zero(self, flavor):
+        verdict = lom.is_ciid_extendible(lom.LomParameterSeq((1.0,), flavor))
+        assert verdict.extendible and verdict.hankel_values == () and verdict.min_hankel == 0.0
+
+    def test_degree_one(self):
+        # discrete: (1, b_1) itself; continuous: the normalized sequence (1,), which has no
+        # determinants
+        verdict = lom.is_ciid_extendible(lom.LomParameterSeq((1.0, 0.25), lom.DISCRETE))
+        assert verdict.extendible and verdict.hankel_values == (0.25, 0.75)
+        verdict = lom.is_ciid_extendible(lom.LomParameterSeq((1.0, 0.25), lom.CONTINUOUS))
+        assert verdict.extendible and verdict.hankel_values == ()
+
+    def test_point_mass_at_0_3_is_on_the_boundary(self):
+        # discrete: b_k = 0.3^k; continuous: psi(k) = (1 - 0.3^k) / 0.7, one jump of size
+        # log(10/3), so that a_k / a_1 = 0.3^(k-1).  Both decide on the moments of a point
+        # mass at 0.3, whose Hankel matrices of size 2 or more are singular.
+        discrete = lom.LomParameterSeq(tuple(float(Fraction(3, 10) ** k) for k in range(7)),
+                                       lom.DISCRETE)
+        continuous = lom.LomParameterSeq(
+            tuple(math.exp(-(1.0 - 0.3**k) / 0.7) for k in range(8)), lom.CONTINUOUS)
+        for params in (discrete, continuous):
+            verdict = lom.is_ciid_extendible(params)
+            assert verdict.extendible
+            assert verdict.hankel_values[:4] == pytest.approx((0.3, 0.7, 0.0, 0.21), abs=1e-12)
+            assert max(abs(h) for h in verdict.hankel_values[4:]) < 1e-12
+
 
 class TestBetaFamily:
     def test_uniform_case(self):

@@ -138,6 +138,44 @@ class TestHausdorffExtendible:
         assert js["extendible"] is True
         assert js["min_hankel"] == pytest.approx(0.05)
 
+    def test_degree_zero_has_no_determinants(self):
+        v = mo.hausdorff_extendible((1.0,))
+        assert v.extendible and v.hankel_values == () and v.min_hankel == 0.0
+
+    def test_degree_one(self):
+        # hat_1 = b_1, check_1 = nabla b_0 = 1 - b_1
+        v = mo.hausdorff_extendible((1.0, 0.25))
+        assert v.extendible and v.hankel_values == (0.25, 0.75) and v.min_hankel == 0.25
+
+    def test_point_mass_at_0_3_is_on_the_boundary(self):
+        # every Hankel matrix of size 2 or more is singular: rank one
+        v = mo.hausdorff_extendible(tuple(float(Fraction(3, 10) ** k) for k in range(7)))
+        assert v.extendible
+        assert v.hankel_values[:4] == pytest.approx((0.3, 0.7, 0.0, 0.21), abs=1e-15)
+        assert max(abs(h) for h in v.hankel_values[4:]) < 1e-15
+        assert len(v.hankel_values) == 12
+
+    def test_one_det_call_per_matrix_size(self, monkeypatch):
+        calls = []
+        det = np.linalg.det
+
+        def counting_det(a):
+            calls.append(a.shape)
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counting_det)
+        for d in range(1, 13):
+            calls.clear()
+            mo.hausdorff_extendible(beta_moments(2, 3, d))
+            sizes = [shape[-1] for shape in calls]
+            assert sizes == list(range(1, d // 2 + 2))
+            assert sum(shape[0] for shape in calls) == 2 * d
+
+    def test_nan_determinant_does_not_flip_the_verdict(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "det", lambda a: np.full(a.shape[:-2], np.nan))
+        v = mo.hausdorff_extendible((1.0, 0.5, 0.2))
+        assert v.extendible and all(math.isnan(h) for h in v.hankel_values)
+
 
 def beta_moments(a, b, d):
     """E[M^k] = prod_{j<k} (a + j) / (a + b + j) of M ~ Beta(a, b), exact, then rounded."""
@@ -160,6 +198,76 @@ def finite_laws(draw):
     nums = draw(st.lists(st.integers(1, q - 1), min_size=1, max_size=4, unique=True))
     ints = draw(st.lists(st.integers(1, 9), min_size=len(nums), max_size=len(nums)))
     return [Fraction(i, q) for i in sorted(nums)], [Fraction(w, sum(ints)) for w in ints]
+
+
+def bareiss_det(rows) -> Fraction:
+    """Exact determinant by fraction-free (Bareiss) elimination with row swaps."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, Fraction(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return Fraction(0)
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def exact_hankel_matrices(b) -> list:
+    """hat_n and check_n, n = 1..d, built entry by entry from exact b."""
+    nab = [b[i] - b[i + 1] for i in range(len(b) - 1)]
+    out = []
+    for n in range(1, len(b)):
+        l = n // 2
+        if n % 2 == 0:
+            out += [[[b[i + j] for j in range(l + 1)] for i in range(l + 1)],
+                    [[nab[1 + i + j] for j in range(l)] for i in range(l)]]
+        else:
+            out += [[[b[1 + i + j] for j in range(l + 1)] for i in range(l + 1)],
+                    [[nab[i + j] for j in range(l + 1)] for i in range(l + 1)]]
+    return out
+
+
+@st.composite
+def rational_law_moments(draw):
+    """The doubles nearest to b_0..b_d, d <= 12, of a law with at most five
+    atoms i/q in [0, 1], q <= 12; in half the draws one b_j is then scaled by
+    1 + eps, |eps| between 1e-5 and 0.1."""
+    q = draw(st.integers(1, 12))
+    nums = draw(st.lists(st.integers(0, q), min_size=1, max_size=5, unique=True))
+    ints = draw(st.lists(st.integers(1, 9), min_size=len(nums), max_size=len(nums)))
+    d = draw(st.integers(0, 12))
+    b = [float(sum(Fraction(w, sum(ints)) * Fraction(x, q) ** k for x, w in zip(nums, ints)))
+         for k in range(d + 1)]
+    if d and draw(st.booleans()):
+        j = draw(st.integers(1, d))
+        b[j] *= 1 + draw(st.sampled_from([-0.1, -1e-2, -1e-3, -1e-5, 1e-5, 1e-3, 1e-2, 0.1]))
+    return b
+
+
+class TestExtendibilityOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(b=rational_law_moments())
+    def test_verdict_matches_exact_determinants(self, b):
+        # the exact determinants of the same doubles decide wherever each of
+        # them clears +-1e-6 * scale^size, scale its matrix's largest |entry|
+        if not mo.is_d_monotone(b):
+            with pytest.raises(NotDMonotoneError):
+                mo.hausdorff_extendible(b)
+            return
+        dets = []
+        for mat in exact_hankel_matrices([Fraction(v) for v in b]):
+            scale = max(abs(x) for row in mat for x in row)
+            det = bareiss_det(mat)
+            if abs(det) <= Fraction(1e-6) * scale ** len(mat):
+                return  # too close to zero for double-precision input to decide
+            dets.append(det)
+        assert mo.hausdorff_extendible(b).extendible == all(det > 0 for det in dets)
 
 
 class TestDiscreteWitness:

@@ -1,14 +1,19 @@
-"""Seeded ``condiid sample`` output, pinned byte for byte.
+"""Seeded ``condiid sample`` output and ``condiid check`` output, pinned byte
+for byte.
 
 One model per sampler.  Each hash is the sha256 of the CSV that
-``condiid sample --model SPEC --n 200 --seed 1`` prints.  A change that moves
-any of these bytes says so in CHANGES.md and updates the hash here.
+``condiid sample --model SPEC --n 200 --seed 1`` prints.  Each ``check`` hash
+is the sha256 of what ``condiid check --model SPEC`` prints: the verdict line
+and the JSON with the Hankel determinants.  A change that moves any of these
+bytes says so in CHANGES.md and updates the hash here.
 """
 
 import hashlib
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -76,11 +81,76 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
 }
 
 
+def stdout_sha256(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_seeded_sample_bytes(name):
     spec, digest = MODELS[name]
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = cli.main(["sample", "--model", json.dumps(spec), "--n", "200", "--seed", "1"])
-    assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    assert stdout_sha256(["sample", "--model", json.dumps(spec), "--n", "200", "--seed", "1"]) == digest
+
+
+def beta_b(a, b, d, mix=None):
+    """The doubles nearest to the moments of Beta(a, b), or of its mixture
+    (1 - w) Beta(a, b) + w "exactly d/2 ones of d" for ``mix = w``."""
+    out, m = [], Fraction(1)
+    for k in range(d + 1):
+        if mix is None:
+            out.append(float(m))
+        else:
+            half = Fraction(math.comb(d - k, d // 2 - k), math.comb(d, d // 2)) if 2 * k <= d else 0
+            out.append(float((1 - mix) * m + mix * half))
+        m *= (a + k) / (a + b + k)
+    return out
+
+
+CHECKS = {  # name: (model spec, sha256 of the check output)
+    "beta23_d2": (
+        {"family": "binary", "b": beta_b(Fraction(2), Fraction(3), 2)},
+        "de3dc80a9db555da22feaef86cff3316c41ddb5d26d0f0da517bbe8f230a2f61",
+    ),
+    "beta23_d16": (
+        {"family": "binary", "b": beta_b(Fraction(2), Fraction(3), 16)},
+        "fadb67b9ad65106371489f3751d4cf46c1f7228f60e6536d0e026a588a64d0b6",
+    ),
+    "beta23_d40": (
+        {"family": "binary", "b": beta_b(Fraction(2), Fraction(3), 40)},
+        "de94e25382ee248e2f2e5e4922527e2549405d20f154a760d627c8737c88ba6c",
+    ),
+    "beta23_half_ones_d12": (
+        {"family": "binary", "b": beta_b(Fraction(2), Fraction(3), 12, mix=Fraction(1, 100))},
+        "ce95a2b05a972fe3e51cd9644b249bec9dda3e114119f78b8e61eac1623a228a",
+    ),
+    "point_mass": (
+        {"family": "binary", "b": [float(Fraction(3, 10) ** k) for k in range(7)]},
+        "f99d37d4e837b4b10c400d1a33795b6fcc51ff0b3eb47b461c711a3e9a2f215b",
+    ),
+    "not_extendible": (
+        {"family": "binary", "b": [1.0, 0.5, 0.2]},
+        "de701163edde8637e4f49b1acdb25f2e953a3d1e887b0ec89cb0d7d08df9318d",
+    ),
+    "d0": (
+        {"family": "binary", "b": [1.0]},
+        "ea7727ef447687c4600df5f020702acd31a852da5dfd825a006052c035bf2305",
+    ),
+    "mo_subordinator_d8": (
+        {"family": "marshall_olkin", "d": 8, "subordinator": {
+            "drift": 0.4, "kill": 0.1, "jumps": [{"size": 0.65, "rate": 1.0}]}},
+        "8e8ed33a296a7e84dd765124ad94a0932241e2653fe3f2967e28da131d2fbe33",
+    ),
+    "geometric_b_d8": (
+        {"family": "geometric", "b": beta_b(Fraction(1, 2), Fraction(3, 2), 8)},
+        "72b17d05d87a8ca8cf3356488556e1281112c341c112cd69f45f1acc0a62abb8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_check_output_bytes(name):
+    spec, digest = CHECKS[name]
+    assert stdout_sha256(["check", "--model", json.dumps(spec)]) == digest
