@@ -181,16 +181,17 @@ def build_model(spec: dict) -> Model:
     if family == "geometric":
         if "b" in spec:
             params = lom.LomParameterSeq(json_numbers(spec, "b", ""), lom.DISCRETE)
-            pspec = lom.p_from_b_geo(params)
+            shocks = lambda: lom.p_from_b_geo(params)  # only the sampler needs p
         else:
             pspec = lom.ShockRateSpec(
                 d=d, kind="geometric", cardinality=json_numbers(spec, "p", "")
             )
             params = lom.b_from_p(pspec)
+            shocks = lambda: pspec
         b1 = params.values[1]
         return Model(
             family, params.d,
-            sampler=lambda n, rng: lom.sample_geo_shocks(pspec, params.d, n, rng),
+            sampler=lambda n, rng: lom.sample_geo_shocks(shocks(), params.d, n, rng),
             evals={"survival": lambda x: float(lom.geo_survival(params, x))},
             marginal_ppf=lambda q: max(0.0, math.ceil(math.log1p(-q) / math.log(b1))),
             check=lambda: lom.is_ciid_extendible(params),

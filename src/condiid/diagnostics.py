@@ -72,48 +72,72 @@ def empirical_H(row) -> EmpiricalDf:
 
 # -- Kendall's tau ----------------------------------------------------------------
 
-def _count_inversions(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """Sorted copy of ``a`` and the number of strict inversions, by merge count."""
-    n = a.size
-    if n <= 64:
-        i, j = np.triu_indices(n, 1)
-        return np.sort(a), int(np.sum(a[i] > a[j]))
-    mid = n // 2
-    left, cl = _count_inversions(a[:mid])
-    right, cr = _count_inversions(a[mid:])
-    pos = np.searchsorted(left, right, side="right")
-    cross = int(np.sum(left.size - pos))
-    return np.sort(np.concatenate([left, right]), kind="mergesort"), cl + cr + cross
+def _tie_pairs(new_run: np.ndarray) -> int:
+    """Pairs of entries in the same run of a sorted sequence, where
+    ``new_run[i]`` says that entry i + 1 starts a new run."""
+    runs = np.diff(np.flatnonzero(np.concatenate(([True], new_run, [True]))))
+    return int(np.sum(runs * (runs - 1) // 2))
 
 
-def _tie_pair_count(sorted_vals: np.ndarray) -> int:
-    _, counts = np.unique(sorted_vals, return_counts=True)
-    return int(np.sum(counts * (counts - 1) // 2))
+def _dense_ranks(v: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Rank of each entry of ``v`` among its distinct values, the number of
+    distinct values, and the number of pairs of equal entries."""
+    order = np.argsort(v)
+    s = v[order]
+    new_run = s[1:] != s[:-1]
+    ranks = np.empty(v.size, dtype=np.int64)
+    ranks[order] = np.cumsum(np.concatenate(([0], new_run)))
+    return ranks, int(ranks[order[-1]]) + 1, _tie_pairs(new_run)
+
+
+def _inversions(ranks: np.ndarray, k: int) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], for integer ranks in [0, k).
+
+    Bottom-up merge count.  At width w every aligned block of w entries is
+    sorted.  One sort of the whole array by (pair of blocks, rank, odd
+    block?) merges each even block with the odd block after it; there an
+    odd-block entry moves ahead of exactly the even-block entries above it,
+    so the level's inversions are the sum of the odd-block entries'
+    positions before the sort less their sum after it.
+    """
+    n = ranks.size
+    pos = np.arange(n)
+    level = ranks
+    total = 0
+    w = 1
+    while w < n:
+        base = pos // (2 * w) * k
+        odd = (pos & w) != 0
+        key = ((base + level) << 1) | odd
+        key.sort()
+        total += int(pos[odd].sum()) - int(np.dot(key & 1, pos))
+        level = (key >> 1) - base
+        w *= 2
+    return total
 
 
 def empirical_kendall_tau(pairs) -> float:
     """(concordant - discordant) / (n choose 2), ties counted as neither.
 
-    Merge-count algorithm: sort lexicographically by (x, y), count strict
-    inversions of the y sequence; tie corrections recover the strict
-    concordance count.
+    Level-wise merge count on integer ranks: x and y are replaced by their
+    dense ranks, one sort of ``rank_x * k_y + rank_y`` orders the pairs
+    lexicographically, and :func:`_inversions` counts the strict inversions
+    of the y ranks in that order in about log2(n) sorts.  Equal x keep y
+    ascending, so pairs tied in x add no inversion.  The pairs tied in x, in
+    y and in both are counted from run lengths of the same sorts.  Every
+    count is an integer, so the result is the correctly rounded quotient.
     """
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 2:
         raise SpecValidationError("need an n x 2 array with n >= 2")
     n = pairs.shape[0]
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    x = pairs[order, 0]
-    y = pairs[order, 1]
+    rank_x, _, tied_x = _dense_ranks(pairs[:, 0])
+    rank_y, k_y, tied_y = _dense_ranks(pairs[:, 1])
+    joint = np.sort(rank_x * k_y + rank_y)
+    tied_xy = _tie_pairs(joint[1:] != joint[:-1])
+    discordant = _inversions(joint % k_y, k_y)
     n0 = n * (n - 1) // 2
-    # within equal-x runs y is sorted ascending, so no inversions are counted there
-    discordant = _count_inversions(y.copy())[1]
-    n1 = _tie_pair_count(x)
-    n2 = _tie_pair_count(np.sort(y))
-    joint = x + 1j * y
-    n3 = _tie_pair_count(np.sort_complex(joint))
-    concordant_minus_discordant = n0 - n1 - n2 + n3 - 2 * discordant
-    return concordant_minus_discordant / n0
+    return (n0 - tied_x - tied_y + tied_xy - 2 * discordant) / n0
 
 
 def kendall_tau_null_stderr(n: int) -> float:

@@ -71,11 +71,16 @@ def json_numbers(obj, key: str, path: str) -> tuple:
     """
     values = tuple(json_list(obj, key, path))
     for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        if not _finite_number(v):
             raise SpecValidationError(
                 f"{_field_path(key, path)}[{i}] must be a finite number, got {v!r}"
             )
     return values
+
+
+def _finite_number(v) -> bool:
+    """Whether a JSON value is a number within the range of a double."""
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
 
 
 def _field_path(key: str, path: str) -> str:
@@ -86,8 +91,10 @@ def json_kwargs(cls, obj: dict, path: str, tag: str) -> dict:
     """The fields of the model-JSON object at ``path`` other than its ``tag``,
     as keyword arguments of ``cls``.
 
-    A required argument of ``cls`` that is missing, or a field ``cls`` does
-    not take, is refused with SpecValidationError naming its path.
+    A required argument of ``cls`` that is missing, a field ``cls`` does not
+    take, or a value other than a finite number (a string, null, a bool, NaN
+    or an infinity) for an argument annotated ``float``, is refused with
+    SpecValidationError naming its path.
     """
     params = inspect.signature(cls).parameters
     kwargs = {k: v for k, v in obj.items() if k != tag}
@@ -100,4 +107,8 @@ def json_kwargs(cls, obj: dict, path: str, tag: str) -> dict:
             f"{path}.{unknown[0]} is not a field of {tag} {obj[tag]!r}; "
             f"it takes {', '.join(params)}"
         )
+    for k, v in kwargs.items():
+        # annotations are strings in modules that postpone their evaluation
+        if params[k].annotation in (float, "float") and not _finite_number(v):
+            raise SpecValidationError(f"{path}.{k} must be a finite number, got {v!r}")
     return kwargs

@@ -15,7 +15,7 @@ process across iid unit-exponential barriers, solved by one routine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,10 +55,15 @@ DISCRETE = "discrete"
 
 @dataclass(frozen=True)
 class LomParameterSeq:
-    """Survival-form parameters (b_0..b_d) plus the flavor they belong to."""
+    """Survival-form parameters (b_0..b_d) plus the flavor they belong to.
+
+    Construction tests the flavor's (log-)d-monotonicity and sets ``tested``;
+    :meth:`_valid`, for sequences valid by construction, leaves it False.
+    """
 
     values: tuple
     flavor: str
+    tested: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seq = MonotoneSequence(tuple(self.values))
@@ -75,6 +80,7 @@ class LomParameterSeq:
                 )
         else:
             raise SpecValidationError(f"unknown flavor {self.flavor!r}")
+        object.__setattr__(self, "tested", True)
 
     @classmethod
     def _valid(cls, values, flavor: str) -> "LomParameterSeq":
@@ -250,10 +256,10 @@ def b_from_p(spec: ShockRateSpec) -> LomParameterSeq:
 
 def p_from_b_geo(params: LomParameterSeq) -> ShockRateSpec:
     """Invert :func:`b_from_p`: p_m = nabla^m b_{d-m}, non-negative for any
-    d-monotone input."""
+    d-monotone input, as discrete-flavor parameters are."""
     if params.flavor != DISCRETE:
         raise SpecValidationError("p_from_b_geo needs discrete-flavor parameters")
-    p = moments.p_from_b(params.values).p[::-1]
+    p = moments._law_from_b(params.values).p[::-1]
     return ShockRateSpec(d=params.d, kind="geometric", cardinality=p)
 
 
@@ -480,16 +486,16 @@ def is_ciid_extendible(params: LomParameterSeq) -> ExtendibilityVerdict:
 
     Continuous flavor: the normalized log-increment sequence must extend to a
     moment sequence; discrete flavor: (b_0..b_d) itself must.  The reported
-    Hankel values refer to the sequence actually tested.
+    Hankel values refer to the sequence actually tested.  Discrete-flavor
+    parameters that construction has not tested are tested here.
     """
     if params.flavor == DISCRETE:
-        try:
-            return hausdorff_extendible(params.values)
-        except NotDMonotoneError:
+        if not (params.tested or is_d_monotone(params.values)):
             raise NotDMonotoneError(
                 "the model's b (derived from its p when p is given) is not d-monotone: "
                 f"{params.values}"
-            ) from None
+            )
+        return moments._hankel_verdict(params.values)
     b = params.values
     a = [-math.log(b[i] / b[i - 1]) for i in range(1, len(b))]
     if not a or a[0] <= 0.0:

@@ -190,6 +190,11 @@ def hausdorff_extendible(seq) -> ExtendibilityVerdict:
     values = _values(seq)
     if not is_d_monotone(values):
         raise NotDMonotoneError(f"sequence {values} is not d-monotone")
+    return _hankel_verdict(values)
+
+
+def _hankel_verdict(values: tuple) -> ExtendibilityVerdict:
+    """:func:`hausdorff_extendible` of ``values`` known to be d-monotone."""
     d = len(values) - 1
     arr = np.asarray(values, dtype=float)
     src = np.concatenate([arr, arr[:-1] - arr[1:]])
@@ -319,6 +324,12 @@ def p_from_b(seq) -> BinaryExchangeableLaw:
     values = _values(seq)
     if not is_d_monotone(values):
         raise NotDMonotoneError(f"sequence {values} is not d-monotone")
+    return _law_from_b(values)
+
+
+def _law_from_b(values: tuple) -> BinaryExchangeableLaw:
+    """:func:`p_from_b` of ``values`` known to be d-monotone; entries that
+    rounding leaves below 0 are set to 0."""
     d = len(values) - 1
     p = [max(0.0, _nabla(values, d - k, k)) for k in range(d + 1)]
     total = sum(math.comb(d, k) * p[k] for k in range(d + 1))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
@@ -74,28 +73,31 @@ def write_csv(matrix: SampleMatrix | np.ndarray, path_or_buf) -> None:
 def read_csv(path_or_buf) -> np.ndarray:
     """Read a sample CSV written by :func:`write_csv` back into an array.
 
-    Blank lines are skipped.  Raises ``ValueError`` when the file is empty,
-    when a row's width differs from the header's, when a field is not a
-    number, or when no data row follows the header.
+    Lines end with LF, CRLF or CR, and the last one may have no line end.
+    Empty lines are skipped wherever they are; a line of spaces is a row.
+    The first line is the header, and its fields only give the width d.
+    Every field is the text between two commas and goes through ``float``,
+    so surrounding spaces are allowed, ``inf`` and ``-0.0`` read back
+    exactly, and a quoted field is not unquoted but refused.  Raises
+    ``ValueError`` when the file has no line, when a row's width differs
+    from the header's, when a field is not a number, or when no data row
+    follows the header.
     """
-    own = _is_path(path_or_buf)
-    f = open(path_or_buf, "r", newline="") if own else path_or_buf
-    try:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("CSV is empty: no header row")
-        d = len(header)
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != d:
-                raise ValueError(f"row width {len(row)} does not match header width {d}")
-            rows.append(row)
-    finally:
-        if own:
-            f.close()
+    if _is_path(path_or_buf):
+        with open(path_or_buf, "r", newline="") as f:
+            text = f.read()
+    else:
+        text = path_or_buf.read()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = list(filter(None, text.split("\n")))
+    if not lines:
+        raise ValueError("CSV is empty: no header row")
+    d = lines[0].count(",") + 1
+    rows = lines[1:]
     if not rows:
         raise ValueError("CSV contains a header but no data rows")
-    return np.array(rows, dtype=float)
+    for row in rows:
+        if row.count(",") != d - 1:
+            raise ValueError(f"row width {row.count(',') + 1} does not match header width {d}")
+    return np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), d)

@@ -24,6 +24,36 @@ def run(argv):
 MO_MODEL = json.dumps({"family": "marshall_olkin", "d": 3, "rates": [0.3, 0.2, 0.1]})
 
 
+FLOAT_FIELDS = [  # (model-JSON path, a valid object there, one of its float fields)
+    ("m", {"family": "point_mass", "m": 1.0}, "m"),
+    ("m", {"family": "gamma", "shape": 1.5}, "shape"),
+    ("m", {"family": "beta", "p": 2.0, "q": 3.0}, "p"),
+    ("m", {"family": "beta", "p": 2.0, "q": 3.0}, "q"),
+    ("m", {"family": "pareto", "alpha": 2.5}, "alpha"),
+    ("m", {"family": "positive_stable", "theta": 0.5}, "theta"),
+    ("m", {"family": "log_series", "theta": 0.5}, "theta"),
+    ("shocks[0]", {"kind": "exponential", "rate": 0.5}, "rate"),
+    ("shocks[0]", {"kind": "weibull", "shape": 2.0, "scale": 1.0}, "shape"),
+    ("shocks[0]", {"kind": "weibull", "shape": 2.0, "scale": 1.0}, "scale"),
+    ("shocks[0]", {"kind": "pareto", "alpha": 2.0, "scale": 1.0}, "alpha"),
+    ("shocks[0]", {"kind": "pareto", "alpha": 2.0, "scale": 1.0}, "scale"),
+    ("base", {"family": "uniform", "a": 0.0, "b": 1.0}, "a"),
+    ("base", {"family": "uniform", "a": 0.0, "b": 1.0}, "b"),
+    ("base", {"family": "exponential", "rate": 1.0}, "rate"),
+    ("base", {"family": "normal", "mu": 0.0, "sigma": 1.0}, "mu"),
+    ("base", {"family": "normal", "mu": 0.0, "sigma": 1.0}, "sigma"),
+]
+
+
+def scalar_model(path, obj):
+    """A model that holds ``obj`` at ``path``: a mixing law, a shock or a base."""
+    if path == "m":
+        return {"family": "l1", "d": 3, "m": obj}
+    if path == "shocks[0]":
+        return {"family": "exshock", "shocks": [obj]}
+    return {"family": "dirichlet_prior", "d": 3, "c": 1.0, "base": obj}
+
+
 class TestSample:
     def test_deterministic_bytes(self):
         args = ["sample", "--model", '{"family":"exch_normal","rho":0.0,"d":2}',
@@ -189,6 +219,25 @@ class TestCheck:
         assert code == 1
         assert "model's b (derived from its p" in err
         assert "not d-monotone" in err
+
+    @pytest.mark.parametrize("command", ["check", "sample"])
+    def test_geometric_b_is_tested_for_d_monotonicity_once(self, command, monkeypatch):
+        from condiid import lack_of_memory, moments
+
+        calls = []
+
+        def counted(seq, test=moments.is_d_monotone):
+            calls.append(seq)
+            return test(seq)
+
+        monkeypatch.setattr(moments, "is_d_monotone", counted)
+        monkeypatch.setattr(lack_of_memory, "is_d_monotone", counted)
+        model = json.dumps({"family": "geometric", "d": 4, "b": [1.0, 0.6, 0.45, 0.37, 0.32]})
+        argv = ["check", "--model", model] if command == "check" else \
+            ["sample", "--model", model, "--n", "5", "--seed", "1"]
+        code, _, _ = run(argv)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_family_not_checkable(self):
         code, _, err = run(["check", "--model", '{"family":"sato","alpha":1.0}'])
@@ -436,6 +485,36 @@ class TestModelPlumbing:
                              if command == "sample" else [command, "--model", model])
         assert code == 1 and out == ""
         assert entry in err
+
+    @pytest.mark.parametrize("path, obj, key", FLOAT_FIELDS,
+                             ids=[f"{path}:{obj.get('family', obj.get('kind'))}.{key}"
+                                  for path, obj, key in FLOAT_FIELDS])
+    def test_non_numeric_scalar_names_it(self, path, obj, key):
+        for bad in ["1.0", None, True, math.nan, math.inf, -math.inf]:
+            model = json.dumps(scalar_model(path, {**obj, key: bad}))
+            code, out, err = run(["sample", "--model", model, "--n", "5", "--seed", "1"])
+            assert code == 1 and out == ""
+            assert f"{path}.{key} must be a finite number, got {bad!r}" in err
+
+    def test_float_fields_cover_every_kind_and_family(self):
+        import inspect
+
+        from condiid import mixing, shock_models
+
+        registries = {"m": mixing._FAMILIES, "shocks[0]": shock_models._SHOCK_KINDS,
+                      "base": shock_models._BASES}
+        annotated = {
+            (path, tag, key)
+            for path, registry in registries.items()
+            for tag, cls in registry.items()
+            for key, param in inspect.signature(cls).parameters.items()
+            if param.annotation in (float, "float")
+        }
+        assert annotated == {(path, obj.get("family", obj.get("kind")), key)
+                             for path, obj, key in FLOAT_FIELDS}
+        for path, obj, _ in FLOAT_FIELDS:
+            model = json.dumps(scalar_model(path, obj))
+            assert run(["sample", "--model", model, "--n", "5", "--seed", "1"])[0] == 0
 
     def test_unknown_family(self):
         code, _, err = run(["check", "--model", '{"family":"nope"}'])

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from condiid import diagnostics as dg
@@ -13,17 +15,22 @@ from condiid.errors import NonMonotoneConditionalError, SpecValidationError
 from condiid.mixing import Gamma, Pareto
 
 
-def brute_force_tau(pairs):
+def pair_count_tau(pairs) -> Fraction:
+    """(concordant - discordant) / (n choose 2) over all pairs, exactly."""
+    x, y = pairs[:, 0], pairs[:, 1]
+    sx = (x[:, None] > x).astype(int) - (x[:, None] < x)
+    sy = (y[:, None] > y).astype(int) - (y[:, None] < y)
     n = len(pairs)
-    c = d = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = (pairs[i, 0] - pairs[j, 0]) * (pairs[i, 1] - pairs[j, 1])
-            if s > 0:
-                c += 1
-            elif s < 0:
-                d += 1
-    return (c - d) / (n * (n - 1) / 2)
+    return Fraction(int(np.sum(sx * sy)) // 2, n * (n - 1) // 2)
+
+
+@st.composite
+def tied_pairs(draw):
+    """n x 2 samples, 2 <= n <= 400, of small integers: ties in x, y and (x, y)."""
+    n = draw(st.integers(2, 400))
+    cols = [draw(hnp.arrays(np.int64, n, elements=st.integers(0, draw(st.integers(1, 6)))))
+            for _ in range(2)]
+    return np.c_[cols[0], cols[1]].astype(float)
 
 
 def orthant_hits_oracle(rows, grid, mode):
@@ -64,9 +71,17 @@ class TestKendallTau:
         rng = np.random.default_rng(3)
         for _ in range(25):
             pairs = rng.integers(0, 4, size=(30, 2)).astype(float)
-            assert dg.empirical_kendall_tau(pairs) == pytest.approx(
-                brute_force_tau(pairs), abs=1e-12
-            )
+            assert dg.empirical_kendall_tau(pairs) == float(pair_count_tau(pairs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_pairs())
+    def test_matches_pair_count_with_ties(self, pairs):
+        assert dg.empirical_kendall_tau(pairs) == float(pair_count_tau(pairs))
+
+    def test_infinite_and_signed_zero_values_tie(self):
+        pairs = np.array([[1.0, math.inf], [2.0, math.inf], [3.0, 1.0],
+                          [-0.0, -math.inf], [0.0, -math.inf], [math.inf, 0.0]])
+        assert dg.empirical_kendall_tau(pairs) == float(pair_count_tau(pairs))
 
     def test_matches_scipy_on_continuous_data(self):
         rng = np.random.default_rng(4)

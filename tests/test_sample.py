@@ -80,6 +80,41 @@ def test_blank_lines_skipped():
     assert same_floats(data, np.array([[1.0, 2.0], [3.0, np.inf]]))
 
 
+def test_crlf_line_endings():
+    data = read_csv(io.StringIO("x1,x2\r\n1.0,-0.0\r\n\r\n3.0,-inf\r\n"))
+    assert same_floats(data, np.array([[1.0, -0.0], [3.0, -np.inf]]))
+
+
+def test_crlf_line_endings_from_path(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"x1,x2\r\n1.0,2.0\r\n3.0,inf\r\n")
+    assert same_floats(read_csv(path), np.array([[1.0, 2.0], [3.0, np.inf]]))
+
+
+def test_last_row_without_newline():
+    data = read_csv(io.StringIO("x1,x2\n1.0,2.0\n3.0,4.0"))
+    assert same_floats(data, np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+
+def test_blank_lines_before_header_skipped():
+    data = read_csv(io.StringIO("\n\r\nx1,x2\n1.0,2.0\n"))
+    assert same_floats(data, np.array([[1.0, 2.0]]))
+
+
+def test_quoted_field_refused():
+    with pytest.raises(ValueError, match="could not convert string to float: '\"2.0\"'"):
+        read_csv(io.StringIO('x1,x2\n1.0,"2.0"\n'))
+    with pytest.raises(ValueError, match="row width 3 does not match header width 2"):
+        read_csv(io.StringIO('x1,x2\n1.0,"2,0"\n'))
+
+
+def test_whitespace_only_line_is_a_row():
+    with pytest.raises(ValueError, match="row width 1 does not match header width 2"):
+        read_csv(io.StringIO("x1,x2\n1.0,2.0\n  \n3.0,4.0\n"))
+    with pytest.raises(ValueError, match="could not convert string to float: ' '"):
+        read_csv(io.StringIO("x1\n1.0\n \n"))
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -88,6 +123,7 @@ def test_blank_lines_skipped():
         ("x1,x2\n\n\n", "header but no data rows"),
         ("x1,x2\n1.0,abc\n", "could not convert string to float: 'abc'"),
         ("", "CSV is empty"),
+        ("\n\n", "CSV is empty"),
     ],
 )
 def test_malformed_csv_raises_value_error(text, message):

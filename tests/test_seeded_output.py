@@ -4,7 +4,8 @@ for byte.
 One model per sampler.  Each hash is the sha256 of the CSV that
 ``condiid sample --model SPEC --n 200 --seed 1`` prints.  Each ``check`` hash
 is the sha256 of what ``condiid check --model SPEC`` prints: the verdict line
-and the JSON with the Hankel determinants.  A change that moves any of these
+and the JSON with the Hankel determinants.  Each ``diagnose`` hash is the
+sha256 of the JSON report of ``condiid diagnose`` on a seeded sample CSV.  A change that moves any of these
 bytes says so in CHANGES.md and updates the hash here.
 """
 
@@ -93,6 +94,23 @@ def stdout_sha256(argv):
 def test_seeded_sample_bytes(name):
     spec, digest = MODELS[name]
     assert stdout_sha256(["sample", "--model", json.dumps(spec), "--n", "200", "--seed", "1"]) == digest
+
+
+DIAGNOSES = {  # model name: sha256 of the diagnose output of its seeded 1000-row CSV
+    "marshall_olkin": "23f8e6e675072a39cb77b2507c5e35d3e9670f502d8a55c3b6dd2b2b94f0a72e",
+    "geometric": "3f62571fb4242401b988b8ef84c87b233ee8cc86df5e859158fbd427566f6d40",
+    "dirichlet_prior": "b363b03df19fe6a7976924ffdaf0cb0cad45579eaf96e184e0f97d453d129db3",
+    "exch_normal": "5b1a74ad97e4db4536afd7f764a3034a5eec075dd58b94015ceba15d8131470b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGNOSES))
+def test_diagnose_output_bytes(name, tmp_path):
+    path = str(tmp_path / f"{name}.csv")
+    spec = json.dumps(MODELS[name][0])
+    stdout_sha256(["sample", "--model", spec, "--n", "1000", "--seed", "1", "--out", path])
+    tests = "kendall,majorization,radial,ties"
+    assert stdout_sha256(["diagnose", path, "--tests", tests]) == DIAGNOSES[name]
 
 
 def beta_b(a, b, d, mix=None):
