@@ -2,7 +2,9 @@
 for byte.
 
 One model per sampler.  Each hash is the sha256 of the CSV that
-``condiid sample --model SPEC --n 200 --seed 1`` prints.  Each ``check`` hash
+``condiid sample --model SPEC --n 200 --seed 1`` prints.  Each ``verify`` hash
+is the sha256 of the report of ``condiid verify --model SPEC --n 2000 --seed 1``
+for a min-stable model at d = 3.  Each ``check`` hash
 is the sha256 of what ``condiid check --model SPEC`` prints: the verdict line
 and the JSON with the Hankel determinants.  Each ``diagnose`` hash is the
 sha256 of the JSON report of ``condiid diagnose`` on a seeded sample CSV.  A change that moves any of these
@@ -94,6 +96,55 @@ def stdout_sha256(argv):
 def test_seeded_sample_bytes(name):
     spec, digest = MODELS[name]
     assert stdout_sha256(["sample", "--model", json.dumps(spec), "--n", "200", "--seed", "1"]) == digest
+
+
+STDFS = {  # name: (min-stable stdf, sha256 of its verify report, eval --kind stdf at 0.3,0.7,1.1)
+    "independence": (
+        {"kind": "independence"},
+        "f6e6990590e894ef3abe9c956f7ab74f000f54527e6857d591313bafa0683a98", "2.1",
+    ),
+    "logistic_0.5": (
+        {"kind": "logistic", "theta": 0.5},
+        "5433d65f2e1fdeefc3304cefd65fcc4f5f72f6b345934fe48be63299e1788c0e", "1.33790881603",
+    ),
+    "logistic_1": (  # theta = 1 is independence, sampled as such
+        {"kind": "logistic", "theta": 1.0},
+        "f6e6990590e894ef3abe9c956f7ab74f000f54527e6857d591313bafa0683a98", "2.1",
+    ),
+    "negative_logistic_1.5": (
+        {"kind": "negative_logistic", "theta": 1.5},
+        "6cfb0a350de27bb270e68052efc1a1f1eb6b3b7dfae040b84efe119c07ea76c4", "1.2758181659",
+    ),
+    "lf_frechet_0.5": (
+        {"kind": "lf", "g": {"kind": "frechet", "theta": 0.5}},
+        "0a76711ce39a8b457eb9b92d62c790861a19e800074d2b2d7c78f1d950f20c3d", "1.33790881603",
+    ),
+    "triplet_weibull": (
+        MODELS["triplet_weibull"][0]["stdf"],
+        "8aa1e55535b26103cf6219c7a0fff78b7e0b741527031a3c5fbf074aedb8e117", "1.35977684033",
+    ),
+    "triplet_mo_atom": (
+        MODELS["triplet_mo_atom"][0]["stdf"],
+        "66cfedb0063d2d7f5c757edd7baab2e77789047e4957c667887c44558c43546e", "1.71244607846",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDFS))
+def test_minstable_verify_bytes(name):
+    stdf, digest, _ = STDFS[name]
+    model = json.dumps({"family": "minstable", "d": 3, "stdf": stdf})
+    assert stdout_sha256(["verify", "--model", model, "--n", "2000", "--seed", "1"]) == digest
+
+
+@pytest.mark.parametrize("name", sorted(STDFS))
+def test_minstable_stdf_value(name):
+    stdf, _, value = STDFS[name]
+    model = json.dumps({"family": "minstable", "d": 3, "stdf": stdf})
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["eval", "--model", model, "--kind", "stdf", "--point", "0.3,0.7,1.1"]) == 0
+    assert out.getvalue() == value + "\n"
 
 
 DIAGNOSES = {  # model name: sha256 of the diagnose output of its seeded 1000-row CSV
