@@ -19,12 +19,12 @@ rng = np.random.default_rng(4)
 print("=== Tail dependence functions ===")
 x = np.array([1.0, 1.0])
 for name, spec in [
-    ("independence", ev.Independence()),
-    ("logistic 0.5", ev.Logistic(0.5)),
-    ("logistic 0.9", ev.Logistic(0.9)),
-    ("neg-logistic 1.5", ev.NegativeLogistic(1.5)),
-    ("two-point atom", ev.LF(ev.MOAtom(PointMass(1.2)))),
-    ("comonotone atom", ev.LF(ev.MOAtom(PointMass(math.inf)))),
+    ("independence", ev.independence()),
+    ("logistic 0.5", ev.logistic(0.5)),
+    ("logistic 0.9", ev.logistic(0.9)),
+    ("neg-logistic 1.5", ev.negative_logistic(1.5)),
+    ("two-point atom", ev.lf(ev.MOAtom(PointMass(1.2)))),
+    ("comonotone atom", ev.lf(ev.MOAtom(PointMass(math.inf)))),
 ]:
     val = ev.stdf_eval(spec, x)
     print(f"  {name:>16}: l(1,1) = {val:.4f}   (bounds: max=1, sum=2)")
@@ -48,7 +48,7 @@ for pt in ([0.5, 0.5], [1.0, 0.3]):
     print(f"  survival at {pt.tolist()}: empirical {emp:.4f}, evaluator {closed:.4f}")
 
 print("\n=== Min-stability and the extreme-value copula ===")
-spec = ev.Logistic(0.5)
+spec = ev.logistic(0.5)
 sf = ev.minstable_survival(spec, 1.0, [0.7, 1.1])
 print(f"  sf(x)^2 = {sf**2:.6f}  equals  sf(2x) = "
       f"{ev.minstable_survival(spec, 1.0, [1.4, 2.2]):.6f}")

@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .errors import SpecValidationError, json_field, json_list, json_numbers
+from .errors import SpecValidationError, json_field, json_list, json_number, json_numbers
 from .sample import SampleMatrix, read_csv, write_csv
 
 FAMILIES = (
@@ -71,16 +71,16 @@ def build_model(spec: dict) -> Model:
     family = json_field(spec, "family", "")
     if family not in FAMILIES:
         raise SpecValidationError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    d = int(spec.get("d", 2))
-    if d < 1:
-        raise SpecValidationError("d must be at least 1")
+    d = json_field(spec, "d", "", 2)
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise SpecValidationError(f"d must be a JSON integer >= 1, got {d!r}")
 
     if family == "exch_normal":
         from . import mixtures
 
-        mu = float(spec.get("mu", 0.0))
-        sigma = float(spec.get("sigma", 1.0))
-        rho = float(json_field(spec, "rho", ""))
+        mu = json_number(spec, "mu", "", 0.0)
+        sigma = json_number(spec, "sigma", "", 1.0)
+        rho = json_number(spec, "rho", "")
 
         def marginal_ppf(q):
             from scipy.stats import norm
@@ -201,12 +201,13 @@ def build_model(spec: dict) -> Model:
     if family == "minstable":
         from . import extreme_value as ev
 
-        rate = float(spec.get("rate", 1.0))
-        stdf_obj = spec.get("stdf", {k: v for k, v in spec.items() if k in ("kind", "theta")})
+        rate = json_number(spec, "rate", "", 1.0)
+        stdf_obj = json_field(spec, "stdf", "")
         stdf = ev.stdf_from_json(stdf_obj)
         # a "term_tol" field is accepted and ignored: no sampler truncates
-        if isinstance(stdf, ev.Logistic) and stdf.theta < 1.0:
-            sampler = lambda n, rng: ev.sample_logistic_direct(stdf.theta, rate, d, n, rng)
+        if stdf_obj["kind"] == "logistic" and stdf_obj["theta"] < 1.0:
+            theta = stdf_obj["theta"]
+            sampler = lambda n, rng: ev.sample_logistic_direct(theta, rate, d, n, rng)
         else:
             sampler = lambda n, rng: ev.sample_minstable(stdf, d, n, rng, rate=rate)
         return Model(
@@ -240,7 +241,7 @@ def build_model(spec: dict) -> Model:
         )
 
     if family == "dirichlet_prior":
-        c = float(json_field(spec, "c", ""))
+        c = json_number(spec, "c", "")
         base = shock.base_distribution_from_json(spec.get("base", {"family": "uniform"}))
         return Model(
             family, d,
@@ -253,7 +254,7 @@ def build_model(spec: dict) -> Model:
         )
 
     if family == "sato":
-        alpha = float(json_field(spec, "alpha", ""))
+        alpha = json_number(spec, "alpha", "")
         return Model(
             family, d,
             sampler=lambda n, rng: shock.sample_sato(alpha, d, n, rng),

@@ -41,8 +41,7 @@ def json_field(obj, key: str, path: str, default=_REQUIRED):
     JSON object, and ``path.key`` when the field is missing and has no
     ``default``.
     """
-    if not isinstance(obj, dict):
-        raise SpecValidationError(f"{path or 'model spec'} must be a JSON object, got {obj!r}")
+    _json_object(obj, path)
     if key in obj:
         return obj[key]
     if default is _REQUIRED:
@@ -78,6 +77,38 @@ def json_numbers(obj, key: str, path: str) -> tuple:
     return values
 
 
+def json_number(obj, key: str, path: str, default=_REQUIRED):
+    """:func:`json_field` for a field that holds a finite number, as a float.
+
+    A value that is not a number within the range of a double (null, a
+    string, a bool, a list, an object, NaN or an infinity) is refused with
+    SpecValidationError naming ``path.key``; a ``default`` is returned as is.
+    """
+    value = json_field(obj, key, path, default)
+    if key not in obj:
+        return value
+    if not _finite_number(value):
+        raise SpecValidationError(
+            f"{_field_path(key, path)} must be a finite number, got {value!r}"
+        )
+    return float(value)
+
+
+def json_kind(obj, tag: str, path: str, kinds: dict, what: str):
+    """The entry of ``kinds`` named by the ``tag`` field of the model-JSON
+    object at ``path``; a name that is not a key of ``kinds`` (a string it
+    lacks, or any other JSON value) is refused with SpecValidationError."""
+    name = json_field(obj, tag, path)
+    if not isinstance(name, str) or name not in kinds:
+        raise SpecValidationError(f"unknown {what} {name!r} at {_field_path(tag, path)}")
+    return kinds[name]
+
+
+def _json_object(obj, path: str) -> None:
+    if not isinstance(obj, dict):
+        raise SpecValidationError(f"{path or 'model spec'} must be a JSON object, got {obj!r}")
+
+
 def _finite_number(v) -> bool:
     """Whether a JSON value is a number within the range of a double."""
     return not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
@@ -87,15 +118,16 @@ def _field_path(key: str, path: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def json_kwargs(cls, obj: dict, path: str, tag: str) -> dict:
+def json_kwargs(cls, obj: dict, path: str, tag: str | None = None) -> dict:
     """The fields of the model-JSON object at ``path`` other than its ``tag``,
     as keyword arguments of ``cls``.
 
-    A required argument of ``cls`` that is missing, a field ``cls`` does not
-    take, or a value other than a finite number (a string, null, a bool, NaN
-    or an infinity) for an argument annotated ``float``, is refused with
-    SpecValidationError naming its path.
+    A non-object, a required argument of ``cls`` that is missing, a field
+    ``cls`` does not take, or a value other than a finite number (a string,
+    null, a bool, NaN or an infinity) for an argument annotated ``float``, is
+    refused with SpecValidationError naming its path.
     """
+    _json_object(obj, path)
     params = inspect.signature(cls).parameters
     kwargs = {k: v for k, v in obj.items() if k != tag}
     missing = [k for k, p in params.items() if p.default is p.empty and k not in kwargs]
@@ -103,9 +135,9 @@ def json_kwargs(cls, obj: dict, path: str, tag: str) -> dict:
         raise SpecValidationError(f"{path}.{missing[0]} is missing")
     unknown = sorted(set(kwargs) - set(params))
     if unknown:
+        owner = f"{tag} {obj[tag]!r}" if tag else path
         raise SpecValidationError(
-            f"{path}.{unknown[0]} is not a field of {tag} {obj[tag]!r}; "
-            f"it takes {', '.join(params)}"
+            f"{path}.{unknown[0]} is not a field of {owner}; it takes {', '.join(params)}"
         )
     for k, v in kwargs.items():
         # annotations are strings in modules that postpone their evaluation

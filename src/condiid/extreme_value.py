@@ -8,8 +8,12 @@ distribution functions G: the building block
     l_G(x) = int_0^inf 1 - prod_k G(u/x_k) du = E[max_k x_k Y_k],  Y_k iid G,
 
 covers the logistic and negative-logistic models and the exponential
-lack-of-memory family, and general mixtures are triplets (drift weight b,
-series weight c, finite mixture gamma of G atoms).  Every such law is
+lack-of-memory family.  Every stdf here has one representation, the triplet
+(b, c, gamma) of Mai & Scherer (2014, Extremes): drift weight b, series
+weight c and a finite mixture gamma of G atoms, with
+l(x) = (b ||x||_1 + c sum_i w_i l_{G_i}(x)) / (b + c).  Independence, the
+logistic, negative-logistic and single-G models are factories for special
+triplets.  Every such law is
 max-stable with a known spectral vector W (E[W_k] = 1): with probability
 b/(b+c) the drift part d*e_J with J uniform, with probability c*w_i/(b+c) a
 vector of iid G_i draws.  The matching sampler draws Z = max_i W^(i)/Gamma_i
@@ -24,7 +28,16 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import SpecValidationError, UnsupportedLawError, json_field, json_list
+from .errors import (
+    SpecValidationError,
+    UnsupportedLawError,
+    json_field,
+    json_kind,
+    json_kwargs,
+    json_list,
+    json_number,
+    json_numbers,
+)
 from .mixing import FiniteDiscrete, MixingLaw, PointMass, sample_positive_stable
 from .sample import SampleMatrix
 
@@ -34,12 +47,11 @@ __all__ = [
     "Weibull",
     "MOAtom",
     "StepFunction",
-    "StdfSpec",
-    "Independence",
-    "Logistic",
-    "NegativeLogistic",
-    "LF",
     "Triplet",
+    "independence",
+    "logistic",
+    "negative_logistic",
+    "lf",
     "stdf_eval",
     "stdf_numeric_lf",
     "minstable_survival",
@@ -62,8 +74,8 @@ class GSpec:
         raise NotImplementedError
 
     def ell(self, x: np.ndarray) -> float:
-        """l_G in closed form; None signals no closed form is known."""
-        return None
+        """l_G(x) = E[max_k x_k Y_k] for Y_k iid G, at positive x."""
+        raise NotImplementedError
 
     def tilted_draw(self, k: int, d: int, m: int, rng) -> np.ndarray:
         """m rows of Y/Y_k for a vector Y of d iid G entries drawn under the
@@ -122,9 +134,10 @@ def _alternating_neglog_sum(x: np.ndarray, theta: float) -> float:
     """sum_j (-1)^(j+1) sum_{|S|=j} (sum_{k in S} x_k**-theta)**(-1/theta)."""
     total = 0.0
     for j in range(1, x.size + 1):
-        inner = sum(
-            np.sum(np.asarray(sub) ** (-theta)) ** (-1.0 / theta) for sub in combinations(x, j)
-        )
+        with np.errstate(divide="ignore"):  # only +inf entries: the term is +inf
+            inner = sum(
+                np.sum(np.asarray(sub) ** (-theta)) ** (-1.0 / theta) for sub in combinations(x, j)
+            )
         total += (-1.0) ** (j + 1) * inner
     return float(total)
 
@@ -138,7 +151,10 @@ class Weibull(GSpec):
         if not theta > 0:
             raise SpecValidationError(f"weibull index must be positive, got {theta}")
         self.theta = float(theta)
-        self.scale = math.gamma(1.0 + theta)
+        try:
+            self.scale = math.gamma(1.0 + theta)
+        except OverflowError:
+            raise SpecValidationError(f"weibull index {theta} overflows Gamma(1 + theta)") from None
 
     def cdf(self, y):
         y = np.asarray(y, dtype=float)
@@ -300,7 +316,8 @@ class StepFunction(GSpec):
 
 
 def stdf_numeric_lf(g: GSpec, x) -> float:
-    """l_G by adaptive quadrature of int 1 - prod_k G(u/x_k) du (unit mean)."""
+    """l_G by adaptive quadrature of int 1 - prod_k G(u/x_k) du (unit mean):
+    the reference the closed forms of every G kind are tested against."""
     from scipy import integrate
 
     x = np.asarray(x, dtype=float)
@@ -323,143 +340,83 @@ def stdf_numeric_lf(g: GSpec, x) -> float:
 
 # -- stable tail dependence functions ------------------------------------------
 
-class StdfSpec:
-    kind = "abstract"
-
-    def ell(self, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def marginal_rate(self) -> float:
-        """Exponential rate of each margin in the sampler's native scale."""
-        return 1.0
-
-    def spectral_parts(self) -> tuple[float, list]:
-        """Spectral law as (drift weight b, [(G, weight), ...]):
-        l(x) = (b*||x||_1 + sum weight*l_G(x)) / (b + sum weight), and the
-        weights sum to the native marginal rate."""
-        raise NotImplementedError
-
-    def params(self) -> dict:
-        return {}
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, **self.params()}
-
-
-class Independence(StdfSpec):
-    kind = "independence"
-
-    def ell(self, x):
-        return float(np.sum(x))
-
-    def spectral_parts(self):
-        return 1.0, []
-
-
-class Logistic(StdfSpec):
-    """l(x) = (sum x_k**(1/theta))**theta, theta in (0,1]; theta=1 is independence."""
-
-    kind = "logistic"
-
-    def __init__(self, theta: float):
-        if not 0.0 < theta <= 1.0:
-            raise SpecValidationError(f"logistic index must lie in (0,1], got {theta}")
-        self.theta = float(theta)
-
-    def ell(self, x):
-        return float(np.sum(x ** (1.0 / self.theta)) ** self.theta)
-
-    def spectral_parts(self):
-        # Frechet(theta) has the same ell; theta = 1 is independence
-        return (0.0, [(Frechet(self.theta), 1.0)]) if self.theta < 1.0 else (1.0, [])
-
-    def params(self):
-        return {"theta": self.theta}
-
-
-class NegativeLogistic(StdfSpec):
-    """Alternating inclusion-exclusion sum with index theta > 0."""
-
-    kind = "negative_logistic"
-
-    def __init__(self, theta: float):
-        if not theta > 0:
-            raise SpecValidationError(f"negative-logistic index must be positive, got {theta}")
-        self.theta = float(theta)
-
-    def ell(self, x):
-        return _alternating_neglog_sum(x, self.theta)
-
-    def spectral_parts(self):
-        return 0.0, [(Weibull(1.0 / self.theta), 1.0)]  # the same ell
-
-    def params(self):
-        return {"theta": self.theta}
-
-
-class LF(StdfSpec):
-    """Dependence generated by a single unit-mean G; closed form when known."""
-
-    kind = "lf"
-
-    def __init__(self, g: GSpec):
-        self.g = g
-
-    def ell(self, x):
-        closed = self.g.ell(x)
-        if closed is not None:
-            return closed
-        return stdf_numeric_lf(self.g, x)
-
-    def spectral_parts(self):
-        return 0.0, [(self.g, 1.0)]
-
-    def params(self):
-        return {"g": self.g.to_json()}
-
-
-class Triplet(StdfSpec):
-    """Drift weight b >= 0, series weight c > 0 and a finite mixture of G atoms.
+class Triplet:
+    """Drift weight b >= 0, series weight c >= 0 and a finite mixture of G atoms.
 
     l(x) = b/(b+c) ||x||_1 + c/(b+c) sum_i w_i l_{G_i}(x); margins of the
-    matching sampler are exponential with rate b + c.
+    matching sampler are exponential with rate b + c.  The atoms' weights
+    w_i sum to 1 when c > 0; c = 0 takes no atoms and needs b > 0, which is
+    independence.  Every stdf of this package is a triplet: the named kinds
+    of the model JSON are the factories :func:`independence`,
+    :func:`logistic`, :func:`negative_logistic` and :func:`lf`.
     """
 
     kind = "triplet"
 
-    def __init__(self, b: float, c: float, atoms):
-        if b < 0 or c <= 0:
-            raise SpecValidationError("need b >= 0 and c > 0")
+    def __init__(self, b: float = 0.0, c: float = 0.0, atoms=()):
+        if not (b >= 0 and c >= 0 and b + c > 0):
+            raise SpecValidationError(f"need b >= 0, c >= 0 and b + c > 0, got b={b}, c={c}")
         atoms = tuple((g, float(w)) for g, w in atoms)
-        if not atoms:
-            raise SpecValidationError("triplet needs at least one G atom")
-        if any(w < 0 for _, w in atoms) or abs(sum(w for _, w in atoms) - 1.0) > 1e-12:
+        if bool(atoms) != (c > 0):
+            raise SpecValidationError(f"a triplet has G atoms exactly when c > 0, got c={c}")
+        if atoms and (any(w < 0 for _, w in atoms) or abs(sum(w for _, w in atoms) - 1.0) > 1e-12):
             raise SpecValidationError("atom weights must be non-negative and sum to 1")
         self.b = float(b)
         self.c = float(c)
         self.atoms = atoms
 
-    def ell(self, x):
+    def ell(self, x: np.ndarray) -> float:
         total_rate = self.b + self.c
-        drift = self.b / total_rate * float(np.sum(x))
-        series = sum(w * LF(g).ell(x) for g, w in self.atoms)
-        return drift + self.c / total_rate * series
+        out = self.c / total_rate * sum(w * g.ell(x) for g, w in self.atoms)
+        if self.b > 0:  # b = 0 adds no 0 * inf at an infinite coordinate
+            out += self.b / total_rate * float(np.sum(x))
+        return out
 
-    def marginal_rate(self):
+    def marginal_rate(self) -> float:
+        """Exponential rate of each margin in the sampler's native scale."""
         return self.b + self.c
 
-    def spectral_parts(self):
+    def spectral_parts(self) -> tuple[float, list]:
+        """Spectral law as (drift weight b, [(G, weight), ...]):
+        l(x) = (b*||x||_1 + sum weight*l_G(x)) / (b + sum weight), and the
+        weights sum to c."""
         return self.b, [(g, self.c * w) for g, w in self.atoms]
 
-    def params(self):
+    def to_json(self) -> dict:
         return {
+            "kind": self.kind,
             "b": self.b,
             "c": self.c,
             "atoms": [{"g": g.to_json(), "weight": w} for g, w in self.atoms],
         }
 
 
-def stdf_eval(spec: StdfSpec, x) -> float:
+def independence() -> Triplet:
+    """l(x) = ||x||_1."""
+    return Triplet(1.0, 0.0)
+
+
+def logistic(theta: float) -> Triplet:
+    """l(x) = (sum x_k**(1/theta))**theta, theta in (0,1]: l_G of Frechet(theta),
+    and independence at theta = 1."""
+    if not 0.0 < theta <= 1.0:
+        raise SpecValidationError(f"logistic index must lie in (0,1], got {theta}")
+    return Triplet(0.0, 1.0, [(Frechet(theta), 1.0)]) if theta < 1.0 else independence()
+
+
+def negative_logistic(theta: float) -> Triplet:
+    """Alternating inclusion-exclusion sum with index theta > 0: l_G of Weibull(1/theta)."""
+    if not theta > 0:
+        raise SpecValidationError(f"negative-logistic index must be positive, got {theta}")
+    return Triplet(0.0, 1.0, [(Weibull(1.0 / theta), 1.0)])
+
+
+def lf(g: GSpec) -> Triplet:
+    """Dependence generated by the single unit-mean G: l = l_G."""
+    return Triplet(0.0, 1.0, [(g, 1.0)])
+
+
+def stdf_eval(spec: Triplet, x) -> float:
     """Evaluate a stable tail dependence function; homogeneous of degree 1,
     bounded by max(x) <= l(x) <= sum(x).  Zero coordinates are immaterial."""
     x = np.asarray(x, dtype=float)
@@ -471,14 +428,14 @@ def stdf_eval(spec: StdfSpec, x) -> float:
     return spec.ell(x)
 
 
-def minstable_survival(spec: StdfSpec, rate: float, x) -> float:
+def minstable_survival(spec: Triplet, rate: float, x) -> float:
     """sf(x) = exp(-rate*l(x)); satisfies sf(x)**t = sf(t*x) exactly."""
     if rate <= 0:
         raise SpecValidationError("marginal rate must be positive")
     return math.exp(-rate * stdf_eval(spec, x))
 
 
-def extreme_value_copula_eval(spec: StdfSpec, u) -> float:
+def extreme_value_copula_eval(spec: Triplet, u) -> float:
     """C(u) = exp(-l(-log u_1, ..., -log u_d)); max-stable: C(u)**t = C(u**t)."""
     u = np.asarray(u, dtype=float)
     if ((u < 0) | (u > 1)).any():
@@ -503,19 +460,19 @@ def sample_logistic_direct(theta: float, rate: float, d: int, n: int, rng) -> Sa
     return SampleMatrix(data, meta=f"logistic theta={theta} rate={rate} d={d}")
 
 
-def sample_minstable(spec: StdfSpec, d: int, n: int, rng, rate: float | None = None) -> SampleMatrix:
+def sample_minstable(spec: Triplet, d: int, n: int, rng, rate: float | None = None) -> SampleMatrix:
     """Exact min-stable sampler by extremal functions.
 
     Draws Z = max_i W^(i)/Gamma_i, where Gamma_1 < Gamma_2 < ... are the
     points of a unit-rate Poisson process and W^(i) iid copies of the spectral
-    vector of ``spec`` (see :meth:`StdfSpec.spectral_parts`), and returns
+    vector of ``spec`` (see :meth:`Triplet.spectral_parts`), and returns
     X = 1/(rate * Z).  The extremal-functions algorithm of Dombry, Engelke &
     Oesting (2016) finds, for each coordinate k in turn, the points whose
     W/Gamma attains Z_k, drawing W under the law tilted by W_k and normalized
     to W_k = 1; it stops once 1/Gamma <= Z_k, and so takes d spectral draws
     per row on average with no truncation.  All rows run in lockstep.
-    ``rate`` rescales the margins from their native rate (b + c for a
-    triplet, 1 otherwise); ``meta`` records the spectral draws per row.
+    ``rate`` rescales the margins from their native rate b + c; ``meta``
+    records the spectral draws per row.
     """
     b, atoms = spec.spectral_parts()
     parts = [(g, w) for g, w in [(None, b), *atoms] if w > 0]  # None is the drift part
@@ -563,39 +520,41 @@ def sample_minstable(spec: StdfSpec, d: int, n: int, rng, rate: float | None = N
 
 # -- JSON -----------------------------------------------------------------------
 
+_G_KINDS = {cls.kind: cls for cls in (Frechet, Weibull, MOAtom, StepFunction)}
+_STDF_KINDS = {  # the factories are named after their kinds
+    **{f.__name__: f for f in (independence, logistic, negative_logistic, lf)},
+    Triplet.kind: Triplet,
+}
+
+
 def g_spec_from_json(obj: dict, path: str = "g") -> GSpec:
     """The G of the model-JSON object at ``path``."""
     from .mixing import mixing_law_from_json
 
-    kind = json_field(obj, "kind", path)
-    if kind == "frechet":
-        return Frechet(json_field(obj, "theta", path))
-    if kind == "weibull":
-        return Weibull(json_field(obj, "theta", path))
-    if kind == "mo_atom":
-        m = json_field(obj, "m", path)
-        return MOAtom(mixing_law_from_json(m, f"{path}.m") if isinstance(m, dict) else float(m))
-    if kind == "step":
-        return StepFunction(json_field(obj, "points", path), json_field(obj, "values", path))
-    raise SpecValidationError(f"unknown G kind {kind!r} at {path}.kind")
+    cls = json_kind(obj, "kind", path, _G_KINDS, "G kind")
+    kwargs = json_kwargs(cls, obj, path, "kind")
+    if cls is MOAtom and isinstance(kwargs["m"], dict):
+        kwargs["m"] = mixing_law_from_json(kwargs["m"], f"{path}.m")
+    elif cls is MOAtom:
+        kwargs["m"] = json_number(obj, "m", path)
+    elif cls is StepFunction:
+        kwargs = {k: json_numbers(obj, k, path) for k in kwargs}
+    return cls(**kwargs)
 
 
-def stdf_from_json(obj: dict, path: str = "stdf") -> StdfSpec:
-    """The stdf of the model-JSON object at ``path``."""
-    kind = json_field(obj, "kind", path)
-    if kind == "independence":
-        return Independence()
-    if kind == "logistic":
-        return Logistic(json_field(obj, "theta", path))
-    if kind == "negative_logistic":
-        return NegativeLogistic(json_field(obj, "theta", path))
-    if kind == "lf":
-        return LF(g_spec_from_json(json_field(obj, "g", path), f"{path}.g"))
-    if kind == "triplet":
-        atoms = [
-            (g_spec_from_json(json_field(a, "g", f"{path}.atoms[{i}]"), f"{path}.atoms[{i}].g"),
-             json_field(a, "weight", f"{path}.atoms[{i}]"))
-            for i, a in enumerate(json_list(obj, "atoms", path))
-        ]
-        return Triplet(json_field(obj, "b", path, 0.0), json_field(obj, "c", path), atoms)
-    raise SpecValidationError(f"unknown stdf kind {kind!r} at {path}.kind")
+def stdf_from_json(obj: dict, path: str = "stdf") -> Triplet:
+    """The stdf of the model-JSON object at ``path``: a triplet, built by the
+    factory or class its ``kind`` names."""
+    factory = json_kind(obj, "kind", path, _STDF_KINDS, "stdf kind")
+    kwargs = json_kwargs(factory, obj, path, "kind")
+    if "g" in kwargs:
+        kwargs["g"] = g_spec_from_json(kwargs["g"], f"{path}.g")
+    if "atoms" in kwargs:
+        atoms = json_list(obj, "atoms", path)
+        kwargs["atoms"] = [_atom_from_json(a, f"{path}.atoms[{i}]") for i, a in enumerate(atoms)]
+    return factory(**kwargs)
+
+
+def _atom_from_json(obj: dict, path: str) -> tuple[GSpec, float]:
+    g = g_spec_from_json(json_field(obj, "g", path), f"{path}.g")
+    return g, json_number(obj, "weight", path)

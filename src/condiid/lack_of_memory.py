@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments
-from .errors import NotDMonotoneError, SpecValidationError, json_field, json_list
+from .errors import NotDMonotoneError, SpecValidationError, json_kwargs, json_list, json_number
 from .mixing import Beta, MixingLaw
 from .moments import (
     BinaryExchangeableLaw,
@@ -393,12 +393,8 @@ class CompoundPoissonSubordinatorSpec:
         jumps = []
         for i, jump in enumerate(json_list(obj, "jumps", path, ())):
             at = f"{path}.jumps[{i}]"
-            jumps.append((json_field(jump, "size", at), json_field(jump, "rate", at)))
-        return cls(
-            drift=json_field(obj, "drift", path, 0.0),
-            kill=json_field(obj, "kill", path, 0.0),
-            jumps=tuple(jumps),
-        )
+            jumps.append((json_number(jump, "size", at), json_number(jump, "rate", at)))
+        return cls(**{**json_kwargs(cls, obj, path), "jumps": tuple(jumps)})
 
 
 def _first_passage(eps: np.ndarray, step, drift: float) -> tuple[np.ndarray, int]:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import SpecValidationError, UnsupportedLawError, json_field, json_kwargs
+from .errors import SpecValidationError, UnsupportedLawError, json_kind, json_kwargs
 
 __all__ = [
     "MixingLaw",
@@ -380,7 +380,5 @@ _FAMILIES = {
 
 def mixing_law_from_json(obj: dict, path: str = "m") -> MixingLaw:
     """The mixing law of the model-JSON object at ``path``."""
-    fam = json_field(obj, "family", path)
-    if fam not in _FAMILIES:
-        raise SpecValidationError(f"unknown mixing law family {fam!r} at {path}.family")
-    return _FAMILIES[fam](**json_kwargs(_FAMILIES[fam], obj, path, "family"))
+    cls = json_kind(obj, "family", path, _FAMILIES, "mixing law family")
+    return cls(**json_kwargs(cls, obj, path, "family"))

@@ -21,7 +21,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionCapError, SpecValidationError, json_field, json_kwargs, json_list
+from .errors import (
+    DimensionCapError,
+    SpecValidationError,
+    json_field,
+    json_kind,
+    json_kwargs,
+    json_list,
+)
 from .inverse import monotone_inverse
 from .lack_of_memory import CompoundPoissonSubordinatorSpec, _first_passage
 from .sample import SampleMatrix
@@ -201,10 +208,8 @@ _SHOCK_KINDS = {cls.kind: cls for cls in (ExponentialShock, WeibullShock, Pareto
 
 def shock_from_json(obj: dict, path: str = "shock") -> ShockSurvival:
     """The shock law of the model-JSON object at ``path``."""
-    kind = json_field(obj, "kind", path)
-    if kind not in _SHOCK_KINDS:
-        raise SpecValidationError(f"unknown shock kind {kind!r} at {path}.kind")
-    return _SHOCK_KINDS[kind](**json_kwargs(_SHOCK_KINDS[kind], obj, path, "kind"))
+    cls = json_kind(obj, "kind", path, _SHOCK_KINDS, "shock kind")
+    return cls(**json_kwargs(cls, obj, path, "kind"))
 
 
 @dataclass(frozen=True)
@@ -428,10 +433,8 @@ _BASES = {cls.family: cls for cls in (UniformBase, ExponentialBase, NormalBase)}
 
 def base_distribution_from_json(obj: dict, path: str = "base") -> BaseDistribution:
     """The base distribution of the model-JSON object at ``path``."""
-    fam = json_field(obj, "family", path)
-    if fam not in _BASES:
-        raise SpecValidationError(f"unknown base distribution {fam!r} at {path}.family")
-    return _BASES[fam](**json_kwargs(_BASES[fam], obj, path, "family"))
+    cls = json_kind(obj, "family", path, _BASES, "base distribution")
+    return cls(**json_kwargs(cls, obj, path, "family"))
 
 
 # -- additive families -----------------------------------------------------------

@@ -131,7 +131,7 @@ def test_c05_minstable():
     se = math.sqrt(closed * (1 - closed) / N)
     ok = abs(emp - closed) <= 3 * se
 
-    spec = ev.Logistic(theta)
+    spec = ev.logistic(theta)
     for x in ([1.0, 1.0], [0.4, 1.3], [2.0, 0.1]):
         sf = ev.minstable_survival(spec, 1.0, x)
         ok = ok and abs(sf**2 - ev.minstable_survival(spec, 1.0, 2 * np.asarray(x))) <= 1e-12

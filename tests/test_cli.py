@@ -167,6 +167,28 @@ class TestEval:
                             "--point", "2.0", "--kind", "survival"])
         assert out.strip() == "0.333333333333"
 
+    @pytest.mark.parametrize("stdf", [
+        {"kind": "independence"},
+        {"kind": "logistic", "theta": 0.5},
+        {"kind": "logistic", "theta": 1.0},
+        {"kind": "negative_logistic", "theta": 1.5},
+        {"kind": "lf", "g": {"kind": "frechet", "theta": 0.5}},
+        {"kind": "lf", "g": {"kind": "mo_atom", "m": 0.5}},
+        {"kind": "triplet", "b": 0.2, "c": 1.0,
+         "atoms": [{"g": {"kind": "weibull", "theta": 0.5}, "weight": 1.0}]},
+        {"kind": "triplet", "c": 1.0, "atoms": [{"g": {"kind": "weibull", "theta": 0.5},
+                                                  "weight": 1.0}]},
+        {"kind": "triplet", "b": 0.2, "c": 1.0, "atoms": [{"g": {"kind": "mo_atom", "m": 0.5},
+                                                            "weight": 1.0}]},
+    ], ids=["independence", "logistic_0.5", "logistic_1", "negative_logistic", "lf_frechet",
+            "lf_mo_atom", "triplet_weibull", "triplet_weibull_b0", "triplet_mo_atom"])
+    def test_survival_vanishes_at_infinity(self, stdf):
+        # a coordinate at +inf is never exceeded: b = 0 must not make it 0 * inf
+        model = json.dumps({"family": "minstable", "d": 2, "stdf": stdf})
+        code, out, err = run(["eval", "--model", model, "--point", "inf,1"])
+        assert code == 0, err
+        assert out == "0\n"
+
     def test_unsupported_kind(self):
         code, _, err = run(["eval", "--model", MO_MODEL, "--point", "1,1,1", "--kind", "stdf"])
         assert code == 1
@@ -515,6 +537,37 @@ class TestModelPlumbing:
         for path, obj, _ in FLOAT_FIELDS:
             model = json.dumps(scalar_model(path, obj))
             assert run(["sample", "--model", model, "--n", "5", "--seed", "1"])[0] == 0
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"d": 2.7}, "d must be a JSON integer >= 1, got 2.7"),
+        ({"d": True}, "d must be a JSON integer >= 1, got True"),
+        ({"d": "3"}, "d must be a JSON integer >= 1, got '3'"),
+        ({"d": 0}, "d must be a JSON integer >= 1, got 0"),
+        ({"mu": "x"}, "mu must be a finite number, got 'x'"),
+        ({"sigma": [1.0]}, "sigma must be a finite number, got [1.0]"),
+        ({"rho": None}, "rho must be a finite number, got None"),
+        ({"family": "minstable", "rate": "x", "stdf": {"kind": "independence"}},
+         "rate must be a finite number, got 'x'"),
+        ({"family": "dirichlet_prior", "c": True}, "c must be a finite number, got True"),
+        ({"family": "sato", "alpha": "x"}, "alpha must be a finite number, got 'x'"),
+        ({"family": "marshall_olkin", "subordinator": {"drift": "x"}},
+         "subordinator.drift must be a finite number, got 'x'"),
+        ({"family": "marshall_olkin", "subordinator": {"kill": math.inf}},
+         "subordinator.kill must be a finite number, got inf"),
+        ({"family": "marshall_olkin", "subordinator": {"jumps": [{"size": None, "rate": 1.0}]}},
+         "subordinator.jumps[0].size must be a finite number, got None"),
+        ({"family": "marshall_olkin", "subordinator": {"jumps": [{"size": 1.0, "rate": "1"}]}},
+         "subordinator.jumps[0].rate must be a finite number, got '1'"),
+        ({"family": "marshall_olkin", "subordinator": {"drift": 0.5, "rate": 1.0}},
+         "subordinator.rate is not a field of subordinator"),
+        ({"family": "minstable", "kind": "logistic", "theta": 0.5}, "stdf is missing"),
+    ], ids=["d_float", "d_bool", "d_string", "d_zero", "mu", "sigma", "rho", "rate", "c", "alpha",
+            "drift", "kill", "jump_size", "jump_rate", "subordinator_unknown", "flat_minstable"])
+    def test_non_numeric_top_level_scalar_names_it(self, spec, message):
+        model = json.dumps({"family": "exch_normal", "d": 3, "rho": 0.3, **spec})
+        code, out, err = run(["sample", "--model", model, "--n", "5", "--seed", "1"])
+        assert code == 1 and out == ""
+        assert message in err
 
     def test_unknown_family(self):
         code, _, err = run(["check", "--model", '{"family":"nope"}'])

@@ -1,5 +1,9 @@
+import io
+import json
 import math
 import tracemalloc
+import warnings
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
+from condiid import cli
 from condiid import diagnostics as dg
 from condiid import mixtures as mx
 from condiid.errors import NonMonotoneConditionalError, SpecValidationError
@@ -147,6 +152,16 @@ class TestTies:
         rng = np.random.default_rng(12)
         data = np.repeat(rng.standard_normal((1000, 1)), 2, axis=1)
         assert dg.tie_frequency(data) == 1.0
+
+    def test_ties_at_infinity(self, tmp_path):
+        # components killed by one shared shock tie at +inf; inf - inf is no test
+        path = tmp_path / "inf.csv"
+        path.write_text("x1,x2,x3\ninf,inf,1.0\n1.0,2.0,3.0\n0.5,inf,inf\n")
+        out = io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out):
+            warnings.simplefilter("error")
+            assert cli.main(["diagnose", str(path), "--tests", "ties"]) == 0
+        assert json.loads(out.getvalue())["tie_frequency"] == 2 / 3
 
 
 class TestScarsini:

@@ -12,20 +12,20 @@ from condiid.errors import SpecValidationError, UnsupportedLawError
 from condiid.mixing import FiniteDiscrete, Gamma, PointMass
 
 
-LOGISTIC_HALF = ev.Logistic(0.5)
+LOGISTIC_HALF = ev.logistic(0.5)
 
 
 class TestStdfClosedForms:
     def test_logistic_theta_one_is_independence(self):
         x = [1.0, 2.0, 0.5]
-        assert ev.stdf_eval(ev.Logistic(1.0), x) == pytest.approx(3.5)
+        assert ev.stdf_eval(ev.logistic(1.0), x) == pytest.approx(3.5)
 
     def test_logistic_half_at_ones(self):
         assert ev.stdf_eval(LOGISTIC_HALF, [1.0, 1.0]) == pytest.approx(math.sqrt(2.0))
 
     def test_negative_logistic_d2_reduction(self):
         theta = 1.3
-        spec = ev.NegativeLogistic(theta)
+        spec = ev.negative_logistic(theta)
         rng = np.random.default_rng(1)
         for _ in range(20):
             x1, x2 = rng.exponential(1.0, 2) + 0.05
@@ -37,13 +37,13 @@ class TestStdfClosedForms:
         assert ev.stdf_eval(LOGISTIC_HALF, [0.0, 0.0]) == 0.0
 
     def test_mo_atom_at_infinity_is_comonotone(self):
-        spec = ev.LF(ev.MOAtom(PointMass(math.inf)))
+        spec = ev.lf(ev.MOAtom(PointMass(math.inf)))
         assert ev.stdf_eval(spec, [0.3, 0.9]) == pytest.approx(0.9)
 
     def test_mo_atom_matches_lack_of_memory_closed_form(self):
         m = 1.2
         q = math.exp(-m)
-        spec = ev.LF(ev.MOAtom(PointMass(m)))
+        spec = ev.lf(ev.MOAtom(PointMass(m)))
         # matching parameters: psi(k) = (1 - q^k)/(1 - q) at unit marginal rate
         values = tuple(math.exp(-(1 - q**k) / (1 - q)) for k in range(4))
         params = lom.LomParameterSeq((1.0,) + values[1:], lom.CONTINUOUS)
@@ -64,12 +64,12 @@ class TestStdfClosedForms:
 
 class TestStdfInvariants:
     SPECS = [
-        ev.Independence(),
-        ev.Logistic(0.3),
-        ev.Logistic(0.8),
-        ev.NegativeLogistic(0.7),
-        ev.NegativeLogistic(2.0),
-        ev.LF(ev.MOAtom(PointMass(0.9))),
+        ev.independence(),
+        ev.logistic(0.3),
+        ev.logistic(0.8),
+        ev.negative_logistic(0.7),
+        ev.negative_logistic(2.0),
+        ev.lf(ev.MOAtom(PointMass(0.9))),
         ev.Triplet(0.2, 0.8, [(ev.Weibull(0.6), 0.5), (ev.Frechet(0.4), 0.5)]),
     ]
 
@@ -102,17 +102,17 @@ class TestStdfInvariants:
             g = ev.Frechet(theta)
             for x in ([1.0, 1.0], [0.4, 1.7], [2.0, 0.3, 0.9]):
                 numeric = ev.stdf_numeric_lf(g, x)
-                closed = ev.stdf_eval(ev.Logistic(theta), x)
+                closed = ev.stdf_eval(ev.logistic(theta), x)
                 assert numeric == pytest.approx(closed, abs=1e-6)
 
     def test_lf_quadrature_consistency_weibull_and_step(self):
         g = ev.Weibull(0.7)
         for x in ([0.8, 1.7], [1.0, 0.5, 0.25]):
-            assert ev.stdf_numeric_lf(g, x) == pytest.approx(ev.LF(g).ell(np.asarray(x)), abs=1e-6)
+            assert ev.stdf_numeric_lf(g, x) == pytest.approx(ev.lf(g).ell(np.asarray(x)), abs=1e-6)
         step = ev.StepFunction([0.4, 1.6], [0.5, 1.0])
         for x in ([0.7, 0.4], [1.0, 2.0, 0.2]):
             assert ev.stdf_numeric_lf(step, x) == pytest.approx(
-                ev.LF(step).ell(np.asarray(x)), abs=1e-8
+                ev.lf(step).ell(np.asarray(x)), abs=1e-8
             )
 
 
@@ -121,7 +121,7 @@ class TestEvaluators:
         assert ev.minstable_survival(LOGISTIC_HALF, 2.0, [1.5]) == pytest.approx(math.exp(-3.0))
 
     def test_independence_value(self):
-        assert ev.minstable_survival(ev.Independence(), 1.0, [1.0, 1.0]) == pytest.approx(
+        assert ev.minstable_survival(ev.independence(), 1.0, [1.0, 1.0]) == pytest.approx(
             math.exp(-2.0)
         )
 
@@ -132,7 +132,7 @@ class TestEvaluators:
 
     def test_min_stability_identity(self):
         rng = np.random.default_rng(5)
-        for spec in (LOGISTIC_HALF, ev.NegativeLogistic(1.1), ev.Triplet(0.3, 0.7, [(ev.Frechet(0.6), 1.0)])):
+        for spec in (LOGISTIC_HALF, ev.negative_logistic(1.1), ev.Triplet(0.3, 0.7, [(ev.Frechet(0.6), 1.0)])):
             for _ in range(10):
                 x = rng.exponential(1.0, 3)
                 t = float(rng.exponential(1.0) + 0.1)
@@ -141,7 +141,7 @@ class TestEvaluators:
 
     def test_copula_max_stability(self):
         rng = np.random.default_rng(6)
-        spec = ev.Logistic(0.4)
+        spec = ev.logistic(0.4)
         for _ in range(10):
             u = rng.random(3)
             t = float(rng.exponential(1.0) + 0.1)
@@ -316,7 +316,7 @@ class TestSeriesSampler:
         assert (data == data[:, :1]).all()
 
     @pytest.mark.parametrize("spec", [
-        ev.Independence(), ev.Logistic(1.0), ev.Logistic(0.6), ev.NegativeLogistic(1.5),
+        ev.independence(), ev.logistic(1.0), ev.logistic(0.6), ev.negative_logistic(1.5),
     ], ids=["independence", "logistic_1", "logistic_0.6", "negative_logistic"])
     def test_every_stdf_kind_samples(self, spec):
         rng = np.random.default_rng(22)
@@ -383,24 +383,85 @@ def test_extremal_functions_match_closed_form(tri, d, rate, seed):
 
 def test_stdf_json_round_trip():
     specs = [
-        ev.Independence(),
-        ev.Logistic(0.4),
-        ev.NegativeLogistic(1.5),
-        ev.LF(ev.Frechet(0.3)),
+        ev.independence(),
+        ev.logistic(0.4),
+        ev.negative_logistic(1.5),
+        ev.lf(ev.Frechet(0.3)),
+        ev.lf(ev.StepFunction([0.4, 1.6], [0.5, 1.0])),
+        ev.lf(ev.MOAtom(FiniteDiscrete([0.5, 2.0], [0.5, 0.5]))),
         ev.Triplet(0.2, 0.8, [(ev.MOAtom(PointMass(1.0)), 0.4), (ev.Weibull(0.5), 0.6)]),
     ]
     for spec in specs:
         back = ev.stdf_from_json(spec.to_json())
+        assert back.to_json() == spec.to_json()
         x = np.array([0.7, 1.3, 0.4])
-        assert ev.stdf_eval(back, x) == pytest.approx(ev.stdf_eval(spec, x), rel=1e-12)
+        assert ev.stdf_eval(back, x) == ev.stdf_eval(spec, x)
+
+
+@pytest.mark.parametrize("obj, spec", [
+    ({"kind": "independence"}, ev.Triplet(1.0)),
+    ({"kind": "logistic", "theta": 1}, ev.Triplet(1.0)),
+    ({"kind": "logistic", "theta": 0.4}, ev.Triplet(0.0, 1.0, [(ev.Frechet(0.4), 1.0)])),
+    ({"kind": "negative_logistic", "theta": 2.0}, ev.Triplet(0.0, 1.0, [(ev.Weibull(0.5), 1.0)])),
+    ({"kind": "lf", "g": {"kind": "mo_atom", "m": 1.2}},
+     ev.Triplet(0.0, 1.0, [(ev.MOAtom(PointMass(1.2)), 1.0)])),
+    ({"kind": "triplet", "c": 1.0, "atoms": [{"g": {"kind": "frechet", "theta": 0.3},
+                                              "weight": 1}]},
+     ev.Triplet(0.0, 1.0, [(ev.Frechet(0.3), 1.0)])),
+], ids=["independence", "logistic_1", "logistic", "negative_logistic", "lf", "triplet_no_b"])
+def test_named_stdf_kinds_are_triplets(obj, spec):
+    tri = ev.stdf_from_json(obj)
+    assert isinstance(tri, ev.Triplet)
+    assert tri.to_json() == spec.to_json()
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"kind": "logistic", "theta": 0.5, "foo": 1}, "stdf.foo is not a field of kind 'logistic'"),
+    ({"kind": "independence", "theta": 0.5}, "stdf.theta is not a field of kind 'independence'"),
+    ({"kind": "logistic", "theta": "x"}, "stdf.theta must be a finite number, got 'x'"),
+    ({"kind": "lf", "g": {"kind": "frechet", "theta": "x"}},
+     "stdf.g.theta must be a finite number, got 'x'"),
+    ({"kind": "lf", "g": {"kind": "weibull", "theta": 0.5, "scale": 1.0}},
+     "stdf.g.scale is not a field of kind 'weibull'"),
+    ({"kind": "lf", "g": {"kind": "mo_atom", "m": None}}, "stdf.g.m must be a finite number"),
+    ({"kind": "lf", "g": {"kind": "step", "points": [1.0, "x"], "values": [0.5, 1.0]}},
+     "stdf.g.points[1] must be a finite number"),
+    ({"kind": "lf", "g": {"kind": ["frechet"]}}, "unknown G kind ['frechet'] at stdf.g.kind"),
+    ({"kind": "triplet", "b": "x", "c": 1.0}, "stdf.b must be a finite number, got 'x'"),
+    ({"kind": "triplet", "c": 1.0, "atoms": [{"g": {"kind": "frechet", "theta": 0.5},
+                                              "weight": True}]},
+     "stdf.atoms[0].weight must be a finite number, got True"),
+    ({"kind": {"logistic": 0.5}}, "unknown stdf kind"),
+], ids=["unknown_field", "independence_field", "theta_string", "g_theta_string", "g_unknown_field",
+        "mo_atom_null", "step_point_string", "g_kind_list", "b_string", "weight_bool",
+        "kind_object"])
+def test_malformed_stdf_json_names_its_path(obj, message):
+    with pytest.raises(SpecValidationError) as info:
+        ev.stdf_from_json(obj)
+    assert message in str(info.value)
 
 
 def test_invalid_parameters():
     with pytest.raises(SpecValidationError):
-        ev.Logistic(1.2)
+        ev.logistic(1.2)
+    with pytest.raises(SpecValidationError):
+        ev.negative_logistic(0.0)
     with pytest.raises(SpecValidationError):
         ev.Triplet(-0.1, 1.0, [(ev.Frechet(0.5), 1.0)])
     with pytest.raises(SpecValidationError):
         ev.Triplet(0.0, 1.0, [(ev.Frechet(0.5), 0.5)])  # weights must sum to 1
     with pytest.raises(SpecValidationError):
+        ev.Triplet(0.0, 0.0)  # b + c must be positive
+    with pytest.raises(SpecValidationError):
+        ev.Triplet(0.5, 1.0)  # c > 0 needs an atom
+    with pytest.raises(SpecValidationError):
+        ev.Triplet(0.5, 0.0, [(ev.Frechet(0.5), 1.0)])  # c = 0 takes none
+    with pytest.raises(SpecValidationError):
         ev.StepFunction([0.4, 1.6], [0.5, 0.9])  # must reach 1
+
+
+def test_drift_only_triplet_is_independence():
+    tri = ev.Triplet(0.7, 0.0)
+    assert ev.stdf_eval(tri, [0.3, 1.1, 0.6]) == 0.3 + 1.1 + 0.6
+    assert tri.marginal_rate() == 0.7
+    assert tri.spectral_parts() == (0.7, [])

@@ -1,0 +1,99 @@
+"""Malformed model JSON: every one-field mutation of a valid model spec
+either builds or is refused with SpecValidationError, never a traceback."""
+
+import copy
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from condiid.cli import build_model
+from condiid.errors import SpecValidationError
+
+
+def atom(g, weight=1.0):
+    return {"g": g, "weight": weight}
+
+
+G_KINDS = [
+    {"kind": "frechet", "theta": 0.5},
+    {"kind": "weibull", "theta": 0.5},
+    {"kind": "mo_atom", "m": 0.5},
+    {"kind": "mo_atom", "m": {"family": "point_mass", "m": 1.2}},
+    {"kind": "step", "points": [0.4, 1.6], "values": [0.5, 1.0]},
+]
+
+STDF_KINDS = [
+    {"kind": "independence"},
+    {"kind": "logistic", "theta": 0.5},
+    {"kind": "logistic", "theta": 1.0},
+    {"kind": "negative_logistic", "theta": 1.5},
+    *({"kind": "lf", "g": g} for g in G_KINDS),
+    {"kind": "triplet", "b": 0.2, "c": 1.0,
+     "atoms": [atom(G_KINDS[0], 0.25), atom(G_KINDS[1], 0.25), atom(G_KINDS[2], 0.5)]},
+    {"kind": "triplet", "c": 1.0, "atoms": [atom(G_KINDS[3], 0.5), atom(G_KINDS[4], 0.5)]},
+]
+
+VALID_SPECS = [
+    *({"family": "minstable", "d": 3, "rate": 1.5, "stdf": stdf} for stdf in STDF_KINDS),
+    {"family": "marshall_olkin", "d": 3, "subordinator": {
+        "drift": 0.4, "kill": 0.1, "jumps": [{"size": 0.65, "rate": 1.0}]}},
+    {"family": "exch_normal", "d": 3, "mu": 0.3, "sigma": 1.2, "rho": 0.4},
+    {"family": "sato", "d": 3, "alpha": 1.05},
+    {"family": "dirichlet_prior", "d": 3, "c": 2.0,
+     "base": {"family": "normal", "mu": 0.0, "sigma": 1.0}},
+]
+
+# objects whose fields are all known: an unknown one is refused
+CLOSED_OBJECTS = ("stdf", "g", "subordinator")
+
+BAD_VALUES = st.one_of(
+    st.sampled_from(["x", "", None, True, False, [], [1.0], {}, {"kind": "x"}]),
+    st.integers(-100, 100),
+    st.floats(-100.0, 100.0),
+)
+
+
+def json_objects(tree, path=()):
+    """(path, object) for every JSON object in ``tree``, ``tree`` included."""
+    if isinstance(tree, dict):
+        yield path, tree
+        for key, value in tree.items():
+            yield from json_objects(value, path + (key,))
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from json_objects(value, path + (i,))
+
+
+@st.composite
+def mutations(draw):
+    """A valid spec with one field replaced, deleted or added; and whether
+    the mutation adds an unknown field to an object that takes none."""
+    spec = copy.deepcopy(draw(st.sampled_from(VALID_SPECS)))
+    path, obj = draw(st.sampled_from(list(json_objects(spec))))
+    action = draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "add":
+        obj["unknown_field"] = draw(BAD_VALUES)
+        return spec, bool(path) and path[-1] in CLOSED_OBJECTS
+    key = draw(st.sampled_from(sorted(obj)))
+    if action == "delete":
+        del obj[key]
+    else:
+        obj[key] = draw(BAD_VALUES)
+    return spec, False
+
+
+@pytest.mark.parametrize("spec", VALID_SPECS)
+def test_valid_specs_build(spec):
+    build_model(copy.deepcopy(spec))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutation=mutations())
+def test_mutated_spec_builds_or_is_refused(mutation):
+    spec, must_refuse = mutation
+    try:
+        build_model(spec)
+    except SpecValidationError:
+        return
+    assert not must_refuse, f"unknown field accepted: {spec}"
