@@ -22,6 +22,41 @@ import pytest
 
 from condiid import cli
 
+
+def beta_b(a, b, d, mix=None):
+    """The doubles nearest to the moments of Beta(a, b), or of its mixture
+    (1 - w) Beta(a, b) + w "exactly d/2 ones of d" for ``mix = w``."""
+    out, m = [], Fraction(1)
+    for k in range(d + 1):
+        if mix is None:
+            out.append(float(m))
+        else:
+            half = Fraction(math.comb(d - k, d // 2 - k), math.comb(d, d // 2)) if 2 * k <= d else 0
+            out.append(float((1 - mix) * m + mix * half))
+        m *= (a + k) / (a + b + k)
+    return out
+
+
+SUBORDINATOR = {"drift": 0.4, "kill": 0.1, "jumps": [{"size": 0.65, "rate": 1.0}]}
+
+
+def subordinator_b(d):
+    """b_k = exp(-psi(k)) of ``SUBORDINATOR``, log-d-monotone and d-monotone."""
+    return [1.0] + [math.exp(-(0.4 * k + 0.1 - math.expm1(-0.65 * k))) for k in range(1, d + 1)]
+
+
+def polya_p(a, b, d):
+    """The doubles nearest to the pattern probabilities of the Beta(a, b) mixture."""
+    num = [Fraction(1)] * (d + 1)
+    for k in range(d + 1):
+        for i in range(k):
+            num[k] *= a + i
+        for i in range(d - k):
+            num[k] *= b + i
+    den = math.prod(a + b + i for i in range(d))
+    return [float(v / den) for v in num]
+
+
 MODELS = {  # name: (model spec, sha256 of the sample CSV)
     "exch_normal": (
         {"family": "exch_normal", "d": 5, "mu": 0.3, "sigma": 1.2, "rho": 0.4},
@@ -73,13 +108,20 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
         "5a20bc0cdb1a564940dc48a90eb6d994f4eeeeca4a7a67de8912f87dfaf4ac2b",
     ),
     "mo_subordinator": (
-        {"family": "marshall_olkin", "d": 5, "subordinator": {
-            "drift": 0.4, "kill": 0.1, "jumps": [{"size": 0.65, "rate": 1.0}]}},
+        {"family": "marshall_olkin", "d": 5, "subordinator": SUBORDINATOR},
         "9afee5f6b1cfc108ce4959d1456e69b7a0ed647ce65ac0ccc2418b5f2045f9d1",
     ),
     "sato": (
         {"family": "sato", "d": 3, "alpha": 1.05},
         "c34e6ceb1619092ae64d1b0fc12022377ff2b0226fae9d5d18c74167ad90b35e",
+    ),
+    "marshall_olkin_b": (  # lambda_from_b, then the shock sampler
+        {"family": "marshall_olkin", "d": 6, "b": subordinator_b(6)},
+        "dd37e14799b1401fcf6fc354b9b9322fa4444ae5b0cfed5ddcadae197888e053",
+    ),
+    "geometric_b": (  # p_from_b_geo, then the shock sampler
+        {"family": "geometric", "d": 8, "b": beta_b(Fraction(1, 2), Fraction(3, 2), 8)},
+        "daaf85ecac14dd4266ed0340af9d0cbc87be74488c98be8238c3fa02ac64d8a4",
     ),
 }
 
@@ -164,20 +206,6 @@ def test_diagnose_output_bytes(name, tmp_path):
     assert stdout_sha256(["diagnose", path, "--tests", tests]) == DIAGNOSES[name]
 
 
-def beta_b(a, b, d, mix=None):
-    """The doubles nearest to the moments of Beta(a, b), or of its mixture
-    (1 - w) Beta(a, b) + w "exactly d/2 ones of d" for ``mix = w``."""
-    out, m = [], Fraction(1)
-    for k in range(d + 1):
-        if mix is None:
-            out.append(float(m))
-        else:
-            half = Fraction(math.comb(d - k, d // 2 - k), math.comb(d, d // 2)) if 2 * k <= d else 0
-            out.append(float((1 - mix) * m + mix * half))
-        m *= (a + k) / (a + b + k)
-    return out
-
-
 CHECKS = {  # name: (model spec, sha256 of the check output)
     "beta23_d2": (
         {"family": "binary", "b": beta_b(Fraction(2), Fraction(3), 2)},
@@ -208,13 +236,24 @@ CHECKS = {  # name: (model spec, sha256 of the check output)
         "ea7727ef447687c4600df5f020702acd31a852da5dfd825a006052c035bf2305",
     ),
     "mo_subordinator_d8": (
-        {"family": "marshall_olkin", "d": 8, "subordinator": {
-            "drift": 0.4, "kill": 0.1, "jumps": [{"size": 0.65, "rate": 1.0}]}},
+        {"family": "marshall_olkin", "d": 8, "subordinator": SUBORDINATOR},
         "8e8ed33a296a7e84dd765124ad94a0932241e2653fe3f2967e28da131d2fbe33",
     ),
     "geometric_b_d8": (
         {"family": "geometric", "b": beta_b(Fraction(1, 2), Fraction(3, 2), 8)},
         "72b17d05d87a8ca8cf3356488556e1281112c341c112cd69f45f1acc0a62abb8",
+    ),
+    "mo_subordinator_d16": (
+        {"family": "marshall_olkin", "d": 16, "subordinator": SUBORDINATOR},
+        "1f57cfbecf2ea1948f8284470291b096bb237b2d300d7a57a5e9e792359c9172",
+    ),
+    "geometric_b_d16": (
+        {"family": "geometric", "d": 16, "b": subordinator_b(16)},
+        "2da3821df85e1b5b1fd9684e0513f646430e62736a14a5266214d29b8d374678",
+    ),
+    "binary_p_d6": (
+        {"family": "binary", "p": polya_p(Fraction(2), Fraction(3), 6)},
+        "e2edc4caa2bcc9e5a4fda7093ed1112b2d1e80e32a914e4156f28ace9728b5f8",
     ),
 }
 
