@@ -273,8 +273,7 @@ def build_model(spec: dict) -> Model:
         seq = moments.MonotoneSequence(json_numbers(spec, "b", ""))
     else:
         raise SpecValidationError("binary model needs pattern probabilities 'p' or moments 'b'")
-    mixing = spec.get("m")
-    law_m = mixing_law_from_json(mixing) if mixing else None
+    law_m = mixing_law_from_json(spec["m"]) if "m" in spec else None
 
     def sampler(n, rng):
         m = law_m

@@ -235,7 +235,8 @@ def lambda_from_b(params: LomParameterSeq) -> ShockRateSpec:
     b = params.values
     d = params.d
     a = [-math.log(b[i] / b[i - 1]) for i in range(1, d + 1)]  # a[i-1] == a_i
-    lam = [moments._nabla(a, m - 1, d - m) for m in range(1, d + 1)]  # lam[m-1] == lambda_m
+    # lam[m-1] == lambda_m, entry d - m of the difference table of a
+    lam = moments._top_differences(a).tolist()[::-1] if a else []
     lam = [0.0 if -1e-12 < v < 0.0 else v for v in lam]
     if any(v < 0 for v in lam):
         raise SpecValidationError(f"sequence does not correspond to non-negative rates: {lam}")
@@ -377,8 +378,9 @@ class CompoundPoissonSubordinatorSpec:
         return out if out.ndim else float(out)
 
     def b_seq(self, d: int) -> LomParameterSeq:
+        """b_k = exp(-psi(k)), log-d-monotone by construction at every d."""
         vals = tuple(math.exp(-float(self.laplace_exponent(k))) for k in range(d + 1))
-        return LomParameterSeq((1.0,) + vals[1:], CONTINUOUS)
+        return LomParameterSeq._valid((1.0,) + vals[1:], CONTINUOUS)
 
     def to_json(self) -> dict:
         return {

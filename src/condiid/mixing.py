@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import SpecValidationError, UnsupportedLawError, json_kind, json_kwargs
+from .errors import SpecValidationError, UnsupportedLawError, json_kind, json_kwargs, json_numbers
 
 __all__ = [
     "MixingLaw",
@@ -381,4 +381,7 @@ _FAMILIES = {
 def mixing_law_from_json(obj: dict, path: str = "m") -> MixingLaw:
     """The mixing law of the model-JSON object at ``path``."""
     cls = json_kind(obj, "family", path, _FAMILIES, "mixing law family")
-    return cls(**json_kwargs(cls, obj, path, "family"))
+    kwargs = json_kwargs(cls, obj, path, "family")
+    if cls is FiniteDiscrete:
+        kwargs = {k: json_numbers(obj, k, path) for k in kwargs}
+    return cls(**kwargs)

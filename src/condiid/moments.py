@@ -5,12 +5,17 @@ backward differences nabla^{d-k} b_k are non-negative.  Such sequences are in
 one-to-one correspondence with exchangeable laws on {0,1}^d, and the ones that
 extend to moment sequences of a law on [0,1] are exactly those whose Hankel
 determinants are all non-negative.  This module implements the sequence tests,
-the Hankel-determinant extendibility decision (the 2d Hankel matrices are
-windows of one vector; their determinants come from one stacked
-``np.linalg.det`` call per matrix size), a finite mixing law realizing
+the Hankel-determinant extendibility decision, a finite mixing law realizing
 extendible moments (the Gauss rule of their three-term recursion), the
 binary-pattern parameterization, and the corresponding samplers (mixture of
 Bernoullis, urn scheme).
+
+Every backward difference comes from one difference table: the top
+differences nabla^{d-k} v_k of all k at once, from one ``np.cumsum`` of a
+cached coefficient matrix.  The 2d Hankel matrices are windows of one vector;
+their gather indices and window bounds are cached per degree, their
+determinants come from one stacked ``np.linalg.det`` call per matrix size, and
+their scales from one ``np.maximum.reduceat`` over the windows.
 """
 
 from __future__ import annotations
@@ -89,25 +94,38 @@ def backward_difference(seq, j: int, k: int) -> float:
         raise IndexError("j and k must be non-negative")
     if j + k > len(values) - 1:
         raise IndexError(f"j + k = {j + k} exceeds the sequence degree {len(values) - 1}")
-    return float(_nabla(values, j, k))
+    return float(_top_differences(values[k : k + j + 1])[0])
 
 
-def _nabla(values, j: int, k: int):
-    """The alternating sum nabla^j values[k], unchecked; exact on ``Fraction``s."""
-    return sum(c * v for c, v in zip(_signed_binomials(j), values[k : k + j + 1]))
+@functools.lru_cache(maxsize=64)
+def _difference_matrix(d: int) -> np.ndarray:
+    """C_d, whose row k is k zeros, then (-1)^i C(d-k, i) for i = 0..d-k.
+
+    ``float(c)`` rounds each coefficient as Python's int * float does, also
+    above 2^53 (d > 56).
+    """
+    coef = np.zeros((d + 1, d + 1))
+    for k in range(d + 1):
+        coef[k, k:] = [float((-1) ** i * math.comb(d - k, i)) for i in range(d - k + 1)]
+    coef.flags.writeable = False  # shared by every call of this degree
+    return coef
 
 
-@functools.cache
-def _signed_binomials(j: int) -> tuple:
-    """(-1)^i C(j, i) for i = 0..j, as ints."""
-    return tuple((-1) ** i * math.comb(j, i) for i in range(j + 1))
+def _top_differences(values) -> np.ndarray:
+    """The difference table nabla^{d-k} v_k for k = 0..d of floats v_0..v_d.
+
+    Row k of ``np.cumsum`` adds the terms (-1)^i C(d-k, i) v_{k+i} left to
+    right after k zeros, so each entry has the bits of the left-to-right sum
+    of its terms; adding 0.0 turns an exact -0.0 into 0.0, as that sum,
+    started from 0, gives.
+    """
+    v = np.asarray(values, dtype=float)
+    return np.cumsum(_difference_matrix(v.size - 1) * v, axis=1)[:, -1] + 0.0
 
 
 def is_d_monotone(seq) -> bool:
     """True iff nabla^{d-k} b_k >= -MONOTONE_TOL for k = 0, ..., d."""
-    values = _values(seq)
-    d = len(values) - 1
-    return all(_nabla(values, d - k, k) >= -MONOTONE_TOL for k in range(d + 1))
+    return bool((_top_differences(_values(seq)) >= -MONOTONE_TOL).all())
 
 
 def is_log_d_monotone(seq) -> bool:
@@ -119,9 +137,8 @@ def is_log_d_monotone(seq) -> bool:
     values = _values(seq)
     if any(v <= 0.0 for v in values):
         raise NonPositiveEntryError("log-monotonicity requires strictly positive entries")
-    logs = tuple(math.log(v) for v in values)
-    d = len(values) - 1
-    return all(_nabla(logs, d - k, k) >= -MONOTONE_TOL for k in range(d))
+    logs = [math.log(v) for v in values]
+    return bool((_top_differences(logs)[:-1] >= -MONOTONE_TOL).all())
 
 
 @dataclass(frozen=True)
@@ -156,25 +173,34 @@ class ExtendibilityVerdict:
 
 @functools.lru_cache(maxsize=64)
 def _hankel_layout(d: int) -> tuple:
-    """Where the 2d Hankel matrices of degree d sit.
+    """Where the 2d Hankel matrices of degree d sit, cached per degree.
 
     Each matrix is an m x m window src[start + i + j] of
     src = (b_0..b_d, nabla b_0..nabla b_{d-1}), starting at one of the four
     offsets (0, 1, d+1, d+2); slot 2n - 2 holds hat_n and slot 2n - 1 check_n.
-    Returns one (m, slots, starts) triple per matrix size m.
+    Returns ``(groups, bounds)``.  ``groups`` has one ``(slots, index)`` pair
+    per matrix size m: the slots of that size and their (k, m, m) gather
+    index into src.  ``bounds`` interleaves each slot's window of src,
+    start and start + 2m - 1, in slot order: the matrix's largest |entry| is
+    the max of |src| over its window, so ``np.maximum.reduceat`` at these
+    bounds gives every scale at its even positions, provided src has one
+    more entry after its last window.
     """
     offsets = np.array((0, 1, d + 1, d + 2))
     slot = np.arange(2 * d)
     n, chk = slot // 2 + 1, slot % 2 == 1
-    which = np.where(chk, 3 - n % 2, n % 2)
+    start = offsets[np.where(chk, 3 - n % 2, n % 2)]
     size = np.where(chk, (n + 1) // 2, n // 2 + 1)
+    ar = np.arange(d // 2 + 1)
     groups = []
     for m in range(1, size.max(initial=0) + 1):
         slots = np.flatnonzero(size == m)
-        starts = offsets[which[slots]]
-        slots.flags.writeable = starts.flags.writeable = False  # shared by every call of this degree
-        groups.append((m, slots, starts))
-    return tuple(groups)
+        index = start[slots, None, None] + ar[:m, None] + ar[:m]
+        slots.flags.writeable = index.flags.writeable = False  # shared by every call of this degree
+        groups.append((slots, index))
+    bounds = np.stack([start, start + 2 * size - 1], axis=1).ravel()
+    bounds.flags.writeable = False
+    return tuple(groups), bounds
 
 
 def hausdorff_extendible(seq) -> ExtendibilityVerdict:
@@ -197,13 +223,13 @@ def _hankel_verdict(values: tuple) -> ExtendibilityVerdict:
     """:func:`hausdorff_extendible` of ``values`` known to be d-monotone."""
     d = len(values) - 1
     arr = np.asarray(values, dtype=float)
-    src = np.concatenate([arr, arr[:-1] - arr[1:]])
-    dets, scales = np.empty(2 * d), np.empty(2 * d)
-    ar = np.arange(d // 2 + 1)
-    for m, slots, starts in _hankel_layout(d):
-        stack = src[starts[:, None, None] + ar[:m, None] + ar[:m]]
-        dets[slots] = np.linalg.det(stack)
-        scales[slots] = np.abs(stack).max(axis=(1, 2))
+    # a trailing 0 keeps the last window bound a valid index for reduceat
+    src = np.concatenate([arr, arr[:-1] - arr[1:], [0.0]])
+    groups, bounds = _hankel_layout(d)
+    dets = np.empty(2 * d)
+    for slots, index in groups:
+        dets[slots] = np.linalg.det(src[index])
+    scales = np.maximum.reduceat(np.abs(src), bounds)[::2]
     det_values = tuple(dets.tolist())
     return ExtendibilityVerdict(
         extendible=not np.any(dets < -HANKEL_TOL * np.maximum(scales, 1e-300)),
@@ -331,7 +357,7 @@ def _law_from_b(values: tuple) -> BinaryExchangeableLaw:
     """:func:`p_from_b` of ``values`` known to be d-monotone; entries that
     rounding leaves below 0 are set to 0."""
     d = len(values) - 1
-    p = [max(0.0, _nabla(values, d - k, k)) for k in range(d + 1)]
+    p = [max(0.0, v) for v in _top_differences(values).tolist()]
     total = sum(math.comb(d, k) * p[k] for k in range(d + 1))
     return BinaryExchangeableLaw(tuple(v / total for v in p))
 

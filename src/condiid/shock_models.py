@@ -28,6 +28,7 @@ from .errors import (
     json_kind,
     json_kwargs,
     json_list,
+    json_numbers,
 )
 from .inverse import monotone_inverse
 from .lack_of_memory import CompoundPoissonSubordinatorSpec, _first_passage
@@ -209,7 +210,10 @@ _SHOCK_KINDS = {cls.kind: cls for cls in (ExponentialShock, WeibullShock, Pareto
 def shock_from_json(obj: dict, path: str = "shock") -> ShockSurvival:
     """The shock law of the model-JSON object at ``path``."""
     cls = json_kind(obj, "kind", path, _SHOCK_KINDS, "shock kind")
-    return cls(**json_kwargs(cls, obj, path, "kind"))
+    kwargs = json_kwargs(cls, obj, path, "kind")
+    if cls is StepShock:
+        kwargs = {k: json_numbers(obj, k, path) for k in kwargs}
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -608,3 +608,19 @@ def test_cli_loads_only_the_modules_a_command_uses(command, loaded, tmp_path):
     assert family == loaded
     if command is None:
         assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+@pytest.mark.parametrize("d", [28, 30, 40])
+def test_subordinator_mo_at_large_d(d):
+    """The first-passage sampler is exact at any d: sample, eval and verify
+    run; check refuses with the typed NotDMonotoneError (exit 1)."""
+    model = json.dumps({"family": "marshall_olkin", "d": d, "subordinator": {
+        "drift": 0.4, "kill": 0.1, "jumps": [{"size": 0.65, "rate": 1.0}]}})
+    code, out, _ = run(["sample", "--model", model, "--n", "5", "--seed", "1"])
+    assert code == 0 and len(out.splitlines()) == 1 + 5  # header and rows
+    code, out, _ = run(["eval", "--model", model, "--point", ",".join(["0.5"] * d)])
+    assert code == 0 and 0.0 < float(out) < 1.0
+    code, out, _ = run(["verify", "--model", model, "--n", "4000", "--seed", "1"])
+    assert code == 0 and json.loads(out.splitlines()[-1])["passed"] is True
+    code, out, err = run(["check", "--model", model])
+    assert code == 1 and out == "" and "not d-monotone" in err

@@ -386,6 +386,18 @@ class TestSubordinatorSampler:
         with pytest.raises(SpecValidationError):
             lom.sample_mo_ciid(lom.CompoundPoissonSubordinatorSpec(), 2, 10, rng)
 
+    @pytest.mark.parametrize("d", [28, 32, 40])
+    def test_b_seq_is_valid_beyond_the_log_monotone_tolerance(self, d):
+        # b_k = exp(-psi(k)) is log-d-monotone by construction; the absolute
+        # tolerance of the test refuses its rounded values at large d
+        sub = lom.CompoundPoissonSubordinatorSpec(drift=0.4, kill=0.1, jumps=((0.65, 1.0),))
+        params = sub.b_seq(d)
+        assert params.d == d and params.values[0] == 1.0
+        with pytest.raises(NotDMonotoneError):
+            lom.LomParameterSeq(params.values, lom.CONTINUOUS)
+        with pytest.raises(NotDMonotoneError):  # a refusal, never a silent verdict
+            lom.is_ciid_extendible(params)
+
 
 class TestGeoCiid:
     def test_survival_matches_step_transform(self):

@@ -2,6 +2,7 @@
 either builds or is refused with SpecValidationError, never a traceback."""
 
 import copy
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ G_KINDS = [
     {"kind": "mo_atom", "m": 0.5},
     {"kind": "mo_atom", "m": {"family": "point_mass", "m": 1.2}},
     {"kind": "step", "points": [0.4, 1.6], "values": [0.5, 1.0]},
+    {"kind": "mo_atom", "m": {"family": "finite_discrete", "atoms": [0.5, 2.0], "weights": [0.5, 0.5]}},
 ]
 
 STDF_KINDS = [
@@ -34,6 +36,11 @@ STDF_KINDS = [
     {"kind": "triplet", "c": 1.0, "atoms": [atom(G_KINDS[3], 0.5), atom(G_KINDS[4], 0.5)]},
 ]
 
+EXSHOCK = {"family": "exshock", "shocks": [
+    {"kind": "exponential", "rate": 0.5}, {"kind": "step", "points": [1.0], "values": [0.5]}]}
+BINARY_M = {"family": "binary", "b": [1.0, 0.5, 0.34],
+            "m": {"family": "finite_discrete", "atoms": [0.2, 0.8], "weights": [0.5, 0.5]}}
+
 VALID_SPECS = [
     *({"family": "minstable", "d": 3, "rate": 1.5, "stdf": stdf} for stdf in STDF_KINDS),
     {"family": "marshall_olkin", "d": 3, "subordinator": {
@@ -42,6 +49,8 @@ VALID_SPECS = [
     {"family": "sato", "d": 3, "alpha": 1.05},
     {"family": "dirichlet_prior", "d": 3, "c": 2.0,
      "base": {"family": "normal", "mu": 0.0, "sigma": 1.0}},
+    EXSHOCK,
+    BINARY_M,
 ]
 
 # objects whose fields are all known: an unknown one is refused
@@ -97,3 +106,30 @@ def test_mutated_spec_builds_or_is_refused(mutation):
     except SpecValidationError:
         return
     assert not must_refuse, f"unknown field accepted: {spec}"
+
+
+def with_field(spec, path, value):
+    """A copy of ``spec`` whose field at ``path`` (keys and list indices) is ``value``."""
+    spec = copy.deepcopy(spec)
+    obj = spec
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    return spec
+
+
+MO_ATOM_FD = {"family": "minstable", "d": 3, "stdf": {"kind": "lf", "g": G_KINDS[-1]}}
+
+REFUSALS = [  # (spec, the JSON path its refusal names)
+    *((with_field(BINARY_M, ("m",), m), "m") for m in (0, [], "", False, None)),
+    *((with_field(MO_ATOM_FD, ("stdf", "g", "m", key, 0), v), f"stdf.g.m.{key}[0]")
+      for key in ("atoms", "weights") for v in (None, "x", True)),
+    *((with_field(EXSHOCK, ("shocks", 1, key, 0), v), f"shocks[1].{key}[0]")
+      for key in ("points", "values") for v in (None, "x", True)),
+]
+
+
+@pytest.mark.parametrize("spec, path", REFUSALS)
+def test_refusal_names_the_field(spec, path):
+    with pytest.raises(SpecValidationError, match=rf"^{re.escape(path)} must be"):
+        build_model(spec)

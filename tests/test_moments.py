@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,70 @@ class TestBackwardDifference:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             mo.backward_difference((1.0, 0.5), 2, 1)
+
+
+def reference_difference(v, j, k):
+    """nabla^j v_k as the left-to-right sum of its terms, started from 0."""
+    return sum((-1) ** i * math.comb(j, i) * v[k + i] for i in range(j + 1))
+
+
+ULP = Fraction(1, 2**1074)  # every double is an integer multiple of it
+
+
+def exact_table(v):
+    """The exact difference table nabla^{d-k} v_k of the doubles v and each
+    entry's error bound d * eps * sum_i C(d-k, i) |v_{k+i}|, in units of ULP."""
+    d, n = len(v) - 1, [int(Fraction(x) / ULP) for x in v]
+    exact = [reference_difference(n, d - k, k) for k in range(d + 1)]
+    bound = [d * Fraction(sys.float_info.epsilon)
+             * sum(math.comb(d - k, i) * abs(n[k + i]) for i in range(d - k + 1))
+             for k in range(d + 1)]
+    return exact, bound
+
+
+@st.composite
+def unit_sequences(draw):
+    """(1, b_1..b_d), d <= 60: moments of a law with at most four atoms in
+    [0, 1], d-monotone before rounding, or entries drawn from [0, 1]."""
+    d = draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        atoms = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(atoms), max_size=len(atoms)))
+        return [1.0] + [sum(w * x**k for w, x in zip(weights, atoms)) / sum(weights)
+                        for k in range(1, d + 1)]
+    return [1.0] + draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))
+
+
+class TestDifferenceTable:
+    """The difference table against the left-to-right sum it replaces, bit
+    for bit, and against exact rational differences of the same doubles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=61), data=st.data())
+    def test_bits_of_the_left_to_right_sum(self, v, data):
+        d = len(v) - 1
+        table = mo._top_differences(v)
+        assert [x.hex() for x in table.tolist()] == [
+            float(reference_difference(v, d - k, k)).hex() for k in range(d + 1)
+        ]
+        exact, bound = exact_table(v)
+        assert all(abs(Fraction(x) / ULP - e) <= r for x, e, r in zip(table.tolist(), exact, bound))
+        k = data.draw(st.integers(0, d))
+        j = data.draw(st.integers(0, d - k))
+        sub = mo._top_differences(v[k : k + j + 1])[0]
+        assert sub.hex() == float(reference_difference(v, j, k)).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(b=unit_sequences(), data=st.data())
+    def test_d_monotone_verdict_is_exact_where_the_bound_decides(self, b, data):
+        d = len(b) - 1
+        exact, bound = exact_table(b)
+        tol = Fraction(mo.MONOTONE_TOL) / ULP
+        if all(abs(e + tol) > r for e, r in zip(exact, bound)):
+            assert mo.is_d_monotone(b) == all(e >= -tol for e in exact)
+        k = data.draw(st.integers(0, d))
+        j = data.draw(st.integers(0, d - k))
+        assert mo.backward_difference(b, j, k).hex() == float(reference_difference(b, j, k)).hex()
 
 
 class TestMonotonicity:
