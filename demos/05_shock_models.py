@@ -66,14 +66,3 @@ print("which the finite-difference inversion smears out:")
 print(f"  P(X1 == X2): exact sampler {(exact.data[:, 0] == exact.data[:, 1]).mean():.4f}, "
       f"inversion {(sato.data[:, 0] == sato.data[:, 1]).mean():.4f}, "
       f"closed 2 ln 2 - 1 = {2 * np.log(2) - 1:.4f}")
-
-print("\nself-decomposability probe of candidate latent clocks:")
-from condiid.lack_of_memory import CompoundPoissonSubordinatorSpec
-
-print(f"  gamma exponent      : {sk.check_self_decomposable(sk.SatoFamily(1.0))}")
-print(f"  stable exponent     : "
-      f"{sk.check_self_decomposable(lambda x: np.asarray(x, dtype=float) ** 0.5)}")
-print(f"  single jump atom    : "
-      f"{sk.check_self_decomposable(lambda x: -np.expm1(-np.asarray(x, dtype=float)))}")
-print(f"  killed clock        : "
-      f"{sk.check_self_decomposable(CompoundPoissonSubordinatorSpec(kill=0.7))}")

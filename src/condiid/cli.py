@@ -181,6 +181,8 @@ def build_model(spec: dict) -> Model:
     if family == "geometric":
         if "b" in spec:
             params = lom.LomParameterSeq(json_numbers(spec, "b", ""), lom.DISCRETE)
+            if params.d < 1:
+                raise SpecValidationError("dimension must be at least 1")
             shocks = lambda: lom.p_from_b_geo(params)  # only the sampler needs p
         else:
             pspec = lom.ShockRateSpec(

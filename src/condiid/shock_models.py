@@ -4,13 +4,24 @@ A system of d components is hit by independent shocks, one per non-empty
 subset, with the shock law depending only on the subset's cardinality.  The
 survival copula of such a model is an ordered product
 
-    chat(u) = u_[1] * prod_{k=2}^d g_k(u_[k]),
+    chat(u) = u_[1] * prod_{k=2}^d g_k(u_[k]).
 
-and the conditionally iid members correspond to latent processes with
-independent (not necessarily stationary) increments, described by a family of
-Laplace exponents t -> psi_t.  Two named sub-families get closed forms: the
-Dirichlet prior (random distribution function with Dirichlet increments) and
-the Sato frailty built from a self-decomposable law via psi_t(x) = psi(x*t).
+Its conditionally iid members are the first passages X_k = inf{t : Z_t > E_k}
+of a non-decreasing process Z with independent increments across iid
+unit-exponential barriers E_k.  Two such processes get exact samplers and
+closed forms here:
+
+- the Dirichlet prior, 1 - F(t) = exp(-Z_t) for a random distribution
+  function F with concentration c and base G (``sample_dp``, ``dp_survival``);
+- the Sato frailty, the self-similar process with Laplace exponents
+  psi_t(x) = psi(x*t) of the self-decomposable Gamma(alpha) exponent
+  psi(x) = alpha*log(1 + x) (``sample_sato``, ``sato_survival``).
+
+Self-decomposability is known, not probed.  A law on [0, inf) is
+self-decomposable if and only if its Levy measure is k(u)/u du with k
+non-increasing (Sato 1999, Thm 15.10).  The Gamma exponent is, with
+k(u) = alpha*exp(-u).  A compound Poisson subordinator is self-decomposable
+only without jumps and without killing, that is as a pure drift.
 """
 
 from __future__ import annotations
@@ -24,14 +35,12 @@ import numpy as np
 from .errors import (
     DimensionCapError,
     SpecValidationError,
-    json_field,
     json_kind,
     json_kwargs,
-    json_list,
     json_numbers,
 )
 from .inverse import monotone_inverse
-from .lack_of_memory import CompoundPoissonSubordinatorSpec, _first_passage
+from .lack_of_memory import _first_passage
 from .sample import SampleMatrix
 
 __all__ = [
@@ -50,21 +59,13 @@ __all__ = [
     "UniformBase",
     "ExponentialBase",
     "NormalBase",
-    "AdditiveFamily",
-    "PiecewiseLevy",
-    "DirichletPriorFamily",
-    "SatoFamily",
-    "additive_survival",
     "sample_dp",
     "dp_copula_eval",
     "dp_survival",
     "sato_survival",
     "sample_sato",
-    "check_self_decomposable",
-    "fd_weights",
     "shock_from_json",
     "base_distribution_from_json",
-    "additive_family_from_json",
 ]
 
 
@@ -441,168 +442,6 @@ def base_distribution_from_json(obj: dict, path: str = "base") -> BaseDistributi
     return cls(**json_kwargs(cls, obj, path, "family"))
 
 
-# -- additive families -----------------------------------------------------------
-
-class AdditiveFamily:
-    """Family of Laplace exponents t -> psi_t of a non-decreasing process with
-    independent increments; psi_t(x) non-decreasing in t, psi_t - psi_s a
-    Laplace exponent for s <= t."""
-
-    kind = "abstract"
-
-    def psi(self, t, x):
-        """psi_t(x); vectorized over t for scalar x >= 0."""
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-
-class PiecewiseLevy(AdditiveFamily):
-    """Stationary-increment pieces glued at breakpoints 0 = t_0 < t_1 < ...;
-    piece i runs on [t_i, t_{i+1}) with its own Laplace exponent."""
-
-    kind = "piecewise_levy"
-
-    def __init__(self, breakpoints, pieces):
-        breakpoints = tuple(float(t) for t in breakpoints)
-        pieces = tuple(pieces)
-        if not pieces or len(breakpoints) != len(pieces):
-            raise SpecValidationError("need one piece per breakpoint")
-        if breakpoints[0] != 0.0 or any(
-            b >= a for b, a in zip(breakpoints[1:], breakpoints[2:])
-        ) or (len(breakpoints) > 1 and any(np.diff(breakpoints) <= 0)):
-            raise SpecValidationError("breakpoints must start at 0 and increase")
-        if not all(isinstance(p, CompoundPoissonSubordinatorSpec) for p in pieces):
-            raise SpecValidationError("pieces must be subordinator specs")
-        self.breakpoints = breakpoints
-        self.pieces = pieces
-
-    def psi(self, t, x):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        ends = self.breakpoints[1:] + (math.inf,)
-        for start, end, piece in zip(self.breakpoints, ends, self.pieces):
-            dur = np.clip(np.minimum(t, end) - start, 0.0, None)
-            out = out + dur * float(piece.laplace_exponent(x))
-        return out if out.ndim else float(out)
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "breakpoints": list(self.breakpoints),
-            "pieces": [p.to_json() for p in self.pieces],
-        }
-
-
-class DirichletPriorFamily(AdditiveFamily):
-    """Latent process of the Dirichlet prior with concentration c and base G."""
-
-    kind = "dirichlet_prior"
-
-    def __init__(self, c: float, base: BaseDistribution):
-        if c <= 0:
-            raise SpecValidationError("concentration must be positive")
-        self.c = float(c)
-        self.base = base
-
-    def psi(self, t, x):
-        from scipy import special
-
-        t = np.asarray(t, dtype=float)
-        gbar = self.c * (1.0 - np.asarray(self.base.cdf(t), dtype=float))
-        x = float(x)
-        if x == 0.0:
-            out = np.zeros(gbar.shape)
-            return out if out.ndim else float(out)
-        with np.errstate(divide="ignore"):
-            out = np.where(
-                gbar > 0,
-                special.gammaln(np.maximum(gbar, 1e-300))
-                + special.gammaln(x + self.c)
-                - special.gammaln(x + np.maximum(gbar, 1e-300))
-                - special.gammaln(self.c),
-                np.inf,
-            )
-        return out if out.ndim else float(out)
-
-    def psi_integral(self, t: float, x: float) -> float:
-        """Same exponent by direct quadrature of the jump measure (slow path)."""
-        from scipy import integrate
-
-        gbar = self.c * (1.0 - float(self.base.cdf(t)))
-        if gbar <= 0:
-            return math.inf if x > 0 else 0.0
-
-        def integrand(u):
-            return (1.0 - math.exp(-x * u)) * (math.exp(-u * gbar) - math.exp(-u * self.c)) / (
-                u * -math.expm1(-u)
-            )
-
-        val, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-11, epsrel=1e-10, limit=400)
-        return float(val)
-
-    def to_json(self):
-        return {"kind": self.kind, "c": self.c, "base": self.base.to_json()}
-
-
-class SatoFamily(AdditiveFamily):
-    """Self-similar additive family psi_t(x) = psi(x*t) from a self-decomposable
-    Laplace exponent; currently the Gamma exponent alpha*log(1+x)."""
-
-    kind = "sato"
-
-    def __init__(self, alpha: float):
-        if alpha <= 0:
-            raise SpecValidationError("alpha must be positive")
-        self.alpha = float(alpha)
-
-    def bernstein(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.alpha * np.log1p(x)
-        return out if out.ndim else float(out)
-
-    def psi(self, t, x):
-        t = np.asarray(t, dtype=float)
-        out = self.alpha * np.log1p(float(x) * t)
-        return out if out.ndim else float(out)
-
-    def to_json(self):
-        return {"kind": self.kind, "alpha": self.alpha}
-
-
-def additive_family_from_json(obj: dict, path: str = "family") -> AdditiveFamily:
-    """The additive family of the model-JSON object at ``path``."""
-    kind = json_field(obj, "kind", path)
-    if kind == "piecewise_levy":
-        pieces = [
-            CompoundPoissonSubordinatorSpec.from_json(p, f"{path}.pieces[{i}]")
-            for i, p in enumerate(json_list(obj, "pieces", path))
-        ]
-        return PiecewiseLevy(json_field(obj, "breakpoints", path), pieces)
-    if kind == "dirichlet_prior":
-        base = base_distribution_from_json(json_field(obj, "base", path), f"{path}.base")
-        return DirichletPriorFamily(json_field(obj, "c", path), base)
-    if kind == "sato":
-        return SatoFamily(json_field(obj, "alpha", path))
-    raise SpecValidationError(f"unknown additive family {kind!r} at {path}.kind")
-
-
-def additive_survival(spec: AdditiveFamily, x) -> float | np.ndarray:
-    """P(X > x) = prod_k exp(-[psi_{x_{[d-k+1]}}(k) - psi_{x_{[d-k+1]}}(k-1)])."""
-    x = np.asarray(x, dtype=float)
-    if (x < 0).any():
-        raise SpecValidationError("coordinates must be non-negative")
-    d = x.shape[-1]
-    s = np.sort(x, axis=-1)
-    total = np.zeros(x.shape[:-1])
-    for k in range(1, d + 1):
-        t = s[..., d - k]
-        total = total + (spec.psi(t, k) - spec.psi(t, k - 1))
-    out = np.exp(-total)
-    return out if out.ndim else float(out)
-
-
 # -- Dirichlet prior sampling and copula ------------------------------------------
 
 def sample_dp(c: float, base: BaseDistribution, d: int, n: int, rng) -> SampleMatrix:
@@ -685,81 +524,3 @@ def sample_sato(alpha: float, d: int, n: int, rng) -> SampleMatrix:
 
     data, steps = _first_passage(eps, step, 0.0)
     return SampleMatrix(data, meta=f"sato alpha={alpha} d={d} lockstep_steps={steps}")
-
-
-# -- self-decomposability probe -------------------------------------------------------
-
-def fd_weights(z: float, nodes, m: int) -> np.ndarray:
-    """Fornberg finite-difference weights for derivatives 0..m at z from nodes.
-
-    Returns an array w with shape (len(nodes), m+1); column k gives the
-    weights of the k-th derivative.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    n = nodes.size
-    w = np.zeros((n, m + 1))
-    w[0, 0] = 1.0
-    c1 = 1.0
-    c4 = nodes[0] - z
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = nodes[i] - z
-        for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    w[i, k] = c1 * (k * w[i - 1, k - 1] - c5 * w[i - 1, k]) / c2
-                w[i, 0] = -c1 * c5 * w[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                w[j, k] = (c4 * w[j, k] - k * w[j, k - 1]) / c3
-            w[j, 0] = c4 * w[j, 0] / c3
-        c1 = c2
-    return w
-
-
-def check_self_decomposable(psi) -> bool:
-    """Probe whether x -> x*psi'(x) is again a valid Laplace exponent.
-
-    ``psi`` is a callable Laplace exponent (or an object exposing
-    ``laplace_exponent``/``bernstein``).  Derivatives up to order four are
-    taken by high-order finite differences with step x/100 at 20 log-spaced
-    points; the sign pattern of g = x*psi'(x) and its first three derivatives
-    is classified with relative thresholds from 1e-8 up to 1e-5 for the
-    third derivative.  A jump at zero fails the probe.
-    """
-    if hasattr(psi, "bernstein"):
-        fn = psi.bernstein
-    elif hasattr(psi, "laplace_exponent"):
-        fn = psi.laplace_exponent
-    else:
-        fn = psi
-    ref = float(fn(1.0))
-    if not math.isfinite(ref):
-        return False
-    if float(fn(1e-300)) > 1e-9 * max(abs(ref), 1e-12):
-        return False  # discontinuous at 0: killed, not self-decomposable
-    offsets = np.arange(-4, 5, dtype=float)
-    for x in np.geomspace(0.05, 20.0, 20):
-        h = 0.01 * x
-        nodes = x + offsets * h
-        vals = np.array([float(fn(v)) for v in nodes])
-        w = fd_weights(x, nodes, 4)
-        d1, d2, d3, d4 = (float(vals @ w[:, k]) for k in range(1, 5))
-        g = x * d1
-        g1 = d1 + x * d2
-        g2 = 2.0 * d2 + x * d3
-        g3 = 3.0 * d3 + x * d4
-        scale = max(abs(g), 1e-12)
-        # FD round-off grows like eps/h^k; widen thresholds accordingly
-        if g < -1e-8 * scale:
-            return False
-        if g1 * x < -1e-8 * scale * 10:
-            return False
-        if g2 * x * x > 1e-7 * scale * 10:
-            return False
-        if g3 * x**3 < -1e-6 * scale * 10:
-            return False
-    return True

@@ -574,6 +574,16 @@ class TestModelPlumbing:
         assert code == 1
         assert "unknown family" in err
 
+    @pytest.mark.parametrize("family", ["marshall_olkin", "geometric"])
+    @pytest.mark.parametrize("argv", [["check"], ["eval", "--point", "0.5"],
+                                      ["sample", "--n", "5", "--seed", "1"]],
+                             ids=["check", "eval", "sample"])
+    def test_b_of_dimension_zero_is_refused(self, argv, family):
+        model = json.dumps({"family": family, "b": [1.0]})
+        code, out, err = run([argv[0], "--model", model, *argv[1:]])
+        assert code == 1 and out == ""
+        assert "dimension must be at least 1" in err
+
 
 FAMILY_MODULES = {"diagnostics", "extreme_value", "lack_of_memory", "mixing", "mixtures",
                    "moments", "shock_models"}

@@ -18,6 +18,12 @@ assert not family & set(sys.modules), sorted(family & set(sys.modules))
 
 CHECKS = {
     "all_resolves": "for name in condiid.__all__:\n    getattr(condiid, name)\n",
+    "family_all_resolves": (
+        "missing = [f'{m}.{name}' for m in condiid._SUBMODULES\n"
+        "           for name in getattr(condiid, m).__all__\n"
+        "           if not hasattr(getattr(condiid, m), name)]\n"
+        "assert not missing, missing\n"
+    ),
     "star_import_binds_all": (
         "namespace = {}\n"
         "exec('from condiid import *', namespace)\n"

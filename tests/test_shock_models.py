@@ -1,10 +1,10 @@
 import math
-import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import additive_oracle as oracle
 from condiid import lack_of_memory as lom
 from condiid import shock_models as sk
 from condiid.errors import DimensionCapError, SpecValidationError
@@ -115,89 +115,60 @@ class TestExshock:
 class TestAdditiveFamilies:
     def test_levy_piece_reduces_to_ordered_gap_form(self):
         sub = lom.CompoundPoissonSubordinatorSpec(drift=0.3, kill=0.1, jumps=((1.0, 0.5),))
-        fam = sk.PiecewiseLevy([0.0], [sub])
+        psi = oracle.levy(sub)
         params = sub.b_seq(3)
         rng = np.random.default_rng(57)
         for _ in range(20):
             pt = rng.exponential(1.0, 3)
-            assert sk.additive_survival(fam, pt) == pytest.approx(
+            assert oracle.additive_survival(psi, pt) == pytest.approx(
                 float(lom.mo_survival(params, pt)), rel=1e-10
             )
 
     def test_at_zero(self):
-        fam = sk.SatoFamily(2.0)
-        assert sk.additive_survival(fam, [0.0, 0.0]) == 1.0
+        assert oracle.additive_survival(oracle.sato(2.0), [0.0, 0.0]) == 1.0
 
     def test_d1_marginal_definition(self):
-        fam = sk.DirichletPriorFamily(1.5, sk.UniformBase())
+        psi = oracle.dirichlet_prior(1.5, sk.UniformBase())
         for x in (0.2, 0.7):
-            assert sk.additive_survival(fam, [x]) == pytest.approx(
-                math.exp(-float(fam.psi(x, 1))), rel=1e-12
+            assert oracle.additive_survival(psi, [x]) == pytest.approx(
+                math.exp(-psi(x, 1)), rel=1e-12
             )
 
     def test_non_increasing_and_exchangeable(self):
-        fam = sk.DirichletPriorFamily(0.8, sk.UniformBase())
+        psi = oracle.dirichlet_prior(0.8, sk.UniformBase())
         rng = np.random.default_rng(58)
         prev = None
         for x in np.linspace(0.05, 0.9, 8):
-            val = sk.additive_survival(fam, [x, x, x])
+            val = oracle.additive_survival(psi, [x, x, x])
             if prev is not None:
                 assert val <= prev + 1e-12
             prev = val
         for _ in range(10):
             pt = rng.random(3)
-            base = sk.additive_survival(fam, pt)
-            assert sk.additive_survival(fam, pt[::-1]) == pytest.approx(base, rel=1e-12)
+            base = oracle.additive_survival(psi, pt)
+            assert oracle.additive_survival(psi, pt[::-1]) == pytest.approx(base, rel=1e-12)
 
     def test_increment_exponents_are_bernstein_like(self):
         # psi_t - psi_s must have completely monotone finite differences
-        fam = sk.DirichletPriorFamily(1.2, sk.UniformBase())
+        psi = oracle.dirichlet_prior(1.2, sk.UniformBase())
         s, t = 0.3, 0.6
         h = 0.25
         xs = np.linspace(0.5, 4.0, 8)
-        diff = lambda x: float(fam.psi(t, x) - fam.psi(s, x))
+        diff = lambda x: psi(t, x) - psi(s, x)
         for x in xs:
             d1 = (diff(x + h) - diff(x - h)) / (2 * h)
             d2 = (diff(x + h) - 2 * diff(x) + diff(x - h)) / h**2
             assert d1 >= -1e-9
             assert d2 <= 1e-9
 
-    def test_json_round_trip(self):
-        fams = [
-            sk.PiecewiseLevy([0.0, 1.0], [
-                lom.CompoundPoissonSubordinatorSpec(drift=0.2),
-                lom.CompoundPoissonSubordinatorSpec(jumps=((1.0, 0.3),)),
-            ]),
-            sk.DirichletPriorFamily(2.0, sk.NormalBase(0.0, 1.0)),
-            sk.SatoFamily(1.1),
-        ]
-        for fam in fams:
-            back = sk.additive_family_from_json(fam.to_json())
-            assert back.to_json() == fam.to_json()
-
-    @pytest.mark.parametrize("obj, path", [
-        ({"kind": "piecewise_levy", "breakpoints": [0.0, 1.0],
-          "pieces": [{"drift": 0.2}, {"jumps": [{"size": 1.0}]}]},
-         "family.pieces[1].jumps[0].rate"),
-        ({"kind": "piecewise_levy", "pieces": []}, "family.breakpoints"),
-        ({"kind": "dirichlet_prior", "base": {"family": "uniform"}}, "family.c"),
-        ({"kind": "dirichlet_prior", "c": 1.0, "base": {"family": "normal", "x": 1}},
-         "family.base.x"),
-        ({"kind": "sato"}, "family.alpha"),
-        ({"kind": "piecewise_levy", "breakpoints": [0.0], "pieces": {"drift": 0.2}},
-         "family.pieces must be a JSON list"),
-    ])
-    def test_malformed_json_names_its_path(self, obj, path):
-        with pytest.raises(SpecValidationError, match=re.escape(path)):
-            sk.additive_family_from_json(obj)
-
 
 class TestDirichletPrior:
     def test_psi_closed_form_matches_integral(self):
-        fam = sk.DirichletPriorFamily(1.7, sk.UniformBase())
+        psi = oracle.dirichlet_prior(1.7, sk.UniformBase())
+        quad = oracle.dirichlet_prior_quad(1.7, sk.UniformBase())
         for t in (0.2, 0.5, 0.9):
             for x in (1, 2, 3.5):
-                assert float(fam.psi(t, x)) == pytest.approx(fam.psi_integral(t, x), abs=1e-7)
+                assert psi(t, x) == pytest.approx(quad(t, x), abs=1e-7)
 
     def test_copula_hand_value(self):
         assert sk.dp_copula_eval(1.0, [0.5, 0.5]) == pytest.approx(0.375)
@@ -213,13 +184,15 @@ class TestDirichletPrior:
         assert sk.dp_copula_eval(1e8, u) == pytest.approx(float(np.prod(u)), abs=1e-6)
         assert sk.dp_copula_eval(1e-8, u) == pytest.approx(min(u), abs=1e-6)
 
-    def test_additive_survival_equals_copula_form(self):
-        fam = sk.DirichletPriorFamily(1.7, sk.UniformBase())
+    @pytest.mark.parametrize("base", [sk.UniformBase(), sk.ExponentialBase(1.0),
+                                      sk.NormalBase(0.0, 1.0)], ids=lambda b: b.family)
+    def test_additive_survival_equals_copula_form(self, base):
+        psi = oracle.dirichlet_prior(1.7, base)
         rng = np.random.default_rng(59)
         for _ in range(10):
             pt = rng.random(3)
-            assert sk.additive_survival(fam, pt) == pytest.approx(
-                sk.dp_survival(1.7, sk.UniformBase(), pt), rel=1e-9
+            assert oracle.additive_survival(psi, pt) == pytest.approx(
+                sk.dp_survival(1.7, base, pt), rel=1e-9
             )
 
     def test_urn_sampler_against_copula(self):
@@ -269,11 +242,10 @@ class TestSato:
     def test_agrees_with_additive_on_grid(self):
         rng = np.random.default_rng(64)
         for alpha in (0.7, 1.0, 2.3):
-            fam = sk.SatoFamily(alpha)
             for _ in range(10):
                 pt = rng.exponential(1.0, 3)
                 assert sk.sato_survival(alpha, pt) == pytest.approx(
-                    sk.additive_survival(fam, pt), abs=1e-12
+                    oracle.additive_survival(oracle.sato(alpha), pt), abs=1e-12
                 )
 
     def test_inversion_sampler_reproduces_survival(self):
@@ -343,41 +315,9 @@ class TestSato:
             sk.sample_sato(0.0, 2, 10, np.random.default_rng(69))
 
 
-class TestSelfDecomposability:
-    def test_gamma_family(self):
-        for alpha in (0.5, 1.0, 3.0):
-            assert sk.check_self_decomposable(sk.SatoFamily(alpha))
-
-    def test_pure_kill_fails(self):
-        assert not sk.check_self_decomposable(lom.CompoundPoissonSubordinatorSpec(kill=0.7))
-
-    def test_single_jump_atom_fails(self):
-        # x*psi'(x) = x*exp(-x): its derivative changes sign at x = 1
-        assert not sk.check_self_decomposable(
-            lambda x: -np.expm1(-np.asarray(x, dtype=float))
-        )
-
-    def test_stable_exponent_passes(self):
-        assert sk.check_self_decomposable(lambda x: np.asarray(x, dtype=float) ** 0.5)
-
-    def test_drift_passes(self):
-        assert sk.check_self_decomposable(lambda x: 2.0 * np.asarray(x, dtype=float))
-
-    def test_fd_weights_exact_on_polynomials(self):
-        nodes = 2.0 + 0.01 * np.arange(-4, 5)
-        w = sk.fd_weights(2.0, nodes, 4)
-        vals = nodes**3
-        assert vals @ w[:, 1] == pytest.approx(12.0, abs=1e-6)
-        assert vals @ w[:, 2] == pytest.approx(12.0, abs=1e-4)
-        assert vals @ w[:, 3] == pytest.approx(6.0, abs=1e-2)
-        assert vals @ w[:, 4] == pytest.approx(0.0, abs=1e-2)
-
-
 def test_invalid_specs():
     with pytest.raises(SpecValidationError):
         sk.ShockSurvivalSpec(())
-    with pytest.raises(SpecValidationError):
-        sk.DirichletPriorFamily(0.0, sk.UniformBase())
     with pytest.raises(SpecValidationError):
         sk.sato_survival(-1.0, [0.5])
     with pytest.raises(SpecValidationError):
