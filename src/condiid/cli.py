@@ -3,14 +3,18 @@
 Model specifications are JSON objects with a ``family`` tag, passed either
 inline or as a path (``--model``), optionally overridden by repeated
 ``--param key=value`` flags; a conflicting override is an error, not a silent
-merge.  Samples are written as CSV with header ``x1,...,xd`` and ``inf``
+merge.  One table, ``_FAMILIES``, maps each family to its builder and the
+top-level fields it takes; any other field is refused.  Where a list sets the
+dimension, ``d`` is optional and must agree with it, and a family given more
+than one parameterisation (``b``, ``p``, ``rates``, ``subordinator``) is
+refused.  Samples are written as CSV with header ``x1,...,xd`` and ``inf``
 sentinels.  Exit codes: 0 ok, 1 validation error, 2 verification failure,
 3 I/O failure.
 
 Imports follow one rule, so that a command loads only what it uses: numpy and
 the CLI plumbing (argparse, json, ``errors``, ``sample``) load with this
-module; a family module loads on first use, in the :func:`build_model` branch
-or the command that needs it; scipy loads inside the function that calls it.
+module; a family module loads on first use, in the family's builder or the
+command that needs it; scipy loads inside the function that calls it.
 """
 
 from __future__ import annotations
@@ -23,30 +27,16 @@ import sys
 
 import numpy as np
 
-from .errors import SpecValidationError, json_field, json_list, json_number, json_numbers
+from .errors import (SpecValidationError, json_field, json_known_fields, json_list, json_number,
+                     json_numbers)
 from .sample import SampleMatrix, read_csv, write_csv
-
-FAMILIES = (
-    "exch_normal",
-    "spherical",
-    "l1",
-    "linf",
-    "archimedean",
-    "marshall_olkin",
-    "geometric",
-    "minstable",
-    "exshock",
-    "dirichlet_prior",
-    "sato",
-    "binary",
-)
 
 
 class Model:
     """A parsed model: sampler plus whatever closed forms the family supports."""
 
-    def __init__(self, family, d, sampler=None, evals=None, marginal_ppf=None,
-                 check=None, verify_kind="survival", integer_grid=False):
+    def __init__(self, family, d, sampler, evals=None, marginal_ppf=None, check=None,
+                 verify_kind="survival"):
         self.family = family
         self.d = d
         self.sampler = sampler
@@ -54,227 +44,232 @@ class Model:
         self.marginal_ppf = marginal_ppf
         self.check = check
         self.verify_kind = verify_kind
-        self.integer_grid = integer_grid
 
     def default_grid(self):
         if self.marginal_ppf is None:
             raise SpecValidationError(f"family {self.family!r} has no closed-form marginal")
         from . import diagnostics
 
-        grid = diagnostics.default_quantile_grid(self.marginal_ppf, self.d)
-        if self.integer_grid:
-            grid = np.maximum(np.rint(grid), 0.0)
-        return grid
+        return diagnostics.default_quantile_grid(self.marginal_ppf, self.d)
 
 
 def build_model(spec: dict) -> Model:
+    """The model of a model-JSON object, built by its family's entry of
+    ``_FAMILIES``; a top-level field that the family does not take is refused."""
     family = json_field(spec, "family", "")
-    if family not in FAMILIES:
-        raise SpecValidationError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise SpecValidationError(f"unknown family {family!r}; known: {', '.join(_FAMILIES)}")
+    build, fields = _FAMILIES[family]
     d = json_field(spec, "d", "", 2)
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise SpecValidationError(f"d must be a JSON integer >= 1, got {d!r}")
+    model = build(spec, d)
+    json_known_fields(spec, "", ("family", "d", *fields), f"family {family!r}")
+    return model
 
-    if family == "exch_normal":
-        from . import mixtures
 
-        mu = json_number(spec, "mu", "", 0.0)
-        sigma = json_number(spec, "sigma", "", 1.0)
-        rho = json_number(spec, "rho", "")
+def _dimension(spec: dict, key: str, n: int) -> int:
+    """The dimension ``n`` that the list ``key`` sets; a ``d`` given too must equal it."""
+    if spec.get("d", n) != n:
+        raise SpecValidationError(f"d = {spec['d']} disagrees with {key}, which sets d = {n}")
+    return n
 
-        def marginal_ppf(q):
-            from scipy.stats import norm
 
-            return mu + sigma * float(norm.ppf(q))
+def _one_of(spec: dict, keys: tuple) -> str | None:
+    """The one field of ``keys`` that ``spec`` gives, or None; more than one is refused."""
+    given = [k for k in keys if k in spec]
+    if len(given) > 1:
+        raise SpecValidationError(f"give one of {', '.join(keys)}; got {', '.join(given)}")
+    return given[0] if given else None
 
-        return Model(
-            family, d,
-            sampler=lambda n, rng: mixtures.sample_exch_normal(mu, sigma, rho, d, n, rng),
-            evals={
-                "cdf": lambda x: mixtures.exch_normal_cdf(mu, sigma, rho, x),
-                "survival": lambda x: mixtures.exch_normal_cdf(
-                    mu, sigma, rho, 2.0 * mu - np.asarray(x, dtype=float)
-                ),
-            },
-            marginal_ppf=marginal_ppf,
-            verify_kind="cdf",
-        )
 
-    if family in ("spherical", "l1", "archimedean", "linf"):
-        from . import mixtures
-        from .mixing import mixing_law_from_json
+# -- one builder per family: (spec, d) -> Model ---------------------------------------
 
-        law = mixing_law_from_json(json_field(spec, "m", ""))
+def _exch_normal(spec: dict, d: int) -> Model:
+    from . import mixtures
 
-    if family == "spherical":
-        return Model(
-            family, d,
-            sampler=lambda n, rng: mixtures.sample_spherical_ciid(law, d, n, rng),
-        )
+    mu = json_number(spec, "mu", "", 0.0)
+    sigma = json_number(spec, "sigma", "", 1.0)
+    rho = json_number(spec, "rho", "")
 
-    if family in ("l1", "archimedean"):
-        gen = mixtures.ArchimedeanGenerator(law)
-        if family == "l1":
-            return Model(
-                family, d,
-                sampler=lambda n, rng: mixtures.sample_l1_ciid(law, d, n, rng),
-                evals={
-                    "survival": lambda x: mixtures.l1_ciid_survival(law, x),
-                    "copula": lambda u: mixtures.archimedean_copula_eval(gen, u),
-                },
-                marginal_ppf=lambda q: gen.inverse(1.0 - q),
-            )
+    def marginal_ppf(q):
+        from scipy.stats import norm
 
-        def copula_sampler(n, rng):
-            xs = mixtures.sample_l1_ciid(law, d, n, rng)
-            return SampleMatrix(np.asarray(law.laplace(xs.data)), meta=f"archimedean {law!r}")
+        return mu + sigma * float(norm.ppf(q))
 
-        copula = lambda u: mixtures.archimedean_copula_eval(gen, u)
-        return Model(
-            family, d,
-            sampler=copula_sampler,
-            # the sample has uniform margins, so its cdf is the copula
-            evals={"copula": copula, "cdf": copula},
-            marginal_ppf=lambda q: q,
-            verify_kind="cdf",
-        )
+    cdf = lambda x: mixtures.exch_normal_cdf(mu, sigma, rho, x)
+    return Model("exch_normal", d,
+                 sampler=lambda n, rng: mixtures.sample_exch_normal(mu, sigma, rho, d, n, rng),
+                 evals={"cdf": cdf, "survival": lambda x: cdf(2.0 * mu - np.asarray(x, float))},
+                 marginal_ppf=marginal_ppf, verify_kind="cdf")
 
-    if family == "linf":
-        from .inverse import monotone_inverse
 
-        return Model(
-            family, d,
-            sampler=lambda n, rng: mixtures.sample_linf_ciid(law, d, n, rng),
-            evals={"survival": lambda x: mixtures.linf_ciid_survival(law, x)},
-            marginal_ppf=lambda q: monotone_inverse(
-                lambda x: 1.0 - mixtures.linf_marginal_cdf(law, x) <= q
-            ),
-        )
+def _mixing_law(spec: dict):
+    from .mixing import mixing_law_from_json
 
-    if family in ("marshall_olkin", "geometric"):
-        from . import lack_of_memory as lom
+    return mixing_law_from_json(json_field(spec, "m", ""))
 
-    if family == "marshall_olkin":
-        if "subordinator" in spec:
-            sub = lom.CompoundPoissonSubordinatorSpec.from_json(spec["subordinator"])
-            params = sub.b_seq(d)
-            sampler = lambda n, rng: lom.sample_mo_ciid(sub, d, n, rng)
+
+def _spherical(spec: dict, d: int) -> Model:
+    from . import mixtures
+
+    law = _mixing_law(spec)
+    return Model("spherical", d,
+                 sampler=lambda n, rng: mixtures.sample_spherical_ciid(law, d, n, rng))
+
+
+def _l1(spec: dict, d: int) -> Model:
+    from . import mixtures
+
+    law = _mixing_law(spec)
+    gen = mixtures.ArchimedeanGenerator(law)
+    return Model("l1", d, sampler=lambda n, rng: mixtures.sample_l1_ciid(law, d, n, rng),
+                 evals={"survival": lambda x: mixtures.l1_ciid_survival(law, x),
+                        "copula": lambda u: mixtures.archimedean_copula_eval(gen, u)},
+                 marginal_ppf=lambda q: gen.inverse(1.0 - q))
+
+
+def _archimedean(spec: dict, d: int) -> Model:
+    from . import mixtures
+
+    law = _mixing_law(spec)
+    gen = mixtures.ArchimedeanGenerator(law)
+
+    def copula_sampler(n, rng):
+        xs = mixtures.sample_l1_ciid(law, d, n, rng)
+        return SampleMatrix(np.asarray(law.laplace(xs.data)), meta=f"archimedean {law!r}")
+
+    copula = lambda u: mixtures.archimedean_copula_eval(gen, u)
+    # the sample has uniform margins, so its cdf is the copula
+    return Model("archimedean", d, sampler=copula_sampler, evals={"copula": copula, "cdf": copula},
+                 marginal_ppf=lambda q: q, verify_kind="cdf")
+
+
+def _linf(spec: dict, d: int) -> Model:
+    from . import mixtures
+    from .inverse import monotone_inverse
+
+    law = _mixing_law(spec)
+    return Model("linf", d, sampler=lambda n, rng: mixtures.sample_linf_ciid(law, d, n, rng),
+                 evals={"survival": lambda x: mixtures.linf_ciid_survival(law, x)},
+                 marginal_ppf=lambda q: monotone_inverse(
+                     lambda x: 1.0 - mixtures.linf_marginal_cdf(law, x) <= q))
+
+
+def _marshall_olkin(spec: dict, d: int) -> Model:
+    from . import lack_of_memory as lom
+
+    key = _one_of(spec, ("subordinator", "b", "rates")) or "rates"
+    if key == "subordinator":
+        sub = lom.CompoundPoissonSubordinatorSpec.from_json(spec[key])
+        params = sub.b_seq(d)
+        sampler = lambda n, rng: lom.sample_mo_ciid(sub, d, n, rng)
+    else:
+        values = json_numbers(spec, key, "")
+        if key == "b":
+            d = _dimension(spec, key, len(values) - 1)
+            params = lom.LomParameterSeq(values, lom.CONTINUOUS)
+            rates = lom.lambda_from_b(params)
         else:
-            if "b" in spec:
-                params = lom.LomParameterSeq(json_numbers(spec, "b", ""), lom.CONTINUOUS)
-                rates = lom.lambda_from_b(params)
-            else:
-                rates = lom.ShockRateSpec(
-                    d=d, kind="exponential", cardinality=json_numbers(spec, "rates", "")
-                )
-                params = lom.b_from_lambda(rates)
-            sampler = lambda n, rng: lom.sample_mo_shocks(rates, d, n, rng)
-        rate1 = -math.log(params.values[1])
-        return Model(
-            family, params.d,
-            sampler=sampler,
-            evals={"survival": lambda x: float(lom.mo_survival(params, x))},
-            marginal_ppf=lambda q: -math.log1p(-q) / rate1,
-            check=lambda: lom.is_ciid_extendible(params),
-        )
+            d = _dimension(spec, key, len(values))
+            rates = lom.ShockRateSpec(d=d, kind="exponential", cardinality=values)
+            params = lom.b_from_lambda(rates)
+        sampler = lambda n, rng: lom.sample_mo_shocks(rates, d, n, rng)
+    rate1 = -math.log(params.values[1])
+    return Model("marshall_olkin", d, sampler=sampler,
+                 evals={"survival": lambda x: float(lom.mo_survival(params, x))},
+                 marginal_ppf=lambda q: -math.log1p(-q) / rate1,
+                 check=lambda: lom.is_ciid_extendible(params))
 
-    if family == "geometric":
-        if "b" in spec:
-            params = lom.LomParameterSeq(json_numbers(spec, "b", ""), lom.DISCRETE)
-            if params.d < 1:
-                raise SpecValidationError("dimension must be at least 1")
-            shocks = lambda: lom.p_from_b_geo(params)  # only the sampler needs p
-        else:
-            pspec = lom.ShockRateSpec(
-                d=d, kind="geometric", cardinality=json_numbers(spec, "p", "")
-            )
-            params = lom.b_from_p(pspec)
-            shocks = lambda: pspec
-        b1 = params.values[1]
-        return Model(
-            family, params.d,
-            sampler=lambda n, rng: lom.sample_geo_shocks(shocks(), params.d, n, rng),
-            evals={"survival": lambda x: float(lom.geo_survival(params, x))},
-            marginal_ppf=lambda q: max(0.0, math.ceil(math.log1p(-q) / math.log(b1))),
-            check=lambda: lom.is_ciid_extendible(params),
-            integer_grid=True,
-        )
 
-    if family == "minstable":
-        from . import extreme_value as ev
+def _geometric(spec: dict, d: int) -> Model:
+    from . import lack_of_memory as lom
 
-        rate = json_number(spec, "rate", "", 1.0)
-        stdf_obj = json_field(spec, "stdf", "")
-        stdf = ev.stdf_from_json(stdf_obj)
-        # a "term_tol" field is accepted and ignored: no sampler truncates
-        if stdf_obj["kind"] == "logistic" and stdf_obj["theta"] < 1.0:
-            theta = stdf_obj["theta"]
-            sampler = lambda n, rng: ev.sample_logistic_direct(theta, rate, d, n, rng)
-        else:
-            sampler = lambda n, rng: ev.sample_minstable(stdf, d, n, rng, rate=rate)
-        return Model(
-            family, d,
-            sampler=sampler,
-            evals={
-                "survival": lambda x: ev.minstable_survival(stdf, rate, x),
-                "stdf": lambda x: ev.stdf_eval(stdf, x),
-                "copula": lambda u: ev.extreme_value_copula_eval(stdf, u),
-            },
-            marginal_ppf=lambda q: -math.log1p(-q) / rate,
-        )
+    key = _one_of(spec, ("b", "p")) or "p"
+    values = json_numbers(spec, key, "")
+    d = _dimension(spec, key, len(values) - 1)
+    if key == "b":
+        params = lom.LomParameterSeq(values, lom.DISCRETE)
+        if d < 1:
+            raise SpecValidationError("dimension must be at least 1")
+        shocks = lambda: lom.p_from_b_geo(params)  # only the sampler needs p
+    else:
+        pspec = lom.ShockRateSpec(d=d, kind="geometric", cardinality=values)
+        params = lom.b_from_p(pspec)
+        shocks = lambda: pspec
+    b1 = params.values[1]
+    # the marginal is geometric on 0, 1, 2, ..., so its quantiles and the grid are integers
+    return Model("geometric", d,
+                 sampler=lambda n, rng: lom.sample_geo_shocks(shocks(), d, n, rng),
+                 evals={"survival": lambda x: float(lom.geo_survival(params, x))},
+                 marginal_ppf=lambda q: max(0.0, math.ceil(math.log1p(-q) / math.log(b1))),
+                 check=lambda: lom.is_ciid_extendible(params))
 
-    if family in ("exshock", "dirichlet_prior", "sato"):
-        from . import shock_models as shock
 
-    if family == "exshock":
-        shocks = tuple(
-            shock.shock_from_json(s, f"shocks[{i}]")
-            for i, s in enumerate(json_list(spec, "shocks", ""))
-        )
-        sspec = shock.ShockSurvivalSpec(shocks)
-        return Model(
-            family, sspec.d,
-            sampler=lambda n, rng: shock.exshock_sample(sspec, sspec.d, n, rng),
-            evals={
-                "survival": lambda x: float(shock.exshock_survival(sspec, x)),
-                "copula": lambda u: shock.exshock_copula_eval(sspec, u),
-            },
-            marginal_ppf=lambda q: shock.exshock_marginal_inverse(sspec, 1.0 - q),
-        )
+def _minstable(spec: dict, d: int) -> Model:
+    from . import extreme_value as ev
 
-    if family == "dirichlet_prior":
-        c = json_number(spec, "c", "")
-        base = shock.base_distribution_from_json(spec.get("base", {"family": "uniform"}))
-        return Model(
-            family, d,
-            sampler=lambda n, rng: shock.sample_dp(c, base, d, n, rng),
-            evals={
-                "survival": lambda x: shock.dp_survival(c, base, x),
-                "copula": lambda u: shock.dp_copula_eval(c, u),
-            },
-            marginal_ppf=lambda q: float(base.ppf(q)),
-        )
+    rate = json_number(spec, "rate", "", 1.0)
+    stdf_obj = json_field(spec, "stdf", "")
+    stdf = ev.stdf_from_json(stdf_obj)
+    if stdf_obj["kind"] == "logistic" and stdf_obj["theta"] < 1.0:
+        theta = stdf_obj["theta"]
+        sampler = lambda n, rng: ev.sample_logistic_direct(theta, rate, d, n, rng)
+    else:
+        sampler = lambda n, rng: ev.sample_minstable(stdf, d, n, rng, rate=rate)
+    return Model("minstable", d, sampler=sampler,
+                 evals={"survival": lambda x: ev.minstable_survival(stdf, rate, x),
+                        "stdf": lambda x: ev.stdf_eval(stdf, x),
+                        "copula": lambda u: ev.extreme_value_copula_eval(stdf, u)},
+                 marginal_ppf=lambda q: -math.log1p(-q) / rate)
 
-    if family == "sato":
-        alpha = json_number(spec, "alpha", "")
-        return Model(
-            family, d,
-            sampler=lambda n, rng: shock.sample_sato(alpha, d, n, rng),
-            evals={"survival": lambda x: float(shock.sato_survival(alpha, x))},
-            marginal_ppf=lambda q: (1.0 - q) ** (-1.0 / alpha) - 1.0,
-        )
 
-    # binary sequences
+def _exshock(spec: dict, d: int) -> Model:
+    from . import shock_models as shock
+
+    shocks = [shock.shock_from_json(s, f"shocks[{i}]")
+              for i, s in enumerate(json_list(spec, "shocks", ""))]
+    d = _dimension(spec, "shocks", len(shocks))
+    sspec = shock.ShockSurvivalSpec(shocks)
+    return Model("exshock", d, sampler=lambda n, rng: shock.exshock_sample(sspec, d, n, rng),
+                 evals={"survival": lambda x: float(shock.exshock_survival(sspec, x)),
+                        "copula": lambda u: shock.exshock_copula_eval(sspec, u)},
+                 marginal_ppf=lambda q: shock.exshock_marginal_inverse(sspec, 1.0 - q))
+
+
+def _dirichlet_prior(spec: dict, d: int) -> Model:
+    from . import shock_models as shock
+
+    c = json_number(spec, "c", "")
+    base = shock.base_distribution_from_json(spec.get("base", {"family": "uniform"}))
+    return Model("dirichlet_prior", d, sampler=lambda n, rng: shock.sample_dp(c, base, d, n, rng),
+                 evals={"survival": lambda x: shock.dp_survival(c, base, x),
+                        "copula": lambda u: shock.dp_copula_eval(c, u)},
+                 marginal_ppf=lambda q: float(base.ppf(q)))
+
+
+def _sato(spec: dict, d: int) -> Model:
+    from . import shock_models as shock
+
+    alpha = json_number(spec, "alpha", "")
+    return Model("sato", d, sampler=lambda n, rng: shock.sample_sato(alpha, d, n, rng),
+                 evals={"survival": lambda x: float(shock.sato_survival(alpha, x))},
+                 marginal_ppf=lambda q: (1.0 - q) ** (-1.0 / alpha) - 1.0)
+
+
+def _binary(spec: dict, d: int) -> Model:
     from . import moments
     from .mixing import mixing_law_from_json
 
-    if "p" in spec:
-        law = moments.BinaryExchangeableLaw(json_numbers(spec, "p", ""))
-        seq = moments.b_from_p(law)
-    elif "b" in spec:
-        seq = moments.MonotoneSequence(json_numbers(spec, "b", ""))
-    else:
+    key = _one_of(spec, ("p", "b"))
+    if key is None:
         raise SpecValidationError("binary model needs pattern probabilities 'p' or moments 'b'")
+    values = json_numbers(spec, key, "")
+    d = _dimension(spec, key, len(values) - 1)
+    if key == "p":
+        seq = moments.b_from_p(moments.BinaryExchangeableLaw(values))
+    else:
+        seq = moments.MonotoneSequence(values)
     law_m = mixing_law_from_json(spec["m"]) if "m" in spec else None
 
     def sampler(n, rng):
@@ -285,13 +280,30 @@ def build_model(spec: dict) -> Model:
                     "binary model is not extendible; cannot sample it without a mixing law 'm'"
                 )
             m = moments.discrete_witness(seq)
-        return moments.sample_binary_mixture(m, seq.d, n, rng)
+        return moments.sample_binary_mixture(m, d, n, rng)
 
-    return Model(
-        "binary", seq.d,
-        sampler=sampler,
-        check=lambda: moments.hausdorff_extendible(seq),
-    )
+    return Model("binary", d, sampler=sampler, check=lambda: moments.hausdorff_extendible(seq))
+
+
+# Each family's builder and the top-level fields it takes besides "family" and
+# "d".  A list that sets the dimension (binary b or p, marshall_olkin b or
+# rates, geometric b or p, exshock shocks) makes d optional, and a d given must
+# agree with it; the other families read d, 2 if absent.  A minstable
+# "term_tol" is accepted and ignored: no sampler truncates.
+_FAMILIES = {
+    "exch_normal": (_exch_normal, ("mu", "sigma", "rho")),
+    "spherical": (_spherical, ("m",)),
+    "l1": (_l1, ("m",)),
+    "linf": (_linf, ("m",)),
+    "archimedean": (_archimedean, ("m",)),
+    "marshall_olkin": (_marshall_olkin, ("subordinator", "b", "rates")),
+    "geometric": (_geometric, ("b", "p")),
+    "minstable": (_minstable, ("rate", "stdf", "term_tol")),
+    "exshock": (_exshock, ("shocks",)),
+    "dirichlet_prior": (_dirichlet_prior, ("c", "base")),
+    "sato": (_sato, ("alpha",)),
+    "binary": (_binary, ("p", "b", "m")),
+}
 
 
 # -- argument plumbing ---------------------------------------------------------------
@@ -339,18 +351,11 @@ def _parse_point(text: str) -> np.ndarray:
 
 def cmd_sample(args) -> int:
     model = build_model(_load_model_spec(args))
-    if model.sampler is None:
-        raise SpecValidationError(f"family {model.family!r} has no sampler")
     if args.seed is None:
         raise SpecValidationError("--seed is mandatory for sample")
-    rng = np.random.default_rng(args.seed)
-    out = model.sampler(args.n, rng)
-    matrix = out if isinstance(out, SampleMatrix) else SampleMatrix(np.asarray(out))
+    matrix = model.sampler(args.n, np.random.default_rng(args.seed))
     try:
-        if args.out:
-            write_csv(matrix, args.out)
-        else:
-            write_csv(matrix, sys.stdout)
+        write_csv(matrix, args.out or sys.stdout)
     except OSError as exc:
         raise IOError(f"cannot write samples: {exc}") from exc
     return 0
@@ -383,7 +388,7 @@ def cmd_verify(args) -> int:
     from . import diagnostics
 
     model = build_model(_load_model_spec(args))
-    if model.sampler is None or model.verify_kind not in model.evals:
+    if model.verify_kind not in model.evals:
         raise SpecValidationError(
             f"family {model.family!r} lacks a sampler or closed form; cannot verify"
         )
@@ -458,8 +463,13 @@ def make_parser() -> argparse.ArgumentParser:
     def add_model_args(p):
         p.add_argument(
             "--model",
-            help="model JSON (inline or a file path); a minstable model's "
-            "'term_tol' field is accepted and ignored, as its samplers are exact",
+            help="model JSON (inline or a file path) with a 'family' and that family's "
+            "fields; an unknown field is refused.  A list that sets the dimension "
+            "(binary b or p, marshall_olkin b or rates, geometric b or p, exshock "
+            "shocks) makes 'd' optional, and a 'd' given must agree with it; other "
+            "families take 'd' (default 2).  Give one of b, p, rates and subordinator.  "
+            "A minstable model's 'term_tol' field is accepted and ignored, as its "
+            "samplers are exact",
         )
         p.add_argument("--param", action="append", help="key=value override", default=None)
 

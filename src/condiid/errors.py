@@ -118,6 +118,15 @@ def _field_path(key: str, path: str) -> str:
     return f"{path}.{key}" if path else key
 
 
+def json_known_fields(obj, path: str, fields, owner: str) -> None:
+    """Refuse the first key of the model-JSON object at ``path``, in sorted
+    order, that is not in ``fields``, naming it, its ``owner`` and ``fields``."""
+    unknown = sorted(k for k in obj if k not in fields)
+    if unknown:
+        key = _field_path(unknown[0], path)
+        raise SpecValidationError(f"{key} is not a field of {owner}; it takes {', '.join(fields)}")
+
+
 def json_kwargs(cls, obj: dict, path: str, tag: str | None = None) -> dict:
     """The fields of the model-JSON object at ``path`` other than its ``tag``,
     as keyword arguments of ``cls``.
@@ -133,12 +142,7 @@ def json_kwargs(cls, obj: dict, path: str, tag: str | None = None) -> dict:
     missing = [k for k, p in params.items() if p.default is p.empty and k not in kwargs]
     if missing:
         raise SpecValidationError(f"{path}.{missing[0]} is missing")
-    unknown = sorted(set(kwargs) - set(params))
-    if unknown:
-        owner = f"{tag} {obj[tag]!r}" if tag else path
-        raise SpecValidationError(
-            f"{path}.{unknown[0]} is not a field of {owner}; it takes {', '.join(params)}"
-        )
+    json_known_fields(kwargs, path, params, f"{tag} {obj[tag]!r}" if tag else path)
     for k, v in kwargs.items():
         # annotations are strings in modules that postpone their evaluation
         if params[k].annotation in (float, "float") and not _finite_number(v):

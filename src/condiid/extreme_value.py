@@ -33,6 +33,7 @@ from .errors import (
     UnsupportedLawError,
     json_field,
     json_kind,
+    json_known_fields,
     json_kwargs,
     json_list,
     json_number,
@@ -557,4 +558,6 @@ def stdf_from_json(obj: dict, path: str = "stdf") -> Triplet:
 
 def _atom_from_json(obj: dict, path: str) -> tuple[GSpec, float]:
     g = g_spec_from_json(json_field(obj, "g", path), f"{path}.g")
-    return g, json_number(obj, "weight", path)
+    weight = json_number(obj, "weight", path)
+    json_known_fields(obj, path, ("g", "weight"), path)
+    return g, weight

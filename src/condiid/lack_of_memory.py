@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments
-from .errors import NotDMonotoneError, SpecValidationError, json_kwargs, json_list, json_number
+from .errors import (NotDMonotoneError, SpecValidationError, json_known_fields, json_kwargs,
+                     json_list, json_number)
 from .mixing import Beta, MixingLaw
 from .moments import (
     BinaryExchangeableLaw,
@@ -144,9 +145,6 @@ def geo_survival(params: LomParameterSeq, nvec) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
-_CARDINALITY_KEYS = {"exponential": "cardinality_rates", "geometric": "cardinality_probs"}
-
-
 @dataclass(frozen=True)
 class ShockRateSpec:
     """Per-cardinality parameters of an exchangeable shock model in dimension d.
@@ -165,7 +163,7 @@ class ShockRateSpec:
     cardinality: tuple
 
     def __post_init__(self):
-        if self.kind not in _CARDINALITY_KEYS:
+        if self.kind not in ("exponential", "geometric"):
             raise SpecValidationError(f"unknown shock kind {self.kind!r}")
         if self.d < 1:
             raise SpecValidationError("dimension must be at least 1")
@@ -187,26 +185,6 @@ class ShockRateSpec:
             miss = sum(math.comb(self.d - 1, i) * card[i] for i in range(self.d))
             if miss >= 1.0 - 1e-15:
                 raise SpecValidationError("every component needs positive hit probability")
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "d": self.d, _CARDINALITY_KEYS[self.kind]: list(self.cardinality)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ShockRateSpec":
-        kind = obj.get("kind", "exponential")
-        if kind not in _CARDINALITY_KEYS:
-            raise SpecValidationError(f"unknown shock kind {kind!r}")
-        key = _CARDINALITY_KEYS[kind]
-        given = [k for k in _CARDINALITY_KEYS.values() if k in obj]
-        if given != [key]:
-            raise SpecValidationError(
-                f"{kind} shock spec JSON needs {key!r} and no other cardinality key, got {given}"
-            )
-        card = obj[key]
-        d = obj.get("d")
-        if d is None:
-            d = len(card) if kind == "exponential" else len(card) - 1
-        return cls(d=int(d), kind=kind, cardinality=tuple(card))
 
 
 def b_from_lambda(spec: ShockRateSpec) -> LomParameterSeq:
@@ -396,6 +374,7 @@ class CompoundPoissonSubordinatorSpec:
         for i, jump in enumerate(json_list(obj, "jumps", path, ())):
             at = f"{path}.jumps[{i}]"
             jumps.append((json_number(jump, "size", at), json_number(jump, "rate", at)))
+            json_known_fields(jump, at, ("size", "rate"), at)
         return cls(**{**json_kwargs(cls, obj, path), "jumps": tuple(jumps)})
 
 

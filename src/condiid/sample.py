@@ -13,12 +13,10 @@ class SampleMatrix:
     """n x d matrix of real samples; rows are iid replications of a d-variate law.
 
     Infinities are allowed (killed models place mass at +inf), NaNs are not.
-    ``seed`` records the seed that produced the matrix when known, ``meta``
-    is a free-form model descriptor.
+    ``meta`` is a free-form model descriptor.
     """
 
     data: np.ndarray
-    seed: int | None = None
     meta: str = ""
 
     def __post_init__(self):

@@ -585,6 +585,77 @@ class TestModelPlumbing:
         assert "dimension must be at least 1" in err
 
 
+class TestFamilyTable:
+    """One rule for every family's top-level fields and dimension."""
+
+    @pytest.mark.parametrize("spec", [
+        {"family": "marshall_olkin", "b": [1.0, 0.5, 0.3, 0.2]},
+        {"family": "marshall_olkin", "rates": [0.1, 0.2, 0.3]},
+        {"family": "geometric", "p": [0.2, 0.1, 0.1, 0.2]},
+    ], ids=["mo_b", "mo_rates", "geometric_p"])
+    def test_list_sets_the_dimension(self, spec):
+        model = json.dumps(spec)
+        code, out, err = run(["sample", "--model", model, "--n", "5", "--seed", "1"])
+        assert code == 0, err
+        assert read_csv(io.StringIO(out)).shape == (5, 3)
+        code, out, err = run(["verify", "--model", model, "--n", "4000", "--seed", "1"])
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["passed"] is True and len(report["grid"][0]) == 3
+
+    @pytest.mark.parametrize("spec", [
+        {"family": "binary", "d": 5, "b": [1.0, 0.5, 0.3]},
+        {"family": "exshock", "d": 7, "shocks": [{"kind": "exponential", "rate": 1.0},
+                                                 {"kind": "exponential", "rate": 0.5}]},
+        {"family": "geometric", "d": 9, "b": [1.0, 0.5, 0.3]},
+        {"family": "marshall_olkin", "d": 2, "b": [1.0, 0.5, 0.3, 0.2]},
+        {"family": "marshall_olkin", "d": 2, "rates": [0.1, 0.2, 0.3]},
+    ], ids=["binary", "exshock", "geometric", "mo_b", "mo_rates"])
+    @pytest.mark.parametrize("argv", [["sample", "--n", "5", "--seed", "1"],
+                                      ["verify", "--n", "100", "--seed", "1"],
+                                      ["eval", "--point", "0.5,0.5"], ["check"]],
+                             ids=["sample", "verify", "eval", "check"])
+    def test_disagreeing_d_is_refused(self, spec, argv):
+        code, out, err = run([argv[0], "--model", json.dumps(spec), *argv[1:]])
+        assert code == 1 and out == ""
+        assert f"d = {spec['d']} disagrees with" in err
+
+    @pytest.mark.parametrize("spec, given", [
+        ({"family": "marshall_olkin", "d": 2, "subordinator": {"drift": 1.0},
+          "rates": [5.0, 5.0]}, "subordinator, rates"),
+        ({"family": "marshall_olkin", "b": [1.0, 0.5, 0.3], "rates": [0.1, 0.2]}, "b, rates"),
+        ({"family": "geometric", "b": [1.0, 0.5, 0.3], "p": [0.5, 0.2, 0.1]}, "b, p"),
+        ({"family": "binary", "b": [1.0, 0.5, 0.3], "p": [0.5, 0.2, 0.1]}, "p, b"),
+    ], ids=["mo_subordinator_rates", "mo_b_rates", "geometric", "binary"])
+    def test_one_parameterisation(self, spec, given):
+        code, out, err = run(["sample", "--model", json.dumps(spec), "--n", "5", "--seed", "1"])
+        assert code == 1 and out == ""
+        assert f"; got {given}" in err
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"family": "l1", "d": 2, "m": {"family": "gamma", "shape": 1.0}, "foo": 1, "rate": 5},
+         "foo is not a field of family 'l1'; it takes family, d, m"),
+        ({"family": "sato", "d": 2, "alpha": 1.0, "rho": "x"},
+         "rho is not a field of family 'sato'; it takes family, d, alpha"),
+        ({"family": "marshall_olkin", "d": 2, "subordinator": {
+            "jumps": [{"size": 1.0, "rate": 1.0, "x": 2}]}},
+         "subordinator.jumps[0].x is not a field of subordinator.jumps[0]; it takes size, rate"),
+        ({"family": "minstable", "d": 2, "stdf": {"kind": "triplet", "c": 1.0, "atoms": [
+            {"g": {"kind": "frechet", "theta": 0.5}, "weight": 1.0, "x": 2}]}},
+         "stdf.atoms[0].x is not a field of stdf.atoms[0]; it takes g, weight"),
+    ], ids=["l1", "sato", "jump", "atom"])
+    def test_unknown_field_is_refused(self, spec, message):
+        code, out, err = run(["sample", "--model", json.dumps(spec), "--n", "5", "--seed", "1"])
+        assert code == 1 and out == ""
+        assert message in err
+
+    def test_minstable_term_tol_is_ignored(self):
+        spec = {"family": "minstable", "d": 2, "stdf": {"kind": "independence"}}
+        outs = [run(["sample", "--model", json.dumps(s), "--n", "5", "--seed", "1"])
+                for s in (spec, {**spec, "term_tol": 1e-8})]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
 FAMILY_MODULES = {"diagnostics", "extreme_value", "lack_of_memory", "mixing", "mixtures",
                    "moments", "shock_models"}
 
@@ -593,7 +664,11 @@ FAMILY_MODULES = {"diagnostics", "extreme_value", "lack_of_memory", "mixing", "m
     (None, set()),
     (["check", "--model", '{"family":"binary","b":[1.0,0.5,0.3]}'], {"moments", "mixing"}),
     (["diagnose", "{csv}"], {"diagnostics"}),
-], ids=["import", "check_binary", "diagnose"])
+    (["check", "--model", '{"family":"geometric","b":[1.0,0.5,0.3]}'],
+     {"lack_of_memory", "mixing", "moments"}),
+    (["sample", "--model", '{"family":"sato","d":2,"alpha":1.05}', "--n", "5", "--seed", "1"],
+     {"lack_of_memory", "mixing", "moments", "shock_models"}),
+], ids=["import", "check_binary", "diagnose", "check_geometric", "sample_sato"])
 def test_cli_loads_only_the_modules_a_command_uses(command, loaded, tmp_path):
     """``import condiid.cli`` loads no family module and no scipy; a command
     loads the family modules it uses and no other."""

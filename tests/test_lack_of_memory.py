@@ -493,21 +493,6 @@ class TestBetaFamily:
         assert lom.beta_family_bseq(2.0, 1.0, 0).values == (1.0,)
 
 
-def test_shock_spec_json_round_trip():
-    spec = lom.ShockRateSpec(d=3, kind="exponential", cardinality=(0.3, 0.2, 0.1))
-    js = spec.to_json()
-    assert js["cardinality_rates"] == [0.3, 0.2, 0.1]
-    assert lom.ShockRateSpec.from_json(js) == spec
+def test_subordinator_json_round_trip():
     sub = lom.CompoundPoissonSubordinatorSpec(drift=0.3, kill=0.1, jumps=((1.0, 0.5),))
     assert lom.CompoundPoissonSubordinatorSpec.from_json(sub.to_json()) == sub
-
-
-@pytest.mark.parametrize("obj", [
-    {"kind": "exponential", "cardinality_probs": [0.2, 0.3]},
-    {"kind": "geometric", "cardinality_rates": [0.25, 0.25, 0.25]},
-    {"kind": "exponential", "cardinality_rates": [0.2, 0.3], "cardinality_probs": [0.2, 0.3]},
-    {"cardinality_probs": [0.2, 0.3]},
-], ids=["exponential_with_probs", "geometric_with_rates", "both_keys", "default_kind_with_probs"])
-def test_shock_spec_json_key_must_match_kind(obj):
-    with pytest.raises(SpecValidationError, match="cardinality"):
-        lom.ShockRateSpec.from_json(obj)

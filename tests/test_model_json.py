@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condiid import cli
 from condiid.cli import build_model
 from condiid.errors import SpecValidationError
 
@@ -51,10 +52,12 @@ VALID_SPECS = [
      "base": {"family": "normal", "mu": 0.0, "sigma": 1.0}},
     EXSHOCK,
     BINARY_M,
+    {"family": "l1", "d": 3, "m": {"family": "gamma", "shape": 1.5}},
+    {"family": "linf", "d": 3, "m": {"family": "pareto", "alpha": 2.5}},
+    {"family": "spherical", "d": 3, "m": {"family": "beta", "p": 2.0, "q": 3.0}},
+    {"family": "archimedean", "d": 3, "m": {"family": "log_series", "theta": 0.5}},
+    {"family": "geometric", "b": [1.0, 0.5, 0.3]},
 ]
-
-# objects whose fields are all known: an unknown one is refused
-CLOSED_OBJECTS = ("stdf", "g", "subordinator")
 
 BAD_VALUES = st.one_of(
     st.sampled_from(["x", "", None, True, False, [], [1.0], {}, {"kind": "x"}]),
@@ -77,13 +80,14 @@ def json_objects(tree, path=()):
 @st.composite
 def mutations(draw):
     """A valid spec with one field replaced, deleted or added; and whether
-    the mutation adds an unknown field to an object that takes none."""
+    the mutation adds an unknown field, which every object refuses, the
+    top-level spec included."""
     spec = copy.deepcopy(draw(st.sampled_from(VALID_SPECS)))
     path, obj = draw(st.sampled_from(list(json_objects(spec))))
     action = draw(st.sampled_from(["replace", "delete", "add"]))
     if action == "add":
         obj["unknown_field"] = draw(BAD_VALUES)
-        return spec, bool(path) and path[-1] in CLOSED_OBJECTS
+        return spec, True
     key = draw(st.sampled_from(sorted(obj)))
     if action == "delete":
         del obj[key]
@@ -95,6 +99,10 @@ def mutations(draw):
 @pytest.mark.parametrize("spec", VALID_SPECS)
 def test_valid_specs_build(spec):
     build_model(copy.deepcopy(spec))
+
+
+def test_valid_specs_cover_every_family():
+    assert {spec["family"] for spec in VALID_SPECS} == set(cli._FAMILIES)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
