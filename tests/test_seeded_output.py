@@ -4,7 +4,8 @@ for byte.
 One model per sampler.  Each hash is the sha256 of the CSV that
 ``condiid sample --model SPEC --n 200 --seed 1`` prints.  Each ``verify`` hash
 is the sha256 of the report of ``condiid verify --model SPEC --n 2000 --seed 1``
-for a min-stable model at d = 3.  Each ``check`` hash
+for a min-stable model at d = 3, or of ``--n 40000`` for a vectorized sampler,
+whose count then spans more than one block of rows.  Each ``check`` hash
 is the sha256 of what ``condiid check --model SPEC`` prints: the verdict line
 and the JSON with the Hankel determinants.  Each ``diagnose`` hash is the
 sha256 of the JSON report of ``condiid diagnose`` on a seeded sample CSV.  A change that moves any of these
@@ -187,6 +188,21 @@ def test_minstable_stdf_value(name):
     with redirect_stdout(out):
         assert cli.main(["eval", "--model", model, "--kind", "stdf", "--point", "0.3,0.7,1.1"]) == 0
     assert out.getvalue() == value + "\n"
+
+
+LARGE_VERIFIES = {  # model name: sha256 of its verify report at --n 40000 --seed 1
+    "l1": ({"family": "l1", "d": 5, "m": {"family": "gamma", "shape": 2.0}},
+           "7e606b9dae6be23a8f66142b7fec0242902e0d1aad4295ec6264ad64a4a64c6c"),
+    "exch_normal": (MODELS["exch_normal"][0],  # cdf mode
+                    "3f7daa0f070e871af5ebb86b8104234dd2b5ccd4f421bfaa1d032a8cf56dc26b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_VERIFIES))
+def test_large_verify_bytes(name):
+    spec, digest = LARGE_VERIFIES[name]
+    argv = ["verify", "--model", json.dumps(spec), "--n", "40000", "--seed", "1"]
+    assert stdout_sha256(argv) == digest
 
 
 DIAGNOSES = {  # model name: sha256 of the diagnose output of its seeded 1000-row CSV
