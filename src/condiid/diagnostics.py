@@ -344,29 +344,41 @@ class McReport:
         return lines
 
 
+# Bytes of sample columns that one block of the orthant count copies: the
+# block stays in cache across the grid points.
+_COUNT_BLOCK_BYTES = 1 << 20
+
+
 def _orthant_hits(data: np.ndarray, grid: np.ndarray, mode: str) -> np.ndarray:
     """Number of rows of ``data`` in the orthant of each grid point.
 
     ``mode`` "survival" counts the rows strictly above the point in every
-    coordinate (x > g), "cdf" the rows at or below it (x <= g).  Each point
-    ANDs its column comparisons into one n-length buffer, so no n x grid x d
-    array is built.
+    coordinate (x > g), "cdf" the rows at or below it (x <= g).  The rows are
+    counted in blocks of about 1 MiB of columns: each block is copied,
+    transposed, into one (d, B) buffer, and each point ANDs its column
+    comparisons into one B-length buffer, so neither a transposed copy of the
+    sample nor an n x grid x d array is built.
     """
-    if grid.shape[1] != data.shape[1]:
+    n, d = data.shape
+    if grid.shape[1] != d:
         raise SpecValidationError(
-            f"grid points have {grid.shape[1]} coordinates but the sample has "
-            f"d={data.shape[1]}"
+            f"grid points have {grid.shape[1]} coordinates but the sample has d={d}"
         )
     compare = np.greater if mode == "survival" else np.less_equal
-    cols = np.ascontiguousarray(data.T)
-    inside = np.empty(data.shape[0], dtype=bool)
+    rows = max(1, min(n, _COUNT_BLOCK_BYTES // (data.itemsize * d)))
+    buf = np.empty((d, rows), dtype=data.dtype)
+    inside = np.empty(rows, dtype=bool)
     scratch = np.empty_like(inside)
-    hits = np.empty(grid.shape[0], dtype=np.int64)
-    for k, point in enumerate(grid):
-        compare(cols[0], point[0], out=inside)
-        for col, g in zip(cols[1:], point[1:]):
-            inside &= compare(col, g, out=scratch)
-        hits[k] = np.count_nonzero(inside)
+    hits = np.zeros(grid.shape[0], dtype=np.int64)
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        cols, hit, tmp = buf[:, :m], inside[:m], scratch[:m]
+        np.copyto(cols, data[start:start + m].T)
+        for k, point in enumerate(grid):
+            compare(cols[0], point[0], out=hit)
+            for col, g in zip(cols[1:], point[1:]):
+                hit &= compare(col, g, out=tmp)
+            hits[k] += np.count_nonzero(hit)
     return hits
 
 
@@ -393,9 +405,9 @@ def mc_verify(
     Counting rule: a row hits a survival point when every coordinate is
     strictly greater (x > g), a cdf point when every coordinate is less or
     equal (x <= g); a tie at a grid value counts for cdf only, and +inf counts
-    as above every point.  Each stream's chunk is counted column by column:
-    beyond the sample, counting holds one copy of its columns plus two
-    boolean buffers of the chunk's length.
+    as above every point.  Each stream's chunk is counted in blocks of rows:
+    beyond the sample, counting holds one block of about 1 MiB of columns
+    plus two boolean buffers of the block's length.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if n < 1:

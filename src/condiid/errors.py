@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the model-JSON field
 lookups that raise them."""
 
+import functools
 import inspect
 import sys
 
@@ -137,7 +138,7 @@ def json_kwargs(cls, obj: dict, path: str, tag: str | None = None) -> dict:
     refused with SpecValidationError naming its path.
     """
     _json_object(obj, path)
-    params = inspect.signature(cls).parameters
+    params = _parameters(cls)
     kwargs = {k: v for k, v in obj.items() if k != tag}
     missing = [k for k, p in params.items() if p.default is p.empty and k not in kwargs]
     if missing:
@@ -148,3 +149,9 @@ def json_kwargs(cls, obj: dict, path: str, tag: str | None = None) -> dict:
         if params[k].annotation in (float, "float") and not _finite_number(v):
             raise SpecValidationError(f"{path}.{k} must be a finite number, got {v!r}")
     return kwargs
+
+
+@functools.cache
+def _parameters(cls):
+    """The parameters of ``cls``'s signature, read once per class."""
+    return inspect.signature(cls).parameters

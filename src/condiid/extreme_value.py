@@ -456,8 +456,10 @@ def sample_logistic_direct(theta: float, rate: float, d: int, n: int, rng) -> Sa
     if rate <= 0:
         raise SpecValidationError("rate must be positive")
     s = sample_positive_stable(theta, n, rng)
-    eps = rng.exponential(size=(n, d))
-    data = (eps / s[:, None]) ** theta / rate
+    data = rng.exponential(size=(n, d))
+    data /= s[:, None]
+    data **= theta
+    data /= rate
     return SampleMatrix(data, meta=f"logistic theta={theta} rate={rate} d={d}")
 
 

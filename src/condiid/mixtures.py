@@ -50,8 +50,11 @@ def sample_exch_normal(mu, sigma, rho, d, n, rng) -> SampleMatrix:
     if sigma <= 0:
         raise SpecValidationError("sigma must be positive")
     shared = rng.standard_normal(n)
-    own = rng.standard_normal((n, d))
-    data = mu + sigma * (math.sqrt(rho) * shared[:, None] + math.sqrt(1.0 - rho) * own)
+    data = rng.standard_normal((n, d))
+    data *= math.sqrt(1.0 - rho)
+    data += math.sqrt(rho) * shared[:, None]
+    data *= sigma
+    data += mu
     return SampleMatrix(data, meta=f"exch_normal mu={mu} sigma={sigma} rho={rho} d={d}")
 
 
@@ -131,8 +134,10 @@ def williamson_transform(law: MixingLaw, d: int, x) -> float:
 def sample_l1_symmetric(law: MixingLaw, d, n, rng) -> SampleMatrix:
     """R * (E_1/||E||_1, ..., E_d/||E||_1) with iid unit exponentials E."""
     r = law.sample(n, rng)
-    e = rng.exponential(size=(n, d))
-    data = r[:, None] * e / e.sum(axis=1, keepdims=True)
+    data = rng.exponential(size=(n, d))
+    s = data.sum(axis=1, keepdims=True)
+    data *= r[:, None]
+    data /= s
     return SampleMatrix(data, meta=f"l1_symmetric {law!r} d={d}")
 
 
@@ -142,8 +147,8 @@ def sample_l1_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
     m = law.sample(n, rng)
     if (np.asarray(m) <= 0).any():
         raise SpecValidationError("mixing variable must be strictly positive")
-    e = rng.exponential(size=(n, d))
-    data = e / m[:, None]
+    data = rng.exponential(size=(n, d))
+    data /= m[:, None]
     return SampleMatrix(data, meta=f"l1_ciid {law!r} d={d}")
 
 
@@ -217,7 +222,8 @@ def sample_linf_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
     m = law.sample(n, rng)
     if (np.asarray(m) <= 0).any():
         raise SpecValidationError("mixing variable must be strictly positive")
-    data = m[:, None] * rng.random((n, d))
+    data = rng.random((n, d))
+    data *= m[:, None]
     return SampleMatrix(data, meta=f"linf_ciid {law!r} d={d}")
 
 

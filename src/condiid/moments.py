@@ -373,6 +373,8 @@ def moment_sequence(law: MixingLaw, d: int) -> MonotoneSequence:
 
 def sample_binary_mixture(law: MixingLaw, d: int, n: int, rng: np.random.Generator) -> SampleMatrix:
     """Draw M once per row, then d independent Bernoulli(M) indicators."""
+    if d < 1:
+        raise SpecValidationError("dimension must be at least 1")
     if not law.unit_interval:
         raise UnsupportedLawError(f"{law!r} is not supported in [0,1]")
     m = law.sample(n, rng)

@@ -51,7 +51,8 @@ def write_csv(matrix: SampleMatrix | np.ndarray, path_or_buf) -> None:
     ``path_or_buf`` is a path (``str``, ``bytes`` or ``os.PathLike``) or an
     open text stream.  Each value is written as ``repr`` of its float, so
     +inf is the literal ``inf``, no field is quoted and identical data yields
-    identical bytes.
+    identical bytes.  A chunk of rows is formatted by one ``%`` operation:
+    one ``%r`` per field, the row's template repeated once per row.
     """
     data = matrix.data if isinstance(matrix, SampleMatrix) else np.asarray(matrix, dtype=float)
     if data.ndim != 2:
@@ -60,9 +61,10 @@ def write_csv(matrix: SampleMatrix | np.ndarray, path_or_buf) -> None:
     f = open(path_or_buf, "w", newline="\n") if own else path_or_buf
     try:
         f.write(",".join(f"x{k + 1}" for k in range(data.shape[1])) + "\n")
+        line = ",".join(["%r"] * data.shape[1]) + "\n"
         for start in range(0, data.shape[0], _WRITE_CHUNK_ROWS):
-            rows = data[start:start + _WRITE_CHUNK_ROWS].tolist()
-            f.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+            chunk = data[start:start + _WRITE_CHUNK_ROWS]
+            f.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
     finally:
         if own:
             f.close()

@@ -584,6 +584,16 @@ class TestModelPlumbing:
         assert code == 1 and out == ""
         assert "dimension must be at least 1" in err
 
+    @pytest.mark.parametrize("spec", [
+        {"family": "binary", "b": [1.0]},
+        {"family": "binary", "b": [1.0], "m": {"family": "beta", "p": 2.0, "q": 3.0}},
+    ], ids=["b", "b_with_m"])
+    def test_binary_sample_of_dimension_zero_is_refused(self, spec):
+        """Its check stays a verdict, pinned as the d0 case in test_seeded_output."""
+        code, out, err = run(["sample", "--model", json.dumps(spec), "--n", "5", "--seed", "1"])
+        assert code == 1 and out == ""
+        assert "dimension must be at least 1" in err
+
 
 class TestFamilyTable:
     """One rule for every family's top-level fields and dimension."""

@@ -57,6 +57,39 @@ def tied_samples(draw):
     return rows, grid
 
 
+def block_rows(d):
+    """Rows per block of the orthant count at dimension d."""
+    return dg._COUNT_BLOCK_BYTES // (8 * d)
+
+
+@st.composite
+def blocked_samples(draw):
+    """(sample, grid) with n at and around multiples of the count's block.
+
+    A grid of up to ten points plus the origin; rows are random grid
+    coordinates and +-inf, exact copies of a grid point, and copies nudged one
+    ulp up, and every 0.0 entry may be -0.0.  The sample is C- or
+    Fortran-ordered.
+    """
+    d = draw(st.sampled_from([1, 2, 5, 40]))
+    b = block_rows(d)
+    n = draw(st.sampled_from([1, b - 1, b, b + 1, 3 * b + 7]))
+    coord = st.floats(-10.0, 10.0, allow_nan=False) | st.sampled_from([0.0, math.inf, -math.inf])
+    points = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=10))
+    grid = np.array([*points, [0.0] * d])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.r_[grid.ravel(), math.inf, -math.inf]
+    data = rng.choice(values, size=(n, d))
+    kind = rng.integers(0, 3, size=n)
+    copies = grid[rng.integers(0, len(grid), size=n)]
+    data[kind == 1] = copies[kind == 1]
+    data[kind == 2] = np.nextafter(copies[kind == 2], math.inf)
+    data[(data == 0.0) & (rng.random((n, d)) < 0.5)] = -0.0
+    if draw(st.booleans()):
+        data = np.asfortranarray(data)
+    return data, grid
+
+
 class TestKendallTau:
     def test_comonotone(self):
         x = np.random.default_rng(0).standard_normal(500)
@@ -376,6 +409,25 @@ class TestMcVerify:
         finally:
             tracemalloc.stop()
         assert peak < 2 * data.nbytes
+
+    @settings(max_examples=60, deadline=None)
+    @given(blocked_samples(), st.sampled_from(["survival", "cdf"]))
+    def test_blocked_hits_match_whole_sample_oracle(self, case, mode):
+        data, grid = case
+        inside = np.greater if mode == "survival" else np.less_equal
+        expected = [int(inside(data, point).all(axis=1).sum()) for point in grid]
+        assert dg._orthant_hits(data, grid, mode).tolist() == expected
+
+    def test_counting_memory_is_one_block(self):
+        data = np.random.default_rng(0).random((200_000, 5))
+        grid = np.random.default_rng(1).random((10, 5))
+        tracemalloc.start()
+        try:
+            dg._orthant_hits(data, grid, "survival")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
     def test_default_grid_shape(self):
         grid = dg.default_quantile_grid(lambda q: q, 3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,17 @@ class TestL1Family:
             closed = mx.l1_ciid_survival(law, pt)
             se = math.sqrt(max(closed * (1 - closed), 1e-12) / n)
             assert abs(emp - closed) <= 3 * se + 1e-3
+
+
+def test_l1_sampler_memory_is_its_output():
+    """The sampler divides its draw in place: no second n x d array."""
+    tracemalloc.start()
+    try:
+        out = mx.sample_l1_ciid(Gamma(2.0), 5, 200_000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * out.data.nbytes
 
 
 class TestArchimedean:
