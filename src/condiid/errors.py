@@ -128,6 +128,12 @@ def json_known_fields(obj, path: str, fields, owner: str) -> None:
         raise SpecValidationError(f"{key} is not a field of {owner}; it takes {', '.join(fields)}")
 
 
+@functools.cache
+def _parameters(cls):
+    """The parameters of ``cls``'s signature, read once per class."""
+    return inspect.signature(cls).parameters
+
+
 def json_kwargs(cls, obj: dict, path: str, tag: str | None = None) -> dict:
     """The fields of the model-JSON object at ``path`` other than its ``tag``,
     as keyword arguments of ``cls``.
@@ -149,9 +155,3 @@ def json_kwargs(cls, obj: dict, path: str, tag: str | None = None) -> dict:
         if params[k].annotation in (float, "float") and not _finite_number(v):
             raise SpecValidationError(f"{path}.{k} must be a finite number, got {v!r}")
     return kwargs
-
-
-@functools.cache
-def _parameters(cls):
-    """The parameters of ``cls``'s signature, read once per class."""
-    return inspect.signature(cls).parameters
