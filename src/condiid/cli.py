@@ -6,10 +6,10 @@ inline or as a path (``--model``), optionally overridden by repeated
 merge.  One table, ``_FAMILIES``, maps each family to its builder and the
 top-level fields it takes; any other field is refused.  Where a list sets the
 dimension, ``d`` is optional and must agree with it, and a family given more
-than one parameterisation (``b``, ``p``, ``rates``, ``subordinator``) is
-refused.  Samples are written as CSV with header ``x1,...,xd`` and ``inf``
-sentinels.  Exit codes: 0 ok, 1 validation error, 2 verification failure,
-3 I/O failure.
+than one parameterisation (``b``, ``p``, ``rates``, ``subordinator``, and a
+binary ``m``) is refused.  Samples are written as CSV with header
+``x1,...,xd`` and ``inf`` sentinels.  Exit codes: 0 ok, 1 validation error,
+2 verification failure, 3 I/O failure.
 
 Imports follow one rule, so that a command loads only what it uses: numpy and
 the CLI plumbing (argparse, json, ``errors``, ``sample``) load with this
@@ -122,24 +122,22 @@ def _l1(spec: dict, d: int) -> Model:
     from . import mixtures
 
     law = _mixing_law(spec)
-    gen = mixtures.ArchimedeanGenerator(law)
     return Model("l1", d, sampler=lambda n, rng: mixtures.sample_l1_ciid(law, d, n, rng),
                  evals={"survival": lambda x: mixtures.l1_ciid_survival(law, x),
-                        "copula": lambda u: mixtures.archimedean_copula_eval(gen, u)},
-                 marginal_ppf=lambda q: gen.inverse(1.0 - q))
+                        "copula": lambda u: mixtures.archimedean_copula_eval(law, u)},
+                 marginal_ppf=lambda q: mixtures.laplace_inverse(law, 1.0 - q))
 
 
 def _archimedean(spec: dict, d: int) -> Model:
     from . import mixtures
 
     law = _mixing_law(spec)
-    gen = mixtures.ArchimedeanGenerator(law)
 
     def copula_sampler(n, rng):
         xs = mixtures.sample_l1_ciid(law, d, n, rng)
         return SampleMatrix(np.asarray(law.laplace(xs.data)), meta=f"archimedean {law!r}")
 
-    copula = lambda u: mixtures.archimedean_copula_eval(gen, u)
+    copula = lambda u: mixtures.archimedean_copula_eval(law, u)
     # the sample has uniform margins, so its cdf is the copula
     return Model("archimedean", d, sampler=copula_sampler, evals={"copula": copula, "cdf": copula},
                  marginal_ppf=lambda q: q, verify_kind="cdf")
@@ -259,25 +257,30 @@ def _sato(spec: dict, d: int) -> Model:
 
 def _binary(spec: dict, d: int) -> Model:
     from . import moments
-    from .mixing import mixing_law_from_json
 
-    key = _one_of(spec, ("p", "b"))
+    key = _one_of(spec, ("p", "b", "m"))
     if key is None:
-        raise SpecValidationError("binary model needs pattern probabilities 'p' or moments 'b'")
-    values = json_numbers(spec, key, "")
-    d = _dimension(spec, key, len(values) - 1)
-    if key == "p":
-        seq = moments.b_from_p(moments.BinaryExchangeableLaw(values))
+        raise SpecValidationError(
+            "binary model needs pattern probabilities 'p', moments 'b' or a mixing law 'm'"
+        )
+    law_m = None
+    if key == "m":
+        law_m = _mixing_law(spec)
+        seq = moments.moment_sequence(law_m, d)  # refuses a law not on [0, 1]
     else:
-        seq = moments.MonotoneSequence(values)
-    law_m = mixing_law_from_json(spec["m"]) if "m" in spec else None
+        values = json_numbers(spec, key, "")
+        d = _dimension(spec, key, len(values) - 1)
+        if key == "p":
+            seq = moments.b_from_p(moments.BinaryExchangeableLaw(values))
+        else:
+            seq = moments.MonotoneSequence(values)
 
     def sampler(n, rng):
         m = law_m
         if m is None:
             if not moments.hausdorff_extendible(seq).extendible:
                 raise SpecValidationError(
-                    "binary model is not extendible; cannot sample it without a mixing law 'm'"
+                    "binary model is not extendible: no mixing law on [0, 1] has these moments"
                 )
             m = moments.discrete_witness(seq)
         return moments.sample_binary_mixture(m, d, n, rng)
@@ -288,8 +291,8 @@ def _binary(spec: dict, d: int) -> Model:
 # Each family's builder and the top-level fields it takes besides "family" and
 # "d".  A list that sets the dimension (binary b or p, marshall_olkin b or
 # rates, geometric b or p, exshock shocks) makes d optional, and a d given must
-# agree with it; the other families read d, 2 if absent.  A minstable
-# "term_tol" is accepted and ignored: no sampler truncates.
+# agree with it; the other families, and a binary model given m, read d, 2 if
+# absent.  A minstable "term_tol" is accepted and ignored: no sampler truncates.
 _FAMILIES = {
     "exch_normal": (_exch_normal, ("mu", "sigma", "rho")),
     "spherical": (_spherical, ("m",)),
@@ -467,7 +470,9 @@ def make_parser() -> argparse.ArgumentParser:
             "fields; an unknown field is refused.  A list that sets the dimension "
             "(binary b or p, marshall_olkin b or rates, geometric b or p, exshock "
             "shocks) makes 'd' optional, and a 'd' given must agree with it; other "
-            "families take 'd' (default 2).  Give one of b, p, rates and subordinator.  "
+            "families take 'd' (default 2).  Give one of b, p, rates and subordinator; "
+            "a binary model takes one of b, p and m, and its mixing law m, on [0, 1], "
+            "sets b to the moments of m.  "
             "A minstable model's 'term_tol' field is accepted and ignored, as its "
             "samplers are exact",
         )

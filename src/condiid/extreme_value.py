@@ -178,8 +178,12 @@ class Weibull(GSpec):
 
 class MOAtom(GSpec):
     """Two-point G with an atom at success probability q = exp(-M):
-    G_t = q for t < 1/(1-q), then 1.  Induces the exponential lack-of-memory
-    dependence; M may be random (point mass or finite discrete law)."""
+    G_q(t) = q for t < 1/(1-q), then 1.  Induces the exponential
+    lack-of-memory dependence.  M may be any mixing law; l averages l_{G_q}
+    over it, so its series coefficients E[(1 - q^j)/(1 - q)] =
+    phi(0) + ... + phi(j-1) are sums of values of M's Laplace transform phi.
+    ``cdf``, ``support_upper`` and ``jump_points``, the inputs of the
+    quadrature reference, need a point-mass or finite-discrete M."""
 
     kind = "mo_atom"
 
@@ -206,41 +210,19 @@ class MOAtom(GSpec):
             out = out + w * np.where(y >= thr, 1.0, q)
         return out if out.ndim else float(out)
 
-    @staticmethod
-    def _coeffs(q: float, d: int) -> np.ndarray:
-        j = np.arange(1, d + 1)
-        if q == 0.0:
-            return np.ones(d)
-        if q == 1.0:
-            return j.astype(float)  # limit q -> 1: independence
-        return (1.0 - q**j) / (1.0 - q)
-
     def ell(self, x):
+        # l_{G_q}(x) = sum_j (1 + q + ... + q^(j-1)) * gap_j over the gaps of
+        # the decreasingly sorted x, and E[q^i] = phi(i)
         s = np.sort(x)[::-1]
         gaps = s - np.concatenate([s[1:], [0.0]])
-        try:
-            qs, ws = self._q_values()
-        except UnsupportedLawError:
-            from .mixtures import _expectation
-
-            coeff = np.array(
-                [
-                    _expectation(self.m, lambda m, jj=jj: MOAtom._coeffs(math.exp(-m), jj)[-1])
-                    for jj in range(1, s.size + 1)
-                ]
-            )
-            return float(np.sum(coeff * gaps))
-        total = 0.0
-        for q, w in zip(qs, ws):
-            total += w * float(np.sum(self._coeffs(float(q), s.size) * gaps))
-        return total
+        coeff = np.cumsum(self.m.laplace(np.arange(s.size)))
+        return float(coeff @ gaps)
 
     def tilted_draw(self, k, d, m, rng):
         # Given q, Y_j = 1{U_j < 1-q}/(1-q); the tilt fixes Y_k = 1/(1-q) and
         # keeps the law of q.  One q serves the whole vector, because ell
         # averages l_{G_q} over M; q = 1 (M = 0) gives the limit e_k.
-        qs, ws = self._q_values()
-        q = qs if qs.size == 1 else qs[rng.choice(qs.size, size=m, p=ws)][:, None]
+        q = np.exp(-self.m.sample(m, rng))[:, None]
         return (rng.random((m, d)) < 1.0 - q).astype(float)
 
     def support_upper(self):

@@ -61,9 +61,6 @@ class MixingLaw:
         """E[M**k]; only for laws supported in [0, 1]."""
         raise UnsupportedLawError(f"{self.family}: moments not implementable")
 
-    def mean(self) -> float:
-        raise UnsupportedLawError(f"{self.family}: mean not available")
-
     def density(self, m):
         raise UnsupportedLawError(f"{self.family}: no density available")
 
@@ -110,9 +107,6 @@ class PointMass(MixingLaw):
     def moment(self, k):
         return self.m**k
 
-    def mean(self):
-        return self.m
-
     def support(self):
         return (self.m, self.m)
 
@@ -143,14 +137,16 @@ class FiniteDiscrete(MixingLaw):
 
     def laplace(self, x):
         x = np.asarray(x, dtype=float)
-        val = np.sum(self.weights * np.exp(-np.outer(x.ravel(), self.atoms)), axis=1)
+        # x * m is 0 where either is 0, also against +inf: phi(0) = 1 with an
+        # atom at +inf, and an atom at 0 contributes its weight at x = +inf
+        with np.errstate(invalid="ignore"):
+            xm = np.outer(x.ravel(), self.atoms)
+        xm[np.isnan(xm)] = 0.0
+        val = np.sum(self.weights * np.exp(-xm), axis=1)
         return val.reshape(x.shape) if x.ndim else float(val[0])
 
     def moment(self, k):
         return float(np.sum(self.weights * self.atoms**k))
-
-    def mean(self):
-        return float(np.sum(self.weights * self.atoms))
 
     def support(self):
         return (float(self.atoms.min()), float(self.atoms.max()))
@@ -176,9 +172,6 @@ class Gamma(MixingLaw):
         x = np.asarray(x, dtype=float)
         out = (1.0 + x) ** (-self.shape)
         return out if out.ndim else float(out)
-
-    def mean(self):
-        return self.shape
 
     def density(self, m):
         from scipy import special
@@ -230,9 +223,6 @@ class Beta(MixingLaw):
                 - special.gammaln(self.p + self.q + k)
             )
         )
-
-    def mean(self):
-        return self.p / (self.p + self.q)
 
     def density(self, m):
         from scipy import special
@@ -288,20 +278,9 @@ class Pareto(MixingLaw):
         out = np.vectorize(one)(x)
         return out if out.ndim else float(out)
 
-    def mean(self):
-        if self.alpha <= 1:
-            return math.inf
-        return self.alpha / (self.alpha - 1.0)
-
     def density(self, m):
         m = np.asarray(m, dtype=float)
         out = np.where(m >= 1, self.alpha * m ** (-self.alpha - 1.0), 0.0)
-        return out if out.ndim else float(out)
-
-    def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.minimum(1.0, np.maximum(x, 1e-300) ** (-self.alpha))
-        out = np.where(x <= 0, 1.0, out)
         return out if out.ndim else float(out)
 
     def support(self):
@@ -359,11 +338,10 @@ class LogSeries(MixingLaw):
 
     def laplace(self, x):
         x = np.asarray(x, dtype=float)
-        out = -np.log1p(-self.q * np.exp(-x)) / self.theta
+        # normalized by log(1 - q), not by -theta, which the rounding of q
+        # puts off by up to 1e-9 relative: phi(0) is exactly 1
+        out = np.log1p(-self.q * np.exp(-x)) / np.log1p(-self.q)
         return out if out.ndim else float(out)
-
-    def mean(self):
-        return self.q / ((1.0 - self.q) * self.theta)
 
     def support(self):
         return (1.0, np.inf)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import SpecValidationError, UnsupportedLawError
+from .errors import SpecValidationError
 from .inverse import monotone_inverse
 from .mixing import FiniteDiscrete, MixingLaw, Pareto, PointMass
 from .sample import SampleMatrix
@@ -25,7 +25,7 @@ __all__ = [
     "sample_l1_symmetric",
     "sample_l1_ciid",
     "l1_ciid_survival",
-    "ArchimedeanGenerator",
+    "laplace_inverse",
     "archimedean_copula_eval",
     "gnedin_g",
     "sample_linf_ciid",
@@ -161,44 +161,32 @@ def l1_ciid_survival(law: MixingLaw, x) -> float:
 
 # -- Archimedean copulas ------------------------------------------------------
 
-class ArchimedeanGenerator:
-    """Laplace transform phi of a positive mixing variable, with generalized inverse.
-
-    phi(0) = 1, phi is non-increasing, and phi^{-1}(u) = inf{x : phi(x) <= u}
-    is computed by bisection on a bracket grown by doubling.
-    """
-
-    def __init__(self, law: MixingLaw):
-        self.law = law
-
-    def __call__(self, x):
-        return self.law.laplace(x)
-
-    def inverse(self, u: float) -> float:
-        if not 0.0 <= u <= 1.0:
-            raise SpecValidationError(f"generator inverse needs u in [0,1], got {u}")
-        if u >= 1.0:
-            return 0.0
-        x = monotone_inverse(lambda t: self(t) <= u)
-        # With mass of M at 0, phi levels off at P(M = 0) from above and can
-        # round onto u = P(M = 0) at a finite point; phi never drops below u
-        # there, and the inverse is inf.
-        return x if x < math.inf and self(2.0 * x) < u else math.inf
+def laplace_inverse(law: MixingLaw, u: float) -> float:
+    """Generalized inverse phi^{-1}(u) = inf{x : phi(x) <= u} of the Laplace
+    transform phi of ``law``, by bisection on a bracket grown by doubling."""
+    if not 0.0 <= u <= 1.0:
+        raise SpecValidationError(f"generator inverse needs u in [0,1], got {u}")
+    if u >= 1.0:
+        return 0.0
+    x = monotone_inverse(lambda t: law.laplace(t) <= u)
+    # With mass of M at 0, phi levels off at P(M = 0) from above and can
+    # round onto u = P(M = 0) at a finite point; phi never drops below u
+    # there, and the inverse is inf.
+    return x if x < math.inf and law.laplace(2.0 * x) < u else math.inf
 
 
-def archimedean_copula_eval(gen: ArchimedeanGenerator | MixingLaw, u) -> float:
-    """phi(phi^{-1}(u_1) + ... + phi^{-1}(u_d)); any zero coordinate gives 0."""
-    if isinstance(gen, MixingLaw):
-        gen = ArchimedeanGenerator(gen)
+def archimedean_copula_eval(law: MixingLaw, u) -> float:
+    """phi(phi^{-1}(u_1) + ... + phi^{-1}(u_d)) with phi the Laplace transform
+    of ``law``; any zero coordinate gives 0."""
     u = np.asarray(u, dtype=float)
     if ((u < 0) | (u > 1)).any():
         raise SpecValidationError("copula arguments must lie in [0,1]")
     if (u == 0).any():
         return 0.0
-    total = sum(gen.inverse(float(v)) for v in u)
+    total = sum(laplace_inverse(law, float(v)) for v in u)
     if math.isinf(total):
         return 0.0
-    return float(gen(total))
+    return float(law.laplace(total))
 
 
 # -- linf-norm symmetric ------------------------------------------------------

@@ -23,7 +23,7 @@ class SampleMatrix:
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError(f"sample matrix must be n x d with n,d >= 1, got shape {data.shape}")
-        if np.isnan(data).any():
+        if np.isnan(data.min()):  # min propagates NaN; no n x d mask
             raise ValueError("sample matrix contains NaN entries")
         object.__setattr__(self, "data", data)
 

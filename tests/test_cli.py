@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from condiid import cli
+from condiid.errors import UnsupportedLawError
 from condiid.sample import read_csv
 
 
@@ -117,6 +118,19 @@ class TestSample:
         assert out.encode() == path.read_bytes()
 
 
+    def test_binary_m_alone_samples_its_law(self):
+        # Beta(2, 3) at d = 4: P(X_1 = ... = X_k = 1) = E[M^k] = prod_{j<k} (2+j)/(5+j)
+        n = 20000
+        model = json.dumps({"family": "binary", "d": 4, "m": {"family": "beta", "p": 2.0, "q": 3.0}})
+        code, out, err = run(["sample", "--model", model, "--n", str(n), "--seed", "3"])
+        assert code == 0, err
+        data = read_csv(io.StringIO(out))
+        assert data.shape == (n, 4)
+        for k in range(1, 5):
+            b_k = math.prod((2 + j) / (5 + j) for j in range(k))
+            freq = data[:, :k].all(axis=1).mean()
+            assert abs(freq - b_k) <= 3 * math.sqrt(b_k * (1 - b_k) / n), k
+
     def test_binary_without_m_samples_its_witness(self):
         # Beta(2, 3) moments at d = 12: P(X_1 = ... = X_k = 1) = b_k for every k
         b, n = [1.0], 20000
@@ -205,6 +219,29 @@ class TestCheck:
         payload = json.loads(out_bad.splitlines()[1])
         assert payload["extendible"] is False
         assert "hankel_values" in payload
+
+    def test_binary_m_alone_is_judged_by_its_moments(self):
+        # a point mass at 1/2 has the moments 2^-k, exact in floating point
+        by_m = run(["check", "--model", json.dumps(
+            {"family": "binary", "d": 4, "m": {"family": "point_mass", "m": 0.5}})])
+        by_b = run(["check", "--model", json.dumps(
+            {"family": "binary", "b": [1.0, 0.5, 0.25, 0.125, 0.0625]})])
+        assert by_m == by_b and by_m[1].startswith("extendible")
+        code, out, _ = run(["check", "--model", json.dumps(
+            {"family": "binary", "d": 6, "m": {"family": "beta", "p": 2.0, "q": 3.0}})])
+        assert code == 0 and out.startswith("extendible")
+        assert len(json.loads(out.splitlines()[1])["hankel_values"]) == 12
+
+    @pytest.mark.parametrize("m", [{"family": "gamma", "shape": 2.0},
+                                   {"family": "point_mass", "m": 1.5}], ids=["gamma", "point_mass"])
+    def test_binary_m_off_the_unit_interval_is_refused(self, m):
+        spec = {"family": "binary", "d": 3, "m": m}
+        with pytest.raises(UnsupportedLawError, match=r"is not supported in \[0,1\]"):
+            cli.build_model(spec)
+        for argv in (["check"], ["sample", "--n", "5", "--seed", "1"]):
+            code, out, err = run([argv[0], "--model", json.dumps(spec), *argv[1:]])
+            assert code == 1 and out == ""
+            assert "is not supported in [0,1]" in err
 
     def test_geometric_and_mo_families(self):
         code, out, _ = run(["check", "--model",
@@ -586,8 +623,7 @@ class TestModelPlumbing:
 
     @pytest.mark.parametrize("spec", [
         {"family": "binary", "b": [1.0]},
-        {"family": "binary", "b": [1.0], "m": {"family": "beta", "p": 2.0, "q": 3.0}},
-    ], ids=["b", "b_with_m"])
+    ], ids=["b"])
     def test_binary_sample_of_dimension_zero_is_refused(self, spec):
         """Its check stays a verdict, pinned as the d0 case in test_seeded_output."""
         code, out, err = run(["sample", "--model", json.dumps(spec), "--n", "5", "--seed", "1"])
@@ -636,7 +672,13 @@ class TestFamilyTable:
         ({"family": "marshall_olkin", "b": [1.0, 0.5, 0.3], "rates": [0.1, 0.2]}, "b, rates"),
         ({"family": "geometric", "b": [1.0, 0.5, 0.3], "p": [0.5, 0.2, 0.1]}, "b, p"),
         ({"family": "binary", "b": [1.0, 0.5, 0.3], "p": [0.5, 0.2, 0.1]}, "p, b"),
-    ], ids=["mo_subordinator_rates", "mo_b_rates", "geometric", "binary"])
+        # a mixing law next to b was sampled while check judged b
+        ({"family": "binary", "b": [1.0, 0.9, 0.85], "m": {"family": "beta", "p": 1.0, "q": 9.0}},
+         "b, m"),
+        ({"family": "binary", "p": [0.5, 0.2, 0.3], "m": {"family": "beta", "p": 2.0, "q": 3.0}},
+         "p, m"),
+    ], ids=["mo_subordinator_rates", "mo_b_rates", "geometric", "binary", "binary_b_m",
+            "binary_p_m"])
     def test_one_parameterisation(self, spec, given):
         code, out, err = run(["sample", "--model", json.dumps(spec), "--n", "5", "--seed", "1"])
         assert code == 1 and out == ""

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from condiid import diagnostics as dg
 from condiid import extreme_value as ev
 from condiid import lack_of_memory as lom
-from condiid.errors import SpecValidationError, UnsupportedLawError
-from condiid.mixing import FiniteDiscrete, Gamma, PointMass
+from condiid.errors import SpecValidationError
+from condiid.mixing import Beta, FiniteDiscrete, Gamma, LogSeries, PointMass, PositiveStable
 
 
 LOGISTIC_HALF = ev.logistic(0.5)
@@ -53,6 +54,47 @@ class TestStdfClosedForms:
             assert math.exp(-ev.stdf_eval(spec, x)) == pytest.approx(
                 float(lom.mo_survival(params, x)), rel=1e-10
             )
+
+    def test_mo_atom_with_gamma_m_sums_its_laplace_values(self):
+        # E[q^i] = E[exp(-i M)] = (1 + i)^-theta for M ~ Gamma(theta)
+        rng = np.random.default_rng(5)
+        for theta in (0.3, 1.0, 2.5):
+            g = ev.MOAtom(Gamma(theta))
+            for d in (1, 2, 4, 7):
+                x = rng.exponential(1.0, d)
+                s = np.sort(x)[::-1]
+                gaps = s - np.append(s[1:], 0.0)
+                coeff = [sum((1.0 + i) ** -theta for i in range(j)) for j in range(1, d + 1)]
+                assert g.ell(x) == pytest.approx(float(np.dot(coeff, gaps)), rel=1e-13)
+
+    def test_mo_atom_with_beta_m_matches_quadrature(self):
+        # E[(1 - q^j)/(1 - q)] = E[1 + q + ... + q^(j-1)] over the Beta density
+        from scipy import integrate
+
+        p, r = 2.0, 3.0
+        x = np.array([1.3, 0.2, 0.7, 0.9])
+        s = np.sort(x)[::-1]
+        gaps = s - np.append(s[1:], 0.0)
+        coeff = [integrate.quad(lambda m: sum(math.exp(-i * m) for i in range(j))
+                                * stats.beta.pdf(m, p, r), 0.0, 1.0, epsabs=1e-13)[0]
+                 for j in range(1, x.size + 1)]
+        assert ev.MOAtom(Beta(p, r)).ell(x) == pytest.approx(float(np.dot(coeff, gaps)), rel=1e-11)
+
+    def test_mo_atom_near_independence_has_no_cancellation(self):
+        # M = 1e-9: (1 - q^j)/(1 - q) cancels to 1, 2.0, 3.0, ... in doubles;
+        # the exact coefficients are 1, 1.999999999, 2.999999997, ...
+        import mpmath
+
+        m = 1e-9
+        x = [0.9, 0.1, 0.5, 0.3, 1.7, 0.25, 0.6, 1.1, 0.05, 0.8]
+        s = sorted(x, reverse=True) + [0.0]
+        with mpmath.workdps(30):
+            exact = mpmath.fsum(
+                (mpmath.mpf(s[j - 1]) - mpmath.mpf(s[j]))
+                * mpmath.fsum(mpmath.exp(-i * mpmath.mpf(m)) for i in range(j))
+                for j in range(1, len(x) + 1)
+            )
+        assert ev.MOAtom(PointMass(m)).ell(np.array(x)) == pytest.approx(float(exact), rel=1e-14)
 
     def test_triplet_normalization(self):
         tri = ev.Triplet(0.4, 1.1, [(ev.Frechet(0.5), 0.5), (ev.MOAtom(PointMass(1.0)), 0.5)])
@@ -275,11 +317,15 @@ class TestSeriesSampler:
         draws = float(sm.meta.rsplit("spectral_draws_per_row=", 1)[1])
         assert abs(draws - 3.0) < 0.1
 
-    def test_unbounded_mo_atom_rejected(self):
-        rng = np.random.default_rng(18)
-        tri = ev.Triplet(0.0, 1.0, [(ev.MOAtom(Gamma(1.0)), 1.0)])
-        with pytest.raises(UnsupportedLawError):
-            ev.sample_minstable(tri, 2, 5, rng)
+    @pytest.mark.parametrize("m_law", [Gamma(1.0), LogSeries(1.5), PositiveStable(0.5)],
+                             ids=lambda law: law.family)
+    def test_mo_atom_with_unbounded_m_passes_verify(self, m_law):
+        # the sampler draws M itself, the closed form sums its Laplace transform
+        tri = ev.Triplet(0.2, 0.8, [(ev.MOAtom(m_law), 1.0)])
+        grid = [[0.2, 0.2, 0.2], [0.5, 0.1, 0.3], [0.6, 0.6, 0.6], [1.2, 0.4, 0.8]]
+        report = dg.mc_verify(lambda n, rng: ev.sample_minstable(tri, 3, n, rng),
+                              lambda x: ev.minstable_survival(tri, 1.0, x), grid, 40_000, 18)
+        assert report.passed, report.to_json_str()
 
     def test_finite_discrete_atom_supported(self):
         rng = np.random.default_rng(19)

@@ -39,7 +39,7 @@ STDF_KINDS = [
 
 EXSHOCK = {"family": "exshock", "shocks": [
     {"kind": "exponential", "rate": 0.5}, {"kind": "step", "points": [1.0], "values": [0.5]}]}
-BINARY_M = {"family": "binary", "b": [1.0, 0.5, 0.34],
+BINARY_M = {"family": "binary", "d": 2,
             "m": {"family": "finite_discrete", "atoms": [0.2, 0.8], "weights": [0.5, 0.5]}}
 
 VALID_SPECS = [
@@ -57,6 +57,7 @@ VALID_SPECS = [
     {"family": "spherical", "d": 3, "m": {"family": "beta", "p": 2.0, "q": 3.0}},
     {"family": "archimedean", "d": 3, "m": {"family": "log_series", "theta": 0.5}},
     {"family": "geometric", "b": [1.0, 0.5, 0.3]},
+    {"family": "binary", "b": [1.0, 0.5, 0.34]},
 ]
 
 BAD_VALUES = st.one_of(

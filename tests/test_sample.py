@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,33 @@ def test_path_like(tmp_path):
 def test_rejects_non_matrix():
     with pytest.raises(ValueError, match="2-dimensional"):
         write_csv(np.zeros(3), io.StringIO())
+
+
+@pytest.mark.parametrize("fill", [1.0, np.inf, -np.inf], ids=["finite", "inf", "-inf"])
+def test_nan_anywhere_is_refused(fill):
+    """Infinities are allowed, both signs in one matrix too; a NaN is refused
+    wherever it stands, also next to them."""
+    base = np.full((3, 4), fill)
+    base[0, 1] = base[2, 3] = -fill
+    SampleMatrix(base)
+    for i in range(3):
+        for j in range(4):
+            data = base.copy()
+            data[i, j] = np.nan
+            with pytest.raises(ValueError, match="NaN"):
+                SampleMatrix(data)
+
+
+def test_nan_check_allocates_no_mask():
+    """The NaN check reduces the data; it builds no n x d boolean array."""
+    data = np.ones((200_000, 5))
+    tracemalloc.start()
+    try:
+        SampleMatrix(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_blank_lines_skipped():
