@@ -168,7 +168,7 @@ STDFS = {  # name: (min-stable stdf, sha256 of its verify report, eval --kind st
     ),
     "triplet_mo_atom": (
         MODELS["triplet_mo_atom"][0]["stdf"],
-        "66cfedb0063d2d7f5c757edd7baab2e77789047e4957c667887c44558c43546e", "1.71244607846",
+        "219e91fbab0e71a89895f96f5062315e5ae8a87549274d98069a352da8b54abf", "1.71244607846",
     ),
 }
 
