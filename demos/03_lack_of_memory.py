@@ -1,9 +1,11 @@
-"""Multivariate lack-of-memory laws built two independent ways.
+"""Multivariate lack-of-memory laws given two independent ways.
 
-The same exchangeable exponential law arises from (a) explicit subset shocks
-and (b) first passage of a compound-Poisson path across unit-exponential
-barriers.  Matching the two samplers against the ordered-gap closed form is
-the sharpest correctness check in the package.
+The same exchangeable exponential law arises from (a) explicit subset shocks,
+with rates recovered from the ordered-gap parameters b, and (b) the first
+passage of a compound-Poisson path across unit-exponential barriers, whose
+subset rates are known in closed form.  By lack of memory both are sampled by
+one chain on the number of deaths, in at most d steps.  Matching the two
+against the ordered-gap closed form checks both parameterisations.
 """
 
 import math

@@ -54,8 +54,8 @@ for pt in ([0.5, 0.5], [1.0, 0.3]):
     print(f"  at {pt.tolist()}: empirical {(sato.data > pt).all(axis=1).mean():.4f}, "
           f"closed {float(sk.sato_survival(alpha, pt)):.4f}")
 
-print("the exact sampler runs the construction itself, the first passage of the")
-print("self-similar Gamma process across exponential barriers:")
+print("the exact sampler follows the construction, the self-similar Gamma process")
+print("passing exponential barriers, one death event at a time:")
 exact = sk.sample_sato(alpha, 2, 60000, rng)
 for pt in ([0.5, 0.5], [1.0, 0.3]):
     pt = np.asarray(pt)

@@ -83,6 +83,18 @@ def _one_of(spec: dict, keys: tuple) -> str | None:
     return given[0] if given else None
 
 
+def _by_construction(field: str):
+    """The check of a model given by ``field``, a mixing law "m" or a
+    "subordinator": conditionally iid by construction at every d, so
+    extendible, whatever a numeric test of its rounded moments would say."""
+    def check():
+        from .moments import ExtendibilityVerdict
+
+        return ExtendibilityVerdict(True, by_construction=field)
+
+    return check
+
+
 # -- one builder per family: (spec, d) -> Model ---------------------------------------
 
 def _exch_normal(spec: dict, d: int) -> Model:
@@ -115,7 +127,8 @@ def _spherical(spec: dict, d: int) -> Model:
 
     law = _mixing_law(spec)
     return Model("spherical", d,
-                 sampler=lambda n, rng: mixtures.sample_spherical_ciid(law, d, n, rng))
+                 sampler=lambda n, rng: mixtures.sample_spherical_ciid(law, d, n, rng),
+                 check=_by_construction("m"))
 
 
 def _l1(spec: dict, d: int) -> Model:
@@ -125,7 +138,8 @@ def _l1(spec: dict, d: int) -> Model:
     return Model("l1", d, sampler=lambda n, rng: mixtures.sample_l1_ciid(law, d, n, rng),
                  evals={"survival": lambda x: mixtures.l1_ciid_survival(law, x),
                         "copula": lambda u: mixtures.archimedean_copula_eval(law, u)},
-                 marginal_ppf=lambda q: mixtures.laplace_inverse(law, 1.0 - q))
+                 marginal_ppf=lambda q: mixtures.laplace_inverse(law, 1.0 - q),
+                 check=_by_construction("m"))
 
 
 def _archimedean(spec: dict, d: int) -> Model:
@@ -140,7 +154,7 @@ def _archimedean(spec: dict, d: int) -> Model:
     copula = lambda u: mixtures.archimedean_copula_eval(law, u)
     # the sample has uniform margins, so its cdf is the copula
     return Model("archimedean", d, sampler=copula_sampler, evals={"copula": copula, "cdf": copula},
-                 marginal_ppf=lambda q: q, verify_kind="cdf")
+                 marginal_ppf=lambda q: q, check=_by_construction("m"), verify_kind="cdf")
 
 
 def _linf(spec: dict, d: int) -> Model:
@@ -151,7 +165,8 @@ def _linf(spec: dict, d: int) -> Model:
     return Model("linf", d, sampler=lambda n, rng: mixtures.sample_linf_ciid(law, d, n, rng),
                  evals={"survival": lambda x: mixtures.linf_ciid_survival(law, x)},
                  marginal_ppf=lambda q: monotone_inverse(
-                     lambda x: 1.0 - mixtures.linf_marginal_cdf(law, x) <= q))
+                     lambda x: 1.0 - mixtures.linf_marginal_cdf(law, x) <= q),
+                 check=_by_construction("m"))
 
 
 def _marshall_olkin(spec: dict, d: int) -> Model:
@@ -162,6 +177,7 @@ def _marshall_olkin(spec: dict, d: int) -> Model:
         sub = lom.CompoundPoissonSubordinatorSpec.from_json(spec[key])
         params = sub.b_seq(d)
         sampler = lambda n, rng: lom.sample_mo_ciid(sub, d, n, rng)
+        check = _by_construction(key)
     else:
         values = json_numbers(spec, key, "")
         if key == "b":
@@ -173,11 +189,11 @@ def _marshall_olkin(spec: dict, d: int) -> Model:
             rates = lom.ShockRateSpec(d=d, kind="exponential", cardinality=values)
             params = lom.b_from_lambda(rates)
         sampler = lambda n, rng: lom.sample_mo_shocks(rates, d, n, rng)
+        check = lambda: lom.is_ciid_extendible(params)
     rate1 = -math.log(params.values[1])
     return Model("marshall_olkin", d, sampler=sampler,
                  evals={"survival": lambda x: float(lom.mo_survival(params, x))},
-                 marginal_ppf=lambda q: -math.log1p(-q) / rate1,
-                 check=lambda: lom.is_ciid_extendible(params))
+                 marginal_ppf=lambda q: -math.log1p(-q) / rate1, check=check)
 
 
 def _geometric(spec: dict, d: int) -> Model:
@@ -285,7 +301,8 @@ def _binary(spec: dict, d: int) -> Model:
             m = moments.discrete_witness(seq)
         return moments.sample_binary_mixture(m, d, n, rng)
 
-    return Model("binary", d, sampler=sampler, check=lambda: moments.hausdorff_extendible(seq))
+    check = _by_construction(key) if key == "m" else lambda: moments.hausdorff_extendible(seq)
+    return Model("binary", d, sampler=sampler, check=check)
 
 
 # Each family's builder and the top-level fields it takes besides "family" and

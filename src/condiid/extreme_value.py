@@ -39,7 +39,7 @@ from .errors import (
     json_number,
     json_numbers,
 )
-from .mixing import FiniteDiscrete, MixingLaw, PointMass, sample_positive_stable
+from .mixing import MixingLaw, PointMass, sample_positive_stable
 from .sample import SampleMatrix
 
 __all__ = [
@@ -183,7 +183,7 @@ class MOAtom(GSpec):
     over it, so its series coefficients E[(1 - q^j)/(1 - q)] =
     phi(0) + ... + phi(j-1) are sums of values of M's Laplace transform phi.
     ``cdf``, ``support_upper`` and ``jump_points``, the inputs of the
-    quadrature reference, need a point-mass or finite-discrete M."""
+    quadrature reference, need a point-mass M."""
 
     kind = "mo_atom"
 
@@ -192,22 +192,17 @@ class MOAtom(GSpec):
             m = PointMass(float(m))
         self.m = m
 
-    def _q_values(self):
-        if isinstance(self.m, PointMass):
-            return np.array([math.exp(-self.m.m)]), np.array([1.0])
-        if isinstance(self.m, FiniteDiscrete):
-            return np.exp(-self.m.atoms), self.m.weights
-        raise UnsupportedLawError(
-            "exact atom enumeration needs a point-mass or finite-discrete M"
-        )
+    def _q(self) -> float:
+        """q of a point-mass M.  For an M with more atoms l averages l_{G_q}
+        over q, which is the l of no single G, so the quadrature has no G."""
+        if not isinstance(self.m, PointMass):
+            raise UnsupportedLawError(f"the quadrature reference needs a point-mass M, got {self.m!r}")
+        return math.exp(-self.m.m)
 
     def cdf(self, y):
-        qs, ws = self._q_values()
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape if y.ndim else ())
-        for q, w in zip(qs, ws):
-            thr = np.inf if q >= 1.0 else 1.0 / (1.0 - q)
-            out = out + w * np.where(y >= thr, 1.0, q)
+        q = self._q()
+        thr = np.inf if q >= 1.0 else 1.0 / (1.0 - q)
+        out = np.where(np.asarray(y, dtype=float) >= thr, 1.0, q)
         return out if out.ndim else float(out)
 
     def ell(self, x):
@@ -226,13 +221,12 @@ class MOAtom(GSpec):
         return (rng.random((m, d)) < 1.0 - q).astype(float)
 
     def support_upper(self):
-        qs, _ = self._q_values()
-        live = qs[qs < 1.0]
-        return float(1.0 / (1.0 - live.max())) if live.size else 0.0
+        q = self._q()
+        return 1.0 / (1.0 - q) if q < 1.0 else 0.0
 
     def jump_points(self):
-        qs, _ = self._q_values()
-        return np.array([1.0 / (1.0 - q) for q in qs if q < 1.0])
+        q = self._q()
+        return np.array([1.0 / (1.0 - q)] if q < 1.0 else [])
 
     def params(self):
         return {"m": self.m.to_json()}

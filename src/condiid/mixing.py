@@ -316,7 +316,7 @@ class PositiveStable(MixingLaw):
 
 
 class LogSeries(MixingLaw):
-    """Logarithmic law on {1,2,...}: P(M=m) = q**m / (m*theta), q = 1-exp(-theta)."""
+    """Logarithmic law on {1,2,...}: P(M=m) = q**m / (m*(-log(1-q))), q = 1-exp(-theta)."""
 
     family = "log_series"
 
@@ -331,7 +331,8 @@ class LogSeries(MixingLaw):
             )
 
     def pmf(self, m: int) -> float:
-        return self.q**m / (m * self.theta)
+        # normalized by -log(1 - q) of the rounded q, the law sampled, as in laplace
+        return self.q**m / (m * -math.log1p(-self.q))
 
     def sample(self, n, rng):
         return rng.logseries(self.q, size=n).astype(float)

@@ -156,14 +156,20 @@ class ExtendibilityVerdict:
 
     ``min_hankel`` is the least of them (0.0 for d = 0, which has none).  A
     law realizing the moments is :func:`discrete_witness`'s job, not part of
-    the verdict.
+    the verdict.  A model given by a construction that is conditionally iid
+    at every d, a mixing law ``"m"`` or a ``"subordinator"``, is extendible
+    by it: ``by_construction`` names it, no determinant is computed, and the
+    JSON reports the construction in their place.
     """
 
     extendible: bool
-    hankel_values: tuple
-    min_hankel: float
+    hankel_values: tuple = ()
+    min_hankel: float = 0.0
+    by_construction: str = ""
 
     def to_json(self) -> dict:
+        if self.by_construction:
+            return {"extendible": self.extendible, "by_construction": self.by_construction}
         return {
             "extendible": self.extendible,
             "hankel_values": list(self.hankel_values),

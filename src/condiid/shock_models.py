@@ -40,7 +40,7 @@ from .errors import (
     json_numbers,
 )
 from .inverse import monotone_inverse
-from .lack_of_memory import _first_passage
+from .lack_of_memory import _death_chain
 from .sample import SampleMatrix
 
 __all__ = [
@@ -497,30 +497,33 @@ def sato_survival(alpha: float, x) -> float | np.ndarray:
 
 
 def sample_sato(alpha: float, d: int, n: int, rng) -> SampleMatrix:
-    """Exact first passage X_k = inf{t : Z_t > E_k} of the Sato process Z of
-    the Gamma(alpha) law across iid unit-exponential barriers E_k.
+    """First passage X_k = inf{t : Z_t > E_k} of the Sato process Z of the
+    Gamma(alpha) law across iid unit-exponential barriers E_k, sampled by its
+    number of deaths.
 
-    With psi_t(x) = alpha*log(1 + x*t), Z jumps at the times of a Poisson
-    process of intensity alpha/t, by t*Exp(1) at time t.  The first event is
-    the passage of the lowest barrier E_(1), at t_1 = E_(1)/G with G ~
-    Gamma(alpha, 1), since P(X_(1) > t) = P(t*G <= E_(1)); by lack of memory
-    the level after it is E_(1) + t_1*Exp(1).  From time t the next jump comes
-    at t*U**(-1/alpha).  Barriers passed at one jump share its time, so ties
-    are exact atoms.
+    Z jumps by t*Exp(1) at the times t of a Poisson process of intensity
+    alpha/t.  By lack of memory the k barriers above the level are iid Exp(1)
+    excesses, so from t0 no one dies before t with probability
+    ((1 + k*t0)/(1 + k*t))**alpha: the next death is at
+    t1 = t0*e**(E/alpha) + expm1(E/alpha)/k, by a jump t1*Y, Y = E' + E''/(1 + k*t1)
+    (Exp(1) tilted by 1 - exp(-k*t1*Y)), that kills Binomial(k, 1 - exp(-t1*Y))
+    given at least one: a truncated geometric first index i, then
+    j = 1 + Binomial(k - i, p).  A t1 of 0 (E = 0) becomes the least normal
+    double; an overflow or underflow gives its limit, inf or 0.
     """
     if alpha <= 0:
         raise SpecValidationError("alpha must be positive")
-    eps = rng.exponential(size=(n, d))
-    low = eps.min(axis=1)
+    tiny = np.finfo(float).tiny
 
-    def step(t):
-        m = t.size
-        if not t.any():  # the first event, from (t, z) = (0, 0)
-            # an E_(1) of exactly 0.0 would leave t = 0, where t*U**(-1/alpha) never moves
-            wait = np.maximum(low / rng.standard_gamma(alpha, size=m), np.finfo(float).tiny)
-            return wait, low + wait * rng.exponential(size=m)
-        after = t * (1.0 - rng.random(m)) ** (-1.0 / alpha)
-        return after - t, after * rng.exponential(size=m)
+    def next_event(k, t0):
+        g = rng.exponential(size=k.size) / alpha
+        t1 = np.maximum(t0 * np.exp(g) + np.expm1(g) / k, tiny)
+        x = t1 * (rng.exponential(size=k.size) + rng.exponential(size=k.size) / (1.0 + k * t1))
+        # P(i' <= i) = (1 - q**i)/(1 - q**k) with q = exp(-x); log q = -x needs no log(0)
+        first = np.ceil(np.log1p(rng.random(k.size) * np.expm1(-k * x)) / -x)
+        first = np.clip(first, 1, k).astype(np.intp)
+        return t1, 1 + rng.binomial(k - first, -np.expm1(-x))
 
-    data, steps = _first_passage(eps, step, 0.0)
-    return SampleMatrix(data, meta=f"sato alpha={alpha} d={d} lockstep_steps={steps}")
+    with np.errstate(over="ignore", under="ignore"):
+        data, steps = _death_chain(next_event, d, n, rng)
+    return SampleMatrix(data, meta=f"sato alpha={alpha} d={d} chain_steps={steps}")

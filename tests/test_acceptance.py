@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import additive_oracle as oracle
+import first_passage_oracle as fp
 from condiid import cli, diagnostics as dg, extreme_value as ev
 from condiid import lack_of_memory as lom, mixtures as mx, moments as mo, shock_models as sk
 from condiid.mixing import Beta, Gamma, Pareto, PointMass
@@ -102,16 +103,17 @@ def test_c03_l1_oracle():
 
 
 def test_c04_marshall_olkin_two_samplers():
+    # the death chain against the path stepped across its barriers, which
+    # uses neither lack of memory nor the subset rates, and the closed form
     rng = np.random.default_rng(213)
     sub = lom.CompoundPoissonSubordinatorSpec(drift=0.3, kill=0.1, jumps=((1.0, 0.5), (2.5, 0.25)))
     params = sub.b_seq(3)
-    rates = lom.lambda_from_b(params)
-    shocks = lom.sample_mo_shocks(rates, 3, N, rng)
-    passage = lom.sample_mo_ciid(sub, 3, N, rng)
+    chain = lom.sample_mo_ciid(sub, 3, N, rng)
+    passage = fp.sample_mo_first_passage(sub, 3, N, rng)
     grid = dg.default_quantile_grid(lambda q: -math.log1p(-q) / -math.log(params.values[1]), 3)
     ok = True
     for pt in grid:
-        p1 = (shocks.data > pt).all(axis=1).mean()
+        p1 = (chain.data > pt).all(axis=1).mean()
         p2 = (passage.data > pt).all(axis=1).mean()
         closed = float(lom.mo_survival(params, pt))
         se_pair = math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / N)
@@ -119,7 +121,7 @@ def test_c04_marshall_olkin_two_samplers():
         ok = ok and abs(p1 - p2) <= 3 * se_pair + 1e-3
         ok = ok and abs(p1 - closed) <= 3 * se + 1e-3
         ok = ok and abs(p2 - closed) <= 3 * se + 1e-3
-    report(4, "shock and first-passage constructions agree with the closed form", ok)
+    report(4, "death-chain and first-passage constructions agree with the closed form", ok)
 
 
 def test_c05_minstable():
@@ -224,7 +226,7 @@ def test_c09_necessary_condition_sweep():
         "mo_ciid": lambda k, r: lom.sample_mo_ciid(
             lom.CompoundPoissonSubordinatorSpec(drift=0.3, jumps=((1.0, 0.5),)), k, n, r
         ),
-        "geo_ciid": lambda k, r: lom.sample_geo_ciid(Gamma(1.0), k, n, r),
+        "geo_ciid": lambda k, r: fp.sample_geo_ciid(Gamma(1.0), k, n, r),
         "logistic": lambda k, r: ev.sample_logistic_direct(0.5, 1.0, k, n, r),
         "minstable_series": series_sampler,
         "dirichlet_prior": lambda k, r: sk.sample_dp(1.0, sk.UniformBase(), k, n, r),

@@ -9,7 +9,7 @@ from scipy import stats
 from condiid import diagnostics as dg
 from condiid import extreme_value as ev
 from condiid import lack_of_memory as lom
-from condiid.errors import SpecValidationError
+from condiid.errors import SpecValidationError, UnsupportedLawError
 from condiid.mixing import Beta, FiniteDiscrete, Gamma, LogSeries, PointMass, PositiveStable
 
 
@@ -156,6 +156,23 @@ class TestStdfInvariants:
             assert ev.stdf_numeric_lf(step, x) == pytest.approx(
                 ev.lf(step).ell(np.asarray(x)), abs=1e-8
             )
+
+    def test_lf_quadrature_consistency_point_mass_mo_atom(self):
+        for m in (0.3, 1.2):
+            g = ev.MOAtom(PointMass(m))
+            for x in ([1.0, 1.0], [0.4, 1.7], [2.0, 0.3, 0.9]):
+                assert ev.stdf_numeric_lf(g, x) == pytest.approx(g.ell(np.asarray(x)), abs=1e-6)
+
+    @pytest.mark.parametrize("m", [FiniteDiscrete([0.5, 2.0], [0.5, 0.5]), Gamma(2.0)],
+                             ids=["two_atoms", "gamma"])
+    def test_quadrature_reference_refuses_m_with_more_atoms(self, m):
+        # l averages l_{G_q} over M, and the q-averaged G has another l:
+        # 1.4887 against ell 1.3709 at (1, 1) for the two atoms
+        g = ev.MOAtom(m)
+        for call in (lambda: g.cdf(1.0), g.support_upper, g.jump_points,
+                     lambda: ev.stdf_numeric_lf(g, [1.0, 1.0])):
+            with pytest.raises(UnsupportedLawError):
+                call()
 
 
 class TestEvaluators:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import first_passage_oracle as fp
 from condiid import cli, diagnostics as dg, lack_of_memory as lom, shock_models as sk
 from condiid.errors import NotDMonotoneError, SpecValidationError
 from condiid.mixing import Gamma, PointMass
@@ -246,6 +247,45 @@ class TestDeathChain:
         assert min(report.closed) > report.abs_floor  # no point passes on the floor alone
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.fractions(0, 3, max_denominator=20), st.fractions(0, 3, max_denominator=20),
+           st.lists(st.tuples(st.fractions(0, 1, max_denominator=30).filter(lambda q: q < 1),
+                              st.fractions(0, 5, max_denominator=20).filter(bool)), max_size=3),
+           st.integers(1, 12))
+    def test_subordinator_rates_exact(self, drift, kill, jumps, d):
+        # q = exp(-size) rational: with k alive, j die at rate
+        # C(k, j) sum_i r_i (1 - q_i)^j q_i^(k-j), plus the drift's k when j = 1
+        # and the kill when j = k, which sum to psi(k)
+        lam = lom._subset_rates(drift, kill, [(q, 1 - q, r) for q, r in jumps], d)
+        w = lom._death_rates(lam, d)
+        for k in range(1, d + 1):
+            psi = drift * k + kill + sum(r * (1 - q**k) for q, r in jumps)
+            assert sum(w[k][1:]) == psi
+            for j in range(1, k + 1):
+                jump_rate = math.comb(k, j) * sum(r * (1 - q) ** j * q ** (k - j) for q, r in jumps)
+                assert w[k][j] == jump_rate + (drift * k if j == 1 else 0) + (kill if j == k else 0)
+
+    def test_subordinator_tie_share_d2(self):
+        # both die at once at rate w[2][2] = 2 psi(1) - psi(2) of the total psi(2)
+        sub = lom.CompoundPoissonSubordinatorSpec(drift=0.4, kill=0.1, jumps=((0.65, 1.0),))
+        n = 100_000
+        x = lom.sample_mo_ciid(sub, 2, n, np.random.default_rng(53)).data
+        psi1, psi2 = sub.laplace_exponent(1.0), sub.laplace_exponent(2.0)
+        p = (2 * psi1 - psi2) / psi2
+        assert abs((x[:, 0] == x[:, 1]).mean() - p) <= 3 * math.sqrt(p * (1 - p) / n)
+
+    @pytest.mark.parametrize("sampler", [
+        lambda rng: lom.sample_mo_ciid(
+            lom.CompoundPoissonSubordinatorSpec(drift=0.3, kill=0.1, jumps=((1.0, 0.5),)),
+            4, 2000, rng),
+        lambda rng: sk.sample_sato(1.05, 4, 2000, rng),
+    ], ids=["mo_ciid", "sato"])
+    def test_wrappers_record_chain_steps(self, sampler):
+        sm = sampler(np.random.default_rng(3))
+        steps = int(sm.meta.rsplit("chain_steps=", 1)[1])
+        assert 1 <= steps <= sm.d
+
+
 barriers = st.lists(
     st.one_of(st.floats(0.0, 50.0), st.integers(0, 100).map(lambda k: k / 2)),
     min_size=1, max_size=8,
@@ -263,14 +303,14 @@ class TestFirstPassage:
     @given(barriers, st.floats(0.1, 10.0))
     def test_pure_drift(self, eps, mu):
         eps = np.array([eps, eps[::-1]])
-        x, _ = lom._first_passage(eps, self.constant_step(math.inf, 0.0), mu)
+        x, _ = fp.first_passage(eps, self.constant_step(math.inf, 0.0), mu)
         assert (x == eps / mu).all()
 
     @settings(max_examples=100, deadline=None)
     @given(barriers, st.floats(0.1, 10.0), st.floats(0.01, 20.0))
     def test_drift_killed_at_t(self, eps, mu, kill_t):
         eps = np.array([eps])
-        x, _ = lom._first_passage(eps, self.constant_step(kill_t, math.inf), mu)
+        x, _ = fp.first_passage(eps, self.constant_step(kill_t, math.inf), mu)
         assert (x == np.minimum(eps / mu, kill_t)).all()
 
     @settings(max_examples=100, deadline=None)
@@ -280,7 +320,7 @@ class TestFirstPassage:
         # barrier on the lattice is not passed by the step that reaches it;
         # the row retires with its last barrier, after that many steps
         eps = np.array([eps])
-        x, steps = lom._first_passage(eps, self.constant_step(1.0, 0.5), 0.0)
+        x, steps = fp.first_passage(eps, self.constant_step(1.0, 0.5), 0.0)
         assert (x == np.floor(2 * eps) + 1).all()
         assert steps == x.max()
 
@@ -292,20 +332,9 @@ class TestFirstPassage:
         eps = np.array(eps)
         k = np.floor(eps / 2)
         expect = np.where(eps < 2 * k + 1, eps - k, k + 1)
-        x, _ = lom._first_passage(eps[None, :], self.constant_step(1.0, 1.0), 1.0)
+        x, _ = fp.first_passage(eps[None, :], self.constant_step(1.0, 1.0), 1.0)
         assert np.allclose(x[0], expect, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("sampler", [
-        lambda rng: lom.sample_mo_ciid(
-            lom.CompoundPoissonSubordinatorSpec(drift=0.3, kill=0.1, jumps=((1.0, 0.5),)),
-            4, 2000, rng),
-        lambda rng: lom.sample_geo_ciid(Gamma(1.0), 4, 2000, rng),
-        lambda rng: sk.sample_sato(1.05, 4, 2000, rng),
-    ], ids=["mo_ciid", "geo_ciid", "sato"])
-    def test_wrappers_record_lockstep_steps(self, sampler):
-        sm = sampler(np.random.default_rng(3))
-        steps = int(sm.meta.rsplit("lockstep_steps=", 1)[1])
-        assert 0 < steps < 200
 
 
 class TestSubordinatorSampler:
@@ -347,7 +376,8 @@ class TestSubordinatorSampler:
         assert tie_frequency(sm) > 0.1
 
     def test_two_sampler_equivalence(self):
-        # key oracle: shock construction and first-passage construction agree
+        # the shock rates lambda_from_b recovers from b and the path's
+        # closed-form subset rates give one law
         rng = np.random.default_rng(41)
         params = self.SUB.b_seq(3)
         rates = lom.lambda_from_b(params)
@@ -361,6 +391,15 @@ class TestSubordinatorSampler:
             p2 = (passage.data > pt).all(axis=1).mean()
             se = math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / n)
             assert abs(p1 - p2) <= 3 * se + 1e-3
+
+    @pytest.mark.parametrize("d", [5, 40])
+    def test_verify_against_closed_form(self, d):
+        spec = {"family": "marshall_olkin", "d": d, "subordinator": {
+            "drift": 0.4, "kill": 0.1, "jumps": [{"size": 0.65, "rate": 1.0}]}}
+        model = cli.build_model(spec)
+        report = dg.mc_verify(model.sampler, model.evals["survival"], model.default_grid(),
+                              20_000, 1)
+        assert report.passed
 
     def test_lack_of_memory_probe(self):
         rng = np.random.default_rng(42)
@@ -406,7 +445,7 @@ class TestGeoCiid:
         d, n = 2, 100000
         b = tuple(float(law.laplace(k)) for k in range(d + 1))
         params = lom.LomParameterSeq((1.0,) + b[1:], lom.DISCRETE)
-        sm = lom.sample_geo_ciid(law, d, n, rng)
+        sm = fp.sample_geo_ciid(law, d, n, rng)
         assert sm.data.min() >= 1.0
         for pt in ([1, 1], [2, 0], [3, 3]):
             pt = np.asarray(pt)
@@ -417,14 +456,14 @@ class TestGeoCiid:
 
     def test_integer_valued(self):
         rng = np.random.default_rng(46)
-        sm = lom.sample_geo_ciid(PointMass(0.5), 3, 2000, rng)
+        sm = fp.sample_geo_ciid(PointMass(0.5), 3, 2000, rng)
         assert np.isfinite(sm.data).all()
         assert (sm.data == np.rint(sm.data)).all()
 
     def test_zero_step_law_rejected(self):
         rng = np.random.default_rng(47)
         with pytest.raises(SpecValidationError):
-            lom.sample_geo_ciid(PointMass(1e-20), 2, 10, rng)
+            fp.sample_geo_ciid(PointMass(1e-20), 2, 10, rng)
 
 
 class TestExtendibility:

@@ -105,6 +105,20 @@ def test_log_series_refuses_q_rounding_to_one():
         mixing.LogSeries(40.0)
 
 
+@pytest.mark.parametrize("theta", [20.0, 30.0])
+def test_log_series_pmf_is_the_law_sampled(theta):
+    # rng.logseries(q) is normalized by -log(1 - q) of the rounded q, which is
+    # off theta by 1e-9 relative at theta = 20 and 5.5e-6 at theta = 30
+    law = mixing.LogSeries(theta)
+    for m in (1, 2, 10, 1000):
+        assert law.pmf(m) == law.q**m / (m * -math.log1p(-law.q))
+
+
+def test_log_series_pmf_sums_to_one_at_theta_1():
+    law = mixing.LogSeries(1.0)
+    assert sum(law.pmf(m) for m in range(1, 200)) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_log_series_pmf_normalizes_and_samples():
     law = mixing.LogSeries(0.8)
     total = sum(law.pmf(m) for m in range(1, 400))

@@ -2,7 +2,10 @@
 either builds or is refused with SpecValidationError, never a traceback."""
 
 import copy
+import io
+import json
 import re
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +118,34 @@ def test_mutated_spec_builds_or_is_refused(mutation):
     except SpecValidationError:
         return
     assert not must_refuse, f"unknown field accepted: {spec}"
+
+
+SUBORDINATOR_D40 = {"family": "marshall_olkin", "d": 40, "subordinator": {
+    "drift": 0.4, "kill": 0.1, "jumps": [{"size": 0.65, "rate": 1.0}]}}
+BINARY_BETA_D40 = {"family": "binary", "d": 40, "m": {"family": "beta", "p": 2, "q": 3}}
+BY_CONSTRUCTION = [spec for spec in VALID_SPECS if "m" in spec or "subordinator" in spec]
+
+
+def run(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("spec", BY_CONSTRUCTION + [SUBORDINATOR_D40, BINARY_BETA_D40],
+                         ids=lambda spec: f"{spec['family']}_d{spec['d']}")
+def test_check_agrees_with_sample(spec):
+    # a model given by m or by a subordinator is sampled from that
+    # construction, so check calls it extendible at every d, and says why
+    model = json.dumps(spec)
+    assert run(["sample", "--model", model, "--n", "5", "--seed", "1"])[0] == 0
+    code, out = run(["check", "--model", model])
+    assert code == 0
+    verdict, report = out.splitlines()
+    field = "subordinator" if "subordinator" in spec else "m"
+    assert verdict == "extendible"
+    assert json.loads(report) == {"extendible": True, "by_construction": field}
 
 
 def with_field(spec, path, value):

@@ -291,24 +291,56 @@ class TestSato:
         exact = 2 * math.log(2) - 1
         assert abs(share - exact) <= 3 * math.sqrt(exact * (1 - exact) / n)
 
+    class FirstWait:
+        """A generator whose first exponential draw, the first wait of row 0, is ``wait``."""
+
+        def __init__(self, seed, wait):
+            self.rng, self.wait = np.random.default_rng(seed), wait
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def exponential(self, size):
+            out = self.rng.exponential(size=size)
+            if self.wait is not None:
+                out.flat[0], self.wait = self.wait, None
+            return out
+
     def test_exact_sampler_leaves_time_zero_on_a_zero_barrier(self):
         # an exponential draw of exactly 0.0 has probability 2^-53; force one
-        class ZeroFirstBarrier:
-            def __init__(self, seed):
-                self.rng, self.first = np.random.default_rng(seed), True
-
-            def __getattr__(self, name):
-                return getattr(self.rng, name)
-
-            def exponential(self, size):
-                out = self.rng.exponential(size=size)
-                if self.first:
-                    out.flat[0], self.first = 0.0, False
-                return out
-
-        sm = sk.sample_sato(1.0, 2, 3, ZeroFirstBarrier(70))
-        assert sm.data[0, 0] == np.finfo(float).tiny
+        # as the first wait, which puts the first death at t = 0
+        with np.errstate(all="raise"):
+            sm = sk.sample_sato(1.0, 2, 3, self.FirstWait(70, 0.0))
+        assert sm.data[0].min() == np.finfo(float).tiny
         assert np.isfinite(sm.data).all() and (sm.data > 0).all()
+
+    def test_exact_sampler_where_a_jump_kills_all(self):
+        # a first wait of 50 puts the first death at t1 = expm1(50)/3, whose
+        # jump kills each one alive with probability 1 - exp(-t1*Y), 1.0 in doubles
+        with np.errstate(all="raise"):
+            sm = sk.sample_sato(1.0, 3, 3, self.FirstWait(72, 50.0))
+        assert (sm.data[0] == math.expm1(50.0) / 3).all()
+        assert np.isfinite(sm.data).all() and (sm.data > 0).all()
+
+    def test_exact_sampler_verifies_at_small_alpha(self):
+        # at alpha = 0.05 most first jumps kill every component with probability 1.0
+        from condiid.diagnostics import default_quantile_grid, mc_verify
+
+        alpha = 0.05
+        grid = default_quantile_grid(lambda q: (1.0 - q) ** (-1.0 / alpha) - 1.0, 5)
+        with np.errstate(all="raise"):
+            report = mc_verify(lambda n, rng: sk.sample_sato(alpha, 5, n, rng),
+                               lambda x: float(sk.sato_survival(alpha, x)), grid, 20_000, 71)
+        assert report.passed
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_exact_sampler_verifies_at_d40(self, alpha):
+        from condiid.diagnostics import default_quantile_grid, mc_verify
+
+        grid = default_quantile_grid(lambda q: (1.0 - q) ** (-1.0 / alpha) - 1.0, 40)
+        report = mc_verify(lambda n, rng: sk.sample_sato(alpha, 40, n, rng),
+                           lambda x: float(sk.sato_survival(alpha, x)), grid, 20_000, 1)
+        assert report.passed
 
     def test_exact_sampler_rejects_non_positive_alpha(self):
         with pytest.raises(SpecValidationError):
