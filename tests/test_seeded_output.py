@@ -110,7 +110,7 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
     ),
     "mo_subordinator": (
         {"family": "marshall_olkin", "d": 5, "subordinator": SUBORDINATOR},
-        "9afee5f6b1cfc108ce4959d1456e69b7a0ed647ce65ac0ccc2418b5f2045f9d1",
+        "35b279d49d7d5e0631197df749e17a01441a4754201cb3f0d15604e2af672a3d",
     ),
     "sato": (
         {"family": "sato", "d": 3, "alpha": 1.05},
