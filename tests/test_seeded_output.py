@@ -114,7 +114,7 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
     ),
     "sato": (
         {"family": "sato", "d": 3, "alpha": 1.05},
-        "c34e6ceb1619092ae64d1b0fc12022377ff2b0226fae9d5d18c74167ad90b35e",
+        "21c60507886e210878b17eae94ce6ea66e92e37377ee6832d43f3c5c58c3b813",
     ),
     "marshall_olkin_b": (  # lambda_from_b, then the shock sampler
         {"family": "marshall_olkin", "d": 6, "b": subordinator_b(6)},
