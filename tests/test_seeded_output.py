@@ -253,7 +253,7 @@ CHECKS = {  # name: (model spec, sha256 of the check output)
     ),
     "mo_subordinator_d8": (
         {"family": "marshall_olkin", "d": 8, "subordinator": SUBORDINATOR},
-        "8e8ed33a296a7e84dd765124ad94a0932241e2653fe3f2967e28da131d2fbe33",
+        "a0219c8740e0a93047976e1846503ad3f0e1045acef8cae64a40719f8b238a29",
     ),
     "geometric_b_d8": (
         {"family": "geometric", "b": beta_b(Fraction(1, 2), Fraction(3, 2), 8)},
