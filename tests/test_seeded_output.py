@@ -261,7 +261,7 @@ CHECKS = {  # name: (model spec, sha256 of the check output)
     ),
     "mo_subordinator_d16": (
         {"family": "marshall_olkin", "d": 16, "subordinator": SUBORDINATOR},
-        "1f57cfbecf2ea1948f8284470291b096bb237b2d300d7a57a5e9e792359c9172",
+        "a0219c8740e0a93047976e1846503ad3f0e1045acef8cae64a40719f8b238a29",
     ),
     "geometric_b_d16": (
         {"family": "geometric", "d": 16, "b": subordinator_b(16)},
