@@ -274,17 +274,6 @@ class TestDeathChain:
         p = (2 * psi1 - psi2) / psi2
         assert abs((x[:, 0] == x[:, 1]).mean() - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
-    @pytest.mark.parametrize("sampler", [
-        lambda rng: lom.sample_mo_ciid(
-            lom.CompoundPoissonSubordinatorSpec(drift=0.3, kill=0.1, jumps=((1.0, 0.5),)),
-            4, 2000, rng),
-        lambda rng: sk.sample_sato(1.05, 4, 2000, rng),
-    ], ids=["mo_ciid", "sato"])
-    def test_wrappers_record_chain_steps(self, sampler):
-        sm = sampler(np.random.default_rng(3))
-        steps = int(sm.meta.rsplit("chain_steps=", 1)[1])
-        assert 1 <= steps <= sm.d
-
 
 barriers = st.lists(
     st.one_of(st.floats(0.0, 50.0), st.integers(0, 100).map(lambda k: k / 2)),
@@ -335,6 +324,22 @@ class TestFirstPassage:
         x, _ = fp.first_passage(eps[None, :], self.constant_step(1.0, 1.0), 1.0)
         assert np.allclose(x[0], expect, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("sampler", [
+        lambda rng: lom.sample_mo_ciid(
+            lom.CompoundPoissonSubordinatorSpec(drift=0.3, kill=0.1, jumps=((1.0, 0.5),)),
+            4, 2000, rng),
+        lambda rng: fp.sample_geo_ciid(Gamma(1.0), 4, 2000, rng),
+        lambda rng: sk.sample_sato(1.05, 4, 2000, rng),
+    ], ids=["mo_ciid", "geo_ciid", "sato"])
+    def test_wrappers_record_lockstep_steps(self, sampler):
+        # the death chain takes at most d steps; the oracle's walk steps
+        # until its last barrier is passed
+        sm = sampler(np.random.default_rng(3))
+        steps = int(sm.meta.rsplit("=", 1)[1])
+        if "chain_steps=" in sm.meta:
+            assert 1 <= steps <= sm.d
+        else:
+            assert 0 < steps < 200
 
 
 class TestSubordinatorSampler:
