@@ -84,14 +84,12 @@ def _one_of(spec: dict, keys: tuple) -> str | None:
 
 
 def _by_construction(field: str):
-    """The check of a model given by ``field``, a mixing law "m" or a
-    "subordinator": conditionally iid by construction at every d, so
-    extendible, whatever a numeric test of its rounded moments would say."""
+    """The check of a model given by a mixing law "m" or a "subordinator": conditionally
+    iid by construction, so extendible at every d, whatever its rounded moments say.
+    A closure, so that ``moments`` loads only when a check runs."""
     def check():
         from .moments import ExtendibilityVerdict
-
         return ExtendibilityVerdict(True, by_construction=field)
-
     return check
 
 

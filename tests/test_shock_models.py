@@ -322,6 +322,22 @@ class TestSato:
         assert (sm.data[0] == math.expm1(50.0) / 3).all()
         assert np.isfinite(sm.data).all() and (sm.data > 0).all()
 
+    def test_exact_sampler_overflows_the_first_death_to_inf(self):
+        # a first wait of 800 > 709.78*alpha overflows exp(800) at t0 = 0: the
+        # first death is at inf, where the jump kills all, not at 0*inf = nan
+        with np.errstate(all="raise"):
+            sm = sk.sample_sato(1.0, 3, 3, self.FirstWait(73, 800.0))
+        assert np.isinf(sm.data[0]).all()
+        assert np.isfinite(sm.data[1:]).all() and (sm.data > 0).all()
+
+    def test_exact_sampler_draws_inf_at_tiny_alpha(self):
+        # at alpha = 0.01 a row's first wait exceeds 709.78*alpha with
+        # probability exp(-7.0978), about 8e-4: some of 20 000 rows die at inf
+        with np.errstate(all="raise"):
+            sm = sk.sample_sato(0.01, 3, 20_000, np.random.default_rng(74))
+        assert not np.isnan(sm.data).any() and (sm.data > 0).all()
+        assert np.isinf(sm.data).any()
+
     def test_exact_sampler_verifies_at_small_alpha(self):
         # at alpha = 0.05 most first jumps kill every component with probability 1.0
         from condiid.diagnostics import default_quantile_grid, mc_verify
