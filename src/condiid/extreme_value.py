@@ -24,7 +24,6 @@ exactly by the extremal-functions algorithm of Dombry, Engelke & Oesting
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .errors import (
     json_number,
     json_numbers,
 )
-from .mixing import MixingLaw, PointMass, sample_positive_stable
+from .mixing import MixingLaw, PointMass, integrate, sample_positive_stable
 from .sample import SampleMatrix
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "negative_logistic",
     "lf",
     "stdf_eval",
-    "stdf_numeric_lf",
     "minstable_survival",
     "extreme_value_copula_eval",
     "sample_minstable",
@@ -71,9 +69,6 @@ class GSpec:
 
     kind = "abstract"
 
-    def cdf(self, y):
-        raise NotImplementedError
-
     def ell(self, x: np.ndarray) -> float:
         """l_G(x) = E[max_k x_k Y_k] for Y_k iid G, at positive x."""
         raise NotImplementedError
@@ -83,13 +78,6 @@ class GSpec:
         law tilted by Y_k (density Y_k against the plain law).  Column k is
         left to the caller, which sets it to 1."""
         raise UnsupportedLawError(f"no spectral sampler for G kind {self.kind!r}")
-
-    def support_upper(self) -> float:
-        """Smallest point beyond which G equals 1 (inf for unbounded support)."""
-        return math.inf
-
-    def jump_points(self) -> np.ndarray:
-        return np.empty(0)
 
     def params(self) -> dict:
         raise NotImplementedError
@@ -113,12 +101,6 @@ class Frechet(GSpec):
         self.theta = float(theta)
         self.scale = math.gamma(1.0 - theta)
 
-    def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.where(y > 0, np.exp(-np.maximum(self.scale * y, 1e-300) ** (-1.0 / self.theta)), 0.0)
-        return out if out.ndim else float(out)
-
     def ell(self, x):
         return float(np.sum(x ** (1.0 / self.theta)) ** self.theta)
 
@@ -129,18 +111,6 @@ class Frechet(GSpec):
 
     def params(self):
         return {"theta": self.theta}
-
-
-def _alternating_neglog_sum(x: np.ndarray, theta: float) -> float:
-    """sum_j (-1)^(j+1) sum_{|S|=j} (sum_{k in S} x_k**-theta)**(-1/theta)."""
-    total = 0.0
-    for j in range(1, x.size + 1):
-        with np.errstate(divide="ignore"):  # only +inf entries: the term is +inf
-            inner = sum(
-                np.sum(np.asarray(sub) ** (-theta)) ** (-1.0 / theta) for sub in combinations(x, j)
-            )
-        total += (-1.0) ** (j + 1) * inner
-    return float(total)
 
 
 class Weibull(GSpec):
@@ -157,15 +127,26 @@ class Weibull(GSpec):
         except OverflowError:
             raise SpecValidationError(f"weibull index {theta} overflows Gamma(1 + theta)") from None
 
-    def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.where(y > 0, -np.expm1(-np.maximum(self.scale * y, 0.0) ** (1.0 / self.theta)), 0.0)
-        return out if out.ndim else float(out)
-
     def ell(self, x):
-        # the pairwise tail product integrates to (sum x_k**(-1/theta))**(-theta),
-        # i.e. the alternating sum at index 1/theta for this parameterization
-        return _alternating_neglog_sum(x, 1.0 / self.theta)
+        # With w = (scale u / max x)**(1/theta), G(u/x_k) = 1 - exp(-w r_k) for
+        # r_k = (max x/x_k)**(1/theta).  The top coordinate alone gives l_G = max x; the
+        # others Q add max x/scale * int (1 - exp(-w)) (1 - Q(w)) d(w**theta), 0 at w = 0
+        # for every theta; w = c v**(1/kappa) widens its peak near w = theta for the rule.
+        i = int(np.argmax(x))
+        top, theta = float(x[i]), self.theta
+        if math.isinf(top):
+            return math.inf
+        c, kappa = max(1.0, theta), max(1.0, math.sqrt(theta))
+
+        def fn(v, _):
+            w = c * v ** (1.0 / kappa)
+            with np.errstate(divide="ignore", over="ignore"):  # r = inf and log(0) are exact limits
+                r = (top / x) ** (1.0 / theta)
+                r[i] = math.inf  # the top factor is not in Q
+                logq = np.log1p(-np.exp(-np.multiply.outer(w, r))).sum(axis=-1)
+                return np.exp(np.log(-np.expm1(-w)) + np.log(-np.expm1(logq)) + theta * np.log(w) - np.log(v))
+
+        return top * (1.0 + theta / kappa / self.scale * float(integrate(fn, 0.0, math.inf)))
 
     def tilted_draw(self, k, d, m, rng):
         # (scale*Y)**(1/theta) is Exp(1), and Gamma(1+theta) under the tilt
@@ -181,9 +162,7 @@ class MOAtom(GSpec):
     G_q(t) = q for t < 1/(1-q), then 1.  Induces the exponential
     lack-of-memory dependence.  M may be any mixing law; l averages l_{G_q}
     over it, so its series coefficients E[(1 - q^j)/(1 - q)] =
-    phi(0) + ... + phi(j-1) are sums of values of M's Laplace transform phi.
-    ``cdf``, ``support_upper`` and ``jump_points``, the inputs of the
-    quadrature reference, need a point-mass M."""
+    phi(0) + ... + phi(j-1) are sums of values of M's Laplace transform phi."""
 
     kind = "mo_atom"
 
@@ -191,19 +170,6 @@ class MOAtom(GSpec):
         if not isinstance(m, MixingLaw):
             m = PointMass(float(m))
         self.m = m
-
-    def _q(self) -> float:
-        """q of a point-mass M.  For an M with more atoms l averages l_{G_q}
-        over q, which is the l of no single G, so the quadrature has no G."""
-        if not isinstance(self.m, PointMass):
-            raise UnsupportedLawError(f"the quadrature reference needs a point-mass M, got {self.m!r}")
-        return math.exp(-self.m.m)
-
-    def cdf(self, y):
-        q = self._q()
-        thr = np.inf if q >= 1.0 else 1.0 / (1.0 - q)
-        out = np.where(np.asarray(y, dtype=float) >= thr, 1.0, q)
-        return out if out.ndim else float(out)
 
     def ell(self, x):
         # l_{G_q}(x) = sum_j (1 + q + ... + q^(j-1)) * gap_j over the gaps of
@@ -219,14 +185,6 @@ class MOAtom(GSpec):
         # averages l_{G_q} over M; q = 1 (M = 0) gives the limit e_k.
         q = np.exp(-self.m.sample(m, rng))[:, None]
         return (rng.random((m, d)) < 1.0 - q).astype(float)
-
-    def support_upper(self):
-        q = self._q()
-        return 1.0 / (1.0 - q) if q < 1.0 else 0.0
-
-    def jump_points(self):
-        q = self._q()
-        return np.array([1.0 / (1.0 - q)] if q < 1.0 else [])
 
     def params(self):
         return {"m": self.m.to_json()}
@@ -282,37 +240,8 @@ class StepFunction(GSpec):
         at_k = self.points[rng.choice(mass.size, size=m, p=biased / biased.sum())]
         return at / at_k[:, None]
 
-    def support_upper(self):
-        return float(self.points[-1])
-
-    def jump_points(self):
-        return self.points.copy()
-
     def params(self):
         return {"points": self.points.tolist(), "values": self.values.tolist()}
-
-
-def stdf_numeric_lf(g: GSpec, x) -> float:
-    """l_G by adaptive quadrature of int 1 - prod_k G(u/x_k) du (unit mean):
-    the reference the closed forms of every G kind are tested against."""
-    from scipy import integrate
-
-    x = np.asarray(x, dtype=float)
-    x = x[x > 0]
-    if x.size == 0:
-        return 0.0
-
-    def integrand(u):
-        return 1.0 - np.prod([g.cdf(u / xk) for xk in x])
-
-    upper = g.support_upper() * float(x.max())
-    points = None
-    if math.isfinite(upper):
-        points = sorted({float(xk * p) for xk in x for p in g.jump_points() if xk * p < upper})
-    val, _ = integrate.quad(
-        integrand, 0.0, upper, points=points, epsabs=1e-10, epsrel=1e-10, limit=400
-    )
-    return float(val)
 
 
 # -- stable tail dependence functions ------------------------------------------

@@ -1,9 +1,10 @@
 """Mixing laws for one-factor models.
 
 Each law describes a positive (or unit-interval) random variable M used as a
-latent factor.  Laws carry a sampler, a Laplace transform where one is known
-in closed form, moments when supported on [0, 1], and a density when
-available for quadrature.  JSON serialization uses ``{"family": ..., params}``.
+latent factor.  Laws carry a sampler, a Laplace transform, moments when
+supported on [0, 1], and expectations: sums over atoms, or ``integrate``, the
+one quadrature rule of the package, against a density.  JSON serialization
+uses ``{"family": ..., params}``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,32 @@ __all__ = [
     "LogSeries",
     "mixing_law_from_json",
     "sample_positive_stable",
+    "integrate",
 ]
+
+# One fixed double-exponential rule, step DE_STEP in t over DE_RANGE: exp-sinh
+# x = exp(pi/2 sinh t) on (0, inf), and tanh-sinh x = 1/(1 + exp(-pi sinh t)) on
+# (0, 1) for |t| <= DE_RANGE[1], with 1 - x = 1/(1 + exp(pi sinh t)) exact too.
+DE_STEP = 1.0 / 16.0
+DE_RANGE = (-6.5, 4.0)
+_T = np.arange(DE_RANGE[0], DE_RANGE[1] + DE_STEP / 2, DE_STEP)
+_EXP_X = np.exp(np.pi / 2 * np.sinh(_T))
+_EXP_W = DE_STEP * np.pi / 2 * np.cosh(_T) * _EXP_X
+_TANH_T = _T[np.abs(_T) <= DE_RANGE[1]]
+_TANH_X = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(_TANH_T)))
+_TANH_REST = 1.0 / (1.0 + np.exp(np.pi * np.sinh(_TANH_T)))
+_TANH_W = DE_STEP * np.pi * np.cosh(_TANH_T) * _TANH_X * _TANH_REST
+
+
+def integrate(fn, lo: float, hi: float):
+    """int_lo^hi fn(x, hi - x) dx: exp-sinh if hi is inf, else tanh-sinh.  ``fn``
+    gets the nodes and their distances to hi, exact near hi (inf for exp-sinh),
+    and may return a leading axis of integrands; the rule sums the last axis."""
+    if math.isinf(hi):
+        return np.sum(fn(lo + _EXP_X, math.inf) * _EXP_W, axis=-1)
+    width = hi - lo
+    x = np.where(_TANH_T < 0, lo + width * _TANH_X, hi - width * _TANH_REST)
+    return width * np.sum(fn(x, width * _TANH_REST) * _TANH_W, axis=-1)
 
 
 def sample_positive_stable(theta: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -61,8 +87,19 @@ class MixingLaw:
         """E[M**k]; only for laws supported in [0, 1]."""
         raise UnsupportedLawError(f"{self.family}: moments not implementable")
 
-    def density(self, m):
+    def density(self, m, rest=None):
+        """Density at m; ``rest`` is the distance from m to the top of the
+        support, exact where ``integrate`` gives it (top - m when None)."""
         raise UnsupportedLawError(f"{self.family}: no density available")
+
+    def expect(self, fn, lower: float = -math.inf, upper: float = math.inf):
+        """E[fn(M); lower < M <= upper] for ``fn`` vectorized over values of M
+        (leading axes allowed), by ``integrate`` against the density."""
+        lo, hi = self.support()
+        a, b = max(lo, lower), min(hi, upper)
+        if not a < b:
+            return 0.0
+        return integrate(lambda m, gap: fn(m) * self.density(m, gap if b == hi else hi - m), a, b)
 
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
@@ -84,34 +121,6 @@ class MixingLaw:
 
     def __eq__(self, other):
         return type(self) is type(other) and self.to_json() == other.to_json()
-
-
-class PointMass(MixingLaw):
-    family = "point_mass"
-
-    def __init__(self, m: float):
-        if not m > 0.0:
-            raise SpecValidationError(f"point mass location must be positive, got {m}")
-        self.m = float(m)
-
-    def sample(self, n, rng):
-        return np.full(n, self.m)
-
-    def laplace(self, x):
-        x = np.asarray(x, dtype=float)
-        if math.isinf(self.m):
-            out = np.where(x > 0, 0.0, 1.0)
-            return out if out.ndim else float(out)
-        return np.exp(-self.m * x)
-
-    def moment(self, k):
-        return self.m**k
-
-    def support(self):
-        return (self.m, self.m)
-
-    def params(self):
-        return {"m": self.m}
 
 
 class FiniteDiscrete(MixingLaw):
@@ -148,11 +157,37 @@ class FiniteDiscrete(MixingLaw):
     def moment(self, k):
         return float(np.sum(self.weights * self.atoms**k))
 
+    def expect(self, fn, lower=-math.inf, upper=math.inf):
+        inside = (self.atoms > lower) & (self.atoms <= upper)
+        return np.sum(fn(self.atoms[inside]) * self.weights[inside], axis=-1)
+
     def support(self):
         return (float(self.atoms.min()), float(self.atoms.max()))
 
     def params(self):
         return {"atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
+
+
+class PointMass(FiniteDiscrete):
+    """The law of the constant m > 0 (m = inf allowed): one atom of weight 1."""
+
+    family = "point_mass"
+
+    def __init__(self, m: float):
+        if not m > 0.0:
+            raise SpecValidationError(f"point mass location must be positive, got {m}")
+        self.m = float(m)
+        self.atoms, self.weights = np.array([self.m]), np.ones(1)
+
+    def sample(self, n, rng):
+        return np.full(n, self.m)
+
+    def laplace(self, x):
+        # one exp for speed; m = inf needs the atom sum, where 0 * inf counts as 0
+        return super().laplace(x) if math.isinf(self.m) else np.exp(-self.m * np.asarray(x, dtype=float))
+
+    def params(self):
+        return {"m": self.m}
 
 
 class Gamma(MixingLaw):
@@ -173,7 +208,7 @@ class Gamma(MixingLaw):
         out = (1.0 + x) ** (-self.shape)
         return out if out.ndim else float(out)
 
-    def density(self, m):
+    def density(self, m, rest=None):
         from scipy import special
 
         m = np.asarray(m, dtype=float)
@@ -224,15 +259,15 @@ class Beta(MixingLaw):
             )
         )
 
-    def density(self, m):
+    def density(self, m, rest=None):
         from scipy import special
 
         m = np.asarray(m, dtype=float)
-        inside = (m > 0) & (m < 1)
-        safe = np.where(inside, m, 0.5)
+        rest = 1.0 - m if rest is None else rest  # (1 - m)**(q - 1) is singular at 1 for q < 1
+        inside = (m > 0) & (rest > 0)
         logpdf = (
-            (self.p - 1.0) * np.log(safe)
-            + (self.q - 1.0) * np.log1p(-safe)
+            (self.p - 1.0) * np.log(np.where(inside, m, 0.5))
+            + (self.q - 1.0) * np.log(np.where(inside, rest, 0.5))
             - special.betaln(self.p, self.q)
         )
         out = np.where(inside, np.exp(logpdf), 0.0)
@@ -259,26 +294,11 @@ class Pareto(MixingLaw):
         return rng.random(n) ** (-1.0 / self.alpha)
 
     def laplace(self, x):
-        from scipy import integrate
-
         x = np.asarray(x, dtype=float)
-
-        def one(xi):
-            if xi == 0.0:
-                return 1.0
-            val, _ = integrate.quad(
-                lambda m: math.exp(-xi * m) * self.alpha * m ** (-self.alpha - 1.0),
-                1.0,
-                np.inf,
-                epsabs=1e-12,
-                epsrel=1e-10,
-            )
-            return val
-
-        out = np.vectorize(one)(x)
+        out = np.where(x == 0.0, 1.0, self.expect(lambda m: np.exp(-np.multiply.outer(x, m))))
         return out if out.ndim else float(out)
 
-    def density(self, m):
+    def density(self, m, rest=None):
         m = np.asarray(m, dtype=float)
         out = np.where(m >= 1, self.alpha * m ** (-self.alpha - 1.0), 0.0)
         return out if out.ndim else float(out)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import SpecValidationError
 from .inverse import monotone_inverse
-from .mixing import FiniteDiscrete, MixingLaw, Pareto, PointMass
+from .mixing import MixingLaw
 from .sample import SampleMatrix
 
 __all__ = [
@@ -95,31 +95,13 @@ def sample_spherical_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
 
 # -- l1-norm symmetric --------------------------------------------------------
 
-def _expectation(law: MixingLaw, fn, lower=None) -> float:
-    """E[fn(R)] by closed form for discrete laws, adaptive quadrature otherwise."""
-    from scipy import integrate
-
-    if isinstance(law, PointMass):
-        return float(fn(law.m))
-    if isinstance(law, FiniteDiscrete):
-        return float(np.sum(law.weights * np.vectorize(fn)(law.atoms)))
-    lo, hi = law.support()
-    if lower is not None:
-        lo = max(lo, lower)
-    if lo >= hi:
-        return 0.0
-    density = law.density  # raises UnsupportedLawError when unavailable
-    val, _ = integrate.quad(
-        lambda r: fn(r) * density(r), lo, hi, epsabs=1e-10, epsrel=1e-10, limit=200
-    )
-    return float(val)
-
-
 def williamson_transform(law: MixingLaw, d: int, x) -> float:
-    """E[max(1 - x/R, 0)**(d-1)] for a positive radial variable R.
+    """The d-times monotone function E[max(1 - x/R, 0)**(d-1)] of a positive
+    radial variable R, by ``law.expect`` over R > x.
 
-    Equals 1 at x = 0 and is non-increasing in x; closed form for point
-    masses and finite discrete laws, quadrature for continuous ones.
+    Williamson's theorem: the survival function of an l1-norm symmetric law
+    R * S on R_+^d, S uniform on the unit simplex, is this transform of R
+    (McNeil & Neslehova 2009).  It equals 1 at x = 0 and is non-increasing.
     """
     if d < 1:
         raise SpecValidationError("dimension must be at least 1")
@@ -128,7 +110,7 @@ def williamson_transform(law: MixingLaw, d: int, x) -> float:
         raise SpecValidationError("argument must be non-negative")
     if x == 0.0:
         return 1.0
-    return _expectation(law, lambda r: max(1.0 - x / r, 0.0) ** (d - 1), lower=x)
+    return float(law.expect(lambda r: (1.0 - x / r) ** (d - 1), lower=x))
 
 
 def sample_l1_symmetric(law: MixingLaw, d, n, rng) -> SampleMatrix:
@@ -192,16 +174,16 @@ def archimedean_copula_eval(law: MixingLaw, u) -> float:
 # -- linf-norm symmetric ------------------------------------------------------
 
 def gnedin_g(law: MixingLaw, d: int, x) -> float:
-    """g_d(x) = E[1_{M > x} M^{-d}], the density generator of M*U laws.
+    """g_d(x) = E[M^{-d}; M > x], the density generator of M*U laws.
 
-    Non-increasing in x with normalization d * int g_d(x) x^{d-1} dx = 1.
+    Gnedin's characterization: the linf-norm symmetric law M * U on R_+^d
+    (U iid uniform on [0, 1]) has density g_d(max_k x_k), and g_d is
+    non-increasing with d * int g_d(x) x^{d-1} dx = 1 (Gnedin 1995).
     """
     if d < 1:
         raise SpecValidationError("dimension must be at least 1")
-    x = float(x)
-    if isinstance(law, Pareto):
-        return law.alpha / (d + law.alpha) * max(1.0, x) ** (-d - law.alpha)
-    return _expectation(law, lambda m: m ** (-d) if m > x else 0.0, lower=x)
+    with np.errstate(over="ignore"):  # E[M^{-d}] may diverge at x = 0: it is inf
+        return float(law.expect(lambda m: m ** (-d), lower=float(x)))
 
 
 def sample_linf_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
@@ -220,20 +202,16 @@ def linf_ciid_survival(law: MixingLaw, x) -> float:
     x = np.asarray(x, dtype=float)
     if (x < 0).any():
         raise SpecValidationError("survival arguments must be non-negative")
-    xmax = float(x.max())
-
-    def fn(m):
-        return float(np.prod(np.maximum(0.0, 1.0 - x / m)))
-
-    return _expectation(law, fn, lower=xmax)
+    return float(law.expect(lambda m: np.prod(1.0 - np.divide.outer(x, m), axis=0), lower=x.max()))
 
 
 def linf_marginal_cdf(law: MixingLaw, x) -> float:
-    """P(M*U <= x) = E[min(1, x/M)] for one component."""
+    """P(M*U <= x) = E[min(1, x/M)] for one component, split at the kink
+    M = x into P(M <= x) + x E[1/M; M > x]."""
     x = float(x)
     if x <= 0:
         return 0.0
-    return _expectation(law, lambda m: min(1.0, x / m))
+    return float(law.expect(np.ones_like, upper=x) + x * law.expect(np.reciprocal, lower=x))
 
 
 # -- Pareto mixture of uniforms ----------------------------------------------

@@ -748,6 +748,28 @@ def test_cli_loads_only_the_modules_a_command_uses(command, loaded, tmp_path):
         assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
 
 
+def test_linf_verify_needs_no_scipy_integrate():
+    """``verify`` of an linf model evaluates its survival function and the
+    quantiles of its grid with the double-exponential rule of ``mixing``: in a
+    fresh interpreter it passes and leaves ``scipy.integrate`` unloaded."""
+    argv = ["verify", "--model", '{"family":"linf","d":5,"m":{"family":"gamma","shape":2.0}}',
+            "--n", "20000", "--seed", "1"]
+    code = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import condiid.cli\n"
+        "out = io.StringIO()\n"
+        "with redirect_stdout(out):\n"
+        f"    assert condiid.cli.main({argv!r}) == 0\n"
+        "print(json.dumps([json.loads(out.getvalue())['passed'], 'scipy.integrate' in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert json.loads(out.stdout) == [True, False]
+
+
 @pytest.mark.parametrize("d", [28, 30, 40])
 def test_subordinator_mo_at_large_d(d):
     """The death-chain sampler is exact at any d: sample, eval and verify

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import stdf_oracle as oracle
+
 from condiid import diagnostics as dg
 from condiid import extreme_value as ev
 from condiid import lack_of_memory as lom
@@ -143,17 +145,17 @@ class TestStdfInvariants:
         for theta in (0.3, 0.5, 0.7):
             g = ev.Frechet(theta)
             for x in ([1.0, 1.0], [0.4, 1.7], [2.0, 0.3, 0.9]):
-                numeric = ev.stdf_numeric_lf(g, x)
+                numeric = oracle.stdf_numeric_lf(g, x)
                 closed = ev.stdf_eval(ev.logistic(theta), x)
                 assert numeric == pytest.approx(closed, abs=1e-6)
 
     def test_lf_quadrature_consistency_weibull_and_step(self):
         g = ev.Weibull(0.7)
         for x in ([0.8, 1.7], [1.0, 0.5, 0.25]):
-            assert ev.stdf_numeric_lf(g, x) == pytest.approx(ev.lf(g).ell(np.asarray(x)), abs=1e-6)
+            assert oracle.stdf_numeric_lf(g, x) == pytest.approx(ev.lf(g).ell(np.asarray(x)), abs=1e-6)
         step = ev.StepFunction([0.4, 1.6], [0.5, 1.0])
         for x in ([0.7, 0.4], [1.0, 2.0, 0.2]):
-            assert ev.stdf_numeric_lf(step, x) == pytest.approx(
+            assert oracle.stdf_numeric_lf(step, x) == pytest.approx(
                 ev.lf(step).ell(np.asarray(x)), abs=1e-8
             )
 
@@ -161,7 +163,7 @@ class TestStdfInvariants:
         for m in (0.3, 1.2):
             g = ev.MOAtom(PointMass(m))
             for x in ([1.0, 1.0], [0.4, 1.7], [2.0, 0.3, 0.9]):
-                assert ev.stdf_numeric_lf(g, x) == pytest.approx(g.ell(np.asarray(x)), abs=1e-6)
+                assert oracle.stdf_numeric_lf(g, x) == pytest.approx(g.ell(np.asarray(x)), abs=1e-6)
 
     @pytest.mark.parametrize("m", [FiniteDiscrete([0.5, 2.0], [0.5, 0.5]), Gamma(2.0)],
                              ids=["two_atoms", "gamma"])
@@ -169,10 +171,57 @@ class TestStdfInvariants:
         # l averages l_{G_q} over M, and the q-averaged G has another l:
         # 1.4887 against ell 1.3709 at (1, 1) for the two atoms
         g = ev.MOAtom(m)
-        for call in (lambda: g.cdf(1.0), g.support_upper, g.jump_points,
-                     lambda: ev.stdf_numeric_lf(g, [1.0, 1.0])):
+        for call in (lambda: oracle.log_cdf(g, 1.0), lambda: oracle.support_upper(g),
+                     lambda: oracle.jump_points(g), lambda: oracle.stdf_numeric_lf(g, [1.0, 1.0])):
             with pytest.raises(UnsupportedLawError):
                 call()
+
+
+WEIBULL_THETA = st.floats(math.log(0.05), math.log(50.0)).map(math.exp)
+
+
+def coordinates(max_size):
+    return st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=max_size).map(np.array)
+
+
+class TestWeibullEll:
+    """l_G of the Weibull G by the double-exponential rule, at any d: the
+    inclusion-exclusion sum it replaces has 2^d - 1 terms."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(theta=WEIBULL_THETA, x=coordinates(40), c=st.floats(1e-3, 1e3))
+    def test_homogeneous(self, theta, x, c):
+        g = ev.Weibull(theta)
+        assert g.ell(c * x) == pytest.approx(c * g.ell(x), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(theta=WEIBULL_THETA, x=coordinates(40))
+    def test_between_max_and_sum(self, theta, x):
+        val = ev.Weibull(theta).ell(x)
+        assert x.max() <= val <= x.sum() * (1.0 + 1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(theta=WEIBULL_THETA, x=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)))
+    def test_negative_logistic_closed_form_at_d2(self, theta, x):
+        x1, x2 = x
+        closed = x1 + x2 - (x1 ** (-1.0 / theta) + x2 ** (-1.0 / theta)) ** -theta
+        assert ev.Weibull(theta).ell(np.array(x)) == pytest.approx(closed, rel=1e-11)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(theta=WEIBULL_THETA, x=coordinates(12))
+    def test_alternating_subset_sum(self, theta, x):
+        # sum over nonempty S of (-1)^(|S|+1) (sum_{k in S} x_k^(-1/theta))^(-theta), at 40 digits
+        import itertools
+
+        import mpmath
+
+        with mpmath.workdps(40):
+            th = mpmath.mpf(theta)
+            powers = [mpmath.mpf(v) ** (-1 / th) for v in x]
+            ref = mpmath.fsum((-1) ** (j + 1) * mpmath.fsum(s) ** -th
+                              for j in range(1, x.size + 1)
+                              for s in itertools.combinations(powers, j))
+        assert ev.Weibull(theta).ell(x) == pytest.approx(float(ref), rel=1e-11)
 
 
 class TestEvaluators:

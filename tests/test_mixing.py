@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from condiid import mixing
-from condiid.errors import SpecValidationError
+from condiid.errors import SpecValidationError, UnsupportedLawError
 
 
 LAWS = [
@@ -128,3 +128,29 @@ def test_log_series_pmf_normalizes_and_samples():
     assert s.min() >= 1.0
     mean = sum(m * law.pmf(m) for m in range(1, 400))
     assert s.mean() == pytest.approx(mean, rel=0.02)
+
+
+def test_integrate_both_forms():
+    # exp-sinh on (1, inf), and tanh-sinh on (0, 1) with an integrand that is
+    # singular at 1 and evaluated from each node's exact distance to 1
+    assert mixing.integrate(lambda x, rest: np.exp(-x), 1.0, math.inf) == pytest.approx(
+        math.exp(-1.0), rel=1e-15)
+    assert mixing.integrate(lambda x, rest: rest**-0.5, 0.0, 1.0) == pytest.approx(2.0, rel=1e-15)
+    both = mixing.integrate(lambda x, rest: np.stack([x, x**2]), 0.0, 3.0)
+    assert both == pytest.approx([4.5, 9.0], rel=1e-15)
+
+
+def test_expect_sums_atoms_in_half_open_interval():
+    law = mixing.FiniteDiscrete([0.5, 1.0, 2.0], [0.2, 0.3, 0.5])
+    assert law.expect(np.ones_like) == 1.0
+    assert law.expect(lambda m: m, lower=0.5, upper=2.0) == 0.3 * 1.0 + 0.5 * 2.0
+    assert law.expect(lambda m: m, lower=2.0) == 0.0
+    assert mixing.PointMass(2.0).expect(np.square, upper=2.0) == 4.0
+    assert mixing.PointMass(2.0).expect(np.square, lower=2.0) == 0.0
+
+
+@pytest.mark.parametrize("law", [mixing.PositiveStable(0.6), mixing.LogSeries(1.5)],
+                         ids=lambda l: l.family)
+def test_expect_refuses_law_without_density(law):
+    with pytest.raises(UnsupportedLawError, match="no density"):
+        law.expect(np.ones_like)

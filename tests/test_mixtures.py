@@ -354,3 +354,72 @@ class TestParetoUniformCopula:
         x = np.quantile(sm.data[:, 1], 0.995)
         cond = (sm.data[:, 0] > x)[sm.data[:, 1] > x].mean()
         assert cond == pytest.approx(2.0 / (2.0 + alpha), abs=0.05)
+
+
+def truncated_negative_moment(law, j, x):
+    """E[M^{-j}; M > x] at 40 digits, in closed form: an upper incomplete
+    gamma function, an incomplete beta function in 1 - M, or a Pareto power."""
+    import mpmath
+
+    x = mpmath.mpf(x)
+    if isinstance(law, Gamma):
+        return mpmath.gammainc(law.shape - j, x) / mpmath.gamma(law.shape)
+    if isinstance(law, Beta):
+        if x >= 1:
+            return mpmath.mpf(0)
+        return mpmath.betainc(law.q, law.p - j, 0, 1 - x) / mpmath.beta(law.p, law.q)
+    return law.alpha / (law.alpha + j) * max(x, 1) ** (-law.alpha - j)
+
+
+MPMATH_LAWS = [Gamma(2.0), Gamma(0.5), Beta(2.0, 3.0), Beta(0.5, 0.5), Beta(2.0, 0.3), Pareto(3.0),
+               Pareto(0.7)]
+
+
+@pytest.mark.parametrize("law", MPMATH_LAWS, ids=repr)
+class TestMpmathOracle:
+    """The M-expectations of the linf and l1 families against 40-digit
+    references that expand the integrand in powers of 1/M, at points below
+    and above Pareto's support end 1 and at its marginal kink x = 1."""
+
+    def test_linf_survival(self, law):
+        import mpmath
+
+        with mpmath.workdps(40):
+            for x in ([0.2, 0.5, 0.7], [0.3, 1.4, 2.5], [1.0, 0.4]):
+                coeff = [mpmath.mpf(1)]  # prod_k (1 - x_k t), lowest power first
+                for xk in x:
+                    coeff = [a - xk * b for a, b in zip(coeff + [0], [0] + coeff)]
+                ref = mpmath.fsum(c * truncated_negative_moment(law, j, max(x))
+                                  for j, c in enumerate(coeff))
+                assert mx.linf_ciid_survival(law, x) == pytest.approx(float(ref), rel=1e-9)
+
+    def test_linf_marginal_cdf(self, law):
+        import mpmath
+
+        with mpmath.workdps(40):
+            for x in (0.3, 1.0, 2.5):
+                ref = 1 - truncated_negative_moment(law, 0, x) + x * truncated_negative_moment(law, 1, x)
+                assert mx.linf_marginal_cdf(law, x) == pytest.approx(float(ref), rel=1e-9)
+
+    def test_williamson_transform(self, law):
+        import mpmath
+
+        with mpmath.workdps(40):
+            for d in (2, 5):
+                for x in (0.3, 1.0, 2.5):
+                    ref = mpmath.fsum(math.comb(d - 1, j) * (-mpmath.mpf(x)) ** j
+                                      * truncated_negative_moment(law, j, x) for j in range(d))
+                    assert mx.williamson_transform(law, d, x) == pytest.approx(float(ref), rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 0.7])
+def test_pareto_laplace_against_mpmath(alpha):
+    # phi(x) = alpha x^alpha Gamma(-alpha, x)
+    import mpmath
+
+    law = Pareto(alpha)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        for x in (1e-8, 1e-3, 1.0, 30.0):
+            ref = a * mpmath.mpf(x) ** a * mpmath.gammainc(-a, x)
+            assert law.laplace(x) == pytest.approx(float(ref), rel=1e-9)
