@@ -164,7 +164,7 @@ STDFS = {  # name: (min-stable stdf, sha256 of its verify report, eval --kind st
     ),
     "triplet_weibull": (
         MODELS["triplet_weibull"][0]["stdf"],
-        "8aa1e55535b26103cf6219c7a0fff78b7e0b741527031a3c5fbf074aedb8e117", "1.35977684033",
+        "4cba3ecc906bdd37b7b4788c48d087fc0d9e9b6b495ca940439d4193993b12e7", "1.35977684033",
     ),
     "triplet_mo_atom": (
         MODELS["triplet_mo_atom"][0]["stdf"],
