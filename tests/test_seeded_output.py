@@ -156,7 +156,7 @@ STDFS = {  # name: (min-stable stdf, sha256 of its verify report, eval --kind st
     ),
     "negative_logistic_1.5": (
         {"kind": "negative_logistic", "theta": 1.5},
-        "6cfb0a350de27bb270e68052efc1a1f1eb6b3b7dfae040b84efe119c07ea76c4", "1.2758181659",
+        "fc293f206a7f6822355eba281524d044ce2ecec9804ecf3561236c7c06af8f14", "1.2758181659",
     ),
     "lf_frechet_0.5": (
         {"kind": "lf", "g": {"kind": "frechet", "theta": 0.5}},
