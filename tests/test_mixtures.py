@@ -267,6 +267,13 @@ class TestGnedin:
             tail, _ = integrate.quad(lambda u: mx.gnedin_g(law, 2, u), x, np.inf, limit=300)
             assert lhs == pytest.approx(tail + x * mx.gnedin_g(law, 2, x), abs=1e-8)
 
+    def test_beta_negative_moment_at_zero(self):
+        # g_d(0) = E[M^-d] = p/(p - d) for Beta(p, 1), and diverges for p <= d,
+        # although M^-d overflows at the rule's nodes next to 0
+        assert mx.gnedin_g(Beta(12.0, 1.0), 10, 0.0) == pytest.approx(6.0, rel=1e-12)
+        assert mx.gnedin_g(Beta(5.0, 1.0), 2, 0.0) == pytest.approx(5.0 / 3.0, rel=1e-12)
+        assert mx.gnedin_g(Beta(1.5, 1.0), 2, 0.0) == math.inf
+
     def test_non_increasing(self):
         vals = [mx.gnedin_g(Gamma(2.0), 2, x) for x in np.linspace(0, 4, 15)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -371,8 +378,8 @@ def truncated_negative_moment(law, j, x):
     return law.alpha / (law.alpha + j) * max(x, 1) ** (-law.alpha - j)
 
 
-MPMATH_LAWS = [Gamma(2.0), Gamma(0.5), Beta(2.0, 3.0), Beta(0.5, 0.5), Beta(2.0, 0.3), Pareto(3.0),
-               Pareto(0.7)]
+MPMATH_LAWS = [Gamma(2.0), Gamma(0.5), Gamma(0.1), Beta(2.0, 3.0), Beta(0.5, 0.5), Beta(2.0, 0.3),
+               Beta(0.1, 0.1), Pareto(3.0), Pareto(0.7)]
 
 
 @pytest.mark.parametrize("law", MPMATH_LAWS, ids=repr)
