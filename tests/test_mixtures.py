@@ -379,14 +379,15 @@ def truncated_negative_moment(law, j, x):
 
 
 MPMATH_LAWS = [Gamma(2.0), Gamma(0.5), Gamma(0.1), Beta(2.0, 3.0), Beta(0.5, 0.5), Beta(2.0, 0.3),
-               Beta(0.1, 0.1), Pareto(3.0), Pareto(0.7)]
+               Beta(0.1, 0.1), Pareto(3.0), Pareto(0.7), Pareto(0.3)]
 
 
 @pytest.mark.parametrize("law", MPMATH_LAWS, ids=repr)
 class TestMpmathOracle:
     """The M-expectations of the linf and l1 families against 40-digit
     references that expand the integrand in powers of 1/M, at points below
-    and above Pareto's support end 1 and at its marginal kink x = 1."""
+    and above Pareto's support end 1 and at its marginal kink x = 1.  The
+    shapes 0.1 and Pareto(0.3) need the rule's nodes far out at both ends."""
 
     def test_linf_survival(self, law):
         import mpmath
