@@ -38,7 +38,7 @@ from .errors import (
     json_number,
     json_numbers,
 )
-from .mixing import MixingLaw, PointMass, integrate, sample_positive_stable
+from .mixing import MixingLaw, PointMass, _categorical, integrate, sample_positive_stable
 from .sample import SampleMatrix
 
 __all__ = [
@@ -106,8 +106,8 @@ class Frechet(GSpec):
 
     def tilted_draw(self, k, d, m, rng):
         # (scale*Y)**(-1/theta) is Exp(1), and Gamma(1-theta) under the tilt
-        tilted = rng.gamma(1.0 - self.theta, size=m)
-        return (tilted[:, None] / rng.exponential(size=(m, d))) ** self.theta
+        tilted = rng.standard_gamma(1.0 - self.theta, m)
+        return (tilted[:, None] / rng.standard_exponential((m, d))) ** self.theta
 
     def params(self):
         return {"theta": self.theta}
@@ -150,8 +150,8 @@ class Weibull(GSpec):
 
     def tilted_draw(self, k, d, m, rng):
         # (scale*Y)**(1/theta) is Exp(1), and Gamma(1+theta) under the tilt
-        tilted = rng.gamma(1.0 + self.theta, size=m)
-        return (rng.exponential(size=(m, d)) / tilted[:, None]) ** self.theta
+        tilted = rng.standard_gamma(1.0 + self.theta, m)
+        return (rng.standard_exponential((m, d)) / tilted[:, None]) ** self.theta
 
     def params(self):
         return {"theta": self.theta}
@@ -236,8 +236,8 @@ class StepFunction(GSpec):
         # tilt I_k follows the size-biased masses
         mass = np.diff(self.values, prepend=0.0)
         biased = mass * self.points
-        at = self.points[rng.choice(mass.size, size=(m, d), p=mass)]
-        at_k = self.points[rng.choice(mass.size, size=m, p=biased / biased.sum())]
+        at = self.points[_categorical(mass, (m, d), rng)]
+        at_k = self.points[_categorical(biased / biased.sum(), m, rng)]
         return at / at_k[:, None]
 
     def params(self):
@@ -361,7 +361,7 @@ def sample_logistic_direct(theta: float, rate: float, d: int, n: int, rng) -> Sa
     if rate <= 0:
         raise SpecValidationError("rate must be positive")
     s = sample_positive_stable(theta, n, rng)
-    data = rng.exponential(size=(n, d))
+    data = rng.standard_exponential((n, d))
     data /= s[:, None]
     data **= theta
     data /= rate
@@ -396,7 +396,7 @@ def sample_minstable(spec: Triplet, d: int, n: int, rng, rate: float | None = No
             y = parts[0][0].tilted_draw(k, d, m, rng)
         else:
             y = np.zeros((m, d))
-            which = rng.choice(len(parts), size=m, p=probs)
+            which = _categorical(probs, m, rng)
             for i, (g, _) in enumerate(parts):
                 if g is not None:
                     sel = which == i
@@ -404,10 +404,10 @@ def sample_minstable(spec: Triplet, d: int, n: int, rng, rate: float | None = No
         y[:, k] = 1.0
         return y
 
-    z = draw(0, n) / rng.exponential(size=n)[:, None]
+    z = draw(0, n) / rng.standard_exponential(n)[:, None]
     draws = n
     for k in range(1, d):
-        gamma = rng.exponential(size=n)
+        gamma = rng.standard_exponential(n)
         rows = np.flatnonzero(1.0 / gamma > z[:, k])
         gamma = gamma[rows]
         while rows.size:
@@ -416,7 +416,7 @@ def sample_minstable(spec: Triplet, d: int, n: int, rng, rate: float | None = No
             zr = z[rows]
             new = (y[:, :k] < zr[:, :k]).all(axis=1)
             z[rows[new]] = np.maximum(zr[new], y[new])
-            gamma += rng.exponential(size=rows.size)
+            gamma += rng.standard_exponential(rows.size)
             # an accepted row now has Z_k >= its old 1/Gamma, so it is done
             live = ~new & (1.0 / gamma > zr[:, k])
             rows, gamma = rows[live], gamma[live]

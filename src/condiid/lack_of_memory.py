@@ -9,7 +9,8 @@ the k-th largest coordinate gap is raised to a parameter b_k,
 The continuous flavor requires (b_0..b_d) log-d-monotone, the discrete flavor
 d-monotone.  Every sampler here is one death chain: by lack of memory, the
 number of components dead is a Markov chain that takes at most d steps, and
-which ones die is a uniform permutation.  The law of a step comes from the
+which ones die is uniform, so one shuffle of each row's death times, drawn
+by rank, assigns them to components.  The law of a step comes from the
 exchangeable shock rates or probabilities, or, for the first passage of a
 compound Poisson subordinator across iid unit-exponential barriers, from
 its subset rates in closed form.  ``shock_models.sample_sato`` runs the same
@@ -246,22 +247,23 @@ def p_from_b_geo(params: LomParameterSeq) -> ShockRateSpec:
 
 
 def _death_rates(values, d: int) -> list[list]:
-    """w[k][j] = C(k, j) * sum_i C(d-k, i) * values[j+i] for k, j in 0..d.
+    """w[k][j] = C(k, j) * s_k(j) with s_k(j) = sum_i C(d-k, i) * values[j+i],
+    for k, j in 0..d (0 for j > k).
 
     ``values[m]`` is the parameter of one fixed subset of m components.  With
     k components alive, w[k][j] is the rate (exponential shocks) or the
     per-round probability (geometric shocks) that exactly j of them die at
     once: the j chosen alive ones plus any i of the d-k dead ones make up the
-    shocked subset.  Exact for ``Fraction`` values.
+    shocked subset.  Pascal's rule s_k(j) = s_{k+1}(j) + s_{k+1}(j+1) from
+    s_d = values builds the table in O(d^2) additions; no term is negative,
+    so nothing cancels.  Exact for ``Fraction`` values.
     """
-    return [
-        [
-            math.comb(k, j) * sum(math.comb(d - k, i) * values[j + i] for i in range(d - k + 1))
-            if j <= k else 0
-            for j in range(d + 1)
-        ]
-        for k in range(d + 1)
-    ]
+    w = [None] * (d + 1)
+    s = list(values)
+    for k in range(d, -1, -1):
+        w[k] = [math.comb(k, j) * s[j] for j in range(k + 1)] + [0] * (d - k)
+        s = [s[j] + s[j + 1] for j in range(k)]
+    return w
 
 
 def _table_law(values, d: int, rng, discrete: bool):
@@ -283,7 +285,7 @@ def _table_law(values, d: int, rng, discrete: bool):
         if discrete:
             t1 = t + rng.geometric(np.minimum(total[k], 1.0))
         else:
-            t1 = t + rng.exponential(size=k.size) / total[k]
+            t1 = t + rng.standard_exponential(k.size) / total[k]
         return t1, 1 + (cum.take(k, axis=1) <= rng.random(k.size)).sum(axis=0)
 
     return next_event
@@ -294,11 +296,11 @@ def _death_chain(next_event, d: int, n: int, rng) -> tuple[np.ndarray, int]:
 
     With k of d components alive at time t, ``next_event(k, t)`` returns the
     time t1 of the next death of each live row and the number j >= 1 that
-    die then; which j is uniform, the next j ranks of a uniform permutation
-    per row (Mai, Schenk & Scherer 2016).  All live rows move together, for
-    at most d steps.  Returns the (n, d) sample and the number of steps.
+    die then; which j is uniform (Mai, Schenk & Scherer 2016).  All live rows
+    move together, for at most d steps, and record their death times by
+    rank; a uniform shuffle of each row then says which component died at
+    which rank.  Returns the (n, d) sample and the number of steps.
     """
-    order = rng.random((n, d)).argsort(axis=1)  # order[r, i]: the i-th component of row r to die
     by_rank = np.zeros((d, n))  # by_rank[i, r]: the time of the i-th death of row r
     rows = np.arange(n)
     t = np.zeros(n)
@@ -314,9 +316,8 @@ def _death_chain(next_event, d: int, n: int, rng) -> tuple[np.ndarray, int]:
     # a row's death times increase, so a running maximum gives each block of j its time
     for i in range(1, d):  # row by row: maximum.accumulate along axis 0 is 20x slower here
         np.maximum(by_rank[i], by_rank[i - 1], out=by_rank[i])
-    data = np.empty((n, d))
-    np.put_along_axis(data, order, by_rank.T, axis=1)
-    return data, steps
+    data = by_rank.T.copy()  # C-ordered, so each row's shuffle runs over contiguous memory
+    return rng.permuted(data, axis=1, out=data), steps
 
 
 def sample_mo_shocks(spec: ShockRateSpec, d: int, n: int, rng) -> SampleMatrix:

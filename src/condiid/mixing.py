@@ -58,6 +58,14 @@ def integrate(fn, lo: float, hi: float):
     return width * np.sum(fn(x, width * _TANH_REST) * _TANH_W, axis=-1)
 
 
+def _categorical(p: np.ndarray, size, rng: np.random.Generator) -> np.ndarray:
+    """Indices drawn with probabilities ``p``: what ``rng.choice(p.size, size, p=p)``
+    returns, draw for draw, without its validation of ``p``."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def sample_positive_stable(theta: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw from the one-sided stable law with Laplace transform exp(-x**theta).
 
@@ -66,7 +74,7 @@ def sample_positive_stable(theta: float, n: int, rng: np.random.Generator) -> np
     if not 0.0 < theta < 1.0:
         raise SpecValidationError(f"stable index must lie in (0,1), got {theta}")
     u = rng.uniform(0.0, np.pi, size=n)
-    e = rng.exponential(size=n)
+    e = rng.standard_exponential(n)
     return (
         np.sin(theta * u)
         * np.sin((1.0 - theta) * u) ** ((1.0 - theta) / theta)
@@ -151,18 +159,20 @@ class FiniteDiscrete(MixingLaw):
         self.weights = weights
 
     def sample(self, n, rng):
-        idx = rng.choice(self.atoms.size, size=n, p=self.weights)
-        return self.atoms[idx]
+        return self.atoms[_categorical(self.weights, n, rng)]
 
     def laplace(self, x):
-        x = np.asarray(x, dtype=float)
         # x * m is 0 where either is 0, also against +inf: phi(0) = 1 with an
         # atom at +inf, and an atom at 0 contributes its weight at x = +inf
+        if np.ndim(x) == 0:  # one exp, the bits of the array path
+            x = float(x)
+            xm = x * self.atoms if 0.0 < abs(x) < math.inf else np.where(self.atoms > 0, x, 0.0)
+            return float((self.weights * np.exp(-xm)).sum())
+        x = np.asarray(x, dtype=float)
         with np.errstate(invalid="ignore"):
             xm = np.outer(x.ravel(), self.atoms)
         xm[np.isnan(xm)] = 0.0
-        val = np.sum(self.weights * np.exp(-xm), axis=1)
-        return val.reshape(x.shape) if x.ndim else float(val[0])
+        return np.sum(self.weights * np.exp(-xm), axis=1).reshape(x.shape)
 
     def moment(self, k):
         return float(np.sum(self.weights * self.atoms**k))
@@ -211,7 +221,7 @@ class Gamma(MixingLaw):
         self.shape = float(shape)
 
     def sample(self, n, rng):
-        return rng.gamma(self.shape, size=n)
+        return rng.standard_gamma(self.shape, n)
 
     def laplace(self, x):
         x = np.asarray(x, dtype=float)

@@ -116,7 +116,7 @@ def williamson_transform(law: MixingLaw, d: int, x) -> float:
 def sample_l1_symmetric(law: MixingLaw, d, n, rng) -> SampleMatrix:
     """R * (E_1/||E||_1, ..., E_d/||E||_1) with iid unit exponentials E."""
     r = law.sample(n, rng)
-    data = rng.exponential(size=(n, d))
+    data = rng.standard_exponential((n, d))
     s = data.sum(axis=1, keepdims=True)
     data *= r[:, None]
     data /= s
@@ -129,7 +129,7 @@ def sample_l1_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
     m = law.sample(n, rng)
     if (np.asarray(m) <= 0).any():
         raise SpecValidationError("mixing variable must be strictly positive")
-    data = rng.exponential(size=(n, d))
+    data = rng.standard_exponential((n, d))
     data /= m[:, None]
     return SampleMatrix(data, meta=f"l1_ciid {law!r} d={d}")
 

@@ -516,10 +516,10 @@ def sample_sato(alpha: float, d: int, n: int, rng) -> SampleMatrix:
     tiny = np.finfo(float).tiny
 
     def next_event(k, t0):
-        g = rng.exponential(size=k.size) / alpha
+        g = rng.standard_exponential(k.size) / alpha
         t1 = np.multiply(t0, np.exp(g), out=np.zeros_like(t0), where=t0 > 0)  # no 0*inf at t0 = 0
         t1 = np.maximum(t1 + np.expm1(g) / k, tiny)
-        x = t1 * (rng.exponential(size=k.size) + rng.exponential(size=k.size) / (1.0 + k * t1))
+        x = t1 * (rng.standard_exponential(k.size) + rng.standard_exponential(k.size) / (1.0 + k * t1))
         # P(i' <= i) = (1 - q**i)/(1 - q**k) with q = exp(-x); log q = -x needs no log(0)
         first = np.ceil(np.log1p(rng.random(k.size) * np.expm1(-k * x)) / -x)
         first = np.clip(first, 1, k).astype(np.intp)

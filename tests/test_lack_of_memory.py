@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -189,6 +189,29 @@ class TestDeathChain:
         w = lom._death_rates(_binomial_weights(d, weights), d)
         for k in range(d + 1):
             assert sum(w[k]) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.fractions(min_value=0, max_value=5, max_denominator=50),
+                    min_size=1, max_size=41))
+    @example([Fraction(k % 7, 3) for k in range(41)])
+    def test_death_rates_by_definition_exact(self, values):
+        d = len(values) - 1
+        expected = [[math.comb(k, j) * sum(math.comb(d - k, i) * values[j + i]
+                                           for i in range(d - k + 1)) if j <= k else 0
+                     for j in range(d + 1)] for k in range(d + 1)]
+        assert lom._death_rates(values, d) == expected
+
+    def test_death_order_is_uniform(self):
+        # a drift alone kills one component per step, so every row dies in one
+        # of the 3! orders, each with probability 1/6
+        n = 60_000
+        sub = lom.CompoundPoissonSubordinatorSpec(drift=1.0)
+        x = lom.sample_mo_ciid(sub, 3, n, np.random.default_rng(54)).data
+        assert (np.diff(np.sort(x, axis=1), axis=1) > 0).all()
+        orders, counts = np.unique(x.argsort(axis=1), axis=0, return_counts=True)
+        assert len(orders) == 6
+        p = 1 / 6
+        assert (abs(counts / n - p) <= 4 * math.sqrt(p * (1 - p) / n)).all()
 
     def test_tie_probability_exponential(self):
         lam1, lam2, n = 0.3, 0.5, 100_000

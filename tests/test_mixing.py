@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condiid import mixing
 from condiid.errors import SpecValidationError, UnsupportedLawError
@@ -50,6 +52,33 @@ def test_laplace_matches_monte_carlo(law):
 def test_json_round_trip(law):
     back = mixing.mixing_law_from_json(law.to_json())
     assert back == law
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 1e300)),
+                min_size=1, max_size=12),
+       st.data())
+def test_finite_discrete_scalar_laplace_is_the_array_path(atoms, data):
+    # the scalar path keeps the rule 0 * inf = 0 of the array path, bit for bit
+    weights = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(atoms),
+                                          max_size=len(atoms)).filter(any)))
+    law = mixing.FiniteDiscrete(atoms, weights / weights.sum())
+    xs = [0.0, 5e-324, 1e-300, 1.0, math.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = [law.laplace(x) for x in xs]
+    assert all(type(v) is float for v in scalar)
+    assert np.array_equal(scalar, law.laplace(np.array(xs)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_categorical_is_generator_choice(seed):
+    # the same indices as Generator.choice, and the generator left in the same state
+    p = np.random.default_rng(1000 + seed).dirichlet(np.full(seed % 5 + 2, 0.7))
+    for size in (17, (9, 4)):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(mixing._categorical(p, size, ours), theirs.choice(p.size, size, p=p))
+        assert ours.random() == theirs.random()
 
 
 def test_finite_discrete_weight_validation():

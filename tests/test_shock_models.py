@@ -292,7 +292,7 @@ class TestSato:
         assert abs(share - exact) <= 3 * math.sqrt(exact * (1 - exact) / n)
 
     class FirstWait:
-        """A generator whose first exponential draw, the first wait of row 0, is ``wait``."""
+        """A generator whose first standard exponential draw, the first wait of row 0, is ``wait``."""
 
         def __init__(self, seed, wait):
             self.rng, self.wait = np.random.default_rng(seed), wait
@@ -300,8 +300,8 @@ class TestSato:
         def __getattr__(self, name):
             return getattr(self.rng, name)
 
-        def exponential(self, size):
-            out = self.rng.exponential(size=size)
+        def standard_exponential(self, size):
+            out = self.rng.standard_exponential(size)
             if self.wait is not None:
                 out.flat[0], self.wait = self.wait, None
             return out
