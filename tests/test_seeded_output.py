@@ -85,7 +85,7 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
     ),
     "geometric": (
         {"family": "geometric", "d": 3, "p": [0.1, 0.1, 0.1, 0.3]},
-        "f6439c79ce7bec611e11674910c241a9b01dc585e647f3524a53b44faaab577a",
+        "de6a07089a2ad8c13af8b1d57c2771a459943f21e0cd47ab16614e20793885d9",
     ),
     "lf_frechet": (
         {"family": "minstable", "d": 2, "term_tol": 1e-08,
