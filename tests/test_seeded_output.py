@@ -122,7 +122,7 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
     ),
     "geometric_b": (  # p_from_b_geo, then the shock sampler
         {"family": "geometric", "d": 8, "b": beta_b(Fraction(1, 2), Fraction(3, 2), 8)},
-        "daaf85ecac14dd4266ed0340af9d0cbc87be74488c98be8238c3fa02ac64d8a4",
+        "025d4cd818f4719f39d9e5592bf293c5b5990e3e503f9ed58589af13aa30dd36",
     ),
 }
 
