@@ -81,7 +81,7 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
     ),
     "marshall_olkin": (
         {"family": "marshall_olkin", "d": 5, "rates": [0.1, 0.2, 0.05, 0.3, 0.15]},
-        "aefa79c3a3e7a4830b7f6e63f1547911f4cc03761a2826276490da6a9d6908bb",
+        "b697b5eb63a7eae22c2a0f2af3ae019bc432616904f6cbe1dd5974555e68fdfd",
     ),
     "geometric": (
         {"family": "geometric", "d": 3, "p": [0.1, 0.1, 0.1, 0.3]},
