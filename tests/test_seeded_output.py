@@ -118,7 +118,7 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
     ),
     "marshall_olkin_b": (  # lambda_from_b, then the shock sampler
         {"family": "marshall_olkin", "d": 6, "b": subordinator_b(6)},
-        "dd37e14799b1401fcf6fc354b9b9322fa4444ae5b0cfed5ddcadae197888e053",
+        "86f662c13a93dde5b75686f50d36ba56e787a0cc02ba2bfb8b5bc81b59a14db6",
     ),
     "geometric_b": (  # p_from_b_geo, then the shock sampler
         {"family": "geometric", "d": 8, "b": beta_b(Fraction(1, 2), Fraction(3, 2), 8)},
