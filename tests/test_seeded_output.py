@@ -110,7 +110,7 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
     ),
     "mo_subordinator": (
         {"family": "marshall_olkin", "d": 5, "subordinator": SUBORDINATOR},
-        "35b279d49d7d5e0631197df749e17a01441a4754201cb3f0d15604e2af672a3d",
+        "d83774d73d70015b51131bbb0168a5e0bd661b51e8ffe7d8cdd8a6df6aad8511",
     ),
     "sato": (
         {"family": "sato", "d": 3, "alpha": 1.05},
