@@ -114,7 +114,7 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
     ),
     "sato": (
         {"family": "sato", "d": 3, "alpha": 1.05},
-        "21c60507886e210878b17eae94ce6ea66e92e37377ee6832d43f3c5c58c3b813",
+        "eb9767f7f8e9bd6baa6b59c2c01493eef51d6e4a9a1b00a7ba3f7679d3c2ad4f",
     ),
     "marshall_olkin_b": (  # lambda_from_b, then the shock sampler
         {"family": "marshall_olkin", "d": 6, "b": subordinator_b(6)},
