@@ -206,7 +206,7 @@ def test_large_verify_bytes(name):
 
 
 DIAGNOSES = {  # model name: sha256 of the diagnose output of its seeded 1000-row CSV
-    "marshall_olkin": "23f8e6e675072a39cb77b2507c5e35d3e9670f502d8a55c3b6dd2b2b94f0a72e",
+    "marshall_olkin": "f3876f7355cb6ca355eb8152953d531d2b7e37a2c81e8da5cfa7c51733e8e8fe",
     "geometric": "e9710f18f29be66a78ec316d9e4ca6ade2425c580ee6e9df972b2ed1774e0fcf",
     "dirichlet_prior": "b363b03df19fe6a7976924ffdaf0cb0cad45579eaf96e184e0f97d453d129db3",
     "exch_normal": "5b1a74ad97e4db4536afd7f764a3034a5eec075dd58b94015ceba15d8131470b",
