@@ -164,15 +164,18 @@ class FiniteDiscrete(MixingLaw):
     def laplace(self, x):
         # x * m is 0 where either is 0, also against +inf: phi(0) = 1 with an
         # atom at +inf, and an atom at 0 contributes its weight at x = +inf
-        if np.ndim(x) == 0:  # one exp, the bits of the array path
-            x = float(x)
-            xm = x * self.atoms if 0.0 < abs(x) < math.inf else np.where(self.atoms > 0, x, 0.0)
-            return float((self.weights * np.exp(-xm)).sum())
+        if isinstance(x, (int, float)):  # one exp, the bits of the array path
+            if 0.0 < abs(x) < math.inf:
+                exponent = -x * self.atoms
+            else:
+                exponent = np.where(self.atoms > 0, -x, 0.0)
+            return float((self.weights * np.exp(exponent)).sum())
         x = np.asarray(x, dtype=float)
         with np.errstate(invalid="ignore"):
             xm = np.outer(x.ravel(), self.atoms)
         xm[np.isnan(xm)] = 0.0
-        return np.sum(self.weights * np.exp(-xm), axis=1).reshape(x.shape)
+        val = np.sum(self.weights * np.exp(-xm), axis=1)
+        return val.reshape(x.shape) if x.ndim else float(val[0])
 
     def moment(self, k):
         return float(np.sum(self.weights * self.atoms**k))
