@@ -358,13 +358,15 @@ def _load_model_spec(args) -> dict:
     return spec
 
 
-def _parse_point(text: str) -> np.ndarray:
+def _coordinates(obj, what: str) -> np.ndarray:
+    """``obj`` as an array of floats; NaN is refused, +-inf allowed."""
     try:
-        if text.lstrip().startswith("["):
-            return np.asarray(json.loads(text), dtype=float)
-        return np.asarray([float(v) for v in text.split(",")], dtype=float)
-    except ValueError as exc:
-        raise SpecValidationError(f"cannot parse point {text!r}") from exc
+        values = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecValidationError(f"cannot parse {what}") from exc
+    if np.isnan(values).any():
+        raise SpecValidationError(f"{what} has a NaN coordinate")
+    return values
 
 
 def cmd_sample(args) -> int:
@@ -386,7 +388,12 @@ def cmd_eval(args) -> int:
         raise SpecValidationError(
             f"family {model.family!r} does not evaluate kind {args.kind!r} (supported: {supported})"
         )
-    point = _parse_point(args.point)
+    text = args.point
+    point = json.loads(text) if text.lstrip().startswith("[") else text.split(",")
+    point = _coordinates(point, f"point {text!r}")
+    if point.shape != (model.d,):
+        raise SpecValidationError(f"point {text!r} must have {model.d} coordinates, "
+                                  f"as the model has d={model.d}")
     value = float(model.evals[args.kind](point))
     print(format(value, ".12g"))
     return 0
@@ -413,7 +420,7 @@ def cmd_verify(args) -> int:
     if args.seed is None:
         raise SpecValidationError("--seed is mandatory for verify")
     if args.grid:
-        grid = np.atleast_2d(np.asarray(json.loads(args.grid), dtype=float))
+        grid = np.atleast_2d(_coordinates(json.loads(args.grid), f"grid {args.grid!r}"))
     else:
         grid = model.default_grid()
     # closed forms give their limit at +inf, the mass at +inf, which the

@@ -35,7 +35,6 @@ __all__ = [
     "McReport",
     "mc_verify",
     "default_quantile_grid",
-    "isotonic_decreasing_fit",
 ]
 
 
@@ -62,7 +61,8 @@ class EmpiricalDf:
 
 
 def empirical_H(row) -> EmpiricalDf:
-    """Empirical df (1/d) sum_k 1_{X_k <= t} of one exchangeable row."""
+    """Empirical df (1/d) sum_k 1_{X_k <= t} of one exchangeable row: for a
+    conditionally iid row it tends, as d grows, to the df its latent factor picks."""
     row = np.asarray(row, dtype=float).ravel()
     if row.size < 1:
         raise SpecValidationError("need at least one observation")
@@ -148,8 +148,8 @@ def kendall_tau_null_stderr(n: int) -> float:
 # -- majorization of order-statistic cdf sums --------------------------------------
 
 def binomial_orderstat_bound(n: int, d: int, p: float) -> float:
-    """h_{n,d}(p) = sum_{k=1}^{n} sum_{i=k}^{d} C(d,i) p^i (1-p)^(d-i):
-    the iid value of sum_{k<=n} P(X_[k] <= x) at a point with marginal cdf p."""
+    """h_{n,d}(p) = sum_{k=1}^{n} sum_{i=k}^{d} C(d,i) p^i (1-p)^(d-i): the iid value
+    of sum_{k<=n} P(X_[k] <= x) at marginal cdf p, a bound on every conditionally iid law."""
     if not 1 <= n <= d:
         raise SpecValidationError("need 1 <= n <= d")
     total = 0.0
@@ -221,7 +221,7 @@ def tie_frequency(samples) -> float:
 # -- a compact counterexample law ----------------------------------------------------
 
 def scarsini_sample(n: int, rng) -> SampleMatrix:
-    """Two-point conditional law: given M uniform on [0, 1/2], each component
+    """Scarsini's counterexample: given M uniform on [0, 1/2], each component
     is 1/2 - M or 1/2 + M with equal probability.  Conditionally iid with
     uniform margins, zero correlation and zero Kendall tau, yet not positively
     lower-orthant dependent."""
@@ -231,7 +231,7 @@ def scarsini_sample(n: int, rng) -> SampleMatrix:
 
 
 def scarsini_cdf(x1: float, x2: float) -> float:
-    """Joint cdf (1/2) min(x1,x2) + (1/2) max(0, x1 + x2 - 1) on the unit square."""
+    """Joint cdf (1/2) min(x1,x2) + (1/2) max(0, x1 + x2 - 1) of Scarsini's counterexample."""
     for v in (x1, x2):
         if not 0.0 <= v <= 1.0:
             raise SpecValidationError("arguments must lie in [0,1]")
@@ -335,13 +335,6 @@ class McReport:
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
-
-    def csv_rows(self) -> list[str]:
-        header = "point,closed,empirical,stderr"
-        lines = [header]
-        for g, c, e, s in zip(self.grid, self.closed, self.empirical, self.stderr):
-            lines.append(f"\"{' '.join(repr(v) for v in g)}\",{c!r},{e!r},{s!r}")
-        return lines
 
 
 # Bytes of sample columns that one block of the orthant count copies: the
@@ -456,26 +449,3 @@ def default_quantile_grid(marginal_ppf, d: int) -> np.ndarray:
         for i in range(m):
             points.append([qs[(i + j) % m] for j in range(d)])
     return np.asarray(points, dtype=float)
-
-
-# -- isotonic helper ---------------------------------------------------------------------
-
-def isotonic_decreasing_fit(y, weights=None) -> np.ndarray:
-    """Weighted least-squares non-increasing fit (pool adjacent violators)."""
-    y = np.asarray(y, dtype=float)
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    blocks = [[y[i] * w[i], w[i], 1] for i in range(y.size)]  # [weighted sum, weight, count]
-    out = []
-    for blk in blocks:
-        out.append(blk)
-        while len(out) > 1 and out[-2][0] / out[-2][1] < out[-1][0] / out[-1][1]:
-            s, ww, c = out.pop()
-            out[-1][0] += s
-            out[-1][1] += ww
-            out[-1][2] += c
-    fit = np.empty(y.size)
-    pos = 0
-    for s, ww, c in out:
-        fit[pos : pos + c] = s / ww
-        pos += c
-    return fit

@@ -27,7 +27,6 @@ import numpy as np
 from . import moments
 from .errors import (NotDMonotoneError, SpecValidationError, json_known_fields, json_kwargs,
                      json_list, json_number)
-from .mixing import Beta
 from .moments import (
     BinaryExchangeableLaw,
     ExtendibilityVerdict,
@@ -52,7 +51,6 @@ __all__ = [
     "sample_geo_shocks",
     "sample_mo_ciid",
     "is_ciid_extendible",
-    "beta_family_bseq",
 ]
 
 CONTINUOUS = "continuous"
@@ -99,9 +97,6 @@ class LomParameterSeq:
     @property
     def d(self) -> int:
         return len(self.values) - 1
-
-    def to_json(self) -> dict:
-        return {"b": list(self.values), "flavor": self.flavor}
 
 
 def _ordered_gap_logsf(values: tuple, x: np.ndarray) -> np.ndarray:
@@ -465,16 +460,3 @@ def is_ciid_extendible(params: LomParameterSeq) -> ExtendibilityVerdict:
             "the sequence a_k/a_1, a_k = -log(b_k/b_(k-1)), derived from the "
             f"model's b is not d-monotone: {normalized}"
         ) from None
-
-
-def beta_family_bseq(p: float, q: float, d: int) -> LomParameterSeq:
-    """Two-parameter discrete-flavor family with b_k the Beta(p, q) moments.
-
-    For q = 2 the matching latent process is of compound Poisson type with
-    intensity p + 1 and exponential jumps.
-    """
-    if d < 0:
-        raise SpecValidationError("d must be non-negative")
-    law = Beta(p, q)
-    values = (1.0,) + tuple(law.moment(k) for k in range(1, d + 1))
-    return LomParameterSeq(values, DISCRETE)

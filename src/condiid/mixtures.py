@@ -1,8 +1,8 @@
 """Static one-factor families: normal, spherical, l1- and linf-norm symmetric.
 
-Each family pairs an exact sampler with a closed-form evaluator so the two
-can be cross-validated by Monte Carlo.  The latent factor is always a single
-mixing variable M drawn once per row.
+Each sampler draws one mixing variable M per row, then the row iid given M, to
+be checked by Monte Carlo against the family's closed form where it has one.
+Williamson's and Gnedin's transforms describe l1- and linf-norm symmetric laws.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from .sample import SampleMatrix
 __all__ = [
     "sample_exch_normal",
     "exch_normal_cdf",
-    "sample_uniform_sphere",
     "sample_spherical_ciid",
     "williamson_transform",
-    "sample_l1_symmetric",
     "sample_l1_ciid",
     "l1_ciid_survival",
     "laplace_inverse",
@@ -79,13 +77,6 @@ def exch_normal_cdf(mu, sigma, rho, x) -> float:
 
 # -- spherical ----------------------------------------------------------------
 
-def sample_uniform_sphere(d, n, rng) -> SampleMatrix:
-    """Uniform law on the Euclidean unit sphere via normalized iid normals."""
-    y = rng.standard_normal((n, d))
-    data = y / np.linalg.norm(y, axis=1, keepdims=True)
-    return SampleMatrix(data, meta=f"uniform_sphere d={d}")
-
-
 def sample_spherical_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
     """Scale mixture of iid standard normals: one M per row times a normal row."""
     m = law.sample(n, rng)
@@ -111,16 +102,6 @@ def williamson_transform(law: MixingLaw, d: int, x) -> float:
     if x == 0.0:
         return 1.0
     return float(law.expect(lambda r: (1.0 - x / r) ** (d - 1), lower=x))
-
-
-def sample_l1_symmetric(law: MixingLaw, d, n, rng) -> SampleMatrix:
-    """R * (E_1/||E||_1, ..., E_d/||E||_1) with iid unit exponentials E."""
-    r = law.sample(n, rng)
-    data = rng.standard_exponential((n, d))
-    s = data.sum(axis=1, keepdims=True)
-    data *= r[:, None]
-    data /= s
-    return SampleMatrix(data, meta=f"l1_symmetric {law!r} d={d}")
 
 
 def sample_l1_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
@@ -217,7 +198,7 @@ def linf_marginal_cdf(law: MixingLaw, x) -> float:
 # -- Pareto mixture of uniforms ----------------------------------------------
 
 def pareto_uniform_marginal_cdf(alpha: float, x) -> float:
-    """Marginal cdf of one component of M*U with Pareto(alpha) mixing."""
+    """Marginal cdf of M*U with M ~ Pareto(alpha), the law of :func:`pareto_uniform_copula`."""
     x = float(x)
     if x <= 0:
         return 0.0

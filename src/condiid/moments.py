@@ -34,7 +34,6 @@ __all__ = [
     "MonotoneSequence",
     "BinaryExchangeableLaw",
     "ExtendibilityVerdict",
-    "backward_difference",
     "is_d_monotone",
     "is_log_d_monotone",
     "hausdorff_extendible",
@@ -74,27 +73,11 @@ class MonotoneSequence:
     def d(self) -> int:
         return len(self.values) - 1
 
-    def to_json(self) -> list:
-        return list(self.values)
-
 
 def _values(seq) -> tuple:
     if isinstance(seq, MonotoneSequence):
         return seq.values
     return MonotoneSequence(tuple(seq)).values
-
-
-def backward_difference(seq, j: int, k: int) -> float:
-    """nabla^j b_k = sum_{i=0}^{j} (-1)^i C(j,i) b_{k+i}.
-
-    nabla^0 is the identity; requires j + k <= d.
-    """
-    values = _values(seq)
-    if j < 0 or k < 0:
-        raise IndexError("j and k must be non-negative")
-    if j + k > len(values) - 1:
-        raise IndexError(f"j + k = {j + k} exceeds the sequence degree {len(values) - 1}")
-    return float(_top_differences(values[k : k + j + 1])[0])
 
 
 @functools.lru_cache(maxsize=64)
@@ -369,12 +352,12 @@ def _law_from_b(values: tuple) -> BinaryExchangeableLaw:
 
 
 def moment_sequence(law: MixingLaw, d: int) -> MonotoneSequence:
-    """(E[M^0], ..., E[M^d]) for a mixing law supported in [0, 1]."""
+    """(1, E[M], ..., E[M^d]) for a mixing law supported in [0, 1]; b_0 is 1 exactly."""
     if d < 0:
         raise SpecValidationError("d must be non-negative")
     if not law.unit_interval:
         raise UnsupportedLawError(f"{law!r} is not supported in [0,1]")
-    return MonotoneSequence(tuple(law.moment(k) for k in range(d + 1)))
+    return MonotoneSequence((1.0,) + tuple(law.moment(k) for k in range(1, d + 1)))
 
 
 def sample_binary_mixture(law: MixingLaw, d: int, n: int, rng: np.random.Generator) -> SampleMatrix:
@@ -390,10 +373,10 @@ def sample_binary_mixture(law: MixingLaw, d: int, n: int, rng: np.random.Generat
 
 
 def sample_polya_urn(r: int, b: int, d: int, n: int, rng: np.random.Generator) -> SampleMatrix:
-    """Urn draws with replacement plus one extra ball of the drawn colour.
+    """Polya's urn: draws with replacement plus one extra ball of the drawn colour.
 
     Equal in law to :func:`sample_binary_mixture` with a Beta(r, b) mixing
-    variable.
+    variable (de Finetti's representation of the urn).
     """
     if r < 1 or b < 1:
         raise SpecValidationError("urn needs at least one ball of each colour")
@@ -408,7 +391,7 @@ def sample_polya_urn(r: int, b: int, d: int, n: int, rng: np.random.Generator) -
 
 
 def polya_pattern_probability(r: int, b: int, d: int, k: int) -> float:
-    """P(X = x) for any fixed urn pattern x with k ones among d draws."""
+    """P(X = x) for any urn pattern x with k ones in d draws: E[M^k (1-M)^(d-k)], M ~ Beta(r, b)."""
     num = 1.0
     for i in range(k):
         num *= r + i

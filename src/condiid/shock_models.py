@@ -233,9 +233,6 @@ class ShockSurvivalSpec:
     def d(self) -> int:
         return len(self.shocks)
 
-    def to_json(self) -> dict:
-        return {"shocks": [s.to_json() for s in self.shocks]}
-
 
 MAX_SHOCK_DIM = 20
 
@@ -342,12 +339,6 @@ class BaseDistribution:
     def sample(self, n, rng):
         raise NotImplementedError
 
-    def params(self) -> dict:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        return {"family": self.family, **self.params()}
-
 
 @dataclass(frozen=True)
 class UniformBase(BaseDistribution):
@@ -372,9 +363,6 @@ class UniformBase(BaseDistribution):
     def sample(self, n, rng):
         return rng.uniform(self.a, self.b, size=n)
 
-    def params(self):
-        return {"a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class ExponentialBase(BaseDistribution):
@@ -397,9 +385,6 @@ class ExponentialBase(BaseDistribution):
 
     def sample(self, n, rng):
         return rng.exponential(1.0 / self.rate, size=n)
-
-    def params(self):
-        return {"rate": self.rate}
 
 
 @dataclass(frozen=True)
@@ -428,9 +413,6 @@ class NormalBase(BaseDistribution):
 
     def sample(self, n, rng):
         return self.mu + self.sigma * rng.standard_normal(n)
-
-    def params(self):
-        return {"mu": self.mu, "sigma": self.sigma}
 
 
 _BASES = {cls.family: cls for cls in (UniformBase, ExponentialBase, NormalBase)}

@@ -160,7 +160,49 @@ class TestSample:
         assert message in err
 
 
+EVAL_MODELS = {  # family: a model of d = 2
+    "exch_normal": {"rho": 0.5},
+    "l1": {"m": {"family": "gamma", "shape": 2.0}},
+    "archimedean": {"m": {"family": "gamma", "shape": 2.0}},
+    "linf": {"m": {"family": "pareto", "alpha": 2.0}},
+    "marshall_olkin": {"rates": [0.3, 0.2]},
+    "geometric": {"b": [1.0, 0.5, 0.3]},
+    "minstable": {"stdf": {"kind": "logistic", "theta": 0.5}},
+    "exshock": {"shocks": [{"kind": "exponential", "rate": 1.0},
+                           {"kind": "exponential", "rate": 0.5}]},
+    "dirichlet_prior": {"c": 1.0},
+    "sato": {"alpha": 1.0},
+}
+
+
+def eval_model(family):
+    return {"family": family, "d": 2, **EVAL_MODELS[family]}
+
+
 class TestEval:
+    def test_eval_models_cover_every_family_with_closed_forms(self):
+        for family in cli._FAMILIES:
+            if family not in EVAL_MODELS:
+                spec = {"family": family, "d": 2, "m": {"family": "beta", "p": 2.0, "q": 3.0}}
+                assert cli.build_model(spec).evals == {}
+
+    @pytest.mark.parametrize("family", sorted(EVAL_MODELS))
+    @pytest.mark.parametrize("point, message", [
+        ("nan,1", "has a NaN coordinate"),
+        ("[0.5, NaN]", "has a NaN coordinate"),
+        ("0.5,0.5,0.5", "must have 2 coordinates, as the model has d=2"),
+        ("0.5", "must have 2 coordinates, as the model has d=2"),
+        ("[[0.5, 0.5]]", "must have 2 coordinates, as the model has d=2"),
+    ], ids=["nan", "json_nan", "three", "one", "nested"])
+    def test_nan_or_wrong_length_point_is_refused(self, family, point, message):
+        model = json.dumps(eval_model(family))
+        for kind in cli.build_model(eval_model(family)).evals:
+            code, out, err = run(["eval", "--model", model, "--point", "1,1", "--kind", kind])
+            assert code == 0, err
+            code, out, err = run(["eval", "--model", model, "--point", point, "--kind", kind])
+            assert code == 1 and out == ""
+            assert f"point {point!r} {message}" in err
+
     @pytest.mark.parametrize(
         "model,point,kind,expect",
         [
@@ -232,6 +274,13 @@ class TestCheck:
             {"family": "binary", "b": [1.0, 0.5, 0.25, 0.125, 0.0625]})])
         assert code == 0 and out.startswith("extendible")
         assert len(json.loads(out.splitlines()[1])["hankel_values"]) == 8
+
+    def test_binary_m_whose_moment_zero_rounds(self):
+        # gammaln gives Beta(1.5, 1.5).moment(0) one ulp below 1; b_0 is 1 by definition
+        model = json.dumps({"family": "binary", "d": 3, "m": {"family": "beta", "p": 1.5, "q": 1.5}})
+        for argv in (["check"], ["sample", "--n", "5", "--seed", "1"]):
+            code, _, err = run([argv[0], "--model", model, *argv[1:]])
+            assert code == 0, err
 
     @pytest.mark.parametrize("m", [{"family": "gamma", "shape": 2.0},
                                    {"family": "point_mass", "m": 1.5}], ids=["gamma", "point_mass"])
@@ -339,6 +388,14 @@ class TestVerify:
         code, out, err = run(["verify", "--model", MO_MODEL, "--seed", "5"] + extra)
         assert code == 1 and out == ""
         assert message in err
+
+    @pytest.mark.parametrize("grid", ["[[NaN, 1.0, 1.0]]", "[[0.5, 0.5, 0.5], [1.0, NaN, 1.0]]",
+                                      "[0.5, 0.5, NaN]"])
+    def test_nan_grid_is_refused(self, grid):
+        code, out, err = run(["verify", "--model", MO_MODEL, "--n", "100", "--seed", "5",
+                              "--grid", grid])
+        assert code == 1 and out == ""
+        assert f"grid {grid!r} has a NaN coordinate" in err
 
     def test_threads_deterministic(self):
         args = ["verify", "--model", MO_MODEL, "--n", "20000", "--seed", "5",

@@ -366,13 +366,6 @@ class TestMcVerify:
         r = dg.mc_verify(sampler, cdf, grid, 30000, 11, mode="cdf")
         assert r.passed
 
-    def test_report_csv_rows(self):
-        grid = np.array([[1.0, 1.0]])
-        r = dg.mc_verify(self.sampler, self.survival, grid, 5000, 3)
-        rows = r.csv_rows()
-        assert rows[0] == "point,closed,empirical,stderr"
-        assert len(rows) == 2
-
     @settings(max_examples=200, deadline=None)
     @given(tied_samples(), st.sampled_from(["survival", "cdf"]))
     def test_orthant_hits_match_per_row_oracle(self, case, mode):
@@ -434,11 +427,3 @@ class TestMcVerify:
         assert grid.shape == (10, 3)
         grid1 = dg.default_quantile_grid(lambda q: q, 1)
         assert grid1.shape == (5, 1)
-
-
-def test_isotonic_decreasing_fit():
-    fit = dg.isotonic_decreasing_fit([3.0, 2.8, 3.1, 1.0, 1.2])
-    assert np.all(np.diff(fit) <= 1e-12)
-    # pooled blocks preserve weighted means
-    assert fit[0] == pytest.approx(3.0)
-    assert fit[1] == pytest.approx(2.95)

@@ -10,7 +10,8 @@ from scipy import stats
 import first_passage_oracle as fp
 from condiid import cli, diagnostics as dg, lack_of_memory as lom, shock_models as sk
 from condiid.errors import NotDMonotoneError, SpecValidationError
-from condiid.mixing import Gamma, PointMass
+from condiid.mixing import Beta, Gamma, PointMass
+from condiid.moments import moment_sequence
 
 
 def exp_rates_spec(*rates):
@@ -544,8 +545,14 @@ class TestExtendibility:
 
 
 class TestBetaFamily:
+    """Discrete-flavor b with the Beta(p, q) moments: always extendible."""
+
+    @staticmethod
+    def bseq(p, q, d):
+        return lom.LomParameterSeq(moment_sequence(Beta(p, q), d).values, lom.DISCRETE)
+
     def test_uniform_case(self):
-        params = lom.beta_family_bseq(1.0, 1.0, 3)
+        params = self.bseq(1.0, 1.0, 3)
         assert params.values == pytest.approx((1.0, 0.5, 1 / 3, 0.25))
         assert params.flavor == lom.DISCRETE
 
@@ -553,11 +560,11 @@ class TestBetaFamily:
         rng = np.random.default_rng(48)
         for _ in range(20):
             p, q = rng.random(2) * 3 + 0.2
-            params = lom.beta_family_bseq(p, q, 5)
+            params = self.bseq(p, q, 5)
             assert lom.is_ciid_extendible(params).extendible
 
     def test_degenerate_dimension(self):
-        assert lom.beta_family_bseq(2.0, 1.0, 0).values == (1.0,)
+        assert self.bseq(2.0, 1.0, 0).values == (1.0,)
 
 
 def test_subordinator_json_round_trip():

@@ -12,24 +12,6 @@ from condiid.errors import NonPositiveEntryError, NotDMonotoneError, SpecValidat
 from condiid.mixing import Beta, FiniteDiscrete, PointMass
 
 
-class TestBackwardDifference:
-    def test_second_difference_by_hand(self):
-        # 1 - 2*(1/2) + 1/4
-        assert mo.backward_difference((1, 0.5, 0.25), 2, 0) == pytest.approx(0.25, abs=1e-15)
-
-    def test_order_zero_is_identity(self):
-        seq = (1.0, 0.7, 0.3)
-        for k in range(3):
-            assert mo.backward_difference(seq, 0, k) == seq[k]
-
-    def test_constant_sequence_vanishes(self):
-        assert mo.backward_difference((1.0, 1.0, 1.0), 1, 0) == 0.0
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            mo.backward_difference((1.0, 0.5), 2, 1)
-
-
 def reference_difference(v, j, k):
     """nabla^j v_k as the left-to-right sum of its terms, started from 0."""
     return sum((-1) ** i * math.comb(j, i) * v[k + i] for i in range(j + 1))
@@ -66,6 +48,18 @@ class TestDifferenceTable:
     """The difference table against the left-to-right sum it replaces, bit
     for bit, and against exact rational differences of the same doubles."""
 
+    def test_second_difference_by_hand(self):
+        # 1 - 2*(1/2) + 1/4, then 1/2 - 1/4, then 1/4
+        assert mo._top_differences((1, 0.5, 0.25)).tolist() == [0.25, 0.25, 0.25]
+
+    def test_order_zero_is_identity(self):
+        seq = (1.0, 0.7, 0.3)
+        for k in range(3):
+            assert mo._top_differences(seq[k : k + 1])[0] == seq[k]
+
+    def test_constant_sequence_vanishes(self):
+        assert mo._top_differences((1.0, 1.0, 1.0)).tolist() == [0.0, 0.0, 1.0]
+
     @settings(max_examples=200, deadline=None)
     @given(v=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=61), data=st.data())
     def test_bits_of_the_left_to_right_sum(self, v, data):
@@ -91,7 +85,8 @@ class TestDifferenceTable:
             assert mo.is_d_monotone(b) == all(e >= -tol for e in exact)
         k = data.draw(st.integers(0, d))
         j = data.draw(st.integers(0, d - k))
-        assert mo.backward_difference(b, j, k).hex() == float(reference_difference(b, j, k)).hex()
+        assert mo._top_differences(b[k : k + j + 1])[0].hex() == float(
+            reference_difference(b, j, k)).hex()
 
 
 class TestMonotonicity:
@@ -141,7 +136,7 @@ class TestLogDCorrespondence:
                 b = mo.b_from_p(mo.BinaryExchangeableLaw(tuple(p))).values
             else:
                 b = (1.0,) + tuple(rng.random(d - 1) * 1.2)
-            stats = [mo.backward_difference(b, d - 1 - k, k) for k in range(d)]
+            stats = mo._top_differences(b[:d])  # nabla^{d-1-k} b_k, k < d
             if min(abs(s) for s in stats) < 1e-9:
                 continue  # stay away from the exact boundary
             lhs = mo.is_d_monotone(b)
@@ -463,6 +458,11 @@ class TestMomentSequence:
         for k in range(6):
             expect = math.gamma(p + k) * math.gamma(p + q) / (math.gamma(p) * math.gamma(p + q + k))
             assert seq.values[k] == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("p, q", [(1.5, 1.5), (0.5, 5.0), (5.0, 0.5)])
+    def test_b0_is_one_where_the_law_rounds_it(self, p, q):
+        assert Beta(p, q).moment(0) != 1.0  # gammaln rounds Gamma(p)/Gamma(p) off 1
+        assert mo.moment_sequence(Beta(p, q), 2).values[0] == 1.0
 
     def test_rejects_unbounded_law(self):
         from condiid.errors import UnsupportedLawError
