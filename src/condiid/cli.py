@@ -454,6 +454,11 @@ def cmd_diagnose(args) -> int:
     finite = data[np.isfinite(data).all(axis=1)]
     report: dict = {"n": int(data.shape[0]), "d": int(data.shape[1])}
     if "kendall" in tests:
+        if data.shape[1] < 2:
+            raise SpecValidationError("kendall needs two columns")
+        if finite.shape[0] < 2:
+            raise SpecValidationError("kendall needs two rows with every coordinate finite; "
+                                      f"the file has {finite.shape[0]}")
         tau = diagnostics.empirical_kendall_tau(finite[:, :2])
         report["kendall_tau"] = tau
         report["kendall_tau_null_stderr"] = diagnostics.kendall_tau_null_stderr(finite.shape[0])

@@ -103,10 +103,11 @@ def _ordered_gap_logsf(values: tuple, x: np.ndarray) -> np.ndarray:
     """log sf(x) = sum_k gap_k * log b_k over (..., d) arguments."""
     b = np.asarray(values[1:], dtype=float)
     s = np.sort(x, axis=-1)
-    gaps = np.diff(s, axis=-1, prepend=0.0)
-    # exponent of b_k is the gap at sorted position d-k (0-indexed)
-    exps = gaps[..., ::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
+        # two +inf coordinates give a NaN gap, which the mask below counts as 0
+        gaps = np.diff(s, axis=-1, prepend=0.0)
+        # exponent of b_k is the gap at sorted position d-k (0-indexed)
+        exps = gaps[..., ::-1]
         logb = np.where(b > 0, np.log(np.maximum(b, 1e-300)), -np.inf)
         terms = np.where(exps > 0, exps * logb, 0.0)
     return terms.sum(axis=-1)
@@ -132,7 +133,7 @@ def geo_survival(params: LomParameterSeq, nvec) -> float | np.ndarray:
     nvec = np.asarray(nvec)
     if not np.issubdtype(nvec.dtype, np.integer):
         rounded = np.rint(np.asarray(nvec, dtype=float))
-        if np.abs(np.asarray(nvec, dtype=float) - rounded).max() > 0:
+        if (rounded != nvec).any():  # no inf - inf: rint keeps +inf
             raise SpecValidationError("geometric survival is defined on integer grids")
         nvec = rounded
     nvec = np.asarray(nvec, dtype=float)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -76,28 +78,63 @@ def read_csv(path_or_buf) -> np.ndarray:
     Lines end with LF, CRLF or CR, and the last one may have no line end.
     Empty lines are skipped wherever they are; a line of spaces is a row.
     The first line is the header, and its fields only give the width d.
-    Every field is the text between two commas and goes through ``float``,
-    so surrounding spaces are allowed, ``inf`` and ``-0.0`` read back
-    exactly, and a quoted field is not unquoted but refused.  Raises
+    The rows go through numpy's C text reader (``np.loadtxt``), which takes
+    ASCII decimals, the ``inf`` and ``nan`` literals in any case and spaces
+    around a field, so ``inf`` and ``-0.0`` read back exactly.  It refuses
+    what ``float`` would take beyond that: underscores between digits and
+    non-ASCII digits.  A quoted field is not unquoted but refused.  A path
+    is read as a stream of lines, without holding the file's text.  Raises
     ``ValueError`` when the file has no line, when a row's width differs
     from the header's, when a field is not a number, or when no data row
     follows the header.
     """
     if _is_path(path_or_buf):
-        with open(path_or_buf, "r", newline="") as f:
-            text = f.read()
-    else:
-        text = path_or_buf.read()
+        with open(path_or_buf, "r") as f:  # universal newlines: CR and CRLF arrive as LF
+            return _read_rows(f)
+    text = path_or_buf.read()
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = list(filter(None, text.split("\n")))
-    if not lines:
+    return _read_rows(io.StringIO(text))
+
+
+def _next_line(f) -> str:
+    """The next non-empty line of ``f`` with its LF, or ``""`` at the end."""
+    line = f.readline()
+    while line == "\n":
+        line = f.readline()
+    return line
+
+
+def _read_rows(f) -> np.ndarray:
+    """Header width check and C parse of the rows of ``f``, whose lines end in LF."""
+    header = _next_line(f)
+    if not header:
         raise ValueError("CSV is empty: no header row")
-    d = lines[0].count(",") + 1
-    rows = lines[1:]
-    if not rows:
+    d = header.count(",") + 1
+    first = _next_line(f)
+    if not first:
         raise ValueError("CSV contains a header but no data rows")
+    try:
+        data = np.loadtxt(itertools.chain((first,), f), delimiter=",", comments=None,
+                          dtype=float, ndmin=2)
+    except ValueError:
+        f.seek(0)
+        _name_refusal(f.read(), d)
+        raise
+    if data.shape[1] != d:
+        raise ValueError(f"row width {data.shape[1]} does not match header width {d}")
+    return data
+
+
+def _name_refusal(text: str, d: int) -> None:
+    """Raise the error that names the first row of bad width or the first bad field.
+
+    Runs only on text that ``np.loadtxt`` refused, whose message names
+    neither the same way; returns when ``float`` takes every field, and the
+    caller re-raises the refusal.
+    """
+    rows = list(filter(None, text.split("\n")))[1:]
     for row in rows:
         if row.count(",") != d - 1:
             raise ValueError(f"row width {row.count(',') + 1} does not match header width {d}")
-    return np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), d)
+    np.array(",".join(rows).split(","), dtype=float)

@@ -472,9 +472,12 @@ def sato_survival(alpha: float, x) -> float | np.ndarray:
     d = x.shape[-1]
     s = np.sort(x, axis=-1)
     k = np.arange(1, d + 1, dtype=float)
-    num = (d - k) * s + 1.0
-    den = (d - k + 1.0) * s + 1.0
-    out = np.prod(num / den, axis=-1) ** alpha
+    with np.errstate(invalid="ignore"):  # 0*inf and inf/inf at a +inf coordinate
+        num = (d - k) * s + 1.0
+        den = (d - k + 1.0) * s + 1.0
+        out = np.prod(num / den, axis=-1) ** alpha
+    # X has no mass at +inf, so a +inf coordinate has survival 0
+    out = np.where(s[..., -1] == np.inf, 0.0, out)
     return out if out.ndim else float(out)
 
 
