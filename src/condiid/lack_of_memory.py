@@ -133,7 +133,7 @@ def geo_survival(params: LomParameterSeq, nvec) -> float | np.ndarray:
     nvec = np.asarray(nvec)
     if not np.issubdtype(nvec.dtype, np.integer):
         rounded = np.rint(np.asarray(nvec, dtype=float))
-        if (rounded != nvec).any():  # no inf - inf: rint keeps +inf
+        if (rounded != nvec).any():  # compared, not subtracted: inf - rint(inf) is NaN
             raise SpecValidationError("geometric survival is defined on integer grids")
         nvec = rounded
     nvec = np.asarray(nvec, dtype=float)

@@ -129,9 +129,10 @@ def _read_rows(f) -> np.ndarray:
 def _name_refusal(text: str, d: int) -> None:
     """Raise the error that names the first row of bad width or the first bad field.
 
-    Runs only on text that ``np.loadtxt`` refused, whose message names
-    neither the same way; returns when ``float`` takes every field, and the
-    caller re-raises the refusal.
+    Runs only after ``np.loadtxt`` refused ``text``, to word the refusal as
+    this module does.  Returns when ``float`` takes every field (an
+    underscore or a non-ASCII digit), and the caller re-raises the refusal
+    of ``np.loadtxt``.
     """
     rows = list(filter(None, text.split("\n")))[1:]
     for row in rows:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -202,6 +203,17 @@ class TestEval:
             code, out, err = run(["eval", "--model", model, "--point", point, "--kind", kind])
             assert code == 1 and out == ""
             assert f"point {point!r} {message}" in err
+
+    @pytest.mark.parametrize("family", sorted(
+        f for f in EVAL_MODELS if "survival" in cli.build_model(eval_model(f)).evals))
+    @pytest.mark.parametrize("point", ["inf,1", "1,inf", "inf,inf"])
+    def test_survival_at_infinity_is_zero(self, family, point):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["eval", "--model", json.dumps(eval_model(family)),
+                                  "--point", point])
+        assert (code, out, err) == (0, "0\n", "")
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize(
         "model,point,kind,expect",
@@ -508,6 +520,19 @@ class TestDiagnose:
         path.write_text(text)
         code, _, err = run(["diagnose", str(path), "--tests", "ties"])
         assert code == 1
+        assert message in err
+
+
+    @pytest.mark.parametrize("text,message", [
+        ("x1\n1.0\n2.0\n", "kendall needs two columns"),
+        ("x1,x2\n1.0,inf\ninf,2.0\n",
+         "kendall needs two rows with every coordinate finite; the file has 0"),
+    ], ids=["one_column", "no_finite_row"])
+    def test_kendall_refusal_names_its_cause(self, tmp_path, text, message):
+        path = tmp_path / "k.csv"
+        path.write_text(text)
+        code, out, err = run(["diagnose", str(path), "--tests", "kendall"])
+        assert (code, out) == (1, "")
         assert message in err
 
 

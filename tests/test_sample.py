@@ -1,6 +1,7 @@
 import csv
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,51 @@ def test_crlf_line_endings_from_path(tmp_path):
     path = tmp_path / "s.csv"
     path.write_bytes(b"x1,x2\r\n1.0,2.0\r\n3.0,inf\r\n")
     assert same_floats(read_csv(path), np.array([[1.0, 2.0], [3.0, np.inf]]))
+
+
+def test_cr_line_endings_from_path(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"x1,x2\r1.0,-0.0\r\r3.0,inf\r")
+    assert same_floats(read_csv(path), np.array([[1.0, -0.0], [3.0, np.inf]]))
+
+
+def test_read_from_path_holds_no_text(tmp_path):
+    """A path is parsed line by line: the peak is near the array, not the file's text."""
+    data = np.random.default_rng(3).standard_normal((200_000, 5))
+    path = tmp_path / "big.csv"
+    write_csv(data, path)
+    tracemalloc.start()
+    try:
+        out = read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_floats(out, data)
+    assert peak < 2 * data.nbytes
+
+
+@pytest.mark.parametrize("text", ["x1,x2\n", "x1,x2\n\n\n", "x1,x2"])
+def test_header_only_refused_without_warning(tmp_path, text):
+    path = tmp_path / "h.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for source in (path, io.StringIO(text)):
+            with pytest.raises(ValueError, match="header but no data rows"):
+                read_csv(source)
+
+
+@pytest.mark.parametrize("field", ["1_000", "\u0661", "\uff11"],
+                         ids=["underscore", "arabic_indic_digit", "fullwidth_digit"])
+def test_non_ascii_decimal_refused(tmp_path, field):
+    """``float`` takes these fields; the C reader refuses them, from a path or a stream."""
+    float(field)
+    text = f"x1,x2\n1.0,2.0\n{field},3.0\n"
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    for source in (path, io.StringIO(text)):
+        with pytest.raises(ValueError, match=f"could not convert string '{field}' to float64"):
+            read_csv(source)
 
 
 def test_last_row_without_newline():
