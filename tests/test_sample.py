@@ -141,17 +141,6 @@ def test_read_from_path_holds_no_text(tmp_path):
     assert peak < 2 * data.nbytes
 
 
-@pytest.mark.parametrize("text", ["x1,x2\n", "x1,x2\n\n\n", "x1,x2"])
-def test_header_only_refused_without_warning(tmp_path, text):
-    path = tmp_path / "h.csv"
-    path.write_text(text)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for source in (path, io.StringIO(text)):
-            with pytest.raises(ValueError, match="header but no data rows"):
-                read_csv(source)
-
-
 @pytest.mark.parametrize("field", ["1_000", "\u0661", "\uff11"],
                          ids=["underscore", "arabic_indic_digit", "fullwidth_digit"])
 def test_non_ascii_decimal_refused(tmp_path, field):
@@ -195,11 +184,18 @@ def test_whitespace_only_line_is_a_row():
         ("x1,x2\n1.0,2.0\n3.0\n", "row width 1 does not match header width 2"),
         ("x1,x2\n", "header but no data rows"),
         ("x1,x2\n\n\n", "header but no data rows"),
+        ("x1,x2", "header but no data rows"),
         ("x1,x2\n1.0,abc\n", "could not convert string to float: 'abc'"),
         ("", "CSV is empty"),
         ("\n\n", "CSV is empty"),
     ],
 )
-def test_malformed_csv_raises_value_error(text, message):
-    with pytest.raises(ValueError, match=message):
-        read_csv(io.StringIO(text))
+def test_malformed_csv_raises_value_error(tmp_path, text, message):
+    """Refused from a stream and from a path, with no warning on the way."""
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for source in (io.StringIO(text), path):
+            with pytest.raises(ValueError, match=message):
+                read_csv(source)
