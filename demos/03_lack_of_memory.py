@@ -1,14 +1,14 @@
 """Multivariate lack-of-memory laws given two independent ways.
 
 The same exchangeable exponential law arises from (a) explicit subset shocks,
-with rates recovered from the ordered-gap parameters b, and (b) the first
-passage of a compound-Poisson path across unit-exponential barriers, whose
-subset rates are known in closed form.  By lack of memory both are sampled by
-one chain on the number of deaths, in at most d steps.  Matching the two
-against the ordered-gap closed form checks both parameterisations.
+with rates recovered from the exponents a_k = psi(k) - psi(k-1) of the path's
+Laplace exponent psi, and (b) the first passage of a compound-Poisson path
+across unit-exponential barriers, whose subset rates are known in closed
+form.  By lack of memory both are sampled by one chain on the number of
+deaths, in at most d steps.  Matching the two against the closed form
+exp(-sum_k a_k x_(k)), x sorted in decreasing order, checks both
+parameterisations.
 """
-
-import math
 
 import numpy as np
 
@@ -19,11 +19,12 @@ rng = np.random.default_rng(3)
 n = 100000
 
 sub = lom.CompoundPoissonSubordinatorSpec(drift=0.3, kill=0.1, jumps=((1.0, 0.5),))
-params = sub.b_seq(3)
-rates = lom.lambda_from_b(params)
+psi = [float(sub.laplace_exponent(k)) for k in range(4)]
+params = tuple(psi[k] - psi[k - 1] for k in range(1, 4))
+rates = lom.rates_from_exponents(params)
 
 print("latent path: drift 0.3, kill rate 0.1, unit jumps at rate 0.5")
-print("gap parameters b_k = exp(-lapexp(k)):", [round(v, 4) for v in params.values])
+print("exponents a_k = lapexp(k) - lapexp(k-1):", [round(v, 4) for v in params])
 print("equivalent shock rates per cardinality:", [round(v, 4) for v in rates.cardinality])
 
 shocks = lom.sample_mo_shocks(rates, 3, n, rng)
@@ -57,6 +58,6 @@ for pt in ([1, 1], [3, 2]):
           f"closed {float(lom.geo_survival(gparams, pt)):.4f}")
 
 print("\nnot every exchangeable law of this shape is conditionally iid:")
-flat = lom.b_from_lambda(lom.ShockRateSpec(d=3, kind="exponential", cardinality=(0.3, 0.2, 0.1)))
-print(f"  rates (0.3, 0.2, 0.1): extendible = {lom.is_ciid_extendible(flat).extendible}")
-print(f"  path-derived b above : extendible = {lom.is_ciid_extendible(params).extendible}")
+flat = lom.exponents((0.3, 0.2, 0.1))
+print(f"  rates (0.3, 0.2, 0.1)       : extendible = {lom.is_ciid_extendible(flat).extendible}")
+print(f"  path-derived exponents above: extendible = {lom.is_ciid_extendible(params).extendible}")

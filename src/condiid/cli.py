@@ -173,25 +173,25 @@ def _marshall_olkin(spec: dict, d: int) -> Model:
     key = _one_of(spec, ("subordinator", "b", "rates")) or "rates"
     if key == "subordinator":
         sub = lom.CompoundPoissonSubordinatorSpec.from_json(spec[key])
-        params = sub.b_seq(d)
+        a = lom.exponents(sub.subset_rates(d)[1:])
         sampler = lambda n, rng: lom.sample_mo_ciid(sub, d, n, rng)
         check = _by_construction(key)
     else:
         values = json_numbers(spec, key, "")
         if key == "b":
             d = _dimension(spec, key, len(values) - 1)
-            params = lom.LomParameterSeq(values, lom.CONTINUOUS)
-            rates = lom.lambda_from_b(params)
+            a = lom.exponents_from_b(values)
+            rates = lom.rates_from_exponents(a)
         else:
             d = _dimension(spec, key, len(values))
             rates = lom.ShockRateSpec(d=d, kind="exponential", cardinality=values)
-            params = lom.b_from_lambda(rates)
+            a = lom.exponents(rates.cardinality)
         sampler = lambda n, rng: lom.sample_mo_shocks(rates, d, n, rng)
-        check = lambda: lom.is_ciid_extendible(params)
-    rate1 = -math.log(params.values[1])
+        check = lambda: lom.is_ciid_extendible(a)
+    # a_1 = Psi(1) is the rate of each exponential marginal
     return Model("marshall_olkin", d, sampler=sampler,
-                 evals={"survival": lambda x: float(lom.mo_survival(params, x))},
-                 marginal_ppf=lambda q: -math.log1p(-q) / rate1, check=check)
+                 evals={"survival": lambda x: float(lom.mo_survival(a, x))},
+                 marginal_ppf=lambda q: -math.log1p(-q) / a[0], check=check)
 
 
 def _geometric(spec: dict, d: int) -> Model:
@@ -201,7 +201,7 @@ def _geometric(spec: dict, d: int) -> Model:
     values = json_numbers(spec, key, "")
     d = _dimension(spec, key, len(values) - 1)
     if key == "b":
-        params = lom.LomParameterSeq(values, lom.DISCRETE)
+        params = lom.LomParameterSeq(values)
         if d < 1:
             raise SpecValidationError("dimension must be at least 1")
         shocks = lambda: lom.p_from_b_geo(params)  # only the sampler needs p
@@ -453,12 +453,15 @@ def cmd_diagnose(args) -> int:
         raise SpecValidationError(f"unknown diagnostics: {sorted(unknown)}")
     finite = data[np.isfinite(data).all(axis=1)]
     report: dict = {"n": int(data.shape[0]), "d": int(data.shape[1])}
-    if "kendall" in tests:
+    for name in ("kendall", "majorization", "radial"):
+        if name not in tests:
+            continue
         if data.shape[1] < 2:
-            raise SpecValidationError("kendall needs two columns")
+            raise SpecValidationError(f"{name} needs two columns")
         if finite.shape[0] < 2:
-            raise SpecValidationError("kendall needs two rows with every coordinate finite; "
+            raise SpecValidationError(f"{name} needs two rows with every coordinate finite; "
                                       f"the file has {finite.shape[0]}")
+    if "kendall" in tests:
         tau = diagnostics.empirical_kendall_tau(finite[:, :2])
         report["kendall_tau"] = tau
         report["kendall_tau_null_stderr"] = diagnostics.kendall_tau_null_stderr(finite.shape[0])
@@ -514,7 +517,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a closed form at a point")
     add_model_args(p)
-    p.add_argument("--point", required=True, help="comma-separated or JSON list")
+    p.add_argument("--point", required=True,
+                   help="comma-separated or JSON list; write one that starts with a minus "
+                   "as --point=-1,1, or it reads as an option")
     p.add_argument("--kind", default="survival", choices=["survival", "cdf", "copula", "stdf"])
     p.set_defaults(func=cmd_eval)
 

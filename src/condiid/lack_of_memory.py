@@ -1,12 +1,17 @@
 """Multivariate lack-of-memory laws: exponential (Marshall-Olkin type) and
 wide-sense geometric.
 
-Both families share one algebraic survival form: after sorting the argument,
-the k-th largest coordinate gap is raised to a parameter b_k,
+Both families share one algebraic survival form.  Over the argument sorted in
+decreasing order, x_(1) >= ... >= x_(d) and x_(d+1) := 0,
 
-    sf(x) = prod_k b_k ** (x_{[d-k+1]} - x_{[d-k]}),   x_{[0]} := 0.
+    sf(x) = prod_k b_k ** (x_(k) - x_(k+1)).
 
-The continuous flavor requires (b_0..b_d) log-d-monotone, the discrete flavor
+The exponential law is held by its exponents a_1..a_d: a_k is the rate of the
+shocks that hit component k and none of 1..k-1, so Psi(k) = a_1 + ... + a_k is
+the rate at which some of k fixed components die, log b_k = -Psi(k) and
+sf(x) = exp(-sum_k a_k x_(k)).  The difference table of a holds the shock
+rates, which must be non-negative.  The geometric law is held by b_k itself,
+the probability that a round spares k fixed components, which must be
 d-monotone.  Every sampler here is one death chain: by lack of memory, the
 number of components dead is a Markov chain that takes at most d steps, and
 which ones die is uniform, so one shuffle of each row's death times, drawn
@@ -25,15 +30,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments
-from .errors import (NotDMonotoneError, SpecValidationError, json_known_fields, json_kwargs,
-                     json_list, json_number)
+from .errors import (NonPositiveEntryError, NotDMonotoneError, SpecValidationError,
+                     json_known_fields, json_kwargs, json_list, json_number)
 from .moments import (
+    MONOTONE_TOL,
     BinaryExchangeableLaw,
     ExtendibilityVerdict,
     MonotoneSequence,
     hausdorff_extendible,
     is_d_monotone,
-    is_log_d_monotone,
 )
 from .sample import SampleMatrix
 
@@ -43,8 +48,9 @@ __all__ = [
     "CompoundPoissonSubordinatorSpec",
     "mo_survival",
     "geo_survival",
-    "b_from_lambda",
-    "lambda_from_b",
+    "exponents",
+    "exponents_from_b",
+    "rates_from_exponents",
     "b_from_p",
     "p_from_b_geo",
     "sample_mo_shocks",
@@ -53,45 +59,31 @@ __all__ = [
     "is_ciid_extendible",
 ]
 
-CONTINUOUS = "continuous"
-DISCRETE = "discrete"
 
 @dataclass(frozen=True)
 class LomParameterSeq:
-    """Survival-form parameters (b_0..b_d) plus the flavor they belong to.
+    """Survival-form parameters b_0..b_d of a wide-sense geometric law.
 
-    Construction tests the flavor's (log-)d-monotonicity and sets ``tested``;
-    :meth:`_valid`, for sequences valid by construction, leaves it False.
+    Construction tests d-monotonicity and sets ``tested``; :meth:`_valid`, for
+    sequences valid by construction, leaves it False.
     """
 
     values: tuple
-    flavor: str
     tested: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seq = MonotoneSequence(tuple(self.values))
         object.__setattr__(self, "values", seq.values)
-        if self.flavor == CONTINUOUS:
-            if not is_log_d_monotone(seq.values):
-                raise NotDMonotoneError(
-                    f"continuous-flavor parameters must be log-d-monotone, got {seq.values}"
-                )
-        elif self.flavor == DISCRETE:
-            if not is_d_monotone(seq.values):
-                raise NotDMonotoneError(
-                    f"discrete-flavor parameters must be d-monotone, got {seq.values}"
-                )
-        else:
-            raise SpecValidationError(f"unknown flavor {self.flavor!r}")
+        if not is_d_monotone(seq.values):
+            raise NotDMonotoneError(f"geometric parameters b must be d-monotone, got {seq.values}")
         object.__setattr__(self, "tested", True)
 
     @classmethod
-    def _valid(cls, values, flavor: str) -> "LomParameterSeq":
-        """Skip the (log-)d-monotone test, whose absolute tolerance refuses some
+    def _valid(cls, values) -> "LomParameterSeq":
+        """Skip the d-monotone test, whose absolute tolerance refuses some
         sequences that are valid by construction at large d."""
         self = object.__new__(cls)
         object.__setattr__(self, "values", MonotoneSequence(tuple(values)).values)
-        object.__setattr__(self, "flavor", flavor)
         return self
 
     @property
@@ -99,49 +91,46 @@ class LomParameterSeq:
         return len(self.values) - 1
 
 
-def _ordered_gap_logsf(values: tuple, x: np.ndarray) -> np.ndarray:
-    """log sf(x) = sum_k gap_k * log b_k over (..., d) arguments."""
-    b = np.asarray(values[1:], dtype=float)
+def _ordered_gap_logsf(log_b, x: np.ndarray) -> np.ndarray:
+    """log sf(x) = sum_k (x_(k) - x_(k+1)) * log b_k over (..., d) arguments,
+    for log_b = (log b_1..log b_d)."""
     s = np.sort(x, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):
         # two +inf coordinates give a NaN gap, which the mask below counts as 0
-        gaps = np.diff(s, axis=-1, prepend=0.0)
-        # exponent of b_k is the gap at sorted position d-k (0-indexed)
-        exps = gaps[..., ::-1]
-        logb = np.where(b > 0, np.log(np.maximum(b, 1e-300)), -np.inf)
-        terms = np.where(exps > 0, exps * logb, 0.0)
+        gaps = np.diff(s, axis=-1, prepend=0.0)[..., ::-1]  # gaps[..., k-1] = x_(k) - x_(k+1)
+        terms = np.where(gaps > 0, gaps * log_b, 0.0)
     return terms.sum(axis=-1)
 
 
-def mo_survival(params: LomParameterSeq, x) -> float | np.ndarray:
-    """Closed-form joint survival function of the continuous flavor."""
-    if params.flavor != CONTINUOUS:
-        raise SpecValidationError("mo_survival needs continuous-flavor parameters")
+def _checked_coordinates(x, d: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if (x < 0).any():
         raise SpecValidationError("coordinates must be non-negative")
-    if x.shape[-1] != params.d:
-        raise SpecValidationError(f"expected {params.d} coordinates, got {x.shape[-1]}")
-    out = np.exp(_ordered_gap_logsf(params.values, x))
+    if x.shape[-1] != d:
+        raise SpecValidationError(f"expected {d} coordinates, got {x.shape[-1]}")
+    return x
+
+
+def mo_survival(a, x) -> float | np.ndarray:
+    """Closed-form joint survival exp(-sum_k a_k x_(k)) of the exponential law
+    with exponents ``a`` = (a_1..a_d)."""
+    x = _checked_coordinates(x, len(a))
+    out = np.exp(_ordered_gap_logsf(-np.cumsum(a), x))
     return out if out.ndim else float(out)
 
 
 def geo_survival(params: LomParameterSeq, nvec) -> float | np.ndarray:
-    """Closed-form joint survival of the discrete flavor on the integer grid."""
-    if params.flavor != DISCRETE:
-        raise SpecValidationError("geo_survival needs discrete-flavor parameters")
+    """Closed-form joint survival of the geometric law on the integer grid."""
     nvec = np.asarray(nvec)
     if not np.issubdtype(nvec.dtype, np.integer):
         rounded = np.rint(np.asarray(nvec, dtype=float))
         if (rounded != nvec).any():  # compared, not subtracted: inf - rint(inf) is NaN
             raise SpecValidationError("geometric survival is defined on integer grids")
         nvec = rounded
-    nvec = np.asarray(nvec, dtype=float)
-    if (nvec < 0).any():
-        raise SpecValidationError("coordinates must be non-negative")
-    if nvec.shape[-1] != params.d:
-        raise SpecValidationError(f"expected {params.d} coordinates, got {nvec.shape[-1]}")
-    out = np.exp(_ordered_gap_logsf(params.values, nvec))
+    nvec = _checked_coordinates(nvec, params.d)
+    with np.errstate(divide="ignore"):  # b_k = 0 gives log b_k = -inf
+        log_b = np.log(params.values[1:])
+    out = np.exp(_ordered_gap_logsf(log_b, nvec))
     return out if out.ndim else float(out)
 
 
@@ -187,38 +176,37 @@ class ShockRateSpec:
                 raise SpecValidationError("every component needs positive hit probability")
 
 
-def b_from_lambda(spec: ShockRateSpec) -> LomParameterSeq:
-    """Survival-form parameters from exchangeable exponential shock rates:
-    b_k = prod_{i<=k} exp(-sum_j C(d-i, j) lambda_{j+1})."""
-    if spec.kind != "exponential":
-        raise SpecValidationError("b_from_lambda needs exponential shock rates")
-    lam = spec.cardinality  # lam[j] == lambda_{j+1}
-    d = spec.d
-    log_factors = [
-        -sum(math.comb(d - i, j) * lam[j] for j in range(d - i + 1)) for i in range(1, d + 1)
-    ]
-    values = [1.0]
-    acc = 0.0
-    for lf in log_factors:
-        acc += lf
-        values.append(math.exp(acc))
-    return LomParameterSeq._valid(values, CONTINUOUS)
+def exponents(rates) -> tuple:
+    """a_1..a_d of the exponential shock rates lambda_1..lambda_d:
+    a_i = sum_m C(d-i, m-1) lambda_m, the rate of the shocks that hit component
+    i and none of 1..i-1.  No term is negative.  Exact for ``Fraction`` rates."""
+    d = len(rates)
+    return tuple(sum(math.comb(d - i, j) * rates[j] for j in range(d - i + 1))
+                 for i in range(1, d + 1))
 
 
-def lambda_from_b(params: LomParameterSeq) -> ShockRateSpec:
-    """Invert :func:`b_from_lambda`: lambda_m = nabla^{m-1} a_{d-m+1} with
-    a_i = -log(b_i / b_{i-1}); valid for any log-d-monotone sequence."""
-    if params.flavor != CONTINUOUS:
-        raise SpecValidationError("lambda_from_b needs continuous-flavor parameters")
-    b = params.values
-    d = params.d
-    a = [-math.log(b[i] / b[i - 1]) for i in range(1, d + 1)]  # a[i-1] == a_i
-    # lam[m-1] == lambda_m, entry d - m of the difference table of a
+def exponents_from_b(b) -> tuple:
+    """a_i = -log(b_i / b_(i-1)) of survival-form parameters b_0..b_d, with
+    b_k = exp(-Psi(k)).  The entries must be positive; whether the exponents
+    make a law is :func:`rates_from_exponents`' test."""
+    b = MonotoneSequence(tuple(b)).values
+    if any(v <= 0.0 for v in b):
+        raise NonPositiveEntryError(f"exponential-law b must be strictly positive, got {b}")
+    return tuple(-math.log(b[i] / b[i - 1]) for i in range(1, len(b)))
+
+
+def rates_from_exponents(a) -> ShockRateSpec:
+    """Invert :func:`exponents`: lambda_m = nabla^{m-1} a_{d-m+1}, entry d - m
+    of the difference table of a.  For a = :func:`exponents_from_b` of b, the
+    table is nabla^{d-k} log b_k, k < d, so a rate below -MONOTONE_TOL means
+    b is not log-d-monotone and is refused; one above it is rounded up to 0."""
     lam = moments._top_differences(a).tolist()[::-1] if a else []
-    lam = [0.0 if -1e-12 < v < 0.0 else v for v in lam]
-    if any(v < 0 for v in lam):
-        raise SpecValidationError(f"sequence does not correspond to non-negative rates: {lam}")
-    return ShockRateSpec(d=d, kind="exponential", cardinality=tuple(lam))
+    if any(v < -MONOTONE_TOL for v in lam):
+        raise NotDMonotoneError(
+            f"exponential-law parameters must be log-d-monotone: their shock rates are {lam}"
+        )
+    lam = [0.0 if v < 0.0 else v for v in lam]
+    return ShockRateSpec(d=len(a), kind="exponential", cardinality=tuple(lam))
 
 
 def b_from_p(spec: ShockRateSpec) -> LomParameterSeq:
@@ -230,14 +218,12 @@ def b_from_p(spec: ShockRateSpec) -> LomParameterSeq:
     if spec.kind != "geometric":
         raise SpecValidationError("b_from_p needs geometric shock probabilities")
     law = BinaryExchangeableLaw(spec.cardinality[::-1])
-    return LomParameterSeq._valid(moments.b_from_p(law).values, DISCRETE)
+    return LomParameterSeq._valid(moments.b_from_p(law).values)
 
 
 def p_from_b_geo(params: LomParameterSeq) -> ShockRateSpec:
     """Invert :func:`b_from_p`: p_m = nabla^m b_{d-m}, non-negative for any
-    d-monotone input, as discrete-flavor parameters are."""
-    if params.flavor != DISCRETE:
-        raise SpecValidationError("p_from_b_geo needs discrete-flavor parameters")
+    d-monotone input, as geometric parameters are."""
     p = moments._law_from_b(params.values).p[::-1]
     return ShockRateSpec(d=params.d, kind="geometric", cardinality=p)
 
@@ -374,10 +360,10 @@ class CompoundPoissonSubordinatorSpec:
             out = out + rate * (-np.expm1(-size * x))
         return out if out.ndim else float(out)
 
-    def b_seq(self, d: int) -> LomParameterSeq:
-        """b_k = exp(-psi(k)), log-d-monotone by construction at every d."""
-        vals = tuple(math.exp(-float(self.laplace_exponent(k))) for k in range(d + 1))
-        return LomParameterSeq._valid((1.0,) + vals[1:], CONTINUOUS)
+    def subset_rates(self, d: int) -> list:
+        """lambda_0..lambda_d of :func:`_subset_rates`, with q = exp(-size) of each jump."""
+        jumps = [(math.exp(-s), -math.expm1(-s), r) for s, r in self.jumps]
+        return _subset_rates(self.drift, self.kill, jumps, d)
 
     def to_json(self) -> dict:
         return {
@@ -424,40 +410,39 @@ def sample_mo_ciid(
     """
     if sub.degenerate:
         raise SpecValidationError("subordinator must be non-degenerate")
-    jumps = [(math.exp(-s), -math.expm1(-s), r) for s, r in sub.jumps]
-    law = _table_law(_subset_rates(sub.drift, sub.kill, jumps, d), d, rng, False)
+    law = _table_law(sub.subset_rates(d), d, rng, False)
     data, steps = _death_chain(law, d, n, rng)
     meta = (f"mo_ciid drift={sub.drift} kill={sub.kill} jumps={len(sub.jumps)} d={d} "
             f"chain_steps={steps}")
     return SampleMatrix(data, meta=meta)
 
 
-def is_ciid_extendible(params: LomParameterSeq) -> ExtendibilityVerdict:
+def is_ciid_extendible(params) -> ExtendibilityVerdict:
     """Decide whether the law admits a latent-process (conditionally iid)
     representation.
 
-    Continuous flavor: the normalized log-increment sequence must extend to a
-    moment sequence; discrete flavor: (b_0..b_d) itself must.  The reported
-    Hankel values refer to the sequence actually tested.  Discrete-flavor
-    parameters that construction has not tested are tested here.
+    Exponents (a_1..a_d) of an exponential law: a_k/a_1 must extend to a
+    moment sequence; a geometric law's :class:`LomParameterSeq`: b_0..b_d
+    itself must.  The reported Hankel values refer to the sequence actually
+    tested.  Geometric parameters that construction has not tested are
+    tested here.
     """
-    if params.flavor == DISCRETE:
+    if isinstance(params, LomParameterSeq):
         if not (params.tested or is_d_monotone(params.values)):
             raise NotDMonotoneError(
                 "the model's b (derived from its p when p is given) is not d-monotone: "
                 f"{params.values}"
             )
         return moments._hankel_verdict(params.values)
-    b = params.values
-    a = [-math.log(b[i] / b[i - 1]) for i in range(1, len(b))]
+    a = tuple(params)
     if not a or a[0] <= 0.0:
-        # d = 0 or a constant sequence: degenerate law, trivially representable
+        # d = 0 or no shock: degenerate law, trivially representable
         return ExtendibilityVerdict(extendible=True, hankel_values=(), min_hankel=0.0)
     normalized = (1.0,) + tuple(v / a[0] for v in a[1:])
     try:
         return hausdorff_extendible(normalized)
     except NotDMonotoneError:
         raise NotDMonotoneError(
-            "the sequence a_k/a_1, a_k = -log(b_k/b_(k-1)), derived from the "
-            f"model's b is not d-monotone: {normalized}"
+            "the sequence a_k/a_1 of the model's exponents a_k = Psi(k) - Psi(k-1) "
+            f"is not d-monotone: {normalized}"
         ) from None

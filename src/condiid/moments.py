@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveEntryError, NotDMonotoneError, SpecValidationError, UnsupportedLawError
+from .errors import NotDMonotoneError, SpecValidationError, UnsupportedLawError
 from .mixing import FiniteDiscrete, MixingLaw
 from .sample import SampleMatrix
 
@@ -35,7 +35,6 @@ __all__ = [
     "BinaryExchangeableLaw",
     "ExtendibilityVerdict",
     "is_d_monotone",
-    "is_log_d_monotone",
     "hausdorff_extendible",
     "discrete_witness",
     "b_from_p",
@@ -109,19 +108,6 @@ def _top_differences(values) -> np.ndarray:
 def is_d_monotone(seq) -> bool:
     """True iff nabla^{d-k} b_k >= -MONOTONE_TOL for k = 0, ..., d."""
     return bool((_top_differences(_values(seq)) >= -MONOTONE_TOL).all())
-
-
-def is_log_d_monotone(seq) -> bool:
-    """True iff nabla^{d-k} log(b_k) >= -MONOTONE_TOL for k = 0, ..., d-1.
-
-    Entries must be strictly positive; the final entry log(b_d) itself is
-    unconstrained.
-    """
-    values = _values(seq)
-    if any(v <= 0.0 for v in values):
-        raise NonPositiveEntryError("log-monotonicity requires strictly positive entries")
-    logs = [math.log(v) for v in values]
-    return bool((_top_differences(logs)[:-1] >= -MONOTONE_TOL).all())
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,8 @@ def exshock_survival(spec: ShockSurvivalSpec, x) -> float | np.ndarray:
     """Joint survival prod_{k,m} hbar_m(x_{[d-k+1]})**C(d-k, m-1)."""
     x = np.asarray(x, dtype=float)
     d = spec.d
+    if (x < 0).any():
+        raise SpecValidationError("coordinates must be non-negative")
     if x.shape[-1] != d:
         raise SpecValidationError(f"expected {d} coordinates")
     s = np.sort(x, axis=-1)
@@ -463,7 +465,12 @@ def dp_survival(c: float, base: BaseDistribution, x) -> float:
 # -- Sato frailty -------------------------------------------------------------------
 
 def sato_survival(alpha: float, x) -> float | np.ndarray:
-    """P(X > x) = (prod_k ((d-k)*x_[k] + 1)/((d-k+1)*x_[k] + 1))**alpha."""
+    """P(X > x) = (prod_k ((m-1)*x_[k] + 1)/(m*x_[k] + 1))**alpha, m = d-k+1.
+
+    Each factor is written with numerator and denominator divided by
+    max(x_[k], 1), so that it cannot overflow; a +inf coordinate gives the
+    last factor, and the survival, 0.
+    """
     if alpha <= 0:
         raise SpecValidationError("alpha must be positive")
     x = np.asarray(x, dtype=float)
@@ -471,13 +478,9 @@ def sato_survival(alpha: float, x) -> float | np.ndarray:
         raise SpecValidationError("coordinates must be non-negative")
     d = x.shape[-1]
     s = np.sort(x, axis=-1)
-    k = np.arange(1, d + 1, dtype=float)
-    with np.errstate(invalid="ignore"):  # 0*inf and inf/inf at a +inf coordinate
-        num = (d - k) * s + 1.0
-        den = (d - k + 1.0) * s + 1.0
-        out = np.prod(num / den, axis=-1) ** alpha
-    # X has no mass at +inf, so a +inf coordinate has survival 0
-    out = np.where(s[..., -1] == np.inf, 0.0, out)
+    m = np.arange(d, 0, -1, dtype=float)
+    u, v = np.minimum(s, 1.0), 1.0 / np.maximum(s, 1.0)
+    out = np.prod(((m - 1.0) * u + v) / (m * u + v), axis=-1) ** alpha
     return out if out.ndim else float(out)
 
 

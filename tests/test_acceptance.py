@@ -107,10 +107,10 @@ def test_c04_marshall_olkin_two_samplers():
     # uses neither lack of memory nor the subset rates, and the closed form
     rng = np.random.default_rng(213)
     sub = lom.CompoundPoissonSubordinatorSpec(drift=0.3, kill=0.1, jumps=((1.0, 0.5), (2.5, 0.25)))
-    params = sub.b_seq(3)
+    params = lom.exponents(sub.subset_rates(3)[1:])
     chain = lom.sample_mo_ciid(sub, 3, N, rng)
     passage = fp.sample_mo_first_passage(sub, 3, N, rng)
-    grid = dg.default_quantile_grid(lambda q: -math.log1p(-q) / -math.log(params.values[1]), 3)
+    grid = dg.default_quantile_grid(lambda q: -math.log1p(-q) / params[0], 3)
     ok = True
     for pt in grid:
         p1 = (chain.data > pt).all(axis=1).mean()

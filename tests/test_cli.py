@@ -322,13 +322,12 @@ class TestCheck:
 
     def test_mo_refusal_names_the_derived_sequence(self):
         # the d-monotone test fails on a_k/a_1, which the user never gave
-        d = 36
+        d = 40
         model = json.dumps({"family": "marshall_olkin", "d": d,
                             "rates": [1e-3 / math.comb(d - 1, j) for j in range(d - 1)] + [0.05]})
         code, _, err = run(["check", "--model", model])
         assert code == 1
-        assert "a_k/a_1, a_k = -log(b_k/b_(k-1))" in err
-        assert "model's b" in err
+        assert "a_k/a_1 of the model's exponents a_k = Psi(k) - Psi(k-1)" in err
 
     def test_geometric_refusal_names_the_models_b(self):
         # the d-monotone test fails on the b derived from the user's p
@@ -438,7 +437,8 @@ class TestVerify:
     @pytest.mark.parametrize("family", ["marshall_olkin", "geometric"])
     def test_models_from_rates_or_p_at_large_d(self, family, d):
         # valid by construction: the model builds and samples, and check
-        # refuses with a typed error instead of a verdict
+        # refuses with a typed error or gives the exact verdict: both laws are
+        # extendible, by the exact Hankel determinants of their rational a_k/a_1 or b
         if family == "marshall_olkin":
             spec = {"family": family, "d": d,
                     "rates": [1e-3 / math.comb(d - 1, j) for j in range(d - 1)] + [0.05]}
@@ -452,8 +452,19 @@ class TestVerify:
         assert read_csv(io.StringIO(out)).shape == (50, d)
         code, out, _ = run(["verify", "--model", model, "--n", "20000", "--seed", "1"])
         assert code == 0 and json.loads(out)["passed"] is True
-        code, _, err = run(["check", "--model", model])
-        assert code == 1 and "not d-monotone" in err
+        code, out, err = run(["check", "--model", model])
+        if code == 0:
+            assert out.startswith("extendible\n")
+        else:
+            assert code == 1 and "not d-monotone" in err
+
+    def test_sato_verify_at_the_largest_doubles_prints_no_nan(self):
+        model = json.dumps({"family": "sato", "alpha": 1, "d": 3})
+        grid = "[[1e308,1e308,1e308],[1,1,1]]"
+        code, out, err = run(["verify", "--model", model, "--seed", "1", "--grid", grid])
+        assert code == 0 and err == ""
+        report = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in {out}"))
+        assert report["closed"][0] == pytest.approx(1 / 3e308, rel=1e-12)
 
     def test_sato_verified_beyond_d3(self):
         model = json.dumps({"family": "sato", "d": 5, "alpha": 1.05})
@@ -527,11 +538,24 @@ class TestDiagnose:
         ("x1\n1.0\n2.0\n", "kendall needs two columns"),
         ("x1,x2\n1.0,inf\ninf,2.0\n",
          "kendall needs two rows with every coordinate finite; the file has 0"),
-    ], ids=["one_column", "no_finite_row"])
+        ("x1,x2\n1.0,inf\ninf,2.0\n",
+         "majorization needs two rows with every coordinate finite; the file has 0"),
+        ("x1,x2\n1.0,2.0\ninf,2.0\n",
+         "majorization needs two rows with every coordinate finite; the file has 1"),
+        ("x1,x2\n1.0,inf\ninf,2.0\n",
+         "radial needs two rows with every coordinate finite; the file has 0"),
+        ("x1,x2\n1.0,2.0\ninf,2.0\n",
+         "radial needs two rows with every coordinate finite; the file has 1"),
+        ("x1\n1.0\n2.0\n", "majorization needs two columns"),
+    ], ids=["one_column", "no_finite_row", "majorization_no_finite_row",
+            "majorization_one_finite_row", "radial_no_finite_row", "radial_one_finite_row",
+            "majorization_one_column"])
     def test_kendall_refusal_names_its_cause(self, tmp_path, text, message):
         path = tmp_path / "k.csv"
         path.write_text(text)
-        code, out, err = run(["diagnose", str(path), "--tests", "kendall"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["diagnose", str(path), "--tests", message.split()[0]])
         assert (code, out) == (1, "")
         assert message in err
 

@@ -47,9 +47,9 @@ class TestStdfClosedForms:
         m = 1.2
         q = math.exp(-m)
         spec = ev.lf(ev.MOAtom(PointMass(m)))
-        # matching parameters: psi(k) = (1 - q^k)/(1 - q) at unit marginal rate
-        values = tuple(math.exp(-(1 - q**k) / (1 - q)) for k in range(4))
-        params = lom.LomParameterSeq((1.0,) + values[1:], lom.CONTINUOUS)
+        # matching parameters: psi(k) = (1 - q^k)/(1 - q) at unit marginal rate,
+        # so a_k = psi(k) - psi(k-1) = q^(k-1)
+        params = tuple(q ** (k - 1) for k in range(1, 4))
         rng = np.random.default_rng(2)
         for _ in range(15):
             x = rng.exponential(0.8, 3)

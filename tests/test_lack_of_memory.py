@@ -1,6 +1,8 @@
+import json
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,10 +10,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import first_passage_oracle as fp
+from test_cli import run as cli_run
+from test_moments import bareiss_det, exact_hankel_matrices
 from condiid import cli, diagnostics as dg, lack_of_memory as lom, shock_models as sk
 from condiid.errors import NotDMonotoneError, SpecValidationError
 from condiid.mixing import Beta, Gamma, PointMass
-from condiid.moments import moment_sequence
+from condiid.moments import HANKEL_TOL, moment_sequence
 
 
 def exp_rates_spec(*rates):
@@ -20,40 +24,40 @@ def exp_rates_spec(*rates):
 
 class TestSurvivalForms:
     def test_d2_expansion_by_hand(self):
-        params = lom.LomParameterSeq((1.0, 0.6, 0.5), lom.CONTINUOUS)
+        params = lom.exponents_from_b((1.0, 0.6, 0.5))
         x1, x2 = 0.7, 0.3
         hand = 0.6 ** (x1 - x2) * 0.5**x2
         assert lom.mo_survival(params, [x1, x2]) == pytest.approx(hand, rel=1e-12)
         assert lom.mo_survival(params, [x2, x1]) == pytest.approx(hand, rel=1e-12)
 
     def test_at_zero(self):
-        params = lom.LomParameterSeq((1.0, 0.6, 0.5), lom.CONTINUOUS)
+        params = lom.exponents_from_b((1.0, 0.6, 0.5))
         assert lom.mo_survival(params, [0.0, 0.0]) == 1.0
 
     def test_iid_case_factorizes(self):
         q = 0.7
-        params = lom.LomParameterSeq((1.0, q, q**2, q**3), lom.CONTINUOUS)
+        params = lom.exponents_from_b((1.0, q, q**2, q**3))
         x = np.array([0.3, 1.1, 0.6])
         assert lom.mo_survival(params, x) == pytest.approx(q ** x.sum(), rel=1e-12)
 
     def test_geo_survival_d1_geometric(self):
-        params = lom.LomParameterSeq((1.0, 0.65), lom.DISCRETE)
+        params = lom.LomParameterSeq((1.0, 0.65))
         for n in range(5):
             assert lom.geo_survival(params, [n]) == pytest.approx(0.65**n)
 
     def test_geo_rejects_non_integers(self):
-        params = lom.LomParameterSeq((1.0, 0.65, 0.45), lom.DISCRETE)
+        params = lom.LomParameterSeq((1.0, 0.65, 0.45))
         with pytest.raises(SpecValidationError):
             lom.geo_survival(params, [0.5, 1.0])
 
     def test_flavor_validation(self):
+        with pytest.raises(NotDMonotoneError):  # log-convexity broken: a negative rate
+            lom.rates_from_exponents(lom.exponents_from_b((1.0, 0.9, 0.5)))
         with pytest.raises(NotDMonotoneError):
-            lom.LomParameterSeq((1.0, 0.9, 0.5), lom.CONTINUOUS)  # log-convexity broken
-        with pytest.raises(NotDMonotoneError):
-            lom.LomParameterSeq((1.0, 0.2, 0.5), lom.DISCRETE)
+            lom.LomParameterSeq((1.0, 0.2, 0.5))
 
     def test_negative_coordinates_rejected(self):
-        params = lom.LomParameterSeq((1.0, 0.6, 0.5), lom.CONTINUOUS)
+        params = lom.exponents_from_b((1.0, 0.6, 0.5))
         with pytest.raises(SpecValidationError):
             lom.mo_survival(params, [-0.1, 0.2])
 
@@ -61,19 +65,19 @@ class TestSurvivalForms:
 class TestReparameterizations:
     def test_global_shock_only(self):
         lam2 = 0.8
-        b = lom.b_from_lambda(exp_rates_spec(0.0, lam2))
-        assert b.values == pytest.approx((1.0, math.exp(-lam2), math.exp(-lam2)))
+        a = lom.exponents((0.0, lam2))
+        assert a == (lam2, 0.0)
         # the survival function collapses to exp(-lam2 * max(x))
-        assert lom.mo_survival(b, [0.3, 0.9]) == pytest.approx(math.exp(-lam2 * 0.9))
+        assert lom.mo_survival(a, [0.3, 0.9]) == pytest.approx(math.exp(-lam2 * 0.9))
 
     def test_idiosyncratic_only_factorizes(self):
         lam1 = 0.7
-        b = lom.b_from_lambda(exp_rates_spec(lam1, 0.0))
-        assert lom.mo_survival(b, [0.4, 0.6]) == pytest.approx(math.exp(-lam1 * 1.0))
+        a = lom.exponents((lam1, 0.0))
+        assert a == (lam1, lam1)
+        assert lom.mo_survival(a, [0.4, 0.6]) == pytest.approx(math.exp(-lam1 * 1.0))
 
     def test_d1(self):
-        b = lom.b_from_lambda(exp_rates_spec(0.5))
-        assert b.values[1] == pytest.approx(math.exp(-0.5))
+        assert lom.exponents((0.5,)) == (0.5,)
 
     def test_lambda_round_trip(self):
         rng = np.random.default_rng(31)
@@ -83,7 +87,7 @@ class TestReparameterizations:
             if sum(rates) == 0:
                 continue
             spec = exp_rates_spec(*rates)
-            back = lom.lambda_from_b(lom.b_from_lambda(spec))
+            back = lom.rates_from_exponents(lom.exponents(spec.cardinality))
             assert np.allclose(back.cardinality, rates, atol=1e-10)
 
     def test_geometric_round_trip(self):
@@ -98,16 +102,19 @@ class TestReparameterizations:
             assert np.allclose(back.cardinality, p, atol=1e-10)
 
     def test_bernstein_rates_non_negative(self):
+        # b_k = exp(-psi(k)) of a subordinator: its rates are the subset rates
         sub = lom.CompoundPoissonSubordinatorSpec(drift=0.2, kill=0.05, jumps=((0.7, 0.4),))
-        rates = lom.lambda_from_b(sub.b_seq(4))
+        b = [1.0] + [math.exp(-sub.laplace_exponent(k)) for k in range(1, 5)]
+        rates = lom.rates_from_exponents(lom.exponents_from_b(b))
         assert all(v >= 0 for v in rates.cardinality)
+        assert rates.cardinality == pytest.approx(sub.subset_rates(4)[1:], rel=1e-12, abs=1e-15)
 
 
 class TestShockSamplers:
     def test_mo_shocks_match_closed_form(self):
         rng = np.random.default_rng(33)
         spec = exp_rates_spec(0.3, 0.2, 0.1)
-        params = lom.b_from_lambda(spec)
+        params = lom.exponents(spec.cardinality)
         sm = lom.sample_mo_shocks(spec, 3, 120000, rng)
         for pt in ([0.5, 0.3, 0.8], [1.0, 1.0, 1.0], [0.1, 0.2, 0.05]):
             pt = np.asarray(pt)
@@ -388,7 +395,7 @@ class TestSubordinatorSampler:
 
     def test_survival_matches_bernstein_closed_form(self):
         rng = np.random.default_rng(39)
-        params = self.SUB.b_seq(3)
+        params = lom.exponents(self.SUB.subset_rates(3)[1:])
         sm = lom.sample_mo_ciid(self.SUB, 3, 100000, rng)
         for pt in ([0.5, 0.3, 0.8], [0.2, 0.2, 0.2], [1.5, 0.1, 0.7]):
             pt = np.asarray(pt)
@@ -405,11 +412,11 @@ class TestSubordinatorSampler:
         assert tie_frequency(sm) > 0.1
 
     def test_two_sampler_equivalence(self):
-        # the shock rates lambda_from_b recovers from b and the path's
+        # the shock rates recovered from b_k = exp(-psi(k)) and the path's
         # closed-form subset rates give one law
         rng = np.random.default_rng(41)
-        params = self.SUB.b_seq(3)
-        rates = lom.lambda_from_b(params)
+        b = [1.0] + [math.exp(-self.SUB.laplace_exponent(k)) for k in range(1, 4)]
+        rates = lom.rates_from_exponents(lom.exponents_from_b(b))
         n = 60000
         shocks = lom.sample_mo_shocks(rates, 3, n, rng)
         passage = lom.sample_mo_ciid(self.SUB, 3, n, rng)
@@ -442,9 +449,8 @@ class TestSubordinatorSampler:
 
     def test_minimum_is_exponential(self):
         rng = np.random.default_rng(43)
-        params = self.SUB.b_seq(3)
         sm = lom.sample_mo_ciid(self.SUB, 3, 30000, rng)
-        rate = -math.log(params.values[3])
+        rate = self.SUB.laplace_exponent(3)
         finite = sm.data.min(axis=1)
         finite = finite[np.isfinite(finite)]
         assert stats.kstest(finite, "expon", args=(0, 1.0 / rate)).pvalue > 0.001
@@ -455,16 +461,17 @@ class TestSubordinatorSampler:
             lom.sample_mo_ciid(lom.CompoundPoissonSubordinatorSpec(), 2, 10, rng)
 
     @pytest.mark.parametrize("d", [28, 32, 40])
-    def test_b_seq_is_valid_beyond_the_log_monotone_tolerance(self, d):
+    def test_rounded_b_is_refused_at_large_d(self, d):
         # b_k = exp(-psi(k)) is log-d-monotone by construction; the absolute
-        # tolerance of the test refuses its rounded values at large d
+        # tolerance of the tests refuses its rounded values at large d
         sub = lom.CompoundPoissonSubordinatorSpec(drift=0.4, kill=0.1, jumps=((0.65, 1.0),))
-        params = sub.b_seq(d)
-        assert params.d == d and params.values[0] == 1.0
+        a = lom.exponents(sub.subset_rates(d)[1:])
+        assert len(a) == d and min(a) > 0
+        b = [1.0] + [math.exp(-sub.laplace_exponent(k)) for k in range(1, d + 1)]
         with pytest.raises(NotDMonotoneError):
-            lom.LomParameterSeq(params.values, lom.CONTINUOUS)
+            lom.rates_from_exponents(lom.exponents_from_b(b))
         with pytest.raises(NotDMonotoneError):  # a refusal, never a silent verdict
-            lom.is_ciid_extendible(params)
+            lom.is_ciid_extendible(a)
 
 
 class TestGeoCiid:
@@ -473,7 +480,7 @@ class TestGeoCiid:
         law = Gamma(1.0)
         d, n = 2, 100000
         b = tuple(float(law.laplace(k)) for k in range(d + 1))
-        params = lom.LomParameterSeq((1.0,) + b[1:], lom.DISCRETE)
+        params = lom.LomParameterSeq((1.0,) + b[1:])
         sm = fp.sample_geo_ciid(law, d, n, rng)
         assert sm.data.min() >= 1.0
         for pt in ([1, 1], [2, 0], [3, 3]):
@@ -498,45 +505,44 @@ class TestGeoCiid:
 class TestExtendibility:
     def test_bernstein_sequence_extendible(self):
         values = tuple(1.0 / (1.0 + k) for k in range(5))  # exp(-Psi(k)), Psi = log(1+x)
-        params = lom.LomParameterSeq(values, lom.CONTINUOUS)
+        params = lom.exponents_from_b(values)
         assert lom.is_ciid_extendible(params).extendible
 
     def test_discrete_interval_counterexample(self):
-        params = lom.LomParameterSeq((1.0, 0.5, 0.2), lom.DISCRETE)
+        params = lom.LomParameterSeq((1.0, 0.5, 0.2))
         assert not lom.is_ciid_extendible(params).extendible
-        params2 = lom.LomParameterSeq((1.0, 0.5, 0.3), lom.DISCRETE)
+        params2 = lom.LomParameterSeq((1.0, 0.5, 0.3))
         assert lom.is_ciid_extendible(params2).extendible
 
     def test_power_sequence_extendible(self):
         m = 0.6
-        params = lom.LomParameterSeq(tuple(m**k for k in range(5)), lom.DISCRETE)
+        params = lom.LomParameterSeq(tuple(m**k for k in range(5)))
         assert lom.is_ciid_extendible(params).extendible
 
     def test_constant_sequence_trivially_extendible(self):
-        params = lom.LomParameterSeq((1.0, 1.0, 1.0), lom.CONTINUOUS)
+        params = lom.exponents_from_b((1.0, 1.0, 1.0))
         assert lom.is_ciid_extendible(params).extendible
 
-    @pytest.mark.parametrize("flavor", [lom.CONTINUOUS, lom.DISCRETE])
+    @pytest.mark.parametrize("flavor", ["continuous", "discrete"])
     def test_degree_zero(self, flavor):
-        verdict = lom.is_ciid_extendible(lom.LomParameterSeq((1.0,), flavor))
+        params = () if flavor == "continuous" else lom.LomParameterSeq((1.0,))
+        verdict = lom.is_ciid_extendible(params)
         assert verdict.extendible and verdict.hankel_values == () and verdict.min_hankel == 0.0
 
     def test_degree_one(self):
         # discrete: (1, b_1) itself; continuous: the normalized sequence (1,), which has no
         # determinants
-        verdict = lom.is_ciid_extendible(lom.LomParameterSeq((1.0, 0.25), lom.DISCRETE))
+        verdict = lom.is_ciid_extendible(lom.LomParameterSeq((1.0, 0.25)))
         assert verdict.extendible and verdict.hankel_values == (0.25, 0.75)
-        verdict = lom.is_ciid_extendible(lom.LomParameterSeq((1.0, 0.25), lom.CONTINUOUS))
+        verdict = lom.is_ciid_extendible(lom.exponents_from_b((1.0, 0.25)))
         assert verdict.extendible and verdict.hankel_values == ()
 
     def test_point_mass_at_0_3_is_on_the_boundary(self):
         # discrete: b_k = 0.3^k; continuous: psi(k) = (1 - 0.3^k) / 0.7, one jump of size
         # log(10/3), so that a_k / a_1 = 0.3^(k-1).  Both decide on the moments of a point
         # mass at 0.3, whose Hankel matrices of size 2 or more are singular.
-        discrete = lom.LomParameterSeq(tuple(float(Fraction(3, 10) ** k) for k in range(7)),
-                                       lom.DISCRETE)
-        continuous = lom.LomParameterSeq(
-            tuple(math.exp(-(1.0 - 0.3**k) / 0.7) for k in range(8)), lom.CONTINUOUS)
+        discrete = lom.LomParameterSeq(tuple(float(Fraction(3, 10) ** k) for k in range(7)))
+        continuous = lom.exponents_from_b(tuple(math.exp(-(1.0 - 0.3**k) / 0.7) for k in range(8)))
         for params in (discrete, continuous):
             verdict = lom.is_ciid_extendible(params)
             assert verdict.extendible
@@ -545,16 +551,15 @@ class TestExtendibility:
 
 
 class TestBetaFamily:
-    """Discrete-flavor b with the Beta(p, q) moments: always extendible."""
+    """Geometric-law b with the Beta(p, q) moments: always extendible."""
 
     @staticmethod
     def bseq(p, q, d):
-        return lom.LomParameterSeq(moment_sequence(Beta(p, q), d).values, lom.DISCRETE)
+        return lom.LomParameterSeq(moment_sequence(Beta(p, q), d).values)
 
     def test_uniform_case(self):
         params = self.bseq(1.0, 1.0, 3)
         assert params.values == pytest.approx((1.0, 0.5, 1 / 3, 0.25))
-        assert params.flavor == lom.DISCRETE
 
     def test_always_monotone_and_extendible(self):
         rng = np.random.default_rng(48)
@@ -570,3 +575,103 @@ class TestBetaFamily:
 def test_subordinator_json_round_trip():
     sub = lom.CompoundPoissonSubordinatorSpec(drift=0.3, kill=0.1, jumps=((1.0, 0.5),))
     assert lom.CompoundPoissonSubordinatorSpec.from_json(sub.to_json()) == sub
+
+
+def exact_psi(rates) -> list:
+    """Psi(0..d) of exponential shock rates, taken as the exact Fractions of
+    the doubles: Psi(k) = sum_m (C(d, m) - C(d-k, m)) lambda_m, the rate of the
+    shocks that hit one of k fixed components."""
+    lam, d = [Fraction(v) for v in rates], len(rates)
+    return [sum((math.comb(d, m) - math.comb(d - k, m)) * lam[m - 1] for m in range(1, d + 1))
+            for k in range(d + 1)]
+
+
+def reference_survival(psi, x) -> float:
+    """exp(-sum_k Psi(k) (x_(k) - x_(k+1))) over x sorted in decreasing order,
+    in mpmath at 50 digits."""
+    s = sorted((Fraction(v) for v in x), reverse=True) + [Fraction(0)]
+    with mpmath.workdps(50):
+        expo = sum(psi[k] * (s[k - 1] - s[k]) for k in range(1, len(s)))
+        return float(mpmath.exp(-mpmath.mpf(expo.numerator) / expo.denominator))
+
+
+def exact_verdict(psi, tol=HANKEL_TOL):
+    """Extendibility of a_k/a_1 by the exact Hankel determinants, or None where
+    one of them is within ``tol`` times its matrix's largest |entry| of 0:
+    ``hausdorff_extendible`` counts that as the boundary, so as extendible."""
+    a = [psi[k] - psi[k - 1] for k in range(1, len(psi))]
+    dets = []
+    for mat in exact_hankel_matrices([v / a[0] for v in a]):
+        scale = max(abs(x) for row in mat for x in row)
+        dets.append(bareiss_det(mat))
+        if abs(dets[-1]) <= Fraction(tol) * scale:
+            return None
+    return all(v > 0 for v in dets)
+
+
+def harmonic_rates(d):
+    return [1 / (k + 1) for k in range(d)]
+
+
+class TestExponents:
+    """The exponential law held by a_1..a_d: survival and check against exact
+    Psi, at d where b_k = exp(-Psi(k)) leaves the range of doubles."""
+
+    def test_iid_rates_are_extendible(self):
+        # two iid exponentials: a = (0.3, 0.3), a_k/a_1 the moments of a point mass at 1
+        model = '{"family":"marshall_olkin","rates":[0.3,0]}'
+        code, out, err = cli_run(["check", "--model", model])
+        assert (code, err) == (0, "") and out.startswith("extendible\n")
+
+    def test_survival_where_b_underflows(self):
+        model = '{"family":"marshall_olkin","rates":[0,700]}'
+        code, out, _ = cli_run(["eval", "--model", model, "--point", "0.01,0.01"])
+        assert code == 0 and out == "0.000911881965555\n"
+        assert float(out) == pytest.approx(reference_survival(exact_psi([0, 700]), [0.01] * 2),
+                                           rel=1e-12)
+
+    def test_harmonic_rates_at_d12(self):
+        # Psi(12) ~ 762: b_12 = exp(-762) is 0 in double precision
+        model = json.dumps({"family": "marshall_olkin", "rates": harmonic_rates(12)})
+        code, out, _ = cli_run(["eval", "--model", model, "--point", ",".join(["0.001"] * 12)])
+        assert code == 0 and out == "0.466862789394\n"
+        assert float(out) == pytest.approx(
+            reference_survival(exact_psi(harmonic_rates(12)), [0.001] * 12), rel=1e-11)
+        code, out, _ = cli_run(["check", "--model", model])
+        assert code == 0 and out.startswith("extendible\n")
+        assert exact_verdict(exact_psi(harmonic_rates(12)), tol=0) is True
+        code, out, _ = cli_run(["verify", "--model", model, "--seed", "1", "--n", "20000"])
+        assert code == 0 and json.loads(out)["passed"] is True
+
+    def test_harmonic_rates_sample_at_d20(self):
+        model = json.dumps({"family": "marshall_olkin", "rates": harmonic_rates(20)})
+        code, out, err = cli_run(["sample", "--model", model, "--n", "5", "--seed", "1"])
+        assert (code, err) == (0, "") and len(out.splitlines()) == 6
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(1e-6, 1e6), st.integers(2, 8), st.lists(st.floats(0, 5), min_size=8,
+                                                             max_size=8))
+    def test_idiosyncratic_rates_are_iid(self, lam, d, t):
+        model = cli.build_model({"family": "marshall_olkin", "rates": [lam] + [0.0] * (d - 1)})
+        assert model.check().extendible
+        x = np.array(t[:d]) / lam
+        assert model.evals["survival"](x) == pytest.approx(
+            reference_survival(exact_psi([lam] + [0.0] * (d - 1)), x), rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 24).flatmap(lambda d: st.tuples(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=d, max_size=d)
+        .filter(any),
+        st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))),
+        st.floats(0.0, 50.0))
+    def test_survival_and_verdict_are_exact(self, case, level):
+        rates, t = case
+        psi = exact_psi(rates)
+        model = cli.build_model({"family": "marshall_olkin", "rates": rates})
+        # sum_k a_k x_(k) <= level, so the survival stays a normal double
+        x = np.array(t) * (level / float(psi[-1]))
+        assert model.evals["survival"](x) == pytest.approx(reference_survival(psi, x), rel=1e-12)
+        expected = exact_verdict(psi)
+        if expected is not None:
+            assert model.check().extendible is expected
+

@@ -116,7 +116,7 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
         {"family": "sato", "d": 3, "alpha": 1.05},
         "eb9767f7f8e9bd6baa6b59c2c01493eef51d6e4a9a1b00a7ba3f7679d3c2ad4f",
     ),
-    "marshall_olkin_b": (  # lambda_from_b, then the shock sampler
+    "marshall_olkin_b": (  # rates from the exponents of b, then the shock sampler
         {"family": "marshall_olkin", "d": 6, "b": subordinator_b(6)},
         "86f662c13a93dde5b75686f50d36ba56e787a0cc02ba2bfb8b5bc81b59a14db6",
     ),

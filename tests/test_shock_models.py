@@ -50,9 +50,15 @@ class TestShockLaws:
 
 
 class TestExshock:
+    @pytest.mark.parametrize("point", [[-math.inf, 1.0, 1.0], [-1e308, -1e308, 0.0],
+                                       [0.5, -0.1, 0.2]])
+    def test_negative_coordinates_rejected(self, point):
+        with pytest.raises(SpecValidationError, match="coordinates must be non-negative"):
+            sk.exshock_survival(EXP_SPEC, point)
+
     def test_exponential_case_reduces_to_lack_of_memory(self):
         lspec = lom.ShockRateSpec(d=3, kind="exponential", cardinality=(0.3, 0.2, 0.1))
-        params = lom.b_from_lambda(lspec)
+        params = lom.exponents(lspec.cardinality)
         rng = np.random.default_rng(53)
         for _ in range(20):
             pt = rng.exponential(1.0, 3)
@@ -116,7 +122,7 @@ class TestAdditiveFamilies:
     def test_levy_piece_reduces_to_ordered_gap_form(self):
         sub = lom.CompoundPoissonSubordinatorSpec(drift=0.3, kill=0.1, jumps=((1.0, 0.5),))
         psi = oracle.levy(sub)
-        params = sub.b_seq(3)
+        params = lom.exponents(sub.subset_rates(3)[1:])
         rng = np.random.default_rng(57)
         for _ in range(20):
             pt = rng.exponential(1.0, 3)
@@ -238,6 +244,18 @@ class TestSato:
     def test_d1_closed_form(self):
         assert sk.sato_survival(1.0, [1.0]) == pytest.approx(0.5)
         assert sk.sato_survival(2.0, [3.0]) == pytest.approx(16 ** (-1.0))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_no_overflow_at_the_largest_doubles(self, alpha):
+        import mpmath
+
+        x = [1e308] * 3
+        with mpmath.workdps(50):
+            s = mpmath.mpf(1e308)
+            exact = ((2 * s + 1) / (3 * s + 1) * (s + 1) / (2 * s + 1) / (s + 1)) ** alpha
+        # 1/3e308 is subnormal, with 49 significant bits
+        assert sk.sato_survival(alpha, x) == pytest.approx(float(exact), rel=1e-12)
+        assert sk.sato_survival(alpha, [1e308, np.inf, 1.0]) == 0.0
 
     def test_agrees_with_additive_on_grid(self):
         rng = np.random.default_rng(64)
