@@ -21,6 +21,7 @@ from .errors import (
     NonPositiveEntryError,
     NotDMonotoneError,
     SpecValidationError,
+    UndecidedVerdictError,
     UnsupportedLawError,
 )
 from .sample import SampleMatrix, read_csv, write_csv
@@ -44,6 +45,7 @@ __all__ = [
     "write_csv",
     "SpecValidationError",
     "NotDMonotoneError",
+    "UndecidedVerdictError",
     "NonPositiveEntryError",
     "UnsupportedLawError",
     "DimensionCapError",

@@ -14,6 +14,10 @@ class NotDMonotoneError(SpecValidationError):
     """A sequence fails the required (log-)d-monotonicity precondition."""
 
 
+class UndecidedVerdictError(SpecValidationError):
+    """Double precision cannot decide the sign that a verdict rests on."""
+
+
 class NonPositiveEntryError(SpecValidationError):
     """A sequence contains non-positive entries where positivity is required."""
 

@@ -95,11 +95,11 @@ def _ordered_gap_logsf(log_b, x: np.ndarray) -> np.ndarray:
     """log sf(x) = sum_k (x_(k) - x_(k+1)) * log b_k over (..., d) arguments,
     for log_b = (log b_1..log b_d)."""
     s = np.sort(x, axis=-1)
-    with np.errstate(invalid="ignore"):
-        # two +inf coordinates give a NaN gap, which the mask below counts as 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        # two +inf coordinates give a NaN gap, which the mask below counts as 0;
+        # log_b <= 0, so a term or sum that overflows is -inf, a survival of 0
         gaps = np.diff(s, axis=-1, prepend=0.0)[..., ::-1]  # gaps[..., k-1] = x_(k) - x_(k+1)
-        terms = np.where(gaps > 0, gaps * log_b, 0.0)
-    return terms.sum(axis=-1)
+        return np.where(gaps > 0, gaps * log_b, 0.0).sum(axis=-1)
 
 
 def _checked_coordinates(x, d: int) -> np.ndarray:
@@ -422,27 +422,28 @@ def is_ciid_extendible(params) -> ExtendibilityVerdict:
     representation.
 
     Exponents (a_1..a_d) of an exponential law: a_k/a_1 must extend to a
-    moment sequence; a geometric law's :class:`LomParameterSeq`: b_0..b_d
-    itself must.  The reported Hankel values refer to the sequence actually
-    tested.  Geometric parameters that construction has not tested are
-    tested here.
+    moment sequence.  It is d-monotone, as its difference table holds the shock
+    rates, so its Hankel determinants decide, and a negative one within the
+    tolerance raises :class:`UndecidedVerdictError`.  A geometric law's
+    :class:`LomParameterSeq`: b_0..b_d itself must, tested for d-monotonicity
+    here unless construction has.  The Hankel values are those of the
+    sequence tested.
     """
     if isinstance(params, LomParameterSeq):
-        if not (params.tested or is_d_monotone(params.values)):
+        if params.tested:
+            return moments._hankel_verdict(params.values)
+        try:
+            return hausdorff_extendible(params.values)
+        except NotDMonotoneError:
             raise NotDMonotoneError(
                 "the model's b (derived from its p when p is given) is not d-monotone: "
                 f"{params.values}"
-            )
-        return moments._hankel_verdict(params.values)
+            ) from None
     a = tuple(params)
     if not a or a[0] <= 0.0:
         # d = 0 or no shock: degenerate law, trivially representable
         return ExtendibilityVerdict(extendible=True, hankel_values=(), min_hankel=0.0)
-    normalized = (1.0,) + tuple(v / a[0] for v in a[1:])
-    try:
-        return hausdorff_extendible(normalized)
-    except NotDMonotoneError:
-        raise NotDMonotoneError(
-            "the sequence a_k/a_1 of the model's exponents a_k = Psi(k) - Psi(k-1) "
-            f"is not d-monotone: {normalized}"
-        ) from None
+    return moments._hankel_verdict(
+        (1.0,) + tuple(v / a[0] for v in a[1:]),
+        refuse_band="the sequence a_k/a_1 of the model's exponents a_k = Psi(k) - Psi(k-1),",
+    )

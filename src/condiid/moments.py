@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotDMonotoneError, SpecValidationError, UnsupportedLawError
+from .errors import (NotDMonotoneError, SpecValidationError, UndecidedVerdictError,
+                     UnsupportedLawError)
 from .mixing import FiniteDiscrete, MixingLaw
 from .sample import SampleMatrix
 
@@ -194,8 +195,11 @@ def hausdorff_extendible(seq) -> ExtendibilityVerdict:
     return _hankel_verdict(values)
 
 
-def _hankel_verdict(values: tuple) -> ExtendibilityVerdict:
-    """:func:`hausdorff_extendible` of ``values`` known to be d-monotone."""
+def _hankel_verdict(values: tuple, refuse_band: str = "") -> ExtendibilityVerdict:
+    """:func:`hausdorff_extendible` of ``values`` known to be d-monotone.  Given
+    ``refuse_band``, the name of the sequence, an "extendible" that rests on a
+    negative determinant within the tolerance raises :class:`UndecidedVerdictError`:
+    a moment sequence's can fall far below HANKEL_TOL from size 4 on."""
     d = len(values) - 1
     arr = np.asarray(values, dtype=float)
     # a trailing 0 keeps the last window bound a valid index for reduceat
@@ -206,8 +210,16 @@ def _hankel_verdict(values: tuple) -> ExtendibilityVerdict:
         dets[slots] = np.linalg.det(src[index])
     scales = np.maximum.reduceat(np.abs(src), bounds)[::2]
     det_values = tuple(dets.tolist())
+    tol = HANKEL_TOL * np.maximum(scales, 1e-300)
+    extendible = not np.any(dets < -tol)
+    if refuse_band and extendible and np.any(dets < 0):
+        i = int(np.argmax(dets < 0))
+        raise UndecidedVerdictError(
+            f"the Hankel determinant {('hat', 'check')[i % 2]}_{i // 2 + 1} of {refuse_band} "
+            f"{values} is {det_values[i]!r}, above -{HANKEL_TOL} times its matrix scale: "
+            "double precision does not decide its sign")
     return ExtendibilityVerdict(
-        extendible=not np.any(dets < -HANKEL_TOL * np.maximum(scales, 1e-300)),
+        extendible=extendible,
         hankel_values=det_values,
         min_hankel=min(det_values, default=0.0),
     )

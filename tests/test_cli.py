@@ -321,7 +321,7 @@ class TestCheck:
         assert code == 0 and out.startswith("not extendible")
 
     def test_mo_refusal_names_the_derived_sequence(self):
-        # the d-monotone test fails on a_k/a_1, which the user never gave
+        # the refusal names a_k/a_1, which the user never gave
         d = 40
         model = json.dumps({"family": "marshall_olkin", "d": d,
                             "rates": [1e-3 / math.comb(d - 1, j) for j in range(d - 1)] + [0.05]})
@@ -437,8 +437,9 @@ class TestVerify:
     @pytest.mark.parametrize("family", ["marshall_olkin", "geometric"])
     def test_models_from_rates_or_p_at_large_d(self, family, d):
         # valid by construction: the model builds and samples, and check
-        # refuses with a typed error or gives the exact verdict: both laws are
-        # extendible, by the exact Hankel determinants of their rational a_k/a_1 or b
+        # refuses with a typed error, since double precision cannot decide
+        # these laws; both are extendible, by the exact Hankel determinants of
+        # their rational a_k/a_1 or b
         if family == "marshall_olkin":
             spec = {"family": family, "d": d,
                     "rates": [1e-3 / math.comb(d - 1, j) for j in range(d - 1)] + [0.05]}
@@ -453,18 +454,26 @@ class TestVerify:
         code, out, _ = run(["verify", "--model", model, "--n", "20000", "--seed", "1"])
         assert code == 0 and json.loads(out)["passed"] is True
         code, out, err = run(["check", "--model", model])
-        if code == 0:
-            assert out.startswith("extendible\n")
+        assert (code, out) == (1, "")
+        if family == "marshall_olkin":  # a_k/a_1 is d-monotone by construction
+            assert "hat_23 of the sequence a_k/a_1" in err and "does not decide its sign" in err
         else:
-            assert code == 1 and "not d-monotone" in err
+            assert "not d-monotone" in err
 
-    def test_sato_verify_at_the_largest_doubles_prints_no_nan(self):
-        model = json.dumps({"family": "sato", "alpha": 1, "d": 3})
-        grid = "[[1e308,1e308,1e308],[1,1,1]]"
-        code, out, err = run(["verify", "--model", model, "--seed", "1", "--grid", grid])
+    @pytest.mark.parametrize("model, grid, closed", [
+        ('{"family":"sato","alpha":1,"d":3}', "[[1e308,1e308,1e308],[1,1,1]]", 1 / 3e308),
+        # a +inf grid value is clamped to the largest double
+        ('{"family":"marshall_olkin","rates":[2.0,0.5]}', "[[1.7e308,1],[1,1]]", 0.0),
+        ('{"family":"marshall_olkin","rates":[2.0,0.5]}', "[[Infinity,1],[1,1]]", 0.0),
+        ('{"family":"geometric","b":[1.0,0.3,0.2]}', "[[1.7e308,1],[1,1]]", 0.0),
+        ('{"family":"geometric","b":[1.0,0.3,0.2]}', "[[Infinity,1],[1,1]]", 0.0),
+    ])
+    def test_verify_at_the_largest_doubles_prints_no_nan(self, model, grid, closed):
+        code, out, err = run(["verify", "--model", model, "--seed", "1", "--n", "2000",
+                              "--grid", grid])
         assert code == 0 and err == ""
         report = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in {out}"))
-        assert report["closed"][0] == pytest.approx(1 / 3e308, rel=1e-12)
+        assert report["closed"][0] == pytest.approx(closed, rel=1e-12)
 
     def test_sato_verified_beyond_d3(self):
         model = json.dumps({"family": "sato", "d": 5, "alpha": 1.05})

@@ -13,7 +13,7 @@ import first_passage_oracle as fp
 from test_cli import run as cli_run
 from test_moments import bareiss_det, exact_hankel_matrices
 from condiid import cli, diagnostics as dg, lack_of_memory as lom, shock_models as sk
-from condiid.errors import NotDMonotoneError, SpecValidationError
+from condiid.errors import NotDMonotoneError, SpecValidationError, UndecidedVerdictError
 from condiid.mixing import Beta, Gamma, PointMass
 from condiid.moments import HANKEL_TOL, moment_sequence
 
@@ -60,6 +60,11 @@ class TestSurvivalForms:
         params = lom.exponents_from_b((1.0, 0.6, 0.5))
         with pytest.raises(SpecValidationError):
             lom.mo_survival(params, [-0.1, 0.2])
+
+    def test_overflowing_exponent_gives_zero(self):
+        # gap * log b_1 is below the least double: the survival is 0, with no warning
+        assert lom.mo_survival(lom.exponents((2.0, 0.5)), [1.7e308, 1.0]) == 0.0
+        assert lom.geo_survival(lom.LomParameterSeq((1.0, 0.3, 0.2)), [1.7e308, 1.0]) == 0.0
 
 
 class TestReparameterizations:
@@ -463,14 +468,15 @@ class TestSubordinatorSampler:
     @pytest.mark.parametrize("d", [28, 32, 40])
     def test_rounded_b_is_refused_at_large_d(self, d):
         # b_k = exp(-psi(k)) is log-d-monotone by construction; the absolute
-        # tolerance of the tests refuses its rounded values at large d
+        # tolerance of the d-monotone test refuses its rounded values at large
+        # d, and double precision cannot decide the Hankel test of a_k/a_1
         sub = lom.CompoundPoissonSubordinatorSpec(drift=0.4, kill=0.1, jumps=((0.65, 1.0),))
         a = lom.exponents(sub.subset_rates(d)[1:])
         assert len(a) == d and min(a) > 0
         b = [1.0] + [math.exp(-sub.laplace_exponent(k)) for k in range(1, d + 1)]
         with pytest.raises(NotDMonotoneError):
             lom.rates_from_exponents(lom.exponents_from_b(b))
-        with pytest.raises(NotDMonotoneError):  # a refusal, never a silent verdict
+        with pytest.raises(UndecidedVerdictError):  # a refusal, never a silent verdict
             lom.is_ciid_extendible(a)
 
 
@@ -539,15 +545,18 @@ class TestExtendibility:
 
     def test_point_mass_at_0_3_is_on_the_boundary(self):
         # discrete: b_k = 0.3^k; continuous: psi(k) = (1 - 0.3^k) / 0.7, one jump of size
-        # log(10/3), so that a_k / a_1 = 0.3^(k-1).  Both decide on the moments of a point
+        # log(10/3), so that a_k / a_1 = 0.3^(k-1).  Both are the moments of a point
         # mass at 0.3, whose Hankel matrices of size 2 or more are singular.
         discrete = lom.LomParameterSeq(tuple(float(Fraction(3, 10) ** k) for k in range(7)))
+        verdict = lom.is_ciid_extendible(discrete)
+        assert verdict.extendible
+        assert verdict.hankel_values[:4] == pytest.approx((0.3, 0.7, 0.0, 0.21), abs=1e-12)
+        assert max(abs(h) for h in verdict.hankel_values[4:]) < 1e-12
+        # the exponents come from logs of b, so their singular determinants are
+        # rounding noise: a negative one may be a law just past the boundary
         continuous = lom.exponents_from_b(tuple(math.exp(-(1.0 - 0.3**k) / 0.7) for k in range(8)))
-        for params in (discrete, continuous):
-            verdict = lom.is_ciid_extendible(params)
-            assert verdict.extendible
-            assert verdict.hankel_values[:4] == pytest.approx((0.3, 0.7, 0.0, 0.21), abs=1e-12)
-            assert max(abs(h) for h in verdict.hankel_values[4:]) < 1e-12
+        with pytest.raises(UndecidedVerdictError, match="hat_3 .* does not decide its sign"):
+            lom.is_ciid_extendible(continuous)
 
 
 class TestBetaFamily:
@@ -595,18 +604,18 @@ def reference_survival(psi, x) -> float:
         return float(mpmath.exp(-mpmath.mpf(expo.numerator) / expo.denominator))
 
 
-def exact_verdict(psi, tol=HANKEL_TOL):
-    """Extendibility of a_k/a_1 by the exact Hankel determinants, or None where
-    one of them is within ``tol`` times its matrix's largest |entry| of 0:
-    ``hausdorff_extendible`` counts that as the boundary, so as extendible."""
+def exact_verdict(psi):
+    """(extendible, near) of a_k/a_1 by the exact Hankel determinants:
+    extendible iff none is negative, near iff one is within HANKEL_TOL times
+    its matrix's largest |entry| of 0, where double precision may not decide
+    its sign."""
     a = [psi[k] - psi[k - 1] for k in range(1, len(psi))]
-    dets = []
+    extendible, near = True, False
     for mat in exact_hankel_matrices([v / a[0] for v in a]):
-        scale = max(abs(x) for row in mat for x in row)
-        dets.append(bareiss_det(mat))
-        if abs(dets[-1]) <= Fraction(tol) * scale:
-            return None
-    return all(v > 0 for v in dets)
+        det = bareiss_det(mat)
+        extendible = extendible and det >= 0
+        near = near or abs(det) <= Fraction(HANKEL_TOL) * max(abs(x) for row in mat for x in row)
+    return extendible, near
 
 
 def harmonic_rates(d):
@@ -639,7 +648,7 @@ class TestExponents:
             reference_survival(exact_psi(harmonic_rates(12)), [0.001] * 12), rel=1e-11)
         code, out, _ = cli_run(["check", "--model", model])
         assert code == 0 and out.startswith("extendible\n")
-        assert exact_verdict(exact_psi(harmonic_rates(12)), tol=0) is True
+        assert exact_verdict(exact_psi(harmonic_rates(12)))[0] is True
         code, out, _ = cli_run(["verify", "--model", model, "--seed", "1", "--n", "20000"])
         assert code == 0 and json.loads(out)["passed"] is True
 
@@ -671,7 +680,24 @@ class TestExponents:
         # sum_k a_k x_(k) <= level, so the survival stays a normal double
         x = np.array(t) * (level / float(psi[-1]))
         assert model.evals["survival"](x) == pytest.approx(reference_survival(psi, x), rel=1e-12)
-        expected = exact_verdict(psi)
-        if expected is not None:
-            assert model.check().extendible is expected
+        extendible, near = exact_verdict(psi)
+        try:
+            assert model.check().extendible is extendible
+        except UndecidedVerdictError:
+            assert near  # refused only where an exact determinant is within the tolerance
+
+    def test_negative_determinant_within_the_tolerance_is_refused(self):
+        # hat_6 of a_k/a_1 is -2.1256e-12, exactly and in double precision
+        # alike: within HANKEL_TOL of 0, yet not the boundary
+        rates = [0.0, 0.6254560036688074, 0.5517189551771184, 0.5774790075515719,
+                 0.8610032712295707, 0.5529182165627552, 0.47264843947350643,
+                 0.4088772361778465, 0.09962954695591432, 0.8074833626712313, 0.0,
+                 0.6034696294169016, 0.060572197083155796, 0.22218834895626594,
+                 0.9885195421784823, 0.3774321391314525, 0.0, 0.0, 0.87553833728344,
+                 0.7507114732838188]
+        assert exact_verdict(exact_psi(rates)) == (False, True)
+        model = json.dumps({"family": "marshall_olkin", "rates": rates})
+        code, out, err = cli_run(["check", "--model", model])
+        assert (code, out) == (1, "")
+        assert "hat_6" in err and "-2.1255" in err and "does not decide its sign" in err
 
