@@ -11,6 +11,16 @@ binary ``m``) is refused.  Samples are written as CSV with header
 ``x1,...,xd`` and ``inf`` sentinels.  Exit codes: 0 ok, 1 validation error,
 2 verification failure, 3 I/O failure.
 
+Closed forms are evaluated through one contract.  Every entry of
+``Model.evals`` takes a (k, d) float array of points and returns their k
+values; ``Model.evaluate`` is the one place that checks them.  It refuses a
+point outside the kind's domain ([0, inf]^d for survival and stdf, [0, 1]^d
+for copula, R^d for cdf; a law on R^d takes its survival on R^d), and a
+value that is not finite, a probability outside [0, 1] or a negative stdf,
+each with a message that names the point and never prints the bad value.
+It neither sorts nor reorders coordinates.  ``eval`` evaluates one point,
+``verify`` its whole grid in one call.
+
 Imports follow one rule, so that a command loads only what it uses: numpy and
 the CLI plumbing (argparse, json, ``errors``, ``sample``) load with this
 module; a family module loads on first use, in the family's builder or the
@@ -32,11 +42,22 @@ from .errors import (SpecValidationError, json_field, json_known_fields, json_li
 from .sample import SampleMatrix, read_csv, write_csv
 
 
+# Each kind of closed form: the interval every coordinate of a point lies in.
+DOMAINS = {"survival": (0.0, math.inf), "stdf": (0.0, math.inf), "copula": (0.0, 1.0),
+           "cdf": (-math.inf, math.inf)}
+REAL_LINE = {"survival": DOMAINS["cdf"]}  # the domains of a law on R^d
+
+
 class Model:
-    """A parsed model: sampler plus whatever closed forms the family supports."""
+    """A parsed model: sampler plus whatever closed forms the family supports.
+
+    ``evals`` maps a kind to a function of a (k, d) array of points that
+    returns their k values; ``domains`` widens a kind's domain for a family
+    whose law lives on R^d.  Call the closed forms through :meth:`evaluate`.
+    """
 
     def __init__(self, family, d, sampler, evals=None, marginal_ppf=None, check=None,
-                 verify_kind="survival"):
+                 verify_kind="survival", domains=None):
         self.family = family
         self.d = d
         self.sampler = sampler
@@ -44,6 +65,31 @@ class Model:
         self.marginal_ppf = marginal_ppf
         self.check = check
         self.verify_kind = verify_kind
+        self.domains = {**DOMAINS, **(domains or {})}
+
+    def evaluate(self, kind: str, points) -> np.ndarray:
+        """The ``kind`` closed form at each row of the (k, d) array ``points``.
+
+        A point outside the kind's domain, NaN included, is refused before any
+        evaluation, and a value that is not finite, a probability outside
+        [0, 1] or a negative stdf after it; each refusal names the point.
+        """
+        points = np.asarray(points, dtype=float)
+        lo, hi = self.domains[kind]
+        outside = ~((points >= lo) & (points <= hi)).all(axis=-1)
+        if outside.any():
+            raise SpecValidationError(f"{kind} point {points[outside][0].tolist()} lies outside "
+                                      f"the domain [{lo:g}, {hi:g}]^d")
+        values = np.asarray(self.evals[kind](points), dtype=float)
+        if values.shape != points.shape[:1]:
+            raise SpecValidationError(f"{kind} closed form gave shape {values.shape} for "
+                                      f"{points.shape[0]} points")
+        top = math.inf if kind == "stdf" else 1.0
+        bad = ~((values >= 0.0) & (values <= top) & np.isfinite(values))
+        if bad.any():
+            wanted = "a finite value >= 0" if kind == "stdf" else "a probability in [0, 1]"
+            raise SpecValidationError(f"{kind} at point {points[bad][0].tolist()} is not {wanted}")
+        return values
 
     def default_grid(self):
         if self.marginal_ppf is None:
@@ -103,15 +149,15 @@ def _exch_normal(spec: dict, d: int) -> Model:
     rho = json_number(spec, "rho", "")
 
     def marginal_ppf(q):
-        from scipy.stats import norm
+        from scipy.special import ndtri
 
-        return mu + sigma * float(norm.ppf(q))
+        return mu + sigma * float(ndtri(q))
 
     cdf = lambda x: mixtures.exch_normal_cdf(mu, sigma, rho, x)
     return Model("exch_normal", d,
                  sampler=lambda n, rng: mixtures.sample_exch_normal(mu, sigma, rho, d, n, rng),
-                 evals={"cdf": cdf, "survival": lambda x: cdf(2.0 * mu - np.asarray(x, float))},
-                 marginal_ppf=marginal_ppf, verify_kind="cdf")
+                 evals={"cdf": cdf, "survival": lambda x: cdf(2.0 * mu - x)},
+                 marginal_ppf=marginal_ppf, verify_kind="cdf", domains=REAL_LINE)
 
 
 def _mixing_law(spec: dict):
@@ -150,8 +196,9 @@ def _archimedean(spec: dict, d: int) -> Model:
         return SampleMatrix(np.asarray(law.laplace(xs.data)), meta=f"archimedean {law!r}")
 
     copula = lambda u: mixtures.archimedean_copula_eval(law, u)
-    # the sample has uniform margins, so its cdf is the copula
-    return Model("archimedean", d, sampler=copula_sampler, evals={"copula": copula, "cdf": copula},
+    # the sample has uniform margins, so its cdf is the copula on [0, 1]^d
+    cdf = lambda x: copula(np.clip(x, 0.0, 1.0))
+    return Model("archimedean", d, sampler=copula_sampler, evals={"copula": copula, "cdf": cdf},
                  marginal_ppf=lambda q: q, check=_by_construction("m"), verify_kind="cdf")
 
 
@@ -190,7 +237,7 @@ def _marshall_olkin(spec: dict, d: int) -> Model:
         check = lambda: lom.is_ciid_extendible(a)
     # a_1 = Psi(1) is the rate of each exponential marginal
     return Model("marshall_olkin", d, sampler=sampler,
-                 evals={"survival": lambda x: float(lom.mo_survival(a, x))},
+                 evals={"survival": lambda x: lom.mo_survival(a, x)},
                  marginal_ppf=lambda q: -math.log1p(-q) / a[0], check=check)
 
 
@@ -213,7 +260,7 @@ def _geometric(spec: dict, d: int) -> Model:
     # the marginal is geometric on 0, 1, 2, ..., so its quantiles and the grid are integers
     return Model("geometric", d,
                  sampler=lambda n, rng: lom.sample_geo_shocks(shocks(), d, n, rng),
-                 evals={"survival": lambda x: float(lom.geo_survival(params, x))},
+                 evals={"survival": lambda x: lom.geo_survival(params, x)},
                  marginal_ppf=lambda q: max(0.0, math.ceil(math.log1p(-q) / math.log(b1))),
                  check=lambda: lom.is_ciid_extendible(params))
 
@@ -244,7 +291,7 @@ def _exshock(spec: dict, d: int) -> Model:
     d = _dimension(spec, "shocks", len(shocks))
     sspec = shock.ShockSurvivalSpec(shocks)
     return Model("exshock", d, sampler=lambda n, rng: shock.exshock_sample(sspec, d, n, rng),
-                 evals={"survival": lambda x: float(shock.exshock_survival(sspec, x)),
+                 evals={"survival": lambda x: shock.exshock_survival(sspec, x),
                         "copula": lambda u: shock.exshock_copula_eval(sspec, u)},
                  marginal_ppf=lambda q: shock.exshock_marginal_inverse(sspec, 1.0 - q))
 
@@ -257,7 +304,7 @@ def _dirichlet_prior(spec: dict, d: int) -> Model:
     return Model("dirichlet_prior", d, sampler=lambda n, rng: shock.sample_dp(c, base, d, n, rng),
                  evals={"survival": lambda x: shock.dp_survival(c, base, x),
                         "copula": lambda u: shock.dp_copula_eval(c, u)},
-                 marginal_ppf=lambda q: float(base.ppf(q)))
+                 marginal_ppf=lambda q: float(base.ppf(q)), domains=REAL_LINE)
 
 
 def _sato(spec: dict, d: int) -> Model:
@@ -265,7 +312,7 @@ def _sato(spec: dict, d: int) -> Model:
 
     alpha = json_number(spec, "alpha", "")
     return Model("sato", d, sampler=lambda n, rng: shock.sample_sato(alpha, d, n, rng),
-                 evals={"survival": lambda x: float(shock.sato_survival(alpha, x))},
+                 evals={"survival": lambda x: shock.sato_survival(alpha, x)},
                  marginal_ppf=lambda q: (1.0 - q) ** (-1.0 / alpha) - 1.0)
 
 
@@ -394,7 +441,7 @@ def cmd_eval(args) -> int:
     if point.shape != (model.d,):
         raise SpecValidationError(f"point {text!r} must have {model.d} coordinates, "
                                   f"as the model has d={model.d}")
-    value = float(model.evals[args.kind](point))
+    (value,) = model.evaluate(args.kind, point[None, :]).tolist()
     print(format(value, ".12g"))
     return 0
 
@@ -428,7 +475,7 @@ def cmd_verify(args) -> int:
     grid = np.minimum(grid, np.finfo(float).max)
     report = diagnostics.mc_verify(
         model.sampler,
-        model.evals[model.verify_kind],
+        functools.partial(model.evaluate, model.verify_kind),
         grid,
         args.n,
         args.seed,

@@ -334,7 +334,8 @@ class McReport:
         }
 
     def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
+        """The report as one JSON line; a NaN or infinity raises ValueError."""
+        return json.dumps(self.to_json(), sort_keys=True, allow_nan=False)
 
 
 # Bytes of sample columns that one block of the orthant count copies: the
@@ -387,7 +388,8 @@ def mc_verify(
     """Compare empirical orthant frequencies against closed-form values.
 
     ``sampler(n, rng)`` must return a SampleMatrix or array; ``survival``
-    evaluates the closed form at one grid point.  ``mode`` selects strict
+    evaluates the closed form at the whole (k, d) grid in one call and returns
+    its k values, and a result of another shape is refused.  ``mode`` selects strict
     survival probabilities P(X > g) (default) or cdf probabilities P(X <= g).
     ``threads`` counts independent random streams, drawn one after another:
     one draws from ``seed``, as ``condiid sample`` does, more from
@@ -424,7 +426,10 @@ def mc_verify(
     hits = sum(map(run_chunk, streams, sizes))
 
     empirical = hits / n
-    closed = np.array([float(survival(g)) for g in grid])
+    closed = np.asarray(survival(grid), dtype=float)
+    if closed.shape != (grid.shape[0],):
+        raise SpecValidationError(f"the closed form gave shape {closed.shape} for a grid of "
+                                  f"{grid.shape[0]} points; expected ({grid.shape[0]},)")
     stderr = np.sqrt(np.maximum(closed * (1.0 - closed), 0.0) / n)
     passed = bool(np.all(np.abs(empirical - closed) <= 3.0 * stderr + ABS_FLOOR))
     return McReport(

@@ -38,7 +38,7 @@ from .errors import (
     json_number,
     json_numbers,
 )
-from .mixing import MixingLaw, PointMass, _categorical, integrate, sample_positive_stable
+from .mixing import MixingLaw, PointMass, _categorical, integrate, sample_positive_stable, scalar_pow
 from .sample import SampleMatrix
 
 __all__ = [
@@ -69,8 +69,16 @@ class GSpec:
 
     kind = "abstract"
 
-    def ell(self, x: np.ndarray) -> float:
-        """l_G(x) = E[max_k x_k Y_k] for Y_k iid G, at positive x."""
+    def ell(self, x):
+        """l_G(x) = E[max_k x_k Y_k] for Y_k iid G over the last axis of finite,
+        non-negative ``x`` whose points each have a positive coordinate: one
+        value per point, a float for a single point."""
+        x = np.asarray(x, dtype=float)
+        out = self._ell(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1])
+        return out if out.ndim else float(out)
+
+    def _ell(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`ell` at the k rows of a (k, d) array."""
         raise NotImplementedError
 
     def tilted_draw(self, k: int, d: int, m: int, rng) -> np.ndarray:
@@ -101,8 +109,19 @@ class Frechet(GSpec):
         self.theta = float(theta)
         self.scale = math.gamma(1.0 - theta)
 
-    def ell(self, x):
-        return float(np.sum(x ** (1.0 / self.theta)) ** self.theta)
+    def _ell(self, x):
+        # (sum x_k**p)**theta with p = 1/theta; where the sum overflows or
+        # underflows, m (sum (x_k/m)**p)**theta with m the row maximum, whose
+        # top term is 1
+        p = 1.0 / self.theta
+        with np.errstate(over="ignore", under="ignore"):
+            total = np.sum(x ** p, axis=-1)
+            out = scalar_pow(total, self.theta)
+            redo = (total < np.finfo(float).tiny) | (total == math.inf)
+            if redo.any():
+                top = x[redo].max(axis=-1)
+                out[redo] = top * np.sum((x[redo] / top[:, None]) ** p, axis=-1) ** self.theta
+        return out
 
     def tilted_draw(self, k, d, m, rng):
         # (scale*Y)**(-1/theta) is Exp(1), and Gamma(1-theta) under the tilt
@@ -127,26 +146,26 @@ class Weibull(GSpec):
         except OverflowError:
             raise SpecValidationError(f"weibull index {theta} overflows Gamma(1 + theta)") from None
 
-    def ell(self, x):
+    def _ell(self, x):
         # With w = (scale u / max x)**(1/theta), G(u/x_k) = 1 - exp(-w r_k) for
         # r_k = (max x/x_k)**(1/theta).  The top coordinate alone gives l_G = max x; the
         # others Q add max x/scale * int (1 - exp(-w)) (1 - Q(w)) d(w**theta), 0 at w = 0
         # for every theta; w = c v**(1/kappa) widens its peak near w = theta for the rule.
-        i = int(np.argmax(x))
-        top, theta = float(x[i]), self.theta
-        if math.isinf(top):
-            return math.inf
+        # One rule serves every row: the integrand has a (k, nodes) shape.
+        rows, i = np.arange(len(x)), np.argmax(x, axis=-1)
+        top, theta = x[rows, i], self.theta
         c, kappa = max(1.0, theta), max(1.0, math.sqrt(theta))
+        with np.errstate(divide="ignore", over="ignore"):  # r = inf is an exact limit
+            r = (top[:, None] / x) ** (1.0 / theta)
+        r[rows, i] = math.inf  # the top factor is not in Q
 
         def fn(v, _):
             w = c * v ** (1.0 / kappa)
-            with np.errstate(divide="ignore", over="ignore"):  # r = inf and log(0) are exact limits
-                r = (top / x) ** (1.0 / theta)
-                r[i] = math.inf  # the top factor is not in Q
-                logq = np.log1p(-np.exp(-np.multiply.outer(w, r))).sum(axis=-1)
+            with np.errstate(divide="ignore", over="ignore"):  # log(0) is an exact limit
+                logq = np.log1p(-np.exp(-(w[:, None] * r[:, None, :]))).sum(axis=-1)
                 return np.exp(np.log(-np.expm1(-w)) + np.log(-np.expm1(logq)) + theta * np.log(w) - np.log(v))
 
-        return top * (1.0 + theta / kappa / self.scale * float(integrate(fn, 0.0, math.inf)))
+        return top * (1.0 + theta / kappa / self.scale * integrate(fn, 0.0, math.inf))
 
     def tilted_draw(self, k, d, m, rng):
         # (scale*Y)**(1/theta) is Exp(1), and Gamma(1+theta) under the tilt
@@ -171,13 +190,14 @@ class MOAtom(GSpec):
             m = PointMass(float(m))
         self.m = m
 
-    def ell(self, x):
+    def _ell(self, x):
         # l_{G_q}(x) = sum_j (1 + q + ... + q^(j-1)) * gap_j over the gaps of
-        # the decreasingly sorted x, and E[q^i] = phi(i)
-        s = np.sort(x)[::-1]
-        gaps = s - np.concatenate([s[1:], [0.0]])
-        coeff = np.cumsum(self.m.laplace(np.arange(s.size)))
-        return float(coeff @ gaps)
+        # the decreasingly sorted x, and E[q^i] = phi(i).  One dot product per
+        # row: a matrix product rounds the sums otherwise
+        s = np.sort(x, axis=-1)[:, ::-1]
+        gaps = s - np.concatenate([s[:, 1:], np.zeros((len(x), 1))], axis=1)
+        coeff = np.cumsum(self.m.laplace(np.arange(x.shape[-1])))
+        return np.array([coeff @ g for g in gaps])
 
     def tilted_draw(self, k, d, m, rng):
         # Given q, Y_j = 1{U_j < 1-q}/(1-q); the tilt fixes Y_k = 1/(1-q) and
@@ -220,16 +240,18 @@ class StepFunction(GSpec):
         out = vals[idx]
         return out if out.ndim else float(out)
 
-    def ell(self, x):
-        # 1 - prod_k G(u/x_k) is piecewise constant between products of
-        # breakpoints and coordinates: integrate exactly
-        breaks = np.unique(np.concatenate([[0.0]] + [xk * self.points for xk in x]))
-        mids = 0.5 * (breaks[1:] + breaks[:-1])
-        prods = np.ones(mids.size)
-        for xk in x:
-            prods *= self.cdf(mids / xk)
-        total = float(np.sum((1.0 - prods) * np.diff(breaks)))
-        return total  # integrand vanishes beyond max(x)*points[-1]
+    def _ell(self, x):
+        # 1 - prod_k G(u/x_k) is piecewise constant between the sorted products
+        # of breakpoints and coordinates: integrate exactly.  A repeated break
+        # spans no width; at x_k = 0, u/x_k is inf, or NaN where u = 0, and
+        # G is 1 at either
+        k = len(x)
+        breaks = np.sort(np.concatenate([np.zeros((k, 1)), (x[:, :, None] * self.points).reshape(k, -1)],
+                                        axis=1), axis=1)
+        mids = 0.5 * (breaks[:, 1:] + breaks[:, :-1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prods = np.prod(self.cdf(mids[:, :, None] / x[:, None, :]), axis=-1)
+        return np.sum((1.0 - prods) * np.diff(breaks, axis=1), axis=-1)  # 0 beyond max(x)*points[-1]
 
     def tilted_draw(self, k, d, m, rng):
         # Y_j = points[I_j] with I_j drawn from the step masses; under the
@@ -271,11 +293,13 @@ class Triplet:
         self.c = float(c)
         self.atoms = atoms
 
-    def ell(self, x: np.ndarray) -> float:
+    def ell(self, x: np.ndarray) -> np.ndarray:
+        """l at the k rows of a (k, d) array of finite, non-negative points, each
+        with a positive coordinate."""
         total_rate = self.b + self.c
-        out = self.c / total_rate * sum(w * g.ell(x) for g, w in self.atoms)
-        if self.b > 0:  # b = 0 adds no 0 * inf at an infinite coordinate
-            out += self.b / total_rate * float(np.sum(x))
+        out = self.c / total_rate * sum(w * g._ell(x) for g, w in self.atoms)
+        if self.b > 0:
+            out += self.b / total_rate * np.sum(x, axis=-1)
         return out
 
     def marginal_rate(self) -> float:
@@ -322,33 +346,43 @@ def lf(g: GSpec) -> Triplet:
     return Triplet(0.0, 1.0, [(g, 1.0)])
 
 
-def stdf_eval(spec: Triplet, x) -> float:
-    """Evaluate a stable tail dependence function; homogeneous of degree 1,
-    bounded by max(x) <= l(x) <= sum(x).  Zero coordinates are immaterial."""
-    x = np.asarray(x, dtype=float)
-    if (x < 0).any():
-        raise SpecValidationError("arguments must be non-negative")
-    x = x[x > 0]
-    if x.size == 0:
-        return 0.0
-    return spec.ell(x)
+def stdf_eval(spec: Triplet, x):
+    """Evaluate a stable tail dependence function over the last axis of ``x``,
+    points of [0, inf]^d; homogeneous of degree 1, bounded by
+    max(x) <= l(x) <= sum(x).  Zero coordinates are immaterial: a point of
+    zeros gives 0, and one with an infinite coordinate inf."""
+    x = np.asarray(x, dtype=float) + 0.0  # -0 becomes +0
+    rows = x.reshape(-1, x.shape[-1])
+    top = rows.max(axis=-1)
+    out = np.where(top > 0, math.inf, 0.0)
+    inner = (top > 0) & (top < math.inf)
+    if inner.any():
+        out[inner] = spec.ell(rows[inner])
+    out = out.reshape(x.shape[:-1])
+    return out if out.ndim else float(out)
 
 
-def minstable_survival(spec: Triplet, rate: float, x) -> float:
-    """sf(x) = exp(-rate*l(x)); satisfies sf(x)**t = sf(t*x) exactly."""
+def minstable_survival(spec: Triplet, rate: float, x):
+    """sf(x) = exp(-rate*l(x)) over the last axis of ``x``; satisfies
+    sf(x)**t = sf(t*x) exactly."""
     if rate <= 0:
         raise SpecValidationError("marginal rate must be positive")
-    return math.exp(-rate * stdf_eval(spec, x))
+    return _exp_of_negative(rate * np.asarray(stdf_eval(spec, x)))
 
 
-def extreme_value_copula_eval(spec: Triplet, u) -> float:
-    """C(u) = exp(-l(-log u_1, ..., -log u_d)); max-stable: C(u)**t = C(u**t)."""
-    u = np.asarray(u, dtype=float)
-    if ((u < 0) | (u > 1)).any():
-        raise SpecValidationError("copula arguments must lie in [0,1]")
-    if (u == 0).any():
-        return 0.0
-    return math.exp(-stdf_eval(spec, -np.log(u)))
+def extreme_value_copula_eval(spec: Triplet, u):
+    """C(u) = exp(-l(-log u_1, ..., -log u_d)) over the last axis of ``u``,
+    points of [0, 1]^d; max-stable: C(u)**t = C(u**t).  A zero coordinate
+    gives 0."""
+    with np.errstate(divide="ignore"):  # -log 0 = inf, where l is inf
+        return _exp_of_negative(np.asarray(stdf_eval(spec, -np.log(u))))
+
+
+def _exp_of_negative(values: np.ndarray):
+    """exp(-v) of each value by ``math.exp``, whose bits the numpy exp need not
+    give; a float for a 0-d array."""
+    out = np.array([math.exp(-v) for v in values.ravel().tolist()]).reshape(values.shape)
+    return out if out.ndim else float(out)
 
 
 # -- samplers -------------------------------------------------------------------

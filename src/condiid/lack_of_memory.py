@@ -102,35 +102,26 @@ def _ordered_gap_logsf(log_b, x: np.ndarray) -> np.ndarray:
         return np.where(gaps > 0, gaps * log_b, 0.0).sum(axis=-1)
 
 
-def _checked_coordinates(x, d: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if (x < 0).any():
-        raise SpecValidationError("coordinates must be non-negative")
-    if x.shape[-1] != d:
-        raise SpecValidationError(f"expected {d} coordinates, got {x.shape[-1]}")
-    return x
-
-
 def mo_survival(a, x) -> float | np.ndarray:
     """Closed-form joint survival exp(-sum_k a_k x_(k)) of the exponential law
-    with exponents ``a`` = (a_1..a_d)."""
-    x = _checked_coordinates(x, len(a))
-    out = np.exp(_ordered_gap_logsf(-np.cumsum(a), x))
+    with exponents ``a`` = (a_1..a_d), over the last axis of ``x``, points of
+    [0, inf]^d."""
+    out = np.exp(_ordered_gap_logsf(-np.cumsum(a), np.asarray(x, dtype=float)))
     return out if out.ndim else float(out)
 
 
 def geo_survival(params: LomParameterSeq, nvec) -> float | np.ndarray:
-    """Closed-form joint survival of the geometric law on the integer grid."""
+    """Closed-form joint survival of the geometric law over the last axis of
+    ``nvec``, points of the integer grid in [0, inf]^d."""
     nvec = np.asarray(nvec)
     if not np.issubdtype(nvec.dtype, np.integer):
         rounded = np.rint(np.asarray(nvec, dtype=float))
         if (rounded != nvec).any():  # compared, not subtracted: inf - rint(inf) is NaN
             raise SpecValidationError("geometric survival is defined on integer grids")
         nvec = rounded
-    nvec = _checked_coordinates(nvec, params.d)
     with np.errstate(divide="ignore"):  # b_k = 0 gives log b_k = -inf
         log_b = np.log(params.values[1:])
-    out = np.exp(_ordered_gap_logsf(log_b, nvec))
+    out = np.exp(_ordered_gap_logsf(log_b, np.asarray(nvec, dtype=float)))
     return out if out.ndim else float(out)
 
 

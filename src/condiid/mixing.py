@@ -9,6 +9,7 @@ uses ``{"family": ..., params}``.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -56,6 +57,24 @@ def integrate(fn, lo: float, hi: float):
     width = hi - lo
     x = np.where(_TANH_T < 0, lo + width * _TANH_X, hi - width * _TANH_REST)
     return width * np.sum(fn(x, width * _TANH_REST) * _TANH_W, axis=-1)
+
+
+def scalar_pow(base, exponent: float) -> np.ndarray:
+    """base**exponent for each value of ``base`` by the C library's pow.
+
+    numpy's vector pow rounds some values otherwise than the scalar pow, so a
+    closed form evaluated over many points at once raises with this, and each
+    point keeps the bits it has alone."""
+    base = np.asarray(base, dtype=float)
+    if exponent == 1.0:  # pow is exact there, and a Gamma(1) Sato law often takes it
+        return base.copy()
+    values = base.ravel().tolist()
+    try:
+        out = np.fromiter(map(math.pow, values, itertools.repeat(exponent)), float, len(values))
+    except OverflowError:  # math.pow refuses a result beyond the doubles, which is inf
+        with np.errstate(over="ignore"):
+            out = np.array([np.float64(v) ** exponent for v in values])
+    return out.reshape(base.shape)
 
 
 def _categorical(p: np.ndarray, size, rng: np.random.Generator) -> np.ndarray:

@@ -59,20 +59,24 @@ def sample_exch_normal(mu, sigma, rho, d, n, rng) -> SampleMatrix:
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(80)
 
 
-def exch_normal_cdf(mu, sigma, rho, x) -> float:
-    """Joint cdf of the equicorrelated normal law by mixing over the shared factor."""
-    from scipy.stats import norm
+def exch_normal_cdf(mu, sigma, rho, x):
+    """Joint cdf of the equicorrelated normal law over the last axis of ``x``,
+    by mixing over the shared factor: one Gauss-Hermite rule for every point."""
+    from scipy.special import ndtr
 
     if not 0.0 <= rho <= 1.0:
         raise SpecValidationError(f"correlation must lie in [0,1], got {rho}")
     x = np.asarray(x, dtype=float)
     if rho == 1.0:
-        return float(norm.cdf((x.min() - mu) / sigma))
-    z = (x[None, :] - mu - sigma * math.sqrt(rho) * _GH_NODES[:, None]) / (
-        sigma * math.sqrt(1.0 - rho)
-    )
-    vals = norm.cdf(z).prod(axis=1)
-    return float(np.sum(_GH_WEIGHTS * vals) / math.sqrt(2.0 * math.pi))
+        out = ndtr((x.min(axis=-1) - mu) / sigma)
+    else:
+        with np.errstate(over="ignore"):  # z beyond the doubles is +-inf, where ndtr is exact
+            z = (x[..., None, :] - mu - sigma * math.sqrt(rho) * _GH_NODES[:, None]) / (
+                sigma * math.sqrt(1.0 - rho)
+            )
+        vals = ndtr(z).prod(axis=-1)
+        out = np.sum(_GH_WEIGHTS * vals, axis=-1) / math.sqrt(2.0 * math.pi)
+    return out if out.ndim else float(out)
 
 
 # -- spherical ----------------------------------------------------------------
@@ -115,11 +119,14 @@ def sample_l1_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
     return SampleMatrix(data, meta=f"l1_ciid {law!r} d={d}")
 
 
-def l1_ciid_survival(law: MixingLaw, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if (x < 0).any():
-        raise SpecValidationError("survival arguments must be non-negative")
-    return float(law.laplace(float(x.sum())))
+def l1_ciid_survival(law: MixingLaw, x):
+    """phi(||x||_1) over the last axis of ``x``, points of [0, inf]^d.  phi
+    takes each norm on its own: the vector pow of a Gamma law's phi rounds
+    some values otherwise than the scalar one."""
+    with np.errstate(over="ignore"):  # a sum beyond the largest double is inf, where phi is 0
+        total = np.sum(np.asarray(x, dtype=float), axis=-1)
+    out = np.array([law.laplace(t) for t in np.ravel(total).tolist()]).reshape(total.shape)
+    return out if out.ndim else float(out)
 
 
 # -- Archimedean copulas ------------------------------------------------------
@@ -138,15 +145,20 @@ def laplace_inverse(law: MixingLaw, u: float) -> float:
     return x if x < math.inf and law.laplace(2.0 * x) < u else math.inf
 
 
-def archimedean_copula_eval(law: MixingLaw, u) -> float:
+def archimedean_copula_eval(law: MixingLaw, u):
     """phi(phi^{-1}(u_1) + ... + phi^{-1}(u_d)) with phi the Laplace transform
-    of ``law``; any zero coordinate gives 0."""
+    of ``law``, over the last axis of ``u``, points of [0, 1]^d; any zero
+    coordinate gives 0.  Each coordinate is inverted by its own bisection."""
     u = np.asarray(u, dtype=float)
-    if ((u < 0) | (u > 1)).any():
-        raise SpecValidationError("copula arguments must lie in [0,1]")
-    if (u == 0).any():
+    out = np.array([_archimedean_at(law, p) for p in u.reshape(-1, u.shape[-1]).tolist()])
+    out = out.reshape(u.shape[:-1])
+    return out if out.ndim else float(out)
+
+
+def _archimedean_at(law: MixingLaw, u: list) -> float:
+    if 0.0 in u:
         return 0.0
-    total = sum(laplace_inverse(law, float(v)) for v in u)
+    total = sum(laplace_inverse(law, v) for v in u)
     if math.isinf(total):
         return 0.0
     return float(law.laplace(total))
@@ -178,12 +190,16 @@ def sample_linf_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
     return SampleMatrix(data, meta=f"linf_ciid {law!r} d={d}")
 
 
-def linf_ciid_survival(law: MixingLaw, x) -> float:
-    """P(X > x) = E[prod_k max(0, 1 - x_k/M)] for X = M*U."""
+def linf_ciid_survival(law: MixingLaw, x):
+    """P(X > x) = E[prod_k max(0, 1 - x_k/M)] for X = M*U, over the last axis
+    of ``x``, points of [0, inf]^d.  The integral starts at each point's
+    maximum, so each point has its own rule."""
     x = np.asarray(x, dtype=float)
-    if (x < 0).any():
-        raise SpecValidationError("survival arguments must be non-negative")
-    return float(law.expect(lambda m: np.prod(1.0 - np.divide.outer(x, m), axis=0), lower=x.max()))
+    out = np.array([
+        float(law.expect(lambda m: np.prod(1.0 - np.divide.outer(p, m), axis=0), lower=p.max()))
+        for p in x.reshape(-1, x.shape[-1])
+    ]).reshape(x.shape[:-1])
+    return out if out.ndim else float(out)
 
 
 def linf_marginal_cdf(law: MixingLaw, x) -> float:

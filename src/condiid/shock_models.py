@@ -41,6 +41,7 @@ from .errors import (
 )
 from .inverse import monotone_inverse
 from .lack_of_memory import _death_chain
+from .mixing import scalar_pow
 from .sample import SampleMatrix
 
 __all__ = [
@@ -129,7 +130,7 @@ class WeibullShock(ShockSurvival):
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.exp(-((np.maximum(x, 0.0) / self.scale) ** self.shape))
+        out = np.exp(-scalar_pow(np.maximum(x, 0.0) / self.scale, self.shape))
         return out if out.ndim else float(out)
 
     def sample(self, n, rng):
@@ -153,7 +154,7 @@ class ParetoShock(ShockSurvival):
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
-        out = (1.0 + np.maximum(x, 0.0) / self.scale) ** (-self.alpha)
+        out = scalar_pow(1.0 + np.maximum(x, 0.0) / self.scale, -self.alpha)
         return out if out.ndim else float(out)
 
     def sample(self, n, rng):
@@ -259,13 +260,10 @@ def exshock_sample(spec: ShockSurvivalSpec, d: int, n: int, rng) -> SampleMatrix
 
 
 def exshock_survival(spec: ShockSurvivalSpec, x) -> float | np.ndarray:
-    """Joint survival prod_{k,m} hbar_m(x_{[d-k+1]})**C(d-k, m-1)."""
+    """Joint survival prod_{k,m} hbar_m(x_{[d-k+1]})**C(d-k, m-1) over the
+    last axis of ``x``, points of [0, inf]^d."""
     x = np.asarray(x, dtype=float)
     d = spec.d
-    if (x < 0).any():
-        raise SpecValidationError("coordinates must be non-negative")
-    if x.shape[-1] != d:
-        raise SpecValidationError(f"expected {d} coordinates")
     s = np.sort(x, axis=-1)
     log_sf = np.zeros(x.shape[:-1])
     for k in range(1, d + 1):
@@ -296,16 +294,19 @@ def exshock_marginal_inverse(spec: ShockSurvivalSpec, u: float) -> float:
     return monotone_inverse(lambda x: exshock_marginal_survival(spec, x) <= u)
 
 
-def exshock_copula_eval(spec: ShockSurvivalSpec, u) -> float:
+def exshock_copula_eval(spec: ShockSurvivalSpec, u):
     """Survival copula chat(u) = u_[1] * prod_{k>=2} g_k(u_[k]) with
-    g_k = prod_m (hbar_m o sfinv_1)**C(d-k, m-1)."""
+    g_k = prod_m (hbar_m o sfinv_1)**C(d-k, m-1), over the last axis of ``u``,
+    points of [0, 1]^d.  The marginal inverses are bisections, one per
+    coordinate of each point."""
     u = np.asarray(u, dtype=float)
-    if ((u < 0) | (u > 1)).any():
-        raise SpecValidationError("copula arguments must lie in [0,1]")
+    out = np.array([_exshock_copula_at(spec, p) for p in np.sort(u.reshape(-1, u.shape[-1]), axis=-1)])
+    out = out.reshape(u.shape[:-1])
+    return out if out.ndim else float(out)
+
+
+def _exshock_copula_at(spec: ShockSurvivalSpec, s: np.ndarray) -> float:
     d = spec.d
-    if u.shape != (d,):
-        raise SpecValidationError(f"expected {d} coordinates")
-    s = np.sort(u)
     if s[0] == 0.0:
         return 0.0
     inv_cache: dict[float, float] = {}
@@ -444,20 +445,20 @@ def sample_dp(c: float, base: BaseDistribution, d: int, n: int, rng) -> SampleMa
     return SampleMatrix(data, meta=f"dirichlet_prior c={c} base={base.family} d={d}")
 
 
-def dp_copula_eval(c: float, u) -> float:
-    """chat_c(u) = u_[1] * prod_{k=2}^d (c*u_[k] + k - 1)/(c + k - 1)."""
+def dp_copula_eval(c: float, u):
+    """chat_c(u) = u_[1] * prod_{k=2}^d (c*u_[k] + k - 1)/(c + k - 1) over the
+    last axis of ``u``, points of [0, 1]^d."""
     if c <= 0:
         raise SpecValidationError("concentration must be positive")
-    u = np.asarray(u, dtype=float)
-    if ((u < 0) | (u > 1)).any():
-        raise SpecValidationError("copula arguments must lie in [0,1]")
-    s = np.sort(u)
-    k = np.arange(2, u.size + 1)
-    return float(s[0] * np.prod((c * s[1:] + k - 1) / (c + k - 1)))
+    s = np.sort(np.asarray(u, dtype=float), axis=-1)
+    k = np.arange(2, s.shape[-1] + 1)
+    out = s[..., 0] * np.prod((c * s[..., 1:] + k - 1) / (c + k - 1), axis=-1)
+    return out if out.ndim else float(out)
 
 
-def dp_survival(c: float, base: BaseDistribution, x) -> float:
-    """P(X > x) for DP samples: the copula applied to marginal survivals."""
+def dp_survival(c: float, base: BaseDistribution, x):
+    """P(X > x) for DP samples over the last axis of ``x``: the copula applied
+    to marginal survivals."""
     x = np.asarray(x, dtype=float)
     return dp_copula_eval(c, 1.0 - np.asarray(base.cdf(x), dtype=float))
 
@@ -465,7 +466,8 @@ def dp_survival(c: float, base: BaseDistribution, x) -> float:
 # -- Sato frailty -------------------------------------------------------------------
 
 def sato_survival(alpha: float, x) -> float | np.ndarray:
-    """P(X > x) = (prod_k ((m-1)*x_[k] + 1)/(m*x_[k] + 1))**alpha, m = d-k+1.
+    """P(X > x) = (prod_k ((m-1)*x_[k] + 1)/(m*x_[k] + 1))**alpha, m = d-k+1,
+    over the last axis of ``x``, points of [0, inf]^d.
 
     Each factor is written with numerator and denominator divided by
     max(x_[k], 1), so that it cannot overflow; a +inf coordinate gives the
@@ -474,13 +476,11 @@ def sato_survival(alpha: float, x) -> float | np.ndarray:
     if alpha <= 0:
         raise SpecValidationError("alpha must be positive")
     x = np.asarray(x, dtype=float)
-    if (x < 0).any():
-        raise SpecValidationError("coordinates must be non-negative")
     d = x.shape[-1]
     s = np.sort(x, axis=-1)
     m = np.arange(d, 0, -1, dtype=float)
     u, v = np.minimum(s, 1.0), 1.0 / np.maximum(s, 1.0)
-    out = np.prod(((m - 1.0) * u + v) / (m * u + v), axis=-1) ** alpha
+    out = scalar_pow(np.prod(((m - 1.0) * u + v) / (m * u + v), axis=-1), alpha)
     return out if out.ndim else float(out)
 
 

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condiid import cli
-from condiid.errors import UnsupportedLawError
+from condiid.errors import SpecValidationError, UnsupportedLawError
 from condiid.sample import read_csv
 
 
@@ -261,6 +264,157 @@ class TestEval:
         code, _, err = run(["eval", "--model", MO_MODEL, "--point", "1,1,1", "--kind", "stdf"])
         assert code == 1
         assert "kind" in err
+
+    @pytest.mark.parametrize("family, kind, point, message", [
+        ("marshall_olkin", "survival", "--point=-1,1",
+         "survival point [-1.0, 1.0] lies outside the domain [0, inf]^d"),
+        ("sato", "survival", "--point=0.5,-1e308",
+         "survival point [0.5, -1e+308] lies outside the domain [0, inf]^d"),
+        ("minstable", "stdf", "--point=-inf,1",
+         "stdf point [-inf, 1.0] lies outside the domain [0, inf]^d"),
+        ("l1", "copula", "--point=0.5,1.5",
+         "copula point [0.5, 1.5] lies outside the domain [0, 1]^d"),
+        ("exshock", "copula", "--point=-0.1,0.5",
+         "copula point [-0.1, 0.5] lies outside the domain [0, 1]^d"),
+    ])
+    def test_point_outside_the_domain_is_refused(self, family, kind, point, message):
+        code, out, err = run(["eval", "--model", json.dumps(eval_model(family)), point,
+                              "--kind", kind])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("family, point, value", [
+        ("exch_normal", "--point=-1e308,1", "0.158655253931"),  # P(X_2 > 1)
+        ("dirichlet_prior", "--point=-1,0.5", "0.5"),  # uniform base: P(X_2 > 0.5)
+    ])
+    def test_law_on_the_real_line_takes_its_survival_on_it(self, family, point, value):
+        assert run(["eval", "--model", json.dumps(eval_model(family)), point]) == (0, value + "\n", "")
+
+    def test_archimedean_cdf_is_the_copula_of_the_clipped_point(self):
+        model = json.dumps(eval_model("archimedean"))
+        for point, same in (("--point=-1,0.4", "0,0.4"), ("--point=0.3,2", "0.3,1"),
+                            ("--point=inf,0.25", "1,0.25")):
+            code, out, err = run(["eval", "--model", model, point, "--kind", "cdf"])
+            assert (code, err) == (0, "")
+            assert out == run(["eval", "--model", model, "--point", same, "--kind", "copula"])[1]
+
+    @pytest.mark.parametrize("stdf, point, value", [
+        ({"kind": "logistic", "theta": 0.5}, "1e308,1e308", "1.41421356237e+308"),
+        ({"kind": "lf", "g": {"kind": "frechet", "theta": 0.5}}, "1e200,1e200",
+         "1.41421356237e+200"),
+        ({"kind": "logistic", "theta": 0.5}, "1e-300,1e-300", "1.41421356237e-300"),
+        ({"kind": "logistic", "theta": 0.5}, "5e-324,0", "4.94065645841e-324"),
+    ], ids=["logistic_1e308", "lf_frechet_1e200", "logistic_1e-300", "subnormal"])
+    def test_stdf_at_extreme_doubles_is_finite(self, stdf, point, value):
+        # (sum x_k**2)**0.5 overflows or underflows there; the row maximum scales it
+        model = json.dumps({"family": "minstable", "d": 2, "stdf": stdf})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(["eval", "--model", model, "--point", point, "--kind", "stdf"])
+        assert result == (0, value + "\n", "")
+
+    @pytest.mark.parametrize("point", ["inf,1", "0,inf"])
+    def test_infinite_stdf_is_refused(self, point):
+        model = json.dumps(eval_model("minstable"))
+        x, y = (float(v) for v in point.split(","))
+        code, out, err = run(["eval", "--model", model, "--point", point, "--kind", "stdf"])
+        assert (code, out) == (1, "")
+        assert err == f"error: stdf at point {[x, y]} is not a finite value >= 0\n"
+
+
+def contract_model(evals):
+    return cli.Model("test", 2, sampler=None, evals=evals)
+
+
+class TestEvaluateContract:
+    """``Model.evaluate``, the one checked entry to every closed form."""
+
+    @pytest.mark.parametrize("kind, value, wanted", [
+        ("survival", 1.5, "a probability in [0, 1]"),
+        ("cdf", -1e-300, "a probability in [0, 1]"),
+        ("copula", math.nan, "a probability in [0, 1]"),
+        ("survival", math.inf, "a probability in [0, 1]"),
+        ("stdf", -0.5, "a finite value >= 0"),
+        ("stdf", math.nan, "a finite value >= 0"),
+    ])
+    def test_bad_value_is_refused_by_its_point(self, kind, value, wanted):
+        model = contract_model({kind: lambda x: np.where(x[:, 0] > 0.4, value, 0.25)})
+        assert model.evaluate(kind, [[0.3, 0.3]]).tolist() == [0.25]
+        with pytest.raises(SpecValidationError) as info:
+            model.evaluate(kind, [[0.3, 0.3], [0.5, 0.25], [0.75, 0.5]])
+        assert str(info.value) == f"{kind} at point [0.5, 0.25] is not {wanted}"
+        assert repr(value) not in str(info.value)
+
+    def test_result_of_another_shape_is_refused(self):
+        model = contract_model({"survival": lambda x: 0.5})
+        with pytest.raises(SpecValidationError, match=r"survival closed form gave shape \(\) for 2 points"):
+            model.evaluate("survival", [[0.3, 0.3], [0.5, 0.25]])
+
+    def test_points_reach_the_closed_form_as_given(self):
+        seen = []
+        model = contract_model({"survival": lambda x: seen.append(x.copy()) or np.full(len(x), 0.5)})
+        points = [[2.0, -0.0], [0.5, 1e308], [math.inf, 0.25]]
+        model.evaluate("survival", points)
+        assert np.array_equal(seen[0], points) and math.copysign(1.0, seen[0][0, 1]) == -1.0
+
+    def test_nan_is_outside_every_domain(self):
+        for kind in cli.DOMAINS:
+            model = contract_model({kind: lambda x: np.full(len(x), 0.5)})
+            with pytest.raises(SpecValidationError, match=r"point \[nan, 0.5\] lies outside"):
+                model.evaluate(kind, [[math.nan, 0.5]])
+
+
+# Coordinates of the drawn points: the edges of the double range, and random values
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-300, 0.5, 1.0, 1e200, 1e308,
+               np.finfo(float).max, math.inf, -1.0, -1e308, -math.inf]
+COORDINATES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1.0), st.floats(-5.0, 50.0))
+CONTRACT_CASES = [(family, kind) for family in sorted(EVAL_MODELS)
+                  for kind in sorted(cli.build_model(eval_model(family)).evals)]
+CONTRACT_REFUSAL = (r"(survival|cdf|copula|stdf) (point \[.*\] lies outside the domain "
+                    r"\[-?(0|1|inf), (1|inf)\]\^d|at point \[.*\] is not (a probability in \[0, 1\]"
+                    r"|a finite value >= 0))|geometric survival is defined on integer grids")
+
+
+@pytest.mark.parametrize("family, kind", CONTRACT_CASES, ids=[f"{f}-{k}" for f, k in CONTRACT_CASES])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_closed_form_keeps_the_contract(family, kind, data):
+    """Each point either gets a finite value in range, with no warning, or is
+    refused with the contract's message; the (k, d) call gives each point the
+    bits it has alone, and a survival is non-increasing in each coordinate."""
+    model = cli.build_model(eval_model(family))
+    points = np.array(data.draw(st.lists(st.lists(COORDINATES, min_size=2, max_size=2),
+                                         min_size=1, max_size=4)))
+    if family == "geometric":  # its survival lives on the integer grid
+        points = np.rint(points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = {}
+        for i, point in enumerate(points):
+            try:
+                alone[i] = model.evaluate(kind, point[None, :])
+            except SpecValidationError as exc:
+                assert re.fullmatch(CONTRACT_REFUSAL, str(exc)), str(exc)
+        if len(alone) < len(points):
+            with pytest.raises(SpecValidationError):
+                model.evaluate(kind, points)
+        if not alone:
+            return
+        values = model.evaluate(kind, points[list(alone)])
+        assert values.tobytes() == np.concatenate(list(alone.values())).tobytes()
+        top = math.inf if kind == "stdf" else 1.0
+        assert np.all(np.isfinite(values) & (values >= 0.0) & (values <= top))
+        if kind != "survival":
+            return
+        for i, value in zip(alone, values):
+            j = data.draw(st.integers(0, 1))
+            higher = points[i].copy()
+            higher[j] = max(higher[j], data.draw(COORDINATES))
+            if family == "geometric":
+                higher = np.rint(higher)
+            try:
+                assert model.evaluate(kind, higher[None, :])[0] <= value
+            except SpecValidationError as exc:
+                assert re.fullmatch(CONTRACT_REFUSAL, str(exc)), str(exc)
 
 
 class TestCheck:
@@ -883,6 +1037,29 @@ def test_linf_verify_needs_no_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert json.loads(out.stdout) == [True, False]
+
+
+def test_exch_normal_needs_no_scipy_stats():
+    """``eval`` and ``verify`` of an exch_normal model take the normal cdf and
+    quantiles from ``scipy.special``: in a fresh interpreter no ``scipy.stats``
+    module loads."""
+    model = '{"family":"exch_normal","d":3,"mu":0.3,"sigma":1.2,"rho":0.4}'
+    code = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import condiid.cli\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        f"    assert condiid.cli.main(['eval', '--model', {model!r}, '--point', '0,0.5,1',\n"
+        "                             '--kind', 'cdf']) == 0\n"
+        f"    assert condiid.cli.main(['verify', '--model', {model!r}, '--n', '2000',\n"
+        "                             '--seed', '1']) == 0\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('scipy.stats')]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert json.loads(out.stdout) == []
 
 
 @pytest.mark.parametrize("d", [28, 30, 40])

@@ -328,9 +328,31 @@ class TestMcVerify:
 
     def test_detects_wrong_closed_form(self):
         grid = np.array([[1.0, 1.0]])
-        bad = lambda g: 0.5
+        bad = lambda g: np.full(len(g), 0.5)
         r = dg.mc_verify(self.sampler, bad, grid, 30000, 7)
         assert not r.passed
+
+    @pytest.mark.parametrize("closed", [lambda g: 0.5, lambda g: np.full((len(g), 1), 0.5),
+                                        lambda g: np.full(len(g) + 1, 0.5)],
+                             ids=["scalar", "column", "one_more"])
+    def test_closed_form_of_another_shape_is_refused(self, closed):
+        # the closed form gets the whole grid in one call and must give one value per point
+        grid = np.array([[1.0, 1.0], [0.5, 2.0]])
+        with pytest.raises(SpecValidationError, match=r"for a grid of 2 points; expected \(2,\)"):
+            dg.mc_verify(self.sampler, closed, grid, 100, 7)
+
+    def test_closed_form_gets_the_grid_in_one_call(self):
+        calls = []
+        grid = dg.default_quantile_grid(lambda q: q / (1 - q), 2)
+        dg.mc_verify(self.sampler, lambda g: calls.append(g.copy()) or self.survival(g), grid,
+                     1000, 7)
+        assert len(calls) == 1 and np.array_equal(calls[0], grid)
+
+    def test_report_with_nan_is_not_written_as_json(self):
+        report = dg.mc_verify(self.sampler, lambda g: np.full(len(g), math.nan),
+                              np.array([[1.0, 1.0]]), 100, 7)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            report.to_json_str()
 
     def test_band_on_closed_form_value(self):
         # 1 of 300 rows above a point whose closed value is 0.02: z = -2.06
@@ -341,7 +363,7 @@ class TestMcVerify:
             data[0] = 1.0
             return data
 
-        r = dg.mc_verify(sampler, lambda g: 0.02, np.array([[0.5]]), 300, 1)
+        r = dg.mc_verify(sampler, lambda g: np.full(len(g), 0.02), np.array([[0.5]]), 300, 1)
         assert r.empirical == (1 / 300,)
         assert r.stderr == (math.sqrt(0.02 * 0.98 / 300),)
         assert r.passed
@@ -356,12 +378,13 @@ class TestMcVerify:
             return u
 
         for seed in (7, 8):
-            dg.mc_verify(sampler, lambda g: 0.5, np.array([[0.5]]), 1000, seed, threads=2)
+            dg.mc_verify(sampler, lambda g: np.full(len(g), 0.5), np.array([[0.5]]), 1000, seed,
+                         threads=2)
         assert len(set(first[7]) | set(first[8])) == 4
 
     def test_cdf_mode(self):
         sampler = lambda n, rng: rng.random((n, 2))
-        cdf = lambda g: float(np.prod(np.clip(g, 0, 1)))
+        cdf = lambda g: np.prod(np.clip(g, 0, 1), axis=1)
         grid = np.array([[0.3, 0.8], [0.5, 0.5]])
         r = dg.mc_verify(sampler, cdf, grid, 30000, 11, mode="cdf")
         assert r.passed
@@ -386,7 +409,7 @@ class TestMcVerify:
             return out
 
         n = 3 * len(rows)
-        r = dg.mc_verify(sampler, lambda g: 0.5, grid, n, 5, threads=3, mode=mode)
+        r = dg.mc_verify(sampler, lambda g: np.full(len(g), 0.5), grid, n, 5, threads=3, mode=mode)
         assert len(chunks) == 3
         sample = np.concatenate(chunks).tolist()
         assert len(sample) == n
@@ -397,7 +420,7 @@ class TestMcVerify:
         grid = np.random.default_rng(1).random((100, 5))
         tracemalloc.start()
         try:
-            dg.mc_verify(lambda n, rng: data, lambda g: 0.5, grid, data.shape[0], 1)
+            dg.mc_verify(lambda n, rng: data, lambda g: np.full(len(g), 0.5), grid, data.shape[0], 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -152,11 +152,11 @@ class TestStdfInvariants:
     def test_lf_quadrature_consistency_weibull_and_step(self):
         g = ev.Weibull(0.7)
         for x in ([0.8, 1.7], [1.0, 0.5, 0.25]):
-            assert oracle.stdf_numeric_lf(g, x) == pytest.approx(ev.lf(g).ell(np.asarray(x)), abs=1e-6)
+            assert oracle.stdf_numeric_lf(g, x) == pytest.approx(ev.stdf_eval(ev.lf(g), x), abs=1e-6)
         step = ev.StepFunction([0.4, 1.6], [0.5, 1.0])
         for x in ([0.7, 0.4], [1.0, 2.0, 0.2]):
             assert oracle.stdf_numeric_lf(step, x) == pytest.approx(
-                ev.lf(step).ell(np.asarray(x)), abs=1e-8
+                ev.stdf_eval(ev.lf(step), x), abs=1e-8
             )
 
     def test_lf_quadrature_consistency_point_mass_mo_atom(self):
@@ -164,6 +164,19 @@ class TestStdfInvariants:
             g = ev.MOAtom(PointMass(m))
             for x in ([1.0, 1.0], [0.4, 1.7], [2.0, 0.3, 0.9]):
                 assert oracle.stdf_numeric_lf(g, x) == pytest.approx(g.ell(np.asarray(x)), abs=1e-6)
+
+    @pytest.mark.parametrize("g", [ev.Weibull(0.7), ev.Weibull(3.0), ev.MOAtom(PointMass(0.3)),
+                                   ev.MOAtom(PointMass(1.2)), ev.StepFunction([0.4, 1.6], [0.5, 1.0])],
+                             ids=["weibull_0.7", "weibull_3", "mo_atom_0.3", "mo_atom_1.2", "step"])
+    def test_batched_ell_matches_quadrature_and_single_points(self, g):
+        # one call over (k, d) points: each value is the reference's, and the
+        # bits of the same point evaluated alone
+        points = np.array([[1.0, 1.0, 1.0], [0.4, 1.7, 0.0], [2.0, 0.3, 0.9], [1e-3, 5.0, 0.25]])
+        batched = g.ell(points)
+        assert batched.shape == (4,)
+        for x, value in zip(points, batched):
+            assert value == g.ell(x)
+            assert oracle.stdf_numeric_lf(g, x) == pytest.approx(value, abs=1e-6)
 
     @pytest.mark.parametrize("m", [FiniteDiscrete([0.5, 2.0], [0.5, 0.5]), Gamma(2.0)],
                              ids=["two_atoms", "gamma"])

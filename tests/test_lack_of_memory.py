@@ -57,9 +57,11 @@ class TestSurvivalForms:
             lom.LomParameterSeq((1.0, 0.2, 0.5))
 
     def test_negative_coordinates_rejected(self):
-        params = lom.exponents_from_b((1.0, 0.6, 0.5))
-        with pytest.raises(SpecValidationError):
-            lom.mo_survival(params, [-0.1, 0.2])
+        # the CLI's one domain check refuses the point; mo_survival checks nothing
+        model = json.dumps({"family": "marshall_olkin", "b": [1.0, 0.6, 0.5]})
+        code, out, err = cli_run(["eval", "--model", model, "--point=-0.1,0.2"])
+        assert (code, out) == (1, "")
+        assert err == "error: survival point [-0.1, 0.2] lies outside the domain [0, inf]^d\n"
 
     def test_overflowing_exponent_gives_zero(self):
         # gap * log b_1 is below the least double: the survival is 0, with no warning
@@ -252,9 +254,9 @@ class TestDeathChain:
             values, discrete = spec["p"], True
         model = cli.build_model(spec)
         grid = model.default_grid()
-        for pt in grid:  # the test's oracle agrees with mo_survival / geo_survival
-            assert _shock_definition_survival(values, pt, discrete) == pytest.approx(
-                model.evals["survival"](pt), rel=1e-9)
+        closed = model.evaluate("survival", grid)
+        for pt, value in zip(grid, closed):  # the test's oracle agrees with mo_survival / geo_survival
+            assert _shock_definition_survival(values, pt, discrete) == pytest.approx(value, rel=1e-9)
         report = dg.mc_verify(model.sampler, model.evals["survival"], grid, 20_000, 1)
         assert report.passed
 
@@ -277,7 +279,8 @@ class TestDeathChain:
             sampler = lambda n, rng: lom.sample_mo_shocks(spec, d, n, rng)
         grid = dg.default_quantile_grid(ppf, d)
         report = dg.mc_verify(
-            sampler, lambda x: _shock_definition_survival(values, x, discrete), grid, 20_000, 1
+            sampler, lambda g: np.array([_shock_definition_survival(values, x, discrete) for x in g]),
+            grid, 20_000, 1,
         )
         assert report.passed
         assert min(report.closed) > report.abs_floor  # no point passes on the floor alone
@@ -664,7 +667,7 @@ class TestExponents:
         model = cli.build_model({"family": "marshall_olkin", "rates": [lam] + [0.0] * (d - 1)})
         assert model.check().extendible
         x = np.array(t[:d]) / lam
-        assert model.evals["survival"](x) == pytest.approx(
+        assert model.evaluate("survival", [x])[0] == pytest.approx(
             reference_survival(exact_psi([lam] + [0.0] * (d - 1)), x), rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -679,7 +682,8 @@ class TestExponents:
         model = cli.build_model({"family": "marshall_olkin", "rates": rates})
         # sum_k a_k x_(k) <= level, so the survival stays a normal double
         x = np.array(t) * (level / float(psi[-1]))
-        assert model.evals["survival"](x) == pytest.approx(reference_survival(psi, x), rel=1e-12)
+        assert model.evaluate("survival", [x])[0] == pytest.approx(reference_survival(psi, x),
+                                                                   rel=1e-12)
         extendible, near = exact_verdict(psi)
         try:
             assert model.check().extendible is extendible
