@@ -244,14 +244,18 @@ class StepFunction(GSpec):
         # 1 - prod_k G(u/x_k) is piecewise constant between the sorted products
         # of breakpoints and coordinates: integrate exactly.  A repeated break
         # spans no width; at x_k = 0, u/x_k is inf, or NaN where u = 0, and
-        # G is 1 at either
+        # G is 1 at either.  Each row is divided by the power of two at or below
+        # its maximum, which is exact, so that no break overflows near the
+        # largest doubles
         k = len(x)
+        scale = np.ldexp(1.0, np.frexp(x.max(axis=-1))[1] - 1)
+        x = x / scale[:, None]
         breaks = np.sort(np.concatenate([np.zeros((k, 1)), (x[:, :, None] * self.points).reshape(k, -1)],
                                         axis=1), axis=1)
         mids = 0.5 * (breaks[:, 1:] + breaks[:, :-1])
         with np.errstate(divide="ignore", invalid="ignore"):
             prods = np.prod(self.cdf(mids[:, :, None] / x[:, None, :]), axis=-1)
-        return np.sum((1.0 - prods) * np.diff(breaks, axis=1), axis=-1)  # 0 beyond max(x)*points[-1]
+        return scale * np.sum((1.0 - prods) * np.diff(breaks, axis=1), axis=-1)  # 0 beyond points[-1]
 
     def tilted_draw(self, k, d, m, rng):
         # Y_j = points[I_j] with I_j drawn from the step masses; under the

@@ -62,11 +62,11 @@ def integrate(fn, lo: float, hi: float):
 def scalar_pow(base, exponent: float) -> np.ndarray:
     """base**exponent for each value of ``base`` by the C library's pow.
 
-    numpy's vector pow rounds some values otherwise than the scalar pow, so a
-    closed form evaluated over many points at once raises with this, and each
-    point keeps the bits it has alone."""
+    numpy's vector pow rounds some values otherwise than the scalar pow.  A
+    closed form evaluated over many points at once takes its powers from here,
+    so that each point keeps the bits it has when evaluated alone."""
     base = np.asarray(base, dtype=float)
-    if exponent == 1.0:  # pow is exact there, and a Gamma(1) Sato law often takes it
+    if exponent == 1.0:  # x**1 is x; the Sato law of a Gamma(1) exponent takes it
         return base.copy()
     values = base.ravel().tolist()
     try:

@@ -269,10 +269,8 @@ def exshock_survival(spec: ShockSurvivalSpec, x) -> float | np.ndarray:
     for k in range(1, d + 1):
         t = s[..., d - k]  # x_{[d-k+1]}
         for m in range(1, d - k + 2):
-            with np.errstate(divide="ignore"):
-                log_sf = log_sf + math.comb(d - k, m - 1) * np.log(
-                    np.maximum(spec.shocks[m - 1].survival(t), 1e-300)
-                )
+            with np.errstate(divide="ignore"):  # a shock that surely came gives log 0 = -inf
+                log_sf = log_sf + math.comb(d - k, m - 1) * np.log(spec.shocks[m - 1].survival(t))
     out = np.exp(log_sf)
     return out if out.ndim else float(out)
 

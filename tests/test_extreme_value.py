@@ -159,6 +159,13 @@ class TestStdfInvariants:
                 ev.stdf_eval(ev.lf(step), x), abs=1e-8
             )
 
+    @pytest.mark.parametrize("x", [[1e308, 1e308], [1.5e308, 1.0], [1e-300, 1e-300]])
+    def test_step_stdf_at_extreme_doubles(self, x):
+        # l is homogeneous: l(c x) = c l(x); the products c x_k * points no longer overflow
+        step = ev.lf(ev.StepFunction([0.4, 1.6], [0.5, 1.0]))
+        c = max(x)
+        assert ev.stdf_eval(step, x) == pytest.approx(c * ev.stdf_eval(step, np.array(x) / c), rel=1e-15)
+
     def test_lf_quadrature_consistency_point_mass_mo_atom(self):
         for m in (0.3, 1.2):
             g = ev.MOAtom(PointMass(m))

@@ -61,6 +61,15 @@ class TestExshock:
         assert (code, out) == (1, "")
         assert err == f"error: survival point {point} lies outside the domain [0, inf]^d\n"
 
+    @pytest.mark.parametrize("shocks, point", [
+        ((sk.ExponentialShock(1.0),), [math.inf]),
+        ((sk.ExponentialShock(1.0),), [800.0]),
+        ((sk.ExponentialShock(1.0), sk.ExponentialShock(0.0)), [800.0, 0.0]),
+    ], ids=["d1_inf", "d1_800", "d2_800"])
+    def test_survival_below_the_least_double_is_zero(self, shocks, point):
+        # exp(-800) is below the least double, so the survival is 0, not a floor
+        assert sk.exshock_survival(sk.ShockSurvivalSpec(shocks), point) == 0.0
+
     def test_exponential_case_reduces_to_lack_of_memory(self):
         lspec = lom.ShockRateSpec(d=3, kind="exponential", cardinality=(0.3, 0.2, 0.1))
         params = lom.exponents(lspec.cardinality)
