@@ -371,7 +371,7 @@ def minstable_survival(spec: Triplet, rate: float, x):
     sf(x)**t = sf(t*x) exactly."""
     if rate <= 0:
         raise SpecValidationError("marginal rate must be positive")
-    return _exp_of_negative(rate * np.asarray(stdf_eval(spec, x)))
+    return _exp_of_negative(rate * stdf_eval(spec, x))
 
 
 def extreme_value_copula_eval(spec: Triplet, u):
@@ -379,12 +379,13 @@ def extreme_value_copula_eval(spec: Triplet, u):
     points of [0, 1]^d; max-stable: C(u)**t = C(u**t).  A zero coordinate
     gives 0."""
     with np.errstate(divide="ignore"):  # -log 0 = inf, where l is inf
-        return _exp_of_negative(np.asarray(stdf_eval(spec, -np.log(u))))
+        return _exp_of_negative(stdf_eval(spec, -np.log(u)))
 
 
-def _exp_of_negative(values: np.ndarray):
+def _exp_of_negative(values):
     """exp(-v) of each value by ``math.exp``, whose bits the numpy exp need not
-    give; a float for a 0-d array."""
+    give; a float for a single value."""
+    values = np.asarray(values, dtype=float)
     out = np.array([math.exp(-v) for v in values.ravel().tolist()]).reshape(values.shape)
     return out if out.ndim else float(out)
 
