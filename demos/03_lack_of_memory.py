@@ -7,13 +7,15 @@ across unit-exponential barriers, whose subset rates are known in closed
 form.  By lack of memory both are sampled by one chain on the number of
 deaths, in at most d steps.  Matching the two against the closed form
 exp(-sum_k a_k x_(k)), x sorted in decreasing order, checks both
-parameterisations.
+parameterisations.  The discrete analogue, the wide-sense geometric law, is
+given by the exchangeable binary law of one round.
 """
 
 import numpy as np
 
 from condiid import lack_of_memory as lom
 from condiid.diagnostics import tie_frequency
+from condiid.moments import BinaryExchangeableLaw, b_from_p
 
 rng = np.random.default_rng(3)
 n = 100000
@@ -49,13 +51,19 @@ drift_only = lom.sample_mo_ciid(lom.CompoundPoissonSubordinatorSpec(drift=1.0), 
 print(f"  tie frequency, pure drift: {tie_frequency(drift_only):.3f}")
 
 print("\ndiscrete analogue: wide-sense geometric laws")
-gspec = lom.ShockRateSpec(d=2, kind="geometric", cardinality=(0.45, 0.2, 0.15))
-gparams = lom.b_from_p(gspec)
-geo = lom.sample_geo_shocks(gspec, 2, n, rng)
+# one round is an exchangeable law on {0,1}^2 whose ones are the components it
+# spares: both with 0.45, one fixed one with 0.2, none with 0.15.  Its b and p
+# are the binary algebra's, and the law is conditionally iid iff b is a
+# moment sequence.
+round_law = BinaryExchangeableLaw((0.15, 0.2, 0.45))
+gb = b_from_p(round_law)
+geo = lom.sample_geo_shocks(round_law, 2, n, rng)
 for pt in ([1, 1], [3, 2]):
     pt = np.asarray(pt)
     print(f"  survival at {pt.tolist()}: empirical {(geo.data > pt).all(axis=1).mean():.4f}, "
-          f"closed {float(lom.geo_survival(gparams, pt)):.4f}")
+          f"closed {float(lom.geo_survival(gb.values, pt)):.4f}")
+print(f"  b = {tuple(round(v, 4) for v in gb.values)}: "
+      f"extendible = {lom.is_ciid_extendible(gb).extendible}")
 
 print("\nnot every exchangeable law of this shape is conditionally iid:")
 flat = lom.exponents((0.3, 0.2, 0.1))

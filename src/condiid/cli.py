@@ -37,8 +37,8 @@ import sys
 
 import numpy as np
 
-from .errors import (SpecValidationError, json_field, json_known_fields, json_list, json_number,
-                     json_numbers)
+from .errors import (NotDMonotoneError, SpecValidationError, json_field, json_known_fields,
+                     json_list, json_number, json_numbers)
 from .sample import SampleMatrix, read_csv, write_csv
 
 
@@ -231,7 +231,7 @@ def _marshall_olkin(spec: dict, d: int) -> Model:
             rates = lom.rates_from_exponents(a)
         else:
             d = _dimension(spec, key, len(values))
-            rates = lom.ShockRateSpec(d=d, kind="exponential", cardinality=values)
+            rates = lom.ShockRateSpec(d=d, cardinality=values)
             a = lom.exponents(rates.cardinality)
         sampler = lambda n, rng: lom.sample_mo_shocks(rates, d, n, rng)
         check = lambda: lom.is_ciid_extendible(a)
@@ -243,26 +243,35 @@ def _marshall_olkin(spec: dict, d: int) -> Model:
 
 def _geometric(spec: dict, d: int) -> Model:
     from . import lack_of_memory as lom
+    from . import moments
 
+    # the law of one round: its ones are the components it spares, so its b
+    # and p are the binary algebra's, p reversed against the JSON's shocked subsets
     key = _one_of(spec, ("b", "p")) or "p"
     values = json_numbers(spec, key, "")
     d = _dimension(spec, key, len(values) - 1)
+    if d < 1:
+        raise SpecValidationError("dimension must be at least 1")
     if key == "b":
-        params = lom.LomParameterSeq(values)
-        if d < 1:
-            raise SpecValidationError("dimension must be at least 1")
-        shocks = lambda: lom.p_from_b_geo(params)  # only the sampler needs p
+        b = moments.MonotoneSequence(values)
+        if not moments.is_d_monotone(b):
+            raise NotDMonotoneError(f"geometric parameters b must be d-monotone, got {b.values}")
+        law = lambda: moments._law_from_b(b.values)  # only the sampler needs p
+        check = lambda: moments._hankel_verdict(b.values)
     else:
-        pspec = lom.ShockRateSpec(d=d, kind="geometric", cardinality=values)
-        params = lom.b_from_p(pspec)
-        shocks = lambda: pspec
-    b1 = params.values[1]
-    # the marginal is geometric on 0, 1, 2, ..., so its quantiles and the grid are integers
+        round_law = moments.BinaryExchangeableLaw(values[::-1])
+        b = moments.b_from_p(round_law)
+        law = lambda: round_law
+        check = lambda: lom.is_ciid_extendible(b)
+    b1 = b.values[1]
+    # the marginal is geometric on 0, 1, 2, ..., so its quantiles and the grid
+    # are integers; at b_1 = 1 no round hits a component, which the sampler refuses
     return Model("geometric", d,
-                 sampler=lambda n, rng: lom.sample_geo_shocks(shocks(), d, n, rng),
-                 evals={"survival": lambda x: lom.geo_survival(params, x)},
-                 marginal_ppf=lambda q: max(0.0, math.ceil(math.log1p(-q) / math.log(b1))),
-                 check=lambda: lom.is_ciid_extendible(params))
+                 sampler=lambda n, rng: lom.sample_geo_shocks(law(), d, n, rng),
+                 evals={"survival": lambda x: lom.geo_survival(b.values, x)},
+                 marginal_ppf=lambda q: math.inf if b1 == 1.0 else
+                 max(0.0, math.ceil(math.log1p(-q) / math.log(b1))),
+                 check=check)
 
 
 def _minstable(spec: dict, d: int) -> Model:

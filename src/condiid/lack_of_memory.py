@@ -10,9 +10,12 @@ The exponential law is held by its exponents a_1..a_d: a_k is the rate of the
 shocks that hit component k and none of 1..k-1, so Psi(k) = a_1 + ... + a_k is
 the rate at which some of k fixed components die, log b_k = -Psi(k) and
 sf(x) = exp(-sum_k a_k x_(k)).  The difference table of a holds the shock
-rates, which must be non-negative.  The geometric law is held by b_k itself,
-the probability that a round spares k fixed components, which must be
-d-monotone.  Every sampler here is one death chain: by lack of memory, the
+rates, which must be non-negative.  The geometric law is held by the law of
+one round, a ``moments.BinaryExchangeableLaw`` whose ones are the components
+the round spares: its b_k, the probability that a round spares k fixed
+components, and its p are those of the binary algebra in ``moments``, and the
+law is conditionally iid iff b extends to a moment sequence (Mai, Schenk &
+Scherer 2016).  Every sampler here is one death chain: by lack of memory, the
 number of components dead is a Markov chain that takes at most d steps, and
 which ones die is uniform, so one shuffle of each row's death times, drawn
 by rank, assigns them to components.  The law of a step comes from the
@@ -25,7 +28,7 @@ chain for the Sato frailty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,12 +41,10 @@ from .moments import (
     ExtendibilityVerdict,
     MonotoneSequence,
     hausdorff_extendible,
-    is_d_monotone,
 )
 from .sample import SampleMatrix
 
 __all__ = [
-    "LomParameterSeq",
     "ShockRateSpec",
     "CompoundPoissonSubordinatorSpec",
     "mo_survival",
@@ -51,44 +52,11 @@ __all__ = [
     "exponents",
     "exponents_from_b",
     "rates_from_exponents",
-    "b_from_p",
-    "p_from_b_geo",
     "sample_mo_shocks",
     "sample_geo_shocks",
     "sample_mo_ciid",
     "is_ciid_extendible",
 ]
-
-
-@dataclass(frozen=True)
-class LomParameterSeq:
-    """Survival-form parameters b_0..b_d of a wide-sense geometric law.
-
-    Construction tests d-monotonicity and sets ``tested``; :meth:`_valid`, for
-    sequences valid by construction, leaves it False.
-    """
-
-    values: tuple
-    tested: bool = field(default=False, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        seq = MonotoneSequence(tuple(self.values))
-        object.__setattr__(self, "values", seq.values)
-        if not is_d_monotone(seq.values):
-            raise NotDMonotoneError(f"geometric parameters b must be d-monotone, got {seq.values}")
-        object.__setattr__(self, "tested", True)
-
-    @classmethod
-    def _valid(cls, values) -> "LomParameterSeq":
-        """Skip the d-monotone test, whose absolute tolerance refuses some
-        sequences that are valid by construction at large d."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "values", MonotoneSequence(tuple(values)).values)
-        return self
-
-    @property
-    def d(self) -> int:
-        return len(self.values) - 1
 
 
 def _ordered_gap_logsf(log_b, x: np.ndarray) -> np.ndarray:
@@ -110,9 +78,9 @@ def mo_survival(a, x) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
-def geo_survival(params: LomParameterSeq, nvec) -> float | np.ndarray:
-    """Closed-form joint survival of the geometric law over the last axis of
-    ``nvec``, points of the integer grid in [0, inf]^d."""
+def geo_survival(b, nvec) -> float | np.ndarray:
+    """Closed-form joint survival of the geometric law with b = (b_0..b_d)
+    over the last axis of ``nvec``, points of the integer grid in [0, inf]^d."""
     nvec = np.asarray(nvec)
     if not np.issubdtype(nvec.dtype, np.integer):
         rounded = np.rint(np.asarray(nvec, dtype=float))
@@ -120,51 +88,35 @@ def geo_survival(params: LomParameterSeq, nvec) -> float | np.ndarray:
             raise SpecValidationError("geometric survival is defined on integer grids")
         nvec = rounded
     with np.errstate(divide="ignore"):  # b_k = 0 gives log b_k = -inf
-        log_b = np.log(params.values[1:])
+        log_b = np.log(b[1:])
     out = np.exp(_ordered_gap_logsf(log_b, np.asarray(nvec, dtype=float)))
     return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
 class ShockRateSpec:
-    """Per-cardinality parameters of an exchangeable shock model in dimension d.
+    """Exponential shock rates of an exchangeable shock model in dimension d.
 
-    Every subset I of the components 1..d has its own shock, whose law depends
-    on I only through |I|.  ``kind`` "exponential": ``cardinality`` holds the
-    rates lambda_1..lambda_d of the exponential shock on one fixed subset of
-    that size; they are non-negative and not all 0.  ``kind`` "geometric": it
-    holds p_0..p_d, the probability that a round's single shocked subset is
-    one fixed subset of that size; sum_m C(d, m) p_m = 1 and every component
-    is hit with positive probability.
+    Every subset I of the components 1..d has its own exponential shock, whose
+    rate depends on I only through |I|: ``cardinality`` holds the rates
+    lambda_1..lambda_d of one fixed subset of each size.  They are non-negative
+    and not all 0.
     """
 
     d: int
-    kind: str
     cardinality: tuple
 
     def __post_init__(self):
-        if self.kind not in ("exponential", "geometric"):
-            raise SpecValidationError(f"unknown shock kind {self.kind!r}")
         if self.d < 1:
             raise SpecValidationError("dimension must be at least 1")
         card = tuple(float(v) for v in self.cardinality)
         object.__setattr__(self, "cardinality", card)
         if any(v < 0 for v in card):
-            raise SpecValidationError("rates/probabilities must be non-negative")
-        if self.kind == "exponential":
-            if len(card) != self.d:
-                raise SpecValidationError(f"need lambda_1..lambda_{self.d}")
-            if sum(card) <= 0:
-                raise SpecValidationError("at least one shock rate must be positive")
-        else:
-            if len(card) != self.d + 1:
-                raise SpecValidationError(f"need p_0..p_{self.d}")
-            total = sum(math.comb(self.d, k) * card[k] for k in range(self.d + 1))
-            if abs(total - 1.0) > 1e-12:
-                raise SpecValidationError(f"subset probabilities sum to {total!r}, not 1")
-            miss = sum(math.comb(self.d - 1, i) * card[i] for i in range(self.d))
-            if miss >= 1.0 - 1e-15:
-                raise SpecValidationError("every component needs positive hit probability")
+            raise SpecValidationError("shock rates must be non-negative")
+        if len(card) != self.d:
+            raise SpecValidationError(f"need lambda_1..lambda_{self.d}")
+        if sum(card) <= 0:
+            raise SpecValidationError("at least one shock rate must be positive")
 
 
 def exponents(rates) -> tuple:
@@ -197,26 +149,7 @@ def rates_from_exponents(a) -> ShockRateSpec:
             f"exponential-law parameters must be log-d-monotone: their shock rates are {lam}"
         )
     lam = [0.0 if v < 0.0 else v for v in lam]
-    return ShockRateSpec(d=len(a), kind="exponential", cardinality=tuple(lam))
-
-
-def b_from_p(spec: ShockRateSpec) -> LomParameterSeq:
-    """b_k = sum_i C(d-k, i) p_i for exchangeable geometric shock probabilities.
-
-    This is :func:`condiid.moments.b_from_p` with p reversed: p_i here is the
-    probability of one fixed set of i shocked components, there of i ones.
-    """
-    if spec.kind != "geometric":
-        raise SpecValidationError("b_from_p needs geometric shock probabilities")
-    law = BinaryExchangeableLaw(spec.cardinality[::-1])
-    return LomParameterSeq._valid(moments.b_from_p(law).values)
-
-
-def p_from_b_geo(params: LomParameterSeq) -> ShockRateSpec:
-    """Invert :func:`b_from_p`: p_m = nabla^m b_{d-m}, non-negative for any
-    d-monotone input, as geometric parameters are."""
-    p = moments._law_from_b(params.values).p[::-1]
-    return ShockRateSpec(d=params.d, kind="geometric", cardinality=p)
+    return ShockRateSpec(d=len(a), cardinality=tuple(lam))
 
 
 def _death_rates(values, d: int) -> list[list]:
@@ -299,25 +232,25 @@ def sample_mo_shocks(spec: ShockRateSpec, d: int, n: int, rng) -> SampleMatrix:
 
     Runs the death-counting chain, in O(n d^2) for any d.
     """
-    if spec.kind != "exponential":
-        raise SpecValidationError("sample_mo_shocks needs exponential shock rates")
     if d != spec.d:
         raise SpecValidationError(f"spec dimension {spec.d} != requested {d}")
     data, _ = _death_chain(_table_law((0.0,) + spec.cardinality, d, rng, False), d, n, rng)
     return SampleMatrix(data, meta=f"mo_shocks d={d}")
 
 
-def sample_geo_shocks(spec: ShockRateSpec, d: int, n: int, rng) -> SampleMatrix:
-    """Repeated iid rounds, each shocking one subset I with probability
-    p_|I|; X_k is the first round whose subset contains k.
+def sample_geo_shocks(law: BinaryExchangeableLaw, d: int, n: int, rng) -> SampleMatrix:
+    """Repeated iid rounds drawn from ``law``, each sparing the components that
+    are ones in its pattern; X_k is the first round that does not spare k.
 
     Runs the death-counting chain, in O(n d^2) for any d.
     """
-    if spec.kind != "geometric":
-        raise SpecValidationError("sample_geo_shocks needs geometric shock probabilities")
-    if d != spec.d:
-        raise SpecValidationError(f"spec dimension {spec.d} != requested {d}")
-    data, _ = _death_chain(_table_law(spec.cardinality, d, rng, True), d, n, rng)
+    if d != law.d:
+        raise SpecValidationError(f"law dimension {law.d} != requested {d}")
+    p = law.p[::-1]  # p[m]: the round shocks one fixed subset of m components
+    miss = sum(math.comb(d - 1, i) * p[i] for i in range(d))
+    if miss >= 1.0 - 1e-15:
+        raise SpecValidationError("every component needs positive hit probability")
+    data, _ = _death_chain(_table_law(p, d, rng, True), d, n, rng)
     return SampleMatrix(data, meta=f"geo_shocks d={d}")
 
 
@@ -415,14 +348,12 @@ def is_ciid_extendible(params) -> ExtendibilityVerdict:
     Exponents (a_1..a_d) of an exponential law: a_k/a_1 must extend to a
     moment sequence.  It is d-monotone, as its difference table holds the shock
     rates, so its Hankel determinants decide, and a negative one within the
-    tolerance raises :class:`UndecidedVerdictError`.  A geometric law's
-    :class:`LomParameterSeq`: b_0..b_d itself must, tested for d-monotonicity
-    here unless construction has.  The Hankel values are those of the
-    sequence tested.
+    tolerance raises :class:`UndecidedVerdictError`.  The b_0..b_d of a
+    geometric law's round, a :class:`MonotoneSequence`: b itself must.  It is
+    tested for d-monotonicity here, since rounding can take a b derived from p
+    out of it.  The Hankel values are those of the sequence tested.
     """
-    if isinstance(params, LomParameterSeq):
-        if params.tested:
-            return moments._hankel_verdict(params.values)
+    if isinstance(params, MonotoneSequence):
         try:
             return hausdorff_extendible(params.values)
         except NotDMonotoneError:

@@ -259,29 +259,28 @@ def exshock_sample(spec: ShockSurvivalSpec, d: int, n: int, rng) -> SampleMatrix
     return SampleMatrix(data, meta=f"exshock d={d}")
 
 
-def exshock_survival(spec: ShockSurvivalSpec, x) -> float | np.ndarray:
-    """Joint survival prod_{k,m} hbar_m(x_{[d-k+1]})**C(d-k, m-1) over the
-    last axis of ``x``, points of [0, inf]^d."""
-    x = np.asarray(x, dtype=float)
+def _log_g(spec: ShockSurvivalSpec, k: int, t):
+    """log g_k(t) = sum_m C(d-k, m-1) log hbar_m(t), m = 1..d-k+1: g_k(t) is
+    the probability that no shock on a subset that holds one fixed component
+    and none of k - 1 other fixed ones has come by t."""
     d = spec.d
-    s = np.sort(x, axis=-1)
-    log_sf = np.zeros(x.shape[:-1])
-    for k in range(1, d + 1):
-        t = s[..., d - k]  # x_{[d-k+1]}
-        for m in range(1, d - k + 2):
-            with np.errstate(divide="ignore"):  # a shock that surely came gives log 0 = -inf
-                log_sf = log_sf + math.comb(d - k, m - 1) * np.log(spec.shocks[m - 1].survival(t))
-    out = np.exp(log_sf)
+    with np.errstate(divide="ignore"):  # a shock that surely came gives log 0 = -inf
+        return sum(math.comb(d - k, m - 1) * np.log(spec.shocks[m - 1].survival(t))
+                   for m in range(1, d - k + 2))
+
+
+def exshock_survival(spec: ShockSurvivalSpec, x) -> float | np.ndarray:
+    """Joint survival prod_k g_k(x_{[d-k+1]}) of :func:`_log_g` over the last
+    axis of ``x``, points of [0, inf]^d."""
+    s = np.sort(np.asarray(x, dtype=float), axis=-1)
+    d = spec.d
+    out = np.exp(sum(_log_g(spec, k, s[..., d - k]) for k in range(1, d + 1)))
     return out if out.ndim else float(out)
 
 
 def exshock_marginal_survival(spec: ShockSurvivalSpec, x) -> float | np.ndarray:
-    """P(X_1 > x) = prod_m hbar_m(x)**C(d-1, m-1)."""
-    x = np.asarray(x, dtype=float)
-    d = spec.d
-    out = np.ones(x.shape)
-    for m in range(1, d + 1):
-        out = out * spec.shocks[m - 1].survival(x) ** math.comb(d - 1, m - 1)
+    """P(X_1 > x) = g_1(x) = prod_m hbar_m(x)**C(d-1, m-1)."""
+    out = np.exp(_log_g(spec, 1, np.asarray(x, dtype=float)))
     return out if out.ndim else float(out)
 
 
@@ -293,10 +292,10 @@ def exshock_marginal_inverse(spec: ShockSurvivalSpec, u: float) -> float:
 
 
 def exshock_copula_eval(spec: ShockSurvivalSpec, u):
-    """Survival copula chat(u) = u_[1] * prod_{k>=2} g_k(u_[k]) with
-    g_k = prod_m (hbar_m o sfinv_1)**C(d-k, m-1), over the last axis of ``u``,
-    points of [0, 1]^d.  The marginal inverses are bisections, one per
-    coordinate of each point."""
+    """Survival copula chat(u) = u_[1] * prod_{k>=2} g_k(sfinv_1(u_[k])), with
+    g_k of :func:`_log_g` and sfinv_1 the marginal inverse, over the last axis
+    of ``u``, points of [0, 1]^d.  The marginal inverses are bisections, one
+    per coordinate of each point."""
     u = np.asarray(u, dtype=float)
     out = np.array([_exshock_copula_at(spec, p) for p in np.sort(u.reshape(-1, u.shape[-1]), axis=-1)])
     out = out.reshape(u.shape[:-1])
@@ -316,11 +315,7 @@ def _exshock_copula_at(spec: ShockSurvivalSpec, s: np.ndarray) -> float:
 
     value = float(s[0])
     for k in range(2, d + 1):
-        x = inv(float(s[k - 1]))
-        gk = 1.0
-        for m in range(1, d - k + 2):
-            gk *= float(spec.shocks[m - 1].survival(x)) ** math.comb(d - k, m - 1)
-        value *= gk
+        value *= float(np.exp(_log_g(spec, k, inv(float(s[k - 1])))))
     return value
 
 

@@ -175,7 +175,7 @@ def test_c06_dirichlet_prior():
 def test_c07_sato_frailty():
     rng = np.random.default_rng(206)
     alpha = 1.0
-    sm = dg.conditional_inversion_sampler(lambda pts: sk.sato_survival(alpha, pts), 2, N, rng)
+    sm = sk.sample_sato(alpha, 2, N, rng)
     ok = True
     for pt in ([0.25, 0.25], [0.5, 0.5], [1.0, 1.0], [1.0, 0.3], [3.0, 3.0]):
         pt = np.asarray(pt)
@@ -188,7 +188,7 @@ def test_c07_sato_frailty():
     for _ in range(20):
         pt = rng2.exponential(1.0, 2)
         ok = ok and abs(sk.sato_survival(alpha, pt) - oracle.additive_survival(psi, pt)) <= 1e-12
-    report(7, "generic inversion sampler reproduces the self-similar closed form", ok)
+    report(7, "exact Sato death-chain sampler reproduces the self-similar closed form", ok)
 
 
 def test_c08_scarsini_counterexample():
@@ -221,7 +221,7 @@ def test_c09_necessary_condition_sweep():
         "binary": lambda k, r: mo.sample_binary_mixture(Beta(2, 3), k, n, r),
         "polya": lambda k, r: mo.sample_polya_urn(2, 3, k, n, r),
         "mo_shocks": lambda k, r: lom.sample_mo_shocks(
-            lom.ShockRateSpec(d=k, kind="exponential", cardinality=(0.3,) * k), k, n, r
+            lom.ShockRateSpec(d=k, cardinality=(0.3,) * k), k, n, r
         ),
         "mo_ciid": lambda k, r: lom.sample_mo_ciid(
             lom.CompoundPoissonSubordinatorSpec(drift=0.3, jumps=((1.0, 0.5),)), k, n, r
@@ -230,9 +230,7 @@ def test_c09_necessary_condition_sweep():
         "logistic": lambda k, r: ev.sample_logistic_direct(0.5, 1.0, k, n, r),
         "minstable_series": series_sampler,
         "dirichlet_prior": lambda k, r: sk.sample_dp(1.0, sk.UniformBase(), k, n, r),
-        "sato": lambda k, r: dg.conditional_inversion_sampler(
-            lambda pts: sk.sato_survival(1.0, pts), k, n, r
-        ),
+        "sato": lambda k, r: sk.sample_sato(1.0, k, n, r),
         "scarsini": lambda k, r: dg.scarsini_sample(n, r),
     }
     failures = []

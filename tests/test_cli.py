@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import os
@@ -417,6 +418,52 @@ def test_every_closed_form_keeps_the_contract(family, kind, data):
                 assert re.fullmatch(CONTRACT_REFUSAL, str(exc)), str(exc)
 
 
+SURVIVAL_FAMILIES = [family for family in sorted(EVAL_MODELS)
+                     if "survival" in cli.build_model(eval_model(family)).evals]
+D3_MODELS = {  # the families whose list sets d, at d = 3; the others take d
+    "marshall_olkin": {"rates": [0.3, 0.2, 0.1]},
+    "geometric": {"b": [1.0, 0.5, 0.3, 0.2]},
+    "exshock": {"shocks": [{"kind": "exponential", "rate": 1.0},
+                           {"kind": "exponential", "rate": 0.5},
+                           {"kind": "exponential", "rate": 0.25}]},
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("family", SURVIVAL_FAMILIES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_survival_gives_every_box_a_non_negative_mass(family, d, data):
+    """P(lo < X <= hi) = sum over the 2^d corners c of (-1)^(number of hi
+    coordinates in c) sf(c), from one evaluate call, is a probability."""
+    params = D3_MODELS[family] if d == 3 and family in D3_MODELS else EVAL_MODELS[family]
+    model = cli.build_model({"family": family, "d": d, **params})
+    least = max(model.domains["survival"][0], -5.0)
+    lo = np.array(data.draw(st.lists(st.floats(least, 10.0), min_size=d, max_size=d)))
+    hi = lo + data.draw(st.lists(st.one_of(st.floats(0.0, 10.0), st.just(math.inf)),
+                                 min_size=d, max_size=d))
+    if family == "geometric":  # its survival lives on the integer grid
+        lo, hi = np.rint(lo), np.rint(hi)
+    upper = np.array(list(itertools.product([False, True], repeat=d)))
+    signs = np.where(upper.sum(axis=1) % 2, -1.0, 1.0)
+    mass = signs @ model.evaluate("survival", np.where(upper, hi, lo))
+    assert mass >= -1e-12, (lo.tolist(), hi.tolist(), mass)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=9).filter(any))
+def test_geometric_p_checks_as_the_binary_law_of_its_round(weights):
+    # p[m] is the probability that a round shocks one fixed subset of m
+    # components; its round, on {0,1}^d with ones the spared components, has
+    # pattern probabilities p reversed
+    d = len(weights) - 1
+    total = sum(weights)
+    p = [w / total / math.comb(d, m) for m, w in enumerate(weights)]
+    geometric = run(["check", "--model", json.dumps({"family": "geometric", "p": p})])
+    binary = run(["check", "--model", json.dumps({"family": "binary", "p": p[::-1]})])
+    assert geometric[:2] == binary[:2]
+
+
 class TestCheck:
     def test_extendible_flip(self):
         good, out_good, _ = run(["check", "--model", '{"family":"binary","b":[1.0,0.5,0.3]}'])
@@ -496,7 +543,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("command", ["check", "sample"])
     def test_geometric_b_is_tested_for_d_monotonicity_once(self, command, monkeypatch):
-        from condiid import lack_of_memory, moments
+        from condiid import moments
 
         calls = []
 
@@ -505,13 +552,26 @@ class TestCheck:
             return test(seq)
 
         monkeypatch.setattr(moments, "is_d_monotone", counted)
-        monkeypatch.setattr(lack_of_memory, "is_d_monotone", counted)
         model = json.dumps({"family": "geometric", "d": 4, "b": [1.0, 0.6, 0.45, 0.37, 0.32]})
         argv = ["check", "--model", model] if command == "check" else \
             ["sample", "--model", model, "--n", "5", "--seed", "1"]
         code, _, _ = run(argv)
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec", [{"family": "geometric", "b": [1.0, 1.0, 1.0]},
+                                      {"family": "geometric", "p": [1.0, 0.0, 0.0]}],
+                             ids=["b", "p"])
+    def test_geometric_law_that_never_hits_is_refused_by_its_sampler(self, spec):
+        # every round spares every component: check and eval describe the law,
+        # sample and verify refuse it by name
+        model = json.dumps(spec)
+        assert run(["eval", "--model", model, "--point", "3,2"]) == (0, "1\n", "")
+        assert run(["check", "--model", model])[0] == 0
+        for argv in (["sample", "--n", "5"], ["verify", "--n", "100"]):
+            code, out, err = run([argv[0], "--model", model, *argv[1:], "--seed", "1"])
+            assert (code, out) == (1, "")
+            assert err == "error: every component needs positive hit probability\n"
 
     def test_family_not_checkable(self):
         code, _, err = run(["check", "--model", '{"family":"sato","alpha":1.0}'])

@@ -12,14 +12,15 @@ from scipy import stats
 import first_passage_oracle as fp
 from test_cli import run as cli_run
 from test_moments import bareiss_det, exact_hankel_matrices
-from condiid import cli, diagnostics as dg, lack_of_memory as lom, shock_models as sk
+from condiid import cli, diagnostics as dg, lack_of_memory as lom, moments as mo
+from condiid import shock_models as sk
 from condiid.errors import NotDMonotoneError, SpecValidationError, UndecidedVerdictError
 from condiid.mixing import Beta, Gamma, PointMass
 from condiid.moments import HANKEL_TOL, moment_sequence
 
 
 def exp_rates_spec(*rates):
-    return lom.ShockRateSpec(d=len(rates), kind="exponential", cardinality=rates)
+    return lom.ShockRateSpec(d=len(rates), cardinality=rates)
 
 
 class TestSurvivalForms:
@@ -41,20 +42,18 @@ class TestSurvivalForms:
         assert lom.mo_survival(params, x) == pytest.approx(q ** x.sum(), rel=1e-12)
 
     def test_geo_survival_d1_geometric(self):
-        params = lom.LomParameterSeq((1.0, 0.65))
         for n in range(5):
-            assert lom.geo_survival(params, [n]) == pytest.approx(0.65**n)
+            assert lom.geo_survival((1.0, 0.65), [n]) == pytest.approx(0.65**n)
 
     def test_geo_rejects_non_integers(self):
-        params = lom.LomParameterSeq((1.0, 0.65, 0.45))
         with pytest.raises(SpecValidationError):
-            lom.geo_survival(params, [0.5, 1.0])
+            lom.geo_survival((1.0, 0.65, 0.45), [0.5, 1.0])
 
     def test_flavor_validation(self):
         with pytest.raises(NotDMonotoneError):  # log-convexity broken: a negative rate
             lom.rates_from_exponents(lom.exponents_from_b((1.0, 0.9, 0.5)))
-        with pytest.raises(NotDMonotoneError):
-            lom.LomParameterSeq((1.0, 0.2, 0.5))
+        with pytest.raises(NotDMonotoneError, match="geometric parameters b must be d-monotone"):
+            cli.build_model({"family": "geometric", "b": [1.0, 0.2, 0.5]})
 
     def test_negative_coordinates_rejected(self):
         # the CLI's one domain check refuses the point; mo_survival checks nothing
@@ -66,7 +65,7 @@ class TestSurvivalForms:
     def test_overflowing_exponent_gives_zero(self):
         # gap * log b_1 is below the least double: the survival is 0, with no warning
         assert lom.mo_survival(lom.exponents((2.0, 0.5)), [1.7e308, 1.0]) == 0.0
-        assert lom.geo_survival(lom.LomParameterSeq((1.0, 0.3, 0.2)), [1.7e308, 1.0]) == 0.0
+        assert lom.geo_survival((1.0, 0.3, 0.2), [1.7e308, 1.0]) == 0.0
 
 
 class TestReparameterizations:
@@ -98,15 +97,16 @@ class TestReparameterizations:
             assert np.allclose(back.cardinality, rates, atol=1e-10)
 
     def test_geometric_round_trip(self):
+        # p[m] of a round that shocks one fixed subset of m components, and
+        # back through the b of the round's law, whose ones are the spared ones
         rng = np.random.default_rng(32)
         for _ in range(50):
             d = int(rng.integers(1, 6))
             p = rng.random(d + 1)
             p = p / sum(math.comb(d, k) * p[k] for k in range(d + 1))
-            spec = lom.ShockRateSpec(d=d, kind="geometric", cardinality=tuple(p))
-            params = lom.b_from_p(spec)
-            back = lom.p_from_b_geo(params)
-            assert np.allclose(back.cardinality, p, atol=1e-10)
+            b = mo.b_from_p(mo.BinaryExchangeableLaw(tuple(p[::-1])))
+            back = mo.p_from_b(b).p[::-1]
+            assert np.allclose(back, p, atol=1e-10)
 
     def test_bernstein_rates_non_negative(self):
         # b_k = exp(-psi(k)) of a subordinator: its rates are the subset rates
@@ -132,23 +132,35 @@ class TestShockSamplers:
 
     def test_exchangeable_spec_beyond_cap_samples(self):
         rng = np.random.default_rng(35)
-        spec = lom.ShockRateSpec(d=21, kind="exponential", cardinality=(0.1,) * 21)
+        spec = lom.ShockRateSpec(d=21, cardinality=(0.1,) * 21)
         sm = lom.sample_mo_shocks(spec, 21, 10, rng)
         assert sm.data.shape == (10, 21)
         assert np.isfinite(sm.data).all() and (sm.data > 0).all()
 
     def test_geo_shocks_match_closed_form(self):
         rng = np.random.default_rng(36)
-        spec = lom.ShockRateSpec(d=2, kind="geometric", cardinality=(0.45, 0.2, 0.15))
-        params = lom.b_from_p(spec)
-        sm = lom.sample_geo_shocks(spec, 2, 120000, rng)
+        law = mo.BinaryExchangeableLaw((0.15, 0.2, 0.45))  # a round spares both with 0.45
+        b = mo.b_from_p(law).values
+        sm = lom.sample_geo_shocks(law, 2, 120000, rng)
         assert sm.data.min() >= 1.0
         for pt in ([1, 1], [2, 1], [3, 4], [0, 0]):
             pt = np.asarray(pt)
             emp = (sm.data > pt).all(axis=1).mean()
-            closed = float(lom.geo_survival(params, pt))
+            closed = float(lom.geo_survival(b, pt))
             se = math.sqrt(max(closed * (1 - closed), 1e-12) / sm.n)
             assert abs(emp - closed) <= 3 * se + 1e-3
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_geo_shocks_refuse_a_law_that_never_hits(self, d):
+        # every round spares every component: the law by name, not a numpy error
+        law = mo.BinaryExchangeableLaw((0.0,) * d + (1.0,))
+        with pytest.raises(SpecValidationError, match="every component needs positive hit"):
+            lom.sample_geo_shocks(law, law.d, 10, np.random.default_rng(1))
+
+    def test_geo_shocks_refuse_another_dimension(self):
+        law = mo.BinaryExchangeableLaw((0.15, 0.2, 0.45))
+        with pytest.raises(SpecValidationError, match="law dimension 2 != requested 3"):
+            lom.sample_geo_shocks(law, 3, 10, np.random.default_rng(1))
 
 
 def _binomial_weights(d, weights):
@@ -230,15 +242,15 @@ class TestDeathChain:
 
     def test_tie_probability_exponential(self):
         lam1, lam2, n = 0.3, 0.5, 100_000
-        spec = lom.ShockRateSpec(d=2, kind="exponential", cardinality=(lam1, lam2))
+        spec = lom.ShockRateSpec(d=2, cardinality=(lam1, lam2))
         x = lom.sample_mo_shocks(spec, 2, n, np.random.default_rng(51)).data
         p = lam2 / (2 * lam1 + lam2)
         assert abs((x[:, 0] == x[:, 1]).mean() - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
     def test_tie_probability_geometric(self):
         p0, p1, p2, n = 0.25, 0.2, 0.35, 100_000
-        spec = lom.ShockRateSpec(d=2, kind="geometric", cardinality=(p0, p1, p2))
-        x = lom.sample_geo_shocks(spec, 2, n, np.random.default_rng(52)).data
+        law = mo.BinaryExchangeableLaw((p2, p1, p0))
+        x = lom.sample_geo_shocks(law, 2, n, np.random.default_rng(52)).data
         p = p2 / (2 * p1 + p2)
         assert abs((x[:, 0] == x[:, 1]).mean() - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
@@ -267,13 +279,13 @@ class TestDeathChain:
         d = 40
         if discrete:
             values = _binomial_weights(d, [0.2] + [0.4 / (d - 1)] * (d - 1) + [0.4])
-            spec = lom.ShockRateSpec(d=d, kind="geometric", cardinality=tuple(values))
+            law = mo.BinaryExchangeableLaw(tuple(values[::-1]))
             b1 = sum(math.comb(d - 1, m) * values[m] for m in range(d))
             ppf = lambda q: max(0.0, math.ceil(math.log1p(-q) / math.log(b1)))
-            sampler = lambda n, rng: lom.sample_geo_shocks(spec, d, n, rng)
+            sampler = lambda n, rng: lom.sample_geo_shocks(law, d, n, rng)
         else:
             values = [0.0] + _mo_model(d)
-            spec = lom.ShockRateSpec(d=d, kind="exponential", cardinality=tuple(values[1:]))
+            spec = lom.ShockRateSpec(d=d, cardinality=tuple(values[1:]))
             rate1 = sum(math.comb(d - 1, m - 1) * values[m] for m in range(1, d + 1))
             ppf = lambda q: -math.log1p(-q) / rate1
             sampler = lambda n, rng: lom.sample_mo_shocks(spec, d, n, rng)
@@ -489,13 +501,12 @@ class TestGeoCiid:
         law = Gamma(1.0)
         d, n = 2, 100000
         b = tuple(float(law.laplace(k)) for k in range(d + 1))
-        params = lom.LomParameterSeq((1.0,) + b[1:])
         sm = fp.sample_geo_ciid(law, d, n, rng)
         assert sm.data.min() >= 1.0
         for pt in ([1, 1], [2, 0], [3, 3]):
             pt = np.asarray(pt)
             emp = (sm.data > pt).all(axis=1).mean()
-            closed = float(lom.geo_survival(params, pt))
+            closed = float(lom.geo_survival((1.0,) + b[1:], pt))
             se = math.sqrt(closed * (1 - closed) / n)
             assert abs(emp - closed) <= 3 * se + 1e-3
 
@@ -518,14 +529,14 @@ class TestExtendibility:
         assert lom.is_ciid_extendible(params).extendible
 
     def test_discrete_interval_counterexample(self):
-        params = lom.LomParameterSeq((1.0, 0.5, 0.2))
+        params = mo.MonotoneSequence((1.0, 0.5, 0.2))
         assert not lom.is_ciid_extendible(params).extendible
-        params2 = lom.LomParameterSeq((1.0, 0.5, 0.3))
+        params2 = mo.MonotoneSequence((1.0, 0.5, 0.3))
         assert lom.is_ciid_extendible(params2).extendible
 
     def test_power_sequence_extendible(self):
         m = 0.6
-        params = lom.LomParameterSeq(tuple(m**k for k in range(5)))
+        params = mo.MonotoneSequence(tuple(m**k for k in range(5)))
         assert lom.is_ciid_extendible(params).extendible
 
     def test_constant_sequence_trivially_extendible(self):
@@ -534,14 +545,14 @@ class TestExtendibility:
 
     @pytest.mark.parametrize("flavor", ["continuous", "discrete"])
     def test_degree_zero(self, flavor):
-        params = () if flavor == "continuous" else lom.LomParameterSeq((1.0,))
+        params = () if flavor == "continuous" else mo.MonotoneSequence((1.0,))
         verdict = lom.is_ciid_extendible(params)
         assert verdict.extendible and verdict.hankel_values == () and verdict.min_hankel == 0.0
 
     def test_degree_one(self):
         # discrete: (1, b_1) itself; continuous: the normalized sequence (1,), which has no
         # determinants
-        verdict = lom.is_ciid_extendible(lom.LomParameterSeq((1.0, 0.25)))
+        verdict = lom.is_ciid_extendible(mo.MonotoneSequence((1.0, 0.25)))
         assert verdict.extendible and verdict.hankel_values == (0.25, 0.75)
         verdict = lom.is_ciid_extendible(lom.exponents_from_b((1.0, 0.25)))
         assert verdict.extendible and verdict.hankel_values == ()
@@ -550,7 +561,7 @@ class TestExtendibility:
         # discrete: b_k = 0.3^k; continuous: psi(k) = (1 - 0.3^k) / 0.7, one jump of size
         # log(10/3), so that a_k / a_1 = 0.3^(k-1).  Both are the moments of a point
         # mass at 0.3, whose Hankel matrices of size 2 or more are singular.
-        discrete = lom.LomParameterSeq(tuple(float(Fraction(3, 10) ** k) for k in range(7)))
+        discrete = mo.MonotoneSequence(tuple(float(Fraction(3, 10) ** k) for k in range(7)))
         verdict = lom.is_ciid_extendible(discrete)
         assert verdict.extendible
         assert verdict.hankel_values[:4] == pytest.approx((0.3, 0.7, 0.0, 0.21), abs=1e-12)
@@ -567,7 +578,7 @@ class TestBetaFamily:
 
     @staticmethod
     def bseq(p, q, d):
-        return lom.LomParameterSeq(moment_sequence(Beta(p, q), d).values)
+        return moment_sequence(Beta(p, q), d)
 
     def test_uniform_case(self):
         params = self.bseq(1.0, 1.0, 3)

@@ -71,7 +71,7 @@ class TestExshock:
         assert sk.exshock_survival(sk.ShockSurvivalSpec(shocks), point) == 0.0
 
     def test_exponential_case_reduces_to_lack_of_memory(self):
-        lspec = lom.ShockRateSpec(d=3, kind="exponential", cardinality=(0.3, 0.2, 0.1))
+        lspec = lom.ShockRateSpec(d=3, cardinality=(0.3, 0.2, 0.1))
         params = lom.exponents(lspec.cardinality)
         rng = np.random.default_rng(53)
         for _ in range(20):
@@ -249,7 +249,7 @@ class TestDirichletPrior:
         dp = sk.sample_dp(1.0, sk.UniformBase(), 2, 40000, rng)
         assert radial_symmetry_test(dp, 0.5)
         mo = lom.sample_mo_shocks(
-            lom.ShockRateSpec(d=2, kind="exponential", cardinality=(0.5, 0.5)), 2, 40000, rng
+            lom.ShockRateSpec(d=2, cardinality=(0.5, 0.5)), 2, 40000, rng
         )
         assert not radial_symmetry_test(mo, float(np.median(mo.data)))
 
