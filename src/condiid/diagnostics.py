@@ -338,8 +338,8 @@ class McReport:
         return json.dumps(self.to_json(), sort_keys=True, allow_nan=False)
 
 
-# Bytes of sample columns that one block of the orthant count copies: the
-# block stays in cache across the grid points.
+# Bytes of sample columns in one block of the orthant count: the block stays
+# in cache across the grid points.
 _COUNT_BLOCK_BYTES = 1 << 20
 
 
@@ -348,10 +348,13 @@ def _orthant_hits(data: np.ndarray, grid: np.ndarray, mode: str) -> np.ndarray:
 
     ``mode`` "survival" counts the rows strictly above the point in every
     coordinate (x > g), "cdf" the rows at or below it (x <= g).  The rows are
-    counted in blocks of about 1 MiB of columns: each block is copied,
-    transposed, into one (d, B) buffer, and each point ANDs its column
-    comparisons into one B-length buffer, so neither a transposed copy of the
-    sample nor an n x grid x d array is built.
+    counted in blocks of about 1 MiB of columns.  Columns that lie contiguous
+    in memory, as in a column-major sample, are read where they lie; strided
+    ones, as in a row-major sample, are copied a block at a time into one
+    (d, B) buffer.  A point whose coordinates are all equal is counted from
+    each row's minimum (survival) or maximum (cdf), taken once per block;
+    any other point ANDs its column comparisons into one B-length buffer.  So
+    neither a transposed copy of the sample nor an n x grid x d array is built.
     """
     n, d = data.shape
     if grid.shape[1] != d:
@@ -359,19 +362,29 @@ def _orthant_hits(data: np.ndarray, grid: np.ndarray, mode: str) -> np.ndarray:
             f"grid points have {grid.shape[1]} coordinates but the sample has d={d}"
         )
     compare = np.greater if mode == "survival" else np.less_equal
+    extreme = np.minimum if mode == "survival" else np.maximum
+    diagonal = ((grid == grid[:, :1]).all(axis=1) & (d > 1)).tolist()
     rows = max(1, min(n, _COUNT_BLOCK_BYTES // (data.itemsize * d)))
-    buf = np.empty((d, rows), dtype=data.dtype)
+    buf = np.empty((d, rows), dtype=data.dtype) if data.strides[0] != data.itemsize else None
+    bound = np.empty(rows, dtype=data.dtype) if any(diagonal) else None
     inside = np.empty(rows, dtype=bool)
     scratch = np.empty_like(inside)
     hits = np.zeros(grid.shape[0], dtype=np.int64)
     for start in range(0, n, rows):
         m = min(rows, n - start)
-        cols, hit, tmp = buf[:, :m], inside[:m], scratch[:m]
-        np.copyto(cols, data[start:start + m].T)
+        cols, hit, tmp = data[start:start + m].T, inside[:m], scratch[:m]
+        if buf is not None:  # strided columns: one contiguous copy of the block
+            np.copyto(buf[:, :m], cols)
+            cols = buf[:, :m]
+        if bound is not None:
+            extreme.reduce(cols, axis=0, out=bound[:m])
         for k, point in enumerate(grid):
-            compare(cols[0], point[0], out=hit)
-            for col, g in zip(cols[1:], point[1:]):
-                hit &= compare(col, g, out=tmp)
+            if diagonal[k]:
+                compare(bound[:m], point[0], out=hit)
+            else:
+                compare(cols[0], point[0], out=hit)
+                for col, g in zip(cols[1:], point[1:]):
+                    hit &= compare(col, g, out=tmp)
             hits[k] += np.count_nonzero(hit)
     return hits
 
@@ -401,8 +414,12 @@ def mc_verify(
     strictly greater (x > g), a cdf point when every coordinate is less or
     equal (x <= g); a tie at a grid value counts for cdf only, and +inf counts
     as above every point.  Each stream's chunk is counted in blocks of rows:
-    beyond the sample, counting holds one block of about 1 MiB of columns
-    plus two boolean buffers of the block's length.
+    beyond the sample, counting holds two boolean buffers of the block's
+    length, one row minimum or maximum per row of the block when a point has
+    all coordinates equal, and, for a sample whose columns are strided (a
+    row-major one), a copy of one block of about 1 MiB of columns.  The
+    package's samplers that fill their sample by column (the death chain's,
+    exshock's and l1's) hand it over column-major, without that copy.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if n < 1:

@@ -205,7 +205,8 @@ def _death_chain(next_event, d: int, n: int, rng) -> tuple[np.ndarray, int]:
     die then; which j is uniform (Mai, Schenk & Scherer 2016).  All live rows
     move together, for at most d steps, and record their death times by
     rank; a uniform shuffle of each row then says which component died at
-    which rank.  Returns the (n, d) sample and the number of steps.
+    which rank.  Returns the (n, d) sample, column-major as the chain fills
+    it, and the number of steps.
     """
     by_rank = np.zeros((d, n))  # by_rank[i, r]: the time of the i-th death of row r
     rows = np.arange(n)
@@ -222,7 +223,7 @@ def _death_chain(next_event, d: int, n: int, rng) -> tuple[np.ndarray, int]:
     # a row's death times increase, so a running maximum gives each block of j its time
     for i in range(1, d):  # row by row: maximum.accumulate along axis 0 is 20x slower here
         np.maximum(by_rank[i], by_rank[i - 1], out=by_rank[i])
-    data = by_rank.T.copy()  # C-ordered, so each row's shuffle runs over contiguous memory
+    data = by_rank.T  # shuffled in place: the same draws and bits as on a C-ordered copy
     return rng.permuted(data, axis=1, out=data), steps
 
 

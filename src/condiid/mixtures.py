@@ -110,11 +110,15 @@ def williamson_transform(law: MixingLaw, d: int, x) -> float:
 
 def sample_l1_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
     """X = E / M; the joint survival function is phi(||x||_1) with phi the
-    Laplace transform of M."""
+    Laplace transform of M.
+
+    E is drawn column by column, n values for X_1, then n for X_2, ..., into
+    a column-major sample, so the division by M runs along contiguous columns.
+    """
     m = law.sample(n, rng)
     if (np.asarray(m) <= 0).any():
         raise SpecValidationError("mixing variable must be strictly positive")
-    data = rng.standard_exponential((n, d))
+    data = rng.standard_exponential((d, n)).T
     data /= m[:, None]
     return SampleMatrix(data, meta=f"l1_ciid {law!r} d={d}")
 

@@ -250,7 +250,7 @@ def exshock_sample(spec: ShockSurvivalSpec, d: int, n: int, rng) -> SampleMatrix
         raise SpecValidationError(f"spec dimension {spec.d} != requested {d}")
     if d > MAX_SHOCK_DIM:
         raise DimensionCapError(f"shock construction caps d at {MAX_SHOCK_DIM}")
-    data = np.full((n, d), np.inf)
+    data = np.full((n, d), np.inf, order="F")  # filled by column
     for size in range(1, d + 1):
         for members in combinations(range(d), size):
             e = spec.shocks[size - 1].sample(n, rng)

@@ -90,6 +90,38 @@ def blocked_samples(draw):
     return data, grid
 
 
+@st.composite
+def laid_out_samples(draw):
+    """(sample, grid): a tied sample held in one of six layouts, and a grid
+    that mixes points with all coordinates equal and other points.
+
+    Sample values are grid coordinates and +-inf.  The sample is C- or
+    Fortran-ordered, and either whole, every other row of a larger array
+    (``data[::2]``) or the column-reversed view of one (``data[:, ::-1]``).
+    """
+    d = draw(st.integers(1, 6))
+    coord = st.floats(-10.0, 10.0, allow_nan=False) | st.sampled_from([0.0, -0.0, math.inf,
+                                                                        -math.inf])
+    mixed = draw(st.lists(st.lists(coord, min_size=d, max_size=d), max_size=6))
+    equal = [[c] * d for c in draw(st.lists(coord, max_size=5))]
+    grid = draw(st.permutations(mixed + equal).filter(len))
+    values = sorted({g for point in grid for g in point} | {math.inf, -math.inf})
+    rows = draw(st.lists(st.lists(st.sampled_from(values), min_size=d, max_size=d),
+                         min_size=1, max_size=40))
+    order = draw(st.sampled_from("CF"))
+    view = draw(st.sampled_from(["whole", "every_other_row", "columns_reversed"]))
+    data = np.array(rows, dtype=float)
+    if view == "every_other_row":  # the skipped rows are ones that every point would count
+        full = np.full((2 * len(rows), d), -math.inf)
+        full[::2] = data
+        data = np.asarray(full, order=order)[::2]
+    elif view == "columns_reversed":
+        data = np.asarray(data[:, ::-1], order=order)[:, ::-1]
+    else:
+        data = np.asarray(data, order=order)
+    return data, np.array(grid, dtype=float)
+
+
 class TestKendallTau:
     def test_comonotone(self):
         x = np.random.default_rng(0).standard_normal(500)
@@ -415,6 +447,19 @@ class TestMcVerify:
         assert len(sample) == n
         assert r.empirical == tuple(h / n for h in orthant_hits_oracle(sample, grid, mode))
 
+    def test_threaded_l1_verify_counts_the_concatenated_streams(self):
+        spec = {"family": "l1", "d": 3, "m": {"family": "gamma", "shape": 2.0}}
+        out = io.StringIO()
+        with redirect_stdout(out):
+            cli.main(["verify", "--model", json.dumps(spec), "--n", "3001", "--seed", "4",
+                      "--threads", "2"])
+        report = json.loads(out.getvalue())
+        streams = np.random.SeedSequence(4).spawn(2)
+        rows = np.concatenate([mx.sample_l1_ciid(Gamma(2.0), 3, size, np.random.default_rng(s)).data
+                               for s, size in zip(streams, (1500, 1501))])
+        hits = orthant_hits_oracle(rows.tolist(), report["grid"], "survival")
+        assert report["empirical"] == [h / 3001 for h in hits]
+
     def test_counting_memory_is_one_copy_of_the_sample(self):
         data = np.random.default_rng(0).random((100_000, 5))
         grid = np.random.default_rng(1).random((100, 5))
@@ -433,6 +478,24 @@ class TestMcVerify:
         inside = np.greater if mode == "survival" else np.less_equal
         expected = [int(inside(data, point).all(axis=1).sum()) for point in grid]
         assert dg._orthant_hits(data, grid, mode).tolist() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(laid_out_samples(), st.sampled_from(["survival", "cdf"]))
+    def test_hits_match_oracle_in_every_layout(self, case, mode):
+        data, grid = case
+        expected = orthant_hits_oracle(data.tolist(), grid.tolist(), mode)
+        assert dg._orthant_hits(data, grid, mode).tolist() == expected
+
+    def test_column_major_sample_is_counted_without_a_copy(self):
+        data = np.asfortranarray(np.random.default_rng(0).random((200_000, 5)))
+        grid = np.r_[np.random.default_rng(1).random((5, 5)), np.full((5, 5), 0.5)]
+        tracemalloc.start()
+        try:
+            dg._orthant_hits(data, grid, "survival")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3e6
 
     def test_counting_memory_is_one_block(self):
         data = np.random.default_rng(0).random((200_000, 5))

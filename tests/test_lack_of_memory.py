@@ -228,6 +228,13 @@ class TestDeathChain:
                      for j in range(d + 1)] for k in range(d + 1)]
         assert lom._death_rates(values, d) == expected
 
+    def test_sample_is_column_major(self):
+        rng = np.random.default_rng(3)
+        one_by_one = lambda k, t: (t + rng.standard_exponential(k.size), np.ones_like(k))
+        data, steps = lom._death_chain(one_by_one, 4, 1000, rng)
+        assert (data.shape, steps) == ((1000, 4), 4)
+        assert data.flags.f_contiguous
+
     def test_death_order_is_uniform(self):
         # a drift alone kills one component per step, so every row dies in one
         # of the 3! orders, each with probability 1/6

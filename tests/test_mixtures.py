@@ -173,6 +173,11 @@ def test_l1_sampler_memory_is_its_output():
     assert peak <= 1.4 * out.data.nbytes
 
 
+def test_l1_sample_is_column_major():
+    out = mx.sample_l1_ciid(Gamma(2.0), 4, 1000, np.random.default_rng(0))
+    assert out.data.shape == (1000, 4) and out.data.flags.f_contiguous
+
+
 class TestArchimedean:
     def test_zero_coordinate(self):
         assert mx.archimedean_copula_eval(Gamma(1.0), [0.0, 0.5]) == 0.0

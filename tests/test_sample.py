@@ -63,6 +63,12 @@ def test_chunk_boundaries(extra):
     assert same_floats(read_csv(io.StringIO(text.decode())), data)
 
 
+def test_c_and_fortran_copies_write_the_same_bytes():
+    data = np.random.default_rng(6).standard_exponential((sample._WRITE_CHUNK_ROWS + 3, 4))
+    data[::7, 2] = np.inf
+    assert written_bytes(np.asfortranarray(data)) == written_bytes(np.ascontiguousarray(data))
+
+
 def test_path_like(tmp_path):
     data = np.array([[1.5, np.inf], [-0.0, 2.0]])
     path = tmp_path / "s.csv"

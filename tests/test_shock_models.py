@@ -70,6 +70,10 @@ class TestExshock:
         # exp(-800) is below the least double, so the survival is 0, not a floor
         assert sk.exshock_survival(sk.ShockSurvivalSpec(shocks), point) == 0.0
 
+    def test_sample_is_column_major(self):
+        out = sk.exshock_sample(EXP_SPEC, 3, 1000, np.random.default_rng(0))
+        assert out.data.shape == (1000, 3) and out.data.flags.f_contiguous
+
     def test_exponential_case_reduces_to_lack_of_memory(self):
         lspec = lom.ShockRateSpec(d=3, cardinality=(0.3, 0.2, 0.1))
         params = lom.exponents(lspec.cardinality)
