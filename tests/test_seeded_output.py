@@ -65,7 +65,7 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
     ),
     "l1": (
         {"family": "l1", "d": 5, "m": {"family": "gamma", "shape": 1.5}},
-        "7d69c5891f9a7a8f544923fbed697f0fcddeed4669686e7e03a81ead20298c55",
+        "71a1a447b1e9b02590a1c7d7caf31a64cb3e6b9bbb125fddc24f7fa64f1e68fc",
     ),
     "linf": (
         {"family": "linf", "d": 5, "m": {"family": "pareto", "alpha": 2.5}},
