@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import SpecValidationError
 from .inverse import monotone_inverse
-from .mixing import MixingLaw
+from .mixing import Gamma, MixingLaw
 from .sample import SampleMatrix
 
 __all__ = [
@@ -137,11 +137,17 @@ def l1_ciid_survival(law: MixingLaw, x):
 
 def laplace_inverse(law: MixingLaw, u: float) -> float:
     """Generalized inverse phi^{-1}(u) = inf{x : phi(x) <= u} of the Laplace
-    transform phi of ``law``, by bisection on a bracket grown by doubling."""
+    transform phi of ``law``: in closed form for a Gamma law, else by
+    bisection on a bracket grown by doubling."""
     if not 0.0 <= u <= 1.0:
         raise SpecValidationError(f"generator inverse needs u in [0,1], got {u}")
     if u >= 1.0:
         return 0.0
+    if isinstance(law, Gamma):  # phi(x) = (1 + x)**-theta: x = u**(-1/theta) - 1
+        try:
+            return u ** (-1.0 / law.shape) - 1.0
+        except (ZeroDivisionError, OverflowError):  # u = 0, or an x beyond the doubles
+            return math.inf
     x = monotone_inverse(lambda t: law.laplace(t) <= u)
     # With mass of M at 0, phi levels off at P(M = 0) from above and can
     # round onto u = P(M = 0) at a finite point; phi never drops below u

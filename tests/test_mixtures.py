@@ -7,6 +7,7 @@ from scipy import integrate, optimize, stats
 
 from condiid import mixtures as mx
 from condiid.errors import SpecValidationError
+from condiid.inverse import monotone_inverse
 from condiid.mixing import Beta, FiniteDiscrete, Gamma, LogSeries, Pareto, PointMass
 
 
@@ -196,6 +197,21 @@ class TestArchimedean:
         law = Gamma(0.7)
         for u in (0.05, 0.3, 0.9):
             assert float(law.laplace(mx.laplace_inverse(law, u))) == pytest.approx(u, abs=1e-9)
+
+    @pytest.mark.parametrize("shape", [0.05, 0.7, 1.0, 2.0, 7.5])
+    def test_gamma_inverse_is_the_bisection_in_closed_form(self, shape, monkeypatch):
+        law = Gamma(shape)
+        us = np.r_[np.geomspace(1e-4, 0.5, 60), 1.0 - np.geomspace(1e-12, 0.5, 60)].tolist()
+        bisected = [monotone_inverse(lambda t: law.laplace(t) <= u) for u in us]
+        monkeypatch.setattr(Gamma, "laplace", lambda self, x: pytest.fail("phi evaluated"))
+        for u, x in zip(us, bisected):
+            assert abs(mx.laplace_inverse(law, u) - x) <= 1e-12 * max(1.0, x)
+        assert mx.laplace_inverse(law, 1.0) == 0.0
+        assert mx.laplace_inverse(law, 0.0) == math.inf
+
+    def test_gamma_inverse_beyond_the_doubles_is_inf(self):
+        assert mx.laplace_inverse(Gamma(0.5), 1e-300) == math.inf  # x = 1e600
+        assert mx.laplace_inverse(Gamma(2.0), 1e-300) == pytest.approx(1e150, rel=1e-14)
 
     def test_generator_inverse_at_atom_at_zero(self):
         # phi(x) = (1 + e^-x) / 2 stays above 1/2 but rounds onto it near x = 37

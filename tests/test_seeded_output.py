@@ -192,7 +192,7 @@ def test_minstable_stdf_value(name):
 
 LARGE_VERIFIES = {  # model name: sha256 of its verify report at --n 40000 --seed 1
     "l1": ({"family": "l1", "d": 5, "m": {"family": "gamma", "shape": 2.0}},
-           "7e606b9dae6be23a8f66142b7fec0242902e0d1aad4295ec6264ad64a4a64c6c"),
+           "1055e1dde2a22895cc1e685ea69537fb3907295eb05752bc3b8af3191f999250"),
     "exch_normal": (MODELS["exch_normal"][0],  # cdf mode
                     "3f7daa0f070e871af5ebb86b8104234dd2b5ccd4f421bfaa1d032a8cf56dc26b"),
 }
