@@ -689,6 +689,17 @@ class TestVerify:
         report = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in {out}"))
         assert report["closed"][0] == pytest.approx(closed, rel=1e-12)
 
+    @pytest.mark.parametrize("spec", [{"family": "geometric", "b": [1.0, 0.0, 0.0]},
+                                      {"family": "geometric", "p": [0, 0, 1.0]}], ids=["b", "p"])
+    def test_geometric_law_that_always_hits_is_verified(self, spec):
+        # b_1 = 0: every round hits every component, so X = (1, 1), and the
+        # marginal quantiles and the grid are 1
+        code, out, err = run(["verify", "--model", json.dumps(spec), "--n", "1000", "--seed", "1"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["grid"] == [[1.0, 1.0]] * 10
+        assert report["closed"] == report["empirical"] == [0.0] * 10
+
     def test_sato_verified_beyond_d3(self):
         model = json.dumps({"family": "sato", "d": 5, "alpha": 1.05})
         code, out, err = run(["verify", "--model", model, "--n", "20000", "--seed", "1"])
