@@ -267,14 +267,12 @@ def _geometric(spec: dict, d: int) -> Model:
     # the marginal is geometric on 1, 2, ..., P(X_1 > k) = b_1**k, so its
     # quantiles and the grid are integers; at b_1 = 1 no round hits a component,
     # which the sampler refuses, and at b_1 = 0 every round does: X_1 = 1
-    if b1 in (0.0, 1.0):
-        marginal_ppf = lambda q: 1.0 if b1 == 0.0 else math.inf
-    else:
-        marginal_ppf = lambda q: max(0.0, math.ceil(math.log1p(-q) / math.log(b1)))
     return Model("geometric", d,
                  sampler=lambda n, rng: lom.sample_geo_shocks(law(), d, n, rng),
                  evals={"survival": lambda x: lom.geo_survival(b.values, x)},
-                 marginal_ppf=marginal_ppf, check=check)
+                 marginal_ppf=lambda q: math.inf if b1 == 1.0 else 1.0 if b1 == 0.0 else
+                 max(0.0, math.ceil(math.log1p(-q) / math.log(b1))),
+                 check=check)
 
 
 def _minstable(spec: dict, d: int) -> Model:
