@@ -26,8 +26,8 @@ urn = mo.sample_polya_urn(1, 1, d, n, rng)
 mix = mo.sample_binary_mixture(Beta(1, 1), d, n, rng)
 
 print(f"{'#ones':>6} {'urn freq':>10} {'mixture freq':>13} {'closed form':>12}")
-ones_urn = urn.data.sum(axis=1)
-ones_mix = mix.data.sum(axis=1)
+ones_urn = urn.sum(axis=1)
+ones_mix = mix.sum(axis=1)
 for k in range(d + 1):
     closed = math.comb(d, k) * mo.polya_pattern_probability(1, 1, d, k)
     print(f"{k:>6} {(ones_urn == k).mean():>10.4f} {(ones_mix == k).mean():>13.4f} {closed:>12.4f}")

@@ -35,15 +35,15 @@ passage = lom.sample_mo_ciid(sub, 3, n, rng)
 print(f"\n{'point':>18} {'shocks':>8} {'passage':>8} {'closed':>8}")
 for pt in ([0.3, 0.3, 0.3], [0.5, 1.0, 0.2], [1.5, 1.5, 1.5]):
     pt = np.asarray(pt)
-    print(f"{str(pt.tolist()):>18} {(shocks.data > pt).all(axis=1).mean():>8.4f} "
-          f"{(passage.data > pt).all(axis=1).mean():>8.4f} "
+    print(f"{str(pt.tolist()):>18} {(shocks > pt).all(axis=1).mean():>8.4f} "
+          f"{(passage > pt).all(axis=1).mean():>8.4f} "
           f"{float(lom.mo_survival(params, pt)):>8.4f}")
 
 print("\nlack-of-memory probe: survivors at time t restart fresh")
 t, x = 0.4, np.array([0.5, 0.3, 0.7])
-alive = (passage.data > t).all(axis=1)
-print(f"  P(X > t + x | X > t) = {(passage.data[alive] > t + x).all(axis=1).mean():.4f}")
-print(f"  P(X > x)             = {(passage.data > x).all(axis=1).mean():.4f}")
+alive = (passage > t).all(axis=1)
+print(f"  P(X > t + x | X > t) = {(passage[alive] > t + x).all(axis=1).mean():.4f}")
+print(f"  P(X > x)             = {(passage > x).all(axis=1).mean():.4f}")
 
 print("\njumps in the latent path produce exact ties between components:")
 print(f"  tie frequency with jumps: {tie_frequency(passage):.3f}")
@@ -60,7 +60,7 @@ gb = b_from_p(round_law)
 geo = lom.sample_geo_shocks(round_law, 2, n, rng)
 for pt in ([1, 1], [3, 2]):
     pt = np.asarray(pt)
-    print(f"  survival at {pt.tolist()}: empirical {(geo.data > pt).all(axis=1).mean():.4f}, "
+    print(f"  survival at {pt.tolist()}: empirical {(geo > pt).all(axis=1).mean():.4f}, "
           f"closed {float(lom.geo_survival(gb.values, pt)):.4f}")
 print(f"  b = {tuple(round(v, 4) for v in gb.values)}: "
       f"extendible = {lom.is_ciid_extendible(gb).extendible}")

@@ -20,7 +20,7 @@ spec = sk.ShockSurvivalSpec(
 )
 sm = sk.exshock_sample(spec, 3, n, rng)
 pt = np.array([0.5, 0.3, 0.8])
-print(f"joint survival at {pt.tolist()}: empirical {(sm.data > pt).all(axis=1).mean():.4f}, "
+print(f"joint survival at {pt.tolist()}: empirical {(sm > pt).all(axis=1).mean():.4f}, "
       f"closed {float(sk.exshock_survival(spec, pt)):.4f}")
 us = np.array([float(sk.exshock_marginal_survival(spec, v)) for v in pt])
 print(f"same value through the ordered-product copula: "
@@ -29,12 +29,12 @@ print(f"same value through the ordered-product copula: "
 print("\n=== Dirichlet prior: exchangeable draws from a random distribution ===")
 c = 1.0
 dp = sk.sample_dp(c, sk.UniformBase(), 3, n, rng)
-print(f"P(X1 <= 1/2, X2 <= 1/2) = {(dp.data[:, :2] <= 0.5).all(axis=1).mean():.4f} "
+print(f"P(X1 <= 1/2, X2 <= 1/2) = {(dp[:, :2] <= 0.5).all(axis=1).mean():.4f} "
       f"(closed form 0.375)")
 print("concentration controls how much rows cluster:")
 for cc in (0.01, 1.0, 100.0):
     sample = sk.sample_dp(cc, sk.UniformBase(), 2, 20000, rng)
-    print(f"  c = {cc:>6}: P(X1 == X2) = {(sample.data[:, 0] == sample.data[:, 1]).mean():.3f}")
+    print(f"  c = {cc:>6}: P(X1 == X2) = {(sample[:, 0] == sample[:, 1]).mean():.3f}")
 
 print("\nradial symmetry separates the Dirichlet prior from shock models:")
 print(f"  DP with uniform base: {dg.radial_symmetry_test(dp, 0.5)}")
@@ -42,7 +42,7 @@ mo_like = sk.exshock_sample(
     sk.ShockSurvivalSpec((sk.ExponentialShock(0.5), sk.ExponentialShock(0.0),
                           sk.ExponentialShock(0.5))), 3, 40000, rng)
 print(f"  exponential shocks  : "
-      f"{dg.radial_symmetry_test(mo_like, float(np.median(mo_like.data)))}")
+      f"{dg.radial_symmetry_test(mo_like, float(np.median(mo_like)))}")
 
 print("\n=== Sato frailty: a self-similar latent clock ===")
 alpha = 1.0
@@ -51,7 +51,7 @@ print("reproduces it without knowing the construction:")
 sato = dg.conditional_inversion_sampler(lambda p: sk.sato_survival(alpha, p), 2, 60000, rng)
 for pt in ([0.5, 0.5], [1.0, 0.3]):
     pt = np.asarray(pt)
-    print(f"  at {pt.tolist()}: empirical {(sato.data > pt).all(axis=1).mean():.4f}, "
+    print(f"  at {pt.tolist()}: empirical {(sato > pt).all(axis=1).mean():.4f}, "
           f"closed {float(sk.sato_survival(alpha, pt)):.4f}")
 
 print("the exact sampler follows the construction, the self-similar Gamma process")
@@ -59,10 +59,10 @@ print("passing exponential barriers, one death event at a time:")
 exact = sk.sample_sato(alpha, 2, 60000, rng)
 for pt in ([0.5, 0.5], [1.0, 0.3]):
     pt = np.asarray(pt)
-    print(f"  at {pt.tolist()}: empirical {(exact.data > pt).all(axis=1).mean():.4f}, "
+    print(f"  at {pt.tolist()}: empirical {(exact > pt).all(axis=1).mean():.4f}, "
           f"closed {float(sk.sato_survival(alpha, pt)):.4f}")
 print("one jump can pass both barriers, so the law has an atom on the diagonal,")
 print("which the finite-difference inversion smears out:")
-print(f"  P(X1 == X2): exact sampler {(exact.data[:, 0] == exact.data[:, 1]).mean():.4f}, "
-      f"inversion {(sato.data[:, 0] == sato.data[:, 1]).mean():.4f}, "
+print(f"  P(X1 == X2): exact sampler {(exact[:, 0] == exact[:, 1]).mean():.4f}, "
+      f"inversion {(sato[:, 0] == sato[:, 1]).mean():.4f}, "
       f"closed 2 ln 2 - 1 = {2 * np.log(2) - 1:.4f}")

@@ -24,7 +24,7 @@ from .errors import (
     UndecidedVerdictError,
     UnsupportedLawError,
 )
-from .sample import SampleMatrix, read_csv, write_csv
+from .sample import read_csv, write_csv
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ _SUBMODULES = (
 
 __all__ = [
     *_SUBMODULES,
-    "SampleMatrix",
     "read_csv",
     "write_csv",
     "SpecValidationError",

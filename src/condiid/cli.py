@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (NotDMonotoneError, SpecValidationError, json_field, json_known_fields,
                      json_list, json_number, json_numbers)
-from .sample import SampleMatrix, read_csv, write_csv
+from .sample import read_csv, write_csv
 
 
 # Each kind of closed form: the interval every coordinate of a point lies in.
@@ -192,8 +192,7 @@ def _archimedean(spec: dict, d: int) -> Model:
     law = _mixing_law(spec)
 
     def copula_sampler(n, rng):
-        xs = mixtures.sample_l1_ciid(law, d, n, rng)
-        return SampleMatrix(np.asarray(law.laplace(xs.data)), meta=f"archimedean {law!r}")
+        return np.asarray(law.laplace(mixtures.sample_l1_ciid(law, d, n, rng)))
 
     copula = lambda u: mixtures.archimedean_copula_eval(law, u)
     # the sample has uniform margins, so its cdf is the copula on [0, 1]^d
@@ -430,9 +429,11 @@ def cmd_sample(args) -> int:
     model = build_model(_load_model_spec(args))
     if args.seed is None:
         raise SpecValidationError("--seed is mandatory for sample")
-    matrix = model.sampler(args.n, np.random.default_rng(args.seed))
+    if args.n < 1:
+        raise SpecValidationError(f"n must be >= 1, got {args.n}")
+    data = model.sampler(args.n, np.random.default_rng(args.seed))
     try:
-        write_csv(matrix, args.out or sys.stdout)
+        write_csv(data, args.out or sys.stdout)
     except OSError as exc:
         raise IOError(f"cannot write samples: {exc}") from exc
     return 0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonMonotoneConditionalError, SpecValidationError
 from .inverse import monotone_inverse_rows
-from .sample import SampleMatrix
+from .sample import checked_sample
 
 __all__ = [
     "EmpiricalDf",
@@ -165,7 +165,7 @@ def majorization_check(samples, x: float, marginal_cdf_at_x: float) -> bool:
     The row statistic min(n, #{components <= x}) estimates the left side;
     the inequality must hold within three standard errors.
     """
-    data = samples.data if isinstance(samples, SampleMatrix) else np.asarray(samples, dtype=float)
+    data = np.asarray(samples, dtype=float)
     nrows, d = data.shape
     if d < 2:
         raise SpecValidationError("need at least two columns")
@@ -190,7 +190,7 @@ def radial_symmetry_test(samples, mu: float) -> bool:
     """
     from scipy import stats  # imported here: it takes most of the package's import time
 
-    data = samples.data if isinstance(samples, SampleMatrix) else np.asarray(samples, dtype=float)
+    data = np.asarray(samples, dtype=float)
     nrows, d = data.shape
     left = data - mu
     right = mu - data
@@ -211,7 +211,7 @@ def radial_symmetry_test(samples, mu: float) -> bool:
 def tie_frequency(samples) -> float:
     """Fraction of rows with at least one exactly tied coordinate pair; two
     +inf entries are a tie."""
-    data = samples.data if isinstance(samples, SampleMatrix) else np.asarray(samples, dtype=float)
+    data = np.asarray(samples, dtype=float)
     if data.shape[1] < 2:
         raise SpecValidationError("need at least two columns")
     s = np.sort(data, axis=1)
@@ -220,14 +220,14 @@ def tie_frequency(samples) -> float:
 
 # -- a compact counterexample law ----------------------------------------------------
 
-def scarsini_sample(n: int, rng) -> SampleMatrix:
+def scarsini_sample(n: int, rng) -> np.ndarray:
     """Scarsini's counterexample: given M uniform on [0, 1/2], each component
     is 1/2 - M or 1/2 + M with equal probability.  Conditionally iid with
     uniform margins, zero correlation and zero Kendall tau, yet not positively
     lower-orthant dependent."""
     m = rng.uniform(0.0, 0.5, size=n)
     signs = np.where(rng.random((n, 2)) < 0.5, -1.0, 1.0)
-    return SampleMatrix(0.5 + signs * m[:, None], meta="scarsini")
+    return 0.5 + signs * m[:, None]
 
 
 def scarsini_cdf(x1: float, x2: float) -> float:
@@ -240,7 +240,7 @@ def scarsini_cdf(x1: float, x2: float) -> float:
 
 # -- sequential inversion from a closed-form survival function ------------------------
 
-def conditional_inversion_sampler(survival, d: int, n: int, rng) -> SampleMatrix:
+def conditional_inversion_sampler(survival, d: int, n: int, rng) -> np.ndarray:
     """Sample a law on [0, inf)^d (d <= 3) given only its joint survival function.
 
     X_1 inverts the marginal survival.  X_k for k >= 2 inverts the
@@ -287,7 +287,7 @@ def conditional_inversion_sampler(survival, d: int, n: int, rng) -> SampleMatrix
         u = rng.random(n)
         data[:, k] = monotone_inverse_rows(lambda t: cond(t) <= u, zeros)
 
-    return SampleMatrix(data, meta=f"conditional_inversion d={d}")
+    return data
 
 
 def _probe_monotone(cond, n: int):
@@ -400,7 +400,7 @@ def mc_verify(
 ) -> McReport:
     """Compare empirical orthant frequencies against closed-form values.
 
-    ``sampler(n, rng)`` must return a SampleMatrix or array; ``survival``
+    ``sampler(n, rng)`` must return an (n, d) array; ``survival``
     evaluates the closed form at the whole (k, d) grid in one call and returns
     its k values, and a result of another shape is refused.  ``mode`` selects strict
     survival probabilities P(X > g) (default) or cdf probabilities P(X <= g).
@@ -435,9 +435,7 @@ def mc_verify(
 
     def run_chunk(stream, size):
         rng = np.random.default_rng(stream)
-        out = sampler(size, rng)
-        data = out.data if isinstance(out, SampleMatrix) else np.asarray(out, dtype=float)
-        return _orthant_hits(data, grid, mode)
+        return _orthant_hits(checked_sample(sampler(size, rng)), grid, mode)
 
     streams = [seed] if threads == 1 else np.random.SeedSequence(seed).spawn(threads)
     hits = sum(map(run_chunk, streams, sizes))

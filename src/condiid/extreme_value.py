@@ -39,7 +39,6 @@ from .errors import (
     json_numbers,
 )
 from .mixing import MixingLaw, PointMass, _categorical, integrate, sample_positive_stable, scalar_pow
-from .sample import SampleMatrix
 
 __all__ = [
     "GSpec",
@@ -392,7 +391,7 @@ def _exp_of_negative(values):
 
 # -- samplers -------------------------------------------------------------------
 
-def sample_logistic_direct(theta: float, rate: float, d: int, n: int, rng) -> SampleMatrix:
+def sample_logistic_direct(theta: float, rate: float, d: int, n: int, rng) -> np.ndarray:
     """Exact logistic-model sampler: X_k = (eps_k / S)**theta / rate with S a
     positive theta-stable variable shared by the row."""
     if not 0.0 < theta < 1.0:
@@ -404,10 +403,10 @@ def sample_logistic_direct(theta: float, rate: float, d: int, n: int, rng) -> Sa
     data /= s[:, None]
     data **= theta
     data /= rate
-    return SampleMatrix(data, meta=f"logistic theta={theta} rate={rate} d={d}")
+    return data
 
 
-def sample_minstable(spec: Triplet, d: int, n: int, rng, rate: float | None = None) -> SampleMatrix:
+def sample_minstable(spec: Triplet, d: int, n: int, rng, rate: float | None = None) -> np.ndarray:
     """Exact min-stable sampler by extremal functions.
 
     Draws Z = max_i W^(i)/Gamma_i, where Gamma_1 < Gamma_2 < ... are the
@@ -418,8 +417,7 @@ def sample_minstable(spec: Triplet, d: int, n: int, rng, rate: float | None = No
     W/Gamma attains Z_k, drawing W under the law tilted by W_k and normalized
     to W_k = 1; it stops once 1/Gamma <= Z_k, and so takes d spectral draws
     per row on average with no truncation.  All rows run in lockstep.
-    ``rate`` rescales the margins from their native rate b + c; ``meta``
-    records the spectral draws per row.
+    ``rate`` rescales the margins from their native rate b + c.
     """
     b, atoms = spec.spectral_parts()
     parts = [(g, w) for g, w in [(None, b), *atoms] if w > 0]  # None is the drift part
@@ -444,14 +442,12 @@ def sample_minstable(spec: Triplet, d: int, n: int, rng, rate: float | None = No
         return y
 
     z = draw(0, n) / rng.standard_exponential(n)[:, None]
-    draws = n
     for k in range(1, d):
         gamma = rng.standard_exponential(n)
         rows = np.flatnonzero(1.0 / gamma > z[:, k])
         gamma = gamma[rows]
         while rows.size:
             y = draw(k, rows.size) / gamma[:, None]
-            draws += rows.size
             zr = z[rows]
             new = (y[:, :k] < zr[:, :k]).all(axis=1)
             z[rows[new]] = np.maximum(zr[new], y[new])
@@ -459,10 +455,7 @@ def sample_minstable(spec: Triplet, d: int, n: int, rng, rate: float | None = No
             # an accepted row now has Z_k >= its old 1/Gamma, so it is done
             live = ~new & (1.0 / gamma > zr[:, k])
             rows, gamma = rows[live], gamma[live]
-    return SampleMatrix(
-        1.0 / (r * z),
-        meta=f"minstable {spec.to_json()} d={d} spectral_draws_per_row={draws / n:.4g}",
-    )
+    return 1.0 / (r * z)
 
 
 # -- JSON -----------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .moments import (
     MonotoneSequence,
     hausdorff_extendible,
 )
-from .sample import SampleMatrix
 
 __all__ = [
     "ShockRateSpec",
@@ -227,7 +226,7 @@ def _death_chain(next_event, d: int, n: int, rng) -> tuple[np.ndarray, int]:
     return rng.permuted(data, axis=1, out=data), steps
 
 
-def sample_mo_shocks(spec: ShockRateSpec, d: int, n: int, rng) -> SampleMatrix:
+def sample_mo_shocks(spec: ShockRateSpec, d: int, n: int, rng) -> np.ndarray:
     """Exchangeable exogenous-shock construction X_k = min{E_I : k in I}, with
     independent E_I ~ Exp(lambda_|I|) over the non-empty subsets I.
 
@@ -235,11 +234,10 @@ def sample_mo_shocks(spec: ShockRateSpec, d: int, n: int, rng) -> SampleMatrix:
     """
     if d != spec.d:
         raise SpecValidationError(f"spec dimension {spec.d} != requested {d}")
-    data, _ = _death_chain(_table_law((0.0,) + spec.cardinality, d, rng, False), d, n, rng)
-    return SampleMatrix(data, meta=f"mo_shocks d={d}")
+    return _death_chain(_table_law((0.0,) + spec.cardinality, d, rng, False), d, n, rng)[0]
 
 
-def sample_geo_shocks(law: BinaryExchangeableLaw, d: int, n: int, rng) -> SampleMatrix:
+def sample_geo_shocks(law: BinaryExchangeableLaw, d: int, n: int, rng) -> np.ndarray:
     """Repeated iid rounds drawn from ``law``, each sparing the components that
     are ones in its pattern; X_k is the first round that does not spare k.
 
@@ -251,8 +249,7 @@ def sample_geo_shocks(law: BinaryExchangeableLaw, d: int, n: int, rng) -> Sample
     miss = sum(math.comb(d - 1, i) * p[i] for i in range(d))
     if miss >= 1.0 - 1e-15:
         raise SpecValidationError("every component needs positive hit probability")
-    data, _ = _death_chain(_table_law(p, d, rng, True), d, n, rng)
-    return SampleMatrix(data, meta=f"geo_shocks d={d}")
+    return _death_chain(_table_law(p, d, rng, True), d, n, rng)[0]
 
 
 @dataclass(frozen=True)
@@ -324,7 +321,7 @@ def _subset_rates(drift, kill, jumps, d: int) -> list:
 
 def sample_mo_ciid(
     sub: CompoundPoissonSubordinatorSpec, d: int, n: int, rng
-) -> SampleMatrix:
+) -> np.ndarray:
     """First passage of the killed compound-Poisson path with drift across
     iid unit-exponential barriers, sampled by its number of deaths.
 
@@ -336,10 +333,7 @@ def sample_mo_ciid(
     if sub.degenerate:
         raise SpecValidationError("subordinator must be non-degenerate")
     law = _table_law(sub.subset_rates(d), d, rng, False)
-    data, steps = _death_chain(law, d, n, rng)
-    meta = (f"mo_ciid drift={sub.drift} kill={sub.kill} jumps={len(sub.jumps)} d={d} "
-            f"chain_steps={steps}")
-    return SampleMatrix(data, meta=meta)
+    return _death_chain(law, d, n, rng)[0]
 
 
 def is_ciid_extendible(params) -> ExtendibilityVerdict:

@@ -13,8 +13,7 @@ import numpy as np
 
 from .errors import SpecValidationError
 from .inverse import monotone_inverse
-from .mixing import Gamma, MixingLaw
-from .sample import SampleMatrix
+from .mixing import Gamma, MixingLaw, PositiveStable
 
 __all__ = [
     "sample_exch_normal",
@@ -36,7 +35,7 @@ __all__ = [
 
 # -- compound-symmetric normal ------------------------------------------------
 
-def sample_exch_normal(mu, sigma, rho, d, n, rng) -> SampleMatrix:
+def sample_exch_normal(mu, sigma, rho, d, n, rng) -> np.ndarray:
     """X_k = mu + sigma*(sqrt(rho)*M + sqrt(1-rho)*M_k) with iid standard
     normal M, M_1..M_d.
 
@@ -53,7 +52,7 @@ def sample_exch_normal(mu, sigma, rho, d, n, rng) -> SampleMatrix:
     data += math.sqrt(rho) * shared[:, None]
     data *= sigma
     data += mu
-    return SampleMatrix(data, meta=f"exch_normal mu={mu} sigma={sigma} rho={rho} d={d}")
+    return data
 
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(80)
@@ -81,11 +80,11 @@ def exch_normal_cdf(mu, sigma, rho, x):
 
 # -- spherical ----------------------------------------------------------------
 
-def sample_spherical_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
+def sample_spherical_ciid(law: MixingLaw, d, n, rng) -> np.ndarray:
     """Scale mixture of iid standard normals: one M per row times a normal row."""
     m = law.sample(n, rng)
     data = m[:, None] * rng.standard_normal((n, d))
-    return SampleMatrix(data, meta=f"spherical {law!r} d={d}")
+    return data
 
 
 # -- l1-norm symmetric --------------------------------------------------------
@@ -108,7 +107,7 @@ def williamson_transform(law: MixingLaw, d: int, x) -> float:
     return float(law.expect(lambda r: (1.0 - x / r) ** (d - 1), lower=x))
 
 
-def sample_l1_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
+def sample_l1_ciid(law: MixingLaw, d, n, rng) -> np.ndarray:
     """X = E / M; the joint survival function is phi(||x||_1) with phi the
     Laplace transform of M.
 
@@ -120,7 +119,7 @@ def sample_l1_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
         raise SpecValidationError("mixing variable must be strictly positive")
     data = rng.standard_exponential((d, n)).T
     data /= m[:, None]
-    return SampleMatrix(data, meta=f"l1_ciid {law!r} d={d}")
+    return data
 
 
 def l1_ciid_survival(law: MixingLaw, x):
@@ -137,8 +136,8 @@ def l1_ciid_survival(law: MixingLaw, x):
 
 def laplace_inverse(law: MixingLaw, u: float) -> float:
     """Generalized inverse phi^{-1}(u) = inf{x : phi(x) <= u} of the Laplace
-    transform phi of ``law``: in closed form for a Gamma law, else by
-    bisection on a bracket grown by doubling."""
+    transform phi of ``law``: in closed form for a Gamma or positive stable
+    law, else by bisection on a bracket grown by doubling."""
     if not 0.0 <= u <= 1.0:
         raise SpecValidationError(f"generator inverse needs u in [0,1], got {u}")
     if u >= 1.0:
@@ -147,6 +146,11 @@ def laplace_inverse(law: MixingLaw, u: float) -> float:
         try:
             return u ** (-1.0 / law.shape) - 1.0
         except (ZeroDivisionError, OverflowError):  # u = 0, or an x beyond the doubles
+            return math.inf
+    if isinstance(law, PositiveStable):  # phi(x) = exp(-x**theta): x = (-log u)**(1/theta)
+        try:
+            return (-math.log(u)) ** (1.0 / law.theta)
+        except (ValueError, OverflowError):  # u = 0, or an x beyond the doubles
             return math.inf
     x = monotone_inverse(lambda t: law.laplace(t) <= u)
     # With mass of M at 0, phi levels off at P(M = 0) from above and can
@@ -189,7 +193,7 @@ def gnedin_g(law: MixingLaw, d: int, x) -> float:
         return float(law.expect(lambda m: m ** (-d), lower=float(x)))
 
 
-def sample_linf_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
+def sample_linf_ciid(law: MixingLaw, d, n, rng) -> np.ndarray:
     """X = M * U with U iid uniform on [0,1]; rows are conditionally iid
     uniform on [0, M]."""
     m = law.sample(n, rng)
@@ -197,7 +201,7 @@ def sample_linf_ciid(law: MixingLaw, d, n, rng) -> SampleMatrix:
         raise SpecValidationError("mixing variable must be strictly positive")
     data = rng.random((n, d))
     data *= m[:, None]
-    return SampleMatrix(data, meta=f"linf_ciid {law!r} d={d}")
+    return data
 
 
 def linf_ciid_survival(law: MixingLaw, x):

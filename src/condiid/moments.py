@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (NotDMonotoneError, SpecValidationError, UndecidedVerdictError,
                      UnsupportedLawError)
 from .mixing import FiniteDiscrete, MixingLaw
-from .sample import SampleMatrix
 
 __all__ = [
     "MonotoneSequence",
@@ -358,7 +357,7 @@ def moment_sequence(law: MixingLaw, d: int) -> MonotoneSequence:
     return MonotoneSequence((1.0,) + tuple(law.moment(k) for k in range(1, d + 1)))
 
 
-def sample_binary_mixture(law: MixingLaw, d: int, n: int, rng: np.random.Generator) -> SampleMatrix:
+def sample_binary_mixture(law: MixingLaw, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw M once per row, then d independent Bernoulli(M) indicators."""
     if d < 1:
         raise SpecValidationError("dimension must be at least 1")
@@ -367,10 +366,10 @@ def sample_binary_mixture(law: MixingLaw, d: int, n: int, rng: np.random.Generat
     m = law.sample(n, rng)
     u = rng.random((n, d))
     data = (u <= m[:, None]).astype(float)
-    return SampleMatrix(data, meta=f"binary_mixture {law!r} d={d}")
+    return data
 
 
-def sample_polya_urn(r: int, b: int, d: int, n: int, rng: np.random.Generator) -> SampleMatrix:
+def sample_polya_urn(r: int, b: int, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Polya's urn: draws with replacement plus one extra ball of the drawn colour.
 
     Equal in law to :func:`sample_binary_mixture` with a Beta(r, b) mixing
@@ -385,7 +384,7 @@ def sample_polya_urn(r: int, b: int, d: int, n: int, rng: np.random.Generator) -
         draw = (rng.random(n) < prob).astype(float)
         data[:, j] = draw
         red += draw
-    return SampleMatrix(data, meta=f"polya_urn r={r} b={b} d={d}")
+    return data
 
 
 def polya_pattern_probability(r: int, b: int, d: int, k: int) -> float:

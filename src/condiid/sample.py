@@ -1,41 +1,29 @@
-"""Sample containers and their CSV round-trip."""
+"""The check of a sample leaving the program, and its CSV round-trip.
+
+A sample is an n x d float array whose rows are iid replications of a
+d-variate law.
+"""
 
 from __future__ import annotations
 
 import io
 import itertools
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SampleMatrix:
-    """n x d matrix of real samples; rows are iid replications of a d-variate law.
+def checked_sample(data) -> np.ndarray:
+    """``data`` as a float array, refused unless it is n x d with n, d >= 1 and no NaN.
 
-    Infinities are allowed (killed models place mass at +inf), NaNs are not.
-    ``meta`` is a free-form model descriptor.
+    Infinities are allowed (killed models place mass at +inf).
     """
-
-    data: np.ndarray
-    meta: str = ""
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError(f"sample matrix must be n x d with n,d >= 1, got shape {data.shape}")
-        if np.isnan(data.min()):  # min propagates NaN; no n x d mask
-            raise ValueError("sample matrix contains NaN entries")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.data.shape[1]
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
+        raise ValueError(f"sample matrix must be n x d with n,d >= 1, got shape {data.shape}")
+    if np.isnan(data.min()):  # min propagates NaN; no n x d mask
+        raise ValueError("sample matrix contains NaN entries")
+    return data
 
 
 # Rows formatted per ``write`` call: large enough to amortize the call, small
@@ -47,7 +35,7 @@ def _is_path(path_or_buf) -> bool:
     return isinstance(path_or_buf, (str, bytes, os.PathLike))
 
 
-def write_csv(matrix: SampleMatrix | np.ndarray, path_or_buf) -> None:
+def write_csv(data, path_or_buf) -> None:
     """Write samples as CSV with header ``x1,...,xd``, LF line endings.
 
     ``path_or_buf`` is a path (``str``, ``bytes`` or ``os.PathLike``) or an
@@ -55,10 +43,9 @@ def write_csv(matrix: SampleMatrix | np.ndarray, path_or_buf) -> None:
     +inf is the literal ``inf``, no field is quoted and identical data yields
     identical bytes.  A chunk of rows is formatted by one ``%`` operation:
     one ``%r`` per field, the row's template repeated once per row.
+    :func:`checked_sample` refuses the data before any file is opened.
     """
-    data = matrix.data if isinstance(matrix, SampleMatrix) else np.asarray(matrix, dtype=float)
-    if data.ndim != 2:
-        raise ValueError(f"sample matrix must be 2-dimensional, got shape {data.shape}")
+    data = checked_sample(data)
     own = _is_path(path_or_buf)
     f = open(path_or_buf, "w", newline="\n") if own else path_or_buf
     try:

@@ -42,7 +42,6 @@ from .errors import (
 from .inverse import monotone_inverse
 from .lack_of_memory import _death_chain
 from .mixing import scalar_pow
-from .sample import SampleMatrix
 
 __all__ = [
     "ShockSurvival",
@@ -238,7 +237,7 @@ class ShockSurvivalSpec:
 MAX_SHOCK_DIM = 20
 
 
-def exshock_sample(spec: ShockSurvivalSpec, d: int, n: int, rng) -> SampleMatrix:
+def exshock_sample(spec: ShockSurvivalSpec, d: int, n: int, rng) -> np.ndarray:
     """X_k = min{E_I : k in I} over all 2^d - 1 independent subset shocks,
     E_I drawn from hbar_|I|.
 
@@ -256,7 +255,7 @@ def exshock_sample(spec: ShockSurvivalSpec, d: int, n: int, rng) -> SampleMatrix
             e = spec.shocks[size - 1].sample(n, rng)
             for k in members:
                 np.minimum(data[:, k], e, out=data[:, k])
-    return SampleMatrix(data, meta=f"exshock d={d}")
+    return data
 
 
 def _log_g(spec: ShockSurvivalSpec, k: int, t):
@@ -422,7 +421,7 @@ def base_distribution_from_json(obj: dict, path: str = "base") -> BaseDistributi
 
 # -- Dirichlet prior sampling and copula ------------------------------------------
 
-def sample_dp(c: float, base: BaseDistribution, d: int, n: int, rng) -> SampleMatrix:
+def sample_dp(c: float, base: BaseDistribution, d: int, n: int, rng) -> np.ndarray:
     """Predictive (urn) sampler: a fresh base draw with probability c/(c+k),
     otherwise a uniformly chosen previous value."""
     if c <= 0:
@@ -435,7 +434,7 @@ def sample_dp(c: float, base: BaseDistribution, d: int, n: int, rng) -> SampleMa
         pick = rng.integers(0, k, size=n)
         new = base.sample(n, rng)
         data[:, k] = np.where(fresh, new, data[rows, pick])
-    return SampleMatrix(data, meta=f"dirichlet_prior c={c} base={base.family} d={d}")
+    return data
 
 
 def dp_copula_eval(c: float, u):
@@ -477,7 +476,7 @@ def sato_survival(alpha: float, x) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
-def sample_sato(alpha: float, d: int, n: int, rng) -> SampleMatrix:
+def sample_sato(alpha: float, d: int, n: int, rng) -> np.ndarray:
     """First passage X_k = inf{t : Z_t > E_k} of the Sato process Z of the
     Gamma(alpha) law across iid unit-exponential barriers E_k, sampled by its
     number of deaths.
@@ -507,5 +506,4 @@ def sample_sato(alpha: float, d: int, n: int, rng) -> SampleMatrix:
         return t1, 1 + rng.binomial(k - first, -np.expm1(-x))
 
     with np.errstate(over="ignore", under="ignore"):
-        data, steps = _death_chain(next_event, d, n, rng)
-    return SampleMatrix(data, meta=f"sato alpha={alpha} d={d} chain_steps={steps}")
+        return _death_chain(next_event, d, n, rng)[0]

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from condiid.errors import SpecValidationError
-from condiid.sample import SampleMatrix
 
 
 def first_passage(eps: np.ndarray, step, drift: float) -> tuple[np.ndarray, int]:
@@ -48,14 +47,15 @@ def first_passage(eps: np.ndarray, step, drift: float) -> tuple[np.ndarray, int]
     return x, steps
 
 
-def sample_mo_first_passage(sub, d: int, n: int, rng) -> SampleMatrix:
+def sample_mo_first_passage(sub, d: int, n: int, rng) -> tuple[np.ndarray, int]:
     """First passage of the killed compound-Poisson path with drift of the
     subordinator ``sub`` across iid unit-exponential barriers.
 
     Kill and jumps form one Poisson stream of rate R = kill + sum_j rate_j:
     the wait is Exp(1)/R (inf for a pure drift), and an event is a kill with
     probability kill/R, which fails every component still alive, otherwise
-    jump j with probability rate_j/R.
+    jump j with probability rate_j/R.  Returns the sample and the number of
+    lockstep steps taken.
     """
     rates = np.array([sub.kill] + [r for _, r in sub.jumps])
     sizes = np.array([math.inf] + [s for s, _ in sub.jumps])
@@ -69,20 +69,19 @@ def sample_mo_first_passage(sub, d: int, n: int, rng) -> SampleMatrix:
         wait = rng.exponential(size=m) / total
         return wait, sizes[rng.choice(sizes.size, size=m, p=rates / total)]
 
-    data, steps = first_passage(eps, step, sub.drift)
-    return SampleMatrix(data, meta=f"mo_first_passage d={d} lockstep_steps={steps}")
+    return first_passage(eps, step, sub.drift)
 
 
-def sample_geo_ciid(law, d: int, n: int, rng) -> SampleMatrix:
+def sample_geo_ciid(law, d: int, n: int, rng) -> tuple[np.ndarray, int]:
     """First passage of the random walk Z_t = Y_1 + ... + Y_{floor(t)}
     with iid steps Y from ``law`` across iid unit-exponential barriers.
 
     The step law is not identically zero (b_1 = E[exp(-Y)] < 1), so every
-    row ends after finitely many steps, with finite integer entries.
+    row ends after finitely many steps, with finite integer entries.  Returns
+    the sample and the number of lockstep steps taken.
     """
     b1 = float(law.laplace(1.0))
     if not b1 < 1.0 - 1e-15:
         raise SpecValidationError("the step law must not be identically zero")
     eps = rng.exponential(size=(n, d))
-    data, steps = first_passage(eps, lambda t: (np.ones(t.size), law.sample(t.size, rng)), 0.0)
-    return SampleMatrix(data, meta=f"geo_ciid {law!r} d={d} lockstep_steps={steps}")
+    return first_passage(eps, lambda t: (np.ones(t.size), law.sample(t.size, rng)), 0.0)

@@ -122,6 +122,34 @@ class TestSample:
         assert code1 == code2 == 0
         assert out.encode() == path.read_bytes()
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_is_refused_before_sampling(self, n, tmp_path, monkeypatch):
+        from condiid import lack_of_memory
+
+        monkeypatch.setattr(lack_of_memory, "sample_mo_shocks", lambda *a: pytest.fail("sampled"))
+        path = tmp_path / "s.csv"
+        code, out, err = run(["sample", "--model", MO_MODEL, "--n", n, "--seed", "1",
+                              "--out", str(path)])
+        assert code == 1 and out == ""
+        assert f"n must be >= 1, got {n}" in err
+        assert not path.exists()
+
+    def test_nan_sample_is_refused_where_it_leaves(self, tmp_path, monkeypatch):
+        from condiid import lack_of_memory
+
+        def nan_sampler(spec, d, n, rng):
+            data = np.ones((n, d))
+            data[n // 2, d - 1] = np.nan
+            return data
+
+        monkeypatch.setattr(lack_of_memory, "sample_mo_shocks", nan_sampler)
+        path = tmp_path / "s.csv"
+        code, out, err = run(["sample", "--model", MO_MODEL, "--n", "10", "--seed", "1",
+                              "--out", str(path)])
+        assert code == 1 and out == "" and "contains NaN" in err
+        assert not path.exists()
+        code, out, err = run(["verify", "--model", MO_MODEL, "--n", "100", "--seed", "1"])
+        assert code == 1 and out == "" and "contains NaN" in err
 
     def test_binary_m_alone_samples_its_law(self):
         # Beta(2, 3) at d = 4: P(X_1 = ... = X_k = 1) = E[M^k] = prod_{j<k} (2+j)/(5+j)
@@ -163,6 +191,39 @@ class TestSample:
         code, out, err = run(["sample", "--model", model, "--n", "10", "--seed", "1"])
         assert code == 1 and out == ""
         assert message in err
+
+
+SAMPLER_MODELS = [  # (id, model of d = 3): every family, and each of its samplers
+    ("exch_normal", {"family": "exch_normal", "rho": 0.5}),
+    ("spherical", {"family": "spherical", "m": {"family": "gamma", "shape": 2.0}}),
+    ("l1", {"family": "l1", "m": {"family": "gamma", "shape": 2.0}}),
+    ("linf", {"family": "linf", "m": {"family": "pareto", "alpha": 2.0}}),
+    ("archimedean", {"family": "archimedean", "m": {"family": "gamma", "shape": 2.0}}),
+    ("marshall_olkin-rates", {"family": "marshall_olkin", "rates": [0.3, 0.2, 0.1]}),
+    ("marshall_olkin-subordinator", {"family": "marshall_olkin", "subordinator": {
+        "drift": 0.3, "kill": 0.1, "jumps": [{"size": 1.0, "rate": 0.5}]}}),
+    ("geometric", {"family": "geometric", "b": [1.0, 0.5, 0.3, 0.2]}),
+    ("minstable-logistic", {"family": "minstable", "stdf": {"kind": "logistic", "theta": 0.5}}),
+    ("minstable-triplet", {"family": "minstable", "stdf": {"kind": "triplet", "b": 0.3, "c": 1.0,
+        "atoms": [{"g": {"kind": "frechet", "theta": 0.5}, "weight": 1.0}]}}),
+    ("exshock", {"family": "exshock", "shocks": [{"kind": "exponential", "rate": 1.0}] * 3}),
+    ("dirichlet_prior", {"family": "dirichlet_prior", "c": 1.0}),
+    ("sato", {"family": "sato", "alpha": 1.0}),
+    ("binary", {"family": "binary", "m": {"family": "beta", "p": 2.0, "q": 3.0}}),
+]
+
+
+def test_sampler_models_cover_every_family():
+    assert {spec["family"] for _, spec in SAMPLER_MODELS} == set(cli._FAMILIES)
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec in SAMPLER_MODELS],
+                         ids=[name for name, _ in SAMPLER_MODELS])
+def test_sampler_returns_an_n_by_d_float_array(spec):
+    model = cli.build_model({"d": 3, **spec})
+    out = model.sampler(7, np.random.default_rng(2))
+    assert type(out) is np.ndarray
+    assert out.dtype == np.float64 and out.shape == (7, 3)
 
 
 EVAL_MODELS = {  # family: a model of d = 2

@@ -185,7 +185,7 @@ class TestMajorization:
     def test_spherical_mixture_passes(self):
         rng = np.random.default_rng(7)
         sm = mx.sample_spherical_ciid(Gamma(2.0), 4, 40000, rng)
-        med = float(np.median(sm.data))
+        med = float(np.median(sm))
         assert dg.majorization_check(sm, med, 0.5)
 
     def test_violation_detected(self):
@@ -239,28 +239,28 @@ class TestScarsini:
         rng = np.random.default_rng(13)
         sm = dg.scarsini_sample(150000, rng)
         for pt in ([0.25, 0.75], [0.5, 0.5], [0.9, 0.2]):
-            emp = (sm.data <= np.asarray(pt)).all(axis=1).mean()
+            emp = (sm <= np.asarray(pt)).all(axis=1).mean()
             closed = dg.scarsini_cdf(*pt)
-            se = math.sqrt(max(closed * (1 - closed), 1e-12) / sm.n)
+            se = math.sqrt(max(closed * (1 - closed), 1e-12) / len(sm))
             assert abs(emp - closed) <= 3 * se + 1e-3
 
     def test_margins_uniform(self):
         rng = np.random.default_rng(14)
         sm = dg.scarsini_sample(40000, rng)
-        assert stats.kstest(sm.data[:, 0], "uniform").pvalue > 0.001
+        assert stats.kstest(sm[:, 0], "uniform").pvalue > 0.001
 
     def test_orthant_dependency_violated(self):
         rng = np.random.default_rng(15)
         sm = dg.scarsini_sample(100000, rng)
-        emp = (sm.data <= np.array([0.25, 0.75])).all(axis=1).mean()
+        emp = (sm <= np.array([0.25, 0.75])).all(axis=1).mean()
         product = 0.25 * 0.75
-        se = math.sqrt(emp * (1 - emp) / sm.n)
+        se = math.sqrt(emp * (1 - emp) / len(sm))
         assert product - emp > 5 * se
 
     def test_kendall_tau_zero(self):
         rng = np.random.default_rng(16)
         sm = dg.scarsini_sample(100000, rng)
-        assert abs(dg.empirical_kendall_tau(sm.data)) < 0.01
+        assert abs(dg.empirical_kendall_tau(sm)) < 0.01
 
 
 class TestEmpiricalH:
@@ -277,7 +277,7 @@ class TestEmpiricalH:
 
     def test_glivenko_cantelli_on_one_row(self):
         sm = mx.sample_linf_ciid(Pareto(2.0), 10000, 1, np.random.default_rng(17))
-        row = sm.data[0]  # one exchangeable row of dimension 10^4
+        row = sm[0]  # one exchangeable row of dimension 10^4
         e = dg.empirical_H(row)
         # the row's mixing level is the sampler's first draw from the same seed
         m0 = float(Pareto(2.0).sample(1, np.random.default_rng(17))[0])
@@ -295,8 +295,8 @@ class TestConditionalInversion:
         direct = mx.sample_l1_ciid(Gamma(theta), 2, n, rng)
         for pt in ([0.5, 0.5], [1.0, 0.2], [0.1, 2.0]):
             pt = np.asarray(pt)
-            p1 = (inv.data > pt).all(axis=1).mean()
-            p2 = (direct.data > pt).all(axis=1).mean()
+            p1 = (inv > pt).all(axis=1).mean()
+            p2 = (direct > pt).all(axis=1).mean()
             closed = float(surv(pt))
             se = math.sqrt(closed * (1 - closed) / n)
             assert abs(p1 - closed) <= 3 * se + 1e-3
@@ -309,14 +309,14 @@ class TestConditionalInversion:
         sm = dg.conditional_inversion_sampler(surv, 3, n, rng)
         pt = np.array([0.4, 0.3, 0.6])
         closed = float(surv(pt))
-        emp = (sm.data > pt).all(axis=1).mean()
+        emp = (sm > pt).all(axis=1).mean()
         assert abs(emp - closed) <= 3 * math.sqrt(closed * (1 - closed) / n) + 2e-3
 
     def test_d1_pure_inversion(self):
         rng = np.random.default_rng(20)
         surv = lambda pts: np.exp(-np.asarray(pts, dtype=float).sum(axis=-1))
         sm = dg.conditional_inversion_sampler(surv, 1, 30000, rng)
-        assert stats.kstest(sm.data[:, 0], "expon").pvalue > 0.001
+        assert stats.kstest(sm[:, 0], "expon").pvalue > 0.001
 
     def test_invalid_survival_detected(self):
         rng = np.random.default_rng(21)
@@ -455,7 +455,7 @@ class TestMcVerify:
                       "--threads", "2"])
         report = json.loads(out.getvalue())
         streams = np.random.SeedSequence(4).spawn(2)
-        rows = np.concatenate([mx.sample_l1_ciid(Gamma(2.0), 3, size, np.random.default_rng(s)).data
+        rows = np.concatenate([mx.sample_l1_ciid(Gamma(2.0), 3, size, np.random.default_rng(s))
                                for s, size in zip(streams, (1500, 1501))])
         hits = orthant_hits_oracle(rows.tolist(), report["grid"], "survival")
         assert report["empirical"] == [h / 3001 for h in hits]

@@ -125,29 +125,29 @@ class TestShockSamplers:
         sm = lom.sample_mo_shocks(spec, 3, 120000, rng)
         for pt in ([0.5, 0.3, 0.8], [1.0, 1.0, 1.0], [0.1, 0.2, 0.05]):
             pt = np.asarray(pt)
-            emp = (sm.data > pt).all(axis=1).mean()
+            emp = (sm > pt).all(axis=1).mean()
             closed = float(lom.mo_survival(params, pt))
-            se = math.sqrt(closed * (1 - closed) / sm.n)
+            se = math.sqrt(closed * (1 - closed) / len(sm))
             assert abs(emp - closed) <= 3 * se + 1e-3
 
     def test_exchangeable_spec_beyond_cap_samples(self):
         rng = np.random.default_rng(35)
         spec = lom.ShockRateSpec(d=21, cardinality=(0.1,) * 21)
         sm = lom.sample_mo_shocks(spec, 21, 10, rng)
-        assert sm.data.shape == (10, 21)
-        assert np.isfinite(sm.data).all() and (sm.data > 0).all()
+        assert sm.shape == (10, 21)
+        assert np.isfinite(sm).all() and (sm > 0).all()
 
     def test_geo_shocks_match_closed_form(self):
         rng = np.random.default_rng(36)
         law = mo.BinaryExchangeableLaw((0.15, 0.2, 0.45))  # a round spares both with 0.45
         b = mo.b_from_p(law).values
         sm = lom.sample_geo_shocks(law, 2, 120000, rng)
-        assert sm.data.min() >= 1.0
+        assert sm.min() >= 1.0
         for pt in ([1, 1], [2, 1], [3, 4], [0, 0]):
             pt = np.asarray(pt)
-            emp = (sm.data > pt).all(axis=1).mean()
+            emp = (sm > pt).all(axis=1).mean()
             closed = float(lom.geo_survival(b, pt))
-            se = math.sqrt(max(closed * (1 - closed), 1e-12) / sm.n)
+            se = math.sqrt(max(closed * (1 - closed), 1e-12) / len(sm))
             assert abs(emp - closed) <= 3 * se + 1e-3
 
     @pytest.mark.parametrize("d", [1, 2, 5])
@@ -240,7 +240,7 @@ class TestDeathChain:
         # of the 3! orders, each with probability 1/6
         n = 60_000
         sub = lom.CompoundPoissonSubordinatorSpec(drift=1.0)
-        x = lom.sample_mo_ciid(sub, 3, n, np.random.default_rng(54)).data
+        x = lom.sample_mo_ciid(sub, 3, n, np.random.default_rng(54))
         assert (np.diff(np.sort(x, axis=1), axis=1) > 0).all()
         orders, counts = np.unique(x.argsort(axis=1), axis=0, return_counts=True)
         assert len(orders) == 6
@@ -250,14 +250,14 @@ class TestDeathChain:
     def test_tie_probability_exponential(self):
         lam1, lam2, n = 0.3, 0.5, 100_000
         spec = lom.ShockRateSpec(d=2, cardinality=(lam1, lam2))
-        x = lom.sample_mo_shocks(spec, 2, n, np.random.default_rng(51)).data
+        x = lom.sample_mo_shocks(spec, 2, n, np.random.default_rng(51))
         p = lam2 / (2 * lam1 + lam2)
         assert abs((x[:, 0] == x[:, 1]).mean() - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
     def test_tie_probability_geometric(self):
         p0, p1, p2, n = 0.25, 0.2, 0.35, 100_000
         law = mo.BinaryExchangeableLaw((p2, p1, p0))
-        x = lom.sample_geo_shocks(law, 2, n, np.random.default_rng(52)).data
+        x = lom.sample_geo_shocks(law, 2, n, np.random.default_rng(52))
         p = p2 / (2 * p1 + p2)
         assert abs((x[:, 0] == x[:, 1]).mean() - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
@@ -327,7 +327,7 @@ class TestDeathChain:
         # both die at once at rate w[2][2] = 2 psi(1) - psi(2) of the total psi(2)
         sub = lom.CompoundPoissonSubordinatorSpec(drift=0.4, kill=0.1, jumps=((0.65, 1.0),))
         n = 100_000
-        x = lom.sample_mo_ciid(sub, 2, n, np.random.default_rng(53)).data
+        x = lom.sample_mo_ciid(sub, 2, n, np.random.default_rng(53))
         psi1, psi2 = sub.laplace_exponent(1.0), sub.laplace_exponent(2.0)
         p = (2 * psi1 - psi2) / psi2
         assert abs((x[:, 0] == x[:, 1]).mean() - p) <= 3 * math.sqrt(p * (1 - p) / n)
@@ -389,14 +389,24 @@ class TestFirstPassage:
         lambda rng: fp.sample_geo_ciid(Gamma(1.0), 4, 2000, rng),
         lambda rng: sk.sample_sato(1.05, 4, 2000, rng),
     ], ids=["mo_ciid", "geo_ciid", "sato"])
-    def test_wrappers_record_lockstep_steps(self, sampler):
+    def test_wrappers_record_lockstep_steps(self, sampler, monkeypatch):
         # the death chain takes at most d steps; the oracle's walk steps
         # until its last barrier is passed
-        sm = sampler(np.random.default_rng(3))
-        steps = int(sm.meta.rsplit("=", 1)[1])
-        if "chain_steps=" in sm.meta:
-            assert 1 <= steps <= sm.d
+        chain_steps = []
+        death_chain = lom._death_chain
+
+        def spy(*args):
+            data, steps = death_chain(*args)
+            chain_steps.append(steps)
+            return data, steps
+
+        monkeypatch.setattr(lom, "_death_chain", spy)
+        monkeypatch.setattr(sk, "_death_chain", spy)
+        out = sampler(np.random.default_rng(3))
+        if chain_steps:
+            assert len(chain_steps) == 1 and 1 <= chain_steps[0] <= out.shape[1]
         else:
+            _, steps = out
             assert 0 < steps < 200
 
 
@@ -408,7 +418,7 @@ class TestSubordinatorSampler:
         sub = lom.CompoundPoissonSubordinatorSpec(drift=1.0)
         sm = lom.sample_mo_ciid(sub, 2, 30000, rng)
         for k in range(2):
-            assert stats.kstest(sm.data[:, k], "expon").pvalue > 0.001
+            assert stats.kstest(sm[:, k], "expon").pvalue > 0.001
         from condiid.diagnostics import tie_frequency
 
         assert tie_frequency(sm) == 0.0
@@ -417,8 +427,8 @@ class TestSubordinatorSampler:
         rng = np.random.default_rng(38)
         sub = lom.CompoundPoissonSubordinatorSpec(kill=0.5)
         sm = lom.sample_mo_ciid(sub, 3, 5000, rng)
-        assert (sm.data == sm.data[:, :1]).all()
-        assert stats.kstest(sm.data[:, 0], "expon", args=(0, 2.0)).pvalue > 0.001
+        assert (sm == sm[:, :1]).all()
+        assert stats.kstest(sm[:, 0], "expon", args=(0, 2.0)).pvalue > 0.001
 
     def test_survival_matches_bernstein_closed_form(self):
         rng = np.random.default_rng(39)
@@ -426,9 +436,9 @@ class TestSubordinatorSampler:
         sm = lom.sample_mo_ciid(self.SUB, 3, 100000, rng)
         for pt in ([0.5, 0.3, 0.8], [0.2, 0.2, 0.2], [1.5, 0.1, 0.7]):
             pt = np.asarray(pt)
-            emp = (sm.data > pt).all(axis=1).mean()
+            emp = (sm > pt).all(axis=1).mean()
             closed = float(lom.mo_survival(params, pt))
-            se = math.sqrt(closed * (1 - closed) / sm.n)
+            se = math.sqrt(closed * (1 - closed) / len(sm))
             assert abs(emp - closed) <= 3 * se + 1e-3
 
     def test_jumps_generate_ties(self):
@@ -450,8 +460,8 @@ class TestSubordinatorSampler:
         rng2 = np.random.default_rng(1)
         for _ in range(10):
             pt = rng2.exponential(0.8, size=3)
-            p1 = (shocks.data > pt).all(axis=1).mean()
-            p2 = (passage.data > pt).all(axis=1).mean()
+            p1 = (shocks > pt).all(axis=1).mean()
+            p2 = (passage > pt).all(axis=1).mean()
             se = math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / n)
             assert abs(p1 - p2) <= 3 * se + 1e-3
 
@@ -468,17 +478,17 @@ class TestSubordinatorSampler:
         rng = np.random.default_rng(42)
         sm = lom.sample_mo_ciid(self.SUB, 2, 200000, rng)
         t, x = 0.4, np.array([0.5, 0.3])
-        alive = (sm.data > t).all(axis=1)
-        residual = (sm.data[alive] > t + x).all(axis=1).mean()
-        fresh = (sm.data > x).all(axis=1).mean()
-        se = math.sqrt(residual * (1 - residual) / alive.sum() + fresh * (1 - fresh) / sm.n)
+        alive = (sm > t).all(axis=1)
+        residual = (sm[alive] > t + x).all(axis=1).mean()
+        fresh = (sm > x).all(axis=1).mean()
+        se = math.sqrt(residual * (1 - residual) / alive.sum() + fresh * (1 - fresh) / len(sm))
         assert abs(residual - fresh) <= 3 * se + 1e-3
 
     def test_minimum_is_exponential(self):
         rng = np.random.default_rng(43)
         sm = lom.sample_mo_ciid(self.SUB, 3, 30000, rng)
         rate = self.SUB.laplace_exponent(3)
-        finite = sm.data.min(axis=1)
+        finite = sm.min(axis=1)
         finite = finite[np.isfinite(finite)]
         assert stats.kstest(finite, "expon", args=(0, 1.0 / rate)).pvalue > 0.001
 
@@ -508,20 +518,20 @@ class TestGeoCiid:
         law = Gamma(1.0)
         d, n = 2, 100000
         b = tuple(float(law.laplace(k)) for k in range(d + 1))
-        sm = fp.sample_geo_ciid(law, d, n, rng)
-        assert sm.data.min() >= 1.0
+        sm, _ = fp.sample_geo_ciid(law, d, n, rng)
+        assert sm.min() >= 1.0
         for pt in ([1, 1], [2, 0], [3, 3]):
             pt = np.asarray(pt)
-            emp = (sm.data > pt).all(axis=1).mean()
+            emp = (sm > pt).all(axis=1).mean()
             closed = float(lom.geo_survival((1.0,) + b[1:], pt))
             se = math.sqrt(closed * (1 - closed) / n)
             assert abs(emp - closed) <= 3 * se + 1e-3
 
     def test_integer_valued(self):
         rng = np.random.default_rng(46)
-        sm = fp.sample_geo_ciid(PointMass(0.5), 3, 2000, rng)
-        assert np.isfinite(sm.data).all()
-        assert (sm.data == np.rint(sm.data)).all()
+        sm, _ = fp.sample_geo_ciid(PointMass(0.5), 3, 2000, rng)
+        assert np.isfinite(sm).all()
+        assert (sm == np.rint(sm)).all()
 
     def test_zero_step_law_rejected(self):
         rng = np.random.default_rng(47)

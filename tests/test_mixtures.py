@@ -8,25 +8,26 @@ from scipy import integrate, optimize, stats
 from condiid import mixtures as mx
 from condiid.errors import SpecValidationError
 from condiid.inverse import monotone_inverse
-from condiid.mixing import Beta, FiniteDiscrete, Gamma, LogSeries, Pareto, PointMass
+from condiid.mixing import (Beta, FiniteDiscrete, Gamma, LogSeries, Pareto, PointMass,
+                            PositiveStable)
 
 
 class TestExchNormal:
     def test_rho_zero_columns_uncorrelated(self):
         rng = np.random.default_rng(0)
         sm = mx.sample_exch_normal(0.0, 1.0, 0.0, 2, 60000, rng)
-        corr = np.corrcoef(sm.data.T)[0, 1]
+        corr = np.corrcoef(sm.T)[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(60000) + 1e-3
 
     def test_rho_one_columns_identical(self):
         rng = np.random.default_rng(1)
         sm = mx.sample_exch_normal(0.5, 2.0, 1.0, 3, 100, rng)
-        assert np.allclose(sm.data, sm.data[:, :1])
+        assert np.allclose(sm, sm[:, :1])
 
     def test_rho_half_pairwise_correlation(self):
         rng = np.random.default_rng(2)
         sm = mx.sample_exch_normal(0.0, 1.0, 0.5, 2, 200000, rng)
-        corr = np.corrcoef(sm.data.T)[0, 1]
+        corr = np.corrcoef(sm.T)[0, 1]
         assert corr == pytest.approx(0.5, abs=0.01)
 
     def test_rho_out_of_range_rejected(self):
@@ -38,7 +39,7 @@ class TestExchNormal:
         rng = np.random.default_rng(4)
         sm = mx.sample_exch_normal(0.1, 1.3, 0.4, 3, 200000, rng)
         pt = np.array([0.3, -0.2, 0.8])
-        emp = (sm.data <= pt).all(axis=1).mean()
+        emp = (sm <= pt).all(axis=1).mean()
         assert mx.exch_normal_cdf(0.1, 1.3, 0.4, pt) == pytest.approx(emp, abs=0.005)
 
 
@@ -47,19 +48,19 @@ class TestSphericalCiid:
         rng = np.random.default_rng(8)
         sm = mx.sample_spherical_ciid(PointMass(1.0), 2, 50000, rng)
         for k in range(2):
-            assert stats.kstest(sm.data[:, k], "norm").pvalue > 0.001
+            assert stats.kstest(sm[:, k], "norm").pvalue > 0.001
 
     def test_scale_mixing(self):
         rng = np.random.default_rng(9)
         c = 2.5
         sm = mx.sample_spherical_ciid(PointMass(c), 2, 50000, rng)
-        assert sm.data.std() == pytest.approx(c, rel=0.02)
+        assert sm.std() == pytest.approx(c, rel=0.02)
 
     def test_rotational_invariance_two_sample(self):
         rng = np.random.default_rng(10)
         sm = mx.sample_spherical_ciid(Gamma(2.0), 2, 40000, rng)
-        rotated = (sm.data[:, 0] + sm.data[:, 1]) / math.sqrt(2.0)
-        marginal = mx.sample_spherical_ciid(Gamma(2.0), 2, 40000, rng).data[:, 0]
+        rotated = (sm[:, 0] + sm[:, 1]) / math.sqrt(2.0)
+        marginal = mx.sample_spherical_ciid(Gamma(2.0), 2, 40000, rng)[:, 0]
         assert stats.ks_2samp(rotated, marginal).pvalue > 0.001
 
     def test_characteristic_probe_depends_on_norm_only(self):
@@ -69,10 +70,10 @@ class TestSphericalCiid:
         a = 0.9
         u1 = np.array([a, 0.0])
         u2 = np.array([a / math.sqrt(2), a / math.sqrt(2)])
-        c1 = np.cos(sm.data @ u1)
-        c2 = np.cos(sm.data @ u2)
+        c1 = np.cos(sm @ u1)
+        c2 = np.cos(sm @ u2)
         diff = c1.mean() - c2.mean()
-        se = math.sqrt((c1.var() + c2.var()) / sm.n)
+        se = math.sqrt((c1.var() + c2.var()) / len(sm))
         assert abs(diff) <= 3 * se + 1e-3
 
 
@@ -135,7 +136,7 @@ class TestL1Family:
         rng = np.random.default_rng(14)
         sm = mx.sample_l1_ciid(PointMass(1.0), 2, 50000, rng)
         for k in range(2):
-            assert stats.kstest(sm.data[:, k], "expon").pvalue > 0.001
+            assert stats.kstest(sm[:, k], "expon").pvalue > 0.001
 
     def test_l1_ciid_gamma_value(self):
         assert mx.l1_ciid_survival(Gamma(1.0), [1.0, 1.0]) == pytest.approx(1.0 / 3.0)
@@ -145,7 +146,7 @@ class TestL1Family:
         law = Gamma(2.0)
         sm = mx.sample_l1_ciid(law, 1, 200000, rng)
         for x in (0.3, 1.0):
-            emp = (sm.data[:, 0] > x).mean()
+            emp = (sm[:, 0] > x).mean()
             assert emp == pytest.approx(float(law.laplace(x)), abs=0.004)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
@@ -157,7 +158,7 @@ class TestL1Family:
         rng2 = np.random.default_rng(99)
         for _ in range(20):
             pt = rng2.exponential(0.5, size=d)
-            emp = (sm.data > pt).all(axis=1).mean()
+            emp = (sm > pt).all(axis=1).mean()
             closed = mx.l1_ciid_survival(law, pt)
             se = math.sqrt(max(closed * (1 - closed), 1e-12) / n)
             assert abs(emp - closed) <= 3 * se + 1e-3
@@ -171,12 +172,12 @@ def test_l1_sampler_memory_is_its_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4 * out.data.nbytes
+    assert peak <= 1.4 * out.nbytes
 
 
 def test_l1_sample_is_column_major():
     out = mx.sample_l1_ciid(Gamma(2.0), 4, 1000, np.random.default_rng(0))
-    assert out.data.shape == (1000, 4) and out.data.flags.f_contiguous
+    assert out.shape == (1000, 4) and out.flags.f_contiguous
 
 
 class TestArchimedean:
@@ -209,6 +210,20 @@ class TestArchimedean:
         assert mx.laplace_inverse(law, 1.0) == 0.0
         assert mx.laplace_inverse(law, 0.0) == math.inf
 
+    @pytest.mark.parametrize("theta", [0.05, 0.3, 0.5, 0.9, 0.999])
+    def test_positive_stable_inverse_is_the_bisection_in_closed_form(self, theta, monkeypatch):
+        law = PositiveStable(theta)
+        us = np.r_[np.geomspace(1e-300, 0.5, 60), 1.0 - np.geomspace(1e-12, 0.5, 60)].tolist()
+        bisected = [monotone_inverse(lambda t: law.laplace(t) <= u) for u in us]
+        monkeypatch.setattr(PositiveStable, "laplace", lambda self, x: pytest.fail("phi evaluated"))
+        for u, x in zip(us, bisected):
+            assert abs(mx.laplace_inverse(law, u) - x) <= 1e-12 * max(1.0, x)
+        assert mx.laplace_inverse(law, 1.0) == 0.0
+        assert mx.laplace_inverse(law, 0.0) == math.inf
+
+    def test_positive_stable_inverse_beyond_the_doubles_is_inf(self):
+        assert mx.laplace_inverse(PositiveStable(0.001), 1e-3) == math.inf  # x = 6.9**1000
+
     def test_gamma_inverse_beyond_the_doubles_is_inf(self):
         assert mx.laplace_inverse(Gamma(0.5), 1e-300) == math.inf  # x = 1e600
         assert mx.laplace_inverse(Gamma(2.0), 1e-300) == pytest.approx(1e150, rel=1e-14)
@@ -225,7 +240,7 @@ class TestArchimedean:
         law = Gamma(1.0)
         d, n = 2, 150000
         xs = mx.sample_l1_ciid(law, d, n, rng)
-        us = np.asarray(law.laplace(xs.data))
+        us = np.asarray(law.laplace(xs))
         for u in ([0.3, 0.6], [0.5, 0.5], [0.8, 0.2], [0.9, 0.9], [0.25, 0.75]):
             emp = (us <= np.asarray(u)).all(axis=1).mean()
             closed = mx.archimedean_copula_eval(law, u)
@@ -288,28 +303,28 @@ class TestLinf:
         sm = mx.sample_linf_ciid(law, 2, 150000, rng)
         for pt in ([0.4, 0.8], [1.0, 0.2]):
             pt = np.asarray(pt)
-            emp = (sm.data > pt).all(axis=1).mean()
+            emp = (sm > pt).all(axis=1).mean()
             closed = mx.linf_ciid_survival(law, pt)
-            se = math.sqrt(closed * (1 - closed) / sm.n)
+            se = math.sqrt(closed * (1 - closed) / len(sm))
             assert abs(emp - closed) <= 3 * se + 1e-3
 
     def test_rows_conditionally_uniform(self):
         rng = np.random.default_rng(22)
         sm = mx.sample_linf_ciid(PointMass(2.0), 3, 20000, rng)
-        assert sm.data.max() <= 2.0
-        assert stats.kstest(sm.data.ravel() / 2.0, "uniform").pvalue > 0.001
+        assert sm.max() <= 2.0
+        assert stats.kstest(sm.ravel() / 2.0, "uniform").pvalue > 0.001
 
     def test_sampled_g2_non_increasing_by_isotonic_residual(self):
         rng = np.random.default_rng(23)
         law = Pareto(2.0)
         sm = mx.sample_linf_ciid(law, 2, 200000, rng)
-        m = sm.data.max(axis=1)
+        m = sm.max(axis=1)
         hi = np.quantile(m, 0.99)
         counts, edges = np.histogram(m, bins=30, range=(0.0, hi))
         centers = 0.5 * (edges[1:] + edges[:-1])
         width = edges[1] - edges[0]
         # f_max(x) = 2 x g_2(x), so g2_hat = density / (2x)
-        g2_hat = counts / (sm.n * width) / (2.0 * centers)
+        g2_hat = counts / (len(sm) * width) / (2.0 * centers)
         fit = optimize.isotonic_regression(g2_hat, weights=counts + 1.0, increasing=False).x
         resid = np.sqrt(np.mean((g2_hat - fit) ** 2)) / g2_hat.mean()
         assert resid < 0.05
@@ -347,19 +362,19 @@ class TestParetoUniformCopula:
         rng = np.random.default_rng(24)
         alpha = 1.0
         sm = mx.sample_linf_ciid(Pareto(alpha), 2, 200000, rng)
-        us = np.vectorize(lambda v: mx.pareto_uniform_marginal_cdf(alpha, v))(sm.data)
+        us = np.vectorize(lambda v: mx.pareto_uniform_marginal_cdf(alpha, v))(sm)
         for u in ([0.3, 0.4], [0.5, 0.9], [0.85, 0.85]):
             emp = (us <= np.asarray(u)).all(axis=1).mean()
             closed = mx.pareto_uniform_copula(alpha, *u)
-            se = math.sqrt(closed * (1 - closed) / sm.n)
+            se = math.sqrt(closed * (1 - closed) / len(sm))
             assert abs(emp - closed) <= 3 * se + 2e-3
 
     def test_upper_tail_dependence(self):
         rng = np.random.default_rng(25)
         alpha = 1.0
         sm = mx.sample_linf_ciid(Pareto(alpha), 2, 400000, rng)
-        x = np.quantile(sm.data[:, 1], 0.995)
-        cond = (sm.data[:, 0] > x)[sm.data[:, 1] > x].mean()
+        x = np.quantile(sm[:, 1], 0.995)
+        cond = (sm[:, 0] > x)[sm[:, 1] > x].mean()
         assert cond == pytest.approx(2.0 / (2.0 + alpha), abs=0.05)
 
 

@@ -489,20 +489,20 @@ class TestSamplers:
     def test_constant_mixtures(self):
         rng = np.random.default_rng(0)
         ones = mo.sample_binary_mixture(PointMass(1.0), 3, 50, rng)
-        assert (ones.data == 1.0).all()
+        assert (ones == 1.0).all()
         zeros = mo.sample_binary_mixture(FiniteDiscrete([0.0], [1.0]), 3, 50, rng)
-        assert (zeros.data == 0.0).all()
+        assert (zeros == 0.0).all()
 
     def test_uniform_mixture_pair_probability(self):
         rng = np.random.default_rng(1)
         sm = mo.sample_binary_mixture(Beta(1, 1), 2, 100000, rng)
-        both = (sm.data == 1.0).all(axis=1).mean()
+        both = (sm == 1.0).all(axis=1).mean()
         assert both == pytest.approx(1.0 / 3.0, abs=3 * math.sqrt((1 / 3) * (2 / 3) / 100000) + 1e-3)
 
     def test_polya_first_draw(self):
         rng = np.random.default_rng(2)
         sm = mo.sample_polya_urn(2, 3, 1, 50000, rng)
-        assert sm.data.mean() == pytest.approx(0.4, abs=0.01)
+        assert sm.mean() == pytest.approx(0.4, abs=0.01)
 
     def test_polya_closed_form_product(self):
         # r=b=1, d=2: P(X=(1,1)) = (1/2)*(2/3)
@@ -515,8 +515,8 @@ class TestSamplers:
         urn = mo.sample_polya_urn(r, b, d, n, rng)
         mix = mo.sample_binary_mixture(Beta(r, b), d, n, rng)
         weights = 2 ** np.arange(d)
-        urn_codes = (urn.data @ weights).astype(int)
-        mix_codes = (mix.data @ weights).astype(int)
+        urn_codes = (urn @ weights).astype(int)
+        mix_codes = (mix @ weights).astype(int)
         urn_counts = np.bincount(urn_codes, minlength=2**d)
         mix_counts = np.bincount(mix_codes, minlength=2**d)
         # chi-square two-sample statistic over the 2^d patterns
@@ -532,7 +532,7 @@ class TestSamplers:
         rng = np.random.default_rng(4)
         d, n, r, b = 3, 80000, 1, 2
         sm = mo.sample_polya_urn(r, b, d, n, rng)
-        ones = sm.data.sum(axis=1).astype(int)
+        ones = sm.sum(axis=1).astype(int)
         for k in range(d + 1):
             p_pattern = mo.polya_pattern_probability(r, b, d, k)
             expect = math.comb(d, k) * p_pattern

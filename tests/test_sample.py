@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from condiid import sample
-from condiid.sample import SampleMatrix, read_csv, write_csv
+from condiid.sample import checked_sample, read_csv, write_csv
 
 SPECIAL = [np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-308,
            1e308, -1e308, np.finfo(float).max, -np.finfo(float).max]
@@ -57,7 +57,7 @@ def test_chunk_boundaries(extra):
     rng = np.random.default_rng(5)
     data = rng.standard_normal((n, 3))
     data[::11, 1] = np.inf
-    text = written_bytes(SampleMatrix(data))
+    text = written_bytes(data)
     assert text == reference_bytes(data)
     assert text.count(b"\n") == n + 1
     assert same_floats(read_csv(io.StringIO(text.decode())), data)
@@ -72,15 +72,18 @@ def test_c_and_fortran_copies_write_the_same_bytes():
 def test_path_like(tmp_path):
     data = np.array([[1.5, np.inf], [-0.0, 2.0]])
     path = tmp_path / "s.csv"
-    write_csv(SampleMatrix(data), path)
+    write_csv(data, path)
     assert path.read_bytes() == reference_bytes(data)
     assert same_floats(read_csv(path), data)
     assert same_floats(read_csv(str(path)), data)
 
 
 def test_rejects_non_matrix():
-    with pytest.raises(ValueError, match="2-dimensional"):
-        write_csv(np.zeros(3), io.StringIO())
+    for shape in [(3,), (0, 2), (2, 0), (1, 1, 1)]:
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="must be n x d with n,d >= 1"):
+            write_csv(np.zeros(shape), buf)
+        assert buf.getvalue() == ""
 
 
 @pytest.mark.parametrize("fill", [1.0, np.inf, -np.inf], ids=["finite", "inf", "-inf"])
@@ -89,13 +92,13 @@ def test_nan_anywhere_is_refused(fill):
     wherever it stands, also next to them."""
     base = np.full((3, 4), fill)
     base[0, 1] = base[2, 3] = -fill
-    SampleMatrix(base)
+    assert checked_sample(base) is base
     for i in range(3):
         for j in range(4):
             data = base.copy()
             data[i, j] = np.nan
             with pytest.raises(ValueError, match="NaN"):
-                SampleMatrix(data)
+                checked_sample(data)
 
 
 def test_nan_check_allocates_no_mask():
@@ -103,7 +106,7 @@ def test_nan_check_allocates_no_mask():
     data = np.ones((200_000, 5))
     tracemalloc.start()
     try:
-        SampleMatrix(data)
+        checked_sample(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

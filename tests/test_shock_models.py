@@ -72,7 +72,7 @@ class TestExshock:
 
     def test_sample_is_column_major(self):
         out = sk.exshock_sample(EXP_SPEC, 3, 1000, np.random.default_rng(0))
-        assert out.data.shape == (1000, 3) and out.data.flags.f_contiguous
+        assert out.shape == (1000, 3) and out.flags.f_contiguous
 
     def test_exponential_case_reduces_to_lack_of_memory(self):
         lspec = lom.ShockRateSpec(d=3, cardinality=(0.3, 0.2, 0.1))
@@ -97,9 +97,9 @@ class TestExshock:
         sm = sk.exshock_sample(spec, 3, 100000, rng)
         for pt in ([0.5, 0.3, 0.8], [0.2, 0.2, 0.2]):
             pt = np.asarray(pt)
-            emp = (sm.data > pt).all(axis=1).mean()
+            emp = (sm > pt).all(axis=1).mean()
             closed = float(sk.exshock_survival(spec, pt))
-            se = math.sqrt(closed * (1 - closed) / sm.n)
+            se = math.sqrt(closed * (1 - closed) / len(sm))
             assert abs(emp - closed) <= 3 * se + 1e-3
 
     def test_copula_consistency_with_survival(self):
@@ -130,9 +130,9 @@ class TestExshock:
         sm = sk.exshock_sample(EXP_SPEC, 3, 150000, rng)
         for u in (0.25, 0.5, 0.75):
             x = sk.exshock_marginal_inverse(EXP_SPEC, u)
-            emp = (sm.data > x).all(axis=1).mean()
+            emp = (sm > x).all(axis=1).mean()
             closed = sk.exshock_copula_eval(EXP_SPEC, np.full(3, u))
-            se = math.sqrt(closed * (1 - closed) / sm.n)
+            se = math.sqrt(closed * (1 - closed) / len(sm))
             assert abs(emp - closed) <= 3 * se + 1e-3
 
 
@@ -223,7 +223,7 @@ class TestDirichletPrior:
         rng = np.random.default_rng(60)
         c, n = 1.0, 150000
         sm = sk.sample_dp(c, sk.UniformBase(), 2, n, rng)
-        emp = (sm.data <= 0.5).all(axis=1).mean()
+        emp = (sm <= 0.5).all(axis=1).mean()
         assert emp == pytest.approx(0.375, abs=3 * math.sqrt(0.375 * 0.625 / n) + 1e-3)
 
     def test_urn_sampler_survival_grid(self):
@@ -233,7 +233,7 @@ class TestDirichletPrior:
         sm = sk.sample_dp(c, base, 3, n, rng)
         for pt in ([0.5, 0.2, 1.0], [0.1, 0.1, 0.1]):
             pt = np.asarray(pt)
-            emp = (sm.data > pt).all(axis=1).mean()
+            emp = (sm > pt).all(axis=1).mean()
             closed = sk.dp_survival(c, base, pt)
             se = math.sqrt(closed * (1 - closed) / n)
             assert abs(emp - closed) <= 3 * se + 1e-3
@@ -241,9 +241,9 @@ class TestDirichletPrior:
     def test_concentration_limits_in_samples(self):
         rng = np.random.default_rng(62)
         tight = sk.sample_dp(1e-6, sk.UniformBase(), 3, 2000, rng)
-        assert (tight.data == tight.data[:, :1]).mean() > 0.99
+        assert (tight == tight[:, :1]).mean() > 0.99
         loose = sk.sample_dp(1e6, sk.UniformBase(), 2, 50000, rng)
-        corr = np.corrcoef(loose.data.T)[0, 1]
+        corr = np.corrcoef(loose.T)[0, 1]
         assert abs(corr) < 0.02
 
     def test_radial_symmetry_contrast(self):
@@ -255,7 +255,7 @@ class TestDirichletPrior:
         mo = lom.sample_mo_shocks(
             lom.ShockRateSpec(d=2, cardinality=(0.5, 0.5)), 2, 40000, rng
         )
-        assert not radial_symmetry_test(mo, float(np.median(mo.data)))
+        assert not radial_symmetry_test(mo, float(np.median(mo)))
 
 
 class TestSato:
@@ -292,7 +292,7 @@ class TestSato:
         sm = conditional_inversion_sampler(lambda pts: sk.sato_survival(alpha, pts), 2, n, rng)
         for pt in ([0.5, 0.5], [1.0, 0.3], [2.0, 2.0]):
             pt = np.asarray(pt)
-            emp = (sm.data > pt).all(axis=1).mean()
+            emp = (sm > pt).all(axis=1).mean()
             closed = float(sk.sato_survival(alpha, pt))
             se = math.sqrt(closed * (1 - closed) / n)
             assert abs(emp - closed) <= 3 * se + 1e-3
@@ -303,7 +303,7 @@ class TestSato:
         rng = np.random.default_rng(66)
         sm = conditional_inversion_sampler(lambda pts: sk.sato_survival(1.0, pts), 2, 30000, rng)
         # survival (1+x)^-1 equals a Lomax law
-        assert stats.kstest(sm.data[:, 0], "lomax", args=(1.0,)).pvalue > 0.001
+        assert stats.kstest(sm[:, 0], "lomax", args=(1.0,)).pvalue > 0.001
 
     @pytest.mark.parametrize("alpha", [0.3, 1.05, 3.0])
     @pytest.mark.parametrize("d", [2, 3, 6])
@@ -314,7 +314,7 @@ class TestSato:
         sm = sk.sample_sato(alpha, d, n, np.random.default_rng(67))
         grid = default_quantile_grid(lambda q: (1.0 - q) ** (-1.0 / alpha) - 1.0, d)
         for pt in grid:
-            emp = (sm.data > pt).all(axis=1).mean()
+            emp = (sm > pt).all(axis=1).mean()
             closed = float(sk.sato_survival(alpha, pt))
             se = math.sqrt(closed * (1 - closed) / n)
             assert abs(emp - closed) <= 3 * se + 1e-3
@@ -323,7 +323,7 @@ class TestSato:
         # alpha = 1, d = 2: the singular part of the law has mass 2 ln 2 - 1
         n = 100000
         sm = sk.sample_sato(1.0, 2, n, np.random.default_rng(68))
-        share = (sm.data[:, 0] == sm.data[:, 1]).mean()
+        share = (sm[:, 0] == sm[:, 1]).mean()
         exact = 2 * math.log(2) - 1
         assert abs(share - exact) <= 3 * math.sqrt(exact * (1 - exact) / n)
 
@@ -347,32 +347,32 @@ class TestSato:
         # as the first wait, which puts the first death at t = 0
         with np.errstate(all="raise"):
             sm = sk.sample_sato(1.0, 2, 3, self.FirstWait(70, 0.0))
-        assert sm.data[0].min() == np.finfo(float).tiny
-        assert np.isfinite(sm.data).all() and (sm.data > 0).all()
+        assert sm[0].min() == np.finfo(float).tiny
+        assert np.isfinite(sm).all() and (sm > 0).all()
 
     def test_exact_sampler_where_a_jump_kills_all(self):
         # a first wait of 50 puts the first death at t1 = expm1(50)/3, whose
         # jump kills each one alive with probability 1 - exp(-t1*Y), 1.0 in doubles
         with np.errstate(all="raise"):
             sm = sk.sample_sato(1.0, 3, 3, self.FirstWait(72, 50.0))
-        assert (sm.data[0] == math.expm1(50.0) / 3).all()
-        assert np.isfinite(sm.data).all() and (sm.data > 0).all()
+        assert (sm[0] == math.expm1(50.0) / 3).all()
+        assert np.isfinite(sm).all() and (sm > 0).all()
 
     def test_exact_sampler_overflows_the_first_death_to_inf(self):
         # a first wait of 800 > 709.78*alpha overflows exp(800) at t0 = 0: the
         # first death is at inf, where the jump kills all, not at 0*inf = nan
         with np.errstate(all="raise"):
             sm = sk.sample_sato(1.0, 3, 3, self.FirstWait(73, 800.0))
-        assert np.isinf(sm.data[0]).all()
-        assert np.isfinite(sm.data[1:]).all() and (sm.data > 0).all()
+        assert np.isinf(sm[0]).all()
+        assert np.isfinite(sm[1:]).all() and (sm > 0).all()
 
     def test_exact_sampler_draws_inf_at_tiny_alpha(self):
         # at alpha = 0.01 a row's first wait exceeds 709.78*alpha with
         # probability exp(-7.0978), about 8e-4: some of 20 000 rows die at inf
         with np.errstate(all="raise"):
             sm = sk.sample_sato(0.01, 3, 20_000, np.random.default_rng(74))
-        assert not np.isnan(sm.data).any() and (sm.data > 0).all()
-        assert np.isinf(sm.data).any()
+        assert not np.isnan(sm).any() and (sm > 0).all()
+        assert np.isinf(sm).any()
 
     def test_exact_sampler_verifies_at_small_alpha(self):
         # at alpha = 0.05 most first jumps kill every component with probability 1.0
