@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (NotDMonotoneError, SpecValidationError, json_field, json_known_fields,
                      json_list, json_number, json_numbers)
-from .sample import read_csv, write_csv
+from .sample import read_csv, sample_blocks, write_csv
 
 
 # Each kind of closed form: the interval every coordinate of a point lies in.
@@ -431,9 +431,9 @@ def cmd_sample(args) -> int:
         raise SpecValidationError("--seed is mandatory for sample")
     if args.n < 1:
         raise SpecValidationError(f"n must be >= 1, got {args.n}")
-    data = model.sampler(args.n, np.random.default_rng(args.seed))
+    blocks = sample_blocks(model.sampler, args.n, model.d, np.random.default_rng(args.seed))
     try:
-        write_csv(data, args.out or sys.stdout)
+        write_csv(blocks, args.out or sys.stdout)
     except OSError as exc:
         raise IOError(f"cannot write samples: {exc}") from exc
     return 0
@@ -568,7 +568,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw samples and write CSV")
     add_model_args(p)
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=int, default=1000,
+                   help="rows to draw; they are drawn and written in blocks of 2 MiB of "
+                   "sample, so above that the rows differ from one draw of all n")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
@@ -587,7 +589,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="Monte Carlo cross-validation of sampler vs closed form")
     add_model_args(p)
-    p.add_argument("--n", type=int, default=100000)
+    p.add_argument("--n", type=int, default=100000,
+                   help="rows to draw; each stream is drawn and counted in blocks of 2 MiB "
+                   "of sample, so memory does not grow with n")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--grid", default=None, help="JSON list of grid points")
     p.add_argument(

@@ -10,6 +10,7 @@ compares every sampler in the package against its closed-form law on a grid.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import NonMonotoneConditionalError, SpecValidationError
 from .inverse import monotone_inverse_rows
-from .sample import checked_sample
+from .sample import sample_blocks
 
 __all__ = [
     "EmpiricalDf",
@@ -413,13 +414,21 @@ def mc_verify(
     Counting rule: a row hits a survival point when every coordinate is
     strictly greater (x > g), a cdf point when every coordinate is less or
     equal (x <= g); a tie at a grid value counts for cdf only, and +inf counts
-    as above every point.  Each stream's chunk is counted in blocks of rows:
-    beyond the sample, counting holds two boolean buffers of the block's
-    length, one row minimum or maximum per row of the block when a point has
-    all coordinates equal, and, for a sample whose columns are strided (a
-    row-major one), a copy of one block of about 1 MiB of columns.  The
-    package's samplers that fill their sample by column (the death chain's,
-    exshock's and l1's) hand it over column-major, without that copy.
+    as above every point.
+
+    Memory does not grow with n.  Each stream is drawn by
+    :func:`condiid.sample.sample_blocks`: blocks of at most ``sample.BLOCK_BYTES``
+    (2 MiB) of sample, one ``sampler(rows, rng)`` call each on the stream's
+    own Generator, each checked and counted as soon as it is drawn.  A stream
+    of at most ``BLOCK_BYTES`` is one call, so its counts are those of one
+    draw of all its rows; a longer one counts other rows than one call would.
+    Beyond one block and the sampler's work arrays for it, counting holds
+    two boolean buffers of a count block's length, one row minimum or
+    maximum per row of it when a point has all coordinates equal, and, for a
+    sample whose columns are strided (a row-major one), a copy of about
+    1 MiB of columns.  The package's samplers that fill their sample by
+    column (the death chain's, exshock's and l1's) hand it over
+    column-major, without that copy.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if n < 1:
@@ -433,12 +442,14 @@ def mc_verify(
     sizes = [n // threads] * threads
     sizes[-1] += n - sum(sizes)
 
-    def run_chunk(stream, size):
-        rng = np.random.default_rng(stream)
-        return _orthant_hits(checked_sample(sampler(size, rng)), grid, mode)
+    count = functools.partial(_orthant_hits, grid=grid, mode=mode)
+
+    def run_stream(stream, size):
+        blocks = sample_blocks(sampler, size, grid.shape[1], np.random.default_rng(stream))
+        return sum(map(count, blocks))  # no block outlives its count: one is held at a time
 
     streams = [seed] if threads == 1 else np.random.SeedSequence(seed).spawn(threads)
-    hits = sum(map(run_chunk, streams, sizes))
+    hits = sum(map(run_stream, streams, sizes))
 
     empirical = hits / n
     closed = np.asarray(survival(grid), dtype=float)

@@ -77,6 +77,25 @@ def scalar_pow(base, exponent: float) -> np.ndarray:
     return out.reshape(base.shape)
 
 
+# Bytes of one temporary where a Laplace transform takes an axis of nodes or
+# atoms for each of its arguments: the arguments go through in blocks of
+# _LAPLACE_BLOCK_BYTES // (8 * axis length) entries, so no temporary spans all
+# of a large argument, such as the n x d sample of a copula sampler.
+_LAPLACE_BLOCK_BYTES = 1 << 18
+
+
+def _by_entry_blocks(fn, x: np.ndarray, axis_len: int) -> np.ndarray:
+    """``fn`` of the flattened ``x`` in blocks, shaped as ``x``.  ``fn`` maps
+    a 1-d block to one value per entry, each from the entry alone (a sum over
+    its own axis of ``axis_len`` terms), so the blocks leave the bits as they are."""
+    flat = x.ravel()
+    step = max(1, _LAPLACE_BLOCK_BYTES // (8 * axis_len))
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, step):
+        out[start:start + step] = fn(flat[start:start + step])
+    return out.reshape(x.shape)
+
+
 def _categorical(p: np.ndarray, size, rng: np.random.Generator) -> np.ndarray:
     """Indices drawn with probabilities ``p``: what ``rng.choice(p.size, size, p=p)``
     returns, draw for draw, without its validation of ``p``."""
@@ -190,11 +209,14 @@ class FiniteDiscrete(MixingLaw):
                 exponent = np.where(self.atoms > 0, -x, 0.0)
             return float((self.weights * np.exp(exponent)).sum())
         x = np.asarray(x, dtype=float)
+        val = _by_entry_blocks(self._laplace_block, x, self.atoms.size)
+        return val if x.ndim else float(val)
+
+    def _laplace_block(self, x: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
-            xm = np.outer(x.ravel(), self.atoms)
+            xm = np.outer(x, self.atoms)
         xm[np.isnan(xm)] = 0.0
-        val = np.sum(self.weights * np.exp(-xm), axis=1)
-        return val.reshape(x.shape) if x.ndim else float(val[0])
+        return np.sum(self.weights * np.exp(-xm), axis=1)
 
     def moment(self, k):
         return float(np.sum(self.weights * self.atoms**k))
@@ -337,7 +359,9 @@ class Pareto(MixingLaw):
 
     def laplace(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.where(x == 0.0, 1.0, self.expect(lambda m: np.exp(-np.multiply.outer(x, m))))
+        transform = _by_entry_blocks(
+            lambda t: self.expect(lambda m: np.exp(-np.multiply.outer(t, m))), x, _EXP_X.size)
+        out = np.where(x == 0.0, 1.0, transform)
         return out if out.ndim else float(out)
 
     def density(self, m, rest=None):

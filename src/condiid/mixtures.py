@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import SpecValidationError
+from .errors import SpecValidationError, UnsupportedLawError
 from .inverse import monotone_inverse
 from .mixing import Gamma, MixingLaw, PositiveStable
 
@@ -152,27 +152,39 @@ def laplace_inverse(law: MixingLaw, u: float) -> float:
             return (-math.log(u)) ** (1.0 / law.theta)
         except (ValueError, OverflowError):  # u = 0, or an x beyond the doubles
             return math.inf
-    x = monotone_inverse(lambda t: law.laplace(t) <= u)
+
+    def phi(t: float) -> float:
+        value = law.laplace(t)
+        if math.isnan(value):  # NaN <= u is False: the bracket would grow on it
+            raise UnsupportedLawError(f"{law!r}: the Laplace transform is NaN at x = {t!r}")
+        return value
+
+    x = monotone_inverse(lambda t: phi(t) <= u)
     # With mass of M at 0, phi levels off at P(M = 0) from above and can
     # round onto u = P(M = 0) at a finite point; phi never drops below u
     # there, and the inverse is inf.
-    return x if x < math.inf and law.laplace(2.0 * x) < u else math.inf
+    return x if x < math.inf and phi(2.0 * x) < u else math.inf
 
 
 def archimedean_copula_eval(law: MixingLaw, u):
     """phi(phi^{-1}(u_1) + ... + phi^{-1}(u_d)) with phi the Laplace transform
     of ``law``, over the last axis of ``u``, points of [0, 1]^d; any zero
-    coordinate gives 0.  Each coordinate is inverted by its own bisection."""
+    coordinate gives 0.  Each distinct coordinate value of a point without a
+    zero is inverted once, by :func:`laplace_inverse`, and each point sums
+    the inverses of its coordinates in order."""
     u = np.asarray(u, dtype=float)
-    out = np.array([_archimedean_at(law, p) for p in u.reshape(-1, u.shape[-1]).tolist()])
+    points = u.reshape(-1, u.shape[-1]).tolist()
+    needed = dict.fromkeys(v for p in points if 0.0 not in p for v in p)
+    inverse = {v: laplace_inverse(law, v) for v in needed}
+    out = np.array([_archimedean_at(law, p, inverse) for p in points])
     out = out.reshape(u.shape[:-1])
     return out if out.ndim else float(out)
 
 
-def _archimedean_at(law: MixingLaw, u: list) -> float:
+def _archimedean_at(law: MixingLaw, u: list, inverse: dict) -> float:
     if 0.0 in u:
         return 0.0
-    total = sum(laplace_inverse(law, v) for v in u)
+    total = sum(inverse[v] for v in u)
     if math.isinf(total):
         return 0.0
     return float(law.laplace(total))

@@ -1,7 +1,14 @@
-"""The check of a sample leaving the program, and its CSV round-trip.
+"""The check of a sample leaving the program, the block rule it is drawn by,
+and its CSV round-trip.
 
 A sample is an n x d float array whose rows are iid replications of a
-d-variate law.
+d-variate law.  ``verify`` and ``sample`` never hold all n rows: they draw
+them in blocks of at most ``BLOCK_BYTES`` of sample, one sampler call per
+block from the stream's one Generator, and count or write each block as it
+comes (:func:`sample_blocks`).  A sample of at most ``BLOCK_BYTES`` is one
+call, exactly as drawing it at once; a larger one has other rows than one
+call for all n, as every block but the first starts where the Generator was
+left.
 """
 
 from __future__ import annotations
@@ -9,6 +16,7 @@ from __future__ import annotations
 import io
 import itertools
 import os
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -26,6 +34,29 @@ def checked_sample(data) -> np.ndarray:
     return data
 
 
+# Bytes of sample in one block: above the 1.6 MB of the largest pinned draw
+# (40 000 x 5), so that every pinned draw stays one call, and inside a 4 MiB
+# L2 cache, so that a block is still cached when it is counted or written.
+BLOCK_BYTES = 2 << 20
+
+
+def block_rows(d: int) -> int:
+    """Rows in one block of a d-column sample: max(1, BLOCK_BYTES // (8 d)).
+    A d below 1 counts as 1, and the sampler refuses it by its own message."""
+    return max(1, BLOCK_BYTES // (8 * max(1, d)))
+
+
+def sample_blocks(sampler, n: int, d: int, rng):
+    """The n rows of ``sampler`` in order, as checked blocks of :func:`block_rows` rows.
+
+    Each block is one ``sampler(rows, rng)`` call on ``rng``, which no block
+    re-seeds; the last block holds the rows left over.
+    """
+    rows = block_rows(d)
+    for start in range(0, n, rows):
+        yield checked_sample(sampler(min(rows, n - start), rng))
+
+
 # Rows formatted per ``write`` call: large enough to amortize the call, small
 # enough that the text held at once stays a few hundred kB at any n.
 _WRITE_CHUNK_ROWS = 4096
@@ -38,22 +69,42 @@ def _is_path(path_or_buf) -> bool:
 def write_csv(data, path_or_buf) -> None:
     """Write samples as CSV with header ``x1,...,xd``, LF line endings.
 
-    ``path_or_buf`` is a path (``str``, ``bytes`` or ``os.PathLike``) or an
-    open text stream.  Each value is written as ``repr`` of its float, so
-    +inf is the literal ``inf``, no field is quoted and identical data yields
-    identical bytes.  A chunk of rows is formatted by one ``%`` operation:
-    one ``%r`` per field, the row's template repeated once per row.
-    :func:`checked_sample` refuses the data before any file is opened.
+    ``data`` is an n x d array, or an iterator of such blocks of one width,
+    as :func:`sample_blocks` yields them, written one after another: only
+    one block is held at a time.  ``path_or_buf`` is a path (``str``,
+    ``bytes`` or ``os.PathLike``) or an open text stream.  Each value is
+    written as ``repr`` of its float, so +inf is the literal ``inf``, no
+    field is quoted and identical data yields identical bytes.  A chunk of
+    rows is formatted by one ``%`` operation: one ``%r`` per field, the
+    row's template repeated once per row.  :func:`checked_sample` refuses
+    the first block before any file is opened, and each later block before
+    it is written; a file this function opened is removed when writing it
+    fails, so no refused sample is left behind in part.
     """
-    data = checked_sample(data)
+    blocks = map(checked_sample, data if isinstance(data, Iterator) else iter((data,)))
+    block = next(blocks, None)
+    if block is None:
+        raise ValueError("no sample block to write")
+    d = block.shape[1]
     own = _is_path(path_or_buf)
     f = open(path_or_buf, "w", newline="\n") if own else path_or_buf
     try:
-        f.write(",".join(f"x{k + 1}" for k in range(data.shape[1])) + "\n")
-        line = ",".join(["%r"] * data.shape[1]) + "\n"
-        for start in range(0, data.shape[0], _WRITE_CHUNK_ROWS):
-            chunk = data[start:start + _WRITE_CHUNK_ROWS]
-            f.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+        f.write(",".join(f"x{k + 1}" for k in range(d)) + "\n")
+        line = ",".join(["%r"] * d) + "\n"
+        while block is not None:
+            if block.shape[1] != d:
+                raise ValueError(f"block width {block.shape[1]} does not match "
+                                 f"the first block's width {d}")
+            for start in range(0, block.shape[0], _WRITE_CHUNK_ROWS):
+                chunk = block[start:start + _WRITE_CHUNK_ROWS]
+                f.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+            block = chunk = None  # the written block is freed before the next is drawn
+            block = next(blocks, None)
+    except BaseException:
+        if own:
+            f.close()
+            os.remove(path_or_buf)
+        raise
     finally:
         if own:
             f.close()

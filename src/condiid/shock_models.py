@@ -293,28 +293,23 @@ def exshock_marginal_inverse(spec: ShockSurvivalSpec, u: float) -> float:
 def exshock_copula_eval(spec: ShockSurvivalSpec, u):
     """Survival copula chat(u) = u_[1] * prod_{k>=2} g_k(sfinv_1(u_[k])), with
     g_k of :func:`_log_g` and sfinv_1 the marginal inverse, over the last axis
-    of ``u``, points of [0, 1]^d.  The marginal inverses are bisections, one
-    per coordinate of each point."""
+    of ``u``, points of [0, 1]^d.  Each distinct value among the u_[k], k >= 2,
+    of the points with u_[1] > 0 is inverted once, by a bisection."""
     u = np.asarray(u, dtype=float)
-    out = np.array([_exshock_copula_at(spec, p) for p in np.sort(u.reshape(-1, u.shape[-1]), axis=-1)])
+    points = np.sort(u.reshape(-1, u.shape[-1]), axis=-1).tolist()
+    needed = dict.fromkeys(v for s in points if s[0] != 0.0 for v in s[1:spec.d])
+    inverse = {v: exshock_marginal_inverse(spec, v) for v in needed}
+    out = np.array([_exshock_copula_at(spec, s, inverse) for s in points])
     out = out.reshape(u.shape[:-1])
     return out if out.ndim else float(out)
 
 
-def _exshock_copula_at(spec: ShockSurvivalSpec, s: np.ndarray) -> float:
-    d = spec.d
+def _exshock_copula_at(spec: ShockSurvivalSpec, s: list, inverse: dict) -> float:
     if s[0] == 0.0:
         return 0.0
-    inv_cache: dict[float, float] = {}
-
-    def inv(v: float) -> float:
-        if v not in inv_cache:
-            inv_cache[v] = exshock_marginal_inverse(spec, v)
-        return inv_cache[v]
-
-    value = float(s[0])
-    for k in range(2, d + 1):
-        value *= float(np.exp(_log_g(spec, k, inv(float(s[k - 1])))))
+    value = s[0]
+    for k in range(2, spec.d + 1):
+        value *= float(np.exp(_log_g(spec, k, inverse[s[k - 1]])))
     return value
 
 

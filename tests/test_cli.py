@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from condiid import cli
 from condiid.errors import SpecValidationError, UnsupportedLawError
+from condiid import sample
 from condiid.sample import read_csv
 
 
@@ -226,6 +228,65 @@ def test_sampler_returns_an_n_by_d_float_array(spec):
     assert out.dtype == np.float64 and out.shape == (7, 3)
 
 
+COPULA_SAMPLERS = [  # (id, model of d = 3): the phi(E / M) sampler over laws whose phi has an axis
+    ("archimedean-pareto", {"family": "archimedean", "m": {"family": "pareto", "alpha": 2.0}}),
+    ("archimedean-finite_discrete", {"family": "archimedean", "m": {
+        "family": "finite_discrete", "atoms": [0.5, 1.0, 2.0], "weights": [0.2, 0.3, 0.5]}}),
+]
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec in SAMPLER_MODELS + COPULA_SAMPLERS],
+                         ids=[name for name, _ in SAMPLER_MODELS + COPULA_SAMPLERS])
+def test_sampler_memory_is_a_few_samples(spec):
+    """At n = 1e4, d = 3 no sampler's peak reaches ten times its sample."""
+    model = cli.build_model({"d": 3, **spec})
+    model.sampler(10, np.random.default_rng(1))  # loads what the sampler uses
+    tracemalloc.start()
+    try:
+        out = model.sampler(10_000, np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * out.nbytes
+
+
+L1_D2 = json.dumps({"family": "l1", "d": 2, "m": {"family": "gamma", "shape": 2.0}})
+
+
+def test_sample_above_a_block_writes_blocks_of_one_generator(tmp_path):
+    """Above BLOCK_BYTES ``sample`` writes blocks drawn one after another from
+    its one Generator: other rows than one draw of all n."""
+    rows = sample.BLOCK_BYTES // (8 * 2)
+    path = tmp_path / "s.csv"
+    code, out, err = run(["sample", "--model", L1_D2, "--n", str(rows + 1234), "--seed", "6",
+                          "--out", str(path)])
+    assert (code, out, err) == (0, "", "")
+    model = cli.build_model(json.loads(L1_D2))
+    rng = np.random.default_rng(6)
+    blocks = np.concatenate([model.sampler(rows, rng), model.sampler(1234, rng)])
+    written = read_csv(path)
+    assert np.array_equal(written, blocks)
+    assert not np.array_equal(written, model.sampler(rows + 1234, np.random.default_rng(6)))
+
+
+def test_sample_memory_does_not_grow_with_n(tmp_path):
+    """A sample of eight blocks is written with a peak below four."""
+    n = 8 * sample.BLOCK_BYTES // (8 * 2)
+    path = tmp_path / "s.csv"
+    argv = ["sample", "--model", L1_D2, "--seed", "6", "--out", str(path)]
+    assert run(argv + ["--n", "10"])[0] == 0  # loads what the command uses
+    tracemalloc.start()
+    try:
+        code = cli.main(argv + ["--n", str(n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * sample.BLOCK_BYTES
+    with open(path) as f:
+        assert sum(1 for _ in f) == n + 1
+
+
 EVAL_MODELS = {  # family: a model of d = 2
     "exch_normal": {"rho": 0.5},
     "l1": {"m": {"family": "gamma", "shape": 2.0}},
@@ -246,6 +307,16 @@ def eval_model(family):
 
 
 class TestEval:
+    def test_nan_laplace_transform_is_refused(self):
+        """hyp1f1 is NaN at x = 2^36 for this Beta law, which the Laplace
+        inversion of u = 1e-6 reaches: a refusal, not a copula of 0."""
+        spec = {"family": "archimedean", "d": 2, "m": {"family": "beta", "p": 0.05, "q": 3.0}}
+        code, out, err = run(["eval", "--model", json.dumps(spec), "--kind", "copula",
+                              "--point", "1e-6,1"])
+        assert (code, out) == (1, "")
+        assert err == ("error: Beta(p=0.05, q=3.0): the Laplace transform is NaN at "
+                       "x = 68719476736.0\n")
+
     def test_eval_models_cover_every_family_with_closed_forms(self):
         for family in cli._FAMILIES:
             if family not in EVAL_MODELS:

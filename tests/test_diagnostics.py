@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from scipy import stats
 from condiid import cli
 from condiid import diagnostics as dg
 from condiid import mixtures as mx
+from condiid import sample
 from condiid.errors import NonMonotoneConditionalError, SpecValidationError
 from condiid.mixing import Gamma, Pareto
 
@@ -470,6 +472,64 @@ class TestMcVerify:
         finally:
             tracemalloc.stop()
         assert peak < 2 * data.nbytes
+
+    @staticmethod
+    def counted(blocks, grid, mode):
+        """Rows of all ``blocks`` in each grid point's orthant, by plain numpy."""
+        inside = np.greater if mode == "survival" else np.less_equal
+        return [sum(int(inside(b, point).all(axis=1).sum()) for b in blocks) for point in grid]
+
+    @staticmethod
+    def drawn_in_blocks(model, n, seed, mode):
+        return dg.mc_verify(model.sampler, functools.partial(model.evaluate, mode),
+                            model.default_grid(), n, seed, mode=mode)
+
+    @pytest.mark.parametrize("spec, mode", [
+        ({"family": "exch_normal", "rho": 0.5, "d": 4}, "cdf"),
+        ({"family": "l1", "d": 4, "m": {"family": "gamma", "shape": 2.0}}, "survival"),
+    ], ids=["exch_normal", "l1"])
+    def test_a_stream_above_a_block_counts_blocks_of_one_generator(self, spec, mode):
+        """Above BLOCK_BYTES the stream is drawn in blocks: its counts are those
+        of the blocks drawn by hand from one Generator, not of re-seeded ones."""
+        model = cli.build_model(spec)
+        rows = sample.BLOCK_BYTES // (8 * model.d)
+        sizes = (rows, rows, 5000)
+        report = self.drawn_in_blocks(model, sum(sizes), 3, mode)
+        rng = np.random.default_rng(3)
+        blocks = [model.sampler(m, rng) for m in sizes]
+        assert not np.array_equal(blocks[0][:10], blocks[1][:10])
+        grid = model.default_grid()
+        n = sum(sizes)
+        assert report.empirical == tuple(h / n for h in self.counted(blocks, grid, mode))
+        reseeded = [model.sampler(m, np.random.default_rng(3)) for m in sizes]
+        assert report.empirical != tuple(h / n for h in self.counted(reseeded, grid, mode))
+        assert report.passed
+
+    def test_each_thread_stream_is_drawn_in_blocks_from_its_own_seed(self):
+        model = cli.build_model({"family": "l1", "d": 4, "m": {"family": "gamma", "shape": 2.0}})
+        rows = sample.BLOCK_BYTES // (8 * model.d)
+        grid = model.default_grid()
+        report = dg.mc_verify(model.sampler, functools.partial(model.evaluate, "survival"), grid,
+                              3 * (rows + 1000), 5, threads=3)
+        blocks = []
+        for stream in np.random.SeedSequence(5).spawn(3):
+            rng = np.random.default_rng(stream)
+            blocks += [model.sampler(rows, rng), model.sampler(1000, rng)]
+        n = 3 * (rows + 1000)
+        assert report.empirical == tuple(h / n for h in self.counted(blocks, grid, "survival"))
+
+    def test_verify_memory_does_not_grow_with_n(self):
+        """l1 at n = 2e5, d = 40 is a 64 MB sample; verify peaks below four blocks."""
+        model = cli.build_model({"family": "l1", "d": 40, "m": {"family": "gamma", "shape": 2.0}})
+        self.drawn_in_blocks(model, 10, 1, "survival")  # loads what the run uses
+        tracemalloc.start()
+        try:
+            report = self.drawn_in_blocks(model, 200_000, 1, "survival")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n == 200_000
+        assert peak < 4 * sample.BLOCK_BYTES
 
     @settings(max_examples=60, deadline=None)
     @given(blocked_samples(), st.sampled_from(["survival", "cdf"]))

@@ -6,7 +6,8 @@ import pytest
 from scipy import integrate, optimize, stats
 
 from condiid import mixtures as mx
-from condiid.errors import SpecValidationError
+from condiid.diagnostics import default_quantile_grid
+from condiid.errors import SpecValidationError, UnsupportedLawError
 from condiid.inverse import monotone_inverse
 from condiid.mixing import (Beta, FiniteDiscrete, Gamma, LogSeries, Pareto, PointMass,
                             PositiveStable)
@@ -234,6 +235,38 @@ class TestArchimedean:
         assert mx.laplace_inverse(law, 0.5) == math.inf
         assert mx.laplace_inverse(law, 0.4) == math.inf
         assert mx.laplace_inverse(law, 0.6) == pytest.approx(math.log(5.0), rel=1e-11)
+
+    @staticmethod
+    def copula_point_by_point(law, point):
+        """The copula at one point, each coordinate inverted on its own."""
+        if 0.0 in point:
+            return 0.0
+        total = sum(mx.laplace_inverse(law, v) for v in point)
+        return 0.0 if math.isinf(total) else float(law.laplace(total))
+
+    @pytest.mark.parametrize("law", [
+        Pareto(2.0), Gamma(2.0), FiniteDiscrete([0.5, 1.0, 2.0], [0.2, 0.3, 0.5]), LogSeries(1.0),
+    ], ids=["pareto", "gamma", "finite_discrete", "log_series"])
+    def test_each_distinct_value_is_inverted_once(self, law, monkeypatch):
+        """A default grid repeats its five quantiles: five inversions, and the
+        bits of the point-by-point evaluation.  A point with a zero coordinate
+        inverts none of its coordinates."""
+        grid = default_quantile_grid(lambda q: q, 12)
+        grid = np.r_[grid, [[0.0] + [0.3] * 11]]
+        expected = np.array([self.copula_point_by_point(law, p) for p in grid.tolist()])
+        inverse, calls = mx.laplace_inverse, []
+        monkeypatch.setattr(mx, "laplace_inverse",
+                            lambda law, u: calls.append(u) or inverse(law, u))
+        out = mx.archimedean_copula_eval(law, grid)
+        assert sorted(calls) == [0.1, 0.25, 0.5, 0.75, 0.9]
+        assert out.tobytes() == expected.tobytes()
+
+    def test_nan_laplace_transform_is_refused_by_name(self):
+        # hyp1f1(0.05, 3.05, -2**36) is NaN; NaN <= u would grow the bracket on
+        with pytest.raises(UnsupportedLawError,
+                           match=r"^Beta\(p=0\.05, q=3\.0\): the Laplace transform is NaN at "
+                           r"x = 68719476736\.0$"):
+            mx.laplace_inverse(Beta(0.05, 3.0), 1e-6)
 
     def test_empirical_copula_matches_evaluator(self):
         rng = np.random.default_rng(20)

@@ -86,6 +86,67 @@ def test_rejects_non_matrix():
         assert buf.getvalue() == ""
 
 
+def test_blocks_write_the_bytes_of_their_concatenation(tmp_path):
+    rng = np.random.default_rng(8)
+    blocks = [rng.standard_normal((m, 3)) for m in (1, sample._WRITE_CHUNK_ROWS + 1, 5)]
+    blocks[1][::5, 0] = np.inf
+    whole = np.concatenate(blocks)
+    assert written_bytes(iter(blocks)) == reference_bytes(whole)
+    path = tmp_path / "s.csv"
+    write_csv(iter(blocks), path)
+    assert path.read_bytes() == reference_bytes(whole)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.full((2, 3), np.nan), "NaN"),
+    (np.zeros((2, 4)), "block width 4 does not match the first block's width 3"),
+    (np.zeros(3), "must be n x d"),
+], ids=["nan", "width", "vector"])
+def test_refused_later_block_removes_the_file(tmp_path, bad, message):
+    path = tmp_path / "s.csv"
+    path.write_text("an older file\n")
+    with pytest.raises(ValueError, match=message):
+        write_csv(iter([np.zeros((2, 3)), bad]), path)
+    assert not path.exists()
+
+
+def test_refused_first_block_opens_no_file(tmp_path):
+    path = tmp_path / "s.csv"
+    for blocks in (iter([np.full((2, 3), np.nan)]), iter([])):
+        with pytest.raises(ValueError):
+            write_csv(blocks, path)
+        assert not path.exists()
+
+
+def test_sample_blocks_split_a_draw_of_more_than_one_block():
+    """Up to BLOCK_BYTES of sample is one call; beyond, calls of block_rows(d)
+    rows on the one Generator, which the blocks do not re-seed."""
+    d = 3
+    rows = sample.BLOCK_BYTES // (8 * d)
+    assert sample.block_rows(d) == rows and sample.block_rows(10**9) == 1
+    calls = []
+
+    def sampler(n, rng):
+        calls.append(n)
+        return rng.random((n, d))
+
+    for n, sizes in [(1, [1]), (rows, [rows]), (rows + 1, [rows, 1]),
+                     (2 * rows + 7, [rows, rows, 7])]:
+        calls.clear()
+        blocks = list(sample.sample_blocks(sampler, n, d, np.random.default_rng(4)))
+        assert calls == sizes and [len(b) for b in blocks] == sizes
+        rng = np.random.default_rng(4)
+        for block, size in zip(blocks, sizes):
+            assert np.array_equal(block, rng.random((size, d)))
+    assert not np.array_equal(blocks[0][:7], blocks[1][:7])
+
+
+def test_sample_blocks_are_checked():
+    nan_sampler = lambda n, rng: np.full((n, 2), np.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        next(sample.sample_blocks(nan_sampler, 5, 2, np.random.default_rng(0)))
+
+
 @pytest.mark.parametrize("fill", [1.0, np.inf, -np.inf], ids=["finite", "inf", "-inf"])
 def test_nan_anywhere_is_refused(fill):
     """Infinities are allowed, both signs in one matrix too; a NaN is refused

@@ -125,6 +125,34 @@ class TestExshock:
         u = np.array([0.3, 0.6, 0.9])
         assert sk.exshock_copula_eval(spec, u) == pytest.approx(0.3, abs=1e-9)
 
+    def test_each_distinct_value_is_inverted_once(self, monkeypatch):
+        """The sorted points share the values of a default grid: one marginal
+        inversion per distinct value above each point's least one, and the bits
+        of the point-by-point evaluation."""
+        spec = sk.ShockSurvivalSpec((sk.WeibullShock(1.5, 1.0), sk.ExponentialShock(0.2),
+                                     sk.ParetoShock(1.5, 2.0), sk.ExponentialShock(0.1)))
+        qs = (0.1, 0.25, 0.5, 0.75, 0.9)
+        grid = np.array([[q] * 4 for q in qs] + [[qs[(i + j) % 5] for j in range(4)]
+                                                 for i in range(5)] + [[0.3, 0.0, 0.6, 0.9]])
+
+        def point_by_point(u):
+            s = np.sort(u)
+            if s[0] == 0.0:
+                return 0.0
+            value = float(s[0])
+            for k in range(2, 5):
+                x = sk.exshock_marginal_inverse(spec, float(s[k - 1]))
+                value *= float(np.exp(sk._log_g(spec, k, x)))
+            return value
+
+        expected = np.array([point_by_point(u) for u in grid])
+        inverse, calls = sk.exshock_marginal_inverse, []
+        monkeypatch.setattr(sk, "exshock_marginal_inverse",
+                            lambda spec, u: calls.append(u) or inverse(spec, u))
+        out = sk.exshock_copula_eval(spec, grid)
+        assert sorted(calls) == list(qs)
+        assert out.tobytes() == expected.tobytes()
+
     def test_diagonal_matches_empirical_copula(self):
         rng = np.random.default_rng(56)
         sm = sk.exshock_sample(EXP_SPEC, 3, 150000, rng)
