@@ -40,19 +40,15 @@ def checked_sample(data) -> np.ndarray:
 BLOCK_BYTES = 2 << 20
 
 
-def block_rows(d: int) -> int:
-    """Rows in one block of a d-column sample: max(1, BLOCK_BYTES // (8 d)).
-    A d below 1 counts as 1, and the sampler refuses it by its own message."""
-    return max(1, BLOCK_BYTES // (8 * max(1, d)))
-
-
 def sample_blocks(sampler, n: int, d: int, rng):
-    """The n rows of ``sampler`` in order, as checked blocks of :func:`block_rows` rows.
+    """The n rows of a d-column ``sampler`` in order, as checked blocks of
+    max(1, BLOCK_BYTES // (8 d)) rows.
 
     Each block is one ``sampler(rows, rng)`` call on ``rng``, which no block
-    re-seeds; the last block holds the rows left over.
+    re-seeds; the last block holds the rows left over.  A d below 1 counts
+    as 1, and the sampler refuses it by its own message.
     """
-    rows = block_rows(d)
+    rows = max(1, BLOCK_BYTES // (8 * max(1, d)))
     for start in range(0, n, rows):
         yield checked_sample(sampler(min(rows, n - start), rng))
 

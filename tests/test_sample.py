@@ -119,11 +119,10 @@ def test_refused_first_block_opens_no_file(tmp_path):
 
 
 def test_sample_blocks_split_a_draw_of_more_than_one_block():
-    """Up to BLOCK_BYTES of sample is one call; beyond, calls of block_rows(d)
+    """Up to BLOCK_BYTES of sample is one call; beyond, calls of BLOCK_BYTES // (8 d)
     rows on the one Generator, which the blocks do not re-seed."""
     d = 3
     rows = sample.BLOCK_BYTES // (8 * d)
-    assert sample.block_rows(d) == rows and sample.block_rows(10**9) == 1
     calls = []
 
     def sampler(n, rng):
@@ -139,6 +138,9 @@ def test_sample_blocks_split_a_draw_of_more_than_one_block():
         for block, size in zip(blocks, sizes):
             assert np.array_equal(block, rng.random((size, d)))
     assert not np.array_equal(blocks[0][:7], blocks[1][:7])
+    calls.clear()
+    list(sample.sample_blocks(lambda n, rng: calls.append(n) or np.zeros((n, 1)), 3, 10**9, None))
+    assert calls == [1, 1, 1]  # a row wider than a block is a block of its own
 
 
 def test_sample_blocks_are_checked():
