@@ -480,7 +480,7 @@ class TestMcVerify:
         return [sum(int(inside(b, point).all(axis=1).sum()) for b in blocks) for point in grid]
 
     @staticmethod
-    def drawn_in_blocks(model, n, seed, mode):
+    def verified(model, n, seed, mode):
         return dg.mc_verify(model.sampler, functools.partial(model.evaluate, mode),
                             model.default_grid(), n, seed, mode=mode)
 
@@ -494,7 +494,7 @@ class TestMcVerify:
         model = cli.build_model(spec)
         rows = sample.BLOCK_BYTES // (8 * model.d)
         sizes = (rows, rows, 5000)
-        report = self.drawn_in_blocks(model, sum(sizes), 3, mode)
+        report = self.verified(model, sum(sizes), 3, mode)
         rng = np.random.default_rng(3)
         blocks = [model.sampler(m, rng) for m in sizes]
         assert not np.array_equal(blocks[0][:10], blocks[1][:10])
@@ -521,10 +521,10 @@ class TestMcVerify:
     def test_verify_memory_does_not_grow_with_n(self):
         """l1 at n = 2e5, d = 40 is a 64 MB sample; verify peaks below four blocks."""
         model = cli.build_model({"family": "l1", "d": 40, "m": {"family": "gamma", "shape": 2.0}})
-        self.drawn_in_blocks(model, 10, 1, "survival")  # loads what the run uses
+        self.verified(model, 10, 1, "survival")  # loads what the run uses
         tracemalloc.start()
         try:
-            report = self.drawn_in_blocks(model, 200_000, 1, "survival")
+            report = self.verified(model, 200_000, 1, "survival")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
