@@ -572,7 +572,9 @@ def make_parser() -> argparse.ArgumentParser:
                    help="rows to draw; they are drawn and written in blocks of 2 MiB of "
                    "sample, so above that the rows differ from one draw of all n")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None,
+                   help="CSV path (stdout when absent); a block refused after the first "
+                   "leaves the rows written before it")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("eval", help="evaluate a closed form at a point")

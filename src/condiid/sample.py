@@ -35,8 +35,7 @@ def checked_sample(data) -> np.ndarray:
 
 
 # Bytes of sample in one block: above the 1.6 MB of the largest pinned draw
-# (40 000 x 5), so that every pinned draw stays one call, and inside a 4 MiB
-# L2 cache, so that a block is still cached when it is counted or written.
+# (40 000 x 5), so that every pinned draw stays one call.
 BLOCK_BYTES = 2 << 20
 
 
@@ -45,12 +44,18 @@ def sample_blocks(sampler, n: int, d: int, rng):
     max(1, BLOCK_BYTES // (8 d)) rows.
 
     Each block is one ``sampler(rows, rng)`` call on ``rng``, which no block
-    re-seeds; the last block holds the rows left over.  A d below 1 counts
-    as 1, and the sampler refuses it by its own message.
+    re-seeds; the last block holds the rows left over.  A block of other
+    than the rows asked for is refused.  A d below 1 counts as 1, and the
+    sampler refuses it by its own message.
     """
     rows = max(1, BLOCK_BYTES // (8 * max(1, d)))
     for start in range(0, n, rows):
-        yield checked_sample(sampler(min(rows, n - start), rng))
+        asked = min(rows, n - start)
+        block = checked_sample(sampler(asked, rng))
+        if block.shape[0] != asked:
+            raise ValueError(f"sampler returned {block.shape[0]} rows where {asked} were asked for")
+        yield block
+        del block  # not held while the next block is drawn
 
 
 # Rows formatted per ``write`` call: large enough to amortize the call, small
@@ -74,8 +79,8 @@ def write_csv(data, path_or_buf) -> None:
     rows is formatted by one ``%`` operation: one ``%r`` per field, the
     row's template repeated once per row.  :func:`checked_sample` refuses
     the first block before any file is opened, and each later block before
-    it is written; a file this function opened is removed when writing it
-    fails, so no refused sample is left behind in part.
+    it is written.  A refusal or error after the first block leaves the
+    header and the blocks before it in the file or stream, as written.
     """
     blocks = map(checked_sample, data if isinstance(data, Iterator) else iter((data,)))
     block = next(blocks, None)
@@ -96,11 +101,6 @@ def write_csv(data, path_or_buf) -> None:
                 f.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
             block = chunk = None  # the written block is freed before the next is drawn
             block = next(blocks, None)
-    except BaseException:
-        if own:
-            f.close()
-            os.remove(path_or_buf)
-        raise
     finally:
         if own:
             f.close()

@@ -269,8 +269,12 @@ def test_sample_above_a_block_writes_blocks_of_one_generator(tmp_path):
     assert not np.array_equal(written, model.sampler(rows + 1234, np.random.default_rng(6)))
 
 
-def test_sample_memory_does_not_grow_with_n(tmp_path):
-    """A sample of eight blocks is written with a peak below four."""
+def test_sample_memory_does_not_grow_with_n(tmp_path, monkeypatch):
+    """A sample of eight blocks is written with a peak below four.  Blocks of
+    64 KiB, and text chunks of 512 rows to match, keep the 2M traced values of
+    eight real blocks out of the test."""
+    monkeypatch.setattr(sample, "BLOCK_BYTES", 64 << 10)
+    monkeypatch.setattr(sample, "_WRITE_CHUNK_ROWS", 512)
     n = 8 * sample.BLOCK_BYTES // (8 * 2)
     path = tmp_path / "s.csv"
     argv = ["sample", "--model", L1_D2, "--seed", "6", "--out", str(path)]

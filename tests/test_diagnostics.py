@@ -467,7 +467,7 @@ class TestMcVerify:
         grid = np.random.default_rng(1).random((100, 5))
         tracemalloc.start()
         try:
-            dg.mc_verify(lambda n, rng: data, lambda g: np.full(len(g), 0.5), grid, data.shape[0], 1)
+            dg.mc_verify(lambda n, rng: data[:n], lambda g: np.full(len(g), 0.5), grid, data.shape[0], 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -102,12 +102,19 @@ def test_blocks_write_the_bytes_of_their_concatenation(tmp_path):
     (np.zeros((2, 4)), "block width 4 does not match the first block's width 3"),
     (np.zeros(3), "must be n x d"),
 ], ids=["nan", "width", "vector"])
-def test_refused_later_block_removes_the_file(tmp_path, bad, message):
+def test_refused_later_block_leaves_the_blocks_before_it(tmp_path, bad, message):
+    """A block refused after the first stops the write; the header and the
+    blocks before it stay, in a file as in a stream."""
+    first = np.zeros((2, 3))
     path = tmp_path / "s.csv"
     path.write_text("an older file\n")
     with pytest.raises(ValueError, match=message):
-        write_csv(iter([np.zeros((2, 3)), bad]), path)
-    assert not path.exists()
+        write_csv(iter([first, bad]), path)
+    assert path.read_bytes() == reference_bytes(first)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=message):
+        write_csv(iter([first, bad]), buf)
+    assert buf.getvalue().encode() == reference_bytes(first)
 
 
 def test_refused_first_block_opens_no_file(tmp_path):
@@ -147,6 +154,13 @@ def test_sample_blocks_are_checked():
     nan_sampler = lambda n, rng: np.full((n, 2), np.nan)
     with pytest.raises(ValueError, match="NaN"):
         next(sample.sample_blocks(nan_sampler, 5, 2, np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("returned", [4, 6], ids=["fewer", "more"])
+def test_sample_blocks_refuse_other_than_the_rows_asked_for(returned):
+    sampler = lambda n, rng: np.zeros((returned, 2))
+    with pytest.raises(ValueError, match=f"sampler returned {returned} rows where 5 were asked for"):
+        next(sample.sample_blocks(sampler, 5, 2, None))
 
 
 @pytest.mark.parametrize("fill", [1.0, np.inf, -np.inf], ids=["finite", "inf", "-inf"])
