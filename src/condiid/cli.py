@@ -206,10 +206,10 @@ def _linf(spec: dict, d: int) -> Model:
     from .inverse import monotone_inverse
 
     law = _mixing_law(spec)
+    survival = lambda x: mixtures.linf_ciid_survival(law, x)
     return Model("linf", d, sampler=lambda n, rng: mixtures.sample_linf_ciid(law, d, n, rng),
-                 evals={"survival": lambda x: mixtures.linf_ciid_survival(law, x)},
-                 marginal_ppf=lambda q: monotone_inverse(
-                     lambda x: 1.0 - mixtures.linf_marginal_cdf(law, x) <= q),
+                 evals={"survival": survival},
+                 marginal_ppf=lambda q: monotone_inverse(lambda x: survival([[x]])[0] <= 1.0 - q),
                  check=_by_construction("m"))
 
 

@@ -1,74 +1,64 @@
-"""Generalized inverses of monotone functions by bracket-and-bisect.
+"""Generalized inverses of monotone predicates, exact to the double.
 
-Every quantile in the package without a closed form is
-``inf{x >= lo : pred(x)}`` for a predicate that is false and then true, such
-as ``phi(x) <= u`` for a non-increasing ``phi``.  Both forms below share one
-rule: start the bracket at ``hi = max(1, 2 lo)``, double it until the
-predicate holds (``inf`` after ``MAX_DOUBLINGS`` tries), then bisect while
-``hi - lo > TOL * max(1, hi)`` and return ``hi``, a point where the predicate
-holds.
-
-The scalar form is plain Python: over 0-d numpy arrays one inversion costs
-about thirty times as much.  The row form applies the same rule to every row
-of an array at once and freezes each row when its own bracket is narrow
-enough, so each row ends where the scalar form would.
+Every quantile in the package without a closed form is ``inf{x > lo :
+pred(x)}`` for a predicate that is false and then true, such as
+``phi(x) <= u`` for a non-increasing ``phi``.  Non-negative doubles sort as
+their int64 bit patterns do, so both forms bisect the integers from the bits
+of ``lo`` to those of ``+inf`` until the ends are neighbours and return the
+upper one: the least double above ``lo`` where the predicate holds, in at
+most 63 calls, never at ``lo`` or ``+inf``.  That is ``inf`` only when no
+finite double satisfies it, so a predicate must be right on every double.
+The scalar form is plain Python, thirty times cheaper than numpy on 0-d
+arrays; the row form runs the same loop over int64 arrays, a bracket a row.
 """
 
 from __future__ import annotations
 
-import math
+import struct
 
 import numpy as np
 
 __all__ = ["monotone_inverse", "monotone_inverse_rows"]
 
-MAX_DOUBLINGS = 300
-TOL = 1e-12
+_INF_BITS = 0x7FF0000000000000  # the bits of +inf, above those of every finite double
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 def monotone_inverse(pred, lo: float = 0.0) -> float:
-    """Smallest x >= lo with ``pred(x)`` true, within ``TOL * max(1, x)``.
-
-    ``pred`` must be false at ``lo`` and monotone (false, then true).  Returns
-    ``inf`` when ``pred`` fails at every bracket end tried.
-    """
-    hi = max(1.0, 2.0 * lo)
-    for _ in range(MAX_DOUBLINGS):
-        if pred(hi):
-            break
-        hi *= 2.0
-    else:
-        return math.inf
-    while hi - lo > TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
+    """The least double x > lo with ``pred(x)`` true, for ``pred`` false at
+    ``lo`` and monotone (false, then true) up to the largest double; ``inf``
+    when it holds at none."""
+    lo_bits, hi_bits = _bits(lo + 0.0), _INF_BITS  # + 0.0 turns -0.0 into 0.0
+    while hi_bits - lo_bits > 1:
+        mid = (lo_bits + hi_bits) // 2
+        if pred(_double(mid)):
+            hi_bits = mid
         else:
-            lo = mid
-    return hi
+            lo_bits = mid
+    return _double(hi_bits)
 
 
 def monotone_inverse_rows(pred, lo) -> np.ndarray:
-    """Row-wise :func:`monotone_inverse`.
+    """Row-wise :func:`monotone_inverse`, the same double for each row.
 
     ``pred`` maps an array shaped like ``lo`` to a boolean array of that shape
-    and is evaluated on every row at each step; rows already solved are
-    evaluated at their answer and left unchanged.  Rows whose predicate never
-    holds are ``inf``.
+    and is evaluated on every row at each step; a solved row is evaluated at
+    its lower end and left unchanged.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.maximum(1.0, 2.0 * lo)
-    for _ in range(MAX_DOUBLINGS):
-        done = pred(hi)
-        if done.all():
-            break
-        hi = np.where(done, hi, 2.0 * hi)
-    hi = np.where(done, hi, np.inf)
+    lo_bits = (np.array(lo, dtype=float) + 0.0).view(np.int64)
+    hi_bits = np.full_like(lo_bits, _INF_BITS)
     while True:
-        active = hi - lo > TOL * np.maximum(1.0, hi)
-        if not active.any():
-            return hi
-        mid = np.where(active, 0.5 * (lo + hi), hi)
-        holds = pred(mid)
-        hi = np.where(active & holds, mid, hi)
-        lo = np.where(active & ~holds, mid, lo)
+        gap = hi_bits - lo_bits
+        if (gap <= 1).all():
+            return hi_bits.view(np.float64)
+        mid = lo_bits + gap // 2  # (lo + hi) // 2 would overflow near the largest double
+        holds = pred(mid.view(np.float64)) & (gap > 1)
+        hi_bits = np.where(holds, mid, hi_bits)
+        lo_bits = np.where(holds, lo_bits, mid)

@@ -27,7 +27,6 @@ __all__ = [
     "gnedin_g",
     "sample_linf_ciid",
     "linf_ciid_survival",
-    "linf_marginal_cdf",
     "pareto_uniform_copula",
     "pareto_uniform_marginal_cdf",
 ]
@@ -137,7 +136,7 @@ def l1_ciid_survival(law: MixingLaw, x):
 def laplace_inverse(law: MixingLaw, u: float) -> float:
     """Generalized inverse phi^{-1}(u) = inf{x : phi(x) <= u} of the Laplace
     transform phi of ``law``: in closed form for a Gamma or positive stable
-    law, else by bisection on a bracket grown by doubling."""
+    law, else the least double with phi(x) <= u (inf if none), refusing a NaN."""
     if not 0.0 <= u <= 1.0:
         raise SpecValidationError(f"generator inverse needs u in [0,1], got {u}")
     if u >= 1.0:
@@ -155,7 +154,7 @@ def laplace_inverse(law: MixingLaw, u: float) -> float:
 
     def phi(t: float) -> float:
         value = law.laplace(t)
-        if math.isnan(value):  # NaN <= u is False: the bracket would grow on it
+        if math.isnan(value):  # NaN <= u is False: the bisection would climb on it
             raise UnsupportedLawError(f"{law!r}: the Laplace transform is NaN at x = {t!r}")
         return value
 
@@ -226,15 +225,6 @@ def linf_ciid_survival(law: MixingLaw, x):
         for p in x.reshape(-1, x.shape[-1])
     ]).reshape(x.shape[:-1])
     return out if out.ndim else float(out)
-
-
-def linf_marginal_cdf(law: MixingLaw, x) -> float:
-    """P(M*U <= x) = E[min(1, x/M)] for one component, split at the kink
-    M = x into P(M <= x) + x E[1/M; M > x]."""
-    x = float(x)
-    if x <= 0:
-        return 0.0
-    return float(law.expect(np.ones_like, upper=x) + x * law.expect(np.reciprocal, lower=x))
 
 
 # -- Pareto mixture of uniforms ----------------------------------------------

@@ -153,7 +153,8 @@ class ParetoShock(ShockSurvival):
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
-        out = scalar_pow(1.0 + np.maximum(x, 0.0) / self.scale, -self.alpha)
+        # s / (s + x), not 1 + x / s: x / s overflows beyond s times the largest double
+        out = scalar_pow(self.scale / (self.scale + np.maximum(x, 0.0)), self.alpha)
         return out if out.ndim else float(out)
 
     def sample(self, n, rng):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from condiid import cli
 from condiid.errors import SpecValidationError, UnsupportedLawError
+from condiid.mixing import Beta
 from condiid import sample
 from condiid.sample import read_csv
 
@@ -311,15 +312,25 @@ def eval_model(family):
 
 
 class TestEval:
-    def test_nan_laplace_transform_is_refused(self):
-        """hyp1f1 is NaN at x = 2^36 for this Beta law, which the Laplace
-        inversion of u = 1e-6 reaches: a refusal, not a copula of 0."""
+    def test_nan_laplace_transform_is_refused(self, monkeypatch):
+        """A transform that is NaN where the Laplace inversion of u = 1e-6
+        looks gives a refusal, not a copula of 0."""
+        monkeypatch.setattr(Beta, "laplace", lambda self, x: math.exp(-x) if x < 4.0 else math.nan)
         spec = {"family": "archimedean", "d": 2, "m": {"family": "beta", "p": 0.05, "q": 3.0}}
         code, out, err = run(["eval", "--model", json.dumps(spec), "--kind", "copula",
                               "--point", "1e-6,1"])
         assert (code, out) == (1, "")
-        assert err == ("error: Beta(p=0.05, q=3.0): the Laplace transform is NaN at "
-                       "x = 68719476736.0\n")
+        assert err.startswith("error: Beta(p=0.05, q=3.0): the Laplace transform is NaN at x = ")
+
+    @pytest.mark.parametrize("q", [1.0, 3.0])
+    def test_copula_margin_with_an_inverse_above_two_to_the_300(self, q):
+        """phi^-1(1e-6) is about 5.8e119 for Beta(0.05, 1): a bracket grown by
+        at most 300 doublings printed 0, and Beta(0.05, 3) met the NaN of
+        hyp1f1 at x = 2^36 and exited 1."""
+        spec = {"family": "archimedean", "d": 2, "m": {"family": "beta", "p": 0.05, "q": q}}
+        code, out, err = run(["eval", "--model", json.dumps(spec), "--kind", "copula",
+                              "--point", "1e-6,1"])
+        assert (code, out, err) == (0, "1e-06\n", "")
 
     def test_eval_models_cover_every_family_with_closed_forms(self):
         for family in cli._FAMILIES:
@@ -1222,6 +1233,20 @@ def test_cli_loads_only_the_modules_a_command_uses(command, loaded, tmp_path):
     assert family == loaded
     if command is None:
         assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_linf_marginal_quantile_is_the_least_double_of_its_level():
+    """The q-quantile is the least x with P(X_1 > x) <= 1 - q, which for a
+    Pareto(1) M is 2q below the kink at 1 and 1/(2 (1 - q)) above it."""
+    from condiid.mixtures import linf_ciid_survival
+    from condiid.mixing import Pareto
+
+    model = cli.build_model({"family": "linf", "d": 2, "m": {"family": "pareto", "alpha": 1.0}})
+    survival = lambda x: linf_ciid_survival(Pareto(1.0), [x])
+    for q, exact in ((0.1, 0.2), (0.25, 0.5), (0.5, 1.0), (0.75, 2.0), (0.9, 5.0)):
+        x = model.marginal_ppf(q)
+        assert x == pytest.approx(exact, rel=1e-12)
+        assert survival(x) <= 1.0 - q < survival(math.nextafter(x, 0.0))
 
 
 def test_linf_verify_needs_no_scipy_integrate():

@@ -1,5 +1,6 @@
-"""The demos run to completion.  Demo 05 is left out: most of its 3.5 s is
-spent in the conditional-inversion sampler."""
+"""The demos run to completion with warnings as errors, as pytest runs the
+tests.  Demo 05 is left out: most of its 3.5 s is spent in the
+conditional-inversion sampler."""
 
 import os
 import subprocess
@@ -17,6 +18,6 @@ DEMOS = ["01_binary_sequences.py", "02_static_mixtures.py", "03_lack_of_memory.p
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+    out = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / demo)], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr

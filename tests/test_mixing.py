@@ -183,3 +183,66 @@ def test_expect_sums_atoms_in_half_open_interval():
 def test_expect_refuses_law_without_density(law):
     with pytest.raises(UnsupportedLawError, match="no density"):
         law.expect(np.ones_like)
+
+
+FAR = [1e100, 1e300, np.finfo(float).max]
+
+
+@pytest.mark.parametrize("law", [
+    *LAWS,
+    mixing.FiniteDiscrete([0.0, 3.0], [0.25, 0.75]),
+    mixing.Beta(0.05, 1.0),
+    mixing.Pareto(0.3),
+], ids=[*(l.family for l in LAWS), "atom_at_0", "beta_0.05_1", "pareto_0.3"])
+def test_laplace_at_the_far_end_is_a_probability_without_warnings(law):
+    """The inversion kernel probes up to the largest double, where each
+    transform must be finite, in [0, 1] and non-increasing, with no warning."""
+    assert {l.family for l in LAWS} == set(mixing._FAMILIES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = [law.laplace(x) for x in FAR]
+        vector = law.laplace(np.array(FAR))
+    for values in (scalar, vector.tolist()):
+        assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values)
+        assert values[0] >= values[1] >= values[2]
+
+
+BETA_P, BETA_Q = [0.05, 0.5, 2.0, 10.0], [0.5, 1.0, 3.0]
+
+
+@pytest.mark.parametrize("p", BETA_P)
+@pytest.mark.parametrize("q", BETA_Q)
+def test_beta_laplace_matches_mpmath_at_every_scale(p, q):
+    """1F1(p; p+q; -x) against mpmath at 50 digits from 1e-3 to 1e300, on both
+    sides of the switch to Kummer's large-x series, wherever mpmath's value
+    is a normal double."""
+    import mpmath
+
+    law = mixing.Beta(p, q)
+    switch = 50.0 + 10.0 * (p + q)
+    xs = np.r_[np.geomspace(1e-3, 1e300, 61), switch, np.nextafter(switch, 0.0),
+               np.geomspace(switch, 100 * switch, 9)]
+    vector = law.laplace(xs)
+    with mpmath.workdps(50):
+        for x, got in zip(xs.tolist(), vector.tolist()):
+            ref = mpmath.hyp1f1(p, mpmath.mpf(p) + q, -mpmath.mpf(x))
+            if ref < np.finfo(float).tiny:
+                assert 0.0 <= got <= np.finfo(float).tiny
+                continue
+            assert got == law.laplace(x)
+            assert got == pytest.approx(float(ref), rel=2e-14, abs=0.0)
+
+
+def test_beta_laplace_asks_hyp1f1_only_below_the_switch(monkeypatch):
+    """scipy's hyp1f1 took 0.58 s for Beta(0.05, 1) at x = 2^30 and was NaN
+    at 2^36; from the switch x0 = 50 + 10 (p + q) on it is not asked."""
+    from scipy import special
+
+    asked = []
+    hyp1f1 = special.hyp1f1
+    monkeypatch.setattr(special, "hyp1f1", lambda a, b, z: asked.append(np.copy(z)) or hyp1f1(a, b, z))
+    law = mixing.Beta(0.05, 1.0)
+    values = law.laplace(np.geomspace(1.0, 2.0**200, 50))
+    assert np.isfinite(values).all() and (np.diff(values) < 0).all()
+    assert law.laplace(2.0**36) == law.laplace(np.array([2.0**36]))[0] > 0.0
+    assert all((np.abs(z) < 50.0 + 10.0 * 1.05).all() for z in asked)

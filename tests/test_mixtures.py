@@ -9,8 +9,20 @@ from condiid import mixtures as mx
 from condiid.diagnostics import default_quantile_grid
 from condiid.errors import SpecValidationError, UnsupportedLawError
 from condiid.inverse import monotone_inverse
-from condiid.mixing import (Beta, FiniteDiscrete, Gamma, LogSeries, Pareto, PointMass,
-                            PositiveStable)
+from condiid.mixing import (Beta, FiniteDiscrete, Gamma, LogSeries, MixingLaw, Pareto,
+                            PointMass, PositiveStable)
+
+
+class NanAbove4(MixingLaw):
+    """A law whose Laplace transform is e^-x below 4 and NaN from 4 on."""
+
+    family = "nan_above_4"
+
+    def laplace(self, x):
+        return math.exp(-x) if x < 4.0 else math.nan
+
+    def params(self):
+        return {}
 
 
 class TestExchNormal:
@@ -262,11 +274,19 @@ class TestArchimedean:
         assert out.tobytes() == expected.tobytes()
 
     def test_nan_laplace_transform_is_refused_by_name(self):
-        # hyp1f1(0.05, 3.05, -2**36) is NaN; NaN <= u would grow the bracket on
+        # NaN <= u is False: the bisection would climb on it to inf
         with pytest.raises(UnsupportedLawError,
-                           match=r"^Beta\(p=0\.05, q=3\.0\): the Laplace transform is NaN at "
-                           r"x = 68719476736\.0$"):
-            mx.laplace_inverse(Beta(0.05, 3.0), 1e-6)
+                           match=r"^NanAbove4\(\): the Laplace transform is NaN at x = "):
+            mx.laplace_inverse(NanAbove4(), 1e-6)
+
+    @pytest.mark.parametrize("law", [Beta(0.05, 1.0), Beta(0.05, 3.0)], ids=repr)
+    def test_inverse_above_two_to_the_300_is_finite(self, law):
+        """A bracket grown by at most 300 doublings gave inf, or met the NaN
+        of hyp1f1 at x = 2^36 after seconds of calls."""
+        x = mx.laplace_inverse(law, 1e-6)
+        assert 1e90 < x < math.inf
+        assert law.laplace(x) <= 1e-6 < law.laplace(math.nextafter(x, 0.0))
+        assert mx.archimedean_copula_eval(law, [1e-6, 1.0]) == pytest.approx(1e-6, rel=1e-12)
 
     def test_empirical_copula_matches_evaluator(self):
         rng = np.random.default_rng(20)
@@ -363,9 +383,10 @@ class TestLinf:
         assert resid < 0.05
 
     def test_marginal_cdf(self):
+        """One minus the survival at a one-coordinate point."""
         law = Pareto(1.0)
         for x in (0.3, 0.9, 2.0):
-            assert mx.linf_marginal_cdf(law, x) == pytest.approx(
+            assert 1.0 - mx.linf_ciid_survival(law, [x]) == pytest.approx(
                 mx.pareto_uniform_marginal_cdf(1.0, x), abs=1e-9
             )
 
@@ -455,7 +476,28 @@ class TestMpmathOracle:
         with mpmath.workdps(40):
             for x in (0.3, 1.0, 2.5):
                 ref = 1 - truncated_negative_moment(law, 0, x) + x * truncated_negative_moment(law, 1, x)
-                assert mx.linf_marginal_cdf(law, x) == pytest.approx(float(ref), rel=1e-9)
+                assert 1.0 - mx.linf_ciid_survival(law, [x]) == pytest.approx(float(ref), rel=1e-9)
+
+    def test_linf_marginal_survival_far_out(self, law):
+        """E[1 - x/M; M > x], which the inversion for a quantile probes up to
+        the largest double.  1 - P(M <= x) - x E[1/M; M > x] was 5e-4 for
+        Pareto(2.5) at x = 1e10, where the survival is 2.9e-26, and negative
+        at 1e50.  The survival is exact to 1e-9 up to x = 1e3; beyond, the
+        fixed exp-sinh rule spaces its nodes by a factor of about 18 at the
+        scale x, and the survival of a Pareto M stays only between 0 and
+        twice the truth (1.8 times for Pareto(0.7) at 1e50)."""
+        import mpmath
+
+        with mpmath.workdps(40):
+            for x in (10.0, 1e3, 1e10, 1e50, 1e300):
+                ref = truncated_negative_moment(law, 0, x) - x * truncated_negative_moment(law, 1, x)
+                got = mx.linf_ciid_survival(law, [x])
+                if ref < np.finfo(float).tiny:
+                    assert 0.0 <= got <= np.finfo(float).tiny
+                elif x <= 1e3:
+                    assert got == pytest.approx(float(ref), rel=1e-9)
+                else:
+                    assert 0.0 <= got <= 2.0 * float(ref)
 
     def test_williamson_transform(self, law):
         import mpmath
@@ -479,3 +521,63 @@ def test_pareto_laplace_against_mpmath(alpha):
         for x in (1e-8, 1e-3, 1.0, 30.0):
             ref = a * mpmath.mpf(x) ** a * mpmath.gammainc(-a, x)
             assert law.laplace(x) == pytest.approx(float(ref), rel=1e-9)
+
+
+def mpmath_laplace(law, x):
+    """E[exp(-x M)] in mpmath, in closed form for each law."""
+    import mpmath
+
+    if isinstance(law, Beta):
+        return mpmath.hyp1f1(law.p, mpmath.mpf(law.p) + law.q, -x)
+    if isinstance(law, Pareto):
+        return law.alpha * x ** law.alpha * mpmath.gammainc(-law.alpha, x)
+    if isinstance(law, LogSeries):
+        return mpmath.log1p(-law.q * mpmath.exp(-x)) / mpmath.log1p(-law.q)
+    return mpmath.fsum(w * mpmath.exp(-x * m) for m, w in zip(law.atoms.tolist(), law.weights.tolist()))
+
+
+MAX = np.finfo(float).max
+INVERSE_LAWS = [Beta(0.05, 1.0), Beta(2.0, 3.0), Beta(0.5, 0.5), Beta(10.0, 3.0), Pareto(2.0),
+                Pareto(0.3), LogSeries(1.0), FiniteDiscrete([0.5, 1.0, 2.0], [0.2, 0.3, 0.5])]
+
+
+@pytest.mark.parametrize("law", INVERSE_LAWS, ids=repr)
+def test_laplace_inverse_against_mpmath_findroot(law):
+    """The least double with phi(x) <= u against the root of log phi(e^t) =
+    log u that mpmath finds on a bracket, where that root is a double; where
+    phi stays above u up to the largest double, the inverse is inf.
+    Pareto(0.3) leaves out u = 0.9: its phi near x = 2e-4 is off by about
+    1e-8 (the exp-sinh rule at small alpha and x), which the elasticity
+    0.03 makes 3e-7 in x."""
+    import mpmath
+
+    us = [0.3, 1e-6, 1e-100, 1e-300] + ([] if law == Pareto(0.3) else [0.9])
+    with mpmath.workdps(40):
+        for u in us:
+            x = mx.laplace_inverse(law, u)
+            top = 1e4 if mpmath_laplace(law, mpmath.mpf(1e4)) < u else MAX
+            if mpmath_laplace(law, mpmath.mpf(top)) > u:
+                assert x == math.inf
+                continue
+            f = lambda t: mpmath.log(mpmath_laplace(law, mpmath.exp(t))) - mpmath.log(u)
+            root = mpmath.exp(mpmath.findroot(f, (mpmath.log(1e-30), mpmath.log(top)),
+                                              solver="illinois", maxsteps=500))
+            assert x == pytest.approx(float(root), rel=1e-13)
+
+
+COPULA_LAWS = [Gamma(2.0), Pareto(2.0), Beta(0.05, 1.0), Beta(2.0, 3.0), Pareto(0.3),
+               LogSeries(1.0)]
+
+
+@pytest.mark.parametrize("law", COPULA_LAWS, ids=repr)
+@pytest.mark.parametrize("u", [1e-300, 1e-100, 1e-6, 0.3])
+def test_archimedean_margin_is_uniform(law, u):
+    """C(u, 1) = phi(phi^-1(u)) = u, as each margin is uniform.  Where phi
+    stays above u at the largest double, no double is phi^-1(u): Beta(0.05,
+    1) has phi = 3.8e-16 there, so u = 1e-100 and 1e-300 give inf and a
+    copula of 0, within u of the truth."""
+    value = mx.archimedean_copula_eval(law, [u, 1.0])
+    if law.laplace(MAX) > u:
+        assert mx.laplace_inverse(law, u) == math.inf and value == 0.0
+    else:
+        assert value == pytest.approx(u, rel=1e-12, abs=0.0)

@@ -153,6 +153,19 @@ class TestExshock:
         assert sorted(calls) == list(qs)
         assert out.tobytes() == expected.tobytes()
 
+    def test_marginal_inverse_far_out_is_exact_and_quiet(self):
+        """Survival (1 + 2x)^-0.001 stays above u = 0.3 on every double (0.49
+        at the largest), so the inversion probes up to the largest, where
+        1 + x / 0.5 overflowed to a survival of 0.  At u = 0.9 the inverse is
+        (0.9^-1000 - 1) / 2 = 3.4e45, beyond the 2^300 a bracket grown by
+        doubling reached."""
+        spec = sk.ShockSurvivalSpec([sk.ParetoShock(alpha=0.001, scale=0.5),
+                                     sk.ExponentialShock(rate=0.0)])
+        assert sk.exshock_marginal_inverse(spec, 0.3) == math.inf
+        x = sk.exshock_marginal_inverse(spec, 0.9)
+        assert x == pytest.approx((0.9**-1000 - 1.0) / 2.0, rel=1e-9)
+        assert sk.exshock_marginal_survival(spec, x) <= 0.9
+
     def test_diagonal_matches_empirical_copula(self):
         rng = np.random.default_rng(56)
         sm = sk.exshock_sample(EXP_SPEC, 3, 150000, rng)
