@@ -286,7 +286,7 @@ def conditional_inversion_sampler(survival, d: int, n: int, rng) -> np.ndarray:
             cond = lambda t: mixed_diff(t) / base
             _probe_monotone(cond, n)
         u = rng.random(n)
-        data[:, k] = monotone_inverse_rows(lambda t: cond(t) <= u, zeros)
+        data[:, k] = monotone_inverse_rows(lambda t: cond(t) <= u, n)
 
     return data
 

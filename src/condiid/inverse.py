@@ -1,15 +1,13 @@
 """Generalized inverses of monotone predicates, exact to the double.
 
-Every quantile in the package without a closed form is ``inf{x > lo :
-pred(x)}`` for a predicate that is false and then true, such as
-``phi(x) <= u`` for a non-increasing ``phi``.  Non-negative doubles sort as
-their int64 bit patterns do, so both forms bisect the integers from the bits
-of ``lo`` to those of ``+inf`` until the ends are neighbours and return the
-upper one: the least double above ``lo`` where the predicate holds, in at
-most 63 calls, never at ``lo`` or ``+inf``.  That is ``inf`` only when no
-finite double satisfies it, so a predicate must be right on every double.
-The scalar form is plain Python, thirty times cheaper than numpy on 0-d
-arrays; the row form runs the same loop over int64 arrays, a bracket a row.
+Every quantile in the package without a closed form is ``inf{x > 0 :
+pred(x)}`` for a predicate that is false and then true, such as ``phi(x) <=
+u`` for a non-increasing ``phi``.  Non-negative doubles sort as their int64
+bit patterns do, so both forms bisect the bits from those of 0.0 to those of
++inf until the ends are neighbours and return the upper one: the least
+positive double where the predicate holds, in at most 63 calls, never at 0
+or +inf.  It is ``inf`` only when no finite double satisfies the predicate,
+which must therefore be right on every double.
 """
 
 from __future__ import annotations
@@ -23,42 +21,25 @@ __all__ = ["monotone_inverse", "monotone_inverse_rows"]
 _INF_BITS = 0x7FF0000000000000  # the bits of +inf, above those of every finite double
 
 
-def _bits(x: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", x))[0]
+def monotone_inverse(pred) -> float:
+    """The least positive double x with ``pred(x)`` true, for ``pred`` monotone
+    (false, then true) up to the largest double; ``inf`` when it holds at none.
+    Plain Python, thirty times cheaper than numpy on 0-d arrays."""
+    double = lambda bits: struct.unpack("<d", struct.pack("<q", bits))[0]
+    lo, hi = 0, _INF_BITS
+    while hi - lo > 1:
+        mid = lo + (hi - lo) // 2
+        lo, hi = (lo, mid) if pred(double(mid)) else (mid, hi)
+    return double(hi)
 
 
-def _double(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
-def monotone_inverse(pred, lo: float = 0.0) -> float:
-    """The least double x > lo with ``pred(x)`` true, for ``pred`` false at
-    ``lo`` and monotone (false, then true) up to the largest double; ``inf``
-    when it holds at none."""
-    lo_bits, hi_bits = _bits(lo + 0.0), _INF_BITS  # + 0.0 turns -0.0 into 0.0
-    while hi_bits - lo_bits > 1:
-        mid = (lo_bits + hi_bits) // 2
-        if pred(_double(mid)):
-            hi_bits = mid
-        else:
-            lo_bits = mid
-    return _double(hi_bits)
-
-
-def monotone_inverse_rows(pred, lo) -> np.ndarray:
-    """Row-wise :func:`monotone_inverse`, the same double for each row.
-
-    ``pred`` maps an array shaped like ``lo`` to a boolean array of that shape
-    and is evaluated on every row at each step; a solved row is evaluated at
-    its lower end and left unchanged.
-    """
-    lo_bits = (np.array(lo, dtype=float) + 0.0).view(np.int64)
-    hi_bits = np.full_like(lo_bits, _INF_BITS)
-    while True:
-        gap = hi_bits - lo_bits
-        if (gap <= 1).all():
-            return hi_bits.view(np.float64)
-        mid = lo_bits + gap // 2  # (lo + hi) // 2 would overflow near the largest double
+def monotone_inverse_rows(pred, n: int) -> np.ndarray:
+    """:func:`monotone_inverse` of ``n`` rows at once, the same double for each:
+    ``pred`` maps ``n`` doubles to ``n`` booleans and is evaluated on every row
+    at each step, a solved row at its lower end and left unchanged."""
+    lo, hi = np.zeros(n, dtype=np.int64), np.full(n, _INF_BITS, dtype=np.int64)
+    while (gap := hi - lo).max(initial=0) > 1:
+        mid = lo + gap // 2  # (lo + hi) // 2 would overflow near the largest double
         holds = pred(mid.view(np.float64)) & (gap > 1)
-        hi_bits = np.where(holds, mid, hi_bits)
-        lo_bits = np.where(holds, lo_bits, mid)
+        lo, hi = np.where(holds, lo, mid), np.where(holds, mid, hi)
+    return hi.view(np.float64)

@@ -159,9 +159,8 @@ def laplace_inverse(law: MixingLaw, u: float) -> float:
         return value
 
     x = monotone_inverse(lambda t: phi(t) <= u)
-    # With mass of M at 0, phi levels off at P(M = 0) from above and can
-    # round onto u = P(M = 0) at a finite point; phi never drops below u
-    # there, and the inverse is inf.
+    # With mass at 0, phi levels off at P(M = 0) and can round onto u = P(M = 0)
+    # at a finite x; phi never drops below u there, and the inverse is inf.
     return x if x < math.inf and phi(2.0 * x) < u else math.inf
 
 

@@ -128,8 +128,13 @@ class WeibullShock(ShockSurvival):
             raise SpecValidationError("shape and scale must be positive")
 
     def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.exp(-scalar_pow(np.maximum(x, 0.0) / self.scale, self.shape))
+        x = np.maximum(np.asarray(x, dtype=float), 0.0)
+        with np.errstate(over="ignore"):  # x / s is inf beyond s times the largest double,
+            ratio = x / self.scale  # where (x / s)^k is x^k s^-k, finite for a small k
+            power = scalar_pow(ratio, self.shape)
+            far = np.isinf(ratio) & (x < math.inf)
+            power[far] = scalar_pow(x[far], self.shape) * scalar_pow(self.scale, -self.shape)
+        out = np.exp(-power)
         return out if out.ndim else float(out)
 
     def sample(self, n, rng):

@@ -1235,17 +1235,23 @@ def test_cli_loads_only_the_modules_a_command_uses(command, loaded, tmp_path):
         assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
 
 
-def test_linf_marginal_quantile_is_the_least_double_of_its_level():
-    """The q-quantile is the least x with P(X_1 > x) <= 1 - q, which for a
-    Pareto(1) M is 2q below the kink at 1 and 1/(2 (1 - q)) above it."""
+@pytest.mark.parametrize("alpha", [1.0, 0.2, 0.1])
+def test_linf_marginal_quantile_is_the_least_double_of_its_level(alpha):
+    """The q-quantile is the least x with P(X_1 > x) <= 1 - q.  For a
+    Pareto(alpha) M the survival is 1 - x alpha / (alpha + 1) below the kink
+    at 1 and x^-alpha / (alpha + 1) above it, so the 0.9-quantile of
+    Pareto(0.1) is 3.9e9, where a survival on the exp-sinh nodes x + X was
+    off by 5e-5."""
     from condiid.mixtures import linf_ciid_survival
     from condiid.mixing import Pareto
 
-    model = cli.build_model({"family": "linf", "d": 2, "m": {"family": "pareto", "alpha": 1.0}})
-    survival = lambda x: linf_ciid_survival(Pareto(1.0), [x])
-    for q, exact in ((0.1, 0.2), (0.25, 0.5), (0.5, 1.0), (0.75, 2.0), (0.9, 5.0)):
+    model = cli.build_model({"family": "linf", "d": 2, "m": {"family": "pareto", "alpha": alpha}})
+    survival = lambda x: linf_ciid_survival(Pareto(alpha), [x])
+    for q in (0.1, 0.25, 0.5, 0.75, 0.9):
+        below_kink = q * (alpha + 1.0) / alpha
+        exact = below_kink if below_kink < 1.0 else ((1.0 - q) * (alpha + 1.0)) ** (-1.0 / alpha)
         x = model.marginal_ppf(q)
-        assert x == pytest.approx(exact, rel=1e-12)
+        assert x == pytest.approx(exact, rel=1e-13, abs=0.0)
         assert survival(x) <= 1.0 - q < survival(math.nextafter(x, 0.0))
 
 

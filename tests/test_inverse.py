@@ -1,5 +1,5 @@
-"""The monotone-inversion kernel: the least double at which the predicate
-holds, against closed-form inverses and thresholds."""
+"""The monotone-inversion kernel: the least positive double at which the
+predicate holds, against closed-form inverses and thresholds."""
 
 import math
 
@@ -21,37 +21,33 @@ levels = st.floats(1e-6, 1.0 - 1e-6)
 MAX = np.finfo(float).max
 
 
-def is_least(pred, x, lo):
-    """``pred`` holds at x and, if x is not the double next to lo, fails just below it."""
+def is_least(pred, x):
+    """``pred`` holds at x and, unless x is the least positive double, fails just below it."""
     below = math.nextafter(x, 0.0)
-    return bool(pred(x)) and (below <= lo or not pred(below))
+    return bool(pred(x)) and (below == 0.0 or not pred(below))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(FAMILIES)), shapes, levels, st.floats(0.0, 0.999))
-def test_scalar_matches_closed_form(family, a, u, warm):
+@given(st.sampled_from(sorted(FAMILIES)), shapes, levels)
+def test_scalar_matches_closed_form(family, a, u):
     fn, inv = FAMILIES[family](a)
     exact = inv(u)
-    lo = warm * exact
     pred = lambda x: fn(x) <= u
-    x = monotone_inverse(pred, lo=lo)
-    assert x > lo and is_least(pred, x, lo)
+    x = monotone_inverse(pred)
+    assert is_least(pred, x)
     # the rounding of fn near the crossing
     assert abs(x - exact) <= 1e-13 * max(1.0, exact)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(sorted(FAMILIES)), shapes,
-       st.lists(st.tuples(levels, st.floats(0.0, 0.999)), min_size=1, max_size=20))
-def test_rows_match_closed_form(family, a, cases):
+@given(st.sampled_from(sorted(FAMILIES)), shapes, st.lists(levels, min_size=1, max_size=20))
+def test_rows_match_closed_form(family, a, u):
     fn, inv = FAMILIES[family](a)
-    u = np.array([c[0] for c in cases])
-    lo = np.array([c[1] * inv(c[0]) for c in cases])
     # fn value by value: numpy's vector pow rounds some values otherwise
-    rows_pred = lambda t: np.array([fn(v) <= w for v, w in zip(t.tolist(), u.tolist())])
-    x = monotone_inverse_rows(rows_pred, lo)
-    for xi, ui, li in zip(x.tolist(), u.tolist(), lo.tolist()):
-        assert xi == monotone_inverse(lambda t: fn(t) <= ui, lo=li)
+    rows_pred = lambda t: np.array([fn(v) <= w for v, w in zip(t.tolist(), u)])
+    x = monotone_inverse_rows(rows_pred, len(u))
+    for xi, ui in zip(x.tolist(), u):
+        assert xi == monotone_inverse(lambda t: fn(t) <= ui)
         assert abs(xi - inv(ui)) <= 1e-13 * max(1.0, inv(ui))
 
 
@@ -61,46 +57,42 @@ def test_threshold_is_exact_beyond_two_to_the_300():
     assert monotone_inverse(lambda t: t > 1e120) == math.nextafter(1e120, math.inf)
     assert monotone_inverse(lambda t: t >= MAX) == MAX
     assert monotone_inverse(lambda t: t >= 5e-324) == 5e-324
-    assert monotone_inverse_rows(lambda t: t >= 1e120, np.zeros(2)).tolist() == [1e120, 1e120]
+    assert monotone_inverse_rows(lambda t: t >= 1e120, 2).tolist() == [1e120, 1e120]
 
 
 def test_never_true_gives_inf():
     assert monotone_inverse(lambda x: False) == math.inf
-    assert monotone_inverse(lambda x: False, lo=5.0) == math.inf
-    rows = monotone_inverse_rows(lambda x: np.zeros(x.shape, dtype=bool), np.zeros(3))
+    rows = monotone_inverse_rows(lambda x: np.zeros(x.shape, dtype=bool), 3)
     assert (rows == math.inf).all()
 
 
 def test_never_true_takes_at_most_63_calls():
-    for lo in (0.0, -0.0, 1e-300, 1.0, MAX / 2):
-        asked = []
-        assert monotone_inverse(lambda x: asked.append(x) or False, lo=lo) == math.inf
-        assert 0 < len(asked) <= 63
-        assert all(lo < x <= MAX for x in asked)
-
-
-def test_predicate_is_never_asked_at_inf_or_at_lo():
     asked = []
-    monotone_inverse(lambda x: asked.append(x) or x >= MAX, lo=1.0)
-    assert math.inf not in asked and 1.0 not in asked
+    assert monotone_inverse(lambda x: asked.append(x) or False) == math.inf
+    assert 0 < len(asked) <= 63
+    assert all(0.0 < x <= MAX for x in asked)
+
+
+def test_predicate_is_never_asked_at_0_or_at_inf():
+    asked = []
+    monotone_inverse(lambda x: asked.append(x) or x >= MAX)
+    monotone_inverse(lambda x: asked.append(x) or True)
+    assert 0.0 not in asked and math.inf not in asked
 
 
 def test_rows_that_never_hold_stay_inf():
     # rows 0 and 2 cross at 2.5 and 40, row 1 never does
     target = np.array([2.5, math.inf, 40.0])
-    x = monotone_inverse_rows(lambda t: t >= target, np.zeros(3))
+    x = monotone_inverse_rows(lambda t: t >= target, 3)
     assert x.tolist() == [2.5, math.inf, 40.0]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.floats(5e-324, MAX), st.floats(0.0, 1.0)), min_size=1, max_size=10))
-def test_rows_match_scalar_up_to_the_largest_double(cases):
-    """Thresholds anywhere among the doubles, lo below each; lo and the
-    threshold near the largest double are where lo + hi overflows int64."""
-    target = np.array([c[0] for c in cases] + [MAX, MAX, math.nextafter(MAX, 0.0), math.inf])
-    lo = np.array([c[0] * c[1] for c in cases] + [0.0, math.nextafter(MAX, 0.0),
-                                                  MAX / 2, MAX])
-    lo = np.minimum(lo, np.nextafter(target, 0.0))
+@given(st.lists(st.floats(5e-324, MAX), min_size=1, max_size=10))
+def test_rows_match_scalar_up_to_the_largest_double(thresholds):
+    """Thresholds anywhere among the doubles; near the largest double the
+    bits of both ends are near 2^63, where lo + hi overflows int64."""
+    target = np.array(thresholds + [MAX, math.nextafter(MAX, 0.0), math.inf])
     asked = []
 
     def pred(t):
@@ -108,7 +100,7 @@ def test_rows_match_scalar_up_to_the_largest_double(cases):
         assert len(asked) <= 63
         return t >= target
 
-    rows = monotone_inverse_rows(pred, lo)
-    for x, t, l in zip(rows.tolist(), target.tolist(), lo.tolist()):
-        assert x == monotone_inverse(lambda s: s >= t, lo=l)
+    rows = monotone_inverse_rows(pred, target.size)
+    for x, t in zip(rows.tolist(), target.tolist()):
+        assert x == monotone_inverse(lambda s: s >= t)
         assert x == t

@@ -165,6 +165,15 @@ class TestExshock:
         x = sk.exshock_marginal_inverse(spec, 0.9)
         assert x == pytest.approx((0.9**-1000 - 1.0) / 2.0, rel=1e-9)
         assert sk.exshock_marginal_survival(spec, x) <= 0.9
+        # exp(-(x / 0.5)^0.001) is 0.131 at the largest double, where x / 0.5
+        # overflowed to a survival of 0 and an inverse of 9.0e307 at u = 0.1
+        weibull, top = sk.WeibullShock(shape=0.001, scale=0.5), np.finfo(float).max
+        assert weibull.survival(top) == pytest.approx(
+            math.exp(-math.exp(0.001 * (math.log(top) - math.log(0.5)))), rel=1e-14, abs=0.0)
+        spec = sk.ShockSurvivalSpec([weibull, sk.ExponentialShock(rate=0.0)])
+        assert sk.exshock_marginal_inverse(spec, 0.1) == math.inf
+        assert sk.exshock_marginal_inverse(spec, 0.2) == pytest.approx(
+            0.5 * math.exp(1000.0 * math.log(-math.log(0.2))), rel=1e-9)
 
     def test_diagonal_matches_empirical_copula(self):
         rng = np.random.default_rng(56)
