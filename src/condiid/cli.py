@@ -37,8 +37,8 @@ import sys
 
 import numpy as np
 
-from .errors import (NotDMonotoneError, SpecValidationError, json_field, json_known_fields,
-                     json_list, json_number, json_numbers)
+from .errors import (NotDMonotoneError, SpecValidationError, _json_object, json_field,
+                     json_known_fields, json_list, json_number, json_numbers)
 from .sample import read_csv, sample_blocks, write_csv
 
 
@@ -396,6 +396,7 @@ def _load_model_spec(args) -> dict:
             spec = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SpecValidationError(f"model JSON does not parse: {exc}") from exc
+        _json_object(spec, "")  # before --param merges into it
     for item in args.param or ():
         if "=" not in item:
             raise SpecValidationError(f"--param expects key=value, got {item!r}")

@@ -1,5 +1,9 @@
 """Exception types shared across the package, and the model-JSON field
-lookups that raise them."""
+lookups that raise them.
+
+Laws are read from model JSON and not written back: each law class is built
+from the fields of its JSON object by :func:`json_kwargs`, and no law has a
+JSON writer."""
 
 import functools
 import inspect
@@ -145,7 +149,8 @@ def json_kwargs(cls, obj: dict, path: str, tag: str | None = None) -> dict:
     A non-object, a required argument of ``cls`` that is missing, a field
     ``cls`` does not take, or a value other than a finite number (a string,
     null, a bool, NaN or an infinity) for an argument annotated ``float``, is
-    refused with SpecValidationError naming its path.
+    refused with SpecValidationError naming its path.  An argument annotated
+    ``tuple`` is read by :func:`json_numbers`.
     """
     _json_object(obj, path)
     params = _parameters(cls)
@@ -158,4 +163,6 @@ def json_kwargs(cls, obj: dict, path: str, tag: str | None = None) -> dict:
         # annotations are strings in modules that postpone their evaluation
         if params[k].annotation in (float, "float") and not _finite_number(v):
             raise SpecValidationError(f"{path}.{k} must be a finite number, got {v!r}")
+        if params[k].annotation in (tuple, "tuple"):
+            kwargs[k] = json_numbers(obj, k, path)
     return kwargs

@@ -36,7 +36,6 @@ from .errors import (
     json_kwargs,
     json_list,
     json_number,
-    json_numbers,
 )
 from .mixing import MixingLaw, PointMass, _categorical, integrate, sample_positive_stable, scalar_pow
 
@@ -86,15 +85,7 @@ class GSpec:
         left to the caller, which sets it to 1."""
         raise UnsupportedLawError(f"no spectral sampler for G kind {self.kind!r}")
 
-    def params(self) -> dict:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, **self.params()}
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v}" for k, v in self.params().items())
-        return f"{type(self).__name__}({inner})"
+    __repr__ = MixingLaw.__repr__
 
 
 class Frechet(GSpec):
@@ -126,9 +117,6 @@ class Frechet(GSpec):
         # (scale*Y)**(-1/theta) is Exp(1), and Gamma(1-theta) under the tilt
         tilted = rng.standard_gamma(1.0 - self.theta, m)
         return (tilted[:, None] / rng.standard_exponential((m, d))) ** self.theta
-
-    def params(self):
-        return {"theta": self.theta}
 
 
 class Weibull(GSpec):
@@ -171,9 +159,6 @@ class Weibull(GSpec):
         tilted = rng.standard_gamma(1.0 + self.theta, m)
         return (rng.standard_exponential((m, d)) / tilted[:, None]) ** self.theta
 
-    def params(self):
-        return {"theta": self.theta}
-
 
 class MOAtom(GSpec):
     """Two-point G with an atom at success probability q = exp(-M):
@@ -205,9 +190,6 @@ class MOAtom(GSpec):
         q = np.exp(-self.m.sample(m, rng))[:, None]
         return (rng.random((m, d)) < 1.0 - q).astype(float)
 
-    def params(self):
-        return {"m": self.m.to_json()}
-
 
 class StepFunction(GSpec):
     """Right-continuous step distribution function given by breakpoints and
@@ -215,7 +197,7 @@ class StepFunction(GSpec):
 
     kind = "step"
 
-    def __init__(self, points, values):
+    def __init__(self, points: tuple, values: tuple):
         points = np.asarray(points, dtype=float)
         values = np.asarray(values, dtype=float)
         if points.ndim != 1 or points.shape != values.shape or points.size == 0:
@@ -265,9 +247,6 @@ class StepFunction(GSpec):
         at_k = self.points[_categorical(biased / biased.sum(), m, rng)]
         return at / at_k[:, None]
 
-    def params(self):
-        return {"points": self.points.tolist(), "values": self.values.tolist()}
-
 
 # -- stable tail dependence functions ------------------------------------------
 
@@ -314,14 +293,6 @@ class Triplet:
         l(x) = (b*||x||_1 + sum weight*l_G(x)) / (b + sum weight), and the
         weights sum to c."""
         return self.b, [(g, self.c * w) for g, w in self.atoms]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "b": self.b,
-            "c": self.c,
-            "atoms": [{"g": g.to_json(), "weight": w} for g, w in self.atoms],
-        }
 
 
 def independence() -> Triplet:
@@ -477,8 +448,6 @@ def g_spec_from_json(obj: dict, path: str = "g") -> GSpec:
         kwargs["m"] = mixing_law_from_json(kwargs["m"], f"{path}.m")
     elif cls is MOAtom:
         kwargs["m"] = json_number(obj, "m", path)
-    elif cls is StepFunction:
-        kwargs = {k: json_numbers(obj, k, path) for k in kwargs}
     return cls(**kwargs)
 
 

@@ -261,7 +261,8 @@ class CompoundPoissonSubordinatorSpec:
 
     drift: float = 0.0
     kill: float = 0.0
-    jumps: tuple = ()
+    # (size, rate) pairs, read by from_json: json_kwargs reads a plain ``tuple`` as numbers
+    jumps: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         if self.drift < 0 or self.kill < 0:
@@ -286,13 +287,6 @@ class CompoundPoissonSubordinatorSpec:
         """lambda_0..lambda_d of :func:`_subset_rates`, with q = exp(-size) of each jump."""
         jumps = [(math.exp(-s), -math.expm1(-s), r) for s, r in self.jumps]
         return _subset_rates(self.drift, self.kill, jumps, d)
-
-    def to_json(self) -> dict:
-        return {
-            "drift": self.drift,
-            "kill": self.kill,
-            "jumps": [{"size": s, "rate": r} for s, r in self.jumps],
-        }
 
     @classmethod
     def from_json(cls, obj: dict, path: str = "subordinator") -> "CompoundPoissonSubordinatorSpec":

@@ -3,8 +3,8 @@
 Each law describes a positive (or unit-interval) random variable M used as a
 latent factor.  Laws carry a sampler, a Laplace transform, moments when
 supported on [0, 1], and expectations: sums over atoms, or ``integrate``, the
-one quadrature rule of the package, against a density.  JSON serialization
-uses ``{"family": ..., params}``.
+one quadrature rule of the package, against a density.  A law is read from the
+model JSON ``{"family": ..., <constructor arguments>}``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import SpecValidationError, UnsupportedLawError, json_kind, json_kwargs, json_numbers
+from .errors import SpecValidationError, UnsupportedLawError, _parameters, json_kind, json_kwargs
 
 __all__ = [
     "MixingLaw",
@@ -125,7 +125,11 @@ def sample_positive_stable(theta: float, n: int, rng: np.random.Generator) -> np
 
 
 class MixingLaw:
-    """Base class; subclasses are light parameter records with methods."""
+    """Base class; subclasses are light parameter records with methods.
+
+    Laws are read from model JSON by :func:`mixing_law_from_json` and not
+    written back: a law keeps each constructor argument as the attribute of
+    the same name, which its ``repr`` shows."""
 
     family = "abstract"
 
@@ -145,20 +149,20 @@ class MixingLaw:
         support, exact where ``integrate`` gives it (top - m when None)."""
         raise UnsupportedLawError(f"{self.family}: no density available")
 
-    def expect(self, fn, lower: float = -math.inf, upper: float = math.inf):
-        """E[fn(M); lower < M <= upper] for ``fn`` vectorized over values of M
-        (leading axes allowed), by ``integrate`` against the density."""
+    def expect(self, fn, lower: float = -math.inf):
+        """E[fn(M); M > lower] for ``fn`` vectorized over values of M (leading
+        axes allowed), by ``integrate`` against the density."""
         lo, hi = self.support()
-        a, b = max(lo, lower), min(hi, upper)
-        if not a < b:
+        a = max(lo, lower)
+        if not a < hi:
             return 0.0
 
         def weighted(m, gap):
-            density = self.density(m, gap if b == hi else hi - m)
+            density = self.density(m, gap)
             with np.errstate(invalid="ignore"):  # where the density underflows, fn may be inf
                 return np.where(density > 0, fn(m) * density, 0.0)
 
-        return integrate(weighted, a, b)
+        return integrate(weighted, a, hi)
 
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
@@ -168,18 +172,11 @@ class MixingLaw:
         lo, hi = self.support()
         return lo >= 0.0 and hi <= 1.0
 
-    def params(self) -> dict:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        return {"family": self.family, **self.params()}
-
     def __repr__(self):
-        inner = ", ".join(f"{k}={v}" for k, v in self.params().items())
+        """``Name(arg=value, ...)`` over the constructor's arguments, arrays as lists."""
+        values = ((k, getattr(self, k)) for k in _parameters(type(self)))
+        inner = ", ".join(f"{k}={v.tolist() if isinstance(v, np.ndarray) else v}" for k, v in values)
         return f"{type(self).__name__}({inner})"
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.to_json() == other.to_json()
 
 
 class FiniteDiscrete(MixingLaw):
@@ -187,7 +184,7 @@ class FiniteDiscrete(MixingLaw):
 
     family = "finite_discrete"
 
-    def __init__(self, atoms, weights):
+    def __init__(self, atoms: tuple, weights: tuple):
         atoms = np.asarray(atoms, dtype=float)
         weights = np.asarray(weights, dtype=float)
         if atoms.shape != weights.shape or atoms.ndim != 1 or atoms.size == 0:
@@ -223,15 +220,12 @@ class FiniteDiscrete(MixingLaw):
     def moment(self, k):
         return float(np.sum(self.weights * self.atoms**k))
 
-    def expect(self, fn, lower=-math.inf, upper=math.inf):
-        inside = (self.atoms > lower) & (self.atoms <= upper)
+    def expect(self, fn, lower=-math.inf):
+        inside = self.atoms > lower
         return np.sum(fn(self.atoms[inside]) * self.weights[inside], axis=-1)
 
     def support(self):
         return (float(self.atoms.min()), float(self.atoms.max()))
-
-    def params(self):
-        return {"atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
 
 
 class PointMass(FiniteDiscrete):
@@ -253,9 +247,6 @@ class PointMass(FiniteDiscrete):
             return super().laplace(x)
         with np.errstate(over="ignore"):  # one exp for speed; m x beyond the doubles gives 0
             return np.exp(-self.m * np.asarray(x, dtype=float))
-
-    def params(self):
-        return {"m": self.m}
 
 
 class Gamma(MixingLaw):
@@ -290,9 +281,6 @@ class Gamma(MixingLaw):
 
     def support(self):
         return (0.0, np.inf)
-
-    def params(self):
-        return {"shape": self.shape}
 
 
 class Beta(MixingLaw):
@@ -373,9 +361,6 @@ class Beta(MixingLaw):
     def support(self):
         return (0.0, 1.0)
 
-    def params(self):
-        return {"p": self.p, "q": self.q}
-
 
 class Pareto(MixingLaw):
     """Pareto law with tail index alpha and scale 1: P(M > x) = min(1, x**-alpha)."""
@@ -406,9 +391,6 @@ class Pareto(MixingLaw):
     def support(self):
         return (1.0, np.inf)
 
-    def params(self):
-        return {"alpha": self.alpha}
-
 
 class PositiveStable(MixingLaw):
     """One-sided stable law with E[exp(-xM)] = exp(-x**theta), theta in (0,1)."""
@@ -430,9 +412,6 @@ class PositiveStable(MixingLaw):
 
     def support(self):
         return (0.0, np.inf)
-
-    def params(self):
-        return {"theta": self.theta}
 
 
 class LogSeries(MixingLaw):
@@ -467,9 +446,6 @@ class LogSeries(MixingLaw):
     def support(self):
         return (1.0, np.inf)
 
-    def params(self):
-        return {"theta": self.theta}
-
 
 _FAMILIES = {
     cls.family: cls
@@ -480,7 +456,4 @@ _FAMILIES = {
 def mixing_law_from_json(obj: dict, path: str = "m") -> MixingLaw:
     """The mixing law of the model-JSON object at ``path``."""
     cls = json_kind(obj, "family", path, _FAMILIES, "mixing law family")
-    kwargs = json_kwargs(cls, obj, path, "family")
-    if cls is FiniteDiscrete:
-        kwargs = {k: json_numbers(obj, k, path) for k in kwargs}
-    return cls(**kwargs)
+    return cls(**json_kwargs(cls, obj, path, "family"))

@@ -37,7 +37,6 @@ from .errors import (
     SpecValidationError,
     json_kind,
     json_kwargs,
-    json_numbers,
 )
 from .inverse import monotone_inverse
 from .lack_of_memory import _death_chain
@@ -82,18 +81,8 @@ class ShockSurvival:
     def sample(self, n, rng):
         raise NotImplementedError
 
-    def params(self) -> dict:
-        raise NotImplementedError
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, **self.params()}
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v}" for k, v in self.params().items())
-        return f"{type(self).__name__}({inner})"
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class ExponentialShock(ShockSurvival):
     rate: float
     kind = "exponential"
@@ -113,11 +102,8 @@ class ExponentialShock(ShockSurvival):
             return np.full(n, np.inf)
         return rng.exponential(1.0 / self.rate, size=n)
 
-    def params(self):
-        return {"rate": self.rate}
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class WeibullShock(ShockSurvival):
     shape: float
     scale: float = 1.0
@@ -140,11 +126,8 @@ class WeibullShock(ShockSurvival):
     def sample(self, n, rng):
         return self.scale * rng.weibull(self.shape, size=n)
 
-    def params(self):
-        return {"shape": self.shape, "scale": self.scale}
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class ParetoShock(ShockSurvival):
     """Lomax survival (1 + x/scale)**-alpha, support [0, inf)."""
 
@@ -165,11 +148,8 @@ class ParetoShock(ShockSurvival):
     def sample(self, n, rng):
         return self.scale * (rng.random(n) ** (-1.0 / self.alpha) - 1.0)
 
-    def params(self):
-        return {"alpha": self.alpha, "scale": self.scale}
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class StepShock(ShockSurvival):
     """Piecewise-constant survival: value ``values[i]`` from ``points[i]`` on.
 
@@ -207,9 +187,6 @@ class StepShock(ShockSurvival):
         pts = np.asarray(self.points + (np.inf,))
         return pts[np.minimum(idx, len(self.points))]
 
-    def params(self):
-        return {"points": list(self.points), "values": list(self.values)}
-
 
 _SHOCK_KINDS = {cls.kind: cls for cls in (ExponentialShock, WeibullShock, ParetoShock, StepShock)}
 
@@ -217,10 +194,7 @@ _SHOCK_KINDS = {cls.kind: cls for cls in (ExponentialShock, WeibullShock, Pareto
 def shock_from_json(obj: dict, path: str = "shock") -> ShockSurvival:
     """The shock law of the model-JSON object at ``path``."""
     cls = json_kind(obj, "kind", path, _SHOCK_KINDS, "shock kind")
-    kwargs = json_kwargs(cls, obj, path, "kind")
-    if cls is StepShock:
-        kwargs = {k: json_numbers(obj, k, path) for k in kwargs}
-    return cls(**kwargs)
+    return cls(**json_kwargs(cls, obj, path, "kind"))
 
 
 @dataclass(frozen=True)

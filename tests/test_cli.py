@@ -980,6 +980,15 @@ class TestModelPlumbing:
         assert code == 0
         assert float(out) == 1.0
 
+    @pytest.mark.parametrize("text", ["[1]", '"abc"', "null"], ids=["list", "string", "null"])
+    def test_param_into_a_model_file_that_is_not_an_object(self, tmp_path, text):
+        # refused before --param merges into it, which raised a TypeError
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        code, out, err = run(["check", "--model", str(path), "--param", "family=binary"])
+        assert (code, out) == (1, "")
+        assert err == f"error: model spec must be a JSON object, got {json.loads(text)!r}\n"
+
     @pytest.mark.parametrize("spec, path", [
         ({"family": "exshock", "shocks": [{"kind": "exponential"}]}, "shocks[0].rate"),
         ({"family": "minstable", "d": 3, "stdf": {"kind": "triplet", "c": 1.0,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -519,21 +520,55 @@ def test_extremal_functions_match_closed_form(tri, d, rate, seed):
         assert abs(emp - closed) <= 4 * math.sqrt(closed * (1 - closed) / n) + 1e-3
 
 
+def triplet_parts(tri):
+    """b, c and each atom as (class and parameters of its G, weight)."""
+    return tri.b, tri.c, [(repr(g), w) for g, w in tri.atoms]
+
+
+def negative_logistic_l(theta, x):
+    """sum over non-empty subsets I of (-1)^(|I|+1) (sum_I x_i^-theta)^(-1/theta)."""
+    return sum((-1) ** (k + 1) * sum(v**-theta for v in s) ** (-1.0 / theta)
+               for k in range(1, len(x) + 1) for s in itertools.combinations(x, k))
+
+
+def mo_l(phi, x):
+    """E[l_{G_q}(x)] = sum_j x_[j] phi(j - 1) over x sorted decreasingly, phi the
+    Laplace transform of M, q = exp(-M)."""
+    return sum(v * phi(j) for j, v in enumerate(sorted(x, reverse=True)))
+
+
 def test_stdf_json_round_trip():
-    specs = [
-        ev.independence(),
-        ev.logistic(0.4),
-        ev.negative_logistic(1.5),
-        ev.lf(ev.Frechet(0.3)),
-        ev.lf(ev.StepFunction([0.4, 1.6], [0.5, 1.0])),
-        ev.lf(ev.MOAtom(FiniteDiscrete([0.5, 2.0], [0.5, 0.5]))),
-        ev.Triplet(0.2, 0.8, [(ev.MOAtom(PointMass(1.0)), 0.4), (ev.Weibull(0.5), 0.6)]),
+    # literal model JSON of each stdf kind and G kind: its triplet, and l at x
+    x = [0.7, 1.3, 0.4]
+    two_atoms = lambda j: 0.5 * math.exp(-0.5 * j) + 0.5 * math.exp(-2.0 * j)
+    step_mean_max = sum(max(a * y for a, y in zip(x, ys)) / 8
+                        for ys in itertools.product([0.4, 1.6], repeat=3))
+    cases = [
+        ({"kind": "independence"}, (1.0, 0.0, []), sum(x)),
+        ({"kind": "logistic", "theta": 0.4}, (0.0, 1.0, [("Frechet(theta=0.4)", 1.0)]),
+         sum(v**2.5 for v in x) ** 0.4),
+        ({"kind": "negative_logistic", "theta": 1.5},
+         (0.0, 1.0, [(f"Weibull(theta={1 / 1.5})", 1.0)]), negative_logistic_l(1.5, x)),
+        ({"kind": "lf", "g": {"kind": "frechet", "theta": 0.3}},
+         (0.0, 1.0, [("Frechet(theta=0.3)", 1.0)]), sum(v ** (1 / 0.3) for v in x) ** 0.3),
+        ({"kind": "lf", "g": {"kind": "step", "points": [0.4, 1.6], "values": [0.5, 1]}},
+         (0.0, 1.0, [("StepFunction(points=[0.4, 1.6], values=[0.5, 1.0])", 1.0)]),
+         step_mean_max),
+        ({"kind": "lf", "g": {"kind": "mo_atom", "m": {"family": "finite_discrete",
+                                                      "atoms": [0.5, 2], "weights": [0.5, 0.5]}}},
+         (0.0, 1.0, [("MOAtom(m=FiniteDiscrete(atoms=[0.5, 2.0], weights=[0.5, 0.5]))", 1.0)]),
+         mo_l(two_atoms, x)),
+        ({"kind": "triplet", "b": 0.2, "c": 0.8,
+          "atoms": [{"g": {"kind": "mo_atom", "m": 1}, "weight": 0.4},
+                    {"g": {"kind": "weibull", "theta": 0.5}, "weight": 0.6}]},
+         (0.2, 0.8, [("MOAtom(m=PointMass(m=1.0))", 0.4), ("Weibull(theta=0.5)", 0.6)]),
+         0.2 * sum(x) + 0.8 * (0.4 * mo_l(lambda j: math.exp(-j), x)
+                               + 0.6 * negative_logistic_l(2.0, x))),
     ]
-    for spec in specs:
-        back = ev.stdf_from_json(spec.to_json())
-        assert back.to_json() == spec.to_json()
-        x = np.array([0.7, 1.3, 0.4])
-        assert ev.stdf_eval(back, x) == ev.stdf_eval(spec, x)
+    for obj, parts, ell in cases:
+        tri = ev.stdf_from_json(obj)
+        assert triplet_parts(tri) == parts
+        assert ev.stdf_eval(tri, x) == pytest.approx(ell, rel=1e-12)
 
 
 @pytest.mark.parametrize("obj, spec", [
@@ -550,7 +585,7 @@ def test_stdf_json_round_trip():
 def test_named_stdf_kinds_are_triplets(obj, spec):
     tri = ev.stdf_from_json(obj)
     assert isinstance(tri, ev.Triplet)
-    assert tri.to_json() == spec.to_json()
+    assert triplet_parts(tri) == triplet_parts(spec)
 
 
 @pytest.mark.parametrize("obj, message", [

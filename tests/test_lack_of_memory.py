@@ -613,8 +613,10 @@ class TestBetaFamily:
 
 
 def test_subordinator_json_round_trip():
-    sub = lom.CompoundPoissonSubordinatorSpec(drift=0.3, kill=0.1, jumps=((1.0, 0.5),))
-    assert lom.CompoundPoissonSubordinatorSpec.from_json(sub.to_json()) == sub
+    obj = {"drift": 0.3, "kill": 0.1, "jumps": [{"size": 1.0, "rate": 0.5}]}
+    sub = lom.CompoundPoissonSubordinatorSpec.from_json(obj)
+    assert sub == lom.CompoundPoissonSubordinatorSpec(drift=0.3, kill=0.1, jumps=((1.0, 0.5),))
+    assert sub.laplace_exponent(1.0) == pytest.approx(0.1 + 0.3 - 0.5 * math.expm1(-1.0), rel=1e-15)
 
 
 def exact_psi(rates) -> list:

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,10 +49,28 @@ def test_laplace_matches_monte_carlo(law):
         assert abs(emp - float(law.laplace(x))) <= 4 * se + 1e-4
 
 
-@pytest.mark.parametrize("law", LAWS, ids=lambda l: l.family)
-def test_json_round_trip(law):
-    back = mixing.mixing_law_from_json(law.to_json())
-    assert back == law
+Q = -math.expm1(-1.5)  # the q of LogSeries(1.5)
+MODEL_JSON = [  # literal model JSON of each family, and its Laplace transform at 1
+    ({"family": "point_mass", "m": 0.7}, math.exp(-0.7)),
+    ({"family": "finite_discrete", "atoms": [0.5, 2], "weights": [0.3, 0.7]},
+     0.3 * math.exp(-0.5) + 0.7 * math.exp(-2.0)),
+    ({"family": "gamma", "shape": 1.8}, 2.0**-1.8),
+    ({"family": "beta", "p": 2, "q": 3.0}, float(mpmath.hyp1f1(2, 5, -1))),
+    ({"family": "pareto", "alpha": 2.5}, float(2.5 * mpmath.expint(3.5, 1))),
+    ({"family": "positive_stable", "theta": 0.6}, math.exp(-1.0)),
+    ({"family": "log_series", "theta": 1.5}, math.log1p(-Q * math.exp(-1.0)) / math.log1p(-Q)),
+]
+
+
+@pytest.mark.parametrize("obj, phi_1", MODEL_JSON, ids=[obj["family"] for obj, _ in MODEL_JSON])
+def test_json_round_trip(obj, phi_1):
+    # the fields of the model JSON come back as the law's attributes
+    law = mixing.mixing_law_from_json(obj)
+    assert law.family == obj["family"]
+    for key in obj.keys() - {"family"}:
+        attr = getattr(law, key)
+        assert (attr.tolist() if isinstance(attr, np.ndarray) else attr) == obj[key]
+    assert law.laplace(1.0) == pytest.approx(phi_1, rel=1e-13)
 
 
 @settings(max_examples=200, deadline=None)
@@ -172,9 +191,8 @@ def test_integrate_both_forms():
 def test_expect_sums_atoms_in_half_open_interval():
     law = mixing.FiniteDiscrete([0.5, 1.0, 2.0], [0.2, 0.3, 0.5])
     assert law.expect(np.ones_like) == 1.0
-    assert law.expect(lambda m: m, lower=0.5, upper=2.0) == 0.3 * 1.0 + 0.5 * 2.0
+    assert law.expect(lambda m: m, lower=0.5) == 0.3 * 1.0 + 0.5 * 2.0
     assert law.expect(lambda m: m, lower=2.0) == 0.0
-    assert mixing.PointMass(2.0).expect(np.square, upper=2.0) == 4.0
     assert mixing.PointMass(2.0).expect(np.square, lower=2.0) == 0.0
 
 
@@ -269,3 +287,31 @@ def test_beta_laplace_large_p_q_near_the_switch(p, q):
                 assert 0.0 <= got <= np.finfo(float).tiny
             else:
                 assert got == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+
+def test_repr_names_the_constructor_arguments():
+    # one law of each mixing family, G kind and shock kind
+    from condiid import extreme_value as ev
+    from condiid import shock_models as sk
+
+    reprs = {
+        mixing.PointMass(0.7): "PointMass(m=0.7)",
+        mixing.FiniteDiscrete([0.5, 2], [0.3, 0.7]):
+            "FiniteDiscrete(atoms=[0.5, 2.0], weights=[0.3, 0.7])",
+        mixing.Gamma(1.8): "Gamma(shape=1.8)",
+        mixing.Beta(0.05, 3): "Beta(p=0.05, q=3.0)",
+        mixing.Pareto(2.5): "Pareto(alpha=2.5)",
+        mixing.PositiveStable(0.6): "PositiveStable(theta=0.6)",
+        mixing.LogSeries(1.5): "LogSeries(theta=1.5)",
+        ev.Frechet(0.3): "Frechet(theta=0.3)",
+        ev.Weibull(2): "Weibull(theta=2.0)",
+        ev.MOAtom(1.2): "MOAtom(m=PointMass(m=1.2))",
+        ev.StepFunction([0.4, 1.6], [0.5, 1]): "StepFunction(points=[0.4, 1.6], values=[0.5, 1.0])",
+        sk.ExponentialShock(0.7): "ExponentialShock(rate=0.7)",
+        sk.WeibullShock(1.4): "WeibullShock(shape=1.4, scale=1.0)",
+        sk.ParetoShock(2.0, 1.5): "ParetoShock(alpha=2.0, scale=1.5)",
+        sk.StepShock([0.5, 1.5], [0.6, 0]): "StepShock(points=(0.5, 1.5), values=(0.6, 0.0))",
+    }
+    kinds = {*mixing._FAMILIES.values(), *ev._G_KINDS.values(), *sk._SHOCK_KINDS.values()}
+    assert {type(law) for law in reprs} == kinds
+    assert [repr(law) for law in reprs] == list(reprs.values())

@@ -554,7 +554,8 @@ def test_laplace_inverse_against_mpmath_findroot(law):
     0.03 makes 3e-7 in x."""
     import mpmath
 
-    us = [0.3, 1e-6, 1e-100, 1e-300] + ([] if law == Pareto(0.3) else [0.9])
+    pareto_03 = isinstance(law, Pareto) and law.alpha == 0.3
+    us = [0.3, 1e-6, 1e-100, 1e-300] + ([] if pareto_03 else [0.9])
     with mpmath.workdps(40):
         for u in us:
             x = mx.laplace_inverse(law, u)

@@ -46,9 +46,19 @@ class TestShockLaws:
         assert np.isinf(e).mean() == pytest.approx(0.25, abs=0.005)
 
     def test_json_round_trip(self):
-        for law in self.LAWS:
-            back = sk.shock_from_json(law.to_json())
+        # literal model JSON of each kind, the law it reads as and its survival at 1
+        for obj, law, survival_1 in [
+            ({"kind": "exponential", "rate": 0.7}, sk.ExponentialShock(0.7), math.exp(-0.7)),
+            ({"kind": "weibull", "shape": 1.4, "scale": 0.8}, sk.WeibullShock(1.4, 0.8),
+             math.exp(-(1.25**1.4))),
+            ({"kind": "weibull", "shape": 1.4}, sk.WeibullShock(1.4, 1.0), math.exp(-1.0)),
+            ({"kind": "pareto", "alpha": 2.0, "scale": 1.5}, sk.ParetoShock(2.0, 1.5), 0.36),
+            ({"kind": "step", "points": [0.5, 1.5, 3], "values": [0.6, 0.2, 0]},
+             sk.StepShock((0.5, 1.5, 3.0), (0.6, 0.2, 0.0)), 0.6),
+        ]:
+            back = sk.shock_from_json(obj)
             assert back == law
+            assert back.survival(1.0) == pytest.approx(survival_1, rel=1e-15)
 
 
 class TestExshock:
@@ -56,7 +66,8 @@ class TestExshock:
                                        [0.5, -0.1, 0.2]])
     def test_negative_coordinates_rejected(self, point):
         # the CLI's one domain check refuses the point; exshock_survival checks nothing
-        model = json.dumps({"family": "exshock", "shocks": [s.to_json() for s in EXP_SPEC.shocks]})
+        shocks = [{"kind": "exponential", "rate": rate} for rate in (0.3, 0.2, 0.1)]
+        model = json.dumps({"family": "exshock", "shocks": shocks})
         code, out, err = cli_run(["eval", "--model", model, "--point", json.dumps(point)])
         assert (code, out) == (1, "")
         assert err == f"error: survival point {point} lies outside the domain [0, inf]^d\n"
