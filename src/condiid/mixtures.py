@@ -159,9 +159,10 @@ def laplace_inverse(law: MixingLaw, u: float) -> float:
         return value
 
     x = monotone_inverse(lambda t: phi(t) <= u)
-    # With mass at 0, phi levels off at P(M = 0) and can round onto u = P(M = 0)
-    # at a finite x; phi never drops below u there, and the inverse is inf.
-    return x if x < math.inf and phi(2.0 * x) < u else math.inf
+    # With mass at 0, phi levels off at P(M = 0) = phi(inf) and can round onto
+    # u = P(M = 0) at a finite x; phi never drops below u there, and the inverse
+    # is inf.  Only phi(inf) tells: near 0, phi(2 x) can round onto a u below 1.
+    return x if phi(math.inf) < u else math.inf
 
 
 def archimedean_copula_eval(law: MixingLaw, u):
@@ -223,6 +224,7 @@ def linf_ciid_survival(law: MixingLaw, x):
         float(law.expect(lambda m: np.prod(1.0 - np.divide.outer(p, m), axis=0), lower=p.max()))
         for p in x.reshape(-1, x.shape[-1])
     ]).reshape(x.shape[:-1])
+    out = np.minimum(out, 1.0)  # near 0 the rule may integrate the density to 1 plus a few ulps
     return out if out.ndim else float(out)
 
 

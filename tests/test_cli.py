@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condiid import cli
@@ -515,24 +515,49 @@ class TestEvaluateContract:
 EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-300, 0.5, 1.0, 1e200, 1e308,
                np.finfo(float).max, math.inf, -1.0, -1e308, -math.inf]
 COORDINATES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1.0), st.floats(-5.0, 50.0))
-CONTRACT_CASES = [(family, kind) for family in sorted(EVAL_MODELS)
-                  for kind in sorted(cli.build_model(eval_model(family)).evals)]
-CONTRACT_REFUSAL = (r"(survival|cdf|copula|stdf) (point \[.*\] lies outside the domain "
-                    r"\[-?(0|1|inf), (1|inf)\]\^d|at point \[.*\] is not (a probability in \[0, 1\]"
-                    r"|a finite value >= 0))|geometric survival is defined on integer grids")
+# Mixing laws whose transform, or the integral of whose density, rounded above 1
+# near 0, or whose scipy hyp1f1 was inf or NaN there; the finite_discrete
+# weights sum to 1 + 2^-52 in floats
+EDGE_LAWS = {
+    "pareto_20": {"family": "pareto", "alpha": 20.0},
+    "gamma_30": {"family": "gamma", "shape": 30.0},
+    "beta_1_20": {"family": "beta", "p": 1.0, "q": 20.0},
+    "beta_0.05_1": {"family": "beta", "p": 0.05, "q": 1.0},
+    "finite_discrete": {"family": "finite_discrete", "atoms": [0.5, 1.0, 2.0, 3.0],
+                        "weights": [0.788, 0.044, 0.07, 0.098]},
+}
+CONTRACT_MODELS = {
+    **{family: eval_model(family) for family in EVAL_MODELS},
+    **{f"{family}_{name}": {"family": family, "d": 2, "m": law}
+       for family in ("l1", "archimedean", "linf") for name, law in EDGE_LAWS.items()},
+}
+CONTRACT_CASES = [(name, kind) for name in sorted(CONTRACT_MODELS)
+                  for kind in sorted(cli.build_model(CONTRACT_MODELS[name]).evals)]
+DOMAIN_REFUSAL = (r"(survival|cdf|copula|stdf) point \[.*\] lies outside the domain "
+                  r"\[-?(0|1|inf), (1|inf)\]\^d|geometric survival is defined on integer grids")
+CONTRACT_REFUSAL = (DOMAIN_REFUSAL + r"|(survival|cdf|copula|stdf) at point \[.*\] is not "
+                    r"(a probability in \[0, 1\]|a finite value >= 0)")
 
 
-@pytest.mark.parametrize("family, kind", CONTRACT_CASES, ids=[f"{f}-{k}" for f, k in CONTRACT_CASES])
+@pytest.mark.parametrize("name, kind", CONTRACT_CASES, ids=[f"{n}-{k}" for n, k in CONTRACT_CASES])
 @settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_every_closed_form_keeps_the_contract(family, kind, data):
+@given(points=st.lists(st.lists(COORDINATES, min_size=2, max_size=2), min_size=1, max_size=4),
+       raises=st.lists(st.tuples(st.integers(0, 1), COORDINATES), min_size=4, max_size=4))
+@example(points=[[0.0, 0.0], [0.0, 1.0]], raises=[(0, 1.0), (1, 0.5)] * 2)
+@example(points=[[5e-324, 0.0], [5e-324, 5e-324]], raises=[(0, 1e-300), (1, 1.0)] * 2)
+@example(points=[[1e-300, 0.0], [1e-300, 1e-300]], raises=[(0, 1e-18), (1, 1e-18)] * 2)
+@example(points=[[1e-18, 0.0], [1e-18, 1e-18]], raises=[(0, 1.0), (1, 1e-16)] * 2)
+def test_every_closed_form_keeps_the_contract(name, kind, points, raises):
     """Each point either gets a finite value in range, with no warning, or is
     refused with the contract's message; the (k, d) call gives each point the
-    bits it has alone, and a survival is non-increasing in each coordinate."""
-    model = cli.build_model(eval_model(family))
-    points = np.array(data.draw(st.lists(st.lists(COORDINATES, min_size=2, max_size=2),
-                                         min_size=1, max_size=4)))
-    if family == "geometric":  # its survival lives on the integer grid
+    bits it has alone, and a survival is non-increasing in each coordinate:
+    ``raises`` gives the coordinate of each point raised, and to what."""
+    spec = CONTRACT_MODELS[name]
+    model = cli.build_model(spec)
+    # an edge law's closed forms give a value at every point of the domain
+    refusal = CONTRACT_REFUSAL if name in EVAL_MODELS else DOMAIN_REFUSAL
+    points = np.array(points)
+    if spec["family"] == "geometric":  # its survival lives on the integer grid
         points = np.rint(points)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -541,7 +566,7 @@ def test_every_closed_form_keeps_the_contract(family, kind, data):
             try:
                 alone[i] = model.evaluate(kind, point[None, :])
             except SpecValidationError as exc:
-                assert re.fullmatch(CONTRACT_REFUSAL, str(exc)), str(exc)
+                assert re.fullmatch(refusal, str(exc)), str(exc)
         if len(alone) < len(points):
             with pytest.raises(SpecValidationError):
                 model.evaluate(kind, points)
@@ -554,15 +579,73 @@ def test_every_closed_form_keeps_the_contract(family, kind, data):
         if kind != "survival":
             return
         for i, value in zip(alone, values):
-            j = data.draw(st.integers(0, 1))
+            j, raised = raises[i]
             higher = points[i].copy()
-            higher[j] = max(higher[j], data.draw(COORDINATES))
-            if family == "geometric":
+            higher[j] = max(higher[j], raised)
+            if spec["family"] == "geometric":
                 higher = np.rint(higher)
             try:
                 assert model.evaluate(kind, higher[None, :])[0] <= value
             except SpecValidationError as exc:
-                assert re.fullmatch(CONTRACT_REFUSAL, str(exc)), str(exc)
+                assert re.fullmatch(refusal, str(exc)), str(exc)
+
+
+def edge_model(family, law):
+    return json.dumps({"family": family, "d": 2, "m": EDGE_LAWS[law]})
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["eval", "--model", edge_model("l1", "beta_1_20"), "--point", "1e-100,0"], [1.0]),
+    (["eval", "--model", edge_model("archimedean", "beta_1_20"), "--kind", "copula",
+      "--point", "0.9999999999999999,0.5"], [0.5]),
+    (["eval", "--model", edge_model("linf", "pareto_20"), "--point", "0,0"], [1.0]),
+    (["eval", "--model", edge_model("linf", "gamma_30"), "--point", "0,0"], [1.0]),
+    (["eval", "--model", edge_model("l1", "pareto_20"), "--point", "1e-18,0"], [1.0]),
+    (["eval", "--model", edge_model("l1", "finite_discrete"), "--point", "1e-18,0"], [1.0]),
+    (["verify", "--model", edge_model("l1", "pareto_20"), "--grid", "[[1e-18,1e-18]]",
+      "--seed", "1"], [1.0]),
+], ids=["l1_beta_1_20", "archimedean_beta_1_20_near_1", "linf_pareto_20", "linf_gamma_30",
+        "l1_pareto_20", "l1_weights_above_1", "verify_l1_pareto_20"])
+def test_transforms_near_0_are_probabilities(argv, values):
+    """Each command was refused: a transform or a density integral above 1, or
+    a NaN from scipy's hyp1f1 where the Laplace inversion probed 3.7e-270."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    assert (json.loads(out)["closed"] if argv[0] == "verify" else [float(out)]) == values
+
+
+def identities(d):
+    """name: (kind, a model, the same law by another family or in closed form,
+    the relative tolerance), at dimension d."""
+    return {
+        "l1_point_mass-iid_exponential_mo": (
+            "survival", {"family": "l1", "d": d, "m": {"family": "point_mass", "m": 0.7}},
+            {"family": "marshall_olkin", "d": d, "rates": [0.7] + [0.0] * (d - 1)}, 1e-14),
+        "linf_point_mass-iid_uniform": (
+            "survival", {"family": "linf", "d": d, "m": {"family": "point_mass", "m": 1.0}},
+            lambda x: np.prod(np.clip(1.0 - x, 0.0, 1.0), axis=-1), 0.0),
+        **{f"gumbel_{theta}": (
+            "copula", {"family": "archimedean", "d": d, "m": {"family": "positive_stable", "theta": theta}},
+            {"family": "minstable", "d": d, "stdf": {"kind": "logistic", "theta": theta}}, 2e-15)
+           for theta in (0.3, 0.5, 0.8)},
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("name", list(identities(2)))
+def test_families_of_the_same_law_agree(name, d):
+    """Where two families give one law, their closed forms run through
+    different code: iid Exp(0.7) as l1 and as MO, iid uniform as linf, and
+    the Gumbel copula as archimedean and as min-stable logistic."""
+    kind, spec, other, rel = identities(d)[name]
+    rng = np.random.default_rng(d)
+    scale = 1.0 if kind == "copula" else 3.0  # survival points run past linf's support
+    points = np.r_[np.zeros((1, d)), np.ones((1, d)), scale * rng.random((40, d))]
+    reference = other if callable(other) else cli.build_model(other).evals[kind]
+    values = cli.build_model(spec).evaluate(kind, points)
+    assert values == pytest.approx(reference(points), rel=rel, abs=0.0)
 
 
 SURVIVAL_FAMILIES = [family for family in sorted(EVAL_MODELS)

@@ -255,6 +255,28 @@ def test_beta_laplace_matches_mpmath_at_every_scale(p, q):
             assert got == pytest.approx(float(ref), rel=2e-14, abs=0.0)
 
 
+SMALL_X = [5e-324, 1e-310, 1e-300, 1e-200, 1e-150, 1e-100, 1e-50, 1e-18, 1e-16, 1e-12, 1e-8,
+           1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999]
+
+
+@pytest.mark.parametrize("p", [0.01, 0.05, 0.2, 1.0, 5.0, 20.0, 150.0])
+@pytest.mark.parametrize("q", [0.01, 0.5, 1.0, 3.0, 20.0, 150.0])
+def test_beta_laplace_below_1_matches_mpmath(p, q):
+    """Below x = 1 the Maclaurin series, against mpmath at 50 digits: scipy's
+    hyp1f1 was inf for x <= 1e-300 and NaN at 1e-200 for p <= 0.2 and for
+    Beta(1, 20), above 1 by up to 1.3e-14, and off by 1.1e-14 up to 1."""
+    law = mixing.Beta(p, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vector = law.laplace(np.array(SMALL_X))
+        scalar = [law.laplace(x) for x in SMALL_X]
+    assert vector.tolist() == scalar
+    with mpmath.workdps(50):
+        for x, got in zip(SMALL_X, scalar):
+            assert got <= 1.0
+            assert abs(got - mpmath.hyp1f1(p, mpmath.mpf(p) + q, -mpmath.mpf(x))) <= 5.5e-16
+
+
 def test_beta_laplace_asks_hyp1f1_only_below_the_switch(monkeypatch):
     """scipy's hyp1f1 took 0.58 s for Beta(0.05, 1) at x = 2^30 and was NaN
     at 2^36; from the switch x0 = 50 + 10 (p + q + p q) on it is not asked."""
