@@ -8,9 +8,11 @@ model JSON ``{"family": ..., <constructor arguments>}``.
 
 The Laplace transform phi(x) = E[exp(-x M)] keeps one contract on every
 double x >= 0, +inf included: phi(0) = 1, every value lies in [0, 1], and a
-float and an array give each x the same bits.  A law without a closed form
-takes it by its own ``expect``, which a sum of weights or a quadrature of the
-density may round above 1; ``MixingLaw.laplace`` holds it to the contract.
+float and an array give each x the same bits.  A NaN x gives NaN, which
+``laplace_inverse`` refuses; x < 0 lies outside the domain.  A law without a
+closed form takes it by its own ``expect``, which a sum of weights or a
+quadrature of the density may round above 1; ``MixingLaw.laplace`` holds it
+to the contract.
 """
 
 from __future__ import annotations
@@ -106,18 +108,10 @@ def _by_entry_blocks(fn, x: np.ndarray, axis_len: int) -> np.ndarray:
 
 
 def _discount(x, m) -> np.ndarray:
-    """exp(-x m), broadcast, where x m is 0 if either factor is 0, also against +inf."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf is exact; fmax takes 0 * inf = NaN to 0
-        return np.exp(-np.fmax(x * m, 0.0))
-
-
-def _transform_value(x, value):
-    """``value`` as the Laplace transform at ``x``: exactly 1 at x = 0, and
-    never above 1, where a sum of weights or a quadrature rounds beyond it."""
-    if not isinstance(x, np.ndarray):  # a float, as the inversion kernel asks
-        return 1.0 if x == 0.0 else min(float(value), 1.0)
-    out = np.where(x == 0.0, 1.0, np.minimum(value, 1.0))
-    return out if out.ndim else float(out)
+    """exp(-x m), broadcast, where x m is 0 if either factor is 0, also against
+    +inf; a NaN x stays NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf is exact; 0 * inf is replaced by 0
+        return np.exp(-np.where((x == 0.0) | (m == 0.0), 0.0, x * m))
 
 
 def _series(step, t):
@@ -171,11 +165,18 @@ class MixingLaw:
 
     def laplace(self, x):
         """E[exp(-x M)] for x >= 0, vectorized in x, by ``expect``, where x M
-        counts as 0 if either factor is 0, also against +inf."""
+        counts as 0 if either factor is 0, also against +inf: exactly 1 at
+        x = 0, and never above 1, where a sum of weights or a quadrature
+        rounds beyond it."""
         x = np.asarray(x, dtype=float)
-        axis_len = getattr(self, "atoms", _EXP_X).size  # the atoms, or the longer rule of ``integrate``
-        values = _by_entry_blocks(lambda t: self.expect(lambda m: _discount(t[:, None], m)), x, axis_len)
-        return _transform_value(x, values)
+        values = _by_entry_blocks(lambda t: self.expect(lambda m: _discount(t[:, None], m)), x, self._nodes())
+        out = np.where(x == 0.0, 1.0, np.minimum(values, 1.0))
+        return out if out.ndim else float(out)
+
+    def _nodes(self) -> int:
+        """Values of M that ``expect`` sums over: the exp-sinh rule of
+        ``integrate``, the longer of its two rules."""
+        return _EXP_X.size
 
     def moment(self, k: int) -> float:
         """E[M**k]; only for laws supported in [0, 1]."""
@@ -236,10 +237,8 @@ class FiniteDiscrete(MixingLaw):
     def sample(self, n, rng):
         return self.atoms[_categorical(self.weights, n, rng)]
 
-    def laplace(self, x):
-        if isinstance(x, (int, float)):  # no blocks for the inversion kernel's one value, same bits
-            return _transform_value(x, (self.weights * _discount(x, self.atoms)).sum())
-        return super().laplace(x)
+    def _nodes(self):
+        return self.atoms.size
 
     def moment(self, k):
         return float(np.sum(self.weights * self.atoms**k))

@@ -39,6 +39,14 @@ def test_laplace_at_zero_is_one(law):
         assert law.laplace(np.array([0.0, 1.0]))[0] == 1.0
 
 
+@pytest.mark.parametrize("law", [*LAWS, mixing.FiniteDiscrete([0.0, math.inf], [0.5, 0.5])],
+                         ids=[*(l.family for l in LAWS), "atoms_at_0_and_inf"])
+def test_laplace_keeps_a_nan(law):
+    # counting 0 * inf as 0 must not hide a NaN x from laplace_inverse's guard
+    assert math.isnan(law.laplace(math.nan))
+    assert np.isnan(law.laplace(np.array([math.nan, 1.0]))).tolist() == [True, False]
+
+
 @pytest.mark.parametrize("law", LAWS, ids=lambda l: l.family)
 def test_laplace_matches_monte_carlo(law):
     rng = np.random.default_rng(42)
@@ -78,7 +86,7 @@ def test_json_round_trip(obj, phi_1):
                 min_size=1, max_size=12),
        st.data())
 def test_finite_discrete_scalar_laplace_is_the_array_path(atoms, data):
-    # the scalar path keeps the rule 0 * inf = 0 of the array path, bit for bit
+    # a float and an array keep the rule 0 * inf = 0, bit for bit
     weights = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(atoms),
                                           max_size=len(atoms)).filter(any)))
     law = mixing.FiniteDiscrete(atoms, weights / weights.sum())
