@@ -189,10 +189,14 @@ def _l1(spec: dict, d: int) -> Model:
 def _archimedean(spec: dict, d: int) -> Model:
     from . import mixtures
 
-    law = _mixing_law(spec)
+    law = mixtures.archimedean_generator(_mixing_law(spec))
 
     def copula_sampler(n, rng):
-        return np.asarray(law.laplace(mixtures.sample_l1_ciid(law, d, n, rng)))
+        x = mixtures.sample_l1_ciid(law, d, n, rng)
+        if x.max() == math.inf:  # M below E / max double: U = phi(E / M) is lost in inf
+            raise SpecValidationError(f"{law!r} drew an M so small that E / M overflows, "
+                                      "where the copula sample phi(E / M) cannot be kept")
+        return np.asarray(law.laplace(x))
 
     copula = lambda u: mixtures.archimedean_copula_eval(law, u)
     # the sample has uniform margins, so its cdf is the copula on [0, 1]^d

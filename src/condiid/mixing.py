@@ -7,8 +7,11 @@ one quadrature rule of the package, against a density.  A law is read from the
 model JSON ``{"family": ..., <constructor arguments>}``.
 
 The Laplace transform phi(x) = E[exp(-x M)] keeps one contract on every
-double x >= 0, +inf included: phi(0) = 1, every value lies in [0, 1], and a
-float and an array give each x the same bits.  A NaN x gives NaN, which
+double x >= 0, +inf included: phi(0) = 1 and every value lies in [0, 1].  A
+float and an array give each x the same bits for every law but ``Gamma``,
+whose float takes the C library's pow and whose array numpy's vector pow; the
+two differ in the last bit on about 5% of x where numpy's pow is vectorized,
+so ``l1_ciid_survival`` evaluates one x at a time.  A NaN x gives NaN, which
 ``laplace_inverse`` refuses; x < 0 lies outside the domain.  A law without a
 closed form takes it by its own ``expect``, which a sum of weights or a
 quadrature of the density may round above 1; ``MixingLaw.laplace`` holds it

@@ -7,6 +7,7 @@ Williamson's and Gnedin's transforms describe l1- and linf-norm symmetric laws.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "sample_l1_ciid",
     "l1_ciid_survival",
     "laplace_inverse",
+    "archimedean_generator",
     "archimedean_copula_eval",
     "gnedin_g",
     "sample_linf_ciid",
@@ -54,7 +56,12 @@ def sample_exch_normal(mu, sigma, rho, d, n, rng) -> np.ndarray:
     return data
 
 
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(80)
+@functools.cache
+def _gh_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 80-node Gauss-Hermite rule (weight exp(-t^2/2)),
+    built on first use: ``numpy.polynomial`` and its eigenproblem load only
+    in a process that evaluates an exch_normal cdf."""
+    return np.polynomial.hermite_e.hermegauss(80)
 
 
 def exch_normal_cdf(mu, sigma, rho, x):
@@ -68,12 +75,13 @@ def exch_normal_cdf(mu, sigma, rho, x):
     if rho == 1.0:
         out = ndtr((x.min(axis=-1) - mu) / sigma)
     else:
+        nodes, weights = _gh_rule()
         with np.errstate(over="ignore"):  # z beyond the doubles is +-inf, where ndtr is exact
-            z = (x[..., None, :] - mu - sigma * math.sqrt(rho) * _GH_NODES[:, None]) / (
+            z = (x[..., None, :] - mu - sigma * math.sqrt(rho) * nodes[:, None]) / (
                 sigma * math.sqrt(1.0 - rho)
             )
         vals = ndtr(z).prod(axis=-1)
-        out = np.sum(_GH_WEIGHTS * vals, axis=-1) / math.sqrt(2.0 * math.pi)
+        out = np.sum(weights * vals, axis=-1) / math.sqrt(2.0 * math.pi)
     return out if out.ndim else float(out)
 
 
@@ -108,16 +116,16 @@ def williamson_transform(law: MixingLaw, d: int, x) -> float:
 
 def sample_l1_ciid(law: MixingLaw, d, n, rng) -> np.ndarray:
     """X = E / M; the joint survival function is phi(||x||_1) with phi the
-    Laplace transform of M.
+    Laplace transform of M.  A draw M = 0, or one so small that E / M
+    overflows, gives X = inf, the correctly rounded value: phi(inf) = P(M = 0).
 
     E is drawn column by column, n values for X_1, then n for X_2, ..., into
     a column-major sample, so the division by M runs along contiguous columns.
     """
     m = law.sample(n, rng)
-    if (np.asarray(m) <= 0).any():
-        raise SpecValidationError("mixing variable must be strictly positive")
     data = rng.standard_exponential((d, n)).T
-    data /= m[:, None]
+    with np.errstate(divide="ignore", over="ignore"):  # M = 0, or below E / max double: X = inf
+        data /= m[:, None]
     return data
 
 
@@ -165,12 +173,24 @@ def laplace_inverse(law: MixingLaw, u: float) -> float:
     return x if phi(math.inf) < u else math.inf
 
 
+def archimedean_generator(law: MixingLaw) -> MixingLaw:
+    """``law``, refused unless its Laplace transform phi is an Archimedean
+    generator, which needs phi(inf) = P(M = 0) = 0."""
+    at_inf = law.laplace(math.inf)
+    if at_inf > 0:
+        raise UnsupportedLawError(f"{law!r} has P(M = 0) = phi(inf) = {at_inf!r} > 0: its "
+                                  "Laplace transform is no Archimedean generator")
+    return law
+
+
 def archimedean_copula_eval(law: MixingLaw, u):
     """phi(phi^{-1}(u_1) + ... + phi^{-1}(u_d)) with phi the Laplace transform
-    of ``law``, over the last axis of ``u``, points of [0, 1]^d; any zero
-    coordinate gives 0.  Each distinct coordinate value of a point without a
-    zero is inverted once, by :func:`laplace_inverse`, and each point sums
-    the inverses of its coordinates in order."""
+    of ``law``, an :func:`archimedean_generator`, over the last axis of ``u``,
+    points of [0, 1]^d; any zero coordinate gives 0.  Each distinct coordinate
+    value of a point without a zero is inverted once, by
+    :func:`laplace_inverse`, and each point sums the inverses of its
+    coordinates in order."""
+    archimedean_generator(law)
     u = np.asarray(u, dtype=float)
     points = u.reshape(-1, u.shape[-1]).tolist()
     needed = dict.fromkeys(v for p in points if 0.0 not in p for v in p)
@@ -206,10 +226,8 @@ def gnedin_g(law: MixingLaw, d: int, x) -> float:
 
 def sample_linf_ciid(law: MixingLaw, d, n, rng) -> np.ndarray:
     """X = M * U with U iid uniform on [0,1]; rows are conditionally iid
-    uniform on [0, M]."""
+    uniform on [0, M], and a row of M = 0 is 0."""
     m = law.sample(n, rng)
-    if (np.asarray(m) <= 0).any():
-        raise SpecValidationError("mixing variable must be strictly positive")
     data = rng.random((n, d))
     data *= m[:, None]
     return data

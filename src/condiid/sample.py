@@ -58,9 +58,10 @@ def sample_blocks(sampler, n: int, d: int, rng):
         del block  # not held while the next block is drawn
 
 
-# Rows formatted per ``write`` call: large enough to amortize the call, small
-# enough that the text held at once stays a few hundred kB at any n.
-_WRITE_CHUNK_ROWS = 4096
+# Values formatted per ``write`` call, in max(1, _WRITE_CHUNK_VALUES // d) rows:
+# large enough to amortize the call, small enough that the float objects and
+# text held at once stay a few hundred kB at any n and d.
+_WRITE_CHUNK_VALUES = 1 << 13
 
 
 def _is_path(path_or_buf) -> bool:
@@ -77,7 +78,8 @@ def write_csv(data, path_or_buf) -> None:
     written as ``repr`` of its float, so +inf is the literal ``inf``, no
     field is quoted and identical data yields identical bytes.  A chunk of
     rows is formatted by one ``%`` operation: one ``%r`` per field, the
-    row's template repeated once per row.  :func:`checked_sample` refuses
+    row's template repeated once per row, and holds about
+    ``_WRITE_CHUNK_VALUES`` values.  :func:`checked_sample` refuses
     the first block before any file is opened, and each later block before
     it is written.  A refusal or error after the first block leaves the
     header and the blocks before it in the file or stream, as written.
@@ -92,12 +94,13 @@ def write_csv(data, path_or_buf) -> None:
     try:
         f.write(",".join(f"x{k + 1}" for k in range(d)) + "\n")
         line = ",".join(["%r"] * d) + "\n"
+        rows = max(1, _WRITE_CHUNK_VALUES // d)
         while block is not None:
             if block.shape[1] != d:
                 raise ValueError(f"block width {block.shape[1]} does not match "
                                  f"the first block's width {d}")
-            for start in range(0, block.shape[0], _WRITE_CHUNK_ROWS):
-                chunk = block[start:start + _WRITE_CHUNK_ROWS]
+            for start in range(0, block.shape[0], rows):
+                chunk = block[start:start + rows]
                 f.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
             block = chunk = None  # the written block is freed before the next is drawn
             block = next(blocks, None)

@@ -272,10 +272,10 @@ def test_sample_above_a_block_writes_blocks_of_one_generator(tmp_path):
 
 def test_sample_memory_does_not_grow_with_n(tmp_path, monkeypatch):
     """A sample of eight blocks is written with a peak below four.  Blocks of
-    64 KiB, and text chunks of 512 rows to match, keep the 2M traced values of
-    eight real blocks out of the test."""
+    64 KiB, and text chunks of 512 rows of two values to match, keep the 2M
+    traced values of eight real blocks out of the test."""
     monkeypatch.setattr(sample, "BLOCK_BYTES", 64 << 10)
-    monkeypatch.setattr(sample, "_WRITE_CHUNK_ROWS", 512)
+    monkeypatch.setattr(sample, "_WRITE_CHUNK_VALUES", 1024)
     n = 8 * sample.BLOCK_BYTES // (8 * 2)
     path = tmp_path / "s.csv"
     argv = ["sample", "--model", L1_D2, "--seed", "6", "--out", str(path)]
@@ -1327,6 +1327,31 @@ def test_cli_loads_only_the_modules_a_command_uses(command, loaded, tmp_path):
         assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (None, False),
+    (["sample", "--model", L1_D2, "--n", "5", "--seed", "1"], False),
+    (["eval", "--model", '{"family":"exch_normal","d":3,"rho":0.4}', "--point", "0,0.5,1",
+      "--kind", "cdf"], True),
+], ids=["import_mixtures", "sample_l1", "eval_exch_normal_cdf"])
+def test_gauss_hermite_rule_loads_with_the_normal_cdf_only(argv, loaded):
+    """``numpy.polynomial``, which builds the Gauss-Hermite rule of the
+    exch_normal cdf, loads with its first evaluation, not with ``mixtures``."""
+    code = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import condiid.cli, condiid.mixtures\n"
+        f"if {argv!r}:\n"
+        f"    with redirect_stdout(io.StringIO()):\n"
+        f"        assert condiid.cli.main({argv!r}) == 0\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout == f"{loaded}\n"
+
+
 @pytest.mark.parametrize("alpha", [1.0, 0.2, 0.1])
 def test_linf_marginal_quantile_is_the_least_double_of_its_level(alpha):
     """The q-quantile is the least x with P(X_1 > x) <= 1 - q.  For a
@@ -1407,3 +1432,52 @@ def test_subordinator_mo_at_large_d(d):
     assert code == 0 and json.loads(out.splitlines()[-1])["passed"] is True
     code, out, _ = run(["check", "--model", model])
     assert code == 0 and out == 'extendible\n{"by_construction": "subordinator", "extendible": true}\n'
+
+
+ATOM_AT_0 = {"family": "finite_discrete", "atoms": [0.0, 1.0], "weights": [0.5, 0.5]}
+
+
+def test_a_law_with_an_atom_at_0_is_no_archimedean_generator():
+    """phi(inf) = P(M = 0) = 0.5: every archimedean command and the copula of
+    l1 refuse the law by one message, where ``eval`` printed 0 at (0.4, 1);
+    l1's survival, sample and verify take it, with X = inf where M = 0."""
+    message = ("error: FiniteDiscrete(atoms=[0.0, 1.0], weights=[0.5, 0.5]) has P(M = 0) = "
+               "phi(inf) = 0.5 > 0: its Laplace transform is no Archimedean generator\n")
+    archimedean = json.dumps({"family": "archimedean", "d": 2, "m": ATOM_AT_0})
+    l1 = json.dumps({"family": "l1", "d": 2, "m": ATOM_AT_0})
+    copula = ["--kind", "copula", "--point", "0.4,1"]
+    for argv in (["sample", "--model", archimedean, "--n", "5", "--seed", "1"],
+                 ["eval", "--model", archimedean, *copula],
+                 ["verify", "--model", archimedean, "--n", "2000", "--seed", "1"],
+                 ["eval", "--model", l1, *copula]):
+        assert run(argv) == (1, "", message)
+    assert run(["eval", "--model", l1, "--point", "1e300,1e300"]) == (0, "0.5\n", "")
+    code, out, _ = run(["sample", "--model", l1, "--n", "200", "--seed", "1"])
+    assert code == 0 and "inf,inf" in out.splitlines()
+    code, out, _ = run(["verify", "--model", l1, "--n", "20000", "--seed", "1"])
+    assert code == 0 and json.loads(out.splitlines()[-1])["passed"] is True
+
+
+@pytest.mark.parametrize("family", ["l1", "linf"])
+def test_a_mixing_draw_below_the_least_double_is_sampled_as_drawn(family, tmp_path):
+    """standard_gamma(0.01) returns 0.0 for 57 of 1e5 draws at seed 1, values
+    below the least double: X = E / M is then inf for l1 and X = M U is 0
+    for linf, as their survival functions have it, where both refused."""
+    model = json.dumps({"family": family, "d": 2, "m": {"family": "gamma", "shape": 0.01}})
+    path = tmp_path / "s.csv"
+    argv = ["--model", model, "--n", "100000", "--seed", "1"]
+    assert run(["sample", *argv, "--out", str(path)]) == (0, "", "")
+    data = read_csv(path)
+    at_0 = np.random.default_rng(1).standard_gamma(0.01, 100000) == 0.0
+    assert at_0.sum() == 57
+    assert (data[at_0] == (math.inf if family == "l1" else 0.0)).all()
+    code, out, _ = run(["verify", *argv])
+    assert code == 0 and json.loads(out.splitlines()[-1])["passed"] is True
+
+
+def test_archimedean_refuses_a_draw_whose_generator_value_is_lost():
+    """U = phi(E / M) cannot be kept where E / M overflows to inf."""
+    model = json.dumps({"family": "archimedean", "d": 2, "m": {"family": "gamma", "shape": 0.01}})
+    code, out, err = run(["sample", "--model", model, "--n", "100000", "--seed", "1"])
+    assert (code, out) == (1, "")
+    assert "drew an M so small that E / M overflows" in err

@@ -98,6 +98,34 @@ def test_finite_discrete_scalar_laplace_is_the_array_path(atoms, data):
     assert np.array_equal(scalar, law.laplace(np.array(xs)))
 
 
+SAME_BITS_LAWS = [  # every law but Gamma, whose float and array pow may round apart
+    mixing.PointMass(0.7),
+    mixing.PointMass(math.inf),
+    mixing.Beta(0.05, 1.0),
+    mixing.Beta(2.0, 3.0),
+    mixing.Beta(0.3, 1000.0),
+    mixing.Pareto(2.5),
+    mixing.Pareto(20.0),
+    mixing.PositiveStable(0.3),
+    mixing.PositiveStable(0.77),
+    mixing.LogSeries(1.5),
+]
+
+
+@pytest.mark.parametrize("law", SAME_BITS_LAWS, ids=repr)
+def test_scalar_laplace_is_the_array_path(law):
+    # the float/array contract of every law that keeps it, from 0 to +inf
+    rng = np.random.default_rng(35)
+    xs = np.concatenate([[0.0, 5e-324, 1e-300, 1.0, np.finfo(float).max, math.inf],
+                         10.0 ** rng.uniform(-300, 300, 300), rng.exponential(1.0, 300)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = [law.laplace(x) for x in xs.tolist()]
+        array = law.laplace(xs)
+    assert all(type(v) is float for v in scalar)
+    assert np.array_equal(scalar, array)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_categorical_is_generator_choice(seed):
     # the same indices as Generator.choice, and the generator left in the same state

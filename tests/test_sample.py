@@ -51,11 +51,16 @@ def test_bytes_match_reference_and_round_trip(data):
     assert same_floats(read_csv(io.StringIO(text.decode())), data)
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1, sample._WRITE_CHUNK_ROWS + 1])
+def chunk_rows(d: int) -> int:
+    """Rows of d values that ``write_csv`` formats by one ``%`` operation."""
+    return max(1, sample._WRITE_CHUNK_VALUES // d)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, chunk_rows(2) + 1])
 def test_chunk_boundaries(extra):
-    n = sample._WRITE_CHUNK_ROWS + extra
+    n = chunk_rows(2) + extra
     rng = np.random.default_rng(5)
-    data = rng.standard_normal((n, 3))
+    data = rng.standard_normal((n, 2))
     data[::11, 1] = np.inf
     text = written_bytes(data)
     assert text == reference_bytes(data)
@@ -64,9 +69,38 @@ def test_chunk_boundaries(extra):
 
 
 def test_c_and_fortran_copies_write_the_same_bytes():
-    data = np.random.default_rng(6).standard_exponential((sample._WRITE_CHUNK_ROWS + 3, 4))
+    data = np.random.default_rng(6).standard_exponential((chunk_rows(4) + 3, 4))
     data[::7, 2] = np.inf
     assert written_bytes(np.asfortranarray(data)) == written_bytes(np.ascontiguousarray(data))
+
+
+class _Sink:
+    """A text stream that keeps no text, only its length."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> None:
+        self.chars += len(text)
+
+
+@pytest.mark.parametrize("d", [5, 40])
+def test_writer_peak_does_not_grow_with_d(d):
+    """One block of BLOCK_BYTES is written with the same traced peak bound
+    above it at any d: the float objects and text of one chunk of about
+    _WRITE_CHUNK_VALUES values, where chunks of a fixed number of rows held
+    1.1 MB at d = 5 and 9 MB at d = 40."""
+    block = np.random.default_rng(9).standard_normal((sample.BLOCK_BYTES // (8 * d), d))
+    sink = _Sink()
+    write_csv(block[:2], sink)  # loads what the writer uses
+    tracemalloc.start()
+    try:
+        write_csv(block, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert sink.chars > block.size
 
 
 def test_path_like(tmp_path):
@@ -88,7 +122,7 @@ def test_rejects_non_matrix():
 
 def test_blocks_write_the_bytes_of_their_concatenation(tmp_path):
     rng = np.random.default_rng(8)
-    blocks = [rng.standard_normal((m, 3)) for m in (1, sample._WRITE_CHUNK_ROWS + 1, 5)]
+    blocks = [rng.standard_normal((m, 3)) for m in (1, chunk_rows(3) + 1, 5)]
     blocks[1][::5, 0] = np.inf
     whole = np.concatenate(blocks)
     assert written_bytes(iter(blocks)) == reference_bytes(whole)
