@@ -60,7 +60,7 @@ def sample_blocks(sampler, n: int, d: int, rng):
 
 # Values formatted per ``write`` call, in max(1, _WRITE_CHUNK_VALUES // d) rows:
 # large enough to amortize the call, small enough that the float objects and
-# text held at once stay a few hundred kB at any n and d.
+# text held at once stay a few hundred kB at any n, and at any d up to it.
 _WRITE_CHUNK_VALUES = 1 << 13
 
 
