@@ -37,8 +37,8 @@ import sys
 
 import numpy as np
 
-from .errors import (NotDMonotoneError, SpecValidationError, _json_object, json_field,
-                     json_known_fields, json_list, json_number, json_numbers)
+from .errors import (NotDMonotoneError, SpecValidationError, UnsupportedLawError, _json_object,
+                     json_field, json_known_fields, json_list, json_number, json_numbers)
 from .sample import read_csv, sample_blocks, write_csv
 
 
@@ -338,9 +338,10 @@ def _binary(spec: dict, d: int) -> Model:
             "binary model needs pattern probabilities 'p', moments 'b' or a mixing law 'm'"
         )
     law_m = None
-    if key == "m":
+    if key == "m":  # sampled directly and extendible by construction: no moments
         law_m = _mixing_law(spec)
-        seq = moments.moment_sequence(law_m, d)  # refuses a law not on [0, 1]
+        if not law_m.unit_interval:
+            raise UnsupportedLawError(f"{law_m!r} is not supported in [0,1]")
     else:
         values = json_numbers(spec, key, "")
         d = _dimension(spec, key, len(values) - 1)

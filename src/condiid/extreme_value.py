@@ -79,10 +79,11 @@ class GSpec:
         """:meth:`ell` at the k rows of a (k, d) array."""
         raise NotImplementedError
 
-    def tilted_draw(self, k: int, d: int, m: int, rng) -> np.ndarray:
+    def tilted_draw(self, d: int, m: int, rng) -> np.ndarray:
         """m rows of Y/Y_k for a vector Y of d iid G entries drawn under the
-        law tilted by Y_k (density Y_k against the plain law).  Column k is
-        left to the caller, which sets it to 1."""
+        law tilted by Y_k (density Y_k against the plain law).  The entries
+        are exchangeable, so the draw is the same for every k but in column
+        k, which the caller sets to 1."""
         raise UnsupportedLawError(f"no spectral sampler for G kind {self.kind!r}")
 
     __repr__ = MixingLaw.__repr__
@@ -113,7 +114,7 @@ class Frechet(GSpec):
                 out[redo] = top * np.sum((x[redo] / top[:, None]) ** p, axis=-1) ** self.theta
         return out
 
-    def tilted_draw(self, k, d, m, rng):
+    def tilted_draw(self, d, m, rng):
         # (scale*Y)**(-1/theta) is Exp(1), and Gamma(1-theta) under the tilt
         tilted = rng.standard_gamma(1.0 - self.theta, m)
         return (tilted[:, None] / rng.standard_exponential((m, d))) ** self.theta
@@ -154,7 +155,7 @@ class Weibull(GSpec):
 
         return top * (1.0 + theta / kappa / self.scale * integrate(fn, 0.0, math.inf))
 
-    def tilted_draw(self, k, d, m, rng):
+    def tilted_draw(self, d, m, rng):
         # (scale*Y)**(1/theta) is Exp(1), and Gamma(1+theta) under the tilt
         tilted = rng.standard_gamma(1.0 + self.theta, m)
         return (rng.standard_exponential((m, d)) / tilted[:, None]) ** self.theta
@@ -183,7 +184,7 @@ class MOAtom(GSpec):
         coeff = np.cumsum(self.m.laplace(np.arange(x.shape[-1])))
         return np.array([coeff @ g for g in gaps])
 
-    def tilted_draw(self, k, d, m, rng):
+    def tilted_draw(self, d, m, rng):
         # Given q, Y_j = 1{U_j < 1-q}/(1-q); the tilt fixes Y_k = 1/(1-q) and
         # keeps the law of q.  One q serves the whole vector, because ell
         # averages l_{G_q} over M; q = 1 (M = 0) gives the limit e_k.
@@ -238,7 +239,7 @@ class StepFunction(GSpec):
             prods = np.prod(self.cdf(mids[:, :, None] / x[:, None, :]), axis=-1)
         return scale * np.sum((1.0 - prods) * np.diff(breaks, axis=1), axis=-1)  # 0 beyond points[-1]
 
-    def tilted_draw(self, k, d, m, rng):
+    def tilted_draw(self, d, m, rng):
         # Y_j = points[I_j] with I_j drawn from the step masses; under the
         # tilt I_k follows the size-biased masses
         mass = np.diff(self.values, prepend=0.0)
@@ -287,12 +288,6 @@ class Triplet:
     def marginal_rate(self) -> float:
         """Exponential rate of each margin in the sampler's native scale."""
         return self.b + self.c
-
-    def spectral_parts(self) -> tuple[float, list]:
-        """Spectral law as (drift weight b, [(G, weight), ...]):
-        l(x) = (b*||x||_1 + sum weight*l_G(x)) / (b + sum weight), and the
-        weights sum to c."""
-        return self.b, [(g, self.c * w) for g, w in self.atoms]
 
 
 def independence() -> Triplet:
@@ -382,16 +377,17 @@ def sample_minstable(spec: Triplet, d: int, n: int, rng, rate: float | None = No
 
     Draws Z = max_i W^(i)/Gamma_i, where Gamma_1 < Gamma_2 < ... are the
     points of a unit-rate Poisson process and W^(i) iid copies of the spectral
-    vector of ``spec`` (see :meth:`Triplet.spectral_parts`), and returns
-    X = 1/(rate * Z).  The extremal-functions algorithm of Dombry, Engelke &
-    Oesting (2016) finds, for each coordinate k in turn, the points whose
-    W/Gamma attains Z_k, drawing W under the law tilted by W_k and normalized
-    to W_k = 1; it stops once 1/Gamma <= Z_k, and so takes d spectral draws
-    per row on average with no truncation.  All rows run in lockstep.
+    vector of ``spec``, which mixes its drift part and its G atoms with the
+    weights b and c w_i, and returns X = 1/(rate * Z).  The extremal-functions
+    algorithm of Dombry, Engelke & Oesting (2016) finds, for each coordinate k
+    in turn, the points whose W/Gamma attains Z_k, drawing W under the law
+    tilted by W_k and normalized to W_k = 1; it stops once 1/Gamma <= Z_k, and
+    so takes d spectral draws per row on average with no truncation.  All rows
+    run in lockstep.
     ``rate`` rescales the margins from their native rate b + c.
     """
-    b, atoms = spec.spectral_parts()
-    parts = [(g, w) for g, w in [(None, b), *atoms] if w > 0]  # None is the drift part
+    parts = [(None, spec.b), *((g, spec.c * w) for g, w in spec.atoms)]  # None: the drift part
+    parts = [(g, w) for g, w in parts if w > 0]
     weights = np.array([w for _, w in parts])
     probs = weights / weights.sum()  # the tilt by W_k keeps these
     r = spec.marginal_rate() if rate is None else float(rate)
@@ -401,14 +397,14 @@ def sample_minstable(spec: Triplet, d: int, n: int, rng, rate: float | None = No
     def draw(k, m):
         """m draws of W/W_k under the law tilted by W_k; the drift part is e_k."""
         if len(parts) == 1 and parts[0][0] is not None:
-            y = parts[0][0].tilted_draw(k, d, m, rng)
+            y = parts[0][0].tilted_draw(d, m, rng)
         else:
             y = np.zeros((m, d))
             which = _categorical(probs, m, rng)
             for i, (g, _) in enumerate(parts):
                 if g is not None:
                     sel = which == i
-                    y[sel] = g.tilted_draw(k, d, int(sel.sum()), rng)
+                    y[sel] = g.tilted_draw(d, int(sel.sum()), rng)
         y[:, k] = 1.0
         return y
 

@@ -4,10 +4,11 @@ Every quantile in the package without a closed form is ``inf{x > 0 :
 pred(x)}`` for a predicate that is false and then true, such as ``phi(x) <=
 u`` for a non-increasing ``phi``.  Non-negative doubles sort as their int64
 bit patterns do, so both forms bisect the bits from those of 0.0 to those of
-+inf until the ends are neighbours and return the upper one: the least
-positive double where the predicate holds, in at most 63 calls, never at 0
-or +inf.  It is ``inf`` only when no finite double satisfies the predicate,
-which must therefore be right on every double.
++inf until the ends are neighbours and return the upper one, in at most 63
+calls, never at 0 or +inf: a crossing, where the predicate holds and fails at
+the double below.  Where the predicate is monotone on the doubles, that is the
+least double where it holds.  The result is ``inf`` when the predicate fails
+at each double visited, so it must be right on every double.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ _INF_BITS = 0x7FF0000000000000  # the bits of +inf, above those of every finite 
 
 
 def monotone_inverse(pred) -> float:
-    """The least positive double x with ``pred(x)`` true, for ``pred`` monotone
-    (false, then true) up to the largest double; ``inf`` when it holds at none.
-    Plain Python, thirty times cheaper than numpy on 0-d arrays."""
+    """A crossing: a positive double x where ``pred`` holds and fails at the
+    double below, the least such where ``pred`` is monotone (false, then
+    true); ``inf`` when it fails at each double visited.  Plain Python, thirty
+    times cheaper than numpy on 0-d arrays."""
     double = lambda bits: struct.unpack("<d", struct.pack("<q", bits))[0]
     lo, hi = 0, _INF_BITS
     while hi - lo > 1:

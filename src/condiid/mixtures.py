@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -130,12 +131,14 @@ def sample_l1_ciid(law: MixingLaw, d, n, rng) -> np.ndarray:
 
 
 def l1_ciid_survival(law: MixingLaw, x):
-    """phi(||x||_1) over the last axis of ``x``, points of [0, inf]^d.  phi
-    takes each norm on its own: the vector pow of a Gamma law's phi rounds
-    some values otherwise than the scalar one."""
-    with np.errstate(over="ignore"):  # a sum beyond the largest double is inf, where phi is 0
-        total = np.sum(np.asarray(x, dtype=float), axis=-1)
-    out = np.array([law.laplace(t) for t in np.ravel(total).tolist()]).reshape(total.shape)
+    """phi(||x||_1) over the last axis of ``x``, points of [0, inf]^d.  Each
+    point sums left to right, as numpy does below 8 terms and Python's ``sum``
+    from 3.12 does not, and phi takes each norm on its own: the vector pow of
+    a Gamma law's phi rounds some values otherwise than the scalar one.  A sum
+    beyond the doubles is inf, where phi is P(M = 0)."""
+    x = np.asarray(x, dtype=float)
+    out = np.array([law.laplace(functools.reduce(operator.add, p, 0.0))
+                    for p in x.reshape(-1, x.shape[-1]).tolist()]).reshape(x.shape[:-1])
     return out if out.ndim else float(out)
 
 
@@ -144,7 +147,9 @@ def l1_ciid_survival(law: MixingLaw, x):
 def laplace_inverse(law: MixingLaw, u: float) -> float:
     """Generalized inverse phi^{-1}(u) = inf{x : phi(x) <= u} of the Laplace
     transform phi of ``law``: in closed form for a Gamma or positive stable
-    law, else the least double with phi(x) <= u (inf if none), refusing a NaN."""
+    law, else the crossing of :func:`monotone_inverse` for phi(x) <= u (inf if
+    none), refusing a NaN: the least such double where phi is monotone on the
+    doubles, as scipy's ``hyp1f1`` for a Beta law need not be."""
     if not 0.0 <= u <= 1.0:
         raise SpecValidationError(f"generator inverse needs u in [0,1], got {u}")
     if u >= 1.0:
@@ -186,27 +191,17 @@ def archimedean_generator(law: MixingLaw) -> MixingLaw:
 def archimedean_copula_eval(law: MixingLaw, u):
     """phi(phi^{-1}(u_1) + ... + phi^{-1}(u_d)) with phi the Laplace transform
     of ``law``, an :func:`archimedean_generator`, over the last axis of ``u``,
-    points of [0, 1]^d; any zero coordinate gives 0.  Each distinct coordinate
-    value of a point without a zero is inverted once, by
-    :func:`laplace_inverse`, and each point sums the inverses of its
-    coordinates in order."""
+    points of [0, 1]^d: the survival copula of the l1-norm symmetric law, so
+    :func:`l1_ciid_survival` at the inverses.  Each distinct coordinate value
+    of a point without a zero is inverted once, by :func:`laplace_inverse`; a
+    point with a zero coordinate is inf in each, where phi(inf) = 0."""
     archimedean_generator(law)
     u = np.asarray(u, dtype=float)
     points = u.reshape(-1, u.shape[-1]).tolist()
     needed = dict.fromkeys(v for p in points if 0.0 not in p for v in p)
     inverse = {v: laplace_inverse(law, v) for v in needed}
-    out = np.array([_archimedean_at(law, p, inverse) for p in points])
-    out = out.reshape(u.shape[:-1])
-    return out if out.ndim else float(out)
-
-
-def _archimedean_at(law: MixingLaw, u: list, inverse: dict) -> float:
-    if 0.0 in u:
-        return 0.0
-    total = sum(inverse[v] for v in u)
-    if math.isinf(total):
-        return 0.0
-    return float(law.laplace(total))
+    x = [[math.inf] * len(p) if 0.0 in p else [inverse[v] for v in p] for p in points]
+    return l1_ciid_survival(law, np.reshape(x, u.shape))
 
 
 # -- linf-norm symmetric ------------------------------------------------------

@@ -719,7 +719,7 @@ class TestCheck:
         assert len(json.loads(out.splitlines()[1])["hankel_values"]) == 8
 
     def test_binary_m_whose_moment_zero_rounds(self):
-        # gammaln gives Beta(1.5, 1.5).moment(0) one ulp below 1; b_0 is 1 by definition
+        # gammaln gives Beta(1.5, 1.5).moment(0) one ulp below 1, which no command of m reads
         model = json.dumps({"family": "binary", "d": 3, "m": {"family": "beta", "p": 1.5, "q": 1.5}})
         for argv in (["check"], ["sample", "--n", "5", "--seed", "1"]):
             code, _, err = run([argv[0], "--model", model, *argv[1:]])
@@ -1409,6 +1409,28 @@ def test_exch_normal_needs_no_scipy_stats():
         f"    assert condiid.cli.main(['verify', '--model', {model!r}, '--n', '2000',\n"
         "                             '--seed', '1']) == 0\n"
         "print(json.dumps([m for m in sys.modules if m.startswith('scipy.stats')]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert json.loads(out.stdout) == []
+
+
+def test_binary_of_a_mixing_law_computes_no_moments():
+    """``sample`` and ``check`` of a binary model given a Beta mixing law draw
+    M and call it extendible by construction: in a fresh interpreter no
+    ``scipy`` module loads, as the Beta moments would load ``scipy.special``."""
+    model = '{"family":"binary","d":3,"m":{"family":"beta","p":2,"q":3}}'
+    code = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import condiid.cli\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        f"    assert condiid.cli.main(['sample', '--model', {model!r}, '--n', '1000',\n"
+        "                             '--seed', '1']) == 0\n"
+        f"    assert condiid.cli.main(['check', '--model', {model!r}]) == 0\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}

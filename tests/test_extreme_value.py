@@ -400,9 +400,9 @@ class TestSeriesSampler:
         draws = []
         tilted_draw = ev.Frechet.tilted_draw
 
-        def spy(self, k, d, m, rng):
+        def spy(self, d, m, rng):
             draws.append(m)
-            return tilted_draw(self, k, d, m, rng)
+            return tilted_draw(self, d, m, rng)
 
         monkeypatch.setattr(ev.Frechet, "tilted_draw", spy)
         rng = np.random.default_rng(17)
@@ -637,4 +637,4 @@ def test_drift_only_triplet_is_independence():
     tri = ev.Triplet(0.7, 0.0)
     assert ev.stdf_eval(tri, [0.3, 1.1, 0.6]) == 0.3 + 1.1 + 0.6
     assert tri.marginal_rate() == 0.7
-    assert tri.spectral_parts() == (0.7, [])
+    assert (tri.b, tri.c, tri.atoms) == (0.7, 0.0, ())

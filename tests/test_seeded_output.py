@@ -16,8 +16,13 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -278,3 +283,34 @@ CHECKS = {  # name: (model spec, sha256 of the check output)
 def test_check_output_bytes(name):
     spec, digest = CHECKS[name]
     assert stdout_sha256(["check", "--model", json.dumps(spec)]) == digest
+
+
+# numpy's AVX-512 loops of vector power, exp, expm1 and log1p round some values
+# otherwise than its AVX2 and baseline loops: Pareto.sample takes a vector power
+# (linf), and sample_sato vector exp, expm1 and log1p (sato).
+DISPATCH_DEPENDENT_PINS = {"test_seeded_sample_bytes[linf]", "test_seeded_sample_bytes[sato]"}
+
+
+def test_pins_without_avx512_fail_only_where_known(tmp_path):
+    """The pins of this file rerun with numpy's AVX-512 dispatch switched off
+    fail exactly at the known dispatch-dependent ones, so a new pin that
+    depends on the dispatch, or a mend of one of these two, shows here."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")  # numpy >= 2
+    if not umath.__cpu_features__.get("AVX512_SKX"):
+        pytest.skip("numpy dispatches no AVX-512 loops on this CPU")
+    root = Path(__file__).resolve().parents[1]
+    here = Path(__file__).resolve().relative_to(root).as_posix()
+    report = tmp_path / "pins.xml"
+    env = {**os.environ,
+           "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", here,
+                    "--deselect", f"{here}::{test_pins_without_avx512_fail_only_where_known.__name__}",
+                    f"--junitxml={report}"],
+                   cwd=root, env=env, capture_output=True, timeout=600)
+    cases = ElementTree.parse(report).getroot().iter("testcase")
+    outcome = {case.get("name"): [child.tag for child in case] for case in cases}
+    failed = {name for name, tags in outcome.items() if tags}
+    assert failed == DISPATCH_DEPENDENT_PINS
+    assert all(outcome[name] == ["failure"] for name in failed)
+    assert len(outcome) > len(failed)
