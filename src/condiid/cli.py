@@ -282,14 +282,8 @@ def _minstable(spec: dict, d: int) -> Model:
     from . import extreme_value as ev
 
     rate = json_number(spec, "rate", "", 1.0)
-    stdf_obj = json_field(spec, "stdf", "")
-    stdf = ev.stdf_from_json(stdf_obj)
-    if stdf_obj["kind"] == "logistic" and stdf_obj["theta"] < 1.0:
-        theta = stdf_obj["theta"]
-        sampler = lambda n, rng: ev.sample_logistic_direct(theta, rate, d, n, rng)
-    else:
-        sampler = lambda n, rng: ev.sample_minstable(stdf, d, n, rng, rate=rate)
-    return Model("minstable", d, sampler=sampler,
+    stdf = ev.stdf_from_json(json_field(spec, "stdf", ""))
+    return Model("minstable", d, sampler=lambda n, rng: ev.sample_minstable(stdf, d, n, rng, rate=rate),
                  evals={"survival": lambda x: ev.minstable_survival(stdf, rate, x),
                         "stdf": lambda x: ev.stdf_eval(stdf, x),
                         "copula": lambda u: ev.extreme_value_copula_eval(stdf, u)},

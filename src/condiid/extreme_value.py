@@ -13,12 +13,27 @@ lack-of-memory family.  Every stdf here has one representation, the triplet
 weight c and a finite mixture gamma of G atoms, with
 l(x) = (b ||x||_1 + c sum_i w_i l_{G_i}(x)) / (b + c).  Independence, the
 logistic, negative-logistic and single-G models are factories for special
-triplets.  Every such law is
-max-stable with a known spectral vector W (E[W_k] = 1): with probability
-b/(b+c) the drift part d*e_J with J uniform, with probability c*w_i/(b+c) a
-vector of iid G_i draws.  The matching sampler draws Z = max_i W^(i)/Gamma_i
-exactly by the extremal-functions algorithm of Dombry, Engelke & Oesting
-(2016, Biometrika) and returns X = 1/((b+c) Z); it needs no truncation.
+triplets.
+
+l is a weighted sum of its parts, so sf = exp(-rate l) is a product of one
+min-stable survival function per part, and the sampler draws X as the
+componentwise minimum of independent parts, with s = rate/(b + c):
+
+* the drift, sf = exp(-s b ||x||_1): iid exponentials of rate s b;
+* each atom (G, w), sf = exp(-s c w l_G(x)), by :meth:`GSpec.sample_minstable`:
+  - Frechet(theta), the logistic model: Kanter's positive-stable mixture
+    (:func:`sample_logistic_direct`);
+  - an MO atom whose law of M is finite: by Abel summation,
+    l_{G_q}(x) = sum_j q^(j-1) x_[j] over decreasingly sorted x, so the part is
+    the exchangeable Marshall-Olkin law of a compound Poisson subordinator
+    with a jump (M_i, s c w p_i/(1 - e^-M_i)) per atom M_i of mass p_i (an
+    atom at 0 adds drift, one at inf kill), sampled by the death chain of
+    ``lack_of_memory`` in at most d steps;
+  - any other G, an MO atom with an unbounded M too: extremal functions
+    (:func:`sample_extremal`).  l_G is max-stable with spectral vector Y of
+    iid G entries (E[Y_k] = 1), and the extremal-functions algorithm of
+    Dombry, Engelke & Oesting (2016, Biometrika) draws
+    Z = max_i Y^(i)/Gamma_i exactly, with no truncation.
 """
 
 from __future__ import annotations
@@ -37,7 +52,8 @@ from .errors import (
     json_list,
     json_number,
 )
-from .mixing import MixingLaw, PointMass, _categorical, integrate, sample_positive_stable, scalar_pow
+from .mixing import (FiniteDiscrete, MixingLaw, PointMass, _categorical, integrate, sample_positive_stable,
+                     scalar_pow)
 
 __all__ = [
     "GSpec",
@@ -55,6 +71,7 @@ __all__ = [
     "extreme_value_copula_eval",
     "sample_minstable",
     "sample_logistic_direct",
+    "sample_extremal",
     "g_spec_from_json",
     "stdf_from_json",
 ]
@@ -85,6 +102,11 @@ class GSpec:
         are exchangeable, so the draw is the same for every k but in column
         k, which the caller sets to 1."""
         raise UnsupportedLawError(f"no spectral sampler for G kind {self.kind!r}")
+
+    def sample_minstable(self, rate: float, d: int, n: int, rng) -> np.ndarray:
+        """n rows of the min-stable law sf(x) = exp(-rate l_G(x)), by
+        extremal functions unless a kind has a faster exact sampler."""
+        return sample_extremal(self, rate, d, n, rng)
 
     __repr__ = MixingLaw.__repr__
 
@@ -118,6 +140,10 @@ class Frechet(GSpec):
         # (scale*Y)**(-1/theta) is Exp(1), and Gamma(1-theta) under the tilt
         tilted = rng.standard_gamma(1.0 - self.theta, m)
         return (tilted[:, None] / rng.standard_exponential((m, d))) ** self.theta
+
+    def sample_minstable(self, rate, d, n, rng):
+        # l_G is the logistic stdf
+        return sample_logistic_direct(self.theta, rate, d, n, rng)
 
 
 class Weibull(GSpec):
@@ -190,6 +216,28 @@ class MOAtom(GSpec):
         # averages l_{G_q} over M; q = 1 (M = 0) gives the limit e_k.
         q = np.exp(-self.m.sample(m, rng))[:, None]
         return (rng.random((m, d)) < 1.0 - q).astype(float)
+
+    def sample_minstable(self, rate, d, n, rng):
+        # exponents rate E[q^(k-1)]: the subordinator of the module docstring.
+        # An unbounded M would need a quadrature for its subset rates
+        if not isinstance(self.m, FiniteDiscrete):
+            return super().sample_minstable(rate, d, n, rng)
+        from . import lack_of_memory as lom
+
+        drift = kill = 0.0
+        jumps = []
+        for m, p in zip(self.m.atoms.tolist(), self.m.weights.tolist()):
+            if p == 0.0:
+                continue
+            jump = rate * p / -math.expm1(-m) if m > 0.0 else math.inf
+            if m == math.inf:  # q = 0: 1 for every k >= 1
+                kill += rate * p
+            elif jump == math.inf:  # q = 1 to the last bit: (1 - q^k)/(1 - q) = k
+                drift += rate * p
+            else:
+                jumps.append((m, jump))
+        sub = lom.CompoundPoissonSubordinatorSpec(drift, kill, tuple(jumps))
+        return lom.sample_mo_ciid(sub, d, n, rng)
 
 
 class StepFunction(GSpec):
@@ -373,38 +421,41 @@ def sample_logistic_direct(theta: float, rate: float, d: int, n: int, rng) -> np
 
 
 def sample_minstable(spec: Triplet, d: int, n: int, rng, rate: float | None = None) -> np.ndarray:
-    """Exact min-stable sampler by extremal functions.
+    """Exact min-stable sampler, part by part.
 
-    Draws Z = max_i W^(i)/Gamma_i, where Gamma_1 < Gamma_2 < ... are the
-    points of a unit-rate Poisson process and W^(i) iid copies of the spectral
-    vector of ``spec``, which mixes its drift part and its G atoms with the
-    weights b and c w_i, and returns X = 1/(rate * Z).  The extremal-functions
-    algorithm of Dombry, Engelke & Oesting (2016) finds, for each coordinate k
-    in turn, the points whose W/Gamma attains Z_k, drawing W under the law
-    tilted by W_k and normalized to W_k = 1; it stops once 1/Gamma <= Z_k, and
-    so takes d spectral draws per row on average with no truncation.  All rows
-    run in lockstep.
+    With s = rate/(b + c), X is the componentwise minimum of independent
+    parts: iid exponentials of rate s b for the drift, and for each atom
+    (G, w) with w > 0 the law of l_G at rate s c w, drawn by
+    :meth:`GSpec.sample_minstable` (see the module docstring for which
+    sampler each kind takes).  A one-part triplet returns its part as drawn.
     ``rate`` rescales the margins from their native rate b + c.
     """
-    parts = [(None, spec.b), *((g, spec.c * w) for g, w in spec.atoms)]  # None: the drift part
-    parts = [(g, w) for g, w in parts if w > 0]
-    weights = np.array([w for _, w in parts])
-    probs = weights / weights.sum()  # the tilt by W_k keeps these
     r = spec.marginal_rate() if rate is None else float(rate)
     if not r > 0:
         raise SpecValidationError("rate must be positive")
+    s = r / (spec.b + spec.c)
+    out = rng.standard_exponential((n, d)) / (s * spec.b) if spec.b > 0 else None
+    for g, w in spec.atoms:
+        if w > 0:
+            part = g.sample_minstable(s * spec.c * w, d, n, rng)
+            out = part if out is None else np.minimum(out, part, out=out)
+    return out
+
+
+def sample_extremal(g: GSpec, rate: float, d: int, n: int, rng) -> np.ndarray:
+    """n rows of sf(x) = exp(-rate l_G(x)) by extremal functions.
+
+    Draws Z = max_i Y^(i)/Gamma_i, where Gamma_1 < Gamma_2 < ... are the
+    points of a unit-rate Poisson process and Y^(i) iid vectors of d iid G
+    entries, and returns X = 1/(rate * Z).  The algorithm of Dombry, Engelke
+    & Oesting (2016) finds, for each coordinate k in turn, the points whose
+    Y/Gamma attains Z_k, drawing Y under the law tilted by Y_k and normalized
+    to Y_k = 1; it stops once 1/Gamma <= Z_k, and so takes d draws per row on
+    average with no truncation.  All rows run in lockstep.
+    """
 
     def draw(k, m):
-        """m draws of W/W_k under the law tilted by W_k; the drift part is e_k."""
-        if len(parts) == 1 and parts[0][0] is not None:
-            y = parts[0][0].tilted_draw(d, m, rng)
-        else:
-            y = np.zeros((m, d))
-            which = _categorical(probs, m, rng)
-            for i, (g, _) in enumerate(parts):
-                if g is not None:
-                    sel = which == i
-                    y[sel] = g.tilted_draw(d, int(sel.sum()), rng)
+        y = g.tilted_draw(d, m, rng)
         y[:, k] = 1.0
         return y
 
@@ -422,7 +473,7 @@ def sample_minstable(spec: Triplet, d: int, n: int, rng, rate: float | None = No
             # an accepted row now has Z_k >= its old 1/Gamma, so it is done
             live = ~new & (1.0 / gamma > zr[:, k])
             rows, gamma = rows[live], gamma[live]
-    return 1.0 / (r * z)
+    return 1.0 / (rate * z)
 
 
 # -- JSON -----------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_c05_minstable():
     # extremal functions against the positive-stable mixture: two exact,
     # independent constructions of the same law
     n_series = 10000
-    series = ev.sample_minstable(ev.Triplet(0.0, 1.0, [(ev.Frechet(theta), 1.0)]), 2, n_series, rng)
+    series = ev.sample_extremal(ev.Frechet(theta), 1.0, 2, n_series, rng)
     for pt in ([0.3, 0.3], [1.0, 1.0], [0.5, 1.5], [2.0, 0.2], [0.8, 0.8]):
         pt = np.asarray(pt)
         p1 = (series > pt).all(axis=1).mean()

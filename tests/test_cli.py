@@ -33,6 +33,12 @@ def run(argv):
 MO_MODEL = json.dumps({"family": "marshall_olkin", "d": 3, "rates": [0.3, 0.2, 0.1]})
 
 
+def minstable_triplet(g):
+    """A d = 3 min-stable model of drift 0.2 and the one atom ``g`` of weight c = 1."""
+    return {"family": "minstable", "d": 3,
+            "stdf": {"kind": "triplet", "b": 0.2, "c": 1.0, "atoms": [{"g": g, "weight": 1.0}]}}
+
+
 FLOAT_FIELDS = [  # (model-JSON path, a valid object there, one of its float fields)
     ("m", {"family": "point_mass", "m": 1.0}, "m"),
     ("m", {"family": "gamma", "shape": 1.5}, "shape"),
@@ -868,6 +874,21 @@ class TestVerify:
     def test_minstable_kinds_verified(self, stdf):
         model = json.dumps({"family": "minstable", "d": 3, "stdf": stdf})
         code, out, _ = run(["verify", "--model", model, "--n", "20000", "--seed", "1"])
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("model, n, extra", [
+        ({"family": "minstable", "d": 2, "term_tol": 1e-8,
+          "stdf": {"kind": "lf", "g": {"kind": "frechet", "theta": 0.5}}}, 500, []),
+        (minstable_triplet({"kind": "weibull", "theta": 0.5}), 300, []),
+        (minstable_triplet({"kind": "weibull", "theta": 0.5}), 300, ["--threads", "2"]),
+        (minstable_triplet({"kind": "mo_atom", "m": 0.5}), 1000, []),
+    ], ids=["lf_frechet", "triplet_weibull", "triplet_weibull_threads", "triplet_mo_atom"])
+    def test_minstable_parts_verify_without_warnings(self, model, n, extra):
+        # one command per part sampler: Kanter, extremal functions, death chain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(["verify", "--model", json.dumps(model), "--n", str(n), "--seed", "1"] + extra)
         assert code == 0
         assert json.loads(out)["passed"] is True
 

@@ -338,9 +338,8 @@ class TestSeriesSampler:
     def test_matches_direct_logistic(self):
         rng = np.random.default_rng(12)
         theta = 0.5
-        tri = ev.Triplet(0.0, 1.0, [(ev.Frechet(theta), 1.0)])
         n_series, n_direct = 8000, 100000
-        series = ev.sample_minstable(tri, 2, n_series, rng)
+        series = ev.sample_extremal(ev.Frechet(theta), 1.0, 2, n_series, rng)
         direct = ev.sample_logistic_direct(theta, 1.0, 2, n_direct, rng)
         for pt in ([0.3, 0.3], [1.0, 1.0], [0.5, 1.5], [2.0, 0.2]):
             pt = np.asarray(pt)
@@ -350,16 +349,17 @@ class TestSeriesSampler:
             assert abs(p1 - p2) <= 3 * se + 1e-3
 
     def test_mo_atom_matches_subordinator_sampler(self):
-        # two-sampler oracle across modules: the series construction with a
-        # two-point G atom against the compound-Poisson first-passage sampler
+        # two-sampler oracle across modules: the drift and extremal functions
+        # of a two-point G atom against the compound-Poisson first-passage
+        # sampler
         rng = np.random.default_rng(13)
         m = 1.2
         q = math.exp(-m)
         beta = 1.0 / (1.0 - q)
-        tri = ev.Triplet(0.3, 1.0, [(ev.MOAtom(PointMass(m)), 1.0)])
         sub = lom.CompoundPoissonSubordinatorSpec(drift=0.3, jumps=((m, beta),))
         n = 30000
-        series = ev.sample_minstable(tri, 2, n, rng)
+        drift = rng.standard_exponential((n, 2)) / 0.3
+        series = np.minimum(drift, ev.sample_extremal(ev.MOAtom(PointMass(m)), 1.0, 2, n, rng))
         passage = lom.sample_mo_ciid(sub, 2, n, rng)
         for pt in ([0.4, 0.4], [0.8, 0.2], [1.5, 1.0]):
             pt = np.asarray(pt)
@@ -406,8 +406,7 @@ class TestSeriesSampler:
 
         monkeypatch.setattr(ev.Frechet, "tilted_draw", spy)
         rng = np.random.default_rng(17)
-        tri = ev.Triplet(0.0, 1.0, [(ev.Frechet(0.5), 1.0)])
-        ev.sample_minstable(tri, 3, 20000, rng)
+        ev.sample_extremal(ev.Frechet(0.5), 1.0, 3, 20000, rng)
         assert abs(sum(draws) / 20000 - 3.0) < 0.1
 
     @pytest.mark.parametrize("m_law", [Gamma(1.0), LogSeries(1.5), PositiveStable(0.5)],
@@ -467,6 +466,71 @@ class TestSeriesSampler:
             closed = ev.minstable_survival(spec, 1.5, pt)
             emp = (sm > np.asarray(pt)).all(axis=1).mean()
             assert abs(emp - closed) <= 3 * math.sqrt(closed * (1 - closed) / n)
+
+
+class TestPartByPart:
+    def test_parts_are_drawn_in_order_and_minimized(self):
+        # X is the componentwise minimum of the drift and of one min-stable
+        # law per atom, each at its share s b or s c w of the rate
+        tri = ev.Triplet(0.4, 1.2, [(ev.Frechet(0.6), 0.25), (ev.Weibull(0.5), 0.75)])
+        rate, n = 2.0, 300
+        s = rate / 1.6
+        rng = np.random.default_rng(4)
+        expect = rng.standard_exponential((n, 3)) / (s * 0.4)
+        expect = np.minimum(expect, ev.sample_logistic_direct(0.6, s * 1.2 * 0.25, 3, n, rng))
+        expect = np.minimum(expect, ev.sample_extremal(ev.Weibull(0.5), s * 1.2 * 0.75, 3, n, rng))
+        assert np.array_equal(ev.sample_minstable(tri, 3, n, np.random.default_rng(4), rate=rate), expect)
+
+    def test_finite_mo_atom_is_the_subordinator_death_chain(self):
+        # jump (M, rate p / (1 - e^-M)) per atom; M = 0 is drift, M = inf kill
+        m_law = FiniteDiscrete([0.0, 0.7, math.inf], [0.2, 0.5, 0.3])
+        sub = lom.CompoundPoissonSubordinatorSpec(
+            drift=1.3 * 0.2, kill=1.3 * 0.3, jumps=((0.7, 1.3 * 0.5 / -math.expm1(-0.7)),))
+        got = ev.sample_minstable(ev.lf(ev.MOAtom(m_law)), 4, 500, np.random.default_rng(3), rate=1.3)
+        assert np.array_equal(got, lom.sample_mo_ciid(sub, 4, 500, np.random.default_rng(3)))
+
+    @pytest.mark.parametrize("g", [ev.Weibull(0.5), ev.MOAtom(Gamma(1.0)),
+                                   ev.StepFunction([0.4, 1.6], [0.5, 1.0])],
+                             ids=["weibull", "mo_atom_gamma", "step"])
+    def test_other_atoms_take_extremal_functions(self, g):
+        got = ev.sample_minstable(ev.lf(g), 3, 500, np.random.default_rng(3), rate=1.3)
+        assert np.array_equal(got, ev.sample_extremal(g, 1.3, 3, 500, np.random.default_rng(3)))
+
+    def test_extremal_functions_of_an_mo_atom_at_zero_and_inf(self):
+        # the death chain takes these atoms in the sampler, so the spectral
+        # vectors e_k (q = 1) and constant (q = 0) are checked here
+        g = ev.MOAtom(FiniteDiscrete([0.0, 0.7, math.inf], [0.2, 0.5, 0.3]))
+        n = 30000
+        sm = ev.sample_extremal(g, 1.0, 3, n, np.random.default_rng(23))
+        for k in range(3):
+            assert stats.kstest(sm[:, k], "expon").pvalue > 0.001
+        for pt in ([0.3, 0.3, 0.3], [0.5, 1.0, 0.2], [1.0, 1.0, 1.0]):
+            closed = ev.minstable_survival(ev.lf(g), 1.0, pt)
+            emp = (sm > np.asarray(pt)).all(axis=1).mean()
+            assert abs(emp - closed) <= 3 * math.sqrt(closed * (1 - closed) / n)
+
+
+class TestTieMass:
+    """At d = 2, drift b and one MO atom with law M give the bivariate
+    Marshall-Olkin rates s b + s c phi(1) of each single death and
+    s c (1 - phi(1)) of the common one, phi(1) = E[exp(-M)], so
+    P(X_1 = X_2) = c (1 - phi(1)) / (2b + c (1 + phi(1)))."""
+
+    @pytest.mark.parametrize("m_law", [PointMass(1.2), FiniteDiscrete([0.5, 2.0], [0.4, 0.6]), Gamma(1.0)],
+                             ids=lambda law: law.family)
+    def test_tie_frequency(self, m_law):
+        b, c, n = 0.3, 1.0, 200_000
+        tri = ev.Triplet(b, c, [(ev.MOAtom(m_law), 1.0)])
+        x = ev.sample_minstable(tri, 2, n, np.random.default_rng(5))
+        phi = m_law.laplace(1.0)
+        closed = c * (1 - phi) / (2 * b + c * (1 + phi))
+        emp = (x[:, 0] == x[:, 1]).mean()
+        assert abs(emp - closed) <= 3 * math.sqrt(closed * (1 - closed) / n)
+
+    @pytest.mark.parametrize("g", [ev.Frechet(0.5), ev.Weibull(0.5)], ids=["frechet", "weibull"])
+    def test_continuous_atoms_make_no_ties(self, g):
+        x = ev.sample_minstable(ev.Triplet(0.3, 1.0, [(g, 1.0)]), 2, 20000, np.random.default_rng(6))
+        assert not (x[:, 0] == x[:, 1]).any()
 
 
 @st.composite

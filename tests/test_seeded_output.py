@@ -95,17 +95,17 @@ MODELS = {  # name: (model spec, sha256 of the sample CSV)
     "lf_frechet": (
         {"family": "minstable", "d": 2, "term_tol": 1e-08,
          "stdf": {"kind": "lf", "g": {"kind": "frechet", "theta": 0.5}}},
-        "2387f86da6c775db63efb530ff3f90816892bd1c664710762716893adca9d290",
+        "85984fc7483794e97feba840dc0f9ef148fc38a9a467ee60775e639d421ab572",
     ),
     "triplet_weibull": (
         {"family": "minstable", "d": 3, "stdf": {"kind": "triplet", "b": 0.2, "c": 1.0, "atoms": [
             {"g": {"kind": "weibull", "theta": 0.5}, "weight": 1.0}]}},
-        "dd9f25d539680abcb09720fcf1492ff8f53fcc572458f372f27540caf4fc5c04",
+        "0ce2ede28c1d5f57a60bcfb3d9e1e29b1f22883ed462e2f9ece00fde645dc5c4",
     ),
     "triplet_mo_atom": (
         {"family": "minstable", "d": 3, "stdf": {"kind": "triplet", "b": 0.2, "c": 1.0, "atoms": [
             {"g": {"kind": "mo_atom", "m": 0.5}, "weight": 1.0}]}},
-        "1dcce4caffa1aca404906374546d2badc460c48dd0edcd48d3739df40393793a",
+        "9b4056a31433f093d73f44a4d6d847ebc1645da5055e21c889f0e6c94bb0d79d",
     ),
     "exshock": (
         {"family": "exshock", "shocks": [
@@ -149,7 +149,7 @@ def test_seeded_sample_bytes(name):
 STDFS = {  # name: (min-stable stdf, sha256 of its verify report, eval --kind stdf at 0.3,0.7,1.1)
     "independence": (
         {"kind": "independence"},
-        "f6e6990590e894ef3abe9c956f7ab74f000f54527e6857d591313bafa0683a98", "2.1",
+        "4e746fd7da7fad8b5b889617598b055441dcd81626b4c91667e93ec9db921835", "2.1",
     ),
     "logistic_0.5": (
         {"kind": "logistic", "theta": 0.5},
@@ -157,7 +157,7 @@ STDFS = {  # name: (min-stable stdf, sha256 of its verify report, eval --kind st
     ),
     "logistic_1": (  # theta = 1 is independence, sampled as such
         {"kind": "logistic", "theta": 1.0},
-        "f6e6990590e894ef3abe9c956f7ab74f000f54527e6857d591313bafa0683a98", "2.1",
+        "4e746fd7da7fad8b5b889617598b055441dcd81626b4c91667e93ec9db921835", "2.1",
     ),
     "negative_logistic_1.5": (
         {"kind": "negative_logistic", "theta": 1.5},
@@ -165,15 +165,15 @@ STDFS = {  # name: (min-stable stdf, sha256 of its verify report, eval --kind st
     ),
     "lf_frechet_0.5": (
         {"kind": "lf", "g": {"kind": "frechet", "theta": 0.5}},
-        "0a76711ce39a8b457eb9b92d62c790861a19e800074d2b2d7c78f1d950f20c3d", "1.33790881603",
+        "5433d65f2e1fdeefc3304cefd65fcc4f5f72f6b345934fe48be63299e1788c0e", "1.33790881603",
     ),
     "triplet_weibull": (
         MODELS["triplet_weibull"][0]["stdf"],
-        "4cba3ecc906bdd37b7b4788c48d087fc0d9e9b6b495ca940439d4193993b12e7", "1.35977684033",
+        "58e96f8b69997edb29803479c0692362f67b54738496dac97f6fb2d901bff164", "1.35977684033",
     ),
     "triplet_mo_atom": (
         MODELS["triplet_mo_atom"][0]["stdf"],
-        "219e91fbab0e71a89895f96f5062315e5ae8a87549274d98069a352da8b54abf", "1.71244607846",
+        "4d2b12c7a97722e976fed92eae63dc856ca03198afd0a0534b36a43950cba3dc", "1.71244607846",
     ),
 }
 
@@ -193,6 +193,23 @@ def test_minstable_stdf_value(name):
     with redirect_stdout(out):
         assert cli.main(["eval", "--model", model, "--kind", "stdf", "--point", "0.3,0.7,1.1"]) == 0
     assert out.getvalue() == value + "\n"
+
+
+SAME_LAWS = {  # STDFS name: other spellings of its law, whose verify reports are its bytes
+    "logistic_0.5": [
+        {"kind": "lf", "g": {"kind": "frechet", "theta": 0.5}},
+        {"kind": "triplet", "b": 0.0, "c": 1.0, "atoms": [{"g": {"kind": "frechet", "theta": 0.5}, "weight": 1.0}]},
+    ],
+    "independence": [{"kind": "logistic", "theta": 1.0}, {"kind": "triplet", "b": 1.0, "c": 0.0}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAME_LAWS))
+def test_spellings_of_one_law_verify_alike(name):
+    stdfs = [STDFS[name][0], *SAME_LAWS[name]]
+    digests = {stdout_sha256(["verify", "--model", json.dumps({"family": "minstable", "d": 3, "stdf": stdf}),
+                              "--n", "2000", "--seed", "1"]) for stdf in stdfs}
+    assert digests == {STDFS[name][1]}
 
 
 LARGE_VERIFIES = {  # model name: sha256 of its verify report at --n 40000 --seed 1
