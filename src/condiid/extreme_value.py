@@ -424,11 +424,14 @@ def sample_minstable(spec: Triplet, d: int, n: int, rng, rate: float | None = No
     """Exact min-stable sampler, part by part.
 
     With s = rate/(b + c), X is the componentwise minimum of independent
-    parts: iid exponentials of rate s b for the drift, and for each atom
-    (G, w) with w > 0 the law of l_G at rate s c w, drawn by
-    :meth:`GSpec.sample_minstable` (see the module docstring for which
-    sampler each kind takes).  A one-part triplet returns its part as drawn.
-    ``rate`` rescales the margins from their native rate b + c.
+    parts, one per term of l: iid exponentials of rate s b for the drift, and
+    for each atom (G, w) with w > 0 the law of l_G at rate s c w, drawn by
+    :meth:`GSpec.sample_minstable`: Kanter's :func:`sample_logistic_direct`
+    for a Frechet atom, the death chain of ``lack_of_memory.sample_mo_ciid``
+    for an MO atom with a finite law of M (a compound Poisson subordinator,
+    by Abel summation), :func:`sample_extremal` for any other.  A one-part
+    triplet returns its part as drawn.  ``rate`` rescales the margins from
+    their native rate b + c.
     """
     r = spec.marginal_rate() if rate is None else float(rate)
     if not r > 0:
